@@ -26,7 +26,7 @@ from .fixedpoint import (
     picard_solve,
     picard_solve_with_halving,
 )
-from .modes import ModeBank, Potential, evolve_bank, evolve_mode
+from .modes import ModeBank, Potential, evolve_bank
 from .solver import (
     EXIT_CODES,
     CriticalHubble,
@@ -78,7 +78,6 @@ __all__ = [
     "continue_maximal",
     "cosmological_time",
     "evolve_bank",
-    "evolve_mode",
     "friedmann_rhs",
     "initial_energy_density",
     "initial_segment_state",

@@ -58,7 +58,6 @@ _NUMERICAL_DEFAULTS = {
     "nodes_per_segment": 49,
     "tail_model": "power-fit",
     "tail_fit_window": 0.25,
-    "tol_rel": 1e-4,
     "k_knee": 0.0,
     "panel_points": 8,
     "epsilon_critical": 1e-6,
@@ -290,7 +289,6 @@ def build_run(config: RunConfig):
             n_k=config.numerical["n_k"],
             tail_model=config.numerical["tail_model"],
             tail_fit_window=config.numerical["tail_fit_window"],
-            tol_rel=config.numerical["tol_rel"],
             k_knee=config.numerical["k_knee"],
             panel_points=config.numerical["panel_points"],
         )

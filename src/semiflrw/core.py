@@ -17,13 +17,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 # Euler-Mascheroni constant, hard-coded to 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
 
 # Default critical Hubble rate: H_c^2 = 1440 * pi^2 in reduced units.
 DEFAULT_HUBBLE_CRITICAL = math.sqrt(1440.0) * math.pi
+
+
+def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of values over nodes, starting at 0.
+
+    Same floating-point operations, in the same order, as
+    scipy.integrate.cumulative_trapezoid(values, nodes, initial=0.0).
+    """
+    increments = np.diff(nodes) * (values[1:] + values[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(increments)))
 
 
 class BlowUp(RuntimeError):
@@ -45,19 +54,13 @@ class PhysicalParams:
 
     length_scale is the subtraction length entering the renormalized Wick
     square only through log(e^gamma * mass * length_scale / sqrt(2)); the
-    default choice makes that log vanish.  renorm_alpha, renorm_beta and
-    renorm_gamma are the coefficients of the mass-squared, curvature and
-    higher-derivative renormalization ambiguities.  renorm_alpha is the one
-    that feeds the evolution source term; the others are bookkeeping.
+    default choice makes that log vanish.
     """
 
     mass: float
     length_scale: float | None = None
     cosmological_constant: float = 0.0
     hubble_critical: float = DEFAULT_HUBBLE_CRITICAL
-    renorm_alpha: float = 1.0 / (32.0 * math.pi**2)
-    renorm_beta: float = 1.0 / (288.0 * math.pi**2)
-    renorm_gamma: float = 1.0 / (2880.0 * math.pi**2)
 
     def __post_init__(self):
         if not (np.isfinite(self.mass) and self.mass >= 0.0):
@@ -72,10 +75,6 @@ class PhysicalParams:
             object.__setattr__(self, "length_scale", resolved)
         if not (np.isfinite(self.length_scale) and self.length_scale > 0.0):
             raise ValueError("length_scale must be finite and > 0")
-
-    @property
-    def hubble_critical_sq(self) -> float:
-        return self.hubble_critical**2
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,6 @@ class SampledFunction:
 
     grid: Grid
     values: np.ndarray
-    interp: str = "linear"
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -165,8 +163,6 @@ class SampledFunction:
             raise ValueError("values must match the grid node count")
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled values must be finite")
-        if self.interp != "linear":
-            raise ValueError(f"unsupported interpolation rule {self.interp!r}")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -179,16 +175,14 @@ class SampledFunction:
         return np.interp(tau, self.grid.nodes, self.values)
 
     def with_values(self, values: np.ndarray) -> SampledFunction:
-        return SampledFunction(self.grid, values, self.interp)
+        return SampledFunction(self.grid, values)
 
     def antiderivative(self) -> SampledFunction:
-        cumulative = cumulative_trapezoid(self.values, self.grid.nodes, initial=0.0)
-        return SampledFunction(self.grid, cumulative, self.interp)
+        return self.with_values(cumulative_trapezoid(self.values, self.grid.nodes))
 
     def derivative(self) -> SampledFunction:
-        return SampledFunction(
-            self.grid, np.gradient(self.values, self.grid.nodes, edge_order=2),
-            self.interp,
+        return self.with_values(
+            np.gradient(self.values, self.grid.nodes, edge_order=2)
         )
 
     @property
@@ -209,7 +203,7 @@ def scale_factor_from_hubble(
     nodes = hubble.grid.nodes
     if tau0 is not None and not math.isclose(tau0, nodes[0], rel_tol=0.0, abs_tol=1e-12):
         raise ValueError(f"tau0={tau0} does not match grid start {nodes[0]}")
-    integral = cumulative_trapezoid(hubble.values.real, nodes, initial=0.0)
+    integral = cumulative_trapezoid(hubble.values.real, nodes)
     denominator = 1.0 - a0 * integral
     bad = np.flatnonzero(denominator <= 0.0)
     if bad.size:
@@ -226,7 +220,7 @@ def cosmological_time(a: SampledFunction, t0: float = 0.0) -> SampledFunction:
     """
     if np.any(a.values.real <= 0.0):
         raise ValueError("scale factor must be positive on the grid")
-    integral = cumulative_trapezoid(a.values.real, a.grid.nodes, initial=0.0)
+    integral = cumulative_trapezoid(a.values.real, a.grid.nodes)
     return SampledFunction(a.grid, t0 - integral)
 
 

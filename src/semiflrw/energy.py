@@ -7,10 +7,9 @@ to the square of the Parker amplitude derivative,
 
     (m^4/8) a0^2 a'(tau0)^2 (k^2 + m^2 a0^2)^{-5/2},
 
-whose radial integral has the closed form m^2 a'(tau0)^2 / 24.  Both
-evaluation routes (closed-form density and live modes) integrate over the
-substitution k = m a0 tan(theta), which maps [0, inf) to a finite interval
-where Gauss-Legendre converges spectrally.
+whose radial integral has the closed form m^2 a'(tau0)^2 / 24.  The
+radial integral uses the substitution k = m a0 tan(theta), which maps
+[0, inf) to a finite interval where Gauss-Legendre converges spectrally.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledFunction
-from .modes import DegenerateMode, ModeState
 from .wick import WickConfig
 
 _VARIANTS = ("given_H0", "solve_for_Lambda", "classical_radiation_offset")
@@ -53,57 +50,6 @@ class ConstraintMode:
             raise ValueError(f"variant {self.variant!r} needs target_hubble")
 
 
-def parker_mode(k: float, a: SampledFunction, tau: float, m: float):
-    """Zeroth adiabatic mode (chi0, chi0') at tau.
-
-    chi0 = (sqrt(2) Omega^{1/2})^{-1} exp(i int Omega), Omega = sqrt(k^2 + m^2 a^2);
-    the derivative carries both the amplitude term and the i Omega phase term.
-    """
-    if k == 0.0 and m == 0.0:
-        raise DegenerateMode("k = m = 0 has no oscillating mode")
-    a_vals = a.values.real
-    omega_vals = np.sqrt(k**2 + m**2 * a_vals**2)
-    if not np.all(omega_vals > 0.0):
-        raise DegenerateMode("k^2 + m^2 a^2 must stay positive")
-    phase = SampledFunction(a.grid, omega_vals).antiderivative()
-    a_prime = a.derivative()
-    omega = float(np.interp(tau, a.grid.nodes, omega_vals))
-    a_tau = float(np.interp(tau, a.grid.nodes, a_vals))
-    ap_tau = float(a_prime(tau).real)
-    phi = float(phase(tau).real)
-    # written as sqrt(1/(2 omega)) so the vacuum-state amplitude at tau0 is
-    # the bitwise-identical double and the big terms of the energy
-    # subtraction cancel exactly instead of leaving O(omega) ulp noise
-    amplitude = math.sqrt(1.0 / (2.0 * omega))
-    chi0 = amplitude * complex(math.cos(phi), math.sin(phi))
-    amp_prime = -0.25 * (2.0 * m**2 * a_tau * ap_tau) * omega**-2.5 / math.sqrt(2.0)
-    dchi0 = (amp_prime + 1j * omega * amplitude) * complex(math.cos(phi), math.sin(phi))
-    return chi0, dchi0
-
-
-def _mod_sq_diff(x: complex, y: complex) -> float:
-    # |x|^2 - |y|^2 per component as (a - b)(a + b); components shared
-    # bitwise between x and y drop out exactly instead of leaving
-    # O(|x|^2) ulp residue after two large sums are subtracted
-    return (x.real - y.real) * (x.real + y.real) + (x.imag - y.imag) * (
-        x.imag + y.imag
-    )
-
-
-def energy_integrand(state: ModeState, parker, k: float, a_tau: float, m: float) -> float:
-    """Adiabatic reference mode sum minus state mode sum at one k.
-
-    parker is the (chi0, chi0') pair from parker_mode at the state's time.
-    Positive at tau0 for the vacuum-normalized state (the Parker mode carries
-    the extra amplitude-derivative energy).
-    """
-    chi0, dchi0 = parker
-    omega_sq = k**2 + m**2 * a_tau**2
-    return _mod_sq_diff(dchi0, state.dchi) + omega_sq * _mod_sq_diff(
-        chi0, state.chi
-    )
-
-
 def _tan_grid(a0: float, m: float, n: int, theta_max: float = 0.5 * math.pi):
     """Nodes/weights for int f(k) dk under k = m a0 tan(theta), theta < theta_max."""
     theta, w_theta = np.polynomial.legendre.leggauss(n)
@@ -113,20 +59,6 @@ def _tan_grid(a0: float, m: float, n: int, theta_max: float = 0.5 * math.pi):
     k = scale * np.tan(theta)
     w_k = scale * w_theta / np.cos(theta) ** 2
     return k, w_k
-
-
-# Beyond k ~ 300 m a0 the reference-minus-state difference drops below the
-# double-precision resolution of the two mode sums (each O(k)); the live-mode
-# quadrature stops at 50 m a0 and the remaining ~6e-4 fraction is appended
-# analytically from the measured initial slope.
-_MODE_ROUTE_CUT = 50.0
-
-
-def _density_tail(a0: float, da0: float, m: float, k_cut: float) -> float:
-    """(m^4/8) a0^2 da0^2 int_{k_cut}^inf k^2 (k^2 + (m a0)^2)^{-5/2} dk."""
-    c_sq = (m * a0) ** 2
-    remaining = 1.0 - k_cut**3 / (k_cut**2 + c_sq) ** 1.5
-    return (m**4 / 8.0) * a0**2 * da0**2 * remaining / (3.0 * c_sq)
 
 
 def initial_energy_integral(a0: float, da0: float, m: float, config: WickConfig) -> float:
@@ -139,26 +71,6 @@ def initial_energy_integral(a0: float, da0: float, m: float, config: WickConfig)
     k, w_k = _tan_grid(a0, m, config.n_k)
     density = (m**4 / 8.0) * a0**2 * da0**2 * (k**2 + (m * a0) ** 2) ** -2.5
     return float(np.sum(w_k * k**2 * density))
-
-
-def initial_energy_from_modes(a: SampledFunction, m: float, config: WickConfig) -> float:
-    """Same integral evaluated from live vacuum and Parker modes at tau0."""
-    if m == 0.0:
-        return 0.0
-    tau0 = a.grid.tau_start
-    a0 = float(a.values[0].real)
-    da0 = float(a.derivative()(tau0).real)
-    k_nodes, w_k = _tan_grid(a0, m, config.n_k, theta_max=math.atan(_MODE_ROUTE_CUT))
-    total = 0.0
-    for k, w in zip(k_nodes, w_k):
-        k0 = math.sqrt(k**2 + (m * a0) ** 2)
-        chi = math.sqrt(1.0 / (2.0 * k0)) * complex(
-            math.cos(k0 * tau0), math.sin(k0 * tau0)
-        )
-        state = ModeState(k=k, k0=k0, chi=chi, dchi=1j * k0 * chi, tau=tau0)
-        parker = parker_mode(k, a, tau0, m)
-        total += w * k**2 * energy_integrand(state, parker, k, a0, m)
-    return total + _density_tail(a0, da0, m, _MODE_ROUTE_CUT * m * a0)
 
 
 def initial_energy_density(

@@ -12,12 +12,12 @@ correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import Grid, SampledFunction
+from .core import Grid, SampledFunction, cumulative_trapezoid
 
 
 class ZeroStep(RuntimeError):
@@ -46,8 +46,6 @@ class RetardedFunctional:
     """f(X) evaluated on the whole grid; f(X)(s) may depend only on X|[a, s]."""
 
     eval: Callable[[SampledFunction], np.ndarray]
-    bound_hint: float | None = None
-    lipschitz_hint: float | None = None
 
 
 @dataclass(frozen=True)
@@ -79,17 +77,12 @@ class PicardReport:
 
 
 def select_step(
-    f0_value: float,
     bound: float,
     delta: float,
     span: float,
     safety: float = 0.5,
 ) -> float:
-    """Largest admissible step min(safety * delta / bound, span).
-
-    f0_value is accepted for diagnostics; the tube argument only needs the
-    bound on f and the tube radius.
-    """
+    """Largest admissible step min(safety * delta / bound, span)."""
     if not bound > 0.0:
         raise ValueError("bound must be > 0")
     if not delta > 0.0:
@@ -102,15 +95,6 @@ def select_step(
     if step <= 0.0 or not np.isfinite(step):
         raise ZeroStep(f"step underflow: delta={delta}, bound={bound}")
     return step
-
-
-def _integral_term(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    widths = np.diff(nodes)
-    increments = 0.5 * widths * (values[:-1] + values[1:])
-    out = np.empty_like(values)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
-    return out
 
 
 def picard_solve(
@@ -149,7 +133,7 @@ def picard_solve(
                 j,
                 float(grid.nodes[j]),
             )
-        new_values = f0.values.real + _integral_term(rhs, grid.nodes)
+        new_values = f0.values.real + cumulative_trapezoid(rhs, grid.nodes)
         bad = ~np.isfinite(new_values)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -166,7 +150,7 @@ def picard_solve(
                     np.abs(
                         current.values.real
                         - f0.values.real
-                        - _integral_term(final_rhs, grid.nodes)
+                        - cumulative_trapezoid(final_rhs, grid.nodes)
                     )
                 )
             )
@@ -182,51 +166,6 @@ def picard_solve(
         iterates=max_iter, residuals=tuple(residuals), converged=False, tol=tol
     )
     raise NoConvergence(f"no convergence after {max_iter} iterations", report)
-
-
-def verify_retardation(
-    functional: RetardedFunctional, probe: SampledFunction
-) -> bool:
-    """Perturb the probe on a trailing subinterval; the functional must be
-    unchanged (bit-identical) on the leading part."""
-    base = np.asarray(functional.eval(probe), dtype=np.float64)
-    split = probe.grid.size // 2
-    scale = max(1.0, float(np.max(np.abs(probe.values.real))))
-    perturbed_values = probe.values.real.copy()
-    perturbed_values[split + 1 :] += 0.37 * scale
-    perturbed = SampledFunction(probe.grid, perturbed_values)
-    shifted = np.asarray(functional.eval(perturbed), dtype=np.float64)
-    return bool(np.array_equal(base[: split + 1], shifted[: split + 1]))
-
-
-def estimate_lipschitz(
-    functional: RetardedFunctional,
-    base: SampledFunction,
-    delta: float,
-    n_probes: int = 4,
-) -> float:
-    """Sampled directional-derivative bound on f over the delta-tube.
-
-    Probes are deterministic cosine directions of uniform norm delta; the
-    max measured ratio is doubled as a safety margin.  Affects step size
-    only; convergence is re-checked a posteriori.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    if n_probes < 1:
-        raise ValueError("n_probes must be >= 1")
-    nodes = base.grid.nodes
-    span = nodes[-1] - nodes[0]
-    u = (nodes - nodes[0]) / span
-    f_base = np.asarray(functional.eval(base), dtype=np.float64)
-    worst = 0.0
-    for j in range(n_probes):
-        direction = delta * np.cos(j * np.pi * u)
-        probe = SampledFunction(base.grid, base.values.real + direction)
-        f_probe = np.asarray(functional.eval(probe), dtype=np.float64)
-        ratio = float(np.max(np.abs(f_probe - f_base))) / delta
-        worst = max(worst, ratio)
-    return 2.0 * worst
 
 
 def _front_half(grid: Grid) -> Grid:
@@ -263,12 +202,5 @@ def picard_solve_with_halving(
             current_grid = _front_half(current_grid)
             continue
         if halvings:
-            report = PicardReport(
-                iterates=report.iterates,
-                residuals=report.residuals,
-                converged=report.converged,
-                tol=report.tol,
-                equation_residual=report.equation_residual,
-                halvings=halvings,
-            )
+            report = replace(report, halvings=halvings)
         return solution, report, current_grid

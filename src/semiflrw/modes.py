@@ -8,20 +8,16 @@ The state is defined by solutions of
 with positive-frequency initial data at tau0 and the Wronskian normalization
 chi' conj(chi) - chi conj(chi') = i.  Evolution is classical fixed-step RK4
 (vectorized across k), with V interpolated linearly between grid nodes so the
-result is a deterministic function of the sampled scale factor.  A nested
-quadrature of the retarded recurrence provides an independent oracle, and
-mode_bound evaluates the factorial convergence estimate for diagnostics.
+result is a deterministic function of the sampled scale factor.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .core import Grid, SampledFunction
 
@@ -35,24 +31,11 @@ class DegenerateMode(ValueError):
     """k0 = 0: no positive-frequency normalization exists."""
 
 
-class StepTooLarge(RuntimeError):
-    """Requested RK4 step would exceed the Wronskian-drift budget."""
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """One mode at one time: (k, k0, chi, chi', tau)."""
-
-    k: float
-    k0: float
-    chi: complex
-    dchi: complex
-    tau: float
-
-    @property
-    def wronskian_error(self) -> float:
-        w = self.dchi * np.conj(self.chi) - self.chi * np.conj(self.dchi)
-        return float(abs(w - 1j))
+def wronskian_error(chi, dchi):
+    """Deviation |chi' conj(chi) - chi conj(chi') - i| from the normalization,
+    elementwise."""
+    w = dchi * np.conj(chi) - chi * np.conj(dchi)
+    return np.abs(w - 1j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,44 +89,6 @@ class Potential:
     def is_zero(self) -> bool:
         return self.V.norm_inf == 0.0
 
-    def smoothness_report(self) -> dict:
-        """Scaled second differences of V; large values flag a background
-        too rough for the mode equation to be trustworthy (reported, not
-        enforced)."""
-        nodes = self.V.grid.nodes
-        h = np.diff(nodes)
-        second = np.diff(self.V.values.real, 2) / (h[:-1] * h[1:])
-        scale = max(self.V.norm_inf, 1e-300)
-        return {
-            "max_scaled_second_difference": float(np.max(np.abs(second)) / scale)
-            if second.size
-            else 0.0,
-            "v_sup": float(self.V.norm_inf),
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class ModeTrajectory:
-    """Mode history on grid nodes between two times."""
-
-    k: float
-    k0: float
-    taus: np.ndarray
-    chi: np.ndarray
-    dchi: np.ndarray
-
-    @property
-    def wronskian_errors(self) -> np.ndarray:
-        w = self.dchi * np.conj(self.chi) - self.chi * np.conj(self.dchi)
-        return np.abs(w - 1j)
-
-    @property
-    def final_state(self) -> ModeState:
-        return ModeState(
-            self.k, self.k0, complex(self.chi[-1]), complex(self.dchi[-1]),
-            float(self.taus[-1]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ModeBank:
@@ -187,8 +132,7 @@ class ModeBank:
 
     @property
     def wronskian_error_max(self) -> float:
-        w = self.dchi * np.conj(self.chi) - self.chi * np.conj(self.dchi)
-        return float(np.max(np.abs(w - 1j)))
+        return float(np.max(wronskian_error(self.chi, self.dchi)))
 
     def anchor_digest(self) -> str:
         """Digest of the tau0-anchored identity of this bank (momenta,
@@ -215,28 +159,7 @@ class BankHistory:
 
     @property
     def wronskian_error_max(self) -> float:
-        w = self.dchi * np.conj(self.chi) - self.chi * np.conj(self.dchi)
-        return float(np.max(np.abs(w - 1j)))
-
-
-def initial_mode(k: float, a0: float, mass: float, tau0: float) -> ModeState:
-    """Positive-frequency initial data chi = (2 k0)^{-1/2} e^{i k0 tau0}."""
-    if k < 0.0:
-        raise ValueError("k must be >= 0")
-    if not (np.isfinite(a0) and a0 > 0.0):
-        raise ValueError("a0 must be finite and > 0")
-    k0 = math.sqrt(k**2 + (a0 * mass) ** 2)
-    if k0 == 0.0:
-        raise DegenerateMode("k = 0 with m = 0 has no normalizable mode")
-    chi = np.exp(1j * k0 * tau0) / math.sqrt(2.0 * k0)
-    return ModeState(float(k), k0, complex(chi), complex(1j * k0 * chi), float(tau0))
-
-
-def _drift_estimate(span: float, omega_max: float, step: float) -> float:
-    # RK4 Wronskian drift per step is (omega*h)^6/72; sum over span/h steps.
-    if span <= 0.0 or omega_max <= 0.0:
-        return 0.0
-    return span * omega_max**6 * step**5 / 72.0
+        return float(np.max(wronskian_error(self.chi, self.dchi)))
 
 
 def _rk4_sweep(
@@ -292,63 +215,6 @@ def _free_sweep(k0: np.ndarray, chi, dchi, nodes: np.ndarray):
     return chi_hist.astype(np.complex128), dchi_hist.astype(np.complex128)
 
 
-def _segment_nodes(potential: Potential, tau_from: float, to_tau: float) -> np.ndarray:
-    nodes = potential.V.grid.nodes
-    lo = np.searchsorted(nodes, tau_from - 1e-12)
-    hi = np.searchsorted(nodes, to_tau + 1e-12)
-    segment = nodes[lo:hi]
-    if segment.size < 2:
-        raise ValueError("potential grid has no span between tau_from and to_tau")
-    if not (
-        math.isclose(segment[0], tau_from, rel_tol=0.0, abs_tol=1e-10)
-        and math.isclose(segment[-1], to_tau, rel_tol=0.0, abs_tol=1e-10)
-    ):
-        raise ValueError("tau_from and to_tau must lie on the potential grid")
-    return segment
-
-
-def evolve_mode(
-    state: ModeState,
-    potential: Potential,
-    to_tau: float,
-    step: float,
-    wronskian_tol: float = 1e-6,
-) -> ModeTrajectory:
-    """Integrate one mode from state.tau to to_tau, sampling on the V grid.
-
-    step is the maximum RK4 substep; the sweep subdivides every grid interval
-    accordingly.  Raises StepTooLarge when the accumulated Wronskian-drift
-    estimate for that step exceeds wronskian_tol.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
-    if to_tau <= state.tau:
-        raise ValueError("to_tau must exceed state.tau")
-    nodes = _segment_nodes(potential, state.tau, to_tau)
-    v_values = potential.V(nodes).real
-    if potential.is_zero:
-        chi_hist, dchi_hist = _free_sweep(
-            np.float64(state.k0), complex(state.chi), complex(state.dchi), nodes
-        )
-        return ModeTrajectory(state.k, state.k0, nodes, chi_hist, dchi_hist)
-    omega_max = math.sqrt(state.k0**2 + max(float(np.max(v_values)), 0.0))
-    drift = _drift_estimate(to_tau - state.tau, omega_max, step)
-    if drift > wronskian_tol:
-        raise StepTooLarge(
-            f"step {step:g} gives Wronskian drift estimate {drift:.3g} "
-            f"> budget {wronskian_tol:g}"
-        )
-    chi_hist, dchi_hist = _rk4_sweep(
-        np.float64(state.k0**2),
-        np.complex128(state.chi),
-        np.complex128(state.dchi),
-        nodes,
-        v_values,
-        step,
-    )
-    return ModeTrajectory(state.k, state.k0, nodes, chi_hist, dchi_hist)
-
-
 def resolve_substep(
     span: float, omega_max: float, cap: float = SUBSTEP_CAP, budget: float = 1e-8
 ) -> float:
@@ -389,107 +255,3 @@ def evolve_bank(
         )
     final = bank.moved_to(chi_hist[-1], dchi_hist[-1], float(nodes[-1]))
     return BankHistory(nodes, chi_hist, dchi_hist, final)
-
-
-def _cumulative_simpson_complex(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # scipy's cumulative_simpson silently casts complex input to real
-    if np.iscomplexobj(y):
-        return cumulative_simpson(y.real, x=x, initial=0.0) + 1j * cumulative_simpson(
-            y.imag, x=x, initial=0.0
-        )
-    return cumulative_simpson(y, x=x, initial=0.0)
-
-
-def perturbative_orders(
-    k: float, potential: Potential, n_max: int, tau: float | None = None
-) -> np.ndarray:
-    """Recurrence orders chi^0(tau), ..., chi^{n_max}(tau) by nested
-    cumulative-Simpson quadrature of the retarded kernel sin(k0(eta-tau))/k0.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    grid = potential.V.grid
-    if tau is None:
-        tau = grid.tau_end
-    j_end = int(np.searchsorted(grid.nodes, tau - 1e-12))
-    if not math.isclose(grid.nodes[j_end], tau, rel_tol=0.0, abs_tol=1e-10):
-        raise ValueError("tau must lie on the potential grid")
-    k0 = potential.frequency(k)
-    if k0 == 0.0:
-        raise DegenerateMode("k0 = 0")
-    nodes = grid.nodes[: j_end + 1]
-    v = potential.V.values.real[: j_end + 1]
-    sin_nodes = np.sin(k0 * nodes)
-    cos_nodes = np.cos(k0 * nodes)
-    current = np.exp(1j * k0 * nodes) / math.sqrt(2.0 * k0)
-    orders = [complex(current[-1])]
-    for _ in range(n_max):
-        weighted = v * current
-        int_sin = _cumulative_simpson_complex(sin_nodes * weighted, nodes)
-        int_cos = _cumulative_simpson_complex(cos_nodes * weighted, nodes)
-        current = (cos_nodes * int_sin - sin_nodes * int_cos) / k0
-        orders.append(complex(current[-1]))
-    return np.array(orders, dtype=np.complex128)
-
-
-def perturbative_mode(
-    k: float, potential: Potential, n_max: int, tau: float | None = None
-) -> complex:
-    """Truncated series sum over the recurrence orders; oracle for evolve_mode."""
-    return complex(np.sum(perturbative_orders(k, potential, n_max, tau)))
-
-
-def mode_bound(
-    n: int, k: float, potential: Potential, tau: float | None = None, l: int = 0
-) -> float:
-    """Factorial convergence estimate for the n-th recurrence order:
-
-        (2 k0)^{-1/2} / n! * (int|V| / k0)^l * (int (tau-eta)|V|)^{n-l}.
-    """
-    if not 0 <= l <= n:
-        raise ValueError("need 0 <= l <= n")
-    grid = potential.V.grid
-    if tau is None:
-        tau = grid.tau_end
-    j_end = int(np.searchsorted(grid.nodes, tau - 1e-12))
-    if not math.isclose(grid.nodes[j_end], tau, rel_tol=0.0, abs_tol=1e-10):
-        raise ValueError("tau must lie on the potential grid")
-    k0 = potential.frequency(k)
-    if k0 == 0.0:
-        raise DegenerateMode("k0 = 0")
-    prefactor = 1.0 / math.sqrt(2.0 * k0)
-    if n == 0:
-        return prefactor
-    nodes = grid.nodes[: j_end + 1]
-    abs_v = np.abs(potential.V.values.real[: j_end + 1])
-    int_v = float(simpson(abs_v, x=nodes))
-    int_weighted = float(simpson((tau - nodes) * abs_v, x=nodes))
-    return (
-        prefactor
-        / math.factorial(n)
-        * (int_v / k0) ** l
-        * int_weighted ** (n - l)
-    )
-
-
-def dump_trajectories(trajectories, path) -> None:
-    """CSV dump: k, tau, re_chi, im_chi, re_dchi, im_dchi, wronskian_err."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["k", "tau", "re_chi", "im_chi", "re_dchi", "im_dchi", "wronskian_err"]
-        )
-        for traj in trajectories:
-            errs = traj.wronskian_errors
-            for j, tau in enumerate(traj.taus):
-                writer.writerow(
-                    [
-                        repr(float(traj.k)),
-                        repr(float(tau)),
-                        repr(float(traj.chi[j].real)),
-                        repr(float(traj.chi[j].imag)),
-                        repr(float(traj.dchi[j].real)),
-                        repr(float(traj.dchi[j].imag)),
-                        repr(float(errs[j])),
-                    ]
-                )

@@ -31,6 +31,7 @@ from .core import (
     InitialData,
     PhysicalParams,
     SampledFunction,
+    cosmological_time,
     ricci_scalar,
     scale_factor_from_hubble,
 )
@@ -61,6 +62,11 @@ EXIT_CODES = {
     REASON_SCALE_BLOWUP: 11,
     REASON_NO_CONVERGENCE: 20,
 }
+
+
+class BankCheckFailed(RuntimeError):
+    """The carried mode bank lost its tau0 anchor or drifted past the
+    Wronskian tolerance."""
 
 
 class CriticalHubble(RuntimeError):
@@ -237,6 +243,17 @@ def _wick_at_carry(
     return value
 
 
+def friedmann_source(h, w, params: PhysicalParams):
+    """Numerator H^4 - 2 Hc^2 H^2 + 240 pi^2 m^2 W + ... of f(H), per node."""
+    return (
+        h**4
+        - 2.0 * params.hubble_critical**2 * h**2
+        + 240.0 * math.pi**2 * params.mass**2 * w
+        - 7.5 * params.mass**4
+        + 960.0 * math.pi**2 * params.cosmological_constant
+    )
+
+
 def _rhs_detail(
     hubble: SampledFunction,
     carry: SegmentState,
@@ -285,13 +302,7 @@ def _rhs_detail(
     else:
         w_vals = np.zeros(grid.size)
         bank_final = None
-    source = (
-        h_vals**4
-        - 2.0 * critical**2 * h_vals**2
-        + 240.0 * math.pi**2 * params.mass**2 * w_vals
-        - 7.5 * params.mass**4
-        + 960.0 * math.pi**2 * params.cosmological_constant
-    )
+    source = friedmann_source(h_vals, w_vals, params)
     f_vals = a_vals * source / (critical**2 - h_vals**2)
     return f_vals, w_vals, a_fun, bank_final
 
@@ -345,15 +356,16 @@ def solve_segment(
 ) -> SegmentState:
     """Advance the carried state by one converged segment.
 
-    Raises NoConvergence after the halving retries are exhausted and
+    Raises NoConvergence after the halving retries are exhausted,
+    BankCheckFailed when the carried bank is unfit to continue, and
     propagates CriticalHubble / BlowUp with their locations.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
         if bank.anchor_digest() != carry.anchor_digest:
-            raise RuntimeError("mode bank identity changed since tau0")
+            raise BankCheckFailed("mode bank identity changed since tau0")
         if bank.wronskian_error_max > solver_cfg.wronskian_tolerance:
-            raise RuntimeError(
+            raise BankCheckFailed(
                 f"carried Wronskian drift {bank.wronskian_error_max:.3g} exceeds "
                 f"tolerance {solver_cfg.wronskian_tolerance:g}"
             )
@@ -366,7 +378,7 @@ def solve_segment(
     delta = 0.5 * gap
     h_max = abs(h_start) + delta
     bound = _rhs_bound(carry, params, wick_cfg, h_max, profile)
-    tube_step = select_step(h_start, bound, delta, remaining, solver_cfg.safety)
+    tube_step = select_step(bound, delta, remaining, solver_cfg.safety)
     # keep a_carry * int H below 1/2 so a(H) at most doubles on the segment
     denominator_step = 1.0 / (2.0 * carry.a_carry * h_max)
     dt_cap = solver_cfg.dt_target
@@ -382,7 +394,6 @@ def solve_segment(
                 x, carry, params, wick_cfg,
                 solver_cfg.substep_cap, solver_cfg.wronskian_budget, profile,
             )[0],
-            bound_hint=bound,
         )
         return f0, functional
 
@@ -494,6 +505,10 @@ def continue_maximal(
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"picard_residuals": list(err.report.residuals)}
             break
+        except BankCheckFailed as err:
+            reason = REASON_NO_CONVERGENCE
+            diagnostics_extra = {"error": str(err)}
+            break
         except CriticalHubble as err:
             reason = REASON_CRITICAL_HUBBLE
             diagnostics_extra = {"raised_at_tau": err.tau}
@@ -591,19 +606,12 @@ def solution_diagnostics(
         a_fun = SampledFunction(grid, solution.scale_factor)
         dh = h_fun.derivative().values.real
         ricci = ricci_scalar(h_fun, a_fun).values.real
-        t_of_tau = _cosmological_series(a_fun)
+        t_of_tau = cosmological_time(a_fun, 0.0).values.real
     else:
         dh = np.zeros_like(taus)
         ricci = 6.0 * 2.0 * solution.hubble**2
         t_of_tau = np.zeros_like(taus)
     critical = params.hubble_critical
-    source = (
-        solution.hubble**4
-        - 2.0 * critical**2 * solution.hubble**2
-        + 240.0 * math.pi**2 * params.mass**2 * solution.wick_square
-        - 7.5 * params.mass**4
-        + 960.0 * math.pi**2 * params.cosmological_constant
-    )
     a0 = solution.final_state.initial.a0
     return {
         "tau": taus,
@@ -613,16 +621,10 @@ def solution_diagnostics(
         "dH": dh,
         "R": ricci,
         "W_ren": solution.wick_square,
-        "source": source,
+        "source": friedmann_source(solution.hubble, solution.wick_square, params),
         "margin_hubble": critical - np.abs(solution.hubble),
         "margin_scale": a0 / solution.scale_factor,
     }
-
-
-def _cosmological_series(a_fun: SampledFunction) -> np.ndarray:
-    from .core import cosmological_time
-
-    return cosmological_time(a_fun, 0.0).values.real
 
 
 def save_checkpoint(

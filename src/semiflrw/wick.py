@@ -19,7 +19,6 @@ envelope integral is reported as uncertainty instead.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,7 +57,6 @@ class WickConfig:
     n_k: int = 64
     tail_model: str = "power-fit"
     tail_fit_window: float = 0.25
-    tol_rel: float = 1e-4
     k_knee: float = 0.0
     panel_points: int = 8
 
@@ -287,44 +285,3 @@ def wick_square_bogoliubov_delta(
          + (a_vals * b_vals * bank.chi**2).real)
     result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
     return 2.0 / a_tau**2 * result.value
-
-
-def dump_integrand(
-    taus: np.ndarray,
-    momenta: np.ndarray,
-    weights: np.ndarray,
-    integrand: np.ndarray,
-    tail_fits,
-    csv_path,
-    json_path,
-) -> None:
-    """Diagnostic dump: per-(tau, k) integrand with the running radial sum,
-    plus tail-fit parameters as JSON."""
-    taus = np.asarray(taus)
-    integrand = np.asarray(integrand)
-    with open(csv_path, "w", newline="") as handle:
-        handle.write("tau,k,integrand,cumulative_integral\n")
-        for i, tau in enumerate(taus):
-            running = np.cumsum(weights * momenta**2 * integrand[i]) / TWO_PI_SQ
-            for j, k in enumerate(momenta):
-                handle.write(
-                    f"{float(tau)!r},{float(k)!r},"
-                    f"{float(integrand[i, j])!r},{float(running[j])!r}\n"
-                )
-    summary = []
-    for tau, fit in zip(taus, tail_fits):
-        if fit is None:
-            summary.append({"tau": float(tau), "tail": None})
-        else:
-            summary.append(
-                {
-                    "tau": float(tau),
-                    "C": fit.coefficient,
-                    "p": fit.p_raw,
-                    "p_used": fit.p_used,
-                    "coherent": fit.coherent,
-                    "error_estimate": fit.envelope,
-                }
-            )
-    with open(json_path, "w") as handle:
-        json.dump(summary, handle, indent=2)

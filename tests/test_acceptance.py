@@ -22,18 +22,9 @@ from semiflrw.core import (
     PhysicalParams,
     SampledFunction,
 )
-from semiflrw.energy import initial_energy_from_modes, initial_energy_integral
+from semiflrw.energy import initial_energy_integral
 from semiflrw.fixedpoint import RetardedFunctional, picard_solve
-from semiflrw.modes import (
-    ModeBank,
-    Potential,
-    evolve_bank,
-    evolve_mode,
-    initial_mode,
-    perturbative_mode,
-    perturbative_orders,
-    resolve_substep,
-)
+from semiflrw.modes import ModeBank, Potential, evolve_bank, resolve_substep
 from semiflrw.solver import (
     SolverConfig,
     continue_maximal,
@@ -42,6 +33,14 @@ from semiflrw.solver import (
     solve_segment,
 )
 from semiflrw.wick import WickConfig, radial_grid, wick_integrand, wick_square_renormalized
+
+from oracles import (
+    evolve_mode,
+    initial_energy_from_modes,
+    initial_mode,
+    perturbative_mode,
+    perturbative_orders,
+)
 
 HC = DEFAULT_HUBBLE_CRITICAL
 W0 = WickConfig(k_max=40.0, n_k=192)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,20 @@ from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL
 
 HC = DEFAULT_HUBBLE_CRITICAL
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, semiflrw.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def lam_for_root(h_root: float) -> float:
@@ -62,6 +78,14 @@ class TestParsing:
             tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={"kmax": 30.0}
         )
         with pytest.raises(cli.ParseError, match="kmax.*did you mean 'k_max'"):
+            cli.parse_config(path)
+
+    def test_removed_tol_rel_key_is_rejected(self, tmp_path):
+        # schema break: older configs and summary.json echoes carried it
+        path = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={"tol_rel": 1e-4}
+        )
+        with pytest.raises(cli.ParseError, match="tol_rel.*did you mean"):
             cli.parse_config(path)
 
     def test_missing_mass(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from semiflrw.core import (
     DEFAULT_HUBBLE_CRITICAL,
@@ -14,6 +15,7 @@ from semiflrw.core import (
     PhysicalParams,
     SampledFunction,
     cosmological_time,
+    cumulative_trapezoid,
     ricci_scalar,
     scale_factor_from_hubble,
 )
@@ -21,10 +23,7 @@ from semiflrw.core import (
 
 def test_default_constants():
     p = PhysicalParams(mass=1.0)
-    assert p.hubble_critical_sq == pytest.approx(1440.0 * math.pi**2, rel=1e-15)
-    assert p.renorm_alpha == pytest.approx(1.0 / (32 * math.pi**2), rel=1e-15)
-    assert p.renorm_beta == pytest.approx(1.0 / (288 * math.pi**2), rel=1e-15)
-    assert p.renorm_gamma == pytest.approx(1.0 / (2880 * math.pi**2), rel=1e-15)
+    assert p.hubble_critical**2 == pytest.approx(1440.0 * math.pi**2, rel=1e-15)
     # default subtraction scale kills the tau0 log term: e^gamma*m*lam/sqrt(2) = 1
     assert math.exp(EULER_GAMMA) * p.mass * p.length_scale / math.sqrt(2) == pytest.approx(1.0, rel=1e-14)
 
@@ -218,6 +217,32 @@ def test_cosmological_time_decreasing(c, t0):
     t = cosmological_time(a, t0=t0)
     assert t.values[0] == t0
     assert np.all(np.diff(t.values) < 0.0)
+
+
+_magnitudes = st.floats(min_value=1e-10, max_value=1e10)
+
+
+@given(
+    start=st.floats(min_value=-100.0, max_value=100.0),
+    samples=st.lists(
+        st.tuples(
+            st.floats(min_value=1e-6, max_value=10.0),
+            _magnitudes,
+            st.sampled_from([1.0, -1.0]),
+        ),
+        min_size=2,
+        max_size=80,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_cumulative_trapezoid_matches_scipy_bitwise(start, samples):
+    widths, magnitudes, signs = (np.array(column) for column in zip(*samples))
+    nodes = start + np.cumsum(widths)
+    values = signs * magnitudes
+    ours = cumulative_trapezoid(values, nodes)
+    reference = integrate.cumulative_trapezoid(values, nodes, initial=0.0)
+    assert ours.dtype == reference.dtype
+    assert ours.tobytes() == reference.tobytes()
 
 
 def test_default_hubble_critical_value():

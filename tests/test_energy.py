@@ -12,15 +12,19 @@ from semiflrw.energy import (
     ConstraintMode,
     NegativeDiscriminant,
     constraint_report,
-    energy_integrand,
     initial_energy_density,
-    initial_energy_from_modes,
     initial_energy_integral,
-    parker_mode,
     solve_constraint,
 )
-from semiflrw.modes import DegenerateMode, ModeState
+from semiflrw.modes import DegenerateMode
 from semiflrw.wick import WickConfig
+
+from oracles import (
+    ModeState,
+    energy_integrand,
+    initial_energy_from_modes,
+    parker_mode,
+)
 
 CONFIG = WickConfig(k_max=20.0, n_k=64, panel_points=8)
 

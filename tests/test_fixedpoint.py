@@ -14,12 +14,12 @@ from semiflrw.fixedpoint import (
     PicardReport,
     RetardedFunctional,
     ZeroStep,
-    estimate_lipschitz,
     picard_solve,
     picard_solve_with_halving,
     select_step,
-    verify_retardation,
 )
+
+from oracles import verify_retardation
 
 
 def identity_functional(scale=1.0):
@@ -32,14 +32,14 @@ def ones(grid):
 
 class TestSelectStep:
     def test_formula(self):
-        assert select_step(0.0, 10.0, 1.0, 100.0, safety=0.5) == 0.05
+        assert select_step(10.0, 1.0, 100.0, safety=0.5) == 0.05
 
     def test_clamped_by_span(self):
-        assert select_step(0.0, 10.0, 1.0, 0.01, safety=0.5) == 0.01
+        assert select_step(10.0, 1.0, 0.01, safety=0.5) == 0.01
 
     def test_zero_step_underflow(self):
         with pytest.raises(ZeroStep):
-            select_step(0.0, 1e300, 5e-324, 1.0)
+            select_step(1e300, 5e-324, 1.0)
 
     @pytest.mark.parametrize(
         "bound,delta,span,safety",
@@ -47,7 +47,7 @@ class TestSelectStep:
     )
     def test_rejects_bad_arguments(self, bound, delta, span, safety):
         with pytest.raises(ValueError):
-            select_step(0.0, bound, delta, span, safety=safety)
+            select_step(bound, delta, span, safety=safety)
 
     @given(
         bound=st.floats(1e-3, 1e3),
@@ -56,7 +56,7 @@ class TestSelectStep:
     )
     @settings(max_examples=50, deadline=None)
     def test_step_never_exceeds_tube_or_span(self, bound, delta, span):
-        step = select_step(0.0, bound, delta, span)
+        step = select_step(bound, delta, span)
         assert step <= span + 1e-15
         assert step * bound <= 0.5 * delta * (1.0 + 1e-12)
 
@@ -192,28 +192,6 @@ class TestRetardation:
         )
         probe = SampledFunction(grid, np.cos(grid.nodes))
         assert not verify_retardation(functional, probe)
-
-
-class TestLipschitzEstimate:
-    def test_linear_functional_recovered_with_margin(self):
-        lam = 1.7
-        grid = Grid.uniform(0.0, 1.0, 101)
-        estimate = estimate_lipschitz(identity_functional(lam), ones(grid), delta=0.3)
-        assert math.isclose(estimate, 2.0 * lam, rel_tol=1e-9)
-
-    def test_deterministic(self):
-        grid = Grid.uniform(0.0, 1.0, 101)
-        functional = RetardedFunctional(eval=lambda x: np.tanh(x.values.real))
-        a = estimate_lipschitz(functional, ones(grid), delta=0.1)
-        b = estimate_lipschitz(functional, ones(grid), delta=0.1)
-        assert a == b
-
-    def test_rejects_bad_arguments(self):
-        grid = Grid.uniform(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            estimate_lipschitz(identity_functional(), ones(grid), delta=0.0)
-        with pytest.raises(ValueError):
-            estimate_lipschitz(identity_functional(), ones(grid), delta=0.1, n_probes=0)
 
 
 class TestHalvingDriver:

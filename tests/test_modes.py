@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,17 +9,19 @@ from semiflrw.core import Grid, SampledFunction
 from semiflrw.modes import (
     DegenerateMode,
     ModeBank,
-    ModeState,
     Potential,
-    StepTooLarge,
-    dump_trajectories,
     evolve_bank,
+    resolve_substep,
+)
+
+from oracles import (
+    ModeState,
+    StepTooLarge,
     evolve_mode,
     initial_mode,
     mode_bound,
     perturbative_mode,
     perturbative_orders,
-    resolve_substep,
 )
 
 
@@ -290,31 +291,3 @@ def test_bank_evolution_consistent_with_scalar_path():
         state = initial_mode(float(k), 1.0, 1.0, 0.0)
         traj = evolve_mode(state, pot, 2.0, step=step)
         np.testing.assert_allclose(hist.chi[:, j], traj.chi, rtol=1e-13, atol=0)
-
-
-def test_dump_trajectories(tmp_path):
-    pot = sine_background(n_nodes=101)
-    state = initial_mode(1.0, 1.0, 1.0, 0.0)
-    traj = evolve_mode(state, pot, 2.0, step=5e-3)
-    path = os.path.join(tmp_path, "modes.csv")
-    dump_trajectories([traj], path)
-    with open(path) as handle:
-        lines = handle.read().strip().splitlines()
-    assert lines[0].split(",") == [
-        "k", "tau", "re_chi", "im_chi", "re_dchi", "im_dchi", "wronskian_err",
-    ]
-    assert len(lines) == 1 + traj.taus.size
-
-
-def test_smoothness_report_flags_kinks():
-    grid = Grid.uniform(0.0, 2.0, 401)
-    smooth = Potential.from_samples(
-        SampledFunction(grid, 0.1 * np.sin(grid.nodes)), freq_shift=1.0
-    )
-    kinked = Potential.from_samples(
-        SampledFunction(grid, 0.1 * np.abs(grid.nodes - 1.0)), freq_shift=1.0
-    )
-    assert (
-        kinked.smoothness_report()["max_scaled_second_difference"]
-        > 10.0 * smooth.smoothness_report()["max_scaled_second_difference"]
-    )

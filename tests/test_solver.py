@@ -17,7 +17,7 @@ from semiflrw.core import (
     PhysicalParams,
     SampledFunction,
 )
-from semiflrw.fixedpoint import RetardedFunctional, verify_retardation
+from semiflrw.fixedpoint import RetardedFunctional
 from semiflrw.solver import (
     EXIT_CODES,
     CriticalHubble,
@@ -33,6 +33,8 @@ from semiflrw.solver import (
     solve_segment,
 )
 from semiflrw.wick import WickConfig
+
+from oracles import verify_retardation
 
 HC = DEFAULT_HUBBLE_CRITICAL
 W0 = WickConfig(k_max=10.0)
@@ -310,6 +312,18 @@ class TestSegmenting:
         assert rep.reason == "ConvergenceFailure"
         assert rep.exit_code == 20
         assert "note" in rep.diagnostics
+
+    def test_carried_bank_check_is_reported_not_raised(self):
+        # the fresh bank's Wronskian error, a few ulp, already exceeds 1e-18
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 5.0), 0.02, PhysicalParams(mass=1.0), W0,
+            SolverConfig(wronskian_tolerance=1e-18),
+        )
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.exit_code == 20
+        assert rep.tau_stop == 0.0
+        assert "Wronskian drift" in rep.diagnostics["error"]
+        assert sol.taus.tolist() == [0.0]
 
 
 class TestMassiveRun:

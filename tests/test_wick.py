@@ -1,6 +1,5 @@
 """Tests for the renormalized Wick square: quadrature, tail fit, subtraction."""
 
-import json
 import math
 import warnings
 
@@ -11,14 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from semiflrw.core import EULER_GAMMA, Grid, PhysicalParams, SampledFunction
-from semiflrw.modes import ModeBank, Potential, evolve_bank, perturbative_orders
+from semiflrw.modes import ModeBank, Potential, evolve_bank
 from semiflrw.wick import (
     TWO_PI_SQ,
     BogoliubovProfile,
     InvalidProfile,
     TailFitFailed,
     WickConfig,
-    dump_integrand,
     finite_terms,
     radial_grid,
     radial_integral,
@@ -26,6 +24,8 @@ from semiflrw.wick import (
     wick_square_bogoliubov_delta,
     wick_square_renormalized,
 )
+
+from oracles import perturbative_orders
 
 MASS = 1.0
 
@@ -253,7 +253,7 @@ class TestWickSquare:
         params = PhysicalParams(mass=MASS)
         coarse, detail = wick_square_renormalized(a_fun, b40, 2.0, params, config40, detail=True)
         fine = wick_square_renormalized(a_fun, b80, 2.0, params, config80)
-        assert abs(fine - coarse) < config40.tol_rel * abs(coarse)
+        assert abs(fine - coarse) < 1e-4 * abs(coarse)
         assert abs(fine - coarse) < detail.error_estimate
 
     def test_tail_exponent_at_least_cubic(self, bank20, bank40):
@@ -348,27 +348,3 @@ class TestBogoliubov:
             warnings.simplefilter("ignore", TailFitFailed)
             value = wick_square_bogoliubov_delta(bank, profile, float(a_fun(2.0).real), config)
         assert math.isfinite(value)
-
-
-class TestDump:
-    def test_roundtrip(self, tmp_path, bank20):
-        config, a_fun, bank = bank20
-        v_tau = MASS**2 * (float(a_fun(2.0).real) ** 2 - 1.0)
-        g = wick_integrand(bank.chi, bank.momenta, bank.k0, v_tau)
-        result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
-        csv_path = tmp_path / "integrand.csv"
-        json_path = tmp_path / "tail.json"
-        dump_integrand(
-            np.array([2.0]), bank.momenta, bank.weights, g[None, :],
-            [result.tail], csv_path, json_path,
-        )
-        rows = csv_path.read_text().strip().splitlines()
-        assert rows[0] == "tau,k,integrand,cumulative_integral"
-        assert len(rows) == 1 + bank.momenta.size
-        first = rows[1].split(",")
-        assert float(first[0]) == 2.0
-        assert float(first[1]) == bank.momenta[0]
-        assert float(first[2]) == g[0]
-        summary = json.loads(json_path.read_text())
-        assert summary[0]["p"] == result.tail.p_raw
-        assert "C" in summary[0] and "error_estimate" in summary[0]
