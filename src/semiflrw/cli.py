@@ -204,6 +204,13 @@ def parse_config_mapping(raw: dict, origin: str) -> RunConfig:
     numerical_raw = raw.get("numerical", {})
     if not isinstance(numerical_raw, dict):
         raise ParseError(f"{origin}: numerical must be an object")
+    if "tol_rel" in numerical_raw:
+        # removed, not misspelt: pointing it at a similar name would steer an
+        # old config towards the Picard tolerance, a different setting
+        raise ParseError(
+            f"key 'tol_rel' in {origin}.numerical was removed and nothing"
+            " replaces it; delete it"
+        )
     _check_keys(numerical_raw, set(_NUMERICAL_DEFAULTS), f"{origin}.numerical")
     numerical = dict(_NUMERICAL_DEFAULTS)
     for key, value in numerical_raw.items():
@@ -375,8 +382,8 @@ def write_solution_csv(path, solution, params, config_echo: dict) -> None:
         "# units: 8*pi*G = c = hbar = 1; tau conformal time, t cosmological"
         " time (decreasing in tau)",
         "# H = a'/a^2, R = 6*(2H^2 - H'/a), W_ren renormalized Wick square,"
-        " source = H^4 - 2Hc^2 H^2 + 240 pi^2 m^2 W_ren - 7.5 m^4"
-        " + 960 pi^2 Lambda",
+        " source = numerator of the Friedmann right-hand side"
+        " (semiflrw.solver.friedmann_source)",
         "# config: " + json.dumps(config_echo, sort_keys=True),
         ",".join(CSV_COLUMNS),
     ]
@@ -392,7 +399,7 @@ def _tail_summary(solution, params, wick_cfg) -> dict | None:
     if bank is None or params.mass == 0.0:
         return None
     _, detail = wick_square_renormalized(
-        float(solution.scale_factor[-1]), bank, bank.tau, params, wick_cfg,
+        float(solution.scale_factor[-1]), bank, bank.chi, params, wick_cfg,
         detail=True,
     )
     fit = detail.tail

@@ -43,9 +43,13 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class RetardedFunctional:
-    """f(X) evaluated on the whole grid; f(X)(s) may depend only on X|[a, s]."""
+    """f(X) evaluated on the whole grid; f(X)(s) may depend only on X|[a, s].
 
-    eval: Callable[[SampledFunction], np.ndarray]
+    eval(X) returns (f(X) values, byproduct): anything the evaluation
+    computed that a caller wants back at the fixed point (None if nothing).
+    """
+
+    eval: Callable[[SampledFunction], tuple[np.ndarray, object]]
 
 
 @dataclass(frozen=True)
@@ -104,14 +108,16 @@ def picard_solve(
     tol: float = 1e-10,
     max_iter: int = 60,
     x0: SampledFunction | None = None,
-) -> tuple[SampledFunction, PicardReport]:
+) -> tuple[SampledFunction, PicardReport, object]:
     """Iterate X_{n+1} = F0 + int_a^t f(X_n) until the update norm is < tol.
 
     The first iterate is F0 unless a seed x0 is supplied; the equation
     solved is the same either way.  Raises NaNDetected on the first
     non-finite node and NoConvergence (with the report attached) when
     max_iter is exhausted.  On success the equation residual
-    ||X - F0 - int f(X)|| is recorded and guaranteed < 2 tol.
+    ||X - F0 - int f(X)|| is recorded and guaranteed < 2 tol, and the
+    functional's byproduct from that last evaluation, at the returned X,
+    is returned with it; earlier byproducts are dropped as they come.
     """
     if f0.grid != grid:
         raise ValueError("f0 must be sampled on the iteration grid")
@@ -122,7 +128,8 @@ def picard_solve(
     current = f0 if x0 is None else x0
     residuals: list[float] = []
     for iteration in range(1, max_iter + 1):
-        rhs = np.asarray(functional.eval(current), dtype=np.float64)
+        rhs, _ = functional.eval(current)
+        rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape != grid.nodes.shape:
             raise ValueError("functional must return one value per grid node")
         bad = ~np.isfinite(rhs)
@@ -144,7 +151,8 @@ def picard_solve(
         residuals.append(residual)
         current = SampledFunction(grid, new_values)
         if residual < tol:
-            final_rhs = np.asarray(functional.eval(current), dtype=np.float64)
+            final_rhs, byproduct = functional.eval(current)
+            final_rhs = np.asarray(final_rhs, dtype=np.float64)
             eq_residual = float(
                 np.max(
                     np.abs(
@@ -161,7 +169,7 @@ def picard_solve(
                 tol=tol,
                 equation_residual=eq_residual,
             )
-            return current, report
+            return current, report, byproduct
     report = PicardReport(
         iterates=max_iter, residuals=tuple(residuals), converged=False, tol=tol
     )
@@ -181,18 +189,21 @@ def picard_solve_with_halving(
     tol: float = 1e-10,
     max_iter: int = 60,
     max_halvings: int = 6,
-) -> tuple[SampledFunction, PicardReport, Grid]:
+) -> tuple[SampledFunction, PicardReport, Grid, object]:
     """Run picard_solve, halving the segment on NoConvergence.
 
     build(grid) must produce the (F0, functional) pair for any leading
-    subgrid; the returned grid is the span that actually converged.
+    subgrid; the returned grid is the span that actually converged, and
+    the byproduct is picard_solve's, from the solution on that span.
     """
     halvings = 0
     current_grid = grid
     while True:
         f0, functional = build(current_grid)
         try:
-            solution, report = picard_solve(f0, functional, current_grid, tol, max_iter)
+            solution, report, byproduct = picard_solve(
+                f0, functional, current_grid, tol, max_iter
+            )
         except NoConvergence as err:
             if halvings >= max_halvings:
                 raise NoConvergence(
@@ -203,4 +214,4 @@ def picard_solve_with_halving(
             continue
         if halvings:
             report = replace(report, halvings=halvings)
-        return solution, report, current_grid
+        return solution, report, current_grid, byproduct

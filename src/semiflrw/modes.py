@@ -40,19 +40,16 @@ def wronskian_error(chi, dchi):
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2) plus its derivative.
+    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2).
 
     freq_shift is the constant a0^2 m^2, so the full mode frequency is
     omega^2(k, tau) = k^2 + freq_shift + V(tau).
     """
 
     V: SampledFunction
-    Vp: SampledFunction
     freq_shift: float = 0.0
 
     def __post_init__(self):
-        if self.V.grid != self.Vp.grid:
-            raise ValueError("V and Vp must share a grid")
         if not (np.isfinite(self.freq_shift) and self.freq_shift >= 0.0):
             raise ValueError("freq_shift must be finite and >= 0")
 
@@ -67,20 +64,15 @@ class Potential:
         v_values = mass**2 * (a.values.real**2 - a0**2)
         if anchored and v_values[0] != 0.0:
             raise ValueError("V(tau0) must vanish for the anchored construction")
-        v = SampledFunction(a.grid, v_values)
-        vp = v.derivative()
-        return cls(v, vp, freq_shift=(a0 * mass) ** 2)
+        return cls(SampledFunction(a.grid, v_values), freq_shift=(a0 * mass) ** 2)
 
     @classmethod
-    def from_samples(
-        cls, v: SampledFunction, vp: SampledFunction | None = None, freq_shift: float = 0.0
-    ) -> Potential:
-        return cls(v, vp if vp is not None else v.derivative(), freq_shift)
+    def from_samples(cls, v: SampledFunction, freq_shift: float = 0.0) -> Potential:
+        return cls(v, freq_shift)
 
     @classmethod
     def zero(cls, grid: Grid, freq_shift: float = 0.0) -> Potential:
-        flat = SampledFunction.constant(grid, 0.0)
-        return cls(flat, flat, freq_shift)
+        return cls(SampledFunction.constant(grid, 0.0), freq_shift)
 
     def frequency(self, k: float) -> float:
         return math.sqrt(k**2 + self.freq_shift)

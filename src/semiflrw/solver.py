@@ -36,9 +36,11 @@ from .core import (
     scale_factor_from_hubble,
 )
 from .fixedpoint import (
+    NaNDetected,
     NoConvergence,
     PicardReport,
     RetardedFunctional,
+    ZeroStep,
     picard_solve_with_halving,
     select_step,
 )
@@ -226,6 +228,23 @@ def _profile_config(wick_cfg: WickConfig) -> WickConfig:
     return replace(wick_cfg, tail_model="none")
 
 
+def _wick_square(
+    a,
+    bank: ModeBank,
+    chi,
+    params: PhysicalParams,
+    wick_cfg: WickConfig,
+    profile: BogoliubovProfile | None = None,
+):
+    """W_ren plus the profile's state correction, per row of bank modes."""
+    value = wick_square_renormalized(a, bank, chi, params, wick_cfg)
+    if profile is not None:
+        value = value + wick_square_bogoliubov_delta(
+            a, bank, chi, profile, _profile_config(wick_cfg)
+        )
+    return value
+
+
 def _wick_at_carry(
     bank: ModeBank | None,
     a_val: float,
@@ -235,12 +254,7 @@ def _wick_at_carry(
 ) -> float:
     if bank is None:
         return 0.0
-    value = wick_square_renormalized(a_val, bank, bank.tau, params, wick_cfg)
-    if profile is not None:
-        value += wick_square_bogoliubov_delta(
-            bank, profile, a_val, _profile_config(wick_cfg)
-        )
-    return value
+    return _wick_square(a_val, bank, bank.chi, params, wick_cfg, profile)
 
 
 def friedmann_source(h, w, params: PhysicalParams):
@@ -263,7 +277,7 @@ def _rhs_detail(
     wronskian_budget: float = 1e-8,
     profile: BogoliubovProfile | None = None,
 ):
-    """f(H) on the segment plus the byproducts (W series, a, evolved bank)."""
+    """f(H) on the segment and the byproducts (W series, a, evolved bank)."""
     grid = hubble.grid
     if not math.isclose(grid.tau_start, carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment grid must start at the carried boundary")
@@ -285,26 +299,16 @@ def _rhs_detail(
         history = evolve_bank(
             carry.mode_bank_carry, potential, grid.nodes, substep_cap, wronskian_budget
         )
-        delta_cfg = _profile_config(wick_cfg) if profile is not None else None
-        w_vals = np.empty(grid.size)
-        for j in range(grid.size):
-            bank_j = carry.mode_bank_carry.moved_to(
-                history.chi[j], history.dchi[j], float(grid.nodes[j])
-            )
-            w_vals[j] = wick_square_renormalized(
-                float(a_vals[j]), bank_j, float(grid.nodes[j]), params, wick_cfg
-            )
-            if profile is not None:
-                w_vals[j] += wick_square_bogoliubov_delta(
-                    bank_j, profile, float(a_vals[j]), delta_cfg
-                )
+        w_vals = _wick_square(
+            a_vals, carry.mode_bank_carry, history.chi, params, wick_cfg, profile
+        )
         bank_final = history.final
     else:
         w_vals = np.zeros(grid.size)
         bank_final = None
     source = friedmann_source(h_vals, w_vals, params)
     f_vals = a_vals * source / (critical**2 - h_vals**2)
-    return f_vals, w_vals, a_fun, bank_final
+    return f_vals, (w_vals, a_fun, bank_final)
 
 
 def friedmann_rhs(
@@ -317,7 +321,7 @@ def friedmann_rhs(
     profile: BogoliubovProfile | None = None,
 ) -> SampledFunction:
     """Retarded right-hand side f(H) sampled on the segment grid."""
-    f_vals, _, _, _ = _rhs_detail(
+    f_vals, _ = _rhs_detail(
         hubble, carry, params, wick_cfg, substep_cap, wronskian_budget, profile
     )
     return SampledFunction(hubble.grid, f_vals)
@@ -357,8 +361,9 @@ def solve_segment(
     """Advance the carried state by one converged segment.
 
     Raises NoConvergence after the halving retries are exhausted,
-    BankCheckFailed when the carried bank is unfit to continue, and
-    propagates CriticalHubble / BlowUp with their locations.
+    BankCheckFailed when the carried bank is unfit to continue, ZeroStep
+    when the step underflows, and propagates NaNDetected / CriticalHubble /
+    BlowUp with their locations.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
@@ -393,16 +398,15 @@ def solve_segment(
             eval=lambda x: _rhs_detail(
                 x, carry, params, wick_cfg,
                 solver_cfg.substep_cap, solver_cfg.wronskian_budget, profile,
-            )[0],
+            ),
         )
         return f0, functional
 
-    solution, report, used_grid = picard_solve_with_halving(
-        build, grid, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings
-    )
-    _, w_vals, a_fun, bank_final = _rhs_detail(
-        solution, carry, params, wick_cfg,
-        solver_cfg.substep_cap, solver_cfg.wronskian_budget, profile,
+    # the byproducts come from Picard's last RHS evaluation, at the solution
+    solution, report, used_grid, (w_vals, a_fun, bank_final) = (
+        picard_solve_with_halving(
+            build, grid, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings
+        )
     )
     return SegmentState(
         initial=carry.initial,
@@ -505,9 +509,13 @@ def continue_maximal(
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"picard_residuals": list(err.report.residuals)}
             break
-        except BankCheckFailed as err:
+        except (BankCheckFailed, ZeroStep) as err:
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"error": str(err)}
+            break
+        except NaNDetected as err:
+            reason = REASON_NO_CONVERGENCE
+            diagnostics_extra = {"error": str(err), "raised_at_tau": err.tau}
             break
         except CriticalHubble as err:
             reason = REASON_CRITICAL_HUBBLE

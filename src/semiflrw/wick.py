@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EULER_GAMMA, PhysicalParams, SampledFunction
+from .core import EULER_GAMMA, PhysicalParams
 from .modes import ModeBank
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -41,7 +41,8 @@ class TailFitFailed(UserWarning):
 
 
 class InvalidProfile(ValueError):
-    """Bogoliubov profile violates |A|^2 - |B|^2 = 1 at a quadrature node."""
+    """Bogoliubov profile is not finite or violates |A|^2 - |B|^2 = 1 at a
+    quadrature node."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,11 @@ class BogoliubovProfile:
 
 @dataclass(frozen=True)
 class TailFit:
-    """Power-law fit C k^{-p} of the integrand magnitude over the top window."""
+    """Power-law fit C k^{-p} of the integrand magnitude over the top window.
+
+    Fitted to a block of rows, every field but window_size is an array with
+    one entry per row; fitted to one row, they are plain values.
+    """
 
     coefficient: float
     p_raw: float
@@ -154,37 +159,72 @@ def wick_integrand(chi, k, k0, v_tau):
     return mod_sq - 1.0 / (2.0 * k0) + v_tau / (4.0 * k0**3)
 
 
+def _plain(x):
+    """A 0-d result as a plain Python scalar; arrays pass through."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 def _fit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig) -> TailFit:
+    """Fit C k^{-p} to |samples| over the top window, one fit per row.
+
+    samples has shape (..., n_k); every field but window_size has the
+    leading shape.  The fit is the closed-form least-squares line of
+    log|g| on log k through the window nodes above 1e-3 of the row's peak.
+    """
     n_win = max(3, int(math.ceil(config.tail_fit_window * momenta.size)))
     k_win = momenta[-n_win:]
-    g_win = samples[-n_win:]
+    log_k = np.log(k_win)
+    g_win = samples[..., -n_win:]
     mag = np.abs(g_win)
-    peak = float(np.max(mag))
-    if peak == 0.0:
-        return TailFit(0.0, 4.0, 4.0, True, 0.0, 0.0, True, n_win)
+    peak = np.max(mag, axis=-1)
+    zero = peak == 0.0
     # drop near-zero crossings of the oscillatory integrand before the log fit
-    keep = mag > 1e-3 * peak
-    if int(np.count_nonzero(keep)) < 4 or np.ptp(np.log(k_win[keep])) < 1e-6:
+    keep = mag > 1e-3 * peak[..., None]
+    n_keep = np.count_nonzero(keep, axis=-1)
+    spread = np.max(np.where(keep, log_k, -np.inf), axis=-1) - np.min(
+        np.where(keep, log_k, np.inf), axis=-1
+    )
+    failed = ~zero & ((n_keep < 4) | (spread < 1e-6))
+    for index in np.argwhere(failed):
+        row = f" at row {','.join(map(str, index))}" if index.size else ""
         warnings.warn(
-            f"tail fit ill-conditioned over {n_win} nodes", TailFitFailed, stacklevel=3
+            f"tail fit ill-conditioned over {n_win} nodes{row}",
+            TailFitFailed,
+            stacklevel=3,
         )
-        p_fb = 3.5
-        envelope = peak * k_win[-1] ** 3 / (p_fb - 3.0)
-        return TailFit(peak, p_fb, p_fb, False, 0.0, envelope, False, n_win)
-    log_k = np.log(k_win[keep])
-    log_g = np.log(mag[keep])
-    slope, intercept = np.polyfit(log_k, log_g, 1)
-    p_raw = float(-slope)
-    p_used = float(np.clip(p_raw, *_P_CLIP))
-    coefficient = float(np.exp(intercept + (p_used - p_raw) * np.mean(log_k)))
+    fitted = ~(zero | failed)
+    use = keep & fitted[..., None]
+    count = np.maximum(np.count_nonzero(use, axis=-1), 1)
+    with np.errstate(divide="ignore"):
+        log_g = np.where(use, np.log(mag), 0.0)
+    x_mean = np.sum(np.where(use, log_k, 0.0), axis=-1) / count
+    y_mean = np.sum(log_g, axis=-1) / count
+    dx = np.where(use, log_k - x_mean[..., None], 0.0)
+    dy = np.where(use, log_g - y_mean[..., None], 0.0)
+    slope = np.sum(dx * dy, axis=-1) / np.where(fitted, np.sum(dx * dx, axis=-1), 1.0)
+    intercept = y_mean - slope * x_mean
+    p_raw = -slope
+    p_used = np.clip(p_raw, *_P_CLIP)
+    coefficient = np.exp(intercept + (p_used - p_raw) * x_mean)
     envelope = coefficient * config.k_max ** (3.0 - p_used) / (p_used - 3.0)
-    coherent = bool(np.all(g_win >= 0.0) or np.all(g_win <= 0.0))
-    if coherent:
-        sign = 1.0 if float(np.sum(g_win)) >= 0.0 else -1.0
-        correction = sign * envelope
-    else:
-        correction = 0.0
-    return TailFit(coefficient, p_raw, p_used, coherent, correction, envelope, True, n_win)
+    coherent = np.all(g_win >= 0.0, axis=-1) | np.all(g_win <= 0.0, axis=-1)
+    sign = np.where(np.sum(g_win, axis=-1) >= 0.0, 1.0, -1.0)
+    correction = np.where(coherent & fitted, sign * envelope, 0.0)
+
+    # an all-zero window has no tail; an ill-conditioned one falls back to
+    # p = 3.5 and reports its envelope as uncertainty only
+    p_fb = 3.5
+    cases = [zero, failed]
+    return TailFit(
+        _plain(np.select(cases, [0.0, peak], coefficient)),
+        _plain(np.select(cases, [4.0, p_fb], p_raw)),
+        _plain(np.select(cases, [4.0, p_fb], p_used)),
+        _plain(coherent & ~failed),
+        _plain(correction),
+        _plain(np.select(cases, [0.0, peak * k_win[-1] ** 3 / (p_fb - 3.0)], envelope)),
+        _plain(~failed),
+        n_win,
+    )
 
 
 def radial_integral(
@@ -195,16 +235,18 @@ def radial_integral(
 ) -> RadialResult:
     """(2 pi^2)^{-1} int_0^{k_max} samples(k) k^2 dk with optional tail.
 
-    samples must be given on the configured nodes; pass momenta/weights
-    explicitly to reuse a bank's grid, else they are rebuilt from config.
+    samples must be given on the configured nodes along its last axis; each
+    row is integrated on its own and the result fields carry the leading
+    shape (plain floats for a single row).  Pass momenta/weights explicitly
+    to reuse a bank's grid, else they are rebuilt from config.
     """
     if momenta is None or weights is None:
         momenta, weights = radial_grid(config)
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape != momenta.shape:
+    if samples.shape[-1:] != momenta.shape:
         raise ValueError("samples must match the quadrature nodes")
     contributions = weights * momenta**2 * samples
-    finite_part = float(np.sum(contributions))
+    finite_part = np.sum(contributions, axis=-1)
     tail = None
     tail_correction = 0.0
     tail_uncertainty = 0.0
@@ -212,18 +254,20 @@ def radial_integral(
         tail = _fit_tail(momenta, samples, config)
         tail_correction = tail.correction
         # applied corrections are trusted to half their size; suppressed
-        # (oscillatory) tails are uncertain up to the full envelope
-        tail_uncertainty = 0.5 * abs(tail.correction) if tail.coherent else tail.envelope
-        if not tail.ok:
-            tail_uncertainty = tail.envelope
-    quad_floor = 1e-14 * float(np.sum(np.abs(contributions)))
+        # (oscillatory or ill-conditioned) tails are uncertain up to the
+        # full envelope
+        tail_uncertainty = np.where(
+            tail.coherent, 0.5 * np.abs(tail.correction), tail.envelope
+        )
+    quad_floor = 1e-14 * np.sum(np.abs(contributions), axis=-1)
     value = (finite_part + tail_correction) / TWO_PI_SQ
     error = (tail_uncertainty + quad_floor) / TWO_PI_SQ
-    return RadialResult(value, error, tail)
+    return RadialResult(_plain(value), _plain(error), tail)
 
 
-def finite_terms(a_tau: float, a0: float, mass: float, length_scale: float) -> float:
-    """Closed-form remainder of the subtraction at scale factor a(tau)."""
+def finite_terms(a_tau, a0: float, mass: float, length_scale: float):
+    """Closed-form remainder of the subtraction at scale factor a(tau);
+    a_tau may be an array of times."""
     if mass == 0.0:
         return 0.0
     ratio = a0 / a_tau
@@ -231,57 +275,82 @@ def finite_terms(a_tau: float, a0: float, mass: float, length_scale: float) -> f
     return (
         mass**2
         / (16.0 * math.pi**2)
-        * (0.5 - ratio**2 + 2.0 * math.log(ratio) + 2.0 * log_scale)
+        * (0.5 - ratio**2 + 2.0 * np.log(ratio) + 2.0 * log_scale)
     )
 
 
+def _rows(a, bank: ModeBank, chi) -> tuple[np.ndarray, np.ndarray]:
+    """Check that chi holds one row of bank modes per entry of a."""
+    a = np.asarray(a, dtype=np.float64)
+    chi = np.asarray(chi)
+    if chi.shape != a.shape + bank.momenta.shape:
+        raise ValueError(
+            f"chi has shape {chi.shape}, expected {a.shape + bank.momenta.shape}:"
+            " one row of bank modes per scale-factor value"
+        )
+    if np.any(a <= 0.0):
+        raise ValueError("a(tau) must be > 0")
+    return a, chi
+
+
 def wick_square_renormalized(
-    a: SampledFunction | float,
+    a,
     bank: ModeBank,
-    tau: float,
+    chi,
     params: PhysicalParams,
     config: WickConfig,
     detail: bool = False,
 ):
-    """W_ren(tau): radial integral of the subtracted integrand over the bank
-    plus the finite correction terms.  Identically zero for m = 0.
+    """W_ren at every time of a block of mode rows: the radial integral of
+    the subtracted integrand plus the finite correction terms.  Identically
+    zero for m = 0.
 
-    a may be a sampled scale factor or the plain value a(tau)."""
+    a holds the scale factor at those times (any shape S) and chi the
+    bank's modes there, shape S + (n_k,), e.g. BankHistory.chi for a
+    segment or bank.chi alone for one time; bank supplies the quadrature
+    grid and the tau0 anchor.  The result has shape S, a plain float for a
+    single time.  detail=True also returns the RadialResult.
+    """
     if params.mass == 0.0:
-        return (0.0, None) if detail else 0.0
-    if not math.isclose(bank.tau, tau, rel_tol=0.0, abs_tol=1e-10):
-        raise ValueError(f"bank is at tau={bank.tau}, requested {tau}")
-    a_tau = float(a(tau).real) if callable(a) else float(a)
-    if a_tau <= 0.0:
-        raise ValueError("a(tau) must be > 0")
+        value = _plain(np.zeros(np.shape(a)))
+        return (value, None) if detail else value
+    a, chi = _rows(a, bank, chi)
     a0 = bank.a0_anchor
-    v_tau = params.mass**2 * (a_tau**2 - a0**2)
-    g = wick_integrand(bank.chi, bank.momenta, bank.k0, v_tau)
+    v_tau = params.mass**2 * (a**2 - a0**2)
+    g = wick_integrand(chi, bank.momenta, bank.k0, v_tau[..., None])
     result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
-    value = result.value / a_tau**2 + finite_terms(
-        a_tau, a0, params.mass, params.length_scale
+    value = _plain(
+        result.value / a**2 + finite_terms(a, a0, params.mass, params.length_scale)
     )
     return (value, result) if detail else value
 
 
 def wick_square_bogoliubov_delta(
+    a,
     bank: ModeBank,
+    chi,
     profile: BogoliubovProfile,
-    a_tau: float,
     config: WickConfig,
     tol: float = 1e-8,
-) -> float:
+):
     """State-change correction (2/a^2)(2 pi^2)^{-1} int (|B|^2 |chi|^2
-    + Re(A B chi^2)) k^2 dk for a Bogoliubov profile."""
+    + Re(A B chi^2)) k^2 dk for a Bogoliubov profile, per row of chi
+    (a and chi shaped as for wick_square_renormalized)."""
     a_vals = np.asarray(profile.A(bank.momenta), dtype=np.complex128)
     b_vals = np.asarray(profile.B(bank.momenta), dtype=np.complex128)
+    finite = np.isfinite(a_vals) & np.isfinite(b_vals)
+    if not np.all(finite):
+        j = int(np.argmin(finite))
+        raise InvalidProfile(
+            f"A = {a_vals[j]}, B = {b_vals[j]} is not finite at k={bank.momenta[j]:.6g}"
+        )
     constraint = np.abs(a_vals) ** 2 - np.abs(b_vals) ** 2 - 1.0
     if np.any(np.abs(constraint) > tol):
         j = int(np.argmax(np.abs(constraint)))
         raise InvalidProfile(
             f"|A|^2-|B|^2 = {1.0 + constraint[j]:.12g} at k={bank.momenta[j]:.6g}"
         )
-    g = (np.abs(b_vals) ** 2 * np.abs(bank.chi) ** 2
-         + (a_vals * b_vals * bank.chi**2).real)
+    a, chi = _rows(a, bank, chi)
+    g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
     result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
-    return 2.0 / a_tau**2 * result.value
+    return _plain(2.0 / a**2 * result.value)

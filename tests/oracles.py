@@ -11,7 +11,11 @@ to a quantity the package computes another way:
 * the initial energy density from live vacuum and Parker modes
   (initial_energy_from_modes), against the closed-form route in
   semiflrw.energy;
-* verify_retardation, a probe that a functional is retarded.
+* verify_retardation, a probe that a functional is retarded;
+* the renormalized Wick square and the Bogoliubov correction one time at a
+  time, with a numpy.polyfit tail fit (wick_square_per_node,
+  bogoliubov_delta_per_node), against the row-vectorised quadrature and
+  closed-form fit in semiflrw.wick.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from semiflrw.core import SampledFunction
+from semiflrw.core import PhysicalParams, SampledFunction
 from semiflrw.energy import _tan_grid
 from semiflrw.fixedpoint import RetardedFunctional
 from semiflrw.modes import (
@@ -32,7 +36,15 @@ from semiflrw.modes import (
     _rk4_sweep,
     wronskian_error,
 )
-from semiflrw.wick import WickConfig
+from semiflrw.wick import (
+    _P_CLIP,
+    TWO_PI_SQ,
+    BogoliubovProfile,
+    InvalidProfile,
+    WickConfig,
+    finite_terms,
+    wick_integrand,
+)
 
 
 class StepTooLarge(RuntimeError):
@@ -325,11 +337,94 @@ def verify_retardation(
 ) -> bool:
     """Perturb the probe on a trailing subinterval; the functional must be
     unchanged (bit-identical) on the leading part."""
-    base = np.asarray(functional.eval(probe), dtype=np.float64)
+    base = np.asarray(functional.eval(probe)[0], dtype=np.float64)
     split = probe.grid.size // 2
     scale = max(1.0, float(np.max(np.abs(probe.values.real))))
     perturbed_values = probe.values.real.copy()
     perturbed_values[split + 1 :] += 0.37 * scale
     perturbed = SampledFunction(probe.grid, perturbed_values)
-    shifted = np.asarray(functional.eval(perturbed), dtype=np.float64)
+    shifted = np.asarray(functional.eval(perturbed)[0], dtype=np.float64)
     return bool(np.array_equal(base[: split + 1], shifted[: split + 1]))
+
+
+@dataclass(frozen=True)
+class PerNodeRadial:
+    """One time's radial integral, its error estimate and whether its tail
+    fit was usable."""
+
+    value: float
+    error_estimate: float
+    ok: bool
+
+
+def _polyfit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig):
+    """(correction, envelope, coherent, ok) of the power-law fit over the
+    top window, by numpy.polyfit."""
+    n_win = max(3, int(math.ceil(config.tail_fit_window * momenta.size)))
+    k_win = momenta[-n_win:]
+    g_win = samples[-n_win:]
+    mag = np.abs(g_win)
+    peak = float(np.max(mag))
+    if peak == 0.0:
+        return 0.0, 0.0, True, True
+    keep = mag > 1e-3 * peak
+    if int(np.count_nonzero(keep)) < 4 or np.ptp(np.log(k_win[keep])) < 1e-6:
+        return 0.0, peak * k_win[-1] ** 3 / (3.5 - 3.0), False, False
+    log_k = np.log(k_win[keep])
+    slope, intercept = np.polyfit(log_k, np.log(mag[keep]), 1)
+    p_raw = float(-slope)
+    p_used = float(np.clip(p_raw, *_P_CLIP))
+    coefficient = float(np.exp(intercept + (p_used - p_raw) * np.mean(log_k)))
+    envelope = coefficient * config.k_max ** (3.0 - p_used) / (p_used - 3.0)
+    coherent = bool(np.all(g_win >= 0.0) or np.all(g_win <= 0.0))
+    sign = 1.0 if float(np.sum(g_win)) >= 0.0 else -1.0
+    return (sign * envelope if coherent else 0.0), envelope, coherent, True
+
+
+def _radial_per_node(samples, config: WickConfig, momenta, weights) -> PerNodeRadial:
+    contributions = weights * momenta**2 * samples
+    correction, uncertainty, ok = 0.0, 0.0, True
+    if config.tail_model == "power-fit":
+        correction, envelope, coherent, ok = _polyfit_tail(momenta, samples, config)
+        uncertainty = 0.5 * abs(correction) if coherent and ok else envelope
+    quad_floor = 1e-14 * float(np.sum(np.abs(contributions)))
+    return PerNodeRadial(
+        (float(np.sum(contributions)) + correction) / TWO_PI_SQ,
+        (uncertainty + quad_floor) / TWO_PI_SQ,
+        ok,
+    )
+
+
+def wick_square_per_node(
+    a_tau: float, bank, chi: np.ndarray, params: PhysicalParams, config: WickConfig
+) -> tuple[float, PerNodeRadial | None]:
+    """W_ren at one time from that time's row of bank modes."""
+    if params.mass == 0.0:
+        return 0.0, None
+    a0 = bank.a0_anchor
+    v_tau = params.mass**2 * (a_tau**2 - a0**2)
+    g = wick_integrand(chi, bank.momenta, bank.k0, v_tau)
+    radial = _radial_per_node(g, config, bank.momenta, bank.weights)
+    value = radial.value / a_tau**2 + finite_terms(
+        a_tau, a0, params.mass, params.length_scale
+    )
+    return float(value), radial
+
+
+def bogoliubov_delta_per_node(
+    a_tau: float,
+    bank,
+    chi: np.ndarray,
+    profile: BogoliubovProfile,
+    config: WickConfig,
+    tol: float = 1e-8,
+) -> float:
+    """Bogoliubov state correction at one time from that time's mode row."""
+    a_vals = np.asarray(profile.A(bank.momenta), dtype=np.complex128)
+    b_vals = np.asarray(profile.B(bank.momenta), dtype=np.complex128)
+    constraint = np.abs(a_vals) ** 2 - np.abs(b_vals) ** 2 - 1.0
+    if not np.all(np.abs(constraint) <= tol):
+        raise InvalidProfile("|A|^2 - |B|^2 != 1 on a quadrature node")
+    g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
+    radial = _radial_per_node(g, config, bank.momenta, bank.weights)
+    return 2.0 / a_tau**2 * radial.value

@@ -93,9 +93,7 @@ def test_criterion_02_mode_oracle_equivalence(sine_background, k_nodes_64):
     grid, _, pot = sine_background
     momenta, _ = k_nodes_64
     scaled = Potential.from_samples(
-        SampledFunction(grid, 0.05 * pot.V.values),
-        SampledFunction(grid, 0.05 * pot.Vp.values),
-        pot.freq_shift,
+        SampledFunction(grid, 0.05 * pot.V.values), pot.freq_shift
     )
     omega_max = math.sqrt(50.0**2 + 1.0 + max(float(np.max(scaled.V.values.real)), 0.0))
     step = resolve_substep(2.0, omega_max, budget=1e-10)
@@ -135,7 +133,7 @@ def test_criterion_03_order_cancellations(sine_background, k_nodes_64):
         first = 2.0 * (orders[1] * np.conj(orders[0])).real + v_tau / (4.0 * k0**3)
         etas = grid.nodes
         transform = simpson(
-            np.cos(2.0 * k0 * (etas - 2.0)) * pot.Vp(etas).real, x=etas
+            np.cos(2.0 * k0 * (etas - 2.0)) * pot.V.derivative()(etas).real, x=etas
         ) / (4.0 * k0**3)
         worst_first = max(worst_first, abs(first - transform))
     ok = worst_zeroth < 1e-15 and worst_first < 1e-8
@@ -160,7 +158,8 @@ def test_criterion_04_tail_decay(sine_background):
         bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
         hist = evolve_bank(bank, pot, sub)
         return wick_square_renormalized(
-            a_fun, hist.final, float(sub[-1]), params, cfg, detail=True
+            float(a_fun(sub[-1]).real), hist.final, hist.final.chi, params, cfg,
+            detail=True,
         )
 
     w_base, detail_base = renormalized(40.0, 192)
@@ -321,10 +320,10 @@ def test_criterion_09_picard_contraction(de_sitter_setup):
     delta = 0.1 * h0 * np.cos(2.0 * math.pi * (grid.nodes - grid.nodes[0]) / span)
     seed = SampledFunction(grid, h0 + delta)
     functional = RetardedFunctional(
-        eval=lambda x: friedmann_rhs(x, carry, params, W0).values.real
+        eval=lambda x: (friedmann_rhs(x, carry, params, W0).values.real, None)
     )
     tol = 1e-10
-    _, report = picard_solve(
+    _, report, _ = picard_solve(
         SampledFunction.constant(grid, h0), functional, grid, tol=tol,
         max_iter=40, x0=seed,
     )

@@ -23,7 +23,7 @@ from oracles import verify_retardation
 
 
 def identity_functional(scale=1.0):
-    return RetardedFunctional(eval=lambda x: scale * x.values.real)
+    return RetardedFunctional(eval=lambda x: (scale * x.values.real, None))
 
 
 def ones(grid):
@@ -65,8 +65,8 @@ class TestPicardSolve:
     def test_zero_functional_returns_f0(self):
         grid = Grid.uniform(0.0, 1.0, 11)
         f0 = SampledFunction(grid, 2.0 + np.sin(grid.nodes))
-        functional = RetardedFunctional(eval=lambda x: np.zeros(x.grid.size))
-        solution, report = picard_solve(f0, functional, grid, tol=1e-12)
+        functional = RetardedFunctional(eval=lambda x: (np.zeros(x.grid.size), None))
+        solution, report, _ = picard_solve(f0, functional, grid, tol=1e-12)
         assert np.array_equal(solution.values.real, f0.values.real)
         assert report.iterates == 1
         assert report.converged
@@ -74,7 +74,7 @@ class TestPicardSolve:
     def test_exponential_oracle(self):
         # x' = x, x(0) = 1 on [0, 0.5]
         grid = Grid.uniform(0.0, 0.5, 501)
-        solution, report = picard_solve(
+        solution, report, _ = picard_solve(
             ones(grid), identity_functional(), grid, tol=1e-12
         )
         assert report.converged
@@ -85,8 +85,8 @@ class TestPicardSolve:
         grid = Grid.uniform(0.0, 0.5, 201)
         f0 = ones(grid)
         seed = SampledFunction(grid, 1.0 + 0.3 * np.cos(4.0 * grid.nodes))
-        plain, _ = picard_solve(f0, identity_functional(), grid, tol=1e-12)
-        seeded, report = picard_solve(
+        plain, _, _ = picard_solve(f0, identity_functional(), grid, tol=1e-12)
+        seeded, report, _ = picard_solve(
             f0, identity_functional(), grid, tol=1e-12, x0=seed
         )
         assert report.converged
@@ -105,7 +105,7 @@ class TestPicardSolve:
     def test_contraction_ratios_decay(self):
         lam = 2.0
         grid = Grid.uniform(0.0, 0.4, 201)
-        _, report = picard_solve(ones(grid), identity_functional(lam), grid, tol=1e-13)
+        _, report, _ = picard_solve(ones(grid), identity_functional(lam), grid, tol=1e-13)
         ratios = report.contraction_ratios
         # coarse bound lam * span holds for every step
         assert all(r <= lam * 0.4 + 1e-12 for r in ratios)
@@ -116,7 +116,7 @@ class TestPicardSolve:
     def test_equation_residual_below_twice_tol(self):
         grid = Grid.uniform(0.0, 0.4, 201)
         tol = 1e-11
-        _, report = picard_solve(ones(grid), identity_functional(1.7), grid, tol=tol)
+        _, report, _ = picard_solve(ones(grid), identity_functional(1.7), grid, tol=tol)
         assert report.equation_residual is not None
         assert report.equation_residual < 2.0 * tol
 
@@ -136,7 +136,7 @@ class TestPicardSolve:
         def poisoned(x):
             out = x.values.real.copy()
             out[5] = math.nan
-            return out
+            return out, None
 
         with pytest.raises(NaNDetected) as excinfo:
             picard_solve(ones(grid), RetardedFunctional(eval=poisoned), grid)
@@ -151,10 +151,25 @@ class TestPicardSolve:
 
     def test_determinism(self):
         grid = Grid.uniform(0.0, 0.4, 201)
-        a, ra = picard_solve(ones(grid), identity_functional(1.3), grid, tol=1e-12)
-        b, rb = picard_solve(ones(grid), identity_functional(1.3), grid, tol=1e-12)
+        a, ra, _ = picard_solve(ones(grid), identity_functional(1.3), grid, tol=1e-12)
+        b, rb, _ = picard_solve(ones(grid), identity_functional(1.3), grid, tol=1e-12)
         assert np.array_equal(a.values.real, b.values.real)
         assert ra.residuals == rb.residuals
+
+    def test_byproduct_is_from_the_returned_solution(self):
+        grid = Grid.uniform(0.0, 0.4, 201)
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return 1.3 * x.values.real, x
+
+        solution, report, byproduct = picard_solve(
+            ones(grid), RetardedFunctional(eval=evaluate), grid, tol=1e-12
+        )
+        assert byproduct is solution
+        # one evaluation per iterate plus the equation-residual check
+        assert len(calls) == report.iterates + 1
 
     @given(lam=st.floats(0.1, 1.5))
     @settings(max_examples=20, deadline=None)
@@ -162,7 +177,7 @@ class TestPicardSolve:
         span = min(0.8 / lam, 1.0)
         grid = Grid.uniform(0.0, span, 101)
         tol = 1e-10
-        solution, report = picard_solve(ones(grid), identity_functional(lam), grid, tol=tol)
+        solution, report, _ = picard_solve(ones(grid), identity_functional(lam), grid, tol=tol)
         assert report.converged
         assert report.residuals[-1] < tol
         assert all(math.isfinite(r) for r in report.residuals)
@@ -179,7 +194,7 @@ class TestRetardation:
         def running_integral(x):
             from scipy.integrate import cumulative_trapezoid
 
-            return cumulative_trapezoid(x.values.real, grid.nodes, initial=0.0)
+            return cumulative_trapezoid(x.values.real, grid.nodes, initial=0.0), None
 
         functional = RetardedFunctional(eval=running_integral)
         probe = SampledFunction(grid, np.cos(grid.nodes))
@@ -188,7 +203,7 @@ class TestRetardation:
     def test_end_anchored_functional_fails(self):
         grid = Grid.uniform(0.0, 1.0, 101)
         functional = RetardedFunctional(
-            eval=lambda x: np.full(grid.size, x.values.real[-1])
+            eval=lambda x: (np.full(grid.size, x.values.real[-1]), None)
         )
         probe = SampledFunction(grid, np.cos(grid.nodes))
         assert not verify_retardation(functional, probe)
@@ -205,7 +220,7 @@ class TestHalvingDriver:
             calls.append(subgrid.tau_end)
             return ones(subgrid), identity_functional(lam)
 
-        solution, report, final_grid = picard_solve_with_halving(
+        solution, report, final_grid, _ = picard_solve_with_halving(
             build, grid, tol=1e-10, max_iter=12
         )
         assert report.converged
@@ -218,7 +233,7 @@ class TestHalvingDriver:
 
     def test_no_halving_when_first_try_converges(self):
         grid = Grid.uniform(0.0, 0.3, 151)
-        solution, report, final_grid = picard_solve_with_halving(
+        solution, report, final_grid, _ = picard_solve_with_halving(
             lambda g: (ones(g), identity_functional()), grid, tol=1e-12
         )
         assert report.halvings == 0
@@ -239,5 +254,5 @@ class TestHalvingDriver:
         def build(subgrid):
             return ones(subgrid), identity_functional(3.0)
 
-        _, _, final_grid = picard_solve_with_halving(build, grid, tol=1e-12, max_iter=25)
+        _, _, final_grid, _ = picard_solve_with_halving(build, grid, tol=1e-12, max_iter=25)
         assert np.all(np.isin(final_grid.nodes, grid.nodes))

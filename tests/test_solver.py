@@ -325,6 +325,61 @@ class TestSegmenting:
         assert "Wronskian drift" in rep.diagnostics["error"]
         assert sol.taus.tolist() == [0.0]
 
+    def test_zero_step_is_reported_not_raised(self):
+        # a0 = 1e306 overflows the tube bound to inf, so the step is 0
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1e306, 0.0), 1.0, PhysicalParams(mass=0.0), W0
+        )
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.exit_code == 20
+        assert rep.tau_stop == 0.0
+        assert "step underflow" in rep.diagnostics["error"]
+        assert sol.taus.tolist() == [0.0]
+
+    def test_nan_in_the_wick_square_is_reported_not_raised(self, monkeypatch):
+        import semiflrw.solver as solver
+
+        wick = solver.wick_square_renormalized
+
+        def poisoned(a, bank, chi, params, config):
+            value = wick(a, bank, chi, params, config)
+            if np.ndim(value):  # a segment's rows, not the carried bank
+                value = value.copy()
+                value[3] = math.nan
+            return value
+
+        monkeypatch.setattr(solver, "wick_square_renormalized", poisoned)
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 5.0), 0.02, PhysicalParams(mass=1.0), W0
+        )
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.exit_code == 20
+        assert rep.tau_stop == 0.0
+        assert "non-finite value at node 3" in rep.diagnostics["error"]
+        assert rep.diagnostics["raised_at_tau"] > 0.0
+        assert sol.taus.tolist() == [0.0]
+
+    def test_one_rhs_evaluation_per_picard_iterate(self, monkeypatch):
+        # each segment evaluates f once per iterate plus once for the
+        # equation residual, whose byproducts (W, a, bank) are carried on
+        import semiflrw.solver as solver
+
+        rhs = solver._rhs_detail
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return rhs(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_rhs_detail", counted)
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 5.0), 0.005, PhysicalParams(mass=1.0),
+            WickConfig(k_max=40.0, n_k=192), SolverConfig(),
+        )
+        assert rep.reason == "TimeHorizon"
+        assert all(r.halvings == 0 for r in sol.reports)
+        assert len(calls) == sum(r.iterates for r in sol.reports) + len(sol.reports)
+
 
 class TestMassiveRun:
     def test_reaches_horizon(self, mass_run):
@@ -377,7 +432,7 @@ class TestRhs:
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, wcfg)
         grid = Grid.uniform(0.0, 0.001, 25)
         functional = RetardedFunctional(
-            eval=lambda x: friedmann_rhs(x, state0, params, wcfg).values.real
+            eval=lambda x: (friedmann_rhs(x, state0, params, wcfg).values.real, None)
         )
         probe = SampledFunction(grid, 1e-4 * np.cos(np.linspace(0.0, 3.0, 25)))
         assert verify_retardation(functional, probe)
@@ -519,6 +574,18 @@ class TestBogoliubovState:
         state_v = initial_segment_state(init, params, wcfg)
         state_b = initial_segment_state(init, params, wcfg, profile)
         assert state_b.hist_wick[0] > state_v.hist_wick[0]
+
+    def test_non_finite_profile_is_rejected_up_front(self):
+        from semiflrw.wick import BogoliubovProfile, InvalidProfile
+
+        profile = BogoliubovProfile(
+            A=lambda k: np.ones_like(k), B=lambda k: np.where(k > 5.0, math.nan, 0.0)
+        )
+        with pytest.raises(InvalidProfile, match="not finite"):
+            continue_maximal(
+                InitialData(0.0, 1.0, 5.0), 0.02, PhysicalParams(mass=1.0),
+                WickConfig(k_max=40.0, n_k=192), SolverConfig(), profile=profile,
+            )
 
     def test_profile_changes_dynamics(self):
         from semiflrw.wick import BogoliubovProfile

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from semiflrw.wick import (
     wick_square_renormalized,
 )
 
-from oracles import perturbative_orders
+from oracles import bogoliubov_delta_per_node, perturbative_orders, wick_square_per_node
 
 MASS = 1.0
 
@@ -34,6 +35,10 @@ def sine_background(n_nodes=401):
     grid = Grid.uniform(0.0, 2.0, n_nodes)
     a_fun = SampledFunction(grid, 1.0 + 0.1 * np.sin(grid.nodes))
     return grid, a_fun, Potential.from_scale_factor(a_fun, MASS)
+
+
+def a_at(a_fun, tau):
+    return float(a_fun(tau).real)
 
 
 def evolved_bank(config):
@@ -167,6 +172,26 @@ class TestRadialIntegral:
         parts += beta * radial_integral(h, config, momenta=nodes, weights=weights).value
         assert math.isclose(combined.value, parts, rel_tol=1e-10, abs_tol=1e-15)
 
+    def test_rows_match_single_rows(self):
+        # an all-zero window, an ill-conditioned one and a fitted one in
+        # one block each get their own case
+        config = WickConfig(k_max=60.0, n_k=96, k_knee=2.0)
+        nodes, weights = radial_grid(config)
+        spike = np.zeros(96)
+        spike[-1] = 1.0
+        block = np.array([np.zeros(96), spike, 1.0 / (nodes**2 + 1.0) ** 2])
+        with pytest.warns(TailFitFailed, match="at row 1"):
+            rows = radial_integral(block, config, momenta=nodes, weights=weights)
+        for j, samples in enumerate(block):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TailFitFailed)
+                one = radial_integral(samples, config, momenta=nodes, weights=weights)
+            assert rows.value[j] == one.value
+            assert rows.error_estimate[j] == one.error_estimate
+            for field in ("coefficient", "p_raw", "p_used", "coherent", "correction",
+                          "envelope", "ok"):
+                assert getattr(rows.tail, field)[j] == getattr(one.tail, field)
+
     def test_ill_conditioned_tail_warns(self):
         config = WickConfig(k_max=10.0, n_k=16, panel_points=8)
         nodes, weights = radial_grid(config)
@@ -209,7 +234,7 @@ class TestIntegrand:
         first_order = 2.0 * (orders[1] * np.conj(orders[0])).real + v_tau / (4.0 * k0**3)
         etas = grid.nodes
         transform = simpson(
-            np.cos(2.0 * k0 * (etas - tau_eval)) * pot.Vp(etas).real, x=etas
+            np.cos(2.0 * k0 * (etas - tau_eval)) * pot.V.derivative()(etas).real, x=etas
         ) / (4.0 * k0**3)
         assert abs(first_order - transform) < 1e-8
 
@@ -220,7 +245,7 @@ class TestWickSquare:
         momenta, weights = radial_grid(config)
         fresh = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
         params = PhysicalParams(mass=MASS)
-        value = wick_square_renormalized(a_fun, fresh, 0.0, params, config)
+        value = wick_square_renormalized(a_at(a_fun, 0.0), fresh, fresh.chi, params, config)
         assert math.isclose(value, -1.0 / (32.0 * math.pi**2), rel_tol=1e-12)
 
     def test_initial_time_closed_form_custom_scale(self, bank20):
@@ -228,7 +253,7 @@ class TestWickSquare:
         momenta, weights = radial_grid(config)
         fresh = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
         params = PhysicalParams(mass=MASS, length_scale=2.0)
-        value = wick_square_renormalized(a_fun, fresh, 0.0, params, config)
+        value = wick_square_renormalized(a_at(a_fun, 0.0), fresh, fresh.chi, params, config)
         expected = (
             MASS**2
             / (16.0 * math.pi**2)
@@ -239,27 +264,38 @@ class TestWickSquare:
     def test_zero_mass_short_circuit(self, bank20):
         config, a_fun, bank = bank20
         params = PhysicalParams(mass=0.0)
-        assert wick_square_renormalized(a_fun, bank, 2.0, params, config) == 0.0
+        a_end = a_at(a_fun, 2.0)
+        assert wick_square_renormalized(a_end, bank, bank.chi, params, config) == 0.0
 
-    def test_time_mismatch_rejected(self, bank20):
+    def test_row_count_mismatch_rejected(self, bank20):
         config, a_fun, bank = bank20
         params = PhysicalParams(mass=MASS)
-        with pytest.raises(ValueError):
-            wick_square_renormalized(a_fun, bank, 1.5, params, config)
+        a_end = a_at(a_fun, 2.0)
+        with pytest.raises(ValueError, match="one row of bank modes"):
+            wick_square_renormalized(
+                np.array([a_end, a_end]), bank, bank.chi, params, config
+            )
+        with pytest.raises(ValueError, match="one row of bank modes"):
+            wick_square_renormalized(a_end, bank, bank.chi[:-1], params, config)
 
     def test_kmax_doubling_below_tolerance(self, bank40, bank80):
         config40, a_fun, b40 = bank40
         config80, _, b80 = bank80
         params = PhysicalParams(mass=MASS)
-        coarse, detail = wick_square_renormalized(a_fun, b40, 2.0, params, config40, detail=True)
-        fine = wick_square_renormalized(a_fun, b80, 2.0, params, config80)
+        a_end = a_at(a_fun, 2.0)
+        coarse, detail = wick_square_renormalized(
+            a_end, b40, b40.chi, params, config40, detail=True
+        )
+        fine = wick_square_renormalized(a_end, b80, b80.chi, params, config80)
         assert abs(fine - coarse) < 1e-4 * abs(coarse)
         assert abs(fine - coarse) < detail.error_estimate
 
     def test_tail_exponent_at_least_cubic(self, bank20, bank40):
         params = PhysicalParams(mass=MASS)
         for config, a_fun, bank in (bank20, bank40):
-            _, detail = wick_square_renormalized(a_fun, bank, 2.0, params, config, detail=True)
+            _, detail = wick_square_renormalized(
+                a_at(a_fun, 2.0), bank, bank.chi, params, config, detail=True
+            )
             assert detail.tail.p_raw >= 3.0
 
     def test_bounded_response_to_background_perturbation(self):
@@ -274,7 +310,9 @@ class TestWickSquare:
             pot = Potential.from_scale_factor(a_fun, MASS)
             bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
             history = evolve_bank(bank, pot, grid.nodes)
-            return wick_square_renormalized(a_fun, history.final, 2.0, params, config)
+            return wick_square_renormalized(
+                a_at(a_fun, 2.0), history.final, history.final.chi, params, config
+            )
 
         base = wick_at_end(0.0)
         shifts = {delta: abs(wick_at_end(delta) - base) for delta in (1e-2, 1e-3)}
@@ -298,7 +336,7 @@ class TestBogoliubov:
     def test_vacuum_profile_gives_zero(self, bank20):
         config, a_fun, bank = bank20
         profile = BogoliubovProfile(A=lambda k: np.ones_like(k), B=lambda k: np.zeros_like(k))
-        value = wick_square_bogoliubov_delta(bank, profile, float(a_fun(2.0).real), config)
+        value = wick_square_bogoliubov_delta(a_at(a_fun, 2.0), bank, bank.chi, profile, config)
         assert value == 0.0
 
     def test_single_node_matches_hand_sum(self, bank20):
@@ -315,7 +353,7 @@ class TestBogoliubov:
 
         a_tau = float(a_fun(2.0).real)
         profile = BogoliubovProfile(A=a_func, B=b_func)
-        value = wick_square_bogoliubov_delta(bank, profile, a_tau, config)
+        value = wick_square_bogoliubov_delta(a_tau, bank, bank.chi, profile, config)
         chi_j = bank.chi[j]
         hand = (
             2.0
@@ -327,13 +365,23 @@ class TestBogoliubov:
         )
         assert math.isclose(value, hand, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_profile_raises(self, bad, bank20):
+        # a NaN constraint passes any |constraint| > tol test
+        config, _, bank = bank20
+        profile = BogoliubovProfile(
+            A=lambda k: np.ones_like(k), B=lambda k: np.where(k > 5.0, bad, 0.0)
+        )
+        with pytest.raises(InvalidProfile, match="not finite"):
+            wick_square_bogoliubov_delta(1.0, bank, bank.chi, profile, config)
+
     def test_invalid_profile_raises(self, bank20):
         config, _, bank = bank20
         profile = BogoliubovProfile(
             A=lambda k: np.ones_like(k), B=lambda k: 0.5 * np.ones_like(k)
         )
         with pytest.raises(InvalidProfile):
-            wick_square_bogoliubov_delta(bank, profile, 1.0, config)
+            wick_square_bogoliubov_delta(1.0, bank, bank.chi, profile, config)
 
     @pytest.mark.parametrize("amplitude,k_scale", [(0.5, 2.0), (2.0, 0.7), (0.0, 1.0)])
     def test_gaussian_profile_constraint(self, amplitude, k_scale, bank20):
@@ -346,5 +394,116 @@ class TestBogoliubov:
             # a gaussian B decays faster than any power law, so the tail fit
             # may legitimately report itself ill-conditioned here
             warnings.simplefilter("ignore", TailFitFailed)
-            value = wick_square_bogoliubov_delta(bank, profile, float(a_fun(2.0).real), config)
+            value = wick_square_bogoliubov_delta(
+                a_at(a_fun, 2.0), bank, bank.chi, profile, config
+            )
         assert math.isfinite(value)
+
+
+def spiked_rows(bank, a0, n_spikes):
+    """Three mode rows at a = a0 whose subtracted integrand vanishes but for
+    1 + (i mod n_spikes) top nodes in row i: fewer than 4 fit nodes, an
+    ill-conditioned tail."""
+    rows = []
+    for i in range(3):
+        target = np.zeros(bank.momenta.size)
+        count = 1 + i % n_spikes
+        target[-count:] = 1e-6 / (2.0 * bank.k0[-count:])
+        rows.append(np.sqrt(1.0 / (2.0 * bank.k0) + target) * np.exp(0.3j * bank.k0))
+    return np.full(3, a0), np.array(rows)
+
+
+class TestRowsMatchPerNodeOracle:
+    """The row-vectorised quadrature and closed-form tail fit against the
+    per-node numpy.polyfit path.  The two fits round differently (about
+    1e-13 relative on W on the massive benchmark run), so W is held to
+    1e-10 relative to the size of the two parts it sums, the radial
+    integral and the finite terms, which can cancel."""
+
+    @given(
+        mass=st.floats(0.2, 3.0),
+        a0=st.floats(0.5, 2.0),
+        growth=st.floats(-0.3, 0.6),
+        k_max=st.floats(8.0, 40.0),
+        n_panels=st.integers(3, 16),
+        window=st.floats(0.02, 0.5),
+        knee=st.sampled_from([0.0, 0.1, 0.3, 0.7]),
+        n_spikes=st.integers(1, 3),
+        amplitude=st.floats(0.05, 1.0),
+        k_scale=st.floats(0.5, 3.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_per_node_oracle(
+        self, mass, a0, growth, k_max, n_panels, window, knee, n_spikes,
+        amplitude, k_scale,
+    ):
+        config = WickConfig(
+            k_max=k_max, n_k=8 * n_panels, tail_fit_window=window,
+            k_knee=knee * k_max,
+        )
+        params = PhysicalParams(mass=mass)
+        momenta, weights = radial_grid(config)
+        bank = ModeBank.at_initial(momenta, weights, a0=a0, mass=mass, tau0=0.0)
+        grid = Grid.uniform(0.0, 0.05, 9)
+        a_fun = SampledFunction(grid, a0 * (1.0 + growth * grid.nodes / 0.05))
+        pot = Potential.from_scale_factor(a_fun, mass, a0=a0)
+        history = evolve_bank(bank, pot, grid.nodes)
+        a_spiked, chi_spiked = spiked_rows(bank, a0, n_spikes)
+        a_rows = np.concatenate([a_fun.values.real, a_spiked])
+        chi_rows = np.concatenate([history.chi, chi_spiked])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            w_rows, detail = wick_square_renormalized(
+                a_rows, bank, chi_rows, params, config, detail=True
+            )
+        n_warned = sum(issubclass(w.category, TailFitFailed) for w in caught)
+        oracle = [
+            wick_square_per_node(a, bank, chi, params, config)
+            for a, chi in zip(a_rows, chi_rows)
+        ]
+        w_ref = np.array([value for value, _ in oracle])
+        ok_ref = np.array([radial.ok for _, radial in oracle])
+        assert np.all(~ok_ref[-3:])
+        assert np.array_equal(detail.tail.ok, ok_ref)
+        assert n_warned == np.count_nonzero(~ok_ref)
+        w_scale = np.abs([radial.value for _, radial in oracle]) / a_rows**2 + np.abs(
+            finite_terms(a_rows, a0, mass, params.length_scale)
+        )
+        assert np.all(np.abs(w_rows - w_ref) <= 1e-10 * w_scale)
+        np.testing.assert_allclose(
+            detail.error_estimate,
+            [radial.error_estimate for _, radial in oracle],
+            rtol=1e-10, atol=0.0,
+        )
+
+        # the solver's state correction skips the tail fit
+        profile = BogoliubovProfile.gaussian(amplitude, k_scale)
+        delta_cfg = replace(config, tail_model="none")
+        delta = wick_square_bogoliubov_delta(a_rows, bank, chi_rows, profile, delta_cfg)
+        delta_ref = np.array([
+            bogoliubov_delta_per_node(a, bank, chi, profile, delta_cfg)
+            for a, chi in zip(a_rows, chi_rows)
+        ])
+        # the correction oscillates in sign, so it is held relative to the
+        # quadrature of its integrand's magnitude
+        b_vals = profile.B(momenta)
+        scale = 2.0 / a_rows**2 / TWO_PI_SQ * np.sum(
+            weights * momenta**2 * (np.abs(b_vals) ** 2 + np.abs(profile.A(momenta) * b_vals))
+            * np.abs(chi_rows) ** 2, axis=-1,
+        )
+        assert np.all(np.abs(delta - delta_ref) <= 1e-10 * scale)
+
+    def test_single_row_is_the_one_row_case(self, bank20):
+        config, a_fun, bank = bank20
+        params = PhysicalParams(mass=MASS)
+        a_end = a_at(a_fun, 2.0)
+        value, detail = wick_square_renormalized(
+            a_end, bank, bank.chi, params, config, detail=True
+        )
+        rows, rows_detail = wick_square_renormalized(
+            np.array([a_end]), bank, bank.chi[None, :], params, config, detail=True
+        )
+        assert isinstance(value, float) and isinstance(detail.tail.ok, bool)
+        assert rows.shape == (1,) and rows[0] == value
+        assert rows_detail.tail.p_raw[0] == detail.tail.p_raw
