@@ -455,12 +455,6 @@ def write_summary(
         handle.write("\n")
 
 
-def _save_checkpoint_atomic(path, carry, reports, bounds, horizon) -> None:
-    tmp = str(path) + ".tmp"
-    save_checkpoint(tmp, carry, reports, bounds, horizon)
-    os.replace(tmp, path)
-
-
 def cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
@@ -496,15 +490,18 @@ def cmd_run(args) -> int:
             return 2
 
     callback = None
+    written = None  # what the checkpoint file holds, as save_checkpoint says
     if args.checkpoint:
         every = max(1, args.checkpoint_every)
-        counter = {"n": 0}
+        segments = 0
 
         def callback(carry, reports, bounds):
-            counter["n"] += 1
-            if counter["n"] % every == 0:
-                _save_checkpoint_atomic(
-                    args.checkpoint, carry, reports, bounds, config.horizon
+            nonlocal segments, written
+            segments += 1
+            if segments % every == 0:
+                written = save_checkpoint(
+                    args.checkpoint, carry, reports, bounds, config.horizon,
+                    written,
                 )
 
     try:
@@ -535,12 +532,13 @@ def cmd_run(args) -> int:
         wick_cfg,
     )
     if args.checkpoint:
-        _save_checkpoint_atomic(
+        save_checkpoint(
             args.checkpoint,
             solution.final_state,
             solution.reports,
             solution.segment_bounds,
             config.horizon,
+            written,
         )
     print(
         f"{term.reason} tau_stop={term.tau_stop!r} nodes={solution.taus.size}"

@@ -61,7 +61,9 @@ class Potential:
         anchored = a0 is None
         if anchored:
             a0 = float(a.values[0].real)
-        v_values = mass**2 * (a.values.real**2 - a0**2)
+        # a0 * a0 rounds as the array square does; a0**2 (C pow) can be one
+        # ulp away, so V(tau0) would not vanish
+        v_values = mass**2 * (a.values.real**2 - a0 * a0)
         if anchored and v_values[0] != 0.0:
             raise ValueError("V(tau0) must vanish for the anchored construction")
         return cls(SampledFunction(a.grid, v_values), freq_shift=(a0 * mass) ** 2)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -207,10 +208,11 @@ def initial_segment_state(
             momenta, weights, a0=initial.a0, mass=params.mass, tau0=initial.tau0
         )
         digest = bank.anchor_digest()
+        w0 = _wick_square(initial.a0, bank, bank.chi, params, wick_cfg, profile)
     else:
         bank = None
         digest = None
-    w0 = _wick_at_carry(bank, initial.a0, params, wick_cfg, profile)
+        w0 = 0.0
     return SegmentState(
         initial=initial,
         hist_taus=np.array([initial.tau0]),
@@ -243,18 +245,6 @@ def _wick_square(
             a, bank, chi, profile, _profile_config(wick_cfg)
         )
     return value
-
-
-def _wick_at_carry(
-    bank: ModeBank | None,
-    a_val: float,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-    profile: BogoliubovProfile | None = None,
-) -> float:
-    if bank is None:
-        return 0.0
-    return _wick_square(a_val, bank, bank.chi, params, wick_cfg, profile)
 
 
 def friedmann_source(h, w, params: PhysicalParams):
@@ -327,18 +317,11 @@ def friedmann_rhs(
     return SampledFunction(hubble.grid, f_vals)
 
 
-def _rhs_bound(
-    carry: SegmentState,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-    h_max: float,
-    profile: BogoliubovProfile | None = None,
-) -> float:
+def _rhs_bound(carry: SegmentState, params: PhysicalParams, h_max: float) -> float:
     """Uniform bound on |f| over the tube |H| <= h_max with a <= 2 a_carry."""
     critical = params.hubble_critical
-    w_carry = _wick_at_carry(
-        carry.mode_bank_carry, carry.a_carry, params, wick_cfg, profile
-    )
+    # W at the carried bank, stored by the RHS evaluation that ended there
+    w_carry = float(carry.hist_wick[-1])
     w_bound = 2.0 * abs(w_carry) + params.mass**2 / (16.0 * math.pi**2)
     numerator = (
         h_max**4
@@ -362,8 +345,9 @@ def solve_segment(
 
     Raises NoConvergence after the halving retries are exhausted,
     BankCheckFailed when the carried bank is unfit to continue, ZeroStep
-    when the step underflows, and propagates NaNDetected / CriticalHubble /
-    BlowUp with their locations.
+    when the step underflows, OverflowError when the tube bound leaves the
+    float range, and propagates NaNDetected / CriticalHubble / BlowUp with
+    their locations.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
@@ -382,7 +366,7 @@ def solve_segment(
     gap = critical - abs(h_start)
     delta = 0.5 * gap
     h_max = abs(h_start) + delta
-    bound = _rhs_bound(carry, params, wick_cfg, h_max, profile)
+    bound = _rhs_bound(carry, params, h_max)
     tube_step = select_step(bound, delta, remaining, solver_cfg.safety)
     # keep a_carry * int H below 1/2 so a(H) at most doubles on the segment
     denominator_step = 1.0 / (2.0 * carry.a_carry * h_max)
@@ -509,7 +493,7 @@ def continue_maximal(
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"picard_residuals": list(err.report.residuals)}
             break
-        except (BankCheckFailed, ZeroStep) as err:
+        except (BankCheckFailed, ZeroStep, OverflowError) as err:
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"error": str(err)}
             break
@@ -635,32 +619,44 @@ def solution_diagnostics(
     }
 
 
+CHECKPOINT_VERSION = 2
+
+
 def save_checkpoint(
     path,
     carry: SegmentState,
     reports: Sequence[PicardReport],
     segment_bounds: Sequence[float],
     tau_horizon: float,
-) -> None:
-    """Serialize the carried state and accumulated series; floats survive
-    the JSON round trip exactly (repr-based)."""
+    written: tuple[int, int, int] | None = None,
+) -> tuple[int, int, int]:
+    """Write the carried state to a checkpoint file; return what it holds.
+
+    The file is JSON lines.  The first line holds the header (version,
+    horizon, initial data, anchor digest) and the state so far; each later
+    line is a record of what is new since the line before: the history from
+    node index ``start`` on, the new Picard reports and segment bounds, and
+    the carried a and mode bank.  ``written`` is what the previous call for
+    this file returned.  None starts the file: the whole state is written
+    to a temporary file that then replaces ``path``.  Otherwise one record
+    is appended, so a write costs O(segment), not O(history); the carry
+    must extend the one last written.  Each line is one ``json.dumps``
+    call, which takes the C encoder (``json.dump`` takes the pure-Python
+    one); floats survive the round trip exactly (repr-based).
+    """
+    start, n_reports, n_bounds = written or (0, 0, 0)
     bank = carry.mode_bank_carry
-    payload = {
-        "version": 1,
-        "tau_horizon": tau_horizon,
-        "initial": {
-            "tau0": carry.initial.tau0,
-            "a0": carry.initial.a0,
-            "hubble0": carry.initial.hubble0,
-        },
+    record = {
+        "start": start,
         "history": {
-            "taus": carry.hist_taus.tolist(),
-            "hubble": carry.hist_hubble.tolist(),
-            "a": carry.hist_a.tolist(),
-            "wick": carry.hist_wick.tolist(),
+            "taus": carry.hist_taus[start:].tolist(),
+            "hubble": carry.hist_hubble[start:].tolist(),
+            "a": carry.hist_a[start:].tolist(),
+            "wick": carry.hist_wick[start:].tolist(),
         },
+        "reports": [r.as_dict() for r in reports[n_reports:]],
+        "segment_bounds": list(segment_bounds[n_bounds:]),
         "a_carry": carry.a_carry,
-        "anchor_digest": carry.anchor_digest,
         "bank": None
         if bank is None
         else {
@@ -675,25 +671,75 @@ def save_checkpoint(
             "mass": bank.mass,
             "tau0_anchor": bank.tau0_anchor,
         },
-        "reports": [r.as_dict() for r in reports],
-        "segment_bounds": list(segment_bounds),
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    if written is None:
+        header = {
+            "version": CHECKPOINT_VERSION,
+            "tau_horizon": tau_horizon,
+            "initial": {
+                "tau0": carry.initial.tau0,
+                "a0": carry.initial.a0,
+                "hubble0": carry.initial.hubble0,
+            },
+            "anchor_digest": carry.anchor_digest,
+        }
+        tmp = f"{path}.tmp"
+        with open(tmp, "w") as handle:
+            handle.write(json.dumps({**header, **record}) + "\n")
+        os.replace(tmp, path)
+    else:
+        with open(path, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
+    return len(carry.hist_taus), len(reports), len(segment_bounds)
 
 
 def load_checkpoint(path):
-    """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file."""
+    """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
+
+    The records are applied in order.  A last line that lacks its newline
+    and does not parse is a torn append and is ignored, so the record
+    before it is the checkpoint.
+    """
     with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+        lines = handle.readlines()
+    records = []
+    for number, line in enumerate(lines, 1):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as err:
+            if records and number == len(lines) and not line.endswith("\n"):
+                break
+            raise ValueError(
+                f"{path}:{number}: corrupt checkpoint line: {err}"
+            ) from err
+    if not records:
+        raise ValueError(f"{path}: empty checkpoint")
+    header = records[0]
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {version!r}: this reader takes"
+            f" version {CHECKPOINT_VERSION} only; rerun the solve to write a"
+            " new checkpoint"
+        )
+    history = {"taus": [], "hubble": [], "a": [], "wick": []}
+    raw_reports = []
+    bounds = []
+    for number, record in enumerate(records, 1):
+        start = record["start"]
+        if start > len(history["taus"]):
+            raise ValueError(f"{path}:{number}: record starts past the history")
+        for key, values in history.items():
+            del values[start:]
+            values.extend(record["history"][key])
+        raw_reports.extend(record["reports"])
+        bounds.extend(record["segment_bounds"])
     initial = InitialData(
-        tau0=payload["initial"]["tau0"],
-        a0=payload["initial"]["a0"],
-        hubble0=payload["initial"]["hubble0"],
+        tau0=header["initial"]["tau0"],
+        a0=header["initial"]["a0"],
+        hubble0=header["initial"]["hubble0"],
     )
-    raw_bank = payload["bank"]
+    raw_bank = records[-1]["bank"]
     if raw_bank is None:
         bank = None
     else:
@@ -713,13 +759,13 @@ def load_checkpoint(path):
         )
     carry = SegmentState(
         initial=initial,
-        hist_taus=np.array(payload["history"]["taus"]),
-        hist_hubble=np.array(payload["history"]["hubble"]),
-        hist_a=np.array(payload["history"]["a"]),
-        hist_wick=np.array(payload["history"]["wick"]),
-        a_carry=payload["a_carry"],
+        hist_taus=np.array(history["taus"]),
+        hist_hubble=np.array(history["hubble"]),
+        hist_a=np.array(history["a"]),
+        hist_wick=np.array(history["wick"]),
+        a_carry=records[-1]["a_carry"],
         mode_bank_carry=bank,
-        anchor_digest=payload["anchor_digest"],
+        anchor_digest=header["anchor_digest"],
     )
     reports = tuple(
         PicardReport(
@@ -730,6 +776,6 @@ def load_checkpoint(path):
             equation_residual=r["equation_residual"],
             halvings=r.get("halvings", 0),
         )
-        for r in payload["reports"]
+        for r in raw_reports
     )
-    return carry, reports, tuple(payload["segment_bounds"]), payload["tau_horizon"]
+    return carry, reports, tuple(bounds), header["tau_horizon"]

@@ -316,7 +316,9 @@ def wick_square_renormalized(
         return (value, None) if detail else value
     a, chi = _rows(a, bank, chi)
     a0 = bank.a0_anchor
-    v_tau = params.mass**2 * (a**2 - a0**2)
+    # a0 * a0, not a0**2: the array square is a * a, and C pow can differ from
+    # it by one ulp, which would leave V(tau0) != 0
+    v_tau = params.mass**2 * (a**2 - a0 * a0)
     g = wick_integrand(chi, bank.momenta, bank.k0, v_tau[..., None])
     result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
     value = _plain(

@@ -14,6 +14,7 @@ import pytest
 
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL
+from semiflrw.solver import load_checkpoint
 
 HC = DEFAULT_HUBBLE_CRITICAL
 
@@ -39,6 +40,39 @@ def lam_for_root(h_root: float) -> float:
 def write_config(path, **entries):
     path.write_text(json.dumps(entries))
     return str(path)
+
+
+def run_capturing(monkeypatch, argv):
+    """Run the CLI; return its exit code and the solution it computed."""
+    runs = []
+    solve = cli.continue_maximal
+
+    def capturing(*args, **kwargs):
+        runs.append(solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "continue_maximal", capturing)
+    code = cli.main(argv)
+    return code, runs[0][0]
+
+
+def assert_checkpoint_holds(path, solution):
+    """The checkpoint at path reloads solution's final state bit for bit."""
+    carry, reports, bounds, _ = load_checkpoint(path)
+    state = solution.final_state
+    for attr in ("hist_taus", "hist_hubble", "hist_a", "hist_wick"):
+        assert getattr(carry, attr).tobytes() == getattr(state, attr).tobytes()
+    assert carry.a_carry.hex() == state.a_carry.hex()
+    assert carry.anchor_digest == state.anchor_digest
+    assert reports == solution.reports
+    assert bounds == solution.segment_bounds
+    bank, bank_ref = carry.mode_bank_carry, state.mode_bank_carry
+    assert (bank is None) == (bank_ref is None)
+    if bank is not None:
+        for name in ("momenta", "weights", "k0", "chi", "dchi"):
+            assert getattr(bank, name).tobytes() == getattr(bank_ref, name).tobytes()
+        assert bank.anchor_digest() == bank_ref.anchor_digest()
+        assert bank.tau.hex() == bank_ref.tau.hex()
 
 
 def read_csv(path):
@@ -308,16 +342,168 @@ class TestCheckpointResume:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
 
-    def test_checkpoint_every_reduces_writes(self, tmp_path):
+    def test_checkpoint_every_reduces_writes(self, tmp_path, monkeypatch):
+        saves = []
+        save = cli.save_checkpoint
+
+        def counted(path, *args):
+            saves.append(path)
+            return save(path, *args)
+
+        monkeypatch.setattr(cli, "save_checkpoint", counted)
         cfg = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
         ck = tmp_path / "ck.json"
+        out = tmp_path / "out"
         code = cli.main(
-            ["run", cfg, "--out", str(tmp_path / "out"),
+            ["run", cfg, "--out", str(out),
              "--checkpoint", str(ck), "--checkpoint-every", "3"]
         )
         assert code == 0
-        saved = json.loads(ck.read_text())
-        assert saved["tau_horizon"] == 0.01
+        segments = json.loads((out / "summary.json").read_text())["series"][
+            "segments"
+        ]
+        # one save every third segment, plus the final one
+        assert len(saves) == segments // 3 + 1
+        assert set(saves) == {str(ck)}
+        _, reports, _, horizon = load_checkpoint(ck)
+        assert horizon == 0.01
+        assert len(reports) == segments
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_appended_checkpoint_reloads_the_final_state(
+        self, tmp_path, monkeypatch, every
+    ):
+        cfg = write_config(tmp_path / "c.json", mass=1.0, horizon=0.01)
+        ck = tmp_path / "ck.json"
+        code, solution = run_capturing(
+            monkeypatch,
+            ["run", cfg, "--out", str(tmp_path / "out"), "--checkpoint", str(ck),
+             "--checkpoint-every", str(every)],
+        )
+        assert code == 0
+        segments = len(solution.reports)
+        # at every = 3 the final write then appends segments of its own
+        assert segments > 3 and segments % 3 != 0
+        # one line starts the file, each later write appends one
+        assert len(ck.read_text().splitlines()) == segments // every + 1
+        assert_checkpoint_holds(ck, solution)
+
+    def test_torn_last_line_loads_the_previous_record(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", mass=1.0, horizon=0.01)
+        full_out = tmp_path / "full_out"
+        ck = tmp_path / "ck.json"
+        assert cli.main(
+            ["run", cfg, "--out", str(full_out), "--checkpoint", str(ck)]
+        ) == 0
+        lines = ck.read_text().splitlines(keepends=True)
+        intact = tmp_path / "intact.json"
+        intact.write_text("".join(lines[:3]))
+        # a write cut off mid-way through the fourth line
+        torn = "".join(lines[:3]) + lines[3][: len(lines[3]) // 2]
+        ck.write_text(torn)
+        carry, reports, bounds, _ = load_checkpoint(ck)
+        carry_ref, reports_ref, bounds_ref, _ = load_checkpoint(intact)
+        assert len(reports) == 3
+        assert reports == reports_ref
+        assert bounds == bounds_ref
+        assert carry.hist_hubble.tobytes() == carry_ref.hist_hubble.tobytes()
+        assert carry.mode_bank_carry.chi.tobytes() == (
+            carry_ref.mode_bank_carry.chi.tobytes()
+        )
+
+        res_out = tmp_path / "res_out"
+        assert cli.main(["run", cfg, "--out", str(res_out), "--resume", str(ck)]) == 0
+        for name in ("solution.csv", "summary.json"):
+            assert (res_out / name).read_bytes() == (full_out / name).read_bytes()
+
+        # a cut line followed by its newline is no torn append but an error
+        ck.write_text(torn + "\n")
+        with pytest.raises(ValueError, match="corrupt checkpoint line"):
+            load_checkpoint(ck)
+        # nor is a file that lost a record readable
+        ck.write_text(lines[0] + lines[2])
+        with pytest.raises(ValueError, match="starts past the history"):
+            load_checkpoint(ck)
+
+    @pytest.mark.parametrize("target", ["same", "new"])
+    def test_resume_checkpoints_stay_loadable(self, tmp_path, monkeypatch, target):
+        full_cfg = write_config(tmp_path / "full.json", mass=1.0, horizon=0.01)
+        part_cfg = write_config(
+            tmp_path / "part.json", mass=1.0, horizon=0.01,
+            numerical={"max_segments": 2},
+        )
+        full_out = tmp_path / "full_out"
+        code, full = run_capturing(
+            monkeypatch, ["run", full_cfg, "--out", str(full_out)]
+        )
+        assert code == 0
+        ck = tmp_path / "ck.json"
+        assert cli.main(
+            ["run", part_cfg, "--out", str(tmp_path / "part_out"),
+             "--checkpoint", str(ck)]
+        ) == 20
+        res_ck = ck if target == "same" else tmp_path / "res_ck.json"
+        res_out = tmp_path / "res_out"
+        code, resumed = run_capturing(
+            monkeypatch,
+            ["run", full_cfg, "--out", str(res_out), "--resume", str(ck),
+             "--checkpoint", str(res_ck)],
+        )
+        assert code == 0
+        assert (res_out / "solution.csv").read_bytes() == (
+            (full_out / "solution.csv").read_bytes()
+        )
+        assert_checkpoint_holds(res_ck, resumed)
+        assert_checkpoint_holds(res_ck, full)
+        if target == "new":
+            carry, reports, _, _ = load_checkpoint(ck)
+            assert len(reports) == 2
+            assert carry.hist_taus.size < full.taus.size
+
+    def test_appended_records_do_not_grow_with_the_history(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", mass=0.0, horizon=0.05)
+        ck = tmp_path / "ck.json"
+        out = tmp_path / "out"
+        assert cli.main(
+            ["run", cfg, "--out", str(out), "--checkpoint", str(ck)]
+        ) == 0
+        series = json.loads((out / "summary.json").read_text())["series"]
+        lines = ck.read_text().splitlines()
+        assert series["segments"] > 20
+        assert len(lines) == series["segments"] + 1
+        # each appended record holds one segment's new nodes, continuing
+        # where the line before stopped
+        start = len(json.loads(lines[0])["history"]["taus"])
+        for line in lines[1:]:
+            record = json.loads(line)
+            assert record["start"] == start
+            start += len(record["history"]["taus"])
+            assert len(record["history"]["taus"]) <= 48
+            # 4 series of at most 48 reprs (<= 24 characters and a separator)
+            # plus a report: the same bound on the first segment and the last
+            assert len(line) <= 4 * 48 * 26 + 1024
+        assert start == series["n_nodes"]
+
+    def test_resume_from_version_1_checkpoint_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        # the whole-history format of earlier releases, at tau0
+        old.write_text(json.dumps({
+            "version": 1, "tau_horizon": 0.01,
+            "initial": {"tau0": 0.0, "a0": 1.0, "hubble0": 0.0},
+            "history": {"taus": [0.0], "hubble": [0.0], "a": [1.0], "wick": [0.0]},
+            "a_carry": 1.0, "anchor_digest": None, "bank": None,
+            "reports": [], "segment_bounds": [0.0],
+        }))
+        with pytest.raises(ValueError, match="version 1.*rerun"):
+            load_checkpoint(old)
+        cfg = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        code = cli.main(
+            ["run", cfg, "--out", str(tmp_path / "out"), "--resume", str(old)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err
+        assert "version 1" in err
 
 
 class TestConstraintVariants:

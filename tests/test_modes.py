@@ -67,6 +67,14 @@ def test_potential_anchoring():
     assert pot.freq_shift == pytest.approx(1.0)
 
 
+def test_potential_vanishes_at_the_anchor_for_every_a0():
+    # an a0 whose square by C pow can be one ulp away from a0 * a0
+    a0 = 0.9529018931275899
+    grid = Grid.uniform(0.0, 1.0, 11)
+    pot = Potential.from_scale_factor(SampledFunction(grid, np.full(11, a0)), mass=1.0)
+    assert np.all(pot.V.values == 0.0)
+
+
 def test_potential_explicit_anchor_allows_offset_start():
     grid = Grid.uniform(1.0, 2.0, 11)
     a = SampledFunction(grid, np.full(11, 3.0))

@@ -336,6 +336,18 @@ class TestSegmenting:
         assert "step underflow" in rep.diagnostics["error"]
         assert sol.taus.tolist() == [0.0]
 
+    def test_overflowing_tube_bound_is_reported_not_raised(self):
+        # h_max**4 ~ 6e397 leaves the float range inside the tube bound
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 1e80), 1.0,
+            PhysicalParams(mass=0.0, hubble_critical=1e100), W0,
+        )
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.exit_code == 20
+        assert rep.tau_stop == 0.0
+        assert "out of range" in rep.diagnostics["error"]
+        assert sol.taus.tolist() == [0.0]
+
     def test_nan_in_the_wick_square_is_reported_not_raised(self, monkeypatch):
         import semiflrw.solver as solver
 
@@ -365,13 +377,20 @@ class TestSegmenting:
         import semiflrw.solver as solver
 
         rhs = solver._rhs_detail
+        wick = solver.wick_square_renormalized
         calls = []
+        wick_calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return rhs(*args, **kwargs)
 
+        def counted_wick(*args, **kwargs):
+            wick_calls.append(args[0])
+            return wick(*args, **kwargs)
+
         monkeypatch.setattr(solver, "_rhs_detail", counted)
+        monkeypatch.setattr(solver, "wick_square_renormalized", counted_wick)
         sol, rep = continue_maximal(
             InitialData(0.0, 1.0, 5.0), 0.005, PhysicalParams(mass=1.0),
             WickConfig(k_max=40.0, n_k=192), SolverConfig(),
@@ -379,6 +398,9 @@ class TestSegmenting:
         assert rep.reason == "TimeHorizon"
         assert all(r.halvings == 0 for r in sol.reports)
         assert len(calls) == sum(r.iterates for r in sol.reports) + len(sol.reports)
+        # one Wick quadrature per evaluation plus the initial one: the tube
+        # bound reads the carried W from the history
+        assert len(wick_calls) == len(calls) + 1
 
 
 class TestMassiveRun:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -431,6 +431,12 @@ class TestRowsMatchPerNodeOracle:
         n_spikes=st.integers(1, 3),
         amplitude=st.floats(0.05, 1.0),
         k_scale=st.floats(0.5, 3.0),
+    )
+    # an a0 whose square by C pow can be one ulp off a0 * a0: V(tau0) must still
+    # vanish, or the vacuum row at tau0 fits rounding noise
+    @example(
+        mass=0.2, a0=0.9529018931275899, growth=0.0, k_max=40.0, n_panels=7,
+        window=0.125, knee=0.3, n_spikes=1, amplitude=1.0, k_scale=1.0,
     )
     @settings(max_examples=25, deadline=None)
     def test_rows_match_per_node_oracle(
