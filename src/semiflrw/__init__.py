@@ -31,6 +31,7 @@ from .solver import (
     EXIT_CODES,
     CriticalHubble,
     MaximalSolution,
+    RunLog,
     SegmentState,
     SolverConfig,
     TerminationReport,
@@ -68,6 +69,7 @@ __all__ = [
     "PicardReport",
     "Potential",
     "RetardedFunctional",
+    "RunLog",
     "SampledFunction",
     "SegmentState",
     "SolverConfig",

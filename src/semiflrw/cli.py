@@ -22,6 +22,7 @@ from .core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
 from .energy import ConstraintMode, constraint_report, initial_energy_density
 from .modes import SUBSTEP_CAP
 from .solver import (
+    RunLog,
     SolverConfig,
     continue_maximal,
     load_checkpoint,
@@ -491,17 +492,16 @@ def cmd_run(args) -> int:
 
     callback = None
     written = None  # what the checkpoint file holds, as save_checkpoint says
+    run_log = None
     if args.checkpoint:
         every = max(1, args.checkpoint_every)
-        segments = 0
 
-        def callback(carry, reports, bounds):
-            nonlocal segments, written
-            segments += 1
-            if segments % every == 0:
+        def callback(log):
+            nonlocal written, run_log
+            run_log = log
+            if log.segments % every == 0:
                 written = save_checkpoint(
-                    args.checkpoint, carry, reports, bounds, config.horizon,
-                    written,
+                    args.checkpoint, log, config.horizon, written
                 )
 
     try:
@@ -532,14 +532,11 @@ def cmd_run(args) -> int:
         wick_cfg,
     )
     if args.checkpoint:
-        save_checkpoint(
-            args.checkpoint,
-            solution.final_state,
-            solution.reports,
-            solution.segment_bounds,
-            config.horizon,
-            written,
+        # run_log is None when no segment was solved
+        log = run_log or RunLog(
+            solution.final_state, solution.reports, solution.segment_bounds
         )
+        save_checkpoint(args.checkpoint, log, config.horizon, written)
     print(
         f"{term.reason} tau_stop={term.tau_stop!r} nodes={solution.taus.size}"
         f" -> {csv_path}"

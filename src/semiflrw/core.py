@@ -134,11 +134,6 @@ class Grid:
     def size(self) -> int:
         return int(self.nodes.size)
 
-    @property
-    def is_uniform(self) -> bool:
-        spacing = np.diff(self.nodes)
-        return bool(np.allclose(spacing, spacing[0], rtol=1e-12, atol=0.0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and np.array_equal(self.nodes, other.nodes)
 

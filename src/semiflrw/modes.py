@@ -69,10 +69,6 @@ class Potential:
         return cls(SampledFunction(a.grid, v_values), freq_shift=(a0 * mass) ** 2)
 
     @classmethod
-    def from_samples(cls, v: SampledFunction, freq_shift: float = 0.0) -> Potential:
-        return cls(v, freq_shift)
-
-    @classmethod
     def zero(cls, grid: Grid, freq_shift: float = 0.0) -> Potential:
         return cls(SampledFunction.constant(grid, 0.0), freq_shift)
 

@@ -121,9 +121,12 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SegmentState:
-    """Carried solution state at the current segment boundary.
+    """Carried solution state at the current segment boundary tau_start.
 
-    Histories cover [tau0, tau_start] inclusive; the mode bank (massive case
+    The histories end at tau_start.  They cover the whole run [tau0,
+    tau_start] in the initial state, a loaded checkpoint and a solution's
+    final_state, and only the segment just solved (its start node
+    included) in what solve_segment returns.  The mode bank (massive case
     only) sits at tau_start and is anchored at tau0 for its whole life,
     witnessed by anchor_digest.
     """
@@ -136,7 +139,6 @@ class SegmentState:
     a_carry: float
     mode_bank_carry: ModeBank | None
     anchor_digest: str | None
-    h_solution: SampledFunction | None = None
     last_report: PicardReport | None = None
 
     @property
@@ -147,9 +149,50 @@ class SegmentState:
     def hubble_start(self) -> float:
         return float(self.hist_hubble[-1])
 
+    @property
+    def series(self) -> tuple[np.ndarray, ...]:
+        """The histories (tau, H, a, W), in checkpoint order."""
+        return self.hist_taus, self.hist_hubble, self.hist_a, self.hist_wick
+
     def scale_denominator(self) -> float:
         """Global 1 - a0 int H = a0 / a, the blow-up margin."""
         return self.initial.a0 / self.a_carry
+
+
+class RunLog:
+    """A run's history as one log: a chunk of nodes per segment, joined once.
+
+    The first chunk is the history of the state the run starts from, which
+    comes with the reports and bounds before it.  Each append adds a solved
+    segment's new nodes (tau, H, a, W), its Picard report and its end
+    bound, and makes the segment the carry; ``segments`` counts the
+    appends.  Nothing that grows with the run is copied before join().
+    """
+
+    def __init__(self, start: SegmentState, reports=(), bounds=()):
+        self.chunks = [start.series]
+        self.reports = list(reports)
+        self.bounds = list(bounds) if bounds else [start.tau_start]
+        self.nodes = start.hist_taus.size
+        self.carry = start
+
+    def append(self, segment: SegmentState) -> None:
+        self.chunks.append(tuple(values[1:] for values in segment.series))
+        self.reports.append(segment.last_report)
+        self.bounds.append(segment.tau_start)
+        self.nodes += segment.hist_taus.size - 1
+        self.carry = segment
+
+    @property
+    def segments(self) -> int:
+        return len(self.chunks) - 1
+
+    def join(self) -> SegmentState:
+        """The carry with the whole history: the run's one concatenation."""
+        taus, hubble, a, wick = (np.concatenate(parts) for parts in zip(*self.chunks))
+        return replace(
+            self.carry, hist_taus=taus, hist_hubble=hubble, hist_a=a, hist_wick=wick
+        )
 
 
 @dataclass(frozen=True)
@@ -267,7 +310,7 @@ def _rhs_detail(
     wronskian_budget: float = 1e-8,
     profile: BogoliubovProfile | None = None,
 ):
-    """f(H) on the segment and the byproducts (W series, a, evolved bank)."""
+    """f(H) on the segment and the byproducts (W, a, the bank's history)."""
     grid = hubble.grid
     if not math.isclose(grid.tau_start, carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment grid must start at the carried boundary")
@@ -292,13 +335,12 @@ def _rhs_detail(
         w_vals = _wick_square(
             a_vals, carry.mode_bank_carry, history.chi, params, wick_cfg, profile
         )
-        bank_final = history.final
     else:
         w_vals = np.zeros(grid.size)
-        bank_final = None
+        history = None
     source = friedmann_source(h_vals, w_vals, params)
     f_vals = a_vals * source / (critical**2 - h_vals**2)
-    return f_vals, (w_vals, a_fun, bank_final)
+    return f_vals, (w_vals, a_vals, history)
 
 
 def friedmann_rhs(
@@ -342,6 +384,9 @@ def solve_segment(
     profile: BogoliubovProfile | None = None,
 ) -> SegmentState:
     """Advance the carried state by one converged segment.
+
+    The returned state holds the segment's own nodes, its start included,
+    cut at the first new node past the wall guard or the scale margin.
 
     Raises NoConvergence after the halving retries are exhausted,
     BankCheckFailed when the carried bank is unfit to continue, ZeroStep
@@ -387,21 +432,30 @@ def solve_segment(
         return f0, functional
 
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    solution, report, used_grid, (w_vals, a_fun, bank_final) = (
+    solution, report, used_grid, (w_vals, a_vals, history) = (
         picard_solve_with_halving(
             build, grid, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings
         )
     )
+    nodes = used_grid.nodes
+    h_vals = solution.values.real
+    # the run ends at a breach node, so the segment and its bank end there
+    wall = (1.0 - solver_cfg.epsilon_critical) * critical
+    breach = (np.abs(h_vals[1:]) >= wall) | (
+        carry.initial.a0 / a_vals[1:] <= solver_cfg.epsilon_scale
+    )
+    last = int(np.argmax(breach)) + 1 if np.any(breach) else nodes.size - 1
+    if history is not None:
+        bank = bank.moved_to(history.chi[last], history.dchi[last], nodes[last])
     return SegmentState(
         initial=carry.initial,
-        hist_taus=np.concatenate([carry.hist_taus, used_grid.nodes[1:]]),
-        hist_hubble=np.concatenate([carry.hist_hubble, solution.values.real[1:]]),
-        hist_a=np.concatenate([carry.hist_a, a_fun.values.real[1:]]),
-        hist_wick=np.concatenate([carry.hist_wick, w_vals[1:]]),
-        a_carry=float(a_fun.values.real[-1]),
-        mode_bank_carry=bank_final,
+        hist_taus=nodes[: last + 1],
+        hist_hubble=h_vals[: last + 1],
+        hist_a=a_vals[: last + 1],
+        hist_wick=w_vals[: last + 1],
+        a_carry=float(a_vals[last]),
+        mode_bank_carry=bank,
         anchor_digest=carry.anchor_digest,
-        h_solution=solution,
         last_report=report,
     )
 
@@ -422,26 +476,6 @@ def _report_diagnostics(
     return out
 
 
-def _truncate(carry: SegmentState, keep: int) -> SegmentState:
-    """Drop history past node index keep (inclusive end).
-
-    The carried mode bank stays at the untruncated segment end; truncation
-    only happens in terminal states where no further segment is solved.
-    """
-    return SegmentState(
-        initial=carry.initial,
-        hist_taus=carry.hist_taus[: keep + 1],
-        hist_hubble=carry.hist_hubble[: keep + 1],
-        hist_a=carry.hist_a[: keep + 1],
-        hist_wick=carry.hist_wick[: keep + 1],
-        a_carry=float(carry.hist_a[keep]),
-        mode_bank_carry=carry.mode_bank_carry,
-        anchor_digest=carry.anchor_digest,
-        h_solution=carry.h_solution,
-        last_report=carry.last_report,
-    )
-
-
 def continue_maximal(
     initial: InitialData,
     tau_horizon: float,
@@ -457,25 +491,21 @@ def continue_maximal(
     """Extend the solution segment by segment to the horizon or first breach.
 
     All failure modes are reported through TerminationReport, never raised.
-    segment_callback(carry, reports, bounds), when given, runs after every
-    completed segment; it must not mutate its arguments.
+    segment_callback(log), when given, runs after every completed segment
+    with the run's RunLog; it must not mutate the log.
     """
     if tau_horizon <= initial.tau0:
         raise ValueError("tau_horizon must exceed tau0")
     wick_cfg = effective_wick_config(wick_cfg, initial, params)
     if resume_from is None:
-        carry = initial_segment_state(initial, params, wick_cfg, profile)
-    else:
-        carry = resume_from
-    reports = list(prior_reports)
-    bounds = list(prior_bounds) if prior_bounds else [carry.tau_start]
-    critical = params.hubble_critical
-    wall = (1.0 - solver_cfg.epsilon_critical) * critical
-    reason = None
+        resume_from = initial_segment_state(initial, params, wick_cfg, profile)
+    log = RunLog(resume_from, prior_reports, prior_bounds)
+    wall = (1.0 - solver_cfg.epsilon_critical) * params.hubble_critical
     diagnostics_extra = {}
     horizon_slack = 1e-12 * max(1.0, abs(tau_horizon))
 
-    for _ in range(solver_cfg.max_segments):
+    while True:
+        carry = log.carry
         if abs(carry.hubble_start) >= wall:
             reason = REASON_CRITICAL_HUBBLE
             break
@@ -485,8 +515,12 @@ def continue_maximal(
         if tau_horizon - carry.tau_start <= horizon_slack:
             reason = REASON_TIME_HORIZON
             break
+        if log.segments >= solver_cfg.max_segments:
+            reason = REASON_NO_CONVERGENCE
+            diagnostics_extra = {"note": "segment budget exhausted before the horizon"}
+            break
         try:
-            carry = solve_segment(
+            segment = solve_segment(
                 carry, tau_horizon, params, wick_cfg, solver_cfg, profile
             )
         except NoConvergence as err:
@@ -509,58 +543,31 @@ def continue_maximal(
             reason = REASON_SCALE_BLOWUP
             diagnostics_extra = {"raised_at_tau": err.tau}
             break
-        reports.append(carry.last_report)
-        carry, reason = _scan_new_nodes(carry, params, solver_cfg, wall)
-        bounds.append(carry.tau_start)
+        log.append(segment)
         if segment_callback is not None:
-            segment_callback(carry, tuple(reports), tuple(bounds))
-        if reason is not None:
-            break
-    else:
-        reason = REASON_NO_CONVERGENCE
-        diagnostics_extra = {"note": "segment budget exhausted before the horizon"}
+            segment_callback(log)
 
+    final = log.join()
     diagnostics = _report_diagnostics(
-        carry, params, len(reports), **diagnostics_extra
+        final, params, len(log.reports), **diagnostics_extra
     )
     if reason == REASON_SCALE_BLOWUP:
-        diagnostics["extrapolated_breach_tau"] = _extrapolate_blowup(carry)
+        diagnostics["extrapolated_breach_tau"] = _extrapolate_blowup(final)
     if reason == REASON_CRITICAL_HUBBLE:
-        diagnostics["extrapolated_breach_tau"] = _extrapolate_wall(carry, wall)
+        diagnostics["extrapolated_breach_tau"] = _extrapolate_wall(final, wall)
     report = TerminationReport(
-        reason=reason, tau_stop=carry.tau_start, diagnostics=diagnostics
+        reason=reason, tau_stop=final.tau_start, diagnostics=diagnostics
     )
     solution = MaximalSolution(
-        taus=carry.hist_taus.copy(),
-        hubble=carry.hist_hubble.copy(),
-        scale_factor=carry.hist_a.copy(),
-        wick_square=carry.hist_wick.copy(),
-        reports=tuple(reports),
-        segment_bounds=tuple(bounds),
-        final_state=carry,
+        taus=final.hist_taus.copy(),
+        hubble=final.hist_hubble.copy(),
+        scale_factor=final.hist_a.copy(),
+        wick_square=final.hist_wick.copy(),
+        reports=tuple(log.reports),
+        segment_bounds=tuple(log.bounds),
+        final_state=final,
     )
     return solution, report
-
-
-def _scan_new_nodes(carry, params, solver_cfg, wall):
-    """Truncate at the first in-segment regularity breach, if any."""
-    h_seg = carry.h_solution
-    if h_seg is None:
-        return carry, None
-    n_new = h_seg.grid.size - 1
-    start = len(carry.hist_taus) - n_new
-    h_tail = carry.hist_hubble[start:]
-    a_tail = carry.hist_a[start:]
-    denom_tail = carry.initial.a0 / a_tail
-    hubble_breach = np.abs(h_tail) >= wall
-    scale_breach = denom_tail <= solver_cfg.epsilon_scale
-    j_h = int(np.argmax(hubble_breach)) if np.any(hubble_breach) else n_new + 1
-    j_s = int(np.argmax(scale_breach)) if np.any(scale_breach) else n_new + 1
-    if j_h > n_new and j_s > n_new:
-        return carry, None
-    if j_h <= j_s:
-        return _truncate(carry, start + j_h), REASON_CRITICAL_HUBBLE
-    return _truncate(carry, start + j_s), REASON_SCALE_BLOWUP
 
 
 def _extrapolate_blowup(carry: SegmentState) -> float:
@@ -623,45 +630,46 @@ CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
-    path,
-    carry: SegmentState,
-    reports: Sequence[PicardReport],
-    segment_bounds: Sequence[float],
-    tau_horizon: float,
-    written: tuple[int, int, int] | None = None,
-) -> tuple[int, int, int]:
-    """Write the carried state to a checkpoint file; return what it holds.
+    path, log: RunLog, tau_horizon: float, written: int | None = None
+) -> int:
+    """Write a run's log to a checkpoint file; return the chunks it holds.
 
     The file is JSON lines.  The first line holds the header (version,
-    horizon, initial data, anchor digest) and the state so far; each later
-    line is a record of what is new since the line before: the history from
-    node index ``start`` on, the new Picard reports and segment bounds, and
-    the carried a and mode bank.  ``written`` is what the previous call for
-    this file returned.  None starts the file: the whole state is written
-    to a temporary file that then replaces ``path``.  Otherwise one record
-    is appended, so a write costs O(segment), not O(history); the carry
-    must extend the one last written.  Each line is one ``json.dumps``
-    call, which takes the C encoder (``json.dump`` takes the pure-Python
-    one); floats survive the round trip exactly (repr-based).
+    horizon, initial data, anchor digest) and the state so far, the mode
+    bank's fixed momenta and weights included; each later line is a record
+    of what is new since the line before: the history from node index
+    ``start`` on, the new Picard reports and segment bounds, and the
+    carried a and the bank's modes.  ``written`` is what the previous call
+    for this file returned.  None starts the file: the whole state is
+    written to a temporary file that then replaces ``path``.  Otherwise one
+    record is appended, so a write costs O(segment), not O(history); the
+    log must be the one last written, grown since.  Each line is one
+    ``json.dumps`` call, which takes the C encoder (``json.dump`` takes the
+    pure-Python one); floats survive the round trip exactly (repr-based).
     """
-    start, n_reports, n_bounds = written or (0, 0, 0)
+    first = written is None
+    new = log.chunks[0 if first else written:]
+    # an appended record holds one report and one bound per new chunk
+    n_reports = 0 if first else len(log.reports) - len(new)
+    n_bounds = 0 if first else len(log.bounds) - len(new)
+    carry = log.carry
     bank = carry.mode_bank_carry
     record = {
-        "start": start,
+        "start": log.nodes - sum(chunk[0].size for chunk in new),
         "history": {
-            "taus": carry.hist_taus[start:].tolist(),
-            "hubble": carry.hist_hubble[start:].tolist(),
-            "a": carry.hist_a[start:].tolist(),
-            "wick": carry.hist_wick[start:].tolist(),
+            key: [value for chunk in new for value in chunk[i].tolist()]
+            for i, key in enumerate(("taus", "hubble", "a", "wick"))
         },
-        "reports": [r.as_dict() for r in reports[n_reports:]],
-        "segment_bounds": list(segment_bounds[n_bounds:]),
+        "reports": [r.as_dict() for r in log.reports[n_reports:]],
+        "segment_bounds": log.bounds[n_bounds:],
         "a_carry": carry.a_carry,
-        "bank": None
-        if bank is None
-        else {
-            "momenta": bank.momenta.tolist(),
-            "weights": bank.weights.tolist(),
+        "bank": None,
+    }
+    if bank is not None:
+        # momenta and weights are fixed at tau0: the first line holds them
+        fixed = ("momenta", "weights") if first else ()
+        record["bank"] = {
+            **{name: getattr(bank, name).tolist() for name in fixed},
             "chi_re": bank.chi.real.tolist(),
             "chi_im": bank.chi.imag.tolist(),
             "dchi_re": bank.dchi.real.tolist(),
@@ -670,9 +678,8 @@ def save_checkpoint(
             "a0_anchor": bank.a0_anchor,
             "mass": bank.mass,
             "tau0_anchor": bank.tau0_anchor,
-        },
-    }
-    if written is None:
+        }
+    if first:
         header = {
             "version": CHECKPOINT_VERSION,
             "tau_horizon": tau_horizon,
@@ -690,15 +697,17 @@ def save_checkpoint(
     else:
         with open(path, "a") as handle:
             handle.write(json.dumps(record) + "\n")
-    return len(carry.hist_taus), len(reports), len(segment_bounds)
+    return len(log.chunks)
 
 
 def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
-    The records are applied in order.  A last line that lacks its newline
-    and does not parse is a torn append and is ignored, so the record
-    before it is the checkpoint.
+    The records are applied in order; the bank's momenta and weights come
+    from the first line (older files repeat them on every line, and the
+    last record's copy wins).  A last line that lacks its newline and does
+    not parse is a torn append and is ignored, so the record before it is
+    the checkpoint.
     """
     with open(path) as handle:
         lines = handle.readlines()
@@ -743,6 +752,7 @@ def load_checkpoint(path):
     if raw_bank is None:
         bank = None
     else:
+        raw_bank = {**records[0]["bank"], **raw_bank}
         bank = ModeBank(
             momenta=np.array(raw_bank["momenta"]),
             weights=np.array(raw_bank["weights"]),

@@ -92,7 +92,7 @@ def test_criterion_01_wronskian_conservation(sine_background, k_nodes_64):
 def test_criterion_02_mode_oracle_equivalence(sine_background, k_nodes_64):
     grid, _, pot = sine_background
     momenta, _ = k_nodes_64
-    scaled = Potential.from_samples(
+    scaled = Potential(
         SampledFunction(grid, 0.05 * pot.V.values), pot.freq_shift
     )
     omega_max = math.sqrt(50.0**2 + 1.0 + max(float(np.max(scaled.V.values.real)), 0.0))

@@ -484,6 +484,34 @@ class TestCheckpointResume:
             assert len(line) <= 4 * 48 * 26 + 1024
         assert start == series["n_nodes"]
 
+    def test_appended_records_omit_the_fixed_bank_arrays(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.json", mass=1.0, horizon=0.01)
+        ck = tmp_path / "ck.json"
+        code, solution = run_capturing(
+            monkeypatch,
+            ["run", cfg, "--out", str(tmp_path / "out"), "--checkpoint", str(ck)],
+        )
+        assert code == 0
+        lines = ck.read_text().splitlines()
+        first = json.loads(lines[0])["bank"]
+        appended = [json.loads(line) for line in lines[1:]]
+        assert len(appended) == len(solution.reports) > 1
+        # momenta and weights are fixed at tau0: the first line holds them
+        assert {"momenta", "weights"} <= set(first)
+        for record in appended:
+            assert not {"momenta", "weights"} & set(record["bank"])
+        assert_checkpoint_holds(ck, solution)
+        # files written before repeat both arrays on every line
+        fixed = {"momenta": first["momenta"], "weights": first["weights"]}
+        old = tmp_path / "old.json"
+        old.write_text(
+            lines[0] + "\n" + "".join(
+                json.dumps({**record, "bank": {**fixed, **record["bank"]}}) + "\n"
+                for record in appended
+            )
+        )
+        assert_checkpoint_holds(old, solution)
+
     def test_resume_from_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         old = tmp_path / "old.json"
         # the whole-history format of earlier releases, at tau0

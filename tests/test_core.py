@@ -56,7 +56,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(np.array([0.0, np.nan, 1.0]))
     g = Grid.uniform(0.0, 2.0, 21)
-    assert g.is_uniform
+    assert np.allclose(np.diff(g.nodes), 0.1, rtol=1e-12, atol=0.0)
     assert g.size == 21
     assert g.tau_start == 0.0 and g.tau_end == 2.0
     # nodes are frozen

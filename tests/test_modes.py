@@ -88,7 +88,7 @@ def test_evolve_constant_shift_matches_analytic():
     # constant V = c: exact solution is a free oscillator at sqrt(k0^2+c)
     grid = Grid.uniform(0.0, 2.0, 801)
     c = 3.0
-    pot = Potential.from_samples(SampledFunction.constant(grid, c), freq_shift=4.0)
+    pot = Potential(SampledFunction.constant(grid, c), freq_shift=4.0)
     state = initial_mode(k=2.0, a0=1.0, mass=2.0, tau0=0.0)
     traj = evolve_mode(state, pot, 2.0, step=2e-3)
     omega = math.sqrt(state.k0**2 + c)
@@ -141,7 +141,7 @@ def test_oracle_equivalence_small_potential():
     # smooth, compactly supported, small perturbation
     grid = Grid.uniform(0.0, 2.0, 2001)
     v = 0.02 * np.sin(np.pi * grid.nodes / 2.0) ** 2
-    pot = Potential.from_samples(SampledFunction(grid, v), freq_shift=1.0)
+    pot = Potential(SampledFunction(grid, v), freq_shift=1.0)
     for k in (0.3, 2.0, 10.0, 30.0):
         # freq_shift = 1 corresponds to a0*m = 1
         state = initial_mode(k, 1.0, 1.0, 0.0)
@@ -192,7 +192,7 @@ def test_mode_bound_trivia():
 def test_mode_bound_unit_potential_closed_form():
     tau = 1.5
     grid = Grid.uniform(0.0, tau, 601)
-    pot = Potential.from_samples(SampledFunction.constant(grid, 1.0), freq_shift=3.0)
+    pot = Potential(SampledFunction.constant(grid, 1.0), freq_shift=3.0)
     k0 = pot.frequency(1.0)
     for n in (1, 2, 4):
         expected = (tau**2 / 2.0) ** n / math.factorial(n) / math.sqrt(2.0 * k0)
@@ -211,12 +211,12 @@ def test_bound_compliance_epsilon_extraction():
     eps_grid = np.linspace(0.15, 1.0, 9)
     finals = []
     for eps in eps_grid:
-        pot = Potential.from_samples(SampledFunction(grid, eps * v_base), freq_shift=shift)
+        pot = Potential(SampledFunction(grid, eps * v_base), freq_shift=shift)
         state = initial_mode(k, 1.0, 1.0, 0.0)
         traj = evolve_mode(state, pot, 2.0, step=0.02 / k0)
         finals.append(traj.chi[-1])
     coeffs = np.polynomial.polynomial.polyfit(eps_grid, np.array(finals), 6)
-    pot_full = Potential.from_samples(SampledFunction(grid, v_base), freq_shift=shift)
+    pot_full = Potential(SampledFunction(grid, v_base), freq_shift=shift)
     for n in range(1, 5):
         cap = min(
             mode_bound(n, k, pot_full, 2.0, l=0),
@@ -254,7 +254,7 @@ def test_small_potential_first_order_residual_scaling():
     k, shift = 1.5, 1.0
     resid = {}
     for eps in (0.02, 0.01):
-        pot = Potential.from_samples(SampledFunction(grid, eps * v_shape), freq_shift=shift)
+        pot = Potential(SampledFunction(grid, eps * v_shape), freq_shift=shift)
         state = initial_mode(k, 1.0, 1.0, 0.0)
         traj = evolve_mode(state, pot, 2.0, step=0.01 / state.k0)
         first = perturbative_mode(k, pot, 1, 2.0)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflrw.core import (
@@ -21,6 +21,7 @@ from semiflrw.fixedpoint import RetardedFunctional
 from semiflrw.solver import (
     EXIT_CODES,
     CriticalHubble,
+    RunLog,
     SolverConfig,
     continue_maximal,
     default_dt_target,
@@ -31,6 +32,7 @@ from semiflrw.solver import (
     save_checkpoint,
     solution_diagnostics,
     solve_segment,
+    wick_square_renormalized,
 )
 from semiflrw.wick import WickConfig
 
@@ -238,6 +240,84 @@ class TestWallPush:
         assert np.all(np.abs(sol.hubble[:-1]) < wall)
 
 
+class TestInSegmentBreach:
+    """A run that crosses the wall guard inside a segment, massive and fast."""
+
+    LAMBDA = 1.1 * HC**4 / (960.0 * math.pi**2)
+    WICK = WickConfig(k_max=20.0, n_k=32)
+
+    def test_final_state_stops_at_the_breach_node(self):
+        params = PhysicalParams(mass=1.0, cosmological_constant=self.LAMBDA)
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 0.905 * HC), 1.0, params, self.WICK,
+            SolverConfig(epsilon_critical=0.09),
+        )
+        assert rep.reason == "HitCriticalHubble"
+        assert "raised_at_tau" not in rep.diagnostics
+        state = sol.final_state
+        bank = state.mode_bank_carry
+        # a, the mode bank and tau all sit at tau_stop
+        assert state.tau_start == rep.tau_stop == sol.taus[-1]
+        assert state.a_carry == sol.scale_factor[-1]
+        assert bank.tau == rep.tau_stop
+        assert bank.anchor_digest() == state.anchor_digest
+        # the bank's modes are those that gave the last W of the series
+        w_bank = wick_square_renormalized(
+            state.a_carry, bank, bank.chi, params,
+            effective_wick_config(self.WICK, state.initial, params),
+        )
+        assert w_bank == pytest.approx(sol.wick_square[-1], rel=1e-12, abs=0.0)
+
+
+class TestContinuationContract:
+    """Invariants of continue_maximal over (mass, H0, Lambda, horizon).
+
+    H0 stays below the critical rate, the validity condition of the initial
+    data; every other input is one PhysicalParams and InitialData accept.
+    """
+
+    # a bank of 32 momenta is too coarse for a clean tail fit at some masses
+    @pytest.mark.filterwarnings("ignore::semiflrw.wick.TailFitFailed")
+    @settings(max_examples=16, deadline=None)
+    @given(
+        mass=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=3.0)),
+        h0_fraction=st.floats(min_value=-0.99, max_value=0.99),
+        lambda_fraction=st.floats(min_value=-2.0, max_value=2.0),
+        horizon=st.floats(min_value=1e-4, max_value=0.05),
+    )
+    @example(mass=1.0, h0_fraction=0.905, lambda_fraction=1.1, horizon=1.0)
+    def test_terminal_state_matches_the_reason(
+        self, mass, h0_fraction, lambda_fraction, horizon
+    ):
+        lam = lambda_fraction * HC**4 / (960.0 * math.pi**2)
+        params = PhysicalParams(mass=mass, cosmological_constant=lam)
+        cfg = SolverConfig(epsilon_critical=0.09, max_segments=30)
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, h0_fraction * HC), horizon, params,
+            WickConfig(k_max=20.0, n_k=32), cfg,
+        )
+        state = sol.final_state
+        assert np.all(np.diff(sol.taus) > 0.0)
+        assert rep.tau_stop == sol.taus[-1] == state.tau_start
+        assert state.a_carry == sol.scale_factor[-1]
+        assert sol.segment_bounds[-1] == rep.tau_stop
+        assert len(sol.segment_bounds) == len(sol.reports) + 1
+        if mass > 0.0:
+            assert state.mode_bank_carry.tau == rep.tau_stop
+        diagnostics = rep.diagnostics
+        if rep.reason == "TimeHorizon":
+            assert horizon - rep.tau_stop <= 1e-12 * max(1.0, horizon)
+        elif rep.reason == "HitCriticalHubble":
+            wall = (1.0 - cfg.epsilon_critical) * HC
+            assert abs(sol.hubble[-1]) >= wall or "raised_at_tau" in diagnostics
+        elif rep.reason == "ScaleFactorBlowUp":
+            margin = 1.0 / sol.scale_factor[-1]
+            assert margin <= cfg.epsilon_scale or "raised_at_tau" in diagnostics
+        else:
+            assert rep.reason == "ConvergenceFailure"
+            assert {"error", "picard_residuals", "note"} & set(diagnostics)
+
+
 class TestBlowUp:
     def test_terminates_at_scale_blowup(self, blowup_run):
         sol, rep, h0 = blowup_run
@@ -312,6 +392,15 @@ class TestSegmenting:
         assert rep.reason == "ConvergenceFailure"
         assert rep.exit_code == 20
         assert "note" in rep.diagnostics
+
+    def test_horizon_on_the_last_budgeted_segment_is_reached(self):
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 0.0), 3e-4, PhysicalParams(mass=0.0), W0,
+            SolverConfig(dt_target=1e-4, max_segments=3),
+        )
+        assert len(sol.reports) == 3
+        assert rep.reason == "TimeHorizon"
+        assert rep.tau_stop == 3e-4
 
     def test_carried_bank_check_is_reported_not_raised(self):
         # the fresh bank's Wronskian error, a few ulp, already exceeds 1e-18
@@ -503,7 +592,9 @@ class TestCheckpoint:
         assert rep_cut.reason == "ConvergenceFailure"
         path = tmp_path / "ckpt.json"
         save_checkpoint(
-            path, sol_cut.final_state, sol_cut.reports, sol_cut.segment_bounds, 0.004
+            path,
+            RunLog(sol_cut.final_state, sol_cut.reports, sol_cut.segment_bounds),
+            0.004,
         )
         carry, reports, bounds, horizon = load_checkpoint(path)
         assert horizon == 0.004
@@ -532,7 +623,8 @@ class TestCheckpoint:
     def test_massless_checkpoint_roundtrip(self, tmp_path, ds_run):
         sol, rep, h0, params = ds_run
         path = tmp_path / "ckpt0.json"
-        save_checkpoint(path, sol.final_state, sol.reports, sol.segment_bounds, 0.005)
+        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        save_checkpoint(path, log, 0.005)
         carry, reports, bounds, horizon = load_checkpoint(path)
         assert carry.mode_bank_carry is None
         assert carry.anchor_digest is None
@@ -545,7 +637,8 @@ class TestCheckpoint:
 
         sol, rep, h0, params = ds_run
         path = tmp_path / "ckpt1.json"
-        save_checkpoint(path, sol.final_state, sol.reports, sol.segment_bounds, 0.005)
+        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        save_checkpoint(path, log, 0.005)
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
@@ -633,7 +726,9 @@ class TestSegmentCallback:
         sol, rep = continue_maximal(
             InitialData(0.0, 1.0, 0.0), 0.004, params, W0,
             SolverConfig(dt_target=1e-3),
-            segment_callback=lambda c, r, b: calls.append((c.tau_start, len(r), len(b))),
+            segment_callback=lambda log: calls.append(
+                (log.carry.tau_start, len(log.reports), len(log.bounds))
+            ),
         )
         assert len(calls) == len(sol.reports)
         assert [c[1] for c in calls] == list(range(1, len(calls) + 1))
