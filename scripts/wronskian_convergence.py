@@ -12,7 +12,8 @@ import argparse
 
 import numpy as np
 
-from semiflrw import Grid, ModeBank, Potential, SampledFunction, WickConfig, evolve_bank
+from semiflrw import ModeBank, WickConfig, evolve_bank
+from semiflrw.modes import potential
 from semiflrw.wick import radial_grid
 
 
@@ -24,9 +25,8 @@ def main() -> None:
     parser.add_argument("--cap", type=float, default=0.02, help="coarsest substep cap")
     args = parser.parse_args()
 
-    grid = Grid.uniform(0.0, 2.0, 2001)
-    a_fun = SampledFunction(grid, 1.0 + args.amplitude * np.sin(grid.nodes))
-    pot = Potential.from_scale_factor(a_fun, args.mass)
+    nodes = np.linspace(0.0, 2.0, 2001)
+    v = potential(1.0 + args.amplitude * np.sin(nodes), 1.0, args.mass)
     momenta, weights = radial_grid(WickConfig(k_max=50.0, n_k=64))
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=args.mass, tau0=0.0)
 
@@ -34,7 +34,7 @@ def main() -> None:
     previous = None
     cap = args.cap
     for _ in range(args.halvings + 1):
-        drift = evolve_bank(bank, pot, grid.nodes, substep_cap=cap).wronskian_error_max
+        drift = evolve_bank(bank, v, nodes, substep_cap=cap).wronskian_error_max
         ratio = "" if previous is None else f"{previous / drift:8.1f}"
         print(f"{cap:>10.5f} {drift:>13.3e} {ratio:>8}")
         previous = drift

@@ -22,11 +22,10 @@ from .energy import ConstraintMode, constraint_report, initial_energy_density
 from .fixedpoint import (
     NoConvergence,
     PicardReport,
-    RetardedFunctional,
     picard_solve,
     picard_solve_with_halving,
 )
-from .modes import ModeBank, Potential, evolve_bank
+from .modes import ModeBank, evolve_bank
 from .solver import (
     EXIT_CODES,
     CriticalHubble,
@@ -36,7 +35,6 @@ from .solver import (
     SolverConfig,
     TerminationReport,
     continue_maximal,
-    friedmann_rhs,
     initial_segment_state,
     load_checkpoint,
     save_checkpoint,
@@ -67,8 +65,6 @@ __all__ = [
     "NoConvergence",
     "PhysicalParams",
     "PicardReport",
-    "Potential",
-    "RetardedFunctional",
     "RunLog",
     "SampledFunction",
     "SegmentState",
@@ -80,7 +76,6 @@ __all__ = [
     "continue_maximal",
     "cosmological_time",
     "evolve_bank",
-    "friedmann_rhs",
     "initial_energy_density",
     "initial_segment_state",
     "load_checkpoint",

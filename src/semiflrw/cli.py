@@ -15,12 +15,11 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
 from .energy import ConstraintMode, constraint_report, initial_energy_density
-from .modes import SUBSTEP_CAP
 from .solver import (
     RunLog,
     SolverConfig,
@@ -49,25 +48,12 @@ class ValidationError(ConfigError):
     pass
 
 
+# SolverConfig's and WickConfig's defaults, but for the CLI's own k_max (the
+# library has none) and n_k
 _NUMERICAL_DEFAULTS = {
-    "dt_target": None,
+    **{f.name: f.default for f in fields(SolverConfig) + fields(WickConfig)},
     "k_max": 40.0,
     "n_k": 192,
-    "tol": 1e-10,
-    "max_iter": 40,
-    "max_halvings": 6,
-    "nodes_per_segment": 49,
-    "tail_model": "power-fit",
-    "tail_fit_window": 0.25,
-    "k_knee": 0.0,
-    "panel_points": 8,
-    "epsilon_critical": 1e-6,
-    "epsilon_scale": 1e-6,
-    "safety": 0.5,
-    "max_segments": 10000,
-    "substep_cap": SUBSTEP_CAP,
-    "wronskian_budget": 1e-8,
-    "wronskian_tolerance": 1e-5,
 }
 
 _TOP_KEYS = {
@@ -215,15 +201,14 @@ def parse_config_mapping(raw: dict, origin: str) -> RunConfig:
     _check_keys(numerical_raw, set(_NUMERICAL_DEFAULTS), f"{origin}.numerical")
     numerical = dict(_NUMERICAL_DEFAULTS)
     for key, value in numerical_raw.items():
-        if key in ("n_k", "max_iter", "max_halvings", "nodes_per_segment",
-                   "panel_points", "max_segments"):
-            numerical[key] = _as_int(numerical_raw, key, f"{origin}.numerical",
-                                     _NUMERICAL_DEFAULTS[key])
-        elif key == "tail_model":
+        default = _NUMERICAL_DEFAULTS[key]
+        if isinstance(default, str):
             numerical[key] = value
+        elif isinstance(default, int):
+            numerical[key] = _as_int(numerical_raw, key, f"{origin}.numerical", default)
         else:
             numerical[key] = _as_float(numerical_raw, key, f"{origin}.numerical",
-                                       _NUMERICAL_DEFAULTS[key])
+                                       default)
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -283,6 +268,11 @@ def _resolve_h0_fixed_point(
     raise ValidationError("constraint fixed point for H0 did not settle")
 
 
+def _from_table(cls, numerical: dict):
+    """A config dataclass built from the numerical table, field by field."""
+    return cls(**{f.name: numerical[f.name] for f in fields(cls)})
+
+
 def build_run(config: RunConfig):
     """Turn a RunConfig into solver inputs plus the constraint report."""
     try:
@@ -292,28 +282,8 @@ def build_run(config: RunConfig):
             cosmological_constant=config.lambda_tilde,
             hubble_critical=config.hubble_critical,
         )
-        wick_cfg = WickConfig(
-            k_max=config.numerical["k_max"],
-            n_k=config.numerical["n_k"],
-            tail_model=config.numerical["tail_model"],
-            tail_fit_window=config.numerical["tail_fit_window"],
-            k_knee=config.numerical["k_knee"],
-            panel_points=config.numerical["panel_points"],
-        )
-        solver_cfg = SolverConfig(
-            dt_target=config.numerical["dt_target"],
-            tol=config.numerical["tol"],
-            max_iter=config.numerical["max_iter"],
-            max_halvings=config.numerical["max_halvings"],
-            nodes_per_segment=config.numerical["nodes_per_segment"],
-            epsilon_critical=config.numerical["epsilon_critical"],
-            epsilon_scale=config.numerical["epsilon_scale"],
-            safety=config.numerical["safety"],
-            substep_cap=config.numerical["substep_cap"],
-            wronskian_budget=config.numerical["wronskian_budget"],
-            wronskian_tolerance=config.numerical["wronskian_tolerance"],
-            max_segments=config.numerical["max_segments"],
-        )
+        wick_cfg = _from_table(WickConfig, config.numerical)
+        solver_cfg = _from_table(SolverConfig, config.numerical)
     except ValueError as err:
         raise ValidationError(str(err)) from err
 
@@ -533,10 +503,10 @@ def cmd_run(args) -> int:
     )
     if args.checkpoint:
         # run_log is None when no segment was solved
-        log = run_log or RunLog(
+        final_log = run_log or RunLog(
             solution.final_state, solution.reports, solution.segment_bounds
         )
-        save_checkpoint(args.checkpoint, log, config.horizon, written)
+        save_checkpoint(args.checkpoint, final_log, config.horizon, written)
     print(
         f"{term.reason} tau_stop={term.tau_stop!r} nodes={solution.taus.size}"
         f" -> {csv_path}"

@@ -137,9 +137,6 @@ class Grid:
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and np.array_equal(self.nodes, other.nodes)
 
-    def __hash__(self):
-        return hash((self.nodes.size, float(self.nodes[0]), float(self.nodes[-1])))
-
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
@@ -169,42 +166,26 @@ class SampledFunction:
     def __call__(self, tau):
         return np.interp(tau, self.grid.nodes, self.values)
 
-    def with_values(self, values: np.ndarray) -> SampledFunction:
-        return SampledFunction(self.grid, values)
-
-    def antiderivative(self) -> SampledFunction:
-        return self.with_values(cumulative_trapezoid(self.values, self.grid.nodes))
-
     def derivative(self) -> SampledFunction:
-        return self.with_values(
-            np.gradient(self.values, self.grid.nodes, edge_order=2)
+        return SampledFunction(
+            self.grid, np.gradient(self.values, self.grid.nodes, edge_order=2)
         )
 
-    @property
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
-
-def scale_factor_from_hubble(
-    hubble: SampledFunction, a0: float, tau0: float | None = None
-) -> SampledFunction:
-    """Scale factor a = a0 / (1 - a0 * int H) on the Hubble grid.
+def scale_factor_from_hubble(h: np.ndarray, nodes: np.ndarray, a0: float) -> np.ndarray:
+    """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on.
 
     Raises BlowUp at the first node where the denominator falls to <= 0
     (regularity condition on the cumulative Hubble integral).
     """
     if not (np.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and > 0, got {a0}")
-    nodes = hubble.grid.nodes
-    if tau0 is not None and not math.isclose(tau0, nodes[0], rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(f"tau0={tau0} does not match grid start {nodes[0]}")
-    integral = cumulative_trapezoid(hubble.values.real, nodes)
-    denominator = 1.0 - a0 * integral
+    denominator = 1.0 - a0 * cumulative_trapezoid(h, nodes)
     bad = np.flatnonzero(denominator <= 0.0)
     if bad.size:
         j = int(bad[0])
         raise BlowUp(j, nodes[j], float(denominator[j]))
-    return SampledFunction(hubble.grid, a0 / denominator)
+    return a0 / denominator
 
 
 def cosmological_time(a: SampledFunction, t0: float = 0.0) -> SampledFunction:

@@ -50,11 +50,12 @@ class ConstraintMode:
             raise ValueError(f"variant {self.variant!r} needs target_hubble")
 
 
-def _tan_grid(a0: float, m: float, n: int, theta_max: float = 0.5 * math.pi):
-    """Nodes/weights for int f(k) dk under k = m a0 tan(theta), theta < theta_max."""
+def _tan_grid(a0: float, m: float, n: int):
+    """Nodes/weights for int_0^inf f(k) dk under k = m a0 tan(theta)."""
     theta, w_theta = np.polynomial.legendre.leggauss(n)
-    theta = 0.5 * theta_max * (theta + 1.0)
-    w_theta = 0.5 * theta_max * w_theta
+    # Gauss-Legendre on theta in (0, pi/2): half the interval is pi/4
+    theta = 0.25 * math.pi * (theta + 1.0)
+    w_theta = 0.25 * math.pi * w_theta
     scale = m * a0
     k = scale * np.tan(theta)
     w_k = scale * w_theta / np.cos(theta) ** 2

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Grid, SampledFunction, cumulative_trapezoid
+from .core import cumulative_trapezoid
 
 
 class ZeroStep(RuntimeError):
@@ -39,17 +39,6 @@ class NoConvergence(RuntimeError):
     def __init__(self, message: str, report: PicardReport):
         super().__init__(message)
         self.report = report
-
-
-@dataclass(frozen=True)
-class RetardedFunctional:
-    """f(X) evaluated on the whole grid; f(X)(s) may depend only on X|[a, s].
-
-    eval(X) returns (f(X) values, byproduct): anything the evaluation
-    computed that a caller wants back at the fixed point (None if nothing).
-    """
-
-    eval: Callable[[SampledFunction], tuple[np.ndarray, object]]
 
 
 @dataclass(frozen=True)
@@ -102,64 +91,64 @@ def select_step(
 
 
 def picard_solve(
-    f0: SampledFunction,
-    functional: RetardedFunctional,
-    grid: Grid,
+    f0: np.ndarray,
+    rhs: Callable[[np.ndarray], tuple[np.ndarray, object]],
+    nodes: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 60,
-    x0: SampledFunction | None = None,
-) -> tuple[SampledFunction, PicardReport, object]:
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, PicardReport, object]:
     """Iterate X_{n+1} = F0 + int_a^t f(X_n) until the update norm is < tol.
 
-    The first iterate is F0 unless a seed x0 is supplied; the equation
-    solved is the same either way.  Raises NaNDetected on the first
-    non-finite node and NoConvergence (with the report attached) when
-    max_iter is exhausted.  On success the equation residual
-    ||X - F0 - int f(X)|| is recorded and guaranteed < 2 tol, and the
-    functional's byproduct from that last evaluation, at the returned X,
-    is returned with it; earlier byproducts are dropped as they come.
+    f0, x0 and the iterates are float arrays over the nodes.  rhs(X)
+    returns (f(X) at the nodes, byproduct), where f(X) at a node may depend
+    only on X up to that node and the byproduct is anything the evaluation
+    computed that the caller wants back at the fixed point.  The first
+    iterate is F0 unless a seed x0 is supplied; the equation solved is the
+    same either way.  Raises NaNDetected on the first non-finite node and
+    NoConvergence (with the report attached) when max_iter is exhausted.
+    On success the equation residual ||X - F0 - int f(X)|| is recorded and
+    guaranteed < 2 tol, and the byproduct of the last evaluation, at the
+    returned X, is returned with it; earlier byproducts are dropped as they
+    come.
     """
-    if f0.grid != grid:
-        raise ValueError("f0 must be sampled on the iteration grid")
-    if x0 is not None and x0.grid != grid:
-        raise ValueError("x0 must be sampled on the iteration grid")
+    if np.shape(f0) != nodes.shape:
+        raise ValueError("f0 must hold one value per node")
+    if x0 is not None and np.shape(x0) != nodes.shape:
+        raise ValueError("x0 must hold one value per node")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     current = f0 if x0 is None else x0
     residuals: list[float] = []
     for iteration in range(1, max_iter + 1):
-        rhs, _ = functional.eval(current)
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape != grid.nodes.shape:
-            raise ValueError("functional must return one value per grid node")
-        bad = ~np.isfinite(rhs)
+        values, _ = rhs(current)
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != nodes.shape:
+            raise ValueError("rhs must return one value per node")
+        bad = ~np.isfinite(values)
         if np.any(bad):
             j = int(np.argmax(bad))
             raise NaNDetected(
                 f"functional produced non-finite value at node {j}",
                 j,
-                float(grid.nodes[j]),
+                float(nodes[j]),
             )
-        new_values = f0.values.real + cumulative_trapezoid(rhs, grid.nodes)
+        new_values = f0 + cumulative_trapezoid(values, nodes)
         bad = ~np.isfinite(new_values)
         if np.any(bad):
             j = int(np.argmax(bad))
             raise NaNDetected(
-                f"iterate became non-finite at node {j}", j, float(grid.nodes[j])
+                f"iterate became non-finite at node {j}", j, float(nodes[j])
             )
-        residual = float(np.max(np.abs(new_values - current.values.real)))
+        residual = float(np.max(np.abs(new_values - current)))
         residuals.append(residual)
-        current = SampledFunction(grid, new_values)
+        current = new_values
         if residual < tol:
-            final_rhs, byproduct = functional.eval(current)
-            final_rhs = np.asarray(final_rhs, dtype=np.float64)
+            final_values, byproduct = rhs(current)
+            final_values = np.asarray(final_values, dtype=np.float64)
             eq_residual = float(
                 np.max(
-                    np.abs(
-                        current.values.real
-                        - f0.values.real
-                        - cumulative_trapezoid(final_rhs, grid.nodes)
-                    )
+                    np.abs(current - f0 - cumulative_trapezoid(final_values, nodes))
                 )
             )
             report = PicardReport(
@@ -176,33 +165,32 @@ def picard_solve(
     raise NoConvergence(f"no convergence after {max_iter} iterations", report)
 
 
-def _front_half(grid: Grid) -> Grid:
-    keep = (grid.size + 1) // 2
+def _front_half(nodes: np.ndarray) -> np.ndarray:
+    keep = (nodes.size + 1) // 2
     if keep < 3:
         raise ValueError("grid too short to halve")
-    return Grid(grid.nodes[:keep].copy())
+    return nodes[:keep]
 
 
 def picard_solve_with_halving(
-    build: Callable[[Grid], tuple[SampledFunction, RetardedFunctional]],
-    grid: Grid,
+    build: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
+    nodes: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 60,
     max_halvings: int = 6,
-) -> tuple[SampledFunction, PicardReport, Grid, object]:
+) -> tuple[np.ndarray, PicardReport, np.ndarray, object]:
     """Run picard_solve, halving the segment on NoConvergence.
 
-    build(grid) must produce the (F0, functional) pair for any leading
-    subgrid; the returned grid is the span that actually converged, and
+    build(nodes) must produce the (F0, rhs) pair for any leading run of the
+    nodes; the returned nodes are the span that actually converged, and
     the byproduct is picard_solve's, from the solution on that span.
     """
     halvings = 0
-    current_grid = grid
     while True:
-        f0, functional = build(current_grid)
+        f0, rhs = build(nodes)
         try:
             solution, report, byproduct = picard_solve(
-                f0, functional, current_grid, tol, max_iter
+                f0, rhs, nodes, tol, max_iter
             )
         except NoConvergence as err:
             if halvings >= max_halvings:
@@ -210,8 +198,8 @@ def picard_solve_with_halving(
                     f"no convergence after {halvings} halvings", err.report
                 ) from err
             halvings += 1
-            current_grid = _front_half(current_grid)
+            nodes = _front_half(nodes)
             continue
         if halvings:
             report = replace(report, halvings=halvings)
-        return solution, report, current_grid, byproduct
+        return solution, report, nodes, byproduct

@@ -7,8 +7,8 @@ The state is defined by solutions of
 
 with positive-frequency initial data at tau0 and the Wronskian normalization
 chi' conj(chi) - chi conj(chi') = i.  Evolution is classical fixed-step RK4
-(vectorized across k), with V interpolated linearly between grid nodes so the
-result is a deterministic function of the sampled scale factor.
+(vectorized across k), with V sampled at the nodes and linear between them, so
+the result is a deterministic function of the sampled scale factor.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Grid, SampledFunction
 
 # Oscillation-resolution cap for substeps: step * max(omega) <= cap.  A cap
 # of 0.2 resolves the phase but leaves ~1e-4 Wronskian drift at omega ~ 50
@@ -38,46 +36,12 @@ def wronskian_error(chi, dchi):
     return np.abs(w - 1j)
 
 
-@dataclass(frozen=True, eq=False)
-class Potential:
-    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2).
-
-    freq_shift is the constant a0^2 m^2, so the full mode frequency is
-    omega^2(k, tau) = k^2 + freq_shift + V(tau).
-    """
-
-    V: SampledFunction
-    freq_shift: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.freq_shift) and self.freq_shift >= 0.0):
-            raise ValueError("freq_shift must be finite and >= 0")
-
-    @classmethod
-    def from_scale_factor(
-        cls, a: SampledFunction, mass: float, a0: float | None = None
-    ) -> Potential:
-        """Build V from a sampled scale factor; a0 defaults to a at the grid start."""
-        anchored = a0 is None
-        if anchored:
-            a0 = float(a.values[0].real)
-        # a0 * a0 rounds as the array square does; a0**2 (C pow) can be one
-        # ulp away, so V(tau0) would not vanish
-        v_values = mass**2 * (a.values.real**2 - a0 * a0)
-        if anchored and v_values[0] != 0.0:
-            raise ValueError("V(tau0) must vanish for the anchored construction")
-        return cls(SampledFunction(a.grid, v_values), freq_shift=(a0 * mass) ** 2)
-
-    @classmethod
-    def zero(cls, grid: Grid, freq_shift: float = 0.0) -> Potential:
-        return cls(SampledFunction.constant(grid, 0.0), freq_shift)
-
-    def frequency(self, k: float) -> float:
-        return math.sqrt(k**2 + self.freq_shift)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.V.norm_inf == 0.0
+def potential(a, a0: float, mass: float):
+    """Frequency perturbation V = m^2 (a^2 - a0^2) at scale factor a (any
+    shape); it vanishes where a = a0, at tau0."""
+    # a0 * a0 rounds as the array square does; a0**2 (C pow) can be one ulp
+    # away, so V(tau0) would not vanish
+    return mass**2 * (a**2 - a0 * a0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,19 +185,22 @@ def resolve_substep(
 
 def evolve_bank(
     bank: ModeBank,
-    potential: Potential,
+    v: np.ndarray,
     nodes: np.ndarray,
     substep_cap: float = SUBSTEP_CAP,
     wronskian_budget: float = 1e-8,
 ) -> BankHistory:
-    """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)."""
+    """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)
+    against V sampled at those nodes."""
     nodes = np.asarray(nodes, dtype=np.float64)
+    v_values = np.asarray(v, dtype=np.float64)
+    if v_values.shape != nodes.shape:
+        raise ValueError("V must hold one value per node")
     if not math.isclose(nodes[0], bank.tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("nodes must start at the bank time")
-    if potential.is_zero:
+    if not np.any(v_values):
         chi_hist, dchi_hist = _free_sweep(bank.k0, bank.chi, bank.dchi, nodes)
     else:
-        v_values = potential.V(nodes).real
         omega_max = math.sqrt(
             float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0)
         )

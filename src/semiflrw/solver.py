@@ -40,12 +40,11 @@ from .fixedpoint import (
     NaNDetected,
     NoConvergence,
     PicardReport,
-    RetardedFunctional,
     ZeroStep,
     picard_solve_with_halving,
     select_step,
 )
-from .modes import SUBSTEP_CAP, ModeBank, Potential, evolve_bank
+from .modes import SUBSTEP_CAP, ModeBank, evolve_bank, potential
 from .wick import (
     BogoliubovProfile,
     WickConfig,
@@ -218,12 +217,6 @@ class MaximalSolution:
     segment_bounds: tuple[float, ...]
     final_state: SegmentState
 
-    def hubble_function(self) -> SampledFunction:
-        return SampledFunction(Grid(self.taus), self.hubble)
-
-    def scale_function(self) -> SampledFunction:
-        return SampledFunction(Grid(self.taus), self.scale_factor)
-
 
 def effective_wick_config(
     config: WickConfig, initial: InitialData, params: PhysicalParams
@@ -302,7 +295,8 @@ def friedmann_source(h, w, params: PhysicalParams):
 
 
 def _rhs_detail(
-    hubble: SampledFunction,
+    h: np.ndarray,
+    nodes: np.ndarray,
     carry: SegmentState,
     params: PhysicalParams,
     wick_cfg: WickConfig,
@@ -310,53 +304,34 @@ def _rhs_detail(
     wronskian_budget: float = 1e-8,
     profile: BogoliubovProfile | None = None,
 ):
-    """f(H) on the segment and the byproducts (W, a, the bank's history)."""
-    grid = hubble.grid
-    if not math.isclose(grid.tau_start, carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
-        raise ValueError("segment grid must start at the carried boundary")
-    h_vals = hubble.values.real
+    """f(H) at the segment nodes and the byproducts (W, a, the bank's history)."""
+    if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
+        raise ValueError("segment nodes must start at the carried boundary")
     critical = params.hubble_critical
     hard_wall = critical * (1.0 - 1e-12)
-    over = np.abs(h_vals) >= hard_wall
+    over = np.abs(h) >= hard_wall
     if np.any(over):
         j = int(np.argmax(over))
         raise CriticalHubble(
-            f"|H| = {abs(h_vals[j]):.6g} reached the critical rate {critical:.6g}",
+            f"|H| = {abs(h[j]):.6g} reached the critical rate {critical:.6g}",
             j,
-            float(grid.nodes[j]),
+            float(nodes[j]),
         )
-    a_fun = scale_factor_from_hubble(hubble, carry.a_carry)
-    a_vals = a_fun.values.real
+    a_vals = scale_factor_from_hubble(h, nodes, carry.a_carry)
     if params.mass > 0.0:
-        potential = Potential.from_scale_factor(a_fun, params.mass, a0=carry.initial.a0)
+        v = potential(a_vals, carry.initial.a0, params.mass)
         history = evolve_bank(
-            carry.mode_bank_carry, potential, grid.nodes, substep_cap, wronskian_budget
+            carry.mode_bank_carry, v, nodes, substep_cap, wronskian_budget
         )
         w_vals = _wick_square(
             a_vals, carry.mode_bank_carry, history.chi, params, wick_cfg, profile
         )
     else:
-        w_vals = np.zeros(grid.size)
+        w_vals = np.zeros(nodes.size)
         history = None
-    source = friedmann_source(h_vals, w_vals, params)
-    f_vals = a_vals * source / (critical**2 - h_vals**2)
+    source = friedmann_source(h, w_vals, params)
+    f_vals = a_vals * source / (critical**2 - h**2)
     return f_vals, (w_vals, a_vals, history)
-
-
-def friedmann_rhs(
-    hubble: SampledFunction,
-    carry: SegmentState,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-    substep_cap: float = SUBSTEP_CAP,
-    wronskian_budget: float = 1e-8,
-    profile: BogoliubovProfile | None = None,
-) -> SampledFunction:
-    """Retarded right-hand side f(H) sampled on the segment grid."""
-    f_vals, _ = _rhs_detail(
-        hubble, carry, params, wick_cfg, substep_cap, wronskian_budget, profile
-    )
-    return SampledFunction(hubble.grid, f_vals)
 
 
 def _rhs_bound(carry: SegmentState, params: PhysicalParams, h_max: float) -> float:
@@ -390,9 +365,9 @@ def solve_segment(
 
     Raises NoConvergence after the halving retries are exhausted,
     BankCheckFailed when the carried bank is unfit to continue, ZeroStep
-    when the step underflows, OverflowError when the tube bound leaves the
-    float range, and propagates NaNDetected / CriticalHubble / BlowUp with
-    their locations.
+    when the step underflows to zero or below the float spacing of the
+    nodes, OverflowError when the tube bound leaves the float range, and
+    propagates NaNDetected / CriticalHubble / BlowUp with their locations.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
@@ -419,26 +394,29 @@ def solve_segment(
     if dt_cap is None:
         dt_cap = default_dt_target(h_start, carry.a_carry, params.mass)
     dt = min(tube_step, denominator_step, dt_cap, remaining)
-    grid = Grid.uniform(carry.tau_start, carry.tau_start + dt, solver_cfg.nodes_per_segment)
-
-    def build(subgrid: Grid):
-        f0 = SampledFunction.constant(subgrid, h_start)
-        functional = RetardedFunctional(
-            eval=lambda x: _rhs_detail(
-                x, carry, params, wick_cfg,
-                solver_cfg.substep_cap, solver_cfg.wronskian_budget, profile,
-            ),
+    # the nodes are checked here only; everything below takes them as given
+    nodes = np.linspace(
+        carry.tau_start, carry.tau_start + dt, solver_cfg.nodes_per_segment
+    )
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ZeroStep(
+            f"step {dt:.3g} at tau={carry.tau_start!r} is below the float"
+            " spacing of the segment nodes"
         )
-        return f0, functional
+
+    def build(sub: np.ndarray):
+        def rhs(x):
+            return _rhs_detail(
+                x, sub, carry, params, wick_cfg,
+                solver_cfg.substep_cap, solver_cfg.wronskian_budget, profile,
+            )
+
+        return np.full(sub.size, h_start), rhs
 
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    solution, report, used_grid, (w_vals, a_vals, history) = (
-        picard_solve_with_halving(
-            build, grid, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings
-        )
+    h_vals, report, nodes, (w_vals, a_vals, history) = picard_solve_with_halving(
+        build, nodes, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings
     )
-    nodes = used_grid.nodes
-    h_vals = solution.values.real
     # the run ends at a breach node, so the segment and its bank end there
     wall = (1.0 - solver_cfg.epsilon_critical) * critical
     breach = (np.abs(h_vals[1:]) >= wall) | (

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EULER_GAMMA, PhysicalParams
-from .modes import ModeBank
+from .modes import ModeBank, potential
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -146,12 +146,9 @@ def radial_grid(config: WickConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def wick_integrand(chi, k, k0, v_tau):
-    """Subtracted mode integrand |chi|^2 - 1/(2 k0) + V(tau)/(4 k0^3).
-
-    Vectorized over quadrature nodes; k is carried for diagnostics and
-    interface symmetry, the value depends on (chi, k0, V).
-    """
+def wick_integrand(chi, k0, v_tau):
+    """Subtracted mode integrand |chi|^2 - 1/(2 k0) + V(tau)/(4 k0^3),
+    vectorized over quadrature nodes."""
     k0 = np.asarray(k0, dtype=np.float64)
     if np.any(k0 <= 0.0):
         raise ValueError("k0 must be > 0")
@@ -316,10 +313,8 @@ def wick_square_renormalized(
         return (value, None) if detail else value
     a, chi = _rows(a, bank, chi)
     a0 = bank.a0_anchor
-    # a0 * a0, not a0**2: the array square is a * a, and C pow can differ from
-    # it by one ulp, which would leave V(tau0) != 0
-    v_tau = params.mass**2 * (a**2 - a0 * a0)
-    g = wick_integrand(chi, bank.momenta, bank.k0, v_tau[..., None])
+    v_tau = potential(a, a0, params.mass)
+    g = wick_integrand(chi, bank.k0, v_tau[..., None])
     result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
     value = _plain(
         result.value / a**2 + finite_terms(a, a0, params.mass, params.length_scale)

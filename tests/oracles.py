@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the solver against.
 
 None of this is on the solver path; each routine is an independent route
-to a quantity the package computes another way:
+to a quantity the package computes another way.  Their background is a
+Potential, V sampled on a grid plus the constant a0^2 m^2.
 
 * single-mode RK4 evolution (evolve_mode and its state types), checked
   against the vectorized bank in semiflrw.modes;
@@ -11,7 +12,7 @@ to a quantity the package computes another way:
 * the initial energy density from live vacuum and Parker modes
   (initial_energy_from_modes), against the closed-form route in
   semiflrw.energy;
-* verify_retardation, a probe that a functional is retarded;
+* verify_retardation, a probe that a right-hand side is retarded;
 * the renormalized Wick square and the Bogoliubov correction one time at a
   time, with a numpy.polyfit tail fit (wick_square_per_node,
   bogoliubov_delta_per_node), against the row-vectorised quadrature and
@@ -26,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from semiflrw.core import PhysicalParams, SampledFunction
-from semiflrw.energy import _tan_grid
-from semiflrw.fixedpoint import RetardedFunctional
+from semiflrw.core import Grid, PhysicalParams, SampledFunction, cumulative_trapezoid
 from semiflrw.modes import (
     DegenerateMode,
-    Potential,
     _free_sweep,
     _rk4_sweep,
+    potential,
     wronskian_error,
 )
 from semiflrw.wick import (
@@ -49,6 +48,42 @@ from semiflrw.wick import (
 
 class StepTooLarge(RuntimeError):
     """Requested RK4 step would exceed the Wronskian-drift budget."""
+
+
+@dataclass(frozen=True, eq=False)
+class Potential:
+    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2) on a grid.
+
+    freq_shift is the constant a0^2 m^2, so the full mode frequency is
+    omega^2(k, tau) = k^2 + freq_shift + V(tau).
+    """
+
+    V: SampledFunction
+    freq_shift: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.freq_shift) and self.freq_shift >= 0.0):
+            raise ValueError("freq_shift must be finite and >= 0")
+
+    @classmethod
+    def from_scale_factor(
+        cls, a: SampledFunction, mass: float, a0: float | None = None
+    ) -> Potential:
+        """Build V from a sampled scale factor; a0 defaults to a at the grid start."""
+        anchored = a0 is None
+        if anchored:
+            a0 = float(a.values[0].real)
+        v_values = potential(a.values.real, a0, mass)
+        if anchored and v_values[0] != 0.0:
+            raise ValueError("V(tau0) must vanish for the anchored construction")
+        return cls(SampledFunction(a.grid, v_values), freq_shift=(a0 * mass) ** 2)
+
+    @classmethod
+    def zero(cls, grid: Grid, freq_shift: float = 0.0) -> Potential:
+        return cls(SampledFunction.constant(grid, 0.0), freq_shift)
+
+    def frequency(self, k: float) -> float:
+        return math.sqrt(k**2 + self.freq_shift)
 
 
 @dataclass(frozen=True)
@@ -142,7 +177,7 @@ def evolve_mode(
         raise ValueError("to_tau must exceed state.tau")
     nodes = _segment_nodes(potential, state.tau, to_tau)
     v_values = potential.V(nodes).real
-    if potential.is_zero:
+    if not np.any(potential.V.values):
         chi_hist, dchi_hist = _free_sweep(
             np.float64(state.k0), complex(state.chi), complex(state.dchi), nodes
         )
@@ -258,12 +293,12 @@ def parker_mode(k: float, a: SampledFunction, tau: float, m: float):
     omega_vals = np.sqrt(k**2 + m**2 * a_vals**2)
     if not np.all(omega_vals > 0.0):
         raise DegenerateMode("k^2 + m^2 a^2 must stay positive")
-    phase = SampledFunction(a.grid, omega_vals).antiderivative()
+    phase = cumulative_trapezoid(omega_vals, a.grid.nodes)
     a_prime = a.derivative()
     omega = float(np.interp(tau, a.grid.nodes, omega_vals))
     a_tau = float(np.interp(tau, a.grid.nodes, a_vals))
     ap_tau = float(a_prime(tau).real)
-    phi = float(phase(tau).real)
+    phi = float(np.interp(tau, a.grid.nodes, phase))
     # written as sqrt(1/(2 omega)) so the vacuum-state amplitude at tau0 is
     # the bitwise-identical double and the big terms of the energy
     # subtraction cancel exactly instead of leaving O(omega) ulp noise
@@ -319,7 +354,13 @@ def initial_energy_from_modes(a: SampledFunction, m: float, config: WickConfig) 
     tau0 = a.grid.tau_start
     a0 = float(a.values[0].real)
     da0 = float(a.derivative()(tau0).real)
-    k_nodes, w_k = _tan_grid(a0, m, config.n_k, theta_max=math.atan(_MODE_ROUTE_CUT))
+    # Gauss-Legendre under k = m a0 tan(theta), theta < atan(cut)
+    theta_max = math.atan(_MODE_ROUTE_CUT)
+    theta, w_theta = np.polynomial.legendre.leggauss(config.n_k)
+    theta = 0.5 * theta_max * (theta + 1.0)
+    w_theta = 0.5 * theta_max * w_theta
+    k_nodes = m * a0 * np.tan(theta)
+    w_k = m * a0 * w_theta / np.cos(theta) ** 2
     total = 0.0
     for k, w in zip(k_nodes, w_k):
         k0 = math.sqrt(k**2 + (m * a0) ** 2)
@@ -332,18 +373,15 @@ def initial_energy_from_modes(a: SampledFunction, m: float, config: WickConfig) 
     return total + _density_tail(a0, da0, m, _MODE_ROUTE_CUT * m * a0)
 
 
-def verify_retardation(
-    functional: RetardedFunctional, probe: SampledFunction
-) -> bool:
-    """Perturb the probe on a trailing subinterval; the functional must be
+def verify_retardation(rhs, probe: np.ndarray) -> bool:
+    """Perturb the probe on a trailing subinterval; rhs(probe)[0] must be
     unchanged (bit-identical) on the leading part."""
-    base = np.asarray(functional.eval(probe)[0], dtype=np.float64)
-    split = probe.grid.size // 2
-    scale = max(1.0, float(np.max(np.abs(probe.values.real))))
-    perturbed_values = probe.values.real.copy()
-    perturbed_values[split + 1 :] += 0.37 * scale
-    perturbed = SampledFunction(probe.grid, perturbed_values)
-    shifted = np.asarray(functional.eval(perturbed)[0], dtype=np.float64)
+    base = np.asarray(rhs(probe)[0], dtype=np.float64)
+    split = probe.size // 2
+    scale = max(1.0, float(np.max(np.abs(probe))))
+    perturbed = probe.copy()
+    perturbed[split + 1 :] += 0.37 * scale
+    shifted = np.asarray(rhs(perturbed)[0], dtype=np.float64)
     return bool(np.array_equal(base[: split + 1], shifted[: split + 1]))
 
 
@@ -403,7 +441,7 @@ def wick_square_per_node(
         return 0.0, None
     a0 = bank.a0_anchor
     v_tau = params.mass**2 * (a_tau**2 - a0**2)
-    g = wick_integrand(chi, bank.momenta, bank.k0, v_tau)
+    g = wick_integrand(chi, bank.k0, v_tau)
     radial = _radial_per_node(g, config, bank.momenta, bank.weights)
     value = radial.value / a_tau**2 + finite_terms(
         a_tau, a0, params.mass, params.length_scale

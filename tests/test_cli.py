@@ -274,6 +274,21 @@ class TestRunCommand:
             pytest.approx(1.0 / 60.0, rel=1e-6)
         )
 
+    def test_failed_solve_exits_20_with_the_error_in_the_summary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def failing(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(cli, "continue_maximal", failing)
+        path = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 20
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "solver exploded"
+        assert summary["termination"] is None
+        assert "run failed: solver exploded" in capsys.readouterr().err
+
     def test_summary_config_reproduces_run(self, tmp_path):
         path = write_config(tmp_path / "c.json", mass=1.0, horizon=0.002)
         first = tmp_path / "first"

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflrw.core import Grid, SampledFunction
+from semiflrw.core import Grid
 from semiflrw.fixedpoint import (
     NaNDetected,
     NoConvergence,
     PicardReport,
-    RetardedFunctional,
     ZeroStep,
     picard_solve,
     picard_solve_with_halving,
@@ -23,11 +22,11 @@ from oracles import verify_retardation
 
 
 def identity_functional(scale=1.0):
-    return RetardedFunctional(eval=lambda x: (scale * x.values.real, None))
+    return lambda x: (scale * x, None)
 
 
 def ones(grid):
-    return SampledFunction(grid, np.ones(grid.size))
+    return np.ones(grid.size)
 
 
 class TestSelectStep:
@@ -64,10 +63,11 @@ class TestSelectStep:
 class TestPicardSolve:
     def test_zero_functional_returns_f0(self):
         grid = Grid.uniform(0.0, 1.0, 11)
-        f0 = SampledFunction(grid, 2.0 + np.sin(grid.nodes))
-        functional = RetardedFunctional(eval=lambda x: (np.zeros(x.grid.size), None))
-        solution, report, _ = picard_solve(f0, functional, grid, tol=1e-12)
-        assert np.array_equal(solution.values.real, f0.values.real)
+        f0 = 2.0 + np.sin(grid.nodes)
+        solution, report, _ = picard_solve(
+            f0, lambda x: (np.zeros(x.size), None), grid.nodes, tol=1e-12
+        )
+        assert np.array_equal(solution, f0)
         assert report.iterates == 1
         assert report.converged
 
@@ -75,37 +75,37 @@ class TestPicardSolve:
         # x' = x, x(0) = 1 on [0, 0.5]
         grid = Grid.uniform(0.0, 0.5, 501)
         solution, report, _ = picard_solve(
-            ones(grid), identity_functional(), grid, tol=1e-12
+            ones(grid), identity_functional(), grid.nodes, tol=1e-12
         )
         assert report.converged
-        error = np.max(np.abs(solution.values.real - np.exp(grid.nodes)))
+        error = np.max(np.abs(solution - np.exp(grid.nodes)))
         assert error < 1e-6
 
     def test_seed_reaches_the_same_fixed_point(self):
         grid = Grid.uniform(0.0, 0.5, 201)
         f0 = ones(grid)
-        seed = SampledFunction(grid, 1.0 + 0.3 * np.cos(4.0 * grid.nodes))
-        plain, _, _ = picard_solve(f0, identity_functional(), grid, tol=1e-12)
+        seed = 1.0 + 0.3 * np.cos(4.0 * grid.nodes)
+        plain, _, _ = picard_solve(f0, identity_functional(), grid.nodes, tol=1e-12)
         seeded, report, _ = picard_solve(
-            f0, identity_functional(), grid, tol=1e-12, x0=seed
+            f0, identity_functional(), grid.nodes, tol=1e-12, x0=seed
         )
         assert report.converged
-        assert np.max(np.abs(seeded.values.real - plain.values.real)) < 1e-11
+        assert np.max(np.abs(seeded - plain)) < 1e-11
         assert report.equation_residual < 2e-12
 
     def test_seed_grid_mismatch(self):
         grid = Grid.uniform(0.0, 0.5, 21)
-        other = Grid.uniform(0.0, 0.5, 31)
         with pytest.raises(ValueError):
             picard_solve(
-                ones(grid), identity_functional(), grid,
-                x0=SampledFunction(other, np.ones(31)),
+                ones(grid), identity_functional(), grid.nodes, x0=np.ones(31)
             )
 
     def test_contraction_ratios_decay(self):
         lam = 2.0
         grid = Grid.uniform(0.0, 0.4, 201)
-        _, report, _ = picard_solve(ones(grid), identity_functional(lam), grid, tol=1e-13)
+        _, report, _ = picard_solve(
+            ones(grid), identity_functional(lam), grid.nodes, tol=1e-13
+        )
         ratios = report.contraction_ratios
         # coarse bound lam * span holds for every step
         assert all(r <= lam * 0.4 + 1e-12 for r in ratios)
@@ -116,14 +116,19 @@ class TestPicardSolve:
     def test_equation_residual_below_twice_tol(self):
         grid = Grid.uniform(0.0, 0.4, 201)
         tol = 1e-11
-        _, report, _ = picard_solve(ones(grid), identity_functional(1.7), grid, tol=tol)
+        _, report, _ = picard_solve(
+            ones(grid), identity_functional(1.7), grid.nodes, tol=tol
+        )
         assert report.equation_residual is not None
         assert report.equation_residual < 2.0 * tol
 
     def test_no_convergence_carries_report(self):
         grid = Grid.uniform(0.0, 1.0, 101)
         with pytest.raises(NoConvergence) as excinfo:
-            picard_solve(ones(grid), identity_functional(3.0), grid, tol=1e-12, max_iter=15)
+            picard_solve(
+                ones(grid), identity_functional(3.0), grid.nodes, tol=1e-12,
+                max_iter=15,
+            )
         report = excinfo.value.report
         assert isinstance(report, PicardReport)
         assert not report.converged
@@ -134,12 +139,12 @@ class TestPicardSolve:
         grid = Grid.uniform(0.0, 1.0, 11)
 
         def poisoned(x):
-            out = x.values.real.copy()
+            out = x.copy()
             out[5] = math.nan
             return out, None
 
         with pytest.raises(NaNDetected) as excinfo:
-            picard_solve(ones(grid), RetardedFunctional(eval=poisoned), grid)
+            picard_solve(ones(grid), poisoned, grid.nodes)
         assert excinfo.value.node_index == 5
         assert math.isclose(excinfo.value.tau, 0.5)
 
@@ -147,13 +152,17 @@ class TestPicardSolve:
         grid = Grid.uniform(0.0, 1.0, 11)
         other = Grid.uniform(0.0, 1.0, 21)
         with pytest.raises(ValueError):
-            picard_solve(ones(other), identity_functional(), grid)
+            picard_solve(ones(other), identity_functional(), grid.nodes)
 
     def test_determinism(self):
         grid = Grid.uniform(0.0, 0.4, 201)
-        a, ra, _ = picard_solve(ones(grid), identity_functional(1.3), grid, tol=1e-12)
-        b, rb, _ = picard_solve(ones(grid), identity_functional(1.3), grid, tol=1e-12)
-        assert np.array_equal(a.values.real, b.values.real)
+        a, ra, _ = picard_solve(
+            ones(grid), identity_functional(1.3), grid.nodes, tol=1e-12
+        )
+        b, rb, _ = picard_solve(
+            ones(grid), identity_functional(1.3), grid.nodes, tol=1e-12
+        )
+        assert np.array_equal(a, b)
         assert ra.residuals == rb.residuals
 
     def test_byproduct_is_from_the_returned_solution(self):
@@ -162,10 +171,10 @@ class TestPicardSolve:
 
         def evaluate(x):
             calls.append(x)
-            return 1.3 * x.values.real, x
+            return 1.3 * x, x
 
         solution, report, byproduct = picard_solve(
-            ones(grid), RetardedFunctional(eval=evaluate), grid, tol=1e-12
+            ones(grid), evaluate, grid.nodes, tol=1e-12
         )
         assert byproduct is solution
         # one evaluation per iterate plus the equation-residual check
@@ -177,13 +186,15 @@ class TestPicardSolve:
         span = min(0.8 / lam, 1.0)
         grid = Grid.uniform(0.0, span, 101)
         tol = 1e-10
-        solution, report, _ = picard_solve(ones(grid), identity_functional(lam), grid, tol=tol)
+        solution, report, _ = picard_solve(
+            ones(grid), identity_functional(lam), grid.nodes, tol=tol
+        )
         assert report.converged
         assert report.residuals[-1] < tol
         assert all(math.isfinite(r) for r in report.residuals)
         assert report.equation_residual < 2.0 * tol
         assert math.isclose(
-            solution.values.real[-1], math.exp(lam * span), rel_tol=1e-3
+            solution[-1], math.exp(lam * span), rel_tol=1e-3
         )
 
 
@@ -194,19 +205,16 @@ class TestRetardation:
         def running_integral(x):
             from scipy.integrate import cumulative_trapezoid
 
-            return cumulative_trapezoid(x.values.real, grid.nodes, initial=0.0), None
+            return cumulative_trapezoid(x, grid.nodes, initial=0.0), None
 
-        functional = RetardedFunctional(eval=running_integral)
-        probe = SampledFunction(grid, np.cos(grid.nodes))
-        assert verify_retardation(functional, probe)
+        assert verify_retardation(running_integral, np.cos(grid.nodes))
 
     def test_end_anchored_functional_fails(self):
         grid = Grid.uniform(0.0, 1.0, 101)
-        functional = RetardedFunctional(
-            eval=lambda x: (np.full(grid.size, x.values.real[-1]), None)
-        )
-        probe = SampledFunction(grid, np.cos(grid.nodes))
-        assert not verify_retardation(functional, probe)
+        def end_anchored(x):
+            return np.full(grid.size, x[-1]), None
+
+        assert not verify_retardation(end_anchored, np.cos(grid.nodes))
 
 
 class TestHalvingDriver:
@@ -216,43 +224,48 @@ class TestHalvingDriver:
         grid = Grid.uniform(0.0, 1.0, 401)
         calls = []
 
-        def build(subgrid):
-            calls.append(subgrid.tau_end)
-            return ones(subgrid), identity_functional(lam)
+        def build(nodes):
+            calls.append(nodes[-1])
+            return np.ones(nodes.size), identity_functional(lam)
 
-        solution, report, final_grid, _ = picard_solve_with_halving(
-            build, grid, tol=1e-10, max_iter=12
+        solution, report, final_nodes, _ = picard_solve_with_halving(
+            build, grid.nodes, tol=1e-10, max_iter=12
         )
         assert report.converged
         assert report.halvings == len(calls) - 1
         assert 1 <= report.halvings <= 6
-        assert final_grid.tau_end < 1.0
+        assert final_nodes[-1] < 1.0
         # converged span solves x' = lam x from x(0) = 1 up to trapezoid error
-        expected = np.exp(lam * final_grid.nodes)
-        assert np.max(np.abs(solution.values.real - expected)) < 1e-4
+        expected = np.exp(lam * final_nodes)
+        assert np.max(np.abs(solution - expected)) < 1e-4
 
     def test_no_halving_when_first_try_converges(self):
         grid = Grid.uniform(0.0, 0.3, 151)
-        solution, report, final_grid, _ = picard_solve_with_halving(
-            lambda g: (ones(g), identity_functional()), grid, tol=1e-12
+        solution, report, final_nodes, _ = picard_solve_with_halving(
+            lambda nodes: (np.ones(nodes.size), identity_functional()), grid.nodes,
+            tol=1e-12,
         )
         assert report.halvings == 0
-        assert final_grid == grid
+        assert np.array_equal(final_nodes, grid.nodes)
 
     def test_gives_up_after_max_halvings(self):
         grid = Grid.uniform(0.0, 1.0, 513)
 
-        def build(subgrid):
-            return ones(subgrid), identity_functional(1e6)
+        def build(nodes):
+            return np.ones(nodes.size), identity_functional(1e6)
 
         with pytest.raises(NoConvergence):
-            picard_solve_with_halving(build, grid, tol=1e-12, max_iter=10, max_halvings=4)
+            picard_solve_with_halving(
+                build, grid.nodes, tol=1e-12, max_iter=10, max_halvings=4
+            )
 
     def test_front_half_preserves_node_alignment(self):
         grid = Grid.uniform(0.0, 1.0, 401)
 
-        def build(subgrid):
-            return ones(subgrid), identity_functional(3.0)
+        def build(nodes):
+            return np.ones(nodes.size), identity_functional(3.0)
 
-        _, _, final_grid, _ = picard_solve_with_halving(build, grid, tol=1e-12, max_iter=25)
-        assert np.all(np.isin(final_grid.nodes, grid.nodes))
+        _, _, final_nodes, _ = picard_solve_with_halving(
+            build, grid.nodes, tol=1e-12, max_iter=25
+        )
+        assert np.all(np.isin(final_nodes, grid.nodes))

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflrw.core import Grid, SampledFunction
-from semiflrw.modes import (
-    DegenerateMode,
-    ModeBank,
-    Potential,
-    evolve_bank,
-    resolve_substep,
-)
+from semiflrw.modes import DegenerateMode, ModeBank, evolve_bank, resolve_substep
 
 from oracles import (
     ModeState,
+    Potential,
     StepTooLarge,
     evolve_mode,
     initial_mode,
@@ -280,7 +275,7 @@ def test_bank_anchor_digest_stable_under_evolution():
     momenta = np.linspace(0.2, 10.0, 12)
     bank = ModeBank.at_initial(momenta, np.ones(12), 1.0, 1.0, 0.0)
     digest = bank.anchor_digest()
-    hist = evolve_bank(bank, pot, pot.V.grid.nodes)
+    hist = evolve_bank(bank, pot.V.values, pot.V.grid.nodes)
     assert hist.final.anchor_digest() == digest
     assert hist.final.tau == pytest.approx(2.0)
     assert hist.wronskian_error_max < 1e-8
@@ -291,7 +286,7 @@ def test_bank_evolution_consistent_with_scalar_path():
     momenta = np.array([0.5, 5.0, 20.0])
     bank = ModeBank.at_initial(momenta, np.ones(3), 1.0, 1.0, 0.0)
     nodes = pot.V.grid.nodes
-    hist = evolve_bank(bank, pot, nodes)
+    hist = evolve_bank(bank, pot.V.values, nodes)
     v_values = pot.V(nodes).real
     omega_max = math.sqrt(float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0))
     step = resolve_substep(2.0, omega_max)
@@ -299,3 +294,10 @@ def test_bank_evolution_consistent_with_scalar_path():
         state = initial_mode(float(k), 1.0, 1.0, 0.0)
         traj = evolve_mode(state, pot, 2.0, step=step)
         np.testing.assert_allclose(hist.chi[:, j], traj.chi, rtol=1e-13, atol=0)
+
+
+def test_bank_rejects_a_potential_off_the_nodes():
+    pot = sine_background(n_nodes=101)
+    bank = ModeBank.at_initial(np.array([0.5, 5.0]), np.ones(2), 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="one value per node"):
+        evolve_bank(bank, pot.V.values[:-1], pot.V.grid.nodes)

@@ -3,30 +3,22 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semiflrw.core import (
-    DEFAULT_HUBBLE_CRITICAL,
-    Grid,
-    InitialData,
-    PhysicalParams,
-    SampledFunction,
-)
-from semiflrw.fixedpoint import RetardedFunctional
+from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
 from semiflrw.solver import (
     EXIT_CODES,
     CriticalHubble,
     RunLog,
     SolverConfig,
+    _rhs_detail,
     continue_maximal,
     default_dt_target,
     effective_wick_config,
-    friedmann_rhs,
     initial_segment_state,
     load_checkpoint,
     save_checkpoint,
@@ -366,7 +358,7 @@ class TestSegmenting:
         for n in (13, 25, 49, 97):
             cfg = SolverConfig(nodes_per_segment=n, dt_target=0.002)
             sol, _ = continue_maximal(init, 0.004, params, W0, cfg)
-            values.append(float(sol.hubble_function()(0.004)))
+            values.append(float(np.interp(0.004, sol.taus, sol.hubble)))
         diffs = [abs(v - values[-1]) for v in values[:-1]]
         assert diffs[0] > diffs[1] > diffs[2] > 0.0
         assert diffs[0] / diffs[1] > 2.5
@@ -424,6 +416,22 @@ class TestSegmenting:
         assert rep.tau_stop == 0.0
         assert "step underflow" in rep.diagnostics["error"]
         assert sol.taus.tolist() == [0.0]
+
+    def test_step_below_the_float_spacing_is_reported_not_raised(self):
+        # near the wall the tube step falls below the spacing of floats at
+        # tau = 1e8, so a segment's nodes can no longer increase
+        lam = 1.1 * HC**4 / (960.0 * math.pi**2)
+        sol, rep = continue_maximal(
+            InitialData(1e8, 1.0, 0.0), 1e8 + 10.0,
+            PhysicalParams(mass=0.0, cosmological_constant=lam), W0,
+            SolverConfig(epsilon_critical=1e-6),
+        )
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.exit_code == 20
+        assert rep.tau_stop == sol.taus[-1] == sol.final_state.tau_start
+        error = rep.diagnostics["error"]
+        assert error.startswith("step ") and "below the float spacing" in error
+        assert np.all(np.diff(sol.taus) > 0.0)
 
     def test_overflowing_tube_bound_is_reported_not_raised(self):
         # h_max**4 ~ 6e397 leaves the float range inside the tube bound
@@ -541,39 +549,40 @@ class TestRhs:
         params = PhysicalParams(mass=1.0)
         wcfg = WickConfig(k_max=40.0, n_k=192)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, wcfg)
-        grid = Grid.uniform(0.0, 0.001, 25)
-        functional = RetardedFunctional(
-            eval=lambda x: (friedmann_rhs(x, state0, params, wcfg).values.real, None)
-        )
-        probe = SampledFunction(grid, 1e-4 * np.cos(np.linspace(0.0, 3.0, 25)))
-        assert verify_retardation(functional, probe)
+        nodes = np.linspace(0.0, 0.001, 25)
+
+        def rhs(x):
+            return _rhs_detail(x, nodes, state0, params, wcfg)[0], None
+
+        probe = 1e-4 * np.cos(np.linspace(0.0, 3.0, 25))
+        assert verify_retardation(rhs, probe)
 
     def test_massless_rhs_closed_form_at_start(self):
         lam = 1.0e4
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
-        grid = Grid.uniform(0.0, 0.001, 9)
-        rhs = friedmann_rhs(SampledFunction.constant(grid, 20.0), state0, params, W0)
+        nodes = np.linspace(0.0, 0.001, 9)
+        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0, params, W0)[0]
         h = 20.0
         expected = (
             h**4 - 2.0 * HC**2 * h**2 + 960.0 * math.pi**2 * lam
         ) / (HC**2 - h**2)
-        assert rhs.values[0] == pytest.approx(expected, rel=1e-14)
+        assert rhs[0] == pytest.approx(expected, rel=1e-14)
 
     def test_raises_at_critical_hubble(self):
         params = PhysicalParams(mass=0.0)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
-        grid = Grid.uniform(0.0, 0.001, 9)
+        nodes = np.linspace(0.0, 0.001, 9)
         with pytest.raises(CriticalHubble) as err:
-            friedmann_rhs(SampledFunction.constant(grid, HC), state0, params, W0)
+            _rhs_detail(np.full(9, HC), nodes, state0, params, W0)
         assert err.value.node_index == 0
 
     def test_rejects_shifted_grid(self):
         params = PhysicalParams(mass=0.0)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
-        grid = Grid.uniform(0.5, 0.501, 9)
+        nodes = np.linspace(0.5, 0.501, 9)
         with pytest.raises(ValueError):
-            friedmann_rhs(SampledFunction.constant(grid, 0.0), state0, params, W0)
+            _rhs_detail(np.zeros(9), nodes, state0, params, W0)
 
     def test_solve_segment_rejects_exhausted_horizon(self):
         params = PhysicalParams(mass=0.0)

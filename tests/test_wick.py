@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from semiflrw.core import EULER_GAMMA, Grid, PhysicalParams, SampledFunction
-from semiflrw.modes import ModeBank, Potential, evolve_bank
+from semiflrw.modes import ModeBank, evolve_bank
 from semiflrw.wick import (
     TWO_PI_SQ,
     BogoliubovProfile,
@@ -26,7 +26,12 @@ from semiflrw.wick import (
     wick_square_renormalized,
 )
 
-from oracles import bogoliubov_delta_per_node, perturbative_orders, wick_square_per_node
+from oracles import (
+    Potential,
+    bogoliubov_delta_per_node,
+    perturbative_orders,
+    wick_square_per_node,
+)
 
 MASS = 1.0
 
@@ -45,7 +50,7 @@ def evolved_bank(config):
     grid, a_fun, pot = sine_background()
     momenta, weights = radial_grid(config)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-    history = evolve_bank(bank, pot, grid.nodes)
+    history = evolve_bank(bank, pot.V.values, grid.nodes)
     return a_fun, history.final
 
 
@@ -209,12 +214,12 @@ class TestIntegrand:
         k = np.array([0.5, 2.0, 7.0])
         k0 = np.sqrt(k**2 + MASS**2)
         chi = np.sqrt(1.0 / (2.0 * k0)) * np.exp(1j * k0 * 0.3)
-        values = wick_integrand(chi, k, k0, 0.0)
+        values = wick_integrand(chi, k0, 0.0)
         assert np.max(np.abs(values)) < 1e-15
 
     def test_rejects_nonpositive_k0(self):
         with pytest.raises(ValueError):
-            wick_integrand(np.array([1.0 + 0j]), np.array([1.0]), np.array([0.0]), 0.0)
+            wick_integrand(np.array([1.0 + 0j]), np.array([0.0]), 0.0)
 
     def test_order_zero_cancellation_is_exact(self):
         # counterterm V/(4 k0^3) enters at first order, so order 0 uses V = 0
@@ -222,7 +227,7 @@ class TestIntegrand:
         for k in (0.7, 2.3, 11.0):
             k0 = math.sqrt(k**2 + pot.freq_shift)
             chi0 = perturbative_orders(k, pot, 0, 2.0)[0]
-            assert abs(wick_integrand(chi0, k, k0, 0.0)) < 1e-15
+            assert abs(wick_integrand(chi0, k0, 0.0)) < 1e-15
 
     @pytest.mark.parametrize("k", [0.7, 2.3, 11.0])
     def test_order_one_matches_cosine_transform(self, k):
@@ -309,7 +314,7 @@ class TestWickSquare:
             a_fun = SampledFunction(grid, values)
             pot = Potential.from_scale_factor(a_fun, MASS)
             bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-            history = evolve_bank(bank, pot, grid.nodes)
+            history = evolve_bank(bank, pot.V.values, grid.nodes)
             return wick_square_renormalized(
                 a_at(a_fun, 2.0), history.final, history.final.chi, params, config
             )
@@ -453,7 +458,7 @@ class TestRowsMatchPerNodeOracle:
         grid = Grid.uniform(0.0, 0.05, 9)
         a_fun = SampledFunction(grid, a0 * (1.0 + growth * grid.nodes / 0.05))
         pot = Potential.from_scale_factor(a_fun, mass, a0=a0)
-        history = evolve_bank(bank, pot, grid.nodes)
+        history = evolve_bank(bank, pot.V.values, grid.nodes)
         a_spiked, chi_spiked = spiked_rows(bank, a0, n_spikes)
         a_rows = np.concatenate([a_fun.values.real, a_spiked])
         chi_rows = np.concatenate([history.chi, chi_spiked])
