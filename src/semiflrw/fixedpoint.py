@@ -178,19 +178,22 @@ def picard_solve_with_halving(
     tol: float = 1e-10,
     max_iter: int = 60,
     max_halvings: int = 6,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PicardReport, np.ndarray, object]:
     """Run picard_solve, halving the segment on NoConvergence.
 
     build(nodes) must produce the (F0, rhs) pair for any leading run of the
     nodes; the returned nodes are the span that actually converged, and
-    the byproduct is picard_solve's, from the solution on that span.
+    the byproduct is picard_solve's, from the solution on that span.  The
+    seed x0, when given, starts the first attempt only, on the full nodes;
+    after a halving the iteration starts from F0.
     """
     halvings = 0
     while True:
         f0, rhs = build(nodes)
         try:
             solution, report, byproduct = picard_solve(
-                f0, rhs, nodes, tol, max_iter
+                f0, rhs, nodes, tol, max_iter, x0
             )
         except NoConvergence as err:
             if halvings >= max_halvings:
@@ -199,6 +202,7 @@ def picard_solve_with_halving(
                 ) from err
             halvings += 1
             nodes = _front_half(nodes)
+            x0 = None
             continue
         if halvings:
             report = replace(report, halvings=halvings)

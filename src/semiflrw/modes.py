@@ -6,9 +6,12 @@ The state is defined by solutions of
     k0^2 = k^2 + a0^2 m^2,   V(tau) = m^2 (a(tau)^2 - a0^2),
 
 with positive-frequency initial data at tau0 and the Wronskian normalization
-chi' conj(chi) - chi conj(chi') = i.  Evolution is classical fixed-step RK4
-(vectorized across k), with V sampled at the nodes and linear between them, so
-the result is a deterministic function of the sampled scale factor.
+chi' conj(chi) - chi conj(chi') = i.  Evolution is classical fixed-step RK4,
+with V sampled at the nodes and linear between them, so the result is a
+deterministic function of the sampled scale factor.  Since k0^2 + V is real,
+the RK4 substeps across one grid interval make one real 2x2 transfer map per
+(interval, k); all maps are built in one vectorised pass, and one loop over
+the nodes applies them to the complex modes.
 """
 
 from __future__ import annotations
@@ -116,6 +119,50 @@ class BankHistory:
         return float(np.max(wronskian_error(self.chi, self.dchi)))
 
 
+def _rk4_maps(k0_sq: np.ndarray, nodes: np.ndarray, v_values: np.ndarray, step: float):
+    """Transfer maps (m11, m12, m21, m22), each of shape (intervals, k), of
+    the RK4 substeps across each grid interval, V linear inside it.
+
+    One classical RK4 substep of length h on y = (chi, chi') is the real map
+    y -> M y built from w = k0^2 + V at the substep's start, middle and end.
+    An interval of n_sub substeps composes n_sub such maps; intervals with
+    fewer substeps than the most take the identity for the extra rounds.
+    """
+    width = np.diff(nodes)[:, None]
+    v_lo = v_values[:-1, None]
+    slope = (v_values[1:, None] - v_lo) / width
+    n_sub = np.maximum(1, np.ceil(width / step - 1e-12))
+    h = width / n_sub
+    q = 0.25 * h * h
+    maps = None
+    for i in range(int(np.max(n_sub))):
+        t_local = i * h
+        w_a = k0_sq + (v_lo + slope * t_local)
+        w_b = k0_sq + (v_lo + slope * (t_local + 0.5 * h))
+        w_c = k0_sq + (v_lo + slope * (t_local + h))
+        sub = (
+            1.0 - (h * h / 6.0) * (w_a + 2.0 * w_b - q * w_a * w_b),
+            h - (h * h * h / 6.0) * w_b,
+            -(h / 6.0) * (w_a + 4.0 * w_b + w_c - 2.0 * q * w_b * (w_a + w_c)),
+            1.0 - (h * h / 6.0) * (2.0 * w_b + w_c - q * w_b * w_c),
+        )
+        if maps is None:
+            maps = sub
+            continue
+        active = i < n_sub
+        s11, s12, s21, s22 = (
+            np.where(active, s, eye) for s, eye in zip(sub, (1.0, 0.0, 0.0, 1.0))
+        )
+        m11, m12, m21, m22 = maps
+        maps = (
+            s11 * m11 + s12 * m21,
+            s11 * m12 + s12 * m22,
+            s21 * m11 + s22 * m21,
+            s21 * m12 + s22 * m22,
+        )
+    return maps
+
+
 def _rk4_sweep(
     k0_sq: np.ndarray,
     chi: np.ndarray,
@@ -124,38 +171,18 @@ def _rk4_sweep(
     v_values: np.ndarray,
     step: float,
 ):
-    """March chi'' = -(k0^2 + V) chi through consecutive grid intervals,
-    V linear inside each interval, recording at every node.  Returns
-    (chi_hist, dchi_hist) with shape (n_nodes,) + chi.shape."""
-    chi = np.array(chi, dtype=np.complex128)
-    dchi = np.array(dchi, dtype=np.complex128)
-    chi_hist = np.empty((nodes.size,) + chi.shape, dtype=np.complex128)
+    """March chi'' = -(k0^2 + V) chi through consecutive grid intervals by
+    fixed-step RK4, V linear inside each interval, recording at every node.
+    Returns (chi_hist, dchi_hist) of shape (n_nodes, k)."""
+    m11, m12, m21, m22 = _rk4_maps(k0_sq, nodes, v_values, step)
+    chi_hist = np.empty((nodes.size, k0_sq.size), dtype=np.complex128)
     dchi_hist = np.empty_like(chi_hist)
     chi_hist[0] = chi
     dchi_hist[0] = dchi
     for j in range(nodes.size - 1):
-        width = nodes[j + 1] - nodes[j]
-        v_lo = v_values[j]
-        slope = (v_values[j + 1] - v_lo) / width
-        n_sub = max(1, int(math.ceil(width / step - 1e-12)))
-        h = width / n_sub
-        for i in range(n_sub):
-            t_local = i * h
-            w_a = k0_sq + (v_lo + slope * t_local)
-            w_b = k0_sq + (v_lo + slope * (t_local + 0.5 * h))
-            w_c = k0_sq + (v_lo + slope * (t_local + h))
-            k1c = dchi
-            k1d = -w_a * chi
-            k2c = dchi + 0.5 * h * k1d
-            k2d = -w_b * (chi + 0.5 * h * k1c)
-            k3c = dchi + 0.5 * h * k2d
-            k3d = -w_b * (chi + 0.5 * h * k2c)
-            k4c = dchi + h * k3d
-            k4d = -w_c * (chi + h * k3c)
-            chi = chi + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-            dchi = dchi + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        chi_hist[j + 1] = chi
-        dchi_hist[j + 1] = dchi
+        c, d = chi_hist[j], dchi_hist[j]
+        np.add(m11[j] * c, m12[j] * d, out=chi_hist[j + 1])
+        np.add(m21[j] * c, m22[j] * d, out=dchi_hist[j + 1])
     return chi_hist, dchi_hist
 
 

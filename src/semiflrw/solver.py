@@ -14,6 +14,13 @@ critical rate, further limited so the scale-factor denominator keeps at
 least half its value), iterates to the fixed point, carries the state
 forward, and the outer loop continues until the time horizon or the first
 regularity breach.
+
+The iteration starts from a seed extrapolated from the segment before
+(picard_seed): the start value plus the degree-4 polynomial through the
+increments H - H_start at every second one of the last 9 history nodes.  It
+starts from the constant instead on the first segment, after a halving,
+with fewer than 9 nodes per segment, on a constant history, and when the
+seed leaves the tube.  The seed changes the iterates, not the fixed point.
 """
 
 from __future__ import annotations
@@ -106,6 +113,13 @@ class SolverConfig:
             raise ValueError("dt_target must be > 0 when given")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be >= 0")
+        for name in ("substep_cap", "wronskian_budget", "wronskian_tolerance"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.nodes_per_segment < 3:
             raise ValueError("nodes_per_segment must be >= 3")
         if not 0.0 < self.epsilon_critical < 0.1:
@@ -127,7 +141,8 @@ class SegmentState:
     final_state, and only the segment just solved (its start node
     included) in what solve_segment returns.  The mode bank (massive case
     only) sits at tau_start and is anchored at tau0 for its whole life,
-    witnessed by anchor_digest.
+    witnessed by anchor_digest.  last_report is the Picard report of the
+    segment that ended at tau_start, None in the initial state.
     """
 
     initial: InitialData
@@ -350,6 +365,46 @@ def _rhs_bound(carry: SegmentState, params: PhysicalParams, h_max: float) -> flo
     return 2.0 * carry.a_carry * numerator / (critical**2 - h_max**2)
 
 
+# the seed's polynomial runs through every second one of this many last nodes
+SEED_NODES = 9
+
+
+def picard_seed(
+    carry: SegmentState, nodes: np.ndarray, delta: float, nodes_per_segment: int
+) -> np.ndarray | None:
+    """First Picard iterate on the segment's nodes, or None for the constant
+    start H_start.
+
+    The seed is H_start plus the degree-4 Lagrange polynomial through the
+    increments H - H_start at every second one of the carry's last 9
+    history nodes, evaluated on the new nodes, with seed[0] = H_start.  It
+    reads only those nodes and the carry's last report, so a resumed run
+    seeds as the uninterrupted one does.  None on the first segment, after
+    a halving, when segments hold fewer than 9 nodes, on a constant history,
+    and when the seed leaves the tube |seed - H_start| <= delta: an
+    extrapolation near the wall may cross the critical rate.
+    """
+    report = carry.last_report
+    if report is None or report.halvings or nodes_per_segment < SEED_NODES:
+        return None
+    h_start = carry.hubble_start
+    rise = carry.hist_hubble[-SEED_NODES::2] - h_start
+    if not np.any(rise):
+        return None
+    t = carry.hist_taus[-SEED_NODES::2] - carry.tau_start
+    x = nodes - carry.tau_start
+    # basis[i, j] = prod over m != j of (x_i - t_m) / (t_j - t_m)
+    off = ~np.eye(t.size, dtype=bool)
+    factors = np.where(off, x[:, None, None] - t, 1.0) / np.where(
+        off, t[:, None] - t, 1.0
+    )
+    seed = h_start + np.sum(np.prod(factors, axis=2) * rise, axis=1)
+    seed[0] = h_start
+    if np.max(np.abs(seed - h_start)) > delta:
+        return None
+    return seed
+
+
 def solve_segment(
     carry: SegmentState,
     tau_horizon: float,
@@ -413,9 +468,11 @@ def solve_segment(
 
         return np.full(sub.size, h_start), rhs
 
+    seed = picard_seed(carry, nodes, delta, solver_cfg.nodes_per_segment)
     # the byproducts come from Picard's last RHS evaluation, at the solution
     h_vals, report, nodes, (w_vals, a_vals, history) = picard_solve_with_halving(
-        build, nodes, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings
+        build, nodes, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings,
+        seed,
     )
     # the run ends at a breach node, so the segment and its bank end there
     wall = (1.0 - solver_cfg.epsilon_critical) * critical
@@ -745,16 +802,6 @@ def load_checkpoint(path):
             mass=raw_bank["mass"],
             tau0_anchor=raw_bank["tau0_anchor"],
         )
-    carry = SegmentState(
-        initial=initial,
-        hist_taus=np.array(history["taus"]),
-        hist_hubble=np.array(history["hubble"]),
-        hist_a=np.array(history["a"]),
-        hist_wick=np.array(history["wick"]),
-        a_carry=records[-1]["a_carry"],
-        mode_bank_carry=bank,
-        anchor_digest=header["anchor_digest"],
-    )
     reports = tuple(
         PicardReport(
             iterates=r["iterates"],
@@ -765,5 +812,18 @@ def load_checkpoint(path):
             halvings=r.get("halvings", 0),
         )
         for r in raw_reports
+    )
+    # the last report goes with the carry, as in the run that wrote the file:
+    # the next segment's seed reads it
+    carry = SegmentState(
+        initial=initial,
+        hist_taus=np.array(history["taus"]),
+        hist_hubble=np.array(history["hubble"]),
+        hist_a=np.array(history["a"]),
+        hist_wick=np.array(history["wick"]),
+        a_carry=records[-1]["a_carry"],
+        mode_bank_carry=bank,
+        anchor_digest=header["anchor_digest"],
+        last_report=reports[-1] if reports else None,
     )
     return carry, reports, tuple(bounds), header["tau_horizon"]

@@ -4,8 +4,9 @@ None of this is on the solver path; each routine is an independent route
 to a quantity the package computes another way.  Their background is a
 Potential, V sampled on a grid plus the constant a0^2 m^2.
 
-* single-mode RK4 evolution (evolve_mode and its state types), checked
-  against the vectorized bank in semiflrw.modes;
+* single-mode RK4 evolution, one stage sequence per substep (evolve_mode,
+  its stepper _rk4_steps and its state types), checked against the
+  transfer-map sweep of the bank in semiflrw.modes;
 * the perturbative series of the mode recurrence (perturbative_orders,
   perturbative_mode) and its factorial bound (mode_bound), by nested
   cumulative-Simpson quadrature from scipy;
@@ -28,13 +29,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from semiflrw.core import Grid, PhysicalParams, SampledFunction, cumulative_trapezoid
-from semiflrw.modes import (
-    DegenerateMode,
-    _free_sweep,
-    _rk4_sweep,
-    potential,
-    wronskian_error,
-)
+from semiflrw.modes import DegenerateMode, _free_sweep, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
     TWO_PI_SQ,
@@ -158,6 +153,51 @@ def _segment_nodes(potential: Potential, tau_from: float, to_tau: float) -> np.n
     return segment
 
 
+def _rk4_steps(
+    k0_sq: float,
+    chi: complex,
+    dchi: complex,
+    nodes: np.ndarray,
+    v_values: np.ndarray,
+    step: float,
+):
+    """March chi'' = -(k0^2 + V) chi through consecutive grid intervals, V
+    linear inside each interval, one classical RK4 stage sequence per
+    substep (n_sub = ceil(width / step) substeps per interval), recording
+    at every node.  Broadcasts over array k0_sq, chi and dchi.  Returns
+    (chi_hist, dchi_hist) with shape (n_nodes,) + chi.shape."""
+    chi = np.array(chi, dtype=np.complex128)
+    dchi = np.array(dchi, dtype=np.complex128)
+    chi_hist = np.empty((nodes.size,) + chi.shape, dtype=np.complex128)
+    dchi_hist = np.empty_like(chi_hist)
+    chi_hist[0] = chi
+    dchi_hist[0] = dchi
+    for j in range(nodes.size - 1):
+        width = nodes[j + 1] - nodes[j]
+        v_lo = v_values[j]
+        slope = (v_values[j + 1] - v_lo) / width
+        n_sub = max(1, int(math.ceil(width / step - 1e-12)))
+        h = width / n_sub
+        for i in range(n_sub):
+            t_local = i * h
+            w_a = k0_sq + (v_lo + slope * t_local)
+            w_b = k0_sq + (v_lo + slope * (t_local + 0.5 * h))
+            w_c = k0_sq + (v_lo + slope * (t_local + h))
+            k1c = dchi
+            k1d = -w_a * chi
+            k2c = dchi + 0.5 * h * k1d
+            k2d = -w_b * (chi + 0.5 * h * k1c)
+            k3c = dchi + 0.5 * h * k2d
+            k3d = -w_b * (chi + 0.5 * h * k2c)
+            k4c = dchi + h * k3d
+            k4d = -w_c * (chi + h * k3c)
+            chi = chi + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+            dchi = dchi + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        chi_hist[j + 1] = chi
+        dchi_hist[j + 1] = dchi
+    return chi_hist, dchi_hist
+
+
 def evolve_mode(
     state: ModeState,
     potential: Potential,
@@ -189,7 +229,7 @@ def evolve_mode(
             f"step {step:g} gives Wronskian drift estimate {drift:.3g} "
             f"> budget {wronskian_tol:g}"
         )
-    chi_hist, dchi_hist = _rk4_sweep(
+    chi_hist, dchi_hist = _rk4_steps(
         np.float64(state.k0**2),
         np.complex128(state.chi),
         np.complex128(state.dchi),

@@ -214,6 +214,26 @@ class TestValidation:
         assert code == 2
         assert "did you mean 'mass'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "numerical",
+        [
+            {"max_iter": 0},
+            {"max_halvings": -1},
+            {"substep_cap": 0.0},
+            {"substep_cap": -0.02},
+            {"wronskian_budget": -1e-8},
+            {"wronskian_tolerance": 0.0},
+        ],
+    )
+    def test_bad_solver_knob_exits_2(self, tmp_path, capsys, numerical):
+        path = write_config(
+            tmp_path / "c.json", mass=1.0, H0=1.0, horizon=0.002,
+            numerical={"k_max": 20.0, "n_k": 32, **numerical},
+        )
+        code = cli.main(["run", path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {next(iter(numerical))}" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_de_sitter_run(self, tmp_path, capsys):

@@ -259,6 +259,31 @@ class TestHalvingDriver:
                 build, grid.nodes, tol=1e-12, max_iter=10, max_halvings=4
             )
 
+    def test_seed_starts_the_first_attempt_only(self):
+        lam = 8.0
+        grid = Grid.uniform(0.0, 1.0, 401)
+
+        def build(nodes):
+            return np.ones(nodes.size), identity_functional(lam)
+
+        # a full-length seed would not fit the halved nodes
+        _, report, final_nodes, _ = picard_solve_with_halving(
+            build, grid.nodes, tol=1e-10, max_iter=12, x0=np.exp(lam * grid.nodes)
+        )
+        assert report.converged and report.halvings >= 1
+        assert final_nodes.size < grid.size
+
+        short = Grid.uniform(0.0, 0.3, 151)
+        unseeded, plain, _, _ = picard_solve_with_halving(
+            build, short.nodes, tol=1e-12, max_iter=40
+        )
+        seeded, warm, _, _ = picard_solve_with_halving(
+            build, short.nodes, tol=1e-12, max_iter=40, x0=unseeded
+        )
+        assert warm.halvings == 0
+        assert warm.iterates < plain.iterates
+        assert np.max(np.abs(seeded - unseeded)) < 1e-11
+
     def test_front_half_preserves_node_alignment(self):
         grid = Grid.uniform(0.0, 1.0, 401)
 

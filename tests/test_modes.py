@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflrw.core import Grid, SampledFunction
-from semiflrw.modes import DegenerateMode, ModeBank, evolve_bank, resolve_substep
+from semiflrw.modes import (
+    DegenerateMode,
+    ModeBank,
+    _rk4_sweep,
+    evolve_bank,
+    resolve_substep,
+)
 
 from oracles import (
     ModeState,
     Potential,
     StepTooLarge,
+    _rk4_steps,
     evolve_mode,
     initial_mode,
     mode_bound,
@@ -301,3 +308,34 @@ def test_bank_rejects_a_potential_off_the_nodes():
     bank = ModeBank.at_initial(np.array([0.5, 5.0]), np.ones(2), 1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="one value per node"):
         evolve_bank(bank, pot.V.values[:-1], pot.V.grid.nodes)
+
+
+def _sweep_case(nodes, step):
+    """The transfer-map sweep and the per-substep stepper on one bank."""
+    bank = ModeBank.at_initial(np.linspace(0.1, 40.0, 24), np.ones(24), 1.0, 1.0,
+                               float(nodes[0]))
+    v = 0.5 * np.sin(7.0 * nodes) + 0.3 * nodes
+    args = (bank.k0**2, bank.chi, bank.dchi, nodes, v, step)
+    return _rk4_sweep(*args), _rk4_steps(*args)
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 5])
+def test_map_sweep_matches_the_substep_stepper(n_sub):
+    nodes = np.linspace(0.2, 0.6, 81)
+    width = nodes[1] - nodes[0]
+    assert int(math.ceil(width / (width / n_sub) - 1e-12)) == n_sub
+    (chi, dchi), (chi_ref, dchi_ref) = _sweep_case(nodes, width / n_sub)
+    np.testing.assert_allclose(chi, chi_ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(dchi, dchi_ref, rtol=1e-13, atol=0)
+
+
+def test_map_sweep_pads_short_intervals_with_the_identity():
+    # widths of 1, 2.5 and 4.2 steps take 1, 3 and 5 substeps
+    step = 1e-3
+    widths = np.tile([1.0, 2.5, 4.2], 30) * step
+    nodes = 0.2 + np.concatenate([[0.0], np.cumsum(widths)])
+    n_sub = np.ceil(np.diff(nodes) / step - 1e-12)
+    assert set(n_sub) == {1.0, 3.0, 5.0}
+    (chi, dchi), (chi_ref, dchi_ref) = _sweep_case(nodes, step)
+    np.testing.assert_allclose(chi, chi_ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(dchi, dchi_ref, rtol=1e-13, atol=0)

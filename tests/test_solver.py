@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
+from semiflrw.fixedpoint import PicardReport
 from semiflrw.solver import (
     EXIT_CODES,
     CriticalHubble,
@@ -21,6 +23,7 @@ from semiflrw.solver import (
     effective_wick_config,
     initial_segment_state,
     load_checkpoint,
+    picard_seed,
     save_checkpoint,
     solution_diagnostics,
     solve_segment,
@@ -102,6 +105,15 @@ class TestConfig:
             {"safety": 0.0},
             {"safety": 1.5},
             {"max_segments": 0},
+            {"max_iter": 0},
+            {"max_halvings": -1},
+            {"substep_cap": 0.0},
+            {"substep_cap": -0.02},
+            {"substep_cap": math.inf},
+            {"wronskian_budget": -1e-8},
+            {"wronskian_budget": math.nan},
+            {"wronskian_tolerance": 0.0},
+            {"wronskian_tolerance": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -726,6 +738,79 @@ class TestBogoliubovState:
         assert sol_b.hubble[-1] != sol_v.hubble[-1]
         # excited state carries positive energy density relative to vacuum
         assert sol_b.hubble[-1] > sol_v.hubble[-1]
+
+
+def carry_with_history(hubble_of, report=PicardReport(3, (1e-11,), True, 1e-10)):
+    """A massless carry whose 49-node history on [0, 1e-3] is hubble_of(tau)."""
+    taus = np.linspace(0.0, 1e-3, 49)
+    state0 = initial_segment_state(
+        InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=0.0), W0
+    )
+    return replace(
+        state0, hist_taus=taus, hist_hubble=hubble_of(taus), hist_a=np.ones(49),
+        hist_wick=np.zeros(49), last_report=report,
+    )
+
+
+class TestPicardSeed:
+    nodes = np.linspace(1e-3, 2e-3, 49)
+
+    def test_extrapolates_a_quartic_history(self):
+        def quartic(tau):
+            return 10.0 + 3e3 * tau - 4e6 * tau**2 + 2e9 * tau**3 - 7e11 * tau**4
+
+        carry = carry_with_history(quartic)
+        seed = picard_seed(carry, self.nodes, 10.0, 49)
+        assert seed[0] == carry.hubble_start
+        # extrapolating one segment ahead amplifies the history's rounding
+        # by the Lebesgue constant, about 1e3 for these five nodes
+        np.testing.assert_allclose(seed, quartic(self.nodes), rtol=1e-10, atol=0)
+
+    def test_no_seed_on_the_first_segment(self):
+        state0 = initial_segment_state(
+            InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=0.0), W0
+        )
+        assert picard_seed(state0, self.nodes - 1e-3, 10.0, 49) is None
+
+    def test_no_seed_after_a_halving(self):
+        halved = PicardReport(3, (1e-11,), True, 1e-10, halvings=1)
+        carry = carry_with_history(lambda tau: 10.0 + 1e3 * tau, halved)
+        assert picard_seed(carry, self.nodes, 10.0, 49) is None
+
+    def test_no_seed_with_fewer_than_nine_nodes_per_segment(self):
+        carry = carry_with_history(lambda tau: 10.0 + 1e3 * tau)
+        assert picard_seed(carry, self.nodes, 10.0, 49) is not None
+        assert picard_seed(carry, self.nodes, 10.0, 8) is None
+
+    def test_no_seed_on_a_constant_history(self):
+        carry = carry_with_history(lambda tau: np.full(tau.size, 10.0))
+        assert picard_seed(carry, self.nodes, 10.0, 49) is None
+
+    def test_no_seed_out_of_the_tube_just_below_the_wall(self):
+        # H climbs steeply to 1e-3 below Hc; the tube radius is half the gap
+        carry = carry_with_history(lambda tau: HC - 1e-3 - 1e2 * (1e-3 - tau))
+        delta = 0.5 * (HC - abs(carry.hubble_start))
+        assert picard_seed(carry, self.nodes, 1e3, 49) is not None
+        assert picard_seed(carry, self.nodes, delta, 49) is None
+
+    def test_seeded_segments_take_at_most_two_iterates(self):
+        # unseeded, every segment of this run takes 5 or 6 iterates
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, 5.0), 0.01, PhysicalParams(mass=1.0),
+            WickConfig(k_max=20.0, n_k=32), SolverConfig(),
+        )
+        assert rep.reason == "TimeHorizon"
+        assert len(sol.reports) == 9
+        assert all(r.halvings == 0 for r in sol.reports)
+        assert max(r.iterates for r in sol.reports[1:]) <= 2
+
+    def test_loaded_carry_holds_the_last_report(self, tmp_path, mass_run):
+        sol = mass_run[0]
+        path = tmp_path / "ckpt.json"
+        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        save_checkpoint(path, log, 0.004)
+        carry, reports, _, _ = load_checkpoint(path)
+        assert carry.last_report == reports[-1] == sol.final_state.last_report
 
 
 class TestSegmentCallback:
