@@ -71,6 +71,13 @@ _TOP_KEYS = {
     "out_dir",
 }
 _CONSTRAINT_KEYS = {"variant", "sign", "target_hubble"}
+# Keys of "numerical" that were removed, with what became of them.  They
+# are answered as removed, not as misspelt: a similar name would steer an
+# old config towards a different setting (tol is no successor of tol_rel).
+_REMOVED_NUMERICAL = {
+    "tol_rel": "nothing replaces it",
+    "safety": "the step controller has no safety factor",
+}
 _STATE_KEYS = {"type", "amplitude", "k_scale"}
 
 
@@ -191,13 +198,12 @@ def parse_config_mapping(raw: dict, origin: str) -> RunConfig:
     numerical_raw = raw.get("numerical", {})
     if not isinstance(numerical_raw, dict):
         raise ParseError(f"{origin}: numerical must be an object")
-    if "tol_rel" in numerical_raw:
-        # removed, not misspelt: pointing it at a similar name would steer an
-        # old config towards the Picard tolerance, a different setting
-        raise ParseError(
-            f"key 'tol_rel' in {origin}.numerical was removed and nothing"
-            " replaces it; delete it"
-        )
+    for key in numerical_raw:
+        if key in _REMOVED_NUMERICAL:
+            raise ParseError(
+                f"key {key!r} in {origin}.numerical was removed and"
+                f" {_REMOVED_NUMERICAL[key]}; delete it"
+            )
     _check_keys(numerical_raw, set(_NUMERICAL_DEFAULTS), f"{origin}.numerical")
     numerical = dict(_NUMERICAL_DEFAULTS)
     for key, value in numerical_raw.items():

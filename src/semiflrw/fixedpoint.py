@@ -1,13 +1,17 @@
 """Picard iteration for retarded Volterra equations X = F0 + int f(X).
 
-The step selector keeps the iteration inside an admissible tube of radius
-delta around F0 (step <= safety * delta / K for a uniform bound K on f), the
-iterator runs X_{n+1} = F0 + int_a^t f(X_n) with trapezoid quadrature until
-the discrete uniform norm of the update falls below tol, and the halving
-driver shrinks the segment (up to 6 times) when convergence fails on the
-requested span.  Convergence is always confirmed a posteriori through the
-equation residual, so the bound estimates only influence step size, never
-correctness.
+The iterator runs X_{n+1} = F0 + int_a^t f(X_n) with trapezoid quadrature
+until the discrete uniform norm of the update falls below tol.  That update
+norm is exactly the equation residual ||X_n - F0 - int f(X_n)|| of the
+iterate it was computed from, so the iterator returns X_n, with the
+evaluation made at X_n: convergence is confirmed a posteriori, without an
+evaluation of its own.  The retry driver runs the iterator on a trial span
+and retries on a span half as long (up to max_halvings times; by default
+the span's front half) when the trial is rejected: the iteration does not
+converge, the caller's right-hand side raises one of the caller's retry
+errors, or the caller's check of the converged trial raises Rejected.  How
+long the trial span is, is the caller's choice; only a converged, accepted
+trial is returned.
 """
 
 from __future__ import annotations
@@ -20,10 +24,6 @@ import numpy as np
 from .core import cumulative_trapezoid
 
 
-class ZeroStep(RuntimeError):
-    """Step selection underflowed to zero."""
-
-
 class NaNDetected(RuntimeError):
     """An iterate left the reals; carries the first offending node."""
 
@@ -31,6 +31,10 @@ class NaNDetected(RuntimeError):
         super().__init__(message)
         self.node_index = node_index
         self.tau = tau
+
+
+class Rejected(RuntimeError):
+    """A converged trial failed the caller's acceptance check."""
 
 
 class NoConvergence(RuntimeError):
@@ -69,27 +73,6 @@ class PicardReport:
         }
 
 
-def select_step(
-    bound: float,
-    delta: float,
-    span: float,
-    safety: float = 0.5,
-) -> float:
-    """Largest admissible step min(safety * delta / bound, span)."""
-    if not bound > 0.0:
-        raise ValueError("bound must be > 0")
-    if not delta > 0.0:
-        raise ValueError("delta must be > 0")
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
-    if not span > 0.0:
-        raise ValueError("span must be > 0")
-    step = min(safety * delta / bound, span)
-    if step <= 0.0 or not np.isfinite(step):
-        raise ZeroStep(f"step underflow: delta={delta}, bound={bound}")
-    return step
-
-
 def picard_solve(
     f0: np.ndarray,
     rhs: Callable[[np.ndarray], tuple[np.ndarray, object]],
@@ -107,10 +90,10 @@ def picard_solve(
     iterate is F0 unless a seed x0 is supplied; the equation solved is the
     same either way.  Raises NaNDetected on the first non-finite node and
     NoConvergence (with the report attached) when max_iter is exhausted.
-    On success the equation residual ||X - F0 - int f(X)|| is recorded and
-    guaranteed < 2 tol, and the byproduct of the last evaluation, at the
-    returned X, is returned with it; earlier byproducts are dropped as they
-    come.
+    On success the returned X is the last iterate the RHS was evaluated at:
+    its equation residual ||X - F0 - int f(X)|| is the last update norm,
+    recorded and < tol, and the byproduct of that evaluation comes with it;
+    earlier byproducts are dropped as they come.
     """
     if np.shape(f0) != nodes.shape:
         raise ValueError("f0 must hold one value per node")
@@ -121,7 +104,7 @@ def picard_solve(
     current = f0 if x0 is None else x0
     residuals: list[float] = []
     for iteration in range(1, max_iter + 1):
-        values, _ = rhs(current)
+        values, byproduct = rhs(current)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != nodes.shape:
             raise ValueError("rhs must return one value per node")
@@ -140,36 +123,28 @@ def picard_solve(
             raise NaNDetected(
                 f"iterate became non-finite at node {j}", j, float(nodes[j])
             )
+        # ||X_{n+1} - X_n|| is the equation residual of X_n
         residual = float(np.max(np.abs(new_values - current)))
         residuals.append(residual)
-        current = new_values
         if residual < tol:
-            final_values, byproduct = rhs(current)
-            final_values = np.asarray(final_values, dtype=np.float64)
-            eq_residual = float(
-                np.max(
-                    np.abs(current - f0 - cumulative_trapezoid(final_values, nodes))
-                )
-            )
             report = PicardReport(
                 iterates=iteration,
                 residuals=tuple(residuals),
                 converged=True,
                 tol=tol,
-                equation_residual=eq_residual,
+                equation_residual=residual,
             )
             return current, report, byproduct
+        current = new_values
     report = PicardReport(
         iterates=max_iter, residuals=tuple(residuals), converged=False, tol=tol
     )
     raise NoConvergence(f"no convergence after {max_iter} iterations", report)
 
 
-def _front_half(nodes: np.ndarray) -> np.ndarray:
-    keep = (nodes.size + 1) // 2
-    if keep < 3:
-        raise ValueError("grid too short to halve")
-    return nodes[:keep]
+def _front_half(nodes: np.ndarray) -> np.ndarray | None:
+    """The leading half of the nodes, None when it would keep fewer than 3."""
+    return nodes[: (nodes.size + 1) // 2] if nodes.size >= 5 else None
 
 
 def picard_solve_with_halving(
@@ -179,31 +154,47 @@ def picard_solve_with_halving(
     max_iter: int = 60,
     max_halvings: int = 6,
     x0: np.ndarray | None = None,
+    retry_on: tuple[type[Exception], ...] = (),
+    check: Callable[[np.ndarray, np.ndarray, object], None] | None = None,
+    halve: Callable[[np.ndarray], np.ndarray | None] = _front_half,
 ) -> tuple[np.ndarray, PicardReport, np.ndarray, object]:
-    """Run picard_solve, halving the segment on NoConvergence.
+    """Run picard_solve on a trial span, retrying on a span half as long
+    when the trial is rejected.
 
-    build(nodes) must produce the (F0, rhs) pair for any leading run of the
-    nodes; the returned nodes are the span that actually converged, and
-    the byproduct is picard_solve's, from the solution on that span.  The
-    seed x0, when given, starts the first attempt only, on the full nodes;
-    after a halving the iteration starts from F0.
+    A trial is rejected when it does not converge, when building it or
+    evaluating its rhs raises one of retry_on, and when check(solution,
+    nodes, byproduct), run on the converged trial, raises Rejected.
+    halve(nodes) gives the nodes of the retry, None when there are too few
+    to halve; by default the leading half of the nodes.  build(nodes) must
+    produce the (F0, rhs) pair for any nodes halve can give.  The returned
+    nodes are the span that was accepted, and the byproduct is
+    picard_solve's, from the solution on that span.  After max_halvings
+    retries, or when halve gives None, the last rejection is raised
+    (NoConvergence with the report of the last trial).  The seed x0, when
+    given, starts the first attempt only, on the full nodes; after a retry
+    the iteration starts from F0.
     """
     halvings = 0
     while True:
-        f0, rhs = build(nodes)
         try:
+            f0, rhs = build(nodes)
             solution, report, byproduct = picard_solve(
                 f0, rhs, nodes, tol, max_iter, x0
             )
-        except NoConvergence as err:
-            if halvings >= max_halvings:
+            if check is not None:
+                check(solution, nodes, byproduct)
+        except (NoConvergence, Rejected, *retry_on) as err:
+            shorter = halve(nodes) if halvings < max_halvings else None
+            if shorter is not None:
+                halvings += 1
+                nodes = shorter
+                x0 = None
+                continue
+            if isinstance(err, NoConvergence):
                 raise NoConvergence(
                     f"no convergence after {halvings} halvings", err.report
                 ) from err
-            halvings += 1
-            nodes = _front_half(nodes)
-            x0 = None
-            continue
+            raise
         if halvings:
             report = replace(report, halvings=halvings)
         return solution, report, nodes, byproduct

@@ -8,24 +8,39 @@ The Hubble rate solves the retarded Volterra equation
 
 in units 8 pi G = c = hbar = 1, with a(H) = a_carry / (1 - a_carry int H) on
 each segment and W_ren from the tau0-anchored mode bank evolved against a(H).
-Each segment picks a span small enough that the Picard map stays inside a
-tube around the constant start value (radius half the distance to the
-critical rate, further limited so the scale-factor denominator keeps at
-least half its value), iterates to the fixed point, carries the state
+Each segment iterates to the fixed point on a trial span, carries the state
 forward, and the outer loop continues until the time horizon or the first
 regularity breach.
+
+The span comes from a local step controller (choose_step), after
+Gustafsson and Soderlind, which steers the Picard iteration's convergence
+rate rather than bounding f over a tube.  It is the least of: a contraction
+limit, aiming at TARGET_CONTRACTION per iterate from the larger of the last
+segment's largest observed ratio and |df/dH| dt at the carried node; an
+accuracy limit, scaling dt by (target / err)^(1/3) with err the Richardson
+estimate of the trapezoid error (all nodes against every second node, on f
+at the returned iterate, so no extra evaluation); a growth limit, a
+fraction of gap / |f| at the carried node, gap = Hc - |H|; a denominator
+limit 1 / (2 a max|H|) over the converged nodes; dt_target; and the
+remaining span.  A trial that does not converge, whose iterate crosses the
+critical rate or blows the scale factor up, or whose Richardson estimate is
+well above target is rejected and retried on its front half, so only a
+converged segment's nodes can end a run.  Each segment is still confirmed
+after the fact by its equation residual.
 
 The iteration starts from a seed extrapolated from the segment before
 (picard_seed): the start value plus the degree-4 polynomial through the
 increments H - H_start at every second one of the last 9 history nodes.  It
 starts from the constant instead on the first segment, after a halving,
 with fewer than 9 nodes per segment, on a constant history, and when the
-seed leaves the tube.  The seed changes the iterates, not the fixed point.
+seed strays more than half the gap from the start value.  The seed changes
+the iterates, not the fixed point.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from dataclasses import dataclass, replace
@@ -40,6 +55,7 @@ from .core import (
     PhysicalParams,
     SampledFunction,
     cosmological_time,
+    cumulative_trapezoid,
     ricci_scalar,
     scale_factor_from_hubble,
 )
@@ -47,9 +63,8 @@ from .fixedpoint import (
     NaNDetected,
     NoConvergence,
     PicardReport,
-    ZeroStep,
+    Rejected,
     picard_solve_with_halving,
-    select_step,
 )
 from .modes import SUBSTEP_CAP, ModeBank, evolve_bank, potential
 from .wick import (
@@ -59,6 +74,8 @@ from .wick import (
     wick_square_bogoliubov_delta,
     wick_square_renormalized,
 )
+
+log = logging.getLogger(__name__)
 
 REASON_TIME_HORIZON = "TimeHorizon"
 REASON_CRITICAL_HUBBLE = "HitCriticalHubble"
@@ -76,6 +93,10 @@ EXIT_CODES = {
 class BankCheckFailed(RuntimeError):
     """The carried mode bank lost its tau0 anchor or drifted past the
     Wronskian tolerance."""
+
+
+class ZeroStep(RuntimeError):
+    """The step underflowed to zero or below the float spacing of the nodes."""
 
 
 class CriticalHubble(RuntimeError):
@@ -102,7 +123,6 @@ class SolverConfig:
     nodes_per_segment: int = 49
     epsilon_critical: float = 1e-6
     epsilon_scale: float = 1e-6
-    safety: float = 0.5
     substep_cap: float = SUBSTEP_CAP
     wronskian_budget: float = 1e-8
     wronskian_tolerance: float = 1e-5
@@ -126,8 +146,6 @@ class SolverConfig:
             raise ValueError("epsilon_critical must lie in (0, 0.1)")
         if not 0.0 < self.epsilon_scale < 0.1:
             raise ValueError("epsilon_scale must lie in (0, 0.1)")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
         if self.max_segments < 1:
             raise ValueError("max_segments must be >= 1")
 
@@ -142,7 +160,9 @@ class SegmentState:
     included) in what solve_segment returns.  The mode bank (massive case
     only) sits at tau_start and is anchored at tau0 for its whole life,
     witnessed by anchor_digest.  last_report is the Picard report of the
-    segment that ended at tau_start, None in the initial state.
+    segment that ended at tau_start and next_step the (span, limit) that
+    segment proposed for the next one (see choose_step); both are None in
+    the initial state.
     """
 
     initial: InitialData
@@ -154,6 +174,7 @@ class SegmentState:
     mode_bank_carry: ModeBank | None
     anchor_digest: str | None
     last_report: PicardReport | None = None
+    next_step: tuple[float, str] | None = None
 
     @property
     def tau_start(self) -> float:
@@ -319,7 +340,8 @@ def _rhs_detail(
     wronskian_budget: float = 1e-8,
     profile: BogoliubovProfile | None = None,
 ):
-    """f(H) at the segment nodes and the byproducts (W, a, the bank's history)."""
+    """f(H) at the segment nodes and the byproducts (f, W, a, the bank's
+    history)."""
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
     critical = params.hubble_critical
@@ -346,23 +368,79 @@ def _rhs_detail(
         history = None
     source = friedmann_source(h, w_vals, params)
     f_vals = a_vals * source / (critical**2 - h**2)
-    return f_vals, (w_vals, a_vals, history)
+    return f_vals, (f_vals, w_vals, a_vals, history)
 
 
-def _rhs_bound(carry: SegmentState, params: PhysicalParams, h_max: float) -> float:
-    """Uniform bound on |f| over the tube |H| <= h_max with a <= 2 a_carry."""
-    critical = params.hubble_critical
-    # W at the carried bank, stored by the RHS evaluation that ended there
-    w_carry = float(carry.hist_wick[-1])
-    w_bound = 2.0 * abs(w_carry) + params.mass**2 / (16.0 * math.pi**2)
-    numerator = (
-        h_max**4
-        + 2.0 * critical**2 * h_max**2
-        + 240.0 * math.pi**2 * params.mass**2 * w_bound
-        + 7.5 * params.mass**4
-        + 960.0 * math.pi**2 * abs(params.cosmological_constant)
+# Step control.  The Picard iteration should contract by about this much
+# per iterate.
+TARGET_CONTRACTION = 0.05
+# The Richardson estimate of a segment's trapezoid error has a target of
+# this many Picard tolerances.  The controller aims at ACCURACY_AIM times
+# the target, and a trial above REJECT_ACCURACY times it is rejected.
+ACCURACY_PER_TOL = 30.0
+ACCURACY_AIM = 0.5
+REJECT_ACCURACY = 4.0
+# A segment may move H by about this fraction of its gap to the critical
+# rate, at the slope of its start node.
+GROWTH_FRACTION = 0.25
+# The span changes by at most this factor from one segment to the next,
+# either way, and does not grow after a segment that needed a retry.
+MAX_FACTOR = 4.0
+
+
+def _quotient(num: float, den: float) -> float:
+    return num / den if den else math.inf
+
+
+def choose_step(
+    h: float,
+    a: float,
+    w: float,
+    h_max: float,
+    params: PhysicalParams,
+    previous: tuple[float, float, float, bool] | None = None,
+) -> tuple[float, str]:
+    """The (span, limit) of a segment starting at H = h, a and W = w.
+
+    h_max is the largest |H| of the converged nodes at hand.  previous is
+    (span, largest contraction ratio, Richardson estimate over its target,
+    retried) of the segment that ended here, None at the start of a run.
+    The limit names which of contraction, accuracy, growth and denominator
+    gave the span (see the module docstring); dt_target and the remaining
+    span are applied by solve_segment.  Python floats throughout: a value
+    out of the float range raises OverflowError.
+    """
+    gap2 = params.hubble_critical**2 - h**2
+    f = a * friedmann_source(h, w, params) / gap2
+    # |df/dH| at fixed a and W, from the source formula
+    stiffness = abs(2.0 * h * (f / gap2 - 2.0 * a))
+    limits = {}
+    if previous is None:
+        limits["contraction"] = _quotient(TARGET_CONTRACTION, stiffness)
+    else:
+        dt, ratio, error, retried = previous
+        low, high = 1.0 / MAX_FACTOR, 1.0 if retried else MAX_FACTOR
+        rho = max(ratio, stiffness * dt)
+        factors = {
+            "contraction": _quotient(TARGET_CONTRACTION, rho),
+            "accuracy": _quotient(ACCURACY_AIM, error) ** (1.0 / 3.0),
+        }
+        for name, factor in factors.items():
+            limits[name] = dt * min(max(factor, low), high)
+    limits["growth"] = _quotient(
+        GROWTH_FRACTION * (params.hubble_critical - abs(h)), abs(f)
     )
-    return 2.0 * carry.a_carry * numerator / (critical**2 - h_max**2)
+    limits["denominator"] = _quotient(1.0, 2.0 * a * h_max)
+    name = min(limits, key=limits.get)
+    return limits[name], name
+
+
+def richardson_error(f: np.ndarray, nodes: np.ndarray) -> float:
+    """Trapezoid error of int f over the nodes, estimated from the rule on
+    every second node: the coarse rule's error is 4 times the fine one's."""
+    fine = cumulative_trapezoid(f, nodes)[::2]
+    coarse = cumulative_trapezoid(f[::2], nodes[::2])
+    return float(np.max(np.abs(fine - coarse))) / 3.0
 
 
 # the seed's polynomial runs through every second one of this many last nodes
@@ -381,7 +459,7 @@ def picard_seed(
     reads only those nodes and the carry's last report, so a resumed run
     seeds as the uninterrupted one does.  None on the first segment, after
     a halving, when segments hold fewer than 9 nodes, on a constant history,
-    and when the seed leaves the tube |seed - H_start| <= delta: an
+    and when the seed strays more than delta from H_start: an
     extrapolation near the wall may cross the critical rate.
     """
     report = carry.last_report
@@ -405,6 +483,18 @@ def picard_seed(
     return seed
 
 
+def _segment_nodes(tau_start: float, dt: float, count: int) -> np.ndarray:
+    """count nodes on [tau_start, tau_start + dt]; the nodes are checked
+    here only, and everything downstream takes them as given."""
+    nodes = np.linspace(tau_start, tau_start + dt, count)
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ZeroStep(
+            f"step {dt:.3g} at tau={tau_start!r} is below the float"
+            " spacing of the segment nodes"
+        )
+    return nodes
+
+
 def solve_segment(
     carry: SegmentState,
     tau_horizon: float,
@@ -415,14 +505,18 @@ def solve_segment(
 ) -> SegmentState:
     """Advance the carried state by one converged segment.
 
+    The trial span is the carry's next_step (choose_step at the carried node
+    for the initial state), capped by dt_target and the remaining span.
     The returned state holds the segment's own nodes, its start included,
-    cut at the first new node past the wall guard or the scale margin.
+    cut at the first new node past the wall guard or the scale margin, and
+    the span it proposes for the segment after it.
 
-    Raises NoConvergence after the halving retries are exhausted,
-    BankCheckFailed when the carried bank is unfit to continue, ZeroStep
-    when the step underflows to zero or below the float spacing of the
-    nodes, OverflowError when the tube bound leaves the float range, and
-    propagates NaNDetected / CriticalHubble / BlowUp with their locations.
+    Raises NoConvergence, CriticalHubble, BlowUp or Rejected (Richardson
+    estimate above REJECT_ACCURACY times its target) when the last retry is
+    rejected for that reason, BankCheckFailed when the carried bank is unfit
+    to continue, ZeroStep when the step underflows to zero or below the
+    float spacing of the nodes, OverflowError when the step estimate leaves
+    the float range, and NaNDetected with its location.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
@@ -438,26 +532,20 @@ def solve_segment(
         raise ValueError("carry is already at or past the horizon")
     h_start = carry.hubble_start
     critical = params.hubble_critical
-    gap = critical - abs(h_start)
-    delta = 0.5 * gap
-    h_max = abs(h_start) + delta
-    bound = _rhs_bound(carry, params, h_max)
-    tube_step = select_step(bound, delta, remaining, solver_cfg.safety)
-    # keep a_carry * int H below 1/2 so a(H) at most doubles on the segment
-    denominator_step = 1.0 / (2.0 * carry.a_carry * h_max)
+    step = carry.next_step or choose_step(
+        h_start, carry.a_carry, float(carry.hist_wick[-1]), abs(h_start), params
+    )
     dt_cap = solver_cfg.dt_target
     if dt_cap is None:
         dt_cap = default_dt_target(h_start, carry.a_carry, params.mass)
-    dt = min(tube_step, denominator_step, dt_cap, remaining)
-    # the nodes are checked here only; everything below takes them as given
-    nodes = np.linspace(
-        carry.tau_start, carry.tau_start + dt, solver_cfg.nodes_per_segment
+    # on a tie the first limit is named; a NaN step stays first and fails below
+    dt, limit = min(
+        (step, (dt_cap, "dt_target"), (remaining, "remaining")),
+        key=lambda pair: pair[0],
     )
-    if not np.all(np.diff(nodes) > 0.0):
-        raise ZeroStep(
-            f"step {dt:.3g} at tau={carry.tau_start!r} is below the float"
-            " spacing of the segment nodes"
-        )
+    if not 0.0 < dt < math.inf:
+        raise ZeroStep(f"step underflow: {limit} limit {dt!r}")
+    nodes = _segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
 
     def build(sub: np.ndarray):
         def rhs(x):
@@ -468,11 +556,35 @@ def solve_segment(
 
         return np.full(sub.size, h_start), rhs
 
-    seed = picard_seed(carry, nodes, delta, solver_cfg.nodes_per_segment)
+    target = ACCURACY_PER_TOL * solver_cfg.tol
+    errors = []
+
+    def check(h, sub, byproduct):
+        errors.append(richardson_error(byproduct[0], sub))
+        if errors[-1] > REJECT_ACCURACY * target:
+            raise Rejected(
+                f"Richardson estimate {errors[-1]:.3g} on a span of"
+                f" {sub[-1] - sub[0]:.3g} exceeds {REJECT_ACCURACY:g} x"
+                f" {target:.3g}"
+            )
+
+    def halve(sub):
+        return _segment_nodes(sub[0], 0.5 * (sub[-1] - sub[0]), sub.size)
+
+    seed = picard_seed(
+        carry, nodes, 0.5 * (critical - abs(h_start)), solver_cfg.nodes_per_segment
+    )
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    h_vals, report, nodes, (w_vals, a_vals, history) = picard_solve_with_halving(
+    h_vals, report, nodes, (_, w_vals, a_vals, history) = picard_solve_with_halving(
         build, nodes, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings,
-        seed,
+        seed, retry_on=(CriticalHubble, BlowUp), check=check, halve=halve,
+    )
+    ratio = max(report.contraction_ratios, default=0.0)
+    log.debug(
+        "segment tau=%r dt=%.6g limit=%s iterates=%d ratio=%.3g"
+        " richardson=%.3g retries=%d",
+        carry.tau_start, nodes[-1] - nodes[0], limit, report.iterates, ratio,
+        errors[-1], report.halvings,
     )
     # the run ends at a breach node, so the segment and its bank end there
     wall = (1.0 - solver_cfg.epsilon_critical) * critical
@@ -482,6 +594,9 @@ def solve_segment(
     last = int(np.argmax(breach)) + 1 if np.any(breach) else nodes.size - 1
     if history is not None:
         bank = bank.moved_to(history.chi[last], history.dchi[last], nodes[last])
+    previous = (
+        float(nodes[-1] - nodes[0]), ratio, errors[-1] / target, report.halvings > 0
+    )
     return SegmentState(
         initial=carry.initial,
         hist_taus=nodes[: last + 1],
@@ -492,6 +607,10 @@ def solve_segment(
         mode_bank_carry=bank,
         anchor_digest=carry.anchor_digest,
         last_report=report,
+        next_step=choose_step(
+            float(h_vals[last]), float(a_vals[last]), float(w_vals[last]),
+            float(np.max(np.abs(h_vals[: last + 1]))), params, previous,
+        ),
     )
 
 
@@ -562,7 +681,7 @@ def continue_maximal(
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"picard_residuals": list(err.report.residuals)}
             break
-        except (BankCheckFailed, ZeroStep, OverflowError) as err:
+        except (BankCheckFailed, Rejected, ZeroStep, OverflowError) as err:
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"error": str(err)}
             break
@@ -673,11 +792,12 @@ def save_checkpoint(
     horizon, initial data, anchor digest) and the state so far, the mode
     bank's fixed momenta and weights included; each later line is a record
     of what is new since the line before: the history from node index
-    ``start`` on, the new Picard reports and segment bounds, and the
-    carried a and the bank's modes.  ``written`` is what the previous call
-    for this file returned.  None starts the file: the whole state is
-    written to a temporary file that then replaces ``path``.  Otherwise one
-    record is appended, so a write costs O(segment), not O(history); the
+    ``start`` on, the new Picard reports and segment bounds, the carried a,
+    the span proposed for the next segment and the bank's modes.
+    ``written`` is what the previous call for this file returned.  None
+    starts the file: the whole state is written to a temporary file that
+    then replaces ``path``.  Otherwise one record is appended, so a write
+    costs O(segment), not O(history); the
     log must be the one last written, grown since.  Each line is one
     ``json.dumps`` call, which takes the C encoder (``json.dump`` takes the
     pure-Python one); floats survive the round trip exactly (repr-based).
@@ -698,6 +818,7 @@ def save_checkpoint(
         "reports": [r.as_dict() for r in log.reports[n_reports:]],
         "segment_bounds": log.bounds[n_bounds:],
         "a_carry": carry.a_carry,
+        "next_step": carry.next_step,
         "bank": None,
     }
     if bank is not None:
@@ -813,8 +934,9 @@ def load_checkpoint(path):
         )
         for r in raw_reports
     )
-    # the last report goes with the carry, as in the run that wrote the file:
-    # the next segment's seed reads it
+    # the last report and the proposed span go with the carry, as in the run
+    # that wrote the file: the next segment's seed and span read them
+    next_step = records[-1].get("next_step")
     carry = SegmentState(
         initial=initial,
         hist_taus=np.array(history["taus"]),
@@ -825,5 +947,6 @@ def load_checkpoint(path):
         mode_bank_carry=bank,
         anchor_digest=header["anchor_digest"],
         last_report=reports[-1] if reports else None,
+        next_step=None if next_step is None else tuple(next_step),
     )
     return carry, reports, tuple(bounds), header["tau_horizon"]

@@ -74,7 +74,7 @@ class WickConfig:
             raise ValueError("panel_points must be >= 2")
         if self.n_k % self.panel_points != 0:
             raise ValueError("n_k must be a multiple of panel_points")
-        if self.k_knee < 0.0:
+        if not self.k_knee >= 0.0:
             raise ValueError("k_knee must be >= 0")
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
+import re
 import os
 import subprocess
 import sys
@@ -63,6 +65,7 @@ def assert_checkpoint_holds(path, solution):
     for attr in ("hist_taus", "hist_hubble", "hist_a", "hist_wick"):
         assert getattr(carry, attr).tobytes() == getattr(state, attr).tobytes()
     assert carry.a_carry.hex() == state.a_carry.hex()
+    assert carry.next_step == state.next_step
     assert carry.anchor_digest == state.anchor_digest
     assert reports == solution.reports
     assert bounds == solution.segment_bounds
@@ -124,6 +127,17 @@ class TestParsing:
         # tol is the Picard tolerance, not a successor of tol_rel
         assert "did you mean" not in str(err.value)
         assert "'tol'" not in str(err.value)
+
+    def test_removed_safety_key_is_rejected(self, tmp_path, capsys):
+        # schema break: the tube step's safety factor went with the tube;
+        # older configs and summary.json echoes carry it
+        path = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={"safety": 0.5}
+        )
+        with pytest.raises(cli.ParseError, match="'safety'.*removed.*delete it"):
+            cli.parse_config(path)
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "'safety'" in capsys.readouterr().err
 
     def test_missing_mass(self, tmp_path):
         path = write_config(tmp_path / "c.json", horizon=0.5)
@@ -223,6 +237,9 @@ class TestValidation:
             {"substep_cap": -0.02},
             {"wronskian_budget": -1e-8},
             {"wronskian_tolerance": 0.0},
+            # NaN fails every comparison, so only a test that asks for
+            # k_knee >= 0 rejects it
+            {"k_knee": math.nan},
         ],
     )
     def test_bad_solver_knob_exits_2(self, tmp_path, capsys, numerical):
@@ -337,11 +354,16 @@ class TestRunCommand:
 
 
 class TestCheckpointResume:
+    # dt_target 1e-3 makes a run here as many segments long as its horizon
+    # has milliseconds; the step controller alone takes these spans in one
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        full_cfg = write_config(tmp_path / "full.json", mass=1.0, horizon=0.004)
+        full_cfg = write_config(
+            tmp_path / "full.json", mass=1.0, horizon=0.004,
+            numerical={"dt_target": 1e-3},
+        )
         part_cfg = write_config(
             tmp_path / "part.json", mass=1.0, horizon=0.004,
-            numerical={"max_segments": 2},
+            numerical={"dt_target": 1e-3, "max_segments": 2},
         )
         full_out = tmp_path / "full_out"
         assert cli.main(["run", full_cfg, "--out", str(full_out)]) == 0
@@ -366,7 +388,7 @@ class TestCheckpointResume:
     def test_resume_horizon_mismatch_exits_2(self, tmp_path, capsys):
         cfg_a = write_config(
             tmp_path / "a.json", mass=0.0, horizon=0.01,
-            numerical={"max_segments": 2},
+            numerical={"dt_target": 1e-3, "max_segments": 2},
         )
         ck = tmp_path / "ck.json"
         cli.main(["run", cfg_a, "--out", str(tmp_path / "a_out"),
@@ -386,7 +408,10 @@ class TestCheckpointResume:
             return save(path, *args)
 
         monkeypatch.setattr(cli, "save_checkpoint", counted)
-        cfg = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        cfg = write_config(
+            tmp_path / "c.json", mass=0.0, horizon=0.01,
+            numerical={"dt_target": 1e-3},
+        )
         ck = tmp_path / "ck.json"
         out = tmp_path / "out"
         code = cli.main(
@@ -408,7 +433,10 @@ class TestCheckpointResume:
     def test_appended_checkpoint_reloads_the_final_state(
         self, tmp_path, monkeypatch, every
     ):
-        cfg = write_config(tmp_path / "c.json", mass=1.0, horizon=0.01)
+        cfg = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.01,
+            numerical={"dt_target": 1e-3},
+        )
         ck = tmp_path / "ck.json"
         code, solution = run_capturing(
             monkeypatch,
@@ -424,7 +452,10 @@ class TestCheckpointResume:
         assert_checkpoint_holds(ck, solution)
 
     def test_torn_last_line_loads_the_previous_record(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", mass=1.0, horizon=0.01)
+        cfg = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.01,
+            numerical={"dt_target": 1e-3},
+        )
         full_out = tmp_path / "full_out"
         ck = tmp_path / "ck.json"
         assert cli.main(
@@ -462,10 +493,13 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("target", ["same", "new"])
     def test_resume_checkpoints_stay_loadable(self, tmp_path, monkeypatch, target):
-        full_cfg = write_config(tmp_path / "full.json", mass=1.0, horizon=0.01)
+        full_cfg = write_config(
+            tmp_path / "full.json", mass=1.0, horizon=0.01,
+            numerical={"dt_target": 1e-3},
+        )
         part_cfg = write_config(
             tmp_path / "part.json", mass=1.0, horizon=0.01,
-            numerical={"max_segments": 2},
+            numerical={"dt_target": 1e-3, "max_segments": 2},
         )
         full_out = tmp_path / "full_out"
         code, full = run_capturing(
@@ -496,7 +530,10 @@ class TestCheckpointResume:
             assert carry.hist_taus.size < full.taus.size
 
     def test_appended_records_do_not_grow_with_the_history(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", mass=0.0, horizon=0.05)
+        cfg = write_config(
+            tmp_path / "c.json", mass=0.0, horizon=0.05,
+            numerical={"dt_target": 1e-3},
+        )
         ck = tmp_path / "ck.json"
         out = tmp_path / "out"
         assert cli.main(
@@ -520,7 +557,10 @@ class TestCheckpointResume:
         assert start == series["n_nodes"]
 
     def test_appended_records_omit_the_fixed_bank_arrays(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.json", mass=1.0, horizon=0.01)
+        cfg = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.01,
+            numerical={"dt_target": 1e-3},
+        )
         ck = tmp_path / "ck.json"
         code, solution = run_capturing(
             monkeypatch,
@@ -567,6 +607,57 @@ class TestCheckpointResume:
         err = capsys.readouterr().err
         assert "cannot resume" in err
         assert "version 1" in err
+
+
+class TestStepLog:
+    def run_logged(self, tmp_path, caplog, name, level, **config):
+        """Run a config at a log level; return the limit named per segment
+        and the bytes of solution.csv and summary.json."""
+        caplog.clear()
+        caplog.set_level(level, logger="semiflrw")
+        path = write_config(tmp_path / f"{name}.json", **config)
+        out = tmp_path / f"{name}_{level}"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        limits = [
+            re.search(r" limit=(\w+) ", record.getMessage()).group(1)
+            for record in caplog.records
+            if record.getMessage().startswith("segment ")
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        if level == logging.DEBUG:
+            assert len(limits) == summary["series"]["segments"]
+        outputs = [(out / f).read_bytes() for f in ("solution.csv", "summary.json")]
+        return limits, outputs
+
+    @pytest.mark.parametrize(
+        "config,expected",
+        [
+            # the benchmark's cli_checkpoint config: H = 0, dt_target 0.1
+            ({"mass": 0.0, "H0": 0.0, "horizon": 0.3}, {"dt_target"}),
+            (
+                {"mass": 1.0, "H0": 5.0, "horizon": 0.01,
+                 "numerical": {"k_max": 20.0, "n_k": 32}},
+                {"contraction", "accuracy"},
+            ),
+        ],
+    )
+    def test_debug_log_names_each_segments_limit(
+        self, tmp_path, caplog, config, expected
+    ):
+        limits, outputs = self.run_logged(
+            tmp_path, caplog, "c", logging.DEBUG, **config
+        )
+        assert expected & set(limits)
+        assert set(limits) <= {
+            "contraction", "accuracy", "growth", "denominator", "dt_target",
+            "remaining",
+        }
+        # the log never reaches the outputs
+        quiet, quiet_outputs = self.run_logged(
+            tmp_path, caplog, "c", logging.WARNING, **config
+        )
+        assert quiet == []
+        assert quiet_outputs == outputs
 
 
 class TestConstraintVariants:

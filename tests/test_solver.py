@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
-from semiflrw.fixedpoint import PicardReport
+from semiflrw.fixedpoint import PicardReport, picard_solve
 from semiflrw.solver import (
     EXIT_CODES,
     CriticalHubble,
@@ -102,8 +102,6 @@ class TestConfig:
             {"epsilon_critical": 0.0},
             {"epsilon_critical": 0.5},
             {"epsilon_scale": -1e-3},
-            {"safety": 0.0},
-            {"safety": 1.5},
             {"max_segments": 0},
             {"max_iter": 0},
             {"max_halvings": -1},
@@ -244,6 +242,36 @@ class TestWallPush:
         assert np.all(np.abs(sol.hubble[:-1]) < wall)
 
 
+class TestRejectedTrial:
+    """A trial span that no converged segment can take is retried shorter."""
+
+    def test_over_long_first_trial_ends_at_a_converged_wall_node(self):
+        # the massless_wall benchmark inputs: H reaches the guard at tau
+        # 0.0077851; on a first trial of 0.01 the second iterate crosses Hc,
+        # and the trapezoid error allows a span 80 times shorter: 7 retries
+        lam = 1.1 * HC**4 / (960.0 * math.pi**2)
+        params = PhysicalParams(mass=0.0, cosmological_constant=lam)
+        initial = InitialData(0.0, 1.0, 0.0)
+        start = replace(
+            initial_segment_state(initial, params, W0),
+            next_step=(0.01, "contraction"),
+        )
+        cfg = SolverConfig(epsilon_critical=1e-3, max_halvings=8)
+        sol, rep = continue_maximal(
+            initial, 10.0, params, W0, cfg, resume_from=start
+        )
+        assert rep.reason == "HitCriticalHubble"
+        # the run ends at a converged node past the guard, not at an iterate
+        assert "raised_at_tau" not in rep.diagnostics
+        wall = (1.0 - cfg.epsilon_critical) * HC
+        assert abs(sol.hubble[-1]) >= wall
+        assert np.all(np.abs(sol.hubble[:-1]) < wall)
+        assert rep.diagnostics["extrapolated_breach_tau"] == pytest.approx(
+            0.007785071643136283, rel=1e-6
+        )
+        assert sol.reports[0].halvings == 7
+
+
 class TestInSegmentBreach:
     """A run that crosses the wall guard inside a segment, massive and fast."""
 
@@ -363,14 +391,22 @@ class TestSegmenting:
         assert np.max(np.abs(sol_p.scale_factor - sol_q.scale_factor)) < 5e-10
 
     def test_grid_convergence_is_second_order(self):
+        # the step controller picks its own spans, so the lattice is fixed
+        # here: two segments' worth of n nodes each on [0, 0.004], 2n - 1
+        # nodes in all, solved in one Picard iteration
         lam = lam_for_root(5.0)
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
-        init = InitialData(0.0, 1.0, 0.0)
+        state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         values = []
         for n in (13, 25, 49, 97):
-            cfg = SolverConfig(nodes_per_segment=n, dt_target=0.002)
-            sol, _ = continue_maximal(init, 0.004, params, W0, cfg)
-            values.append(float(np.interp(0.004, sol.taus, sol.hubble)))
+            nodes = np.linspace(0.0, 0.004, 2 * n - 1)
+            hubble, report, _ = picard_solve(
+                np.zeros(nodes.size),
+                lambda x: (_rhs_detail(x, nodes, state0, params, W0)[0], None),
+                nodes,
+            )
+            assert report.converged
+            values.append(float(hubble[-1]))
         diffs = [abs(v - values[-1]) for v in values[:-1]]
         assert diffs[0] > diffs[1] > diffs[2] > 0.0
         assert diffs[0] / diffs[1] > 2.5
@@ -419,9 +455,10 @@ class TestSegmenting:
         assert sol.taus.tolist() == [0.0]
 
     def test_zero_step_is_reported_not_raised(self):
-        # a0 = 1e306 overflows the tube bound to inf, so the step is 0
+        # a0 H0 = 1e310 overflows f, |df/dH| and a max|H| at the start to
+        # inf, so every local limit of the step is 0
         sol, rep = continue_maximal(
-            InitialData(0.0, 1e306, 0.0), 1.0, PhysicalParams(mass=0.0), W0
+            InitialData(0.0, 1e308, 100.0), 1.0, PhysicalParams(mass=0.0), W0
         )
         assert rep.reason == "ConvergenceFailure"
         assert rep.exit_code == 20
@@ -430,7 +467,7 @@ class TestSegmenting:
         assert sol.taus.tolist() == [0.0]
 
     def test_step_below_the_float_spacing_is_reported_not_raised(self):
-        # near the wall the tube step falls below the spacing of floats at
+        # near the wall the step falls below the spacing of floats at
         # tau = 1e8, so a segment's nodes can no longer increase
         lam = 1.1 * HC**4 / (960.0 * math.pi**2)
         sol, rep = continue_maximal(
@@ -446,7 +483,8 @@ class TestSegmenting:
         assert np.all(np.diff(sol.taus) > 0.0)
 
     def test_overflowing_tube_bound_is_reported_not_raised(self):
-        # h_max**4 ~ 6e397 leaves the float range inside the tube bound
+        # H0**4 ~ 1e320 leaves the float range in the step estimate at the
+        # start, which took over from the tube bound
         sol, rep = continue_maximal(
             InitialData(0.0, 1.0, 1e80), 1.0,
             PhysicalParams(mass=0.0, hubble_critical=1e100), W0,
@@ -481,8 +519,9 @@ class TestSegmenting:
         assert sol.taus.tolist() == [0.0]
 
     def test_one_rhs_evaluation_per_picard_iterate(self, monkeypatch):
-        # each segment evaluates f once per iterate plus once for the
-        # equation residual, whose byproducts (W, a, bank) are carried on
+        # each segment evaluates f once per iterate; the last evaluation's
+        # update norm is the equation residual of the iterate it was made
+        # at, whose byproducts (W, a, bank) are carried on
         import semiflrw.solver as solver
 
         rhs = solver._rhs_detail
@@ -506,9 +545,9 @@ class TestSegmenting:
         )
         assert rep.reason == "TimeHorizon"
         assert all(r.halvings == 0 for r in sol.reports)
-        assert len(calls) == sum(r.iterates for r in sol.reports) + len(sol.reports)
-        # one Wick quadrature per evaluation plus the initial one: the tube
-        # bound reads the carried W from the history
+        assert len(calls) == sum(r.iterates for r in sol.reports)
+        # one Wick quadrature per evaluation plus the initial one: the step
+        # estimate reads the carried W from the history
         assert len(wick_calls) == len(calls) + 1
 
 
@@ -605,8 +644,13 @@ class TestRhs:
 
 class TestCheckpoint:
     def test_roundtrip_and_bitwise_resume(self, tmp_path, mass_run):
-        sol_ref, rep_ref, params, wcfg = mass_run
-        cut = SolverConfig(max_segments=2)
+        _, _, params, wcfg = mass_run
+        # dt_target makes the run four segments long, so it can be cut
+        cfg = SolverConfig(dt_target=1e-3)
+        sol_ref, rep_ref = continue_maximal(
+            InitialData(0.0, 1.0, 0.0), 0.004, params, wcfg, cfg
+        )
+        cut = replace(cfg, max_segments=2)
         sol_cut, rep_cut = continue_maximal(
             InitialData(0.0, 1.0, 0.0), 0.004, params, wcfg, cut
         )
@@ -628,7 +672,7 @@ class TestCheckpoint:
             carry.mode_bank_carry.k0, sol_cut.final_state.mode_bank_carry.k0
         )
         sol_res, rep_res = continue_maximal(
-            InitialData(0.0, 1.0, 0.0), horizon, params, wcfg, SolverConfig(),
+            InitialData(0.0, 1.0, 0.0), horizon, params, wcfg, cfg,
             resume_from=carry, prior_reports=reports, prior_bounds=bounds,
         )
         assert rep_res.reason == rep_ref.reason
@@ -797,7 +841,7 @@ class TestPicardSeed:
         # unseeded, every segment of this run takes 5 or 6 iterates
         sol, rep = continue_maximal(
             InitialData(0.0, 1.0, 5.0), 0.01, PhysicalParams(mass=1.0),
-            WickConfig(k_max=20.0, n_k=32), SolverConfig(),
+            WickConfig(k_max=20.0, n_k=32), SolverConfig(dt_target=1.12e-3),
         )
         assert rep.reason == "TimeHorizon"
         assert len(sol.reports) == 9

@@ -93,6 +93,7 @@ class TestConfig:
             {"k_max": 10.0, "n_k": 20, "panel_points": 8},
             {"k_max": 10.0, "k_knee": -1.0},
             {"k_max": 10.0, "panel_points": 1},
+            {"k_max": 10.0, "k_knee": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
