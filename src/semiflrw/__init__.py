@@ -10,10 +10,8 @@ from __future__ import annotations
 from .core import (
     DEFAULT_HUBBLE_CRITICAL,
     BlowUp,
-    Grid,
     InitialData,
     PhysicalParams,
-    SampledFunction,
     cosmological_time,
     ricci_scalar,
     scale_factor_from_hubble,
@@ -58,7 +56,6 @@ __all__ = [
     "BogoliubovProfile",
     "ConstraintMode",
     "CriticalHubble",
-    "Grid",
     "InitialData",
     "MaximalSolution",
     "ModeBank",
@@ -66,7 +63,6 @@ __all__ = [
     "PhysicalParams",
     "PicardReport",
     "RunLog",
-    "SampledFunction",
     "SegmentState",
     "SolverConfig",
     "TailFit",

@@ -11,7 +11,6 @@ import argparse
 import difflib
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +18,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
-from .energy import ConstraintMode, constraint_report, initial_energy_density
+from .energy import ConstraintMode, NegativeDiscriminant, constraint_report
+from .energy import initial_energy_density, solve_constraint
 from .solver import (
     RunLog,
     SolverConfig,
@@ -77,6 +77,8 @@ _CONSTRAINT_KEYS = {"variant", "sign", "target_hubble"}
 _REMOVED_NUMERICAL = {
     "tol_rel": "nothing replaces it",
     "safety": "the step controller has no safety factor",
+    "substep_cap": "the RK4 substep cap is the constant modes.SUBSTEP_CAP",
+    "wronskian_budget": "the drift budget is the constant modes.WRONSKIAN_BUDGET",
 }
 _STATE_KEYS = {"type", "amplitude", "k_scale"}
 
@@ -262,12 +264,10 @@ def _resolve_h0_fixed_point(
         rho0 = initial_energy_density(
             config.a0, config.a0**2 * h, config.mass, wick_cfg
         )
-        h_new = (rho0 + config.lambda_tilde) / 3.0
-        if h_new < 0.0:
-            raise ValidationError(
-                f"constraint has no real H0: rho0 + Lambda = {rho0 + config.lambda_tilde:.6g} < 0"
-            )
-        h_new = mode.sign * math.sqrt(h_new)
+        try:
+            h_new = solve_constraint(rho0, config.lambda_tilde, mode)
+        except NegativeDiscriminant as err:
+            raise ValidationError(f"constraint has no real H0: {err}") from err
         if abs(h_new - h) <= 1e-14 * max(1.0, abs(h_new)):
             return h_new
         h = h_new
@@ -341,7 +341,8 @@ def build_run(config: RunConfig):
         initial.validate_against(params)
     except ValueError as err:
         raise ValidationError(str(err)) from err
-    if config.horizon <= config.tau0:
+    # written so that a NaN horizon fails too
+    if not config.horizon > config.tau0:
         raise ValidationError(
             f"horizon {config.horizon} must exceed tau0 {config.tau0}"
         )

@@ -1,4 +1,4 @@
-"""Shared kernel: physical parameters, grids, sampled functions, FLRW kinematics.
+"""Shared kernel: physical parameters and FLRW kinematics on node arrays.
 
 Natural units with 8*pi*G = c = hbar = 1 throughout.  The conformal-time
 orientation is fixed by the closed-form scale-factor map
@@ -100,78 +100,6 @@ class InitialData:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Strictly increasing conformal-time nodes, at least three of them."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("grid needs a 1-d array of at least 3 nodes")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("grid nodes must be finite")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        nodes = nodes.copy()
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-
-    @classmethod
-    def uniform(cls, tau_start: float, tau_end: float, n_nodes: int) -> Grid:
-        return cls(np.linspace(tau_start, tau_end, n_nodes))
-
-    @property
-    def tau_start(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def tau_end(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def size(self) -> int:
-        return int(self.nodes.size)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and np.array_equal(self.nodes, other.nodes)
-
-
-@dataclass(frozen=True, eq=False)
-class SampledFunction:
-    """Function known at grid nodes, evaluated off-node by linear interpolation."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.dtype.kind == "c":
-            values = values.astype(np.complex128)
-        else:
-            values = values.astype(np.float64)
-        if values.shape != self.grid.nodes.shape:
-            raise ValueError("values must match the grid node count")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sampled values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float | complex) -> SampledFunction:
-        return cls(grid, np.full(grid.size, value))
-
-    def __call__(self, tau):
-        return np.interp(tau, self.grid.nodes, self.values)
-
-    def derivative(self) -> SampledFunction:
-        return SampledFunction(
-            self.grid, np.gradient(self.values, self.grid.nodes, edge_order=2)
-        )
-
-
 def scale_factor_from_hubble(h: np.ndarray, nodes: np.ndarray, a0: float) -> np.ndarray:
     """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on.
 
@@ -188,28 +116,25 @@ def scale_factor_from_hubble(h: np.ndarray, nodes: np.ndarray, a0: float) -> np.
     return a0 / denominator
 
 
-def cosmological_time(a: SampledFunction, t0: float = 0.0) -> SampledFunction:
-    """Cosmological time t(tau) = t0 - int_{tau0}^{tau} a, strictly decreasing.
+def cosmological_time(taus: np.ndarray, a: np.ndarray, t0: float = 0.0) -> np.ndarray:
+    """Cosmological time t(tau) = t0 - int_{tau0}^{tau} a at the nodes,
+    strictly decreasing.
 
     The minus sign is the conformal-time orientation convention of this
     package; see the module docstring.
     """
-    if np.any(a.values.real <= 0.0):
+    if np.any(a <= 0.0):
         raise ValueError("scale factor must be positive on the grid")
-    integral = cumulative_trapezoid(a.values.real, a.grid.nodes)
-    return SampledFunction(a.grid, t0 - integral)
+    return t0 - cumulative_trapezoid(a, taus)
 
 
-def ricci_scalar(hubble: SampledFunction, a: SampledFunction) -> SampledFunction:
-    """Curvature scalar R = 6*(2*H^2 - H'/a), diagnostic only.
+def ricci_scalar(
+    hubble: np.ndarray, hubble_prime: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """Curvature scalar R = 6*(2*H^2 - H'/a) at the nodes, diagnostic only.
 
-    H' is the grid finite-difference derivative (second order, one-sided at
-    the ends).  Never used inside the evolution source term.
+    Never used inside the evolution source term.
     """
-    if a.grid != hubble.grid:
-        raise ValueError("H and a must share a grid")
-    if np.any(a.values.real <= 0.0):
+    if np.any(a <= 0.0):
         raise ValueError("scale factor must be positive on the grid")
-    hubble_prime = np.gradient(hubble.values.real, hubble.grid.nodes, edge_order=2)
-    r_values = 6.0 * (2.0 * hubble.values.real**2 - hubble_prime / a.values.real)
-    return SampledFunction(hubble.grid, r_values)
+    return 6.0 * (2.0 * hubble**2 - hubble_prime / a)

@@ -24,8 +24,10 @@ import numpy as np
 
 # Oscillation-resolution cap for substeps: step * max(omega) <= cap.  A cap
 # of 0.2 resolves the phase but leaves ~1e-4 Wronskian drift at omega ~ 50
-# over unit time spans; 0.02 keeps the drift inside a 1e-8 budget.
+# over unit time spans; 0.02 keeps the drift inside WRONSKIAN_BUDGET.
 SUBSTEP_CAP = 0.02
+# Accumulated Wronskian drift allowed over one evolve_bank span.
+WRONSKIAN_BUDGET = 1e-8
 
 
 class DegenerateMode(ValueError):
@@ -197,7 +199,8 @@ def _free_sweep(k0: np.ndarray, chi, dchi, nodes: np.ndarray):
 
 
 def resolve_substep(
-    span: float, omega_max: float, cap: float = SUBSTEP_CAP, budget: float = 1e-8
+    span: float, omega_max: float, cap: float = SUBSTEP_CAP,
+    budget: float = WRONSKIAN_BUDGET,
 ) -> float:
     """Largest substep satisfying both the oscillation cap and the
     accumulated Wronskian-drift budget over the span."""
@@ -215,7 +218,6 @@ def evolve_bank(
     v: np.ndarray,
     nodes: np.ndarray,
     substep_cap: float = SUBSTEP_CAP,
-    wronskian_budget: float = 1e-8,
 ) -> BankHistory:
     """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)
     against V sampled at those nodes."""
@@ -231,9 +233,7 @@ def evolve_bank(
         omega_max = math.sqrt(
             float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0)
         )
-        step = resolve_substep(
-            float(nodes[-1] - nodes[0]), omega_max, substep_cap, wronskian_budget
-        )
+        step = resolve_substep(float(nodes[-1] - nodes[0]), omega_max, substep_cap)
         chi_hist, dchi_hist = _rk4_sweep(
             bank.k0**2, bank.chi, bank.dchi, nodes, v_values, step
         )

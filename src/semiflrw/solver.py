@@ -50,10 +50,8 @@ import numpy as np
 
 from .core import (
     BlowUp,
-    Grid,
     InitialData,
     PhysicalParams,
-    SampledFunction,
     cosmological_time,
     cumulative_trapezoid,
     ricci_scalar,
@@ -66,7 +64,7 @@ from .fixedpoint import (
     Rejected,
     picard_solve_with_halving,
 )
-from .modes import SUBSTEP_CAP, ModeBank, evolve_bank, potential
+from .modes import ModeBank, evolve_bank, potential
 from .wick import (
     BogoliubovProfile,
     WickConfig,
@@ -123,8 +121,6 @@ class SolverConfig:
     nodes_per_segment: int = 49
     epsilon_critical: float = 1e-6
     epsilon_scale: float = 1e-6
-    substep_cap: float = SUBSTEP_CAP
-    wronskian_budget: float = 1e-8
     wronskian_tolerance: float = 1e-5
     max_segments: int = 10000
 
@@ -137,9 +133,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.max_halvings < 0:
             raise ValueError("max_halvings must be >= 0")
-        for name in ("substep_cap", "wronskian_budget", "wronskian_tolerance"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        if not 0.0 < self.wronskian_tolerance < math.inf:
+            raise ValueError("wronskian_tolerance must be finite and > 0")
         if self.nodes_per_segment < 3:
             raise ValueError("nodes_per_segment must be >= 3")
         if not 0.0 < self.epsilon_critical < 0.1:
@@ -243,7 +238,8 @@ class TerminationReport:
 
 @dataclass(frozen=True, eq=False)
 class MaximalSolution:
-    """Concatenated solution on [tau0, tau_stop] plus per-segment records."""
+    """Concatenated solution on [tau0, tau_stop] plus per-segment records;
+    the four series are final_state's histories, not copies."""
 
     taus: np.ndarray
     hubble: np.ndarray
@@ -336,8 +332,6 @@ def _rhs_detail(
     carry: SegmentState,
     params: PhysicalParams,
     wick_cfg: WickConfig,
-    substep_cap: float = SUBSTEP_CAP,
-    wronskian_budget: float = 1e-8,
     profile: BogoliubovProfile | None = None,
 ):
     """f(H) at the segment nodes and the byproducts (f, W, a, the bank's
@@ -357,9 +351,7 @@ def _rhs_detail(
     a_vals = scale_factor_from_hubble(h, nodes, carry.a_carry)
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
-        history = evolve_bank(
-            carry.mode_bank_carry, v, nodes, substep_cap, wronskian_budget
-        )
+        history = evolve_bank(carry.mode_bank_carry, v, nodes)
         w_vals = _wick_square(
             a_vals, carry.mode_bank_carry, history.chi, params, wick_cfg, profile
         )
@@ -549,10 +541,7 @@ def solve_segment(
 
     def build(sub: np.ndarray):
         def rhs(x):
-            return _rhs_detail(
-                x, sub, carry, params, wick_cfg,
-                solver_cfg.substep_cap, solver_cfg.wronskian_budget, profile,
-            )
+            return _rhs_detail(x, sub, carry, params, wick_cfg, profile)
 
         return np.full(sub.size, h_start), rhs
 
@@ -648,7 +637,8 @@ def continue_maximal(
     segment_callback(log), when given, runs after every completed segment
     with the run's RunLog; it must not mutate the log.
     """
-    if tau_horizon <= initial.tau0:
+    # written so that a NaN horizon fails too
+    if not tau_horizon > initial.tau0:
         raise ValueError("tau_horizon must exceed tau0")
     wick_cfg = effective_wick_config(wick_cfg, initial, params)
     if resume_from is None:
@@ -713,10 +703,10 @@ def continue_maximal(
         reason=reason, tau_stop=final.tau_start, diagnostics=diagnostics
     )
     solution = MaximalSolution(
-        taus=final.hist_taus.copy(),
-        hubble=final.hist_hubble.copy(),
-        scale_factor=final.hist_a.copy(),
-        wick_square=final.hist_wick.copy(),
+        taus=final.hist_taus,
+        hubble=final.hist_hubble,
+        scale_factor=final.hist_a,
+        wick_square=final.hist_wick,
         reports=tuple(log.reports),
         segment_bounds=tuple(log.bounds),
         final_state=final,
@@ -752,31 +742,25 @@ def solution_diagnostics(
     solution: MaximalSolution, params: PhysicalParams
 ) -> dict[str, np.ndarray]:
     """Time series for reporting: tau, t, a, H, H', R, W_ren, source, margins."""
-    taus = solution.taus
-    if taus.size >= 3:
-        grid = Grid(taus)
-        h_fun = SampledFunction(grid, solution.hubble)
-        a_fun = SampledFunction(grid, solution.scale_factor)
-        dh = h_fun.derivative().values.real
-        ricci = ricci_scalar(h_fun, a_fun).values.real
-        t_of_tau = cosmological_time(a_fun, 0.0).values.real
+    taus, hubble, a = solution.taus, solution.hubble, solution.scale_factor
+    # H' is second order with one-sided ends; two nodes give their slope
+    if taus.size > 1:
+        dh = np.gradient(hubble, taus, edge_order=2 if taus.size > 2 else 1)
     else:
-        dh = np.zeros_like(taus)
-        ricci = 6.0 * 2.0 * solution.hubble**2
-        t_of_tau = np.zeros_like(taus)
+        dh = np.zeros(1)
     critical = params.hubble_critical
     a0 = solution.final_state.initial.a0
     return {
         "tau": taus,
-        "t": t_of_tau,
-        "a": solution.scale_factor,
-        "H": solution.hubble,
+        "t": cosmological_time(taus, a),
+        "a": a,
+        "H": hubble,
         "dH": dh,
-        "R": ricci,
+        "R": ricci_scalar(hubble, dh, a),
         "W_ren": solution.wick_square,
-        "source": friedmann_source(solution.hubble, solution.wick_square, params),
-        "margin_hubble": critical - np.abs(solution.hubble),
-        "margin_scale": a0 / solution.scale_factor,
+        "source": friedmann_source(hubble, solution.wick_square, params),
+        "margin_hubble": critical - np.abs(hubble),
+        "margin_scale": a0 / a,
     }
 
 

@@ -88,6 +88,10 @@ class BogoliubovProfile:
     @classmethod
     def gaussian(cls, amplitude: float, k_scale: float) -> BogoliubovProfile:
         """B(k) = amplitude * exp(-(k/k_scale)^2) with real normalizing A."""
+        if not math.isfinite(amplitude):
+            raise ValueError(f"amplitude must be finite, got {amplitude}")
+        if not 0.0 < k_scale < math.inf:
+            raise ValueError(f"k_scale must be finite and > 0, got {k_scale}")
 
         def b_func(k):
             return amplitude * np.exp(-((np.asarray(k) / k_scale) ** 2))

@@ -2,7 +2,8 @@
 
 None of this is on the solver path; each routine is an independent route
 to a quantity the package computes another way.  Their background is a
-Potential, V sampled on a grid plus the constant a0^2 m^2.
+Potential, V sampled at grid nodes plus the constant a0^2 m^2; like the
+package, they take node arrays and interpolate linearly with numpy.interp.
 
 * single-mode RK4 evolution, one stage sequence per substep (evolve_mode,
   its stepper _rk4_steps and its state types), checked against the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from semiflrw.core import Grid, PhysicalParams, SampledFunction, cumulative_trapezoid
+from semiflrw.core import PhysicalParams, cumulative_trapezoid
 from semiflrw.modes import DegenerateMode, _free_sweep, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
@@ -47,13 +48,14 @@ class StepTooLarge(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2) on a grid.
+    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2) at the nodes taus.
 
     freq_shift is the constant a0^2 m^2, so the full mode frequency is
     omega^2(k, tau) = k^2 + freq_shift + V(tau).
     """
 
-    V: SampledFunction
+    taus: np.ndarray
+    V: np.ndarray
     freq_shift: float = 0.0
 
     def __post_init__(self):
@@ -62,20 +64,20 @@ class Potential:
 
     @classmethod
     def from_scale_factor(
-        cls, a: SampledFunction, mass: float, a0: float | None = None
+        cls, taus: np.ndarray, a: np.ndarray, mass: float, a0: float | None = None
     ) -> Potential:
         """Build V from a sampled scale factor; a0 defaults to a at the grid start."""
         anchored = a0 is None
         if anchored:
-            a0 = float(a.values[0].real)
-        v_values = potential(a.values.real, a0, mass)
+            a0 = float(a[0])
+        v_values = potential(a, a0, mass)
         if anchored and v_values[0] != 0.0:
             raise ValueError("V(tau0) must vanish for the anchored construction")
-        return cls(SampledFunction(a.grid, v_values), freq_shift=(a0 * mass) ** 2)
+        return cls(taus, v_values, freq_shift=(a0 * mass) ** 2)
 
     @classmethod
-    def zero(cls, grid: Grid, freq_shift: float = 0.0) -> Potential:
-        return cls(SampledFunction.constant(grid, 0.0), freq_shift)
+    def zero(cls, taus: np.ndarray, freq_shift: float = 0.0) -> Potential:
+        return cls(taus, np.zeros(taus.size), freq_shift)
 
     def frequency(self, k: float) -> float:
         return math.sqrt(k**2 + self.freq_shift)
@@ -139,7 +141,7 @@ def _drift_estimate(span: float, omega_max: float, step: float) -> float:
 
 
 def _segment_nodes(potential: Potential, tau_from: float, to_tau: float) -> np.ndarray:
-    nodes = potential.V.grid.nodes
+    nodes = potential.taus
     lo = np.searchsorted(nodes, tau_from - 1e-12)
     hi = np.searchsorted(nodes, to_tau + 1e-12)
     segment = nodes[lo:hi]
@@ -216,8 +218,8 @@ def evolve_mode(
     if to_tau <= state.tau:
         raise ValueError("to_tau must exceed state.tau")
     nodes = _segment_nodes(potential, state.tau, to_tau)
-    v_values = potential.V(nodes).real
-    if not np.any(potential.V.values):
+    v_values = np.interp(nodes, potential.taus, potential.V)
+    if not np.any(potential.V):
         chi_hist, dchi_hist = _free_sweep(
             np.float64(state.k0), complex(state.chi), complex(state.dchi), nodes
         )
@@ -257,17 +259,17 @@ def perturbative_orders(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    grid = potential.V.grid
+    taus = potential.taus
     if tau is None:
-        tau = grid.tau_end
-    j_end = int(np.searchsorted(grid.nodes, tau - 1e-12))
-    if not math.isclose(grid.nodes[j_end], tau, rel_tol=0.0, abs_tol=1e-10):
+        tau = float(taus[-1])
+    j_end = int(np.searchsorted(taus, tau - 1e-12))
+    if not math.isclose(taus[j_end], tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("tau must lie on the potential grid")
     k0 = potential.frequency(k)
     if k0 == 0.0:
         raise DegenerateMode("k0 = 0")
-    nodes = grid.nodes[: j_end + 1]
-    v = potential.V.values.real[: j_end + 1]
+    nodes = taus[: j_end + 1]
+    v = potential.V[: j_end + 1]
     sin_nodes = np.sin(k0 * nodes)
     cos_nodes = np.cos(k0 * nodes)
     current = np.exp(1j * k0 * nodes) / math.sqrt(2.0 * k0)
@@ -297,11 +299,11 @@ def mode_bound(
     """
     if not 0 <= l <= n:
         raise ValueError("need 0 <= l <= n")
-    grid = potential.V.grid
+    taus = potential.taus
     if tau is None:
-        tau = grid.tau_end
-    j_end = int(np.searchsorted(grid.nodes, tau - 1e-12))
-    if not math.isclose(grid.nodes[j_end], tau, rel_tol=0.0, abs_tol=1e-10):
+        tau = float(taus[-1])
+    j_end = int(np.searchsorted(taus, tau - 1e-12))
+    if not math.isclose(taus[j_end], tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("tau must lie on the potential grid")
     k0 = potential.frequency(k)
     if k0 == 0.0:
@@ -309,8 +311,8 @@ def mode_bound(
     prefactor = 1.0 / math.sqrt(2.0 * k0)
     if n == 0:
         return prefactor
-    nodes = grid.nodes[: j_end + 1]
-    abs_v = np.abs(potential.V.values.real[: j_end + 1])
+    nodes = taus[: j_end + 1]
+    abs_v = np.abs(potential.V[: j_end + 1])
     int_v = float(simpson(abs_v, x=nodes))
     int_weighted = float(simpson((tau - nodes) * abs_v, x=nodes))
     return (
@@ -321,24 +323,23 @@ def mode_bound(
     )
 
 
-def parker_mode(k: float, a: SampledFunction, tau: float, m: float):
-    """Zeroth adiabatic mode (chi0, chi0') at tau.
+def parker_mode(k: float, taus: np.ndarray, a: np.ndarray, tau: float, m: float):
+    """Zeroth adiabatic mode (chi0, chi0') at tau, for a sampled at taus.
 
     chi0 = (sqrt(2) Omega^{1/2})^{-1} exp(i int Omega), Omega = sqrt(k^2 + m^2 a^2);
     the derivative carries both the amplitude term and the i Omega phase term.
     """
     if k == 0.0 and m == 0.0:
         raise DegenerateMode("k = m = 0 has no oscillating mode")
-    a_vals = a.values.real
-    omega_vals = np.sqrt(k**2 + m**2 * a_vals**2)
+    omega_vals = np.sqrt(k**2 + m**2 * a**2)
     if not np.all(omega_vals > 0.0):
         raise DegenerateMode("k^2 + m^2 a^2 must stay positive")
-    phase = cumulative_trapezoid(omega_vals, a.grid.nodes)
-    a_prime = a.derivative()
-    omega = float(np.interp(tau, a.grid.nodes, omega_vals))
-    a_tau = float(np.interp(tau, a.grid.nodes, a_vals))
-    ap_tau = float(a_prime(tau).real)
-    phi = float(np.interp(tau, a.grid.nodes, phase))
+    phase = cumulative_trapezoid(omega_vals, taus)
+    a_prime = np.gradient(a, taus, edge_order=2)
+    omega = float(np.interp(tau, taus, omega_vals))
+    a_tau = float(np.interp(tau, taus, a))
+    ap_tau = float(np.interp(tau, taus, a_prime))
+    phi = float(np.interp(tau, taus, phase))
     # written as sqrt(1/(2 omega)) so the vacuum-state amplitude at tau0 is
     # the bitwise-identical double and the big terms of the energy
     # subtraction cancel exactly instead of leaving O(omega) ulp noise
@@ -387,13 +388,15 @@ def _density_tail(a0: float, da0: float, m: float, k_cut: float) -> float:
     return (m**4 / 8.0) * a0**2 * da0**2 * remaining / (3.0 * c_sq)
 
 
-def initial_energy_from_modes(a: SampledFunction, m: float, config: WickConfig) -> float:
+def initial_energy_from_modes(
+    taus: np.ndarray, a: np.ndarray, m: float, config: WickConfig
+) -> float:
     """Same integral evaluated from live vacuum and Parker modes at tau0."""
     if m == 0.0:
         return 0.0
-    tau0 = a.grid.tau_start
-    a0 = float(a.values[0].real)
-    da0 = float(a.derivative()(tau0).real)
+    tau0 = float(taus[0])
+    a0 = float(a[0])
+    da0 = float(np.gradient(a, taus, edge_order=2)[0])
     # Gauss-Legendre under k = m a0 tan(theta), theta < atan(cut)
     theta_max = math.atan(_MODE_ROUTE_CUT)
     theta, w_theta = np.polynomial.legendre.leggauss(config.n_k)
@@ -408,7 +411,7 @@ def initial_energy_from_modes(a: SampledFunction, m: float, config: WickConfig) 
             math.cos(k0 * tau0), math.sin(k0 * tau0)
         )
         state = ModeState(k=k, k0=k0, chi=chi, dchi=1j * k0 * chi, tau=tau0)
-        parker = parker_mode(k, a, tau0, m)
+        parker = parker_mode(k, taus, a, tau0, m)
         total += w * k**2 * energy_integrand(state, parker, k, a0, m)
     return total + _density_tail(a0, da0, m, _MODE_ROUTE_CUT * m * a0)
 

@@ -129,15 +129,18 @@ class TestParsing:
         assert "'tol'" not in str(err.value)
 
     def test_removed_safety_key_is_rejected(self, tmp_path, capsys):
-        # schema break: the tube step's safety factor went with the tube;
-        # older configs and summary.json echoes carry it
-        path = write_config(
-            tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={"safety": 0.5}
-        )
-        with pytest.raises(cli.ParseError, match="'safety'.*removed.*delete it"):
-            cli.parse_config(path)
-        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
-        assert "'safety'" in capsys.readouterr().err
+        # schema break: the tube step's safety factor went with the tube, and
+        # the RK4 substep cap and drift budget became constants; older
+        # configs and summary.json echoes carry them
+        for key, value in (("safety", 0.5), ("substep_cap", 0.02),
+                           ("wronskian_budget", 1e-8)):
+            path = write_config(
+                tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: value}
+            )
+            with pytest.raises(cli.ParseError, match=f"'{key}'.*removed.*delete it"):
+                cli.parse_config(path)
+            assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
 
     def test_missing_mass(self, tmp_path):
         path = write_config(tmp_path / "c.json", horizon=0.5)
@@ -213,6 +216,40 @@ class TestValidation:
         with pytest.raises(cli.ValidationError, match="horizon"):
             cli.build_run(cfg)
 
+    def test_nan_horizon_exits_2(self, tmp_path, capsys):
+        # NaN fails every comparison, so only a test that asks for
+        # horizon > tau0 rejects it
+        path = write_config(tmp_path / "c.json", mass=0, H0=0, horizon=math.nan)
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: horizon nan must exceed tau0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "state,message",
+        [
+            ({"amplitude": math.nan, "k_scale": 2.0}, "amplitude must be finite"),
+            ({"amplitude": 0.1, "k_scale": 0.0}, "k_scale must be finite and > 0"),
+            ({"amplitude": 0.1, "k_scale": -1.0}, "k_scale must be finite and > 0"),
+            ({"amplitude": 0.1, "k_scale": math.inf}, "k_scale must be finite"),
+        ],
+    )
+    def test_bad_gaussian_state_exits_2(self, tmp_path, capsys, state, message):
+        path = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.0005,
+            state={"type": "bogoliubov-gaussian", **state},
+            numerical={"k_max": 20.0, "n_k": 32},
+        )
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_given_h0_without_a_real_root_exits_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path / "c.json", mass=0.0, Lambda_tilde=-3.0, horizon=0.001,
+            constraint={"variant": "given_H0"},
+        )
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "constraint has no real H0: rho0 + Lambda = -3 < 0" in err
+
     def test_unknown_constraint_variant(self, tmp_path):
         path = write_config(
             tmp_path / "c.json", mass=1.0, horizon=0.5,
@@ -233,13 +270,13 @@ class TestValidation:
         [
             {"max_iter": 0},
             {"max_halvings": -1},
-            {"substep_cap": 0.0},
-            {"substep_cap": -0.02},
-            {"wronskian_budget": -1e-8},
             {"wronskian_tolerance": 0.0},
             # NaN fails every comparison, so only a test that asks for
-            # k_knee >= 0 rejects it
+            # k_knee >= 0 rejects it; likewise for the solver's float knobs
             {"k_knee": math.nan},
+            {"tol": math.nan},
+            {"dt_target": math.nan},
+            {"epsilon_critical": math.nan},
         ],
     )
     def test_bad_solver_knob_exits_2(self, tmp_path, capsys, numerical):
@@ -253,6 +290,29 @@ class TestValidation:
 
 
 class TestRunCommand:
+    def test_two_node_run_reports_its_slope(self, tmp_path):
+        # the first segment ends at the wall after one step: H' is the slope
+        # of the two nodes and t is minus the trapezoid integral of a
+        path = write_config(
+            tmp_path / "c.json", mass=0.0, H0=0.94999 * HC, horizon=1.0,
+            Lambda_tilde=1.1 * HC**4 / (960.0 * math.pi**2),
+            numerical={"epsilon_critical": 0.05},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 10
+        _, cols = read_csv(out / "solution.csv")
+        tau, a, h = cols["tau"], cols["a"], cols["H"]
+        assert tau.size == 2
+        slope = (h[1] - h[0]) / (tau[1] - tau[0])
+        np.testing.assert_array_equal(cols["dH"], [slope, slope])
+        assert slope == pytest.approx(15962.0, rel=1e-4)
+        assert cols["t"][0] == 0.0
+        assert cols["t"][1] == -(tau[1] - tau[0]) * (a[0] + a[1]) / 2.0
+        np.testing.assert_allclose(
+            cols["R"], 6.0 * (2.0 * h**2 - slope / a), rtol=1e-15
+        )
+        assert cols["R"][1] == pytest.approx(58150.0, rel=1e-4)
+
     def test_de_sitter_run(self, tmp_path, capsys):
         h0 = math.sqrt(HC**2 - math.sqrt(HC**4 - 0.5 * HC**4))
         path = write_config(

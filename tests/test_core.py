@@ -10,10 +10,8 @@ from semiflrw.core import (
     DEFAULT_HUBBLE_CRITICAL,
     EULER_GAMMA,
     BlowUp,
-    Grid,
     InitialData,
     PhysicalParams,
-    SampledFunction,
     cosmological_time,
     cumulative_trapezoid,
     ricci_scalar,
@@ -48,143 +46,101 @@ def test_initial_data_validation():
     InitialData(tau0=0.0, a0=1.0, hubble0=1.0).validate_against(PhysicalParams(mass=0.0))
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        Grid(np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        Grid(np.array([0.0, np.nan, 1.0]))
-    g = Grid.uniform(0.0, 2.0, 21)
-    assert np.allclose(np.diff(g.nodes), 0.1, rtol=1e-12, atol=0.0)
-    assert g.size == 21
-    assert g.tau_start == 0.0 and g.tau_end == 2.0
-    # nodes are frozen
-    with pytest.raises(ValueError):
-        g.nodes[0] = 5.0
-
-
-def test_sampled_function_basics():
-    g = Grid.uniform(0.0, 1.0, 11)
-    f = SampledFunction(g, g.nodes**2)
-    # exact at nodes, linear between
-    assert f(0.5) == pytest.approx(0.25)
-    assert f(0.55) == pytest.approx(0.5 * (0.25 + 0.36), rel=1e-12)
-    assert np.max(np.abs(f.values)) == pytest.approx(1.0)
-    anti = cumulative_trapezoid(f.values, g.nodes)
-    assert anti[0] == 0.0
-    assert anti[-1] == pytest.approx(1.0 / 3.0, abs=2e-3)
-    with pytest.raises(ValueError):
-        SampledFunction(g, np.ones(5))
-    with pytest.raises(ValueError):
-        SampledFunction(g, np.full(11, np.inf))
-
-
-def test_sampled_function_complex_roundtrip():
-    g = Grid.uniform(0.0, 1.0, 9)
-    f = SampledFunction(g, np.exp(1j * g.nodes))
-    assert f.values.dtype == np.complex128
-    assert f(g.nodes[3]) == pytest.approx(np.exp(1j * g.nodes[3]))
-
-
 def test_scale_factor_zero_hubble():
-    g = Grid.uniform(0.0, 3.0, 31)
-    a = scale_factor_from_hubble(np.zeros(g.size), g.nodes, a0=2.0)
+    taus = np.linspace(0.0, 3.0, 31)
+    a = scale_factor_from_hubble(np.zeros(taus.size), taus, a0=2.0)
     np.testing.assert_allclose(a, 2.0, rtol=0, atol=0)
 
 
 def test_scale_factor_constant_hubble_closed_form():
     c = 0.3
-    g = Grid.uniform(0.0, 2.0, 2001)
-    a = scale_factor_from_hubble(np.full(g.size, c), g.nodes, a0=1.0)
-    expected = 1.0 / (1.0 - c * g.nodes)
+    taus = np.linspace(0.0, 2.0, 2001)
+    a = scale_factor_from_hubble(np.full(taus.size, c), taus, a0=1.0)
+    expected = 1.0 / (1.0 - c * taus)
     # trapezoid integral of a constant is exact, so this is tight
     np.testing.assert_allclose(a, expected, rtol=1e-13)
 
 
 def test_scale_factor_blowup_node():
-    g = Grid.uniform(0.0, 1.5, 151)
+    taus = np.linspace(0.0, 1.5, 151)
     with pytest.raises(BlowUp) as err:
-        scale_factor_from_hubble(np.ones(g.size), g.nodes, a0=1.0)
+        scale_factor_from_hubble(np.ones(taus.size), taus, a0=1.0)
     # denominator root at tau = 1 exactly; first offending node is the node at 1.0
     assert err.value.tau == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosmological_time_unit_conformal_factor():
-    g = Grid.uniform(1.0, 4.0, 61)
-    t = cosmological_time(SampledFunction.constant(g, 1.0), t0=0.0)
-    np.testing.assert_allclose(t.values, -(g.nodes - 1.0), atol=1e-14)
+    taus = np.linspace(1.0, 4.0, 61)
+    t = cosmological_time(taus, np.ones(taus.size), t0=0.0)
+    np.testing.assert_allclose(t, -(taus - 1.0), atol=1e-14)
 
 
 def test_cosmological_time_constant_three():
-    g = Grid.uniform(0.0, 2.0, 41)
-    t = cosmological_time(SampledFunction.constant(g, 3.0), t0=5.0)
-    assert t.values[-1] == pytest.approx(5.0 - 6.0, rel=1e-14)
+    taus = np.linspace(0.0, 2.0, 41)
+    t = cosmological_time(taus, np.full(taus.size, 3.0), t0=5.0)
+    assert t[-1] == pytest.approx(5.0 - 6.0, rel=1e-14)
 
 
 def test_cosmological_time_log_case():
     # a = 1/(1 - tau) on [0, 0.5]: t(0.5) = t0 - int = t0 + ln(0.5)
-    g = Grid.uniform(0.0, 0.5, 4001)
-    a = SampledFunction(g, 1.0 / (1.0 - g.nodes))
-    t = cosmological_time(a, t0=0.0)
-    assert t.values[-1] == pytest.approx(math.log(0.5), abs=5e-9)
-    assert np.all(np.diff(t.values) < 0.0)
+    taus = np.linspace(0.0, 0.5, 4001)
+    t = cosmological_time(taus, 1.0 / (1.0 - taus), t0=0.0)
+    assert t[-1] == pytest.approx(math.log(0.5), abs=5e-9)
+    assert np.all(np.diff(t) < 0.0)
 
 
 def test_ricci_zero_hubble():
-    g = Grid.uniform(0.0, 1.0, 11)
-    h = SampledFunction.constant(g, 0.0)
-    a = SampledFunction.constant(g, 1.0)
-    np.testing.assert_array_equal(ricci_scalar(h, a).values, 0.0)
+    taus = np.linspace(0.0, 1.0, 11)
+    h = np.zeros(taus.size)
+    np.testing.assert_array_equal(ricci_scalar(h, h, np.ones(taus.size)), 0.0)
 
 
 def test_ricci_de_sitter_check():
     # constant H with a from the closed-form map: R = 12 H^2 + O(grid^2)
     c = 0.4
-    g = Grid.uniform(0.0, 1.0, 801)
-    h = SampledFunction.constant(g, c)
-    a = SampledFunction(g, scale_factor_from_hubble(h.values, g.nodes, a0=1.0))
-    r = ricci_scalar(h, a)
-    np.testing.assert_allclose(r.values, 12.0 * c**2, rtol=1e-10)
+    taus = np.linspace(0.0, 1.0, 801)
+    h = np.full(taus.size, c)
+    a = scale_factor_from_hubble(h, taus, a0=1.0)
+    r = ricci_scalar(h, np.gradient(h, taus, edge_order=2), a)
+    np.testing.assert_allclose(r, 12.0 * c**2, rtol=1e-10)
 
 
 def test_ricci_linear_hubble_frozen_a():
-    g = Grid.uniform(0.0, 1.0, 101)
-    h = SampledFunction(g, 0.25 * g.nodes)
-    a = SampledFunction.constant(g, 1.0)
-    r = ricci_scalar(h, a)
-    expected = 6.0 * (2.0 * (0.25 * g.nodes) ** 2 - 0.25)
-    np.testing.assert_allclose(r.values, expected, rtol=1e-10, atol=1e-12)
+    taus = np.linspace(0.0, 1.0, 101)
+    h = 0.25 * taus
+    r = ricci_scalar(h, np.gradient(h, taus, edge_order=2), np.ones(taus.size))
+    expected = 6.0 * (2.0 * (0.25 * taus) ** 2 - 0.25)
+    np.testing.assert_allclose(r, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_scale_factor_derivative_identity():
     # differentiating the printed map gives a' = +a^2 H to O(h^2) at interior nodes
-    g = Grid.uniform(0.0, 1.0, 401)
-    h = 0.3 + 0.2 * np.sin(2.0 * g.nodes)
-    a = scale_factor_from_hubble(h, g.nodes, a0=1.0)
-    a_prime = np.gradient(a, g.nodes, edge_order=2)
+    taus = np.linspace(0.0, 1.0, 401)
+    h = 0.3 + 0.2 * np.sin(2.0 * taus)
+    a = scale_factor_from_hubble(h, taus, a0=1.0)
+    a_prime = np.gradient(a, taus, edge_order=2)
     target = a**2 * h
     np.testing.assert_allclose(a_prime[2:-2], target[2:-2], rtol=5e-5)
 
 
 def test_scale_factor_monotone_in_hubble():
-    g = Grid.uniform(0.0, 1.0, 101)
-    h1 = 0.1 + 0.05 * np.cos(g.nodes)
+    taus = np.linspace(0.0, 1.0, 101)
+    h1 = 0.1 + 0.05 * np.cos(taus)
     h2 = h1 + 0.2
-    a1 = scale_factor_from_hubble(h1, g.nodes, a0=1.0)
-    a2 = scale_factor_from_hubble(h2, g.nodes, a0=1.0)
+    a1 = scale_factor_from_hubble(h1, taus, a0=1.0)
+    a2 = scale_factor_from_hubble(h2, taus, a0=1.0)
     assert np.all(a2 >= a1)
 
 
 def test_operations_are_pure():
-    g = Grid.uniform(0.0, 1.0, 51)
-    h = 0.2 * np.sin(g.nodes)
-    a_first = scale_factor_from_hubble(h, g.nodes, a0=1.5)
-    a_second = scale_factor_from_hubble(h, g.nodes, a0=1.5)
+    taus = np.linspace(0.0, 1.0, 51)
+    h = 0.2 * np.sin(taus)
+    a_first = scale_factor_from_hubble(h, taus, a0=1.5)
+    a_second = scale_factor_from_hubble(h, taus, a0=1.5)
     np.testing.assert_array_equal(a_first, a_second)
-    t_first = cosmological_time(SampledFunction(g, a_first))
-    t_second = cosmological_time(SampledFunction(g, a_second))
-    np.testing.assert_array_equal(t_first.values, t_second.values)
+    t_first = cosmological_time(taus, a_first)
+    t_second = cosmological_time(taus, a_second)
+    np.testing.assert_array_equal(t_first, t_second)
 
 
 @given(
@@ -193,10 +149,10 @@ def test_operations_are_pure():
 )
 @settings(max_examples=40, deadline=None)
 def test_scale_factor_positive_and_anchored(a0, amp):
-    g = Grid.uniform(0.0, 1.0, 64)
-    h = amp * np.cos(3.0 * g.nodes)
+    taus = np.linspace(0.0, 1.0, 64)
+    h = amp * np.cos(3.0 * taus)
     try:
-        a = scale_factor_from_hubble(h, g.nodes, a0=a0)
+        a = scale_factor_from_hubble(h, taus, a0=a0)
     except BlowUp:
         return
     assert a[0] == pytest.approx(a0, rel=1e-15)
@@ -206,11 +162,11 @@ def test_scale_factor_positive_and_anchored(a0, amp):
 @given(c=st.floats(min_value=-5.0, max_value=5.0), t0=st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=30, deadline=None)
 def test_cosmological_time_decreasing(c, t0):
-    g = Grid.uniform(0.0, 1.0, 33)
-    a = SampledFunction.constant(g, math.exp(c * 0.1) + 0.01)
-    t = cosmological_time(a, t0=t0)
-    assert t.values[0] == t0
-    assert np.all(np.diff(t.values) < 0.0)
+    taus = np.linspace(0.0, 1.0, 33)
+    a = np.full(taus.size, math.exp(c * 0.1) + 0.01)
+    t = cosmological_time(taus, a, t0=t0)
+    assert t[0] == t0
+    assert np.all(np.diff(t) < 0.0)
 
 
 _magnitudes = st.floats(min_value=1e-10, max_value=1e10)

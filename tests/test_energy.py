@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflrw.core import Grid, SampledFunction
 from semiflrw.energy import (
     ConstraintMode,
     NegativeDiscriminant,
@@ -30,43 +29,42 @@ CONFIG = WickConfig(k_max=20.0, n_k=64, panel_points=8)
 
 
 def quadratic_background(a0=1.0, da0=0.7, curvature=0.2, tau0=0.0):
-    grid = Grid.uniform(tau0, tau0 + 2.0, 401)
-    values = a0 + da0 * (grid.nodes - tau0) + curvature * (grid.nodes - tau0) ** 2
-    return SampledFunction(grid, values)
+    """(taus, a) of a quadratic scale factor."""
+    taus = np.linspace(tau0, tau0 + 2.0, 401)
+    return taus, a0 + da0 * (taus - tau0) + curvature * (taus - tau0) ** 2
 
 
 class TestParkerMode:
     def test_initial_time_has_zero_phase(self):
-        a_fun = quadratic_background()
+        taus, a = quadratic_background()
         m = 1.3
         k = 2.0
-        chi0, _ = parker_mode(k, a_fun, 0.0, m)
+        chi0, _ = parker_mode(k, taus, a, 0.0, m)
         k0 = math.sqrt(k**2 + m**2)
         assert chi0.imag == 0.0
         assert math.isclose(chi0.real, 1.0 / math.sqrt(2.0 * k0), rel_tol=1e-12)
 
     def test_constant_background_is_plane_wave(self):
-        grid = Grid.uniform(0.0, 2.0, 101)
-        a_fun = SampledFunction(grid, np.full(101, 1.5))
+        taus = np.linspace(0.0, 2.0, 101)
         m = 0.8
         omega = math.sqrt(4.0 + m**2 * 2.25)
         for tau in (0.0, 0.7, 2.0):
-            chi0, dchi0 = parker_mode(2.0, a_fun, tau, m)
+            chi0, dchi0 = parker_mode(2.0, taus, np.full(101, 1.5), tau, m)
             assert math.isclose(abs(chi0), 1.0 / math.sqrt(2.0 * omega), rel_tol=1e-12)
             assert abs(dchi0 - 1j * omega * chi0) < 1e-12
 
     @pytest.mark.parametrize("tau", [0.0, 1.1, 2.0])
     def test_wronskian_is_exactly_normalized(self, tau):
         # the amplitude-phase form cancels the slope term in the Wronskian
-        a_fun = quadratic_background()
-        chi0, dchi0 = parker_mode(1.7, a_fun, tau, 1.3)
+        taus, a = quadratic_background()
+        chi0, dchi0 = parker_mode(1.7, taus, a, tau, 1.3)
         wronskian = dchi0 * chi0.conjugate() - chi0 * dchi0.conjugate()
         assert abs(wronskian - 1j) < 1e-12
 
     def test_degenerate_mode_rejected(self):
-        a_fun = quadratic_background()
+        taus, a = quadratic_background()
         with pytest.raises(DegenerateMode):
-            parker_mode(0.0, a_fun, 0.0, 0.0)
+            parker_mode(0.0, taus, a, 0.0, 0.0)
 
 
 class TestEnergyIntegrand:
@@ -79,32 +77,33 @@ class TestEnergyIntegrand:
         return ModeState(k=k, k0=k0, chi=chi, dchi=1j * k0 * chi, tau=tau0)
 
     def test_state_equal_to_reference_gives_zero(self):
-        a_fun = quadratic_background()
+        taus, a = quadratic_background()
         m = 1.3
-        parker = parker_mode(2.0, a_fun, 0.5, m)
+        parker = parker_mode(2.0, taus, a, 0.5, m)
         state = ModeState(k=2.0, k0=1.0, chi=parker[0], dchi=parker[1], tau=0.5)
-        a_tau = float(a_fun(0.5).real)
+        a_tau = float(np.interp(0.5, taus, a))
         assert energy_integrand(state, parker, 2.0, a_tau, m) == 0.0
 
     def test_massless_case_vanishes_at_all_times(self):
         # for m = 0 the Parker mode is the exact plane-wave solution
-        grid = Grid.uniform(0.0, 2.0, 201)
-        a_fun = SampledFunction(grid, 1.0 + 0.3 * np.sin(grid.nodes))
+        taus = np.linspace(0.0, 2.0, 201)
+        a = 1.0 + 0.3 * np.sin(taus)
         k = 2.0
         for tau in (0.0, 1.0, 2.0):
-            parker = parker_mode(k, a_fun, tau, 0.0)
+            parker = parker_mode(k, taus, a, tau, 0.0)
             chi = math.sqrt(1.0 / (2.0 * k)) * complex(math.cos(k * tau), math.sin(k * tau))
             state = ModeState(k=k, k0=k, chi=chi, dchi=1j * k * chi, tau=tau)
-            value = energy_integrand(state, parker, k, float(a_fun(tau).real), 0.0)
+            a_tau = float(np.interp(tau, taus, a))
+            value = energy_integrand(state, parker, k, a_tau, 0.0)
             assert abs(value) < 1e-12
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 4.0])
     def test_initial_time_closed_density(self, k):
         m = 1.3
         da0 = 0.7
-        a_fun = quadratic_background(da0=da0)
+        taus, a = quadratic_background(da0=da0)
         state = self.vacuum_state(k, m)
-        parker = parker_mode(k, a_fun, 0.0, m)
+        parker = parker_mode(k, taus, a, 0.0, m)
         value = energy_integrand(state, parker, k, 1.0, m)
         expected = (m**4 / 8.0) * da0**2 * (k**2 + m**2) ** -2.5
         assert math.isclose(value, expected, rel_tol=1e-10)
@@ -142,25 +141,24 @@ class TestTwoRoutes:
         "m,da0,curvature", [(1.3, 0.7, 0.2), (0.4, 2.0, -0.1), (0.8, 0.5, 0.0)]
     )
     def test_mode_route_matches_closed_route(self, m, da0, curvature):
-        a_fun = quadratic_background(da0=da0, curvature=curvature)
+        taus, a = quadratic_background(da0=da0, curvature=curvature)
         closed = initial_energy_integral(1.0, da0, m, CONFIG)
-        modes = initial_energy_from_modes(a_fun, m, CONFIG)
+        modes = initial_energy_from_modes(taus, a, m, CONFIG)
         assert math.isclose(modes, closed, rel_tol=1e-6)
 
     def test_offset_grid_and_scaled_anchor(self):
-        grid = Grid.uniform(1.0, 3.0, 401)
-        a_fun = SampledFunction(grid, 2.0 + 0.5 * (grid.nodes - 1.0))
+        taus = np.linspace(1.0, 3.0, 401)
         closed = initial_energy_integral(2.0, 0.5, 0.8, CONFIG)
-        modes = initial_energy_from_modes(a_fun, 0.8, CONFIG)
+        modes = initial_energy_from_modes(taus, 2.0 + 0.5 * (taus - 1.0), 0.8, CONFIG)
         assert math.isclose(modes, closed, rel_tol=1e-6)
 
     def test_static_start_is_noise_level(self):
-        a_fun = quadratic_background(da0=0.0, curvature=0.3)
-        assert abs(initial_energy_from_modes(a_fun, 3.0, CONFIG)) < 1e-6
+        taus, a = quadratic_background(da0=0.0, curvature=0.3)
+        assert abs(initial_energy_from_modes(taus, a, 3.0, CONFIG)) < 1e-6
 
     def test_massless_mode_route_is_zero(self):
-        a_fun = quadratic_background()
-        assert initial_energy_from_modes(a_fun, 0.0, CONFIG) == 0.0
+        taus, a = quadratic_background()
+        assert initial_energy_from_modes(taus, a, 0.0, CONFIG) == 0.0
 
 
 class TestDensity:

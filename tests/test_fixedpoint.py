@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflrw.core import Grid
 from semiflrw.fixedpoint import (
     NaNDetected,
     NoConvergence,
@@ -29,10 +28,10 @@ def ones(grid):
 
 class TestPicardSolve:
     def test_zero_functional_returns_f0(self):
-        grid = Grid.uniform(0.0, 1.0, 11)
-        f0 = 2.0 + np.sin(grid.nodes)
+        grid = np.linspace(0.0, 1.0, 11)
+        f0 = 2.0 + np.sin(grid)
         solution, report, _ = picard_solve(
-            f0, lambda x: (np.zeros(x.size), None), grid.nodes, tol=1e-12
+            f0, lambda x: (np.zeros(x.size), None), grid, tol=1e-12
         )
         assert np.array_equal(solution, f0)
         assert report.iterates == 1
@@ -40,38 +39,38 @@ class TestPicardSolve:
 
     def test_exponential_oracle(self):
         # x' = x, x(0) = 1 on [0, 0.5]
-        grid = Grid.uniform(0.0, 0.5, 501)
+        grid = np.linspace(0.0, 0.5, 501)
         solution, report, _ = picard_solve(
-            ones(grid), identity_functional(), grid.nodes, tol=1e-12
+            ones(grid), identity_functional(), grid, tol=1e-12
         )
         assert report.converged
-        error = np.max(np.abs(solution - np.exp(grid.nodes)))
+        error = np.max(np.abs(solution - np.exp(grid)))
         assert error < 1e-6
 
     def test_seed_reaches_the_same_fixed_point(self):
-        grid = Grid.uniform(0.0, 0.5, 201)
+        grid = np.linspace(0.0, 0.5, 201)
         f0 = ones(grid)
-        seed = 1.0 + 0.3 * np.cos(4.0 * grid.nodes)
-        plain, _, _ = picard_solve(f0, identity_functional(), grid.nodes, tol=1e-12)
+        seed = 1.0 + 0.3 * np.cos(4.0 * grid)
+        plain, _, _ = picard_solve(f0, identity_functional(), grid, tol=1e-12)
         seeded, report, _ = picard_solve(
-            f0, identity_functional(), grid.nodes, tol=1e-12, x0=seed
+            f0, identity_functional(), grid, tol=1e-12, x0=seed
         )
         assert report.converged
         assert np.max(np.abs(seeded - plain)) < 1e-11
         assert report.equation_residual < 2e-12
 
     def test_seed_grid_mismatch(self):
-        grid = Grid.uniform(0.0, 0.5, 21)
+        grid = np.linspace(0.0, 0.5, 21)
         with pytest.raises(ValueError):
             picard_solve(
-                ones(grid), identity_functional(), grid.nodes, x0=np.ones(31)
+                ones(grid), identity_functional(), grid, x0=np.ones(31)
             )
 
     def test_contraction_ratios_decay(self):
         lam = 2.0
-        grid = Grid.uniform(0.0, 0.4, 201)
+        grid = np.linspace(0.0, 0.4, 201)
         _, report, _ = picard_solve(
-            ones(grid), identity_functional(lam), grid.nodes, tol=1e-13
+            ones(grid), identity_functional(lam), grid, tol=1e-13
         )
         ratios = report.contraction_ratios
         # coarse bound lam * span holds for every step
@@ -81,19 +80,19 @@ class TestPicardSolve:
         assert all(b < a for a, b in zip(tail[:-1], tail[1:]))
 
     def test_equation_residual_below_twice_tol(self):
-        grid = Grid.uniform(0.0, 0.4, 201)
+        grid = np.linspace(0.0, 0.4, 201)
         tol = 1e-11
         _, report, _ = picard_solve(
-            ones(grid), identity_functional(1.7), grid.nodes, tol=tol
+            ones(grid), identity_functional(1.7), grid, tol=tol
         )
         assert report.equation_residual is not None
         assert report.equation_residual < 2.0 * tol
 
     def test_no_convergence_carries_report(self):
-        grid = Grid.uniform(0.0, 1.0, 101)
+        grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(NoConvergence) as excinfo:
             picard_solve(
-                ones(grid), identity_functional(3.0), grid.nodes, tol=1e-12,
+                ones(grid), identity_functional(3.0), grid, tol=1e-12,
                 max_iter=15,
             )
         report = excinfo.value.report
@@ -103,7 +102,7 @@ class TestPicardSolve:
         assert len(report.residuals) == 15
 
     def test_nan_detected_with_node(self):
-        grid = Grid.uniform(0.0, 1.0, 11)
+        grid = np.linspace(0.0, 1.0, 11)
 
         def poisoned(x):
             out = x.copy()
@@ -111,29 +110,29 @@ class TestPicardSolve:
             return out, None
 
         with pytest.raises(NaNDetected) as excinfo:
-            picard_solve(ones(grid), poisoned, grid.nodes)
+            picard_solve(ones(grid), poisoned, grid)
         assert excinfo.value.node_index == 5
         assert math.isclose(excinfo.value.tau, 0.5)
 
     def test_grid_mismatch_rejected(self):
-        grid = Grid.uniform(0.0, 1.0, 11)
-        other = Grid.uniform(0.0, 1.0, 21)
+        grid = np.linspace(0.0, 1.0, 11)
+        other = np.linspace(0.0, 1.0, 21)
         with pytest.raises(ValueError):
-            picard_solve(ones(other), identity_functional(), grid.nodes)
+            picard_solve(ones(other), identity_functional(), grid)
 
     def test_determinism(self):
-        grid = Grid.uniform(0.0, 0.4, 201)
+        grid = np.linspace(0.0, 0.4, 201)
         a, ra, _ = picard_solve(
-            ones(grid), identity_functional(1.3), grid.nodes, tol=1e-12
+            ones(grid), identity_functional(1.3), grid, tol=1e-12
         )
         b, rb, _ = picard_solve(
-            ones(grid), identity_functional(1.3), grid.nodes, tol=1e-12
+            ones(grid), identity_functional(1.3), grid, tol=1e-12
         )
         assert np.array_equal(a, b)
         assert ra.residuals == rb.residuals
 
     def test_byproduct_is_from_the_returned_solution(self):
-        grid = Grid.uniform(0.0, 0.4, 201)
+        grid = np.linspace(0.0, 0.4, 201)
         calls = []
 
         def evaluate(x):
@@ -141,7 +140,7 @@ class TestPicardSolve:
             return 1.3 * x, x
 
         solution, report, byproduct = picard_solve(
-            ones(grid), evaluate, grid.nodes, tol=1e-12
+            ones(grid), evaluate, grid, tol=1e-12
         )
         assert byproduct is solution
         # one evaluation per iterate: the last one's update norm is the
@@ -152,10 +151,10 @@ class TestPicardSolve:
     @settings(max_examples=20, deadline=None)
     def test_converged_runs_satisfy_equation(self, lam):
         span = min(0.8 / lam, 1.0)
-        grid = Grid.uniform(0.0, span, 101)
+        grid = np.linspace(0.0, span, 101)
         tol = 1e-10
         solution, report, _ = picard_solve(
-            ones(grid), identity_functional(lam), grid.nodes, tol=tol
+            ones(grid), identity_functional(lam), grid, tol=tol
         )
         assert report.converged
         assert report.residuals[-1] < tol
@@ -168,28 +167,28 @@ class TestPicardSolve:
 
 class TestRetardation:
     def test_cumulative_integral_is_retarded(self):
-        grid = Grid.uniform(0.0, 1.0, 101)
+        grid = np.linspace(0.0, 1.0, 101)
 
         def running_integral(x):
             from scipy.integrate import cumulative_trapezoid
 
-            return cumulative_trapezoid(x, grid.nodes, initial=0.0), None
+            return cumulative_trapezoid(x, grid, initial=0.0), None
 
-        assert verify_retardation(running_integral, np.cos(grid.nodes))
+        assert verify_retardation(running_integral, np.cos(grid))
 
     def test_end_anchored_functional_fails(self):
-        grid = Grid.uniform(0.0, 1.0, 101)
+        grid = np.linspace(0.0, 1.0, 101)
         def end_anchored(x):
             return np.full(grid.size, x[-1]), None
 
-        assert not verify_retardation(end_anchored, np.cos(grid.nodes))
+        assert not verify_retardation(end_anchored, np.cos(grid))
 
 
 class TestHalvingDriver:
     def test_shrinks_until_contraction(self):
         # residual floor ~ (lam * span)^n / n! passes tol only on a short span
         lam = 8.0
-        grid = Grid.uniform(0.0, 1.0, 401)
+        grid = np.linspace(0.0, 1.0, 401)
         calls = []
 
         def build(nodes):
@@ -197,7 +196,7 @@ class TestHalvingDriver:
             return np.ones(nodes.size), identity_functional(lam)
 
         solution, report, final_nodes, _ = picard_solve_with_halving(
-            build, grid.nodes, tol=1e-10, max_iter=12
+            build, grid, tol=1e-10, max_iter=12
         )
         assert report.converged
         assert report.halvings == len(calls) - 1
@@ -208,69 +207,69 @@ class TestHalvingDriver:
         assert np.max(np.abs(solution - expected)) < 1e-4
 
     def test_no_halving_when_first_try_converges(self):
-        grid = Grid.uniform(0.0, 0.3, 151)
+        grid = np.linspace(0.0, 0.3, 151)
         solution, report, final_nodes, _ = picard_solve_with_halving(
-            lambda nodes: (np.ones(nodes.size), identity_functional()), grid.nodes,
+            lambda nodes: (np.ones(nodes.size), identity_functional()), grid,
             tol=1e-12,
         )
         assert report.halvings == 0
-        assert np.array_equal(final_nodes, grid.nodes)
+        assert np.array_equal(final_nodes, grid)
 
     def test_gives_up_after_max_halvings(self):
-        grid = Grid.uniform(0.0, 1.0, 513)
+        grid = np.linspace(0.0, 1.0, 513)
 
         def build(nodes):
             return np.ones(nodes.size), identity_functional(1e6)
 
         with pytest.raises(NoConvergence):
             picard_solve_with_halving(
-                build, grid.nodes, tol=1e-12, max_iter=10, max_halvings=4
+                build, grid, tol=1e-12, max_iter=10, max_halvings=4
             )
 
     def test_gives_up_when_the_span_is_too_short_to_halve(self):
         # 5 nodes halve to 3, which halve no further: the rejection is
         # raised, not an error about the grid
-        grid = Grid.uniform(0.0, 1.0, 5)
+        grid = np.linspace(0.0, 1.0, 5)
 
         def build(nodes):
             return np.ones(nodes.size), identity_functional(1e6)
 
         with pytest.raises(NoConvergence) as excinfo:
-            picard_solve_with_halving(build, grid.nodes, tol=1e-12, max_iter=10)
+            picard_solve_with_halving(build, grid, tol=1e-12, max_iter=10)
         assert "after 1 halvings" in str(excinfo.value)
 
     def test_seed_starts_the_first_attempt_only(self):
         lam = 8.0
-        grid = Grid.uniform(0.0, 1.0, 401)
+        grid = np.linspace(0.0, 1.0, 401)
 
         def build(nodes):
             return np.ones(nodes.size), identity_functional(lam)
 
         # a full-length seed would not fit the halved nodes
         _, report, final_nodes, _ = picard_solve_with_halving(
-            build, grid.nodes, tol=1e-10, max_iter=12, x0=np.exp(lam * grid.nodes)
+            build, grid, tol=1e-10, max_iter=12, x0=np.exp(lam * grid)
         )
         assert report.converged and report.halvings >= 1
         assert final_nodes.size < grid.size
 
-        short = Grid.uniform(0.0, 0.3, 151)
+        short = np.linspace(0.0, 0.3, 151)
         unseeded, plain, _, _ = picard_solve_with_halving(
-            build, short.nodes, tol=1e-12, max_iter=40
+            build, short, tol=1e-12, max_iter=40
         )
         seeded, warm, _, _ = picard_solve_with_halving(
-            build, short.nodes, tol=1e-12, max_iter=40, x0=unseeded
+            build, short, tol=1e-12, max_iter=40, x0=unseeded
         )
         assert warm.halvings == 0
         assert warm.iterates < plain.iterates
         assert np.max(np.abs(seeded - unseeded)) < 1e-11
 
     def test_front_half_preserves_node_alignment(self):
-        grid = Grid.uniform(0.0, 1.0, 401)
+        grid = np.linspace(0.0, 1.0, 401)
 
         def build(nodes):
             return np.ones(nodes.size), identity_functional(3.0)
 
         _, _, final_nodes, _ = picard_solve_with_halving(
-            build, grid.nodes, tol=1e-12, max_iter=25
+            build, grid, tol=1e-12, max_iter=25
         )
-        assert np.all(np.isin(final_nodes, grid.nodes))
+        assert np.all(np.isin(final_nodes, grid))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflrw.core import Grid, SampledFunction
 from semiflrw.modes import (
     DegenerateMode,
     ModeBank,
@@ -28,9 +27,8 @@ from oracles import (
 
 
 def sine_background(n_nodes=1501, amp=0.1, mass=1.0, tau_end=2.0):
-    grid = Grid.uniform(0.0, tau_end, n_nodes)
-    a = SampledFunction(grid, 1.0 + amp * np.sin(grid.nodes))
-    return Potential.from_scale_factor(a, mass=mass)
+    grid = np.linspace(0.0, tau_end, n_nodes)
+    return Potential.from_scale_factor(grid, 1.0 + amp * np.sin(grid), mass=mass)
 
 
 def test_initial_mode_pythagorean_case():
@@ -65,46 +63,45 @@ def test_initial_mode_wronskian_property(k, a0, mass, tau0):
 
 def test_potential_anchoring():
     pot = sine_background()
-    assert pot.V.values[0] == 0.0
+    assert pot.V[0] == 0.0
     assert pot.freq_shift == pytest.approx(1.0)
 
 
 def test_potential_vanishes_at_the_anchor_for_every_a0():
     # an a0 whose square by C pow can be one ulp away from a0 * a0
     a0 = 0.9529018931275899
-    grid = Grid.uniform(0.0, 1.0, 11)
-    pot = Potential.from_scale_factor(SampledFunction(grid, np.full(11, a0)), mass=1.0)
-    assert np.all(pot.V.values == 0.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    pot = Potential.from_scale_factor(grid, np.full(11, a0), mass=1.0)
+    assert np.all(pot.V == 0.0)
 
 
 def test_potential_explicit_anchor_allows_offset_start():
-    grid = Grid.uniform(1.0, 2.0, 11)
-    a = SampledFunction(grid, np.full(11, 3.0))
-    pot = Potential.from_scale_factor(a, mass=2.0, a0=1.0)
+    grid = np.linspace(1.0, 2.0, 11)
+    pot = Potential.from_scale_factor(grid, np.full(11, 3.0), mass=2.0, a0=1.0)
     # V = m^2 (a^2 - a0^2) = 4*(9-1) = 32 on the whole segment
-    np.testing.assert_allclose(pot.V.values, 32.0, rtol=1e-14)
+    np.testing.assert_allclose(pot.V, 32.0, rtol=1e-14)
     assert pot.freq_shift == pytest.approx(4.0)
 
 
 def test_evolve_constant_shift_matches_analytic():
     # constant V = c: exact solution is a free oscillator at sqrt(k0^2+c)
-    grid = Grid.uniform(0.0, 2.0, 801)
+    grid = np.linspace(0.0, 2.0, 801)
     c = 3.0
-    pot = Potential(SampledFunction.constant(grid, c), freq_shift=4.0)
+    pot = Potential(grid, np.full(grid.size, c), freq_shift=4.0)
     state = initial_mode(k=2.0, a0=1.0, mass=2.0, tau0=0.0)
     traj = evolve_mode(state, pot, 2.0, step=2e-3)
     omega = math.sqrt(state.k0**2 + c)
-    delta = grid.nodes
+    delta = grid
     expected = state.chi * np.cos(omega * delta) + state.dchi * np.sin(omega * delta) / omega
     np.testing.assert_allclose(traj.chi, expected, rtol=0, atol=2e-10)
 
 
 def test_evolve_zero_potential_short_circuit_exact():
-    grid = Grid.uniform(0.0, 5.0, 101)
+    grid = np.linspace(0.0, 5.0, 101)
     pot = Potential.zero(grid, freq_shift=9.0)
     state = initial_mode(k=4.0, a0=1.0, mass=3.0, tau0=0.0)
     traj = evolve_mode(state, pot, 5.0, step=1.0)
-    expected = np.exp(1j * state.k0 * grid.nodes) / math.sqrt(2.0 * state.k0)
+    expected = np.exp(1j * state.k0 * grid) / math.sqrt(2.0 * state.k0)
     np.testing.assert_allclose(traj.chi, expected, rtol=1e-13)
     assert traj.wronskian_errors.max() < 1e-13
 
@@ -141,9 +138,9 @@ def test_evolve_rejects_offgrid_target():
 
 def test_oracle_equivalence_small_potential():
     # smooth, compactly supported, small perturbation
-    grid = Grid.uniform(0.0, 2.0, 2001)
-    v = 0.02 * np.sin(np.pi * grid.nodes / 2.0) ** 2
-    pot = Potential(SampledFunction(grid, v), freq_shift=1.0)
+    grid = np.linspace(0.0, 2.0, 2001)
+    v = 0.02 * np.sin(np.pi * grid / 2.0) ** 2
+    pot = Potential(grid, v, freq_shift=1.0)
     for k in (0.3, 2.0, 10.0, 30.0):
         # freq_shift = 1 corresponds to a0*m = 1
         state = initial_mode(k, 1.0, 1.0, 0.0)
@@ -161,7 +158,7 @@ def test_perturbative_zeroth_order():
 
 
 def test_perturbative_zero_potential_all_orders_vanish():
-    grid = Grid.uniform(0.0, 1.0, 201)
+    grid = np.linspace(0.0, 1.0, 201)
     pot = Potential.zero(grid, freq_shift=4.0)
     orders = perturbative_orders(1.0, pot, 4, 1.0)
     assert np.all(np.abs(orders[1:]) == 0.0)
@@ -186,15 +183,15 @@ def test_mode_bound_trivia():
     assert mode_bound(0, k, pot, 2.0, l=0) == pytest.approx(
         1.0 / math.sqrt(2.0 * pot.frequency(k)), rel=1e-14
     )
-    grid = Grid.uniform(0.0, 1.5, 301)
+    grid = np.linspace(0.0, 1.5, 301)
     zero = Potential.zero(grid, freq_shift=1.0)
     assert mode_bound(3, k, zero, 1.5, l=0) == 0.0
 
 
 def test_mode_bound_unit_potential_closed_form():
     tau = 1.5
-    grid = Grid.uniform(0.0, tau, 601)
-    pot = Potential(SampledFunction.constant(grid, 1.0), freq_shift=3.0)
+    grid = np.linspace(0.0, tau, 601)
+    pot = Potential(grid, np.ones(grid.size), freq_shift=3.0)
     k0 = pot.frequency(1.0)
     for n in (1, 2, 4):
         expected = (tau**2 / 2.0) ** n / math.factorial(n) / math.sqrt(2.0 * k0)
@@ -206,19 +203,19 @@ def test_mode_bound_unit_potential_closed_form():
 def test_bound_compliance_epsilon_extraction():
     # fit chi(eps) as a polynomial in the scaled potential eps*V and compare
     # each extracted order against the factorial estimate
-    grid = Grid.uniform(0.0, 2.0, 1501)
-    v_base = 0.4 * np.sin(np.pi * grid.nodes / 2.0) ** 2
+    grid = np.linspace(0.0, 2.0, 1501)
+    v_base = 0.4 * np.sin(np.pi * grid / 2.0) ** 2
     k, shift = 2.0, 1.0
     k0 = math.sqrt(k**2 + shift)
     eps_grid = np.linspace(0.15, 1.0, 9)
     finals = []
     for eps in eps_grid:
-        pot = Potential(SampledFunction(grid, eps * v_base), freq_shift=shift)
+        pot = Potential(grid, eps * v_base, freq_shift=shift)
         state = initial_mode(k, 1.0, 1.0, 0.0)
         traj = evolve_mode(state, pot, 2.0, step=0.02 / k0)
         finals.append(traj.chi[-1])
     coeffs = np.polynomial.polynomial.polyfit(eps_grid, np.array(finals), 6)
-    pot_full = Potential(SampledFunction(grid, v_base), freq_shift=shift)
+    pot_full = Potential(grid, v_base, freq_shift=shift)
     for n in range(1, 5):
         cap = min(
             mode_bound(n, k, pot_full, 2.0, l=0),
@@ -251,12 +248,12 @@ def test_evolve_linearity_in_initial_data():
 
 def test_small_potential_first_order_residual_scaling():
     # evolve vs first-order truncation: residual should shrink like ||V||^2
-    grid = Grid.uniform(0.0, 2.0, 1201)
-    v_shape = np.sin(np.pi * grid.nodes / 2.0) ** 2
+    grid = np.linspace(0.0, 2.0, 1201)
+    v_shape = np.sin(np.pi * grid / 2.0) ** 2
     k, shift = 1.5, 1.0
     resid = {}
     for eps in (0.02, 0.01):
-        pot = Potential(SampledFunction(grid, eps * v_shape), freq_shift=shift)
+        pot = Potential(grid, eps * v_shape, freq_shift=shift)
         state = initial_mode(k, 1.0, 1.0, 0.0)
         traj = evolve_mode(state, pot, 2.0, step=0.01 / state.k0)
         first = perturbative_mode(k, pot, 1, 2.0)
@@ -282,7 +279,7 @@ def test_bank_anchor_digest_stable_under_evolution():
     momenta = np.linspace(0.2, 10.0, 12)
     bank = ModeBank.at_initial(momenta, np.ones(12), 1.0, 1.0, 0.0)
     digest = bank.anchor_digest()
-    hist = evolve_bank(bank, pot.V.values, pot.V.grid.nodes)
+    hist = evolve_bank(bank, pot.V, pot.taus)
     assert hist.final.anchor_digest() == digest
     assert hist.final.tau == pytest.approx(2.0)
     assert hist.wronskian_error_max < 1e-8
@@ -292,10 +289,8 @@ def test_bank_evolution_consistent_with_scalar_path():
     pot = sine_background(n_nodes=801)
     momenta = np.array([0.5, 5.0, 20.0])
     bank = ModeBank.at_initial(momenta, np.ones(3), 1.0, 1.0, 0.0)
-    nodes = pot.V.grid.nodes
-    hist = evolve_bank(bank, pot.V.values, nodes)
-    v_values = pot.V(nodes).real
-    omega_max = math.sqrt(float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0))
+    hist = evolve_bank(bank, pot.V, pot.taus)
+    omega_max = math.sqrt(float(np.max(bank.k0) ** 2) + max(float(np.max(pot.V)), 0.0))
     step = resolve_substep(2.0, omega_max)
     for j, k in enumerate(momenta):
         state = initial_mode(float(k), 1.0, 1.0, 0.0)
@@ -307,7 +302,7 @@ def test_bank_rejects_a_potential_off_the_nodes():
     pot = sine_background(n_nodes=101)
     bank = ModeBank.at_initial(np.array([0.5, 5.0]), np.ones(2), 1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="one value per node"):
-        evolve_bank(bank, pot.V.values[:-1], pot.V.grid.nodes)
+        evolve_bank(bank, pot.V[:-1], pot.taus)
 
 
 def _sweep_case(nodes, step):

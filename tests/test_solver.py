@@ -105,13 +105,14 @@ class TestConfig:
             {"max_segments": 0},
             {"max_iter": 0},
             {"max_halvings": -1},
-            {"substep_cap": 0.0},
-            {"substep_cap": -0.02},
-            {"substep_cap": math.inf},
-            {"wronskian_budget": -1e-8},
-            {"wronskian_budget": math.nan},
             {"wronskian_tolerance": 0.0},
             {"wronskian_tolerance": math.inf},
+            # NaN fails every comparison: each check must be written to fail
+            {"dt_target": math.nan},
+            {"tol": math.nan},
+            {"epsilon_critical": math.nan},
+            {"epsilon_scale": math.nan},
+            {"wronskian_tolerance": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -348,6 +349,14 @@ class TestContinuationContract:
         else:
             assert rep.reason == "ConvergenceFailure"
             assert {"error", "picard_residuals", "note"} & set(diagnostics)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_horizon_not_past_tau0_is_rejected(self, horizon):
+        # a NaN horizon would otherwise run until the segment budget is spent
+        with pytest.raises(ValueError, match="tau_horizon must exceed tau0"):
+            continue_maximal(
+                InitialData(0.0, 1.0, 0.0), horizon, PhysicalParams(mass=0.0), W0
+            )
 
 
 class TestBlowUp:

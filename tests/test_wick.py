@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from semiflrw.core import EULER_GAMMA, Grid, PhysicalParams, SampledFunction
+from semiflrw.core import EULER_GAMMA, PhysicalParams
 from semiflrw.modes import ModeBank, evolve_bank
 from semiflrw.wick import (
     TWO_PI_SQ,
@@ -37,42 +37,43 @@ MASS = 1.0
 
 
 def sine_background(n_nodes=401):
-    grid = Grid.uniform(0.0, 2.0, n_nodes)
-    a_fun = SampledFunction(grid, 1.0 + 0.1 * np.sin(grid.nodes))
-    return grid, a_fun, Potential.from_scale_factor(a_fun, MASS)
+    """The background bg = (taus, a) and its Potential."""
+    taus = np.linspace(0.0, 2.0, n_nodes)
+    a = 1.0 + 0.1 * np.sin(taus)
+    return (taus, a), Potential.from_scale_factor(taus, a, MASS)
 
 
-def a_at(a_fun, tau):
-    return float(a_fun(tau).real)
+def a_at(bg, tau):
+    return float(np.interp(tau, *bg))
 
 
 def evolved_bank(config):
-    grid, a_fun, pot = sine_background()
+    bg, pot = sine_background()
     momenta, weights = radial_grid(config)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-    history = evolve_bank(bank, pot.V.values, grid.nodes)
-    return a_fun, history.final
+    history = evolve_bank(bank, pot.V, pot.taus)
+    return bg, history.final
 
 
 @pytest.fixture(scope="module")
 def bank20():
     config = WickConfig(k_max=20.0, n_k=96, k_knee=10.0)
-    a_fun, bank = evolved_bank(config)
-    return config, a_fun, bank
+    bg, bank = evolved_bank(config)
+    return config, bg, bank
 
 
 @pytest.fixture(scope="module")
 def bank40():
     config = WickConfig(k_max=40.0, n_k=192, k_knee=10.0)
-    a_fun, bank = evolved_bank(config)
-    return config, a_fun, bank
+    bg, bank = evolved_bank(config)
+    return config, bg, bank
 
 
 @pytest.fixture(scope="module")
 def bank80():
     config = WickConfig(k_max=80.0, n_k=384, k_knee=10.0)
-    a_fun, bank = evolved_bank(config)
-    return config, a_fun, bank
+    bg, bank = evolved_bank(config)
+    return config, bg, bank
 
 
 class TestConfig:
@@ -224,7 +225,7 @@ class TestIntegrand:
 
     def test_order_zero_cancellation_is_exact(self):
         # counterterm V/(4 k0^3) enters at first order, so order 0 uses V = 0
-        grid, _, pot = sine_background(2001)
+        _, pot = sine_background(2001)
         for k in (0.7, 2.3, 11.0):
             k0 = math.sqrt(k**2 + pot.freq_shift)
             chi0 = perturbative_orders(k, pot, 0, 2.0)[0]
@@ -232,34 +233,35 @@ class TestIntegrand:
 
     @pytest.mark.parametrize("k", [0.7, 2.3, 11.0])
     def test_order_one_matches_cosine_transform(self, k):
-        grid, _, pot = sine_background(2001)
+        _, pot = sine_background(2001)
         tau_eval = 2.0
         k0 = math.sqrt(k**2 + pot.freq_shift)
         orders = perturbative_orders(k, pot, 1, tau_eval)
-        v_tau = float(pot.V(tau_eval).real)
+        v_tau = float(np.interp(tau_eval, pot.taus, pot.V))
         first_order = 2.0 * (orders[1] * np.conj(orders[0])).real + v_tau / (4.0 * k0**3)
-        etas = grid.nodes
+        etas = pot.taus
+        v_prime = np.gradient(pot.V, etas, edge_order=2)
         transform = simpson(
-            np.cos(2.0 * k0 * (etas - tau_eval)) * pot.V.derivative()(etas).real, x=etas
+            np.cos(2.0 * k0 * (etas - tau_eval)) * v_prime, x=etas
         ) / (4.0 * k0**3)
         assert abs(first_order - transform) < 1e-8
 
 
 class TestWickSquare:
     def test_initial_time_closed_form_default_scale(self, bank20):
-        config, a_fun, _ = bank20
+        config, bg, _ = bank20
         momenta, weights = radial_grid(config)
         fresh = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
         params = PhysicalParams(mass=MASS)
-        value = wick_square_renormalized(a_at(a_fun, 0.0), fresh, fresh.chi, params, config)
+        value = wick_square_renormalized(a_at(bg, 0.0), fresh, fresh.chi, params, config)
         assert math.isclose(value, -1.0 / (32.0 * math.pi**2), rel_tol=1e-12)
 
     def test_initial_time_closed_form_custom_scale(self, bank20):
-        config, a_fun, _ = bank20
+        config, bg, _ = bank20
         momenta, weights = radial_grid(config)
         fresh = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
         params = PhysicalParams(mass=MASS, length_scale=2.0)
-        value = wick_square_renormalized(a_at(a_fun, 0.0), fresh, fresh.chi, params, config)
+        value = wick_square_renormalized(a_at(bg, 0.0), fresh, fresh.chi, params, config)
         expected = (
             MASS**2
             / (16.0 * math.pi**2)
@@ -268,15 +270,15 @@ class TestWickSquare:
         assert math.isclose(value, expected, rel_tol=1e-12)
 
     def test_zero_mass_short_circuit(self, bank20):
-        config, a_fun, bank = bank20
+        config, bg, bank = bank20
         params = PhysicalParams(mass=0.0)
-        a_end = a_at(a_fun, 2.0)
+        a_end = a_at(bg, 2.0)
         assert wick_square_renormalized(a_end, bank, bank.chi, params, config) == 0.0
 
     def test_row_count_mismatch_rejected(self, bank20):
-        config, a_fun, bank = bank20
+        config, bg, bank = bank20
         params = PhysicalParams(mass=MASS)
-        a_end = a_at(a_fun, 2.0)
+        a_end = a_at(bg, 2.0)
         with pytest.raises(ValueError, match="one row of bank modes"):
             wick_square_renormalized(
                 np.array([a_end, a_end]), bank, bank.chi, params, config
@@ -285,10 +287,10 @@ class TestWickSquare:
             wick_square_renormalized(a_end, bank, bank.chi[:-1], params, config)
 
     def test_kmax_doubling_below_tolerance(self, bank40, bank80):
-        config40, a_fun, b40 = bank40
+        config40, bg, b40 = bank40
         config80, _, b80 = bank80
         params = PhysicalParams(mass=MASS)
-        a_end = a_at(a_fun, 2.0)
+        a_end = a_at(bg, 2.0)
         coarse, detail = wick_square_renormalized(
             a_end, b40, b40.chi, params, config40, detail=True
         )
@@ -298,26 +300,25 @@ class TestWickSquare:
 
     def test_tail_exponent_at_least_cubic(self, bank20, bank40):
         params = PhysicalParams(mass=MASS)
-        for config, a_fun, bank in (bank20, bank40):
+        for config, bg, bank in (bank20, bank40):
             _, detail = wick_square_renormalized(
-                a_at(a_fun, 2.0), bank, bank.chi, params, config, detail=True
+                a_at(bg, 2.0), bank, bank.chi, params, config, detail=True
             )
             assert detail.tail.p_raw >= 3.0
 
     def test_bounded_response_to_background_perturbation(self):
-        grid = Grid.uniform(0.0, 2.0, 401)
+        taus = np.linspace(0.0, 2.0, 401)
         config = WickConfig(k_max=20.0, n_k=96, k_knee=10.0)
         momenta, weights = radial_grid(config)
         params = PhysicalParams(mass=MASS)
 
         def wick_at_end(delta):
-            values = 1.0 + 0.1 * np.sin(grid.nodes) + delta * np.sin(3.0 * grid.nodes)
-            a_fun = SampledFunction(grid, values)
-            pot = Potential.from_scale_factor(a_fun, MASS)
+            a = 1.0 + 0.1 * np.sin(taus) + delta * np.sin(3.0 * taus)
+            pot = Potential.from_scale_factor(taus, a, MASS)
             bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-            history = evolve_bank(bank, pot.V.values, grid.nodes)
+            history = evolve_bank(bank, pot.V, taus)
             return wick_square_renormalized(
-                a_at(a_fun, 2.0), history.final, history.final.chi, params, config
+                a_at((taus, a), 2.0), history.final, history.final.chi, params, config
             )
 
         base = wick_at_end(0.0)
@@ -340,13 +341,13 @@ class TestFiniteTerms:
 
 class TestBogoliubov:
     def test_vacuum_profile_gives_zero(self, bank20):
-        config, a_fun, bank = bank20
+        config, bg, bank = bank20
         profile = BogoliubovProfile(A=lambda k: np.ones_like(k), B=lambda k: np.zeros_like(k))
-        value = wick_square_bogoliubov_delta(a_at(a_fun, 2.0), bank, bank.chi, profile, config)
+        value = wick_square_bogoliubov_delta(a_at(bg, 2.0), bank, bank.chi, profile, config)
         assert value == 0.0
 
     def test_single_node_matches_hand_sum(self, bank20):
-        config, a_fun, bank = bank20
+        config, bg, bank = bank20
         j = 10
         k_j = bank.momenta[j]
         b0 = 0.3
@@ -357,7 +358,7 @@ class TestBogoliubov:
         def a_func(k):
             return np.sqrt(1.0 + np.abs(b_func(k)) ** 2)
 
-        a_tau = float(a_fun(2.0).real)
+        a_tau = a_at(bg, 2.0)
         profile = BogoliubovProfile(A=a_func, B=b_func)
         value = wick_square_bogoliubov_delta(a_tau, bank, bank.chi, profile, config)
         chi_j = bank.chi[j]
@@ -391,7 +392,7 @@ class TestBogoliubov:
 
     @pytest.mark.parametrize("amplitude,k_scale", [(0.5, 2.0), (2.0, 0.7), (0.0, 1.0)])
     def test_gaussian_profile_constraint(self, amplitude, k_scale, bank20):
-        config, a_fun, bank = bank20
+        config, bg, bank = bank20
         profile = BogoliubovProfile.gaussian(amplitude, k_scale)
         a_vals = profile.A(bank.momenta)
         b_vals = profile.B(bank.momenta)
@@ -401,7 +402,7 @@ class TestBogoliubov:
             # may legitimately report itself ill-conditioned here
             warnings.simplefilter("ignore", TailFitFailed)
             value = wick_square_bogoliubov_delta(
-                a_at(a_fun, 2.0), bank, bank.chi, profile, config
+                a_at(bg, 2.0), bank, bank.chi, profile, config
             )
         assert math.isfinite(value)
 
@@ -456,12 +457,12 @@ class TestRowsMatchPerNodeOracle:
         params = PhysicalParams(mass=mass)
         momenta, weights = radial_grid(config)
         bank = ModeBank.at_initial(momenta, weights, a0=a0, mass=mass, tau0=0.0)
-        grid = Grid.uniform(0.0, 0.05, 9)
-        a_fun = SampledFunction(grid, a0 * (1.0 + growth * grid.nodes / 0.05))
-        pot = Potential.from_scale_factor(a_fun, mass, a0=a0)
-        history = evolve_bank(bank, pot.V.values, grid.nodes)
+        taus = np.linspace(0.0, 0.05, 9)
+        a = a0 * (1.0 + growth * taus / 0.05)
+        pot = Potential.from_scale_factor(taus, a, mass, a0=a0)
+        history = evolve_bank(bank, pot.V, taus)
         a_spiked, chi_spiked = spiked_rows(bank, a0, n_spikes)
-        a_rows = np.concatenate([a_fun.values.real, a_spiked])
+        a_rows = np.concatenate([a, a_spiked])
         chi_rows = np.concatenate([history.chi, chi_spiked])
 
         with warnings.catch_warnings(record=True) as caught:
@@ -507,9 +508,9 @@ class TestRowsMatchPerNodeOracle:
         assert np.all(np.abs(delta - delta_ref) <= 1e-10 * scale)
 
     def test_single_row_is_the_one_row_case(self, bank20):
-        config, a_fun, bank = bank20
+        config, bg, bank = bank20
         params = PhysicalParams(mass=MASS)
-        a_end = a_at(a_fun, 2.0)
+        a_end = a_at(bg, 2.0)
         value, detail = wick_square_renormalized(
             a_end, bank, bank.chi, params, config, detail=True
         )
