@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
@@ -48,6 +48,8 @@ class ValidationError(ConfigError):
     pass
 
 
+_REQUIRED = object()
+
 # SolverConfig's and WickConfig's defaults, but for the CLI's own k_max (the
 # library has none) and n_k
 _NUMERICAL_DEFAULTS = {
@@ -56,20 +58,17 @@ _NUMERICAL_DEFAULTS = {
     "n_k": 192,
 }
 
-_TOP_KEYS = {
-    "mass",
-    "Lambda_tilde",
-    "lambda_len",
-    "hubble_critical",
-    "tau0",
-    "a0",
-    "H0",
-    "constraint",
-    "horizon",
-    "state",
-    "numerical",
-    "out_dir",
+# top-level numbers and their defaults; a null hubble_critical is the default
+_TOP_NUMBERS = {
+    "mass": _REQUIRED,
+    "horizon": _REQUIRED,
+    "Lambda_tilde": 0.0,
+    "lambda_len": None,
+    "hubble_critical": None,
+    "tau0": 0.0,
+    "a0": 1.0,
 }
+_TOP_KEYS = {*_TOP_NUMBERS, "H0", "constraint", "state", "numerical", "out_dir"}
 _CONSTRAINT_KEYS = {"variant", "sign", "target_hubble"}
 # Keys of "numerical" that were removed, with what became of them.  They
 # are answered as removed, not as misspelt: a similar name would steer an
@@ -83,53 +82,12 @@ _REMOVED_NUMERICAL = {
 _STATE_KEYS = {"type", "amplitude", "k_scale"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run description; echo() round-trips through parse."""
-
-    mass: float
-    lambda_tilde: float
-    lambda_len: float | None
-    hubble_critical: float
-    tau0: float
-    a0: float
-    h0: float | None
-    constraint: dict | None
-    horizon: float
-    state: dict
-    numerical: dict
-    out_dir: str | None
-
-    def echo(self) -> dict:
-        out = {
-            "mass": self.mass,
-            "Lambda_tilde": self.lambda_tilde,
-            "lambda_len": self.lambda_len,
-            "hubble_critical": self.hubble_critical,
-            "tau0": self.tau0,
-            "a0": self.a0,
-            "horizon": self.horizon,
-            "state": dict(self.state),
-            "numerical": dict(self.numerical),
-        }
-        if self.constraint is not None:
-            out["constraint"] = dict(self.constraint)
-        else:
-            out["H0"] = self.h0
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
-        return out
-
-
 def _check_keys(mapping: dict, allowed: set, context: str) -> None:
     for key in mapping:
         if key not in allowed:
             close = difflib.get_close_matches(key, sorted(allowed), n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ParseError(f"unknown key {key!r} in {context}{hint}")
-
-
-_REQUIRED = object()
 
 
 def _as_float(mapping: dict, key: str, context: str, default=_REQUIRED):
@@ -145,42 +103,48 @@ def _as_float(mapping: dict, key: str, context: str, default=_REQUIRED):
     return float(value)
 
 
-def _as_int(mapping: dict, key: str, context: str, default: int) -> int:
-    value = mapping.get(key, default)
+def _as_int(mapping: dict, key: str, context: str) -> int:
+    value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{context}.{key} must be an integer, got {value!r}")
     return value
 
 
-def parse_config_mapping(raw: dict, origin: str) -> RunConfig:
-    """Validate a decoded JSON object into a RunConfig."""
+def parse_config_mapping(raw: dict, origin: str) -> dict:
+    """Validate a decoded JSON object into the resolved run config.
+
+    Every default is filled in, so the result parses back to itself: it is
+    the config block that solution.csv and summary.json echo.
+    """
     if not isinstance(raw, dict):
         raise ParseError(f"{origin}: top level must be a JSON object")
     _check_keys(raw, _TOP_KEYS, origin)
-    mass = _as_float(raw, "mass", origin)
-    horizon = _as_float(raw, "horizon", origin)
+    config = {
+        key: _as_float(raw, key, origin, default)
+        for key, default in _TOP_NUMBERS.items()
+    }
+    if config["hubble_critical"] is None:
+        config["hubble_critical"] = DEFAULT_HUBBLE_CRITICAL
     if "H0" in raw and "constraint" in raw:
         raise ParseError(f"{origin}: H0 and constraint are mutually exclusive")
 
-    constraint = None
-    h0 = None
     if "constraint" in raw:
         block = raw["constraint"]
+        context = f"{origin}.constraint"
         if not isinstance(block, dict):
             raise ParseError(f"{origin}: constraint must be an object")
-        _check_keys(block, _CONSTRAINT_KEYS, f"{origin}.constraint")
+        _check_keys(block, _CONSTRAINT_KEYS, context)
         if "variant" not in block:
             raise ParseError(f"{origin}: constraint.variant is required")
         constraint = {
             "variant": block["variant"],
-            "sign": _as_float(block, "sign", f"{origin}.constraint", 1.0),
+            "sign": _as_float(block, "sign", context, 1.0),
         }
         if "target_hubble" in block:
-            constraint["target_hubble"] = _as_float(
-                block, "target_hubble", f"{origin}.constraint", None
-            )
+            constraint["target_hubble"] = _as_float(block, "target_hubble", context)
+        config["constraint"] = constraint
     else:
-        h0 = _as_float(raw, "H0", origin, 0.0)
+        config["H0"] = _as_float(raw, "H0", origin, 0.0)
 
     state = raw.get("state", {"type": "vacuum"})
     if not isinstance(state, dict):
@@ -192,10 +156,10 @@ def parse_config_mapping(raw: dict, origin: str) -> RunConfig:
             f"{origin}: state.type must be 'vacuum' or 'bogoliubov-gaussian', "
             f"got {state_type!r}"
         )
-    state_resolved = {"type": state_type}
+    config["state"] = {"type": state_type}
     if state_type == "bogoliubov-gaussian":
-        state_resolved["amplitude"] = _as_float(state, "amplitude", f"{origin}.state")
-        state_resolved["k_scale"] = _as_float(state, "k_scale", f"{origin}.state")
+        for key in ("amplitude", "k_scale"):
+            config["state"][key] = _as_float(state, key, f"{origin}.state")
 
     numerical_raw = raw.get("numerical", {})
     if not isinstance(numerical_raw, dict):
@@ -206,66 +170,47 @@ def parse_config_mapping(raw: dict, origin: str) -> RunConfig:
                 f"key {key!r} in {origin}.numerical was removed and"
                 f" {_REMOVED_NUMERICAL[key]}; delete it"
             )
-    _check_keys(numerical_raw, set(_NUMERICAL_DEFAULTS), f"{origin}.numerical")
-    numerical = dict(_NUMERICAL_DEFAULTS)
+    context = f"{origin}.numerical"
+    _check_keys(numerical_raw, set(_NUMERICAL_DEFAULTS), context)
+    numerical = config["numerical"] = dict(_NUMERICAL_DEFAULTS)
     for key, value in numerical_raw.items():
         default = _NUMERICAL_DEFAULTS[key]
         if isinstance(default, str):
             numerical[key] = value
         elif isinstance(default, int):
-            numerical[key] = _as_int(numerical_raw, key, f"{origin}.numerical", default)
+            numerical[key] = _as_int(numerical_raw, key, context)
         else:
-            numerical[key] = _as_float(numerical_raw, key, f"{origin}.numerical",
-                                       default)
+            numerical[key] = _as_float(numerical_raw, key, context)
 
     out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ParseError(f"{origin}: out_dir must be a string")
-
-    hubble_critical = _as_float(raw, "hubble_critical", origin, None)
-    return RunConfig(
-        mass=mass,
-        lambda_tilde=_as_float(raw, "Lambda_tilde", origin, 0.0),
-        lambda_len=_as_float(raw, "lambda_len", origin, None),
-        hubble_critical=(
-            DEFAULT_HUBBLE_CRITICAL if hubble_critical is None else hubble_critical
-        ),
-        tau0=_as_float(raw, "tau0", origin, 0.0),
-        a0=_as_float(raw, "a0", origin, 1.0),
-        h0=h0,
-        constraint=constraint,
-        horizon=horizon,
-        state=state_resolved,
-        numerical=numerical,
-        out_dir=out_dir,
-    )
+    if out_dir is not None:
+        if not isinstance(out_dir, str):
+            raise ParseError(f"{origin}: out_dir must be a string")
+        config["out_dir"] = out_dir
+    return config
 
 
-def parse_config(path) -> RunConfig:
-    path = Path(path)
+def _read_json(path: Path):
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    return parse_config_mapping(raw, str(path))
 
 
-def _resolve_h0_fixed_point(
-    config: RunConfig, mode: ConstraintMode, wick_cfg: WickConfig
-) -> float:
-    """Constraint 3 H0^2 = rho0 + Lambda with rho0 depending on a'(tau0)
-    = a0^2 H0; iterate because the coupling is weak."""
+def parse_config(path) -> dict:
+    path = Path(path)
+    return parse_config_mapping(_read_json(path), str(path))
+
+
+def _resolve_h0_fixed_point(rho_at, lam: float, mode: ConstraintMode) -> float:
+    """Constraint 3 H0^2 = rho0 + Lambda with rho0 = rho_at(H0) depending on
+    a'(tau0) = a0^2 H0; iterate because the coupling is weak."""
     h = 0.0
     for _ in range(60):
-        rho0 = initial_energy_density(
-            config.a0, config.a0**2 * h, config.mass, wick_cfg
-        )
         try:
-            h_new = solve_constraint(rho0, config.lambda_tilde, mode)
+            h_new = solve_constraint(rho_at(h), lam, mode)
         except NegativeDiscriminant as err:
             raise ValidationError(f"constraint has no real H0: {err}") from err
         if abs(h_new - h) <= 1e-14 * max(1.0, abs(h_new)):
@@ -279,72 +224,68 @@ def _from_table(cls, numerical: dict):
     return cls(**{f.name: numerical[f.name] for f in fields(cls)})
 
 
-def build_run(config: RunConfig):
-    """Turn a RunConfig into solver inputs plus the constraint report."""
+def build_run(config: dict):
+    """Turn a resolved config into solver inputs plus the constraint report."""
+    mass, lam, a0 = config["mass"], config["Lambda_tilde"], config["a0"]
+    state, constraint = config["state"], config.get("constraint")
     try:
         params = PhysicalParams(
-            mass=config.mass,
-            length_scale=config.lambda_len,
-            cosmological_constant=config.lambda_tilde,
-            hubble_critical=config.hubble_critical,
+            mass=mass,
+            length_scale=config["lambda_len"],
+            cosmological_constant=lam,
+            hubble_critical=config["hubble_critical"],
         )
-        wick_cfg = _from_table(WickConfig, config.numerical)
-        solver_cfg = _from_table(SolverConfig, config.numerical)
+        wick_cfg = _from_table(WickConfig, config["numerical"])
+        solver_cfg = _from_table(SolverConfig, config["numerical"])
+        profile = None
+        if state["type"] == "bogoliubov-gaussian":
+            profile = BogoliubovProfile.gaussian(
+                amplitude=state["amplitude"], k_scale=state["k_scale"]
+            )
+        mode = None
+        if constraint is not None:
+            mode = ConstraintMode(
+                variant=constraint["variant"],
+                sign=constraint["sign"],
+                target_hubble=constraint.get("target_hubble"),
+            )
     except ValueError as err:
         raise ValidationError(str(err)) from err
 
-    profile = None
-    if config.state["type"] == "bogoliubov-gaussian":
-        try:
-            profile = BogoliubovProfile.gaussian(
-                amplitude=config.state["amplitude"], k_scale=config.state["k_scale"]
-            )
-        except ValueError as err:
-            raise ValidationError(str(err)) from err
+    def rho_at(h):
+        return initial_energy_density(a0, a0**2 * h, mass, wick_cfg)
 
-    if config.constraint is None:
-        h0 = config.h0
-        rho0 = initial_energy_density(
-            config.a0, config.a0**2 * h0, config.mass, wick_cfg
-        )
+    if mode is None:
+        h0 = config["H0"]
+    elif mode.variant == "given_H0":
+        h0 = _resolve_h0_fixed_point(rho_at, lam, mode)
+    else:
+        h0 = mode.target_hubble
+    rho0 = rho_at(h0)
+    if mode is None:
         report = {
             "variant": "direct",
             "rho0": rho0,
-            "Lambda": config.lambda_tilde,
+            "Lambda": lam,
             "H0": h0,
             "solved_value": h0,
-            "residual": 3.0 * h0**2 - config.lambda_tilde - rho0,
+            "residual": 3.0 * h0**2 - lam - rho0,
         }
     else:
-        try:
-            mode = ConstraintMode(
-                variant=config.constraint["variant"],
-                sign=config.constraint.get("sign", 1.0),
-                target_hubble=config.constraint.get("target_hubble"),
-            )
-        except ValueError as err:
-            raise ValidationError(str(err)) from err
-        if mode.variant == "given_H0":
-            h0 = _resolve_h0_fixed_point(config, mode, wick_cfg)
-        else:
-            h0 = mode.target_hubble
-        rho0 = initial_energy_density(
-            config.a0, config.a0**2 * h0, config.mass, wick_cfg
-        )
-        report = constraint_report(rho0, config.lambda_tilde, mode)
+        report = constraint_report(rho0, lam, mode)
         if mode.variant == "solve_for_Lambda":
             # the solved value becomes the run's cosmological constant
             params = replace(params, cosmological_constant=report["Lambda"])
 
     try:
-        initial = InitialData(tau0=config.tau0, a0=config.a0, hubble0=h0)
+        initial = InitialData(tau0=config["tau0"], a0=a0, hubble0=h0)
         initial.validate_against(params)
     except ValueError as err:
         raise ValidationError(str(err)) from err
     # written so that a NaN horizon fails too
-    if not config.horizon > config.tau0:
+    if not config["horizon"] > config["tau0"]:
         raise ValidationError(
-            f"horizon {config.horizon} must exceed tau0 {config.tau0}"
+            f"horizon {config['horizon']} must exceed tau0 {config['tau0']}"
         )
     return params, initial, wick_cfg, solver_cfg, profile, report
 
@@ -353,7 +294,7 @@ def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def write_solution_csv(path, solution, params, config_echo: dict) -> None:
+def write_solution_csv(path, solution, params, config: dict) -> None:
     diag = solution_diagnostics(solution, params)
     lines = [
         "# semiflrw solution time series",
@@ -362,7 +303,7 @@ def write_solution_csv(path, solution, params, config_echo: dict) -> None:
         "# H = a'/a^2, R = 6*(2H^2 - H'/a), W_ren renormalized Wick square,"
         " source = numerator of the Friedmann right-hand side"
         " (semiflrw.solver.friedmann_source)",
-        "# config: " + json.dumps(config_echo, sort_keys=True),
+        "# config: " + json.dumps(config, sort_keys=True),
         ",".join(CSV_COLUMNS),
     ]
     columns = [diag[c] for c in CSV_COLUMNS]
@@ -396,11 +337,11 @@ def _tail_summary(solution, params, wick_cfg) -> dict | None:
 
 
 def write_summary(
-    path, config_echo, constraint_rep, solution, term_report, params, wick_cfg,
+    path, config, constraint_rep, solution, term_report, params, wick_cfg,
     error: str | None = None,
 ) -> None:
     payload = {
-        "config": config_echo,
+        "config": config,
         "constraint": constraint_rep,
         "termination": None
         if term_report is None
@@ -433,41 +374,59 @@ def write_summary(
         handle.write("\n")
 
 
+def solve_and_write(config: dict, built, out_dir: Path, **solve_kwargs):
+    """Solve a built config; write out_dir/solution.csv and summary.json.
+
+    A solve that raises leaves summary.json with the error and no
+    termination, and the error propagates.  solve_kwargs go to
+    continue_maximal (resume and segment callback).
+    """
+    params, initial, wick_cfg, solver_cfg, profile, constraint_rep = built
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary_path = out_dir / "summary.json"
+    try:
+        solution, term = continue_maximal(
+            initial, config["horizon"], params, wick_cfg, solver_cfg,
+            profile=profile, **solve_kwargs,
+        )
+    except (RuntimeError, ValueError, ArithmeticError) as err:
+        write_summary(
+            summary_path, config, constraint_rep, None, None, params, wick_cfg,
+            error=str(err),
+        )
+        raise
+    write_solution_csv(out_dir / "solution.csv", solution, params, config)
+    write_summary(
+        summary_path, config, constraint_rep, solution, term, params, wick_cfg
+    )
+    return solution, term
+
+
+def _resume_kwargs(path, horizon: float) -> dict:
+    """continue_maximal's resume arguments from the checkpoint at path."""
+    try:
+        carry, reports, bounds, horizon_ck = load_checkpoint(path)
+    except (OSError, ValueError, KeyError) as err:
+        raise ConfigError(f"cannot resume from {path}: {err}") from err
+    if horizon_ck != horizon:
+        raise ConfigError(
+            f"checkpoint horizon {horizon_ck!r} differs from"
+            f" config horizon {horizon!r}"
+        )
+    return {"resume_from": carry, "prior_reports": reports, "prior_bounds": bounds}
+
+
 def cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
         built = build_run(config)
+        horizon = config["horizon"]
+        solve_kwargs = _resume_kwargs(args.resume, horizon) if args.resume else {}
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    params, initial, wick_cfg, solver_cfg, profile, constraint_rep = built
+    out_dir = Path(args.out or config.get("out_dir") or ".")
 
-    out_dir = Path(args.out or config.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "solution.csv"
-    summary_path = out_dir / "summary.json"
-
-    resume_state = None
-    prior_reports = ()
-    prior_bounds = ()
-    if args.resume:
-        try:
-            resume_state, prior_reports, prior_bounds, horizon_ck = load_checkpoint(
-                args.resume
-            )
-        except (OSError, ValueError, KeyError) as err:
-            print(f"config error: cannot resume from {args.resume}: {err}",
-                  file=sys.stderr)
-            return 2
-        if horizon_ck != config.horizon:
-            print(
-                f"config error: checkpoint horizon {horizon_ck!r} differs from"
-                f" config horizon {config.horizon!r}",
-                file=sys.stderr,
-            )
-            return 2
-
-    callback = None
     written = None  # what the checkpoint file holds, as save_checkpoint says
     run_log = None
     if args.checkpoint:
@@ -477,46 +436,26 @@ def cmd_run(args) -> int:
             nonlocal written, run_log
             run_log = log
             if log.segments % every == 0:
-                written = save_checkpoint(
-                    args.checkpoint, log, config.horizon, written
-                )
+                written = save_checkpoint(args.checkpoint, log, horizon, written)
+
+        solve_kwargs["segment_callback"] = callback
 
     try:
-        solution, term = continue_maximal(
-            initial,
-            config.horizon,
-            params,
-            wick_cfg,
-            solver_cfg,
-            resume_from=resume_state,
-            prior_reports=prior_reports,
-            prior_bounds=prior_bounds,
-            profile=profile,
-            segment_callback=callback,
-        )
+        solution, term = solve_and_write(config, built, out_dir, **solve_kwargs)
     except (RuntimeError, ValueError, ArithmeticError) as err:
         log.error("run failed: %s", err)
-        write_summary(
-            summary_path, config.echo(), constraint_rep, None, None, params,
-            wick_cfg, error=str(err),
-        )
         print(f"run failed: {err}", file=sys.stderr)
         return 20
 
-    write_solution_csv(csv_path, solution, params, config.echo())
-    write_summary(
-        summary_path, config.echo(), constraint_rep, solution, term, params,
-        wick_cfg,
-    )
     if args.checkpoint:
         # run_log is None when no segment was solved
         final_log = run_log or RunLog(
             solution.final_state, solution.reports, solution.segment_bounds
         )
-        save_checkpoint(args.checkpoint, final_log, config.horizon, written)
+        save_checkpoint(args.checkpoint, final_log, horizon, written)
     print(
         f"{term.reason} tau_stop={term.tau_stop!r} nodes={solution.taus.size}"
-        f" -> {csv_path}"
+        f" -> {out_dir / 'solution.csv'}"
     )
     return term.exit_code
 
@@ -539,27 +478,15 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_one(name: str, config: RunConfig, out_dir: Path) -> dict:
-    row = {key: "" for key in SWEEP_COLUMNS}
+def _sweep_one(name: str, config: dict, out_dir: Path) -> dict:
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
     row["config"] = name
-    row["mass"] = repr(config.mass)
-    row["Lambda_tilde"] = repr(config.lambda_tilde)
-    row["horizon"] = repr(config.horizon)
+    for key in ("mass", "Lambda_tilde", "horizon"):
+        row[key] = repr(config[key])
     try:
-        params, initial, wick_cfg, solver_cfg, profile, constraint_rep = build_run(
-            config
-        )
-        row["H0"] = repr(initial.hubble0)
-        run_dir = out_dir / name
-        run_dir.mkdir(parents=True, exist_ok=True)
-        solution, term = continue_maximal(
-            initial, config.horizon, params, wick_cfg, solver_cfg, profile=profile
-        )
-        write_solution_csv(run_dir / "solution.csv", solution, params, config.echo())
-        write_summary(
-            run_dir / "summary.json", config.echo(), constraint_rep, solution,
-            term, params, wick_cfg,
-        )
+        built = build_run(config)
+        row["H0"] = repr(built[1].hubble0)
+        solution, term = solve_and_write(config, built, out_dir / name)
         row.update(
             status="ok",
             reason=term.reason,
@@ -576,31 +503,35 @@ def _sweep_one(name: str, config: RunConfig, out_dir: Path) -> dict:
     return row
 
 
-def _collect_sweep_configs(target: str) -> list[tuple[str, RunConfig]]:
+def _collect_sweep_configs(target: str) -> list[tuple[str, dict]]:
     path = Path(target)
-    entries: list[tuple[str, RunConfig]] = []
     if path.is_dir():
-        for child in sorted(path.glob("*.json")):
-            entries.append((child.stem, parse_config(child)))
-        return entries
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: sweep file must hold a JSON list")
-    for index, item in enumerate(raw):
-        if isinstance(item, str):
-            child = (path.parent / item).resolve()
-            entries.append((Path(item).stem, parse_config(child)))
-        elif isinstance(item, dict):
-            entries.append(
-                (f"run_{index:03d}", parse_config_mapping(item, f"{path}[{index}]"))
+        entries = [
+            (child.stem, parse_config(child)) for child in sorted(path.glob("*.json"))
+        ]
+    else:
+        raw = _read_json(path)
+        if not isinstance(raw, list):
+            raise ParseError(f"{path}: sweep file must hold a JSON list")
+        entries = []
+        for index, item in enumerate(raw):
+            if isinstance(item, str):
+                child = (path.parent / item).resolve()
+                entries.append((Path(item).stem, parse_config(child)))
+            elif isinstance(item, dict):
+                origin = f"{path}[{index}]"
+                entries.append((f"run_{index:03d}", parse_config_mapping(item, origin)))
+            else:
+                raise ParseError(f"{path}[{index}]: entries must be paths or objects")
+    # each entry writes <out>/<name>/, so a shared name would overwrite
+    seen = set()
+    for name, _ in entries:
+        if name in seen:
+            raise ParseError(
+                f"{path}: more than one entry is named {name!r}; sweep entries"
+                " need distinct names"
             )
-        else:
-            raise ParseError(f"{path}[{index}]: entries must be paths or objects")
+        seen.add(name)
     return entries
 
 

@@ -14,6 +14,7 @@ fixed-point machinery downstream is norm-based, not order-based).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,16 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """
     increments = np.diff(nodes) * (values[1:] + values[:-1]) / 2.0
     return np.concatenate(([0.0], np.cumsum(increments)))
+
+
+def check_integers(config, names) -> None:
+    """ValueError unless each named field is an integer; NaN and 5.5 are not."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class BlowUp(RuntimeError):

@@ -52,6 +52,7 @@ from .core import (
     BlowUp,
     InitialData,
     PhysicalParams,
+    check_integers,
     cosmological_time,
     cumulative_trapezoid,
     ricci_scalar,
@@ -125,6 +126,9 @@ class SolverConfig:
     max_segments: int = 10000
 
     def __post_init__(self):
+        check_integers(
+            self, ("max_iter", "max_halvings", "nodes_per_segment", "max_segments")
+        )
         if self.dt_target is not None and not self.dt_target > 0.0:
             raise ValueError("dt_target must be > 0 when given")
         if not self.tol > 0.0:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EULER_GAMMA, PhysicalParams
+from .core import EULER_GAMMA, PhysicalParams, check_integers
 from .modes import ModeBank, potential
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -62,6 +62,7 @@ class WickConfig:
     panel_points: int = 8
 
     def __post_init__(self):
+        check_integers(self, ("n_k", "panel_points"))
         if not (np.isfinite(self.k_max) and self.k_max > 0.0):
             raise ValueError("k_max must be finite and > 0")
         if self.n_k < 16:

@@ -21,16 +21,22 @@ from semiflrw.solver import load_checkpoint
 HC = DEFAULT_HUBBLE_CRITICAL
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference
+def src_env() -> dict:
+    """The environment with the tested package's source first on PYTHONPATH,
+    so subprocesses import it without an install."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, semiflrw.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=src_env(), check=True,
     )
     assert proc.stdout.strip() == "[]"
 
@@ -95,15 +101,15 @@ def read_csv(path):
 class TestParsing:
     def test_minimal_config_defaults(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path / "c.json", mass=1.0, horizon=0.5))
-        assert cfg.h0 == 0.0
-        assert cfg.a0 == 1.0
-        assert cfg.tau0 == 0.0
-        assert cfg.lambda_tilde == 0.0
-        assert cfg.hubble_critical == HC
-        assert cfg.state == {"type": "vacuum"}
-        assert cfg.numerical["k_max"] == 40.0
-        assert cfg.numerical["n_k"] == 192
-        assert cfg.constraint is None
+        assert cfg["H0"] == 0.0
+        assert cfg["a0"] == 1.0
+        assert cfg["tau0"] == 0.0
+        assert cfg["Lambda_tilde"] == 0.0
+        assert cfg["hubble_critical"] == HC
+        assert cfg["state"] == {"type": "vacuum"}
+        assert cfg["numerical"]["k_max"] == 40.0
+        assert cfg["numerical"]["n_k"] == 192
+        assert "constraint" not in cfg
 
     def test_unknown_key_suggests_fix(self, tmp_path):
         path = write_config(tmp_path / "c.json", masss=1.0, horizon=0.5)
@@ -199,7 +205,7 @@ class TestParsing:
             numerical={"n_k": 96, "tol": 1e-9},
         )
         cfg = cli.parse_config(path)
-        echoed = write_config(tmp_path / "echo.json", **cfg.echo())
+        echoed = write_config(tmp_path / "echo.json", **cfg)
         assert cli.parse_config(echoed) == cfg
 
 
@@ -871,6 +877,36 @@ class TestSweep:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_entries_sharing_a_name_exit_2(self, tmp_path, capsys):
+        # both entries would write <out>/x/, the second over the first
+        for sub, horizon in (("a", 0.01), ("b", 0.02)):
+            (tmp_path / sub).mkdir()
+            write_config(tmp_path / sub / "x.json", mass=0.0, horizon=horizon)
+        listing = tmp_path / "list.json"
+        listing.write_text(json.dumps(["a/x.json", "b/x.json"]))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(listing), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "named 'x'" in err
+        assert not out.exists()
+
+    def test_failed_solve_leaves_its_summary(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(cli, "continue_maximal", failing)
+        listing = tmp_path / "list.json"
+        listing.write_text(json.dumps([{"mass": 0.0, "horizon": 0.01}]))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(listing), "--out", str(out)]) == 0
+        row = (out / "sweep.csv").read_text().splitlines()[2].split(",")
+        assert row[5] == "failed"
+        assert row[-1] == "solver exploded"
+        summary = json.loads((out / "run_000" / "summary.json").read_text())
+        assert summary["error"] == "solver exploded"
+        assert summary["termination"] is None
+        assert not (out / "run_000" / "solution.csv").exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -878,7 +914,7 @@ class TestEntryPoint:
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "semiflrw.cli", "run", cfg, "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert "TimeHorizon" in proc.stdout

@@ -113,6 +113,16 @@ class TestConfig:
             {"epsilon_critical": math.nan},
             {"epsilon_scale": math.nan},
             {"wronskian_tolerance": math.nan},
+            # the integer fields take integers only: NaN passes `< 1` and
+            # never exhausts a segment budget, and 5.5 is no count
+            {"max_iter": math.nan},
+            {"max_iter": 5.5},
+            {"max_halvings": math.nan},
+            {"max_halvings": 5.5},
+            {"nodes_per_segment": math.nan},
+            {"nodes_per_segment": 5.5},
+            {"max_segments": math.nan},
+            {"max_segments": 5.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -95,6 +95,10 @@ class TestConfig:
             {"k_max": 10.0, "k_knee": -1.0},
             {"k_max": 10.0, "panel_points": 1},
             {"k_max": 10.0, "k_knee": math.nan},
+            # integer fields take integers only, not a float that divides
+            {"k_max": 10.0, "n_k": math.nan},
+            {"k_max": 10.0, "n_k": 64.0},
+            {"k_max": 10.0, "panel_points": 8.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
