@@ -16,7 +16,7 @@ from .core import (
     ricci_scalar,
     scale_factor_from_hubble,
 )
-from .energy import ConstraintMode, constraint_report, initial_energy_density
+from .energy import ConstraintMode, constraint_report
 from .fixedpoint import (
     NoConvergence,
     PicardReport,
@@ -72,7 +72,6 @@ __all__ = [
     "continue_maximal",
     "cosmological_time",
     "evolve_bank",
-    "initial_energy_density",
     "initial_segment_state",
     "load_checkpoint",
     "picard_solve",

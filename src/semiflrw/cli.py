@@ -14,12 +14,11 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
-from .energy import ConstraintMode, NegativeDiscriminant, constraint_report
-from .energy import initial_energy_density, solve_constraint
+from .energy import ConstraintMode, constraint_report
 from .solver import (
     RunLog,
     SolverConfig,
@@ -192,9 +191,11 @@ def parse_config_mapping(raw: dict, origin: str) -> dict:
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
 
@@ -204,21 +205,6 @@ def parse_config(path) -> dict:
     return parse_config_mapping(_read_json(path), str(path))
 
 
-def _resolve_h0_fixed_point(rho_at, lam: float, mode: ConstraintMode) -> float:
-    """Constraint 3 H0^2 = rho0 + Lambda with rho0 = rho_at(H0) depending on
-    a'(tau0) = a0^2 H0; iterate because the coupling is weak."""
-    h = 0.0
-    for _ in range(60):
-        try:
-            h_new = solve_constraint(rho_at(h), lam, mode)
-        except NegativeDiscriminant as err:
-            raise ValidationError(f"constraint has no real H0: {err}") from err
-        if abs(h_new - h) <= 1e-14 * max(1.0, abs(h_new)):
-            return h_new
-        h = h_new
-    raise ValidationError("constraint fixed point for H0 did not settle")
-
-
 def _from_table(cls, numerical: dict):
     """A config dataclass built from the numerical table, field by field."""
     return cls(**{f.name: numerical[f.name] for f in fields(cls)})
@@ -226,15 +212,8 @@ def _from_table(cls, numerical: dict):
 
 def build_run(config: dict):
     """Turn a resolved config into solver inputs plus the constraint report."""
-    mass, lam, a0 = config["mass"], config["Lambda_tilde"], config["a0"]
     state, constraint = config["state"], config.get("constraint")
     try:
-        params = PhysicalParams(
-            mass=mass,
-            length_scale=config["lambda_len"],
-            cosmological_constant=lam,
-            hubble_critical=config["hubble_critical"],
-        )
         wick_cfg = _from_table(WickConfig, config["numerical"])
         solver_cfg = _from_table(SolverConfig, config["numerical"])
         profile = None
@@ -242,43 +221,23 @@ def build_run(config: dict):
             profile = BogoliubovProfile.gaussian(
                 amplitude=state["amplitude"], k_scale=state["k_scale"]
             )
-        mode = None
+        given = config.get("H0")
         if constraint is not None:
-            mode = ConstraintMode(
+            given = ConstraintMode(
                 variant=constraint["variant"],
                 sign=constraint["sign"],
                 target_hubble=constraint.get("target_hubble"),
             )
-    except ValueError as err:
-        raise ValidationError(str(err)) from err
-
-    def rho_at(h):
-        return initial_energy_density(a0, a0**2 * h, mass, wick_cfg)
-
-    if mode is None:
-        h0 = config["H0"]
-    elif mode.variant == "given_H0":
-        h0 = _resolve_h0_fixed_point(rho_at, lam, mode)
-    else:
-        h0 = mode.target_hubble
-    rho0 = rho_at(h0)
-    if mode is None:
-        report = {
-            "variant": "direct",
-            "rho0": rho0,
-            "Lambda": lam,
-            "H0": h0,
-            "solved_value": h0,
-            "residual": 3.0 * h0**2 - lam - rho0,
-        }
-    else:
-        report = constraint_report(rho0, lam, mode)
-        if mode.variant == "solve_for_Lambda":
-            # the solved value becomes the run's cosmological constant
-            params = replace(params, cosmological_constant=report["Lambda"])
-
-    try:
-        initial = InitialData(tau0=config["tau0"], a0=a0, hubble0=h0)
+        report = constraint_report(config["mass"], config["Lambda_tilde"], given)
+        params = PhysicalParams(
+            mass=config["mass"],
+            length_scale=config["lambda_len"],
+            cosmological_constant=report["Lambda"],
+            hubble_critical=config["hubble_critical"],
+        )
+        initial = InitialData(
+            tau0=config["tau0"], a0=config["a0"], hubble0=report["H0"]
+        )
         initial.validate_against(params)
     except ValueError as err:
         raise ValidationError(str(err)) from err
@@ -406,7 +365,8 @@ def _resume_kwargs(path, horizon: float) -> dict:
     """continue_maximal's resume arguments from the checkpoint at path."""
     try:
         carry, reports, bounds, horizon_ck = load_checkpoint(path)
-    except (OSError, ValueError, KeyError) as err:
+    # TypeError: a record field of the wrong JSON type
+    except (OSError, ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"cannot resume from {path}: {err}") from err
     if horizon_ck != horizon:
         raise ConfigError(

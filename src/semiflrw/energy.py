@@ -1,15 +1,22 @@
 """Regularized initial energy density and the Friedmann constraint.
 
-The energy density at the initial time is the radial integral of the
-difference between the zeroth adiabatic (Parker) mode sum and the state
-mode sum.  For the vacuum-normalized state the difference at tau0 reduces
-to the square of the Parker amplitude derivative,
+At the initial time the vacuum-normalized state differs from the zeroth
+adiabatic (Parker) reference only by the derivative of the Parker
+amplitude, so the regularized energy density is the radial integral
 
-    (m^4/8) a0^2 a'(tau0)^2 (k^2 + m^2 a0^2)^{-5/2},
+    rho0 = (2 pi^2 a0^4)^{-1} (m^4/8) a0^2 a'(tau0)^2
+           int_0^inf k^2 (k^2 + m^2 a0^2)^{-5/2} dk
+         = m^2 a'(tau0)^2 / (48 pi^2 a0^4).
 
-whose radial integral has the closed form m^2 a'(tau0)^2 / 24.  The
-radial integral uses the substitution k = m a0 tan(theta), which maps
-[0, inf) to a finite interval where Gauss-Legendre converges spectrally.
+With a'(tau0) = a0^2 H0 the anchor a0 cancels: rho0 = m^2 H0^2 / (48 pi^2).
+It is the vacuum-at-tau0 value whatever state the run evolves.  The
+constraint 3 H0^2 = rho0 + Lambda is then linear in H0^2,
+
+    (3 - m^2/(48 pi^2)) H0^2 = Lambda,
+
+so every variant has a closed form.  The coefficient vanishes at m = 12 pi,
+where H0 is undefined (Lambda != 0) or arbitrary (Lambda = 0); above 12 pi
+a real H0 needs Lambda <= 0.
 """
 
 from __future__ import annotations
@@ -17,22 +24,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .wick import WickConfig
-
 _VARIANTS = ("given_H0", "solve_for_Lambda", "classical_radiation_offset")
 
+# rho0 = m^2 H0^2 / FORTY_EIGHT_PI_SQ
+FORTY_EIGHT_PI_SQ = 48.0 * math.pi**2
 
-class NegativeDiscriminant(ValueError):
-    """rho0 + Lambda < 0: no real initial Hubble rate exists."""
+# a given_H0 root must meet the constraint to this, relative to max(1, |Lambda|)
+RESIDUAL_TOL = 1e-12
+
+
+class ConstraintError(ValueError):
+    """given_H0 has no real initial Hubble rate, or (at and near m = 12 pi)
+    none that the constraint determines."""
 
 
 @dataclass(frozen=True)
 class ConstraintMode:
     """Which unknown the initial Friedmann constraint is solved for.
 
-    given_H0 computes H0 from (rho0, Lambda); the other two variants hold
+    given_H0 computes H0 from Lambda; the other two variants hold
     target_hubble fixed and return the Lambda or radiation-density offset
     that makes the constraint hold.
     """
@@ -50,67 +60,50 @@ class ConstraintMode:
             raise ValueError(f"variant {self.variant!r} needs target_hubble")
 
 
-def _tan_grid(a0: float, m: float, n: int):
-    """Nodes/weights for int_0^inf f(k) dk under k = m a0 tan(theta)."""
-    theta, w_theta = np.polynomial.legendre.leggauss(n)
-    # Gauss-Legendre on theta in (0, pi/2): half the interval is pi/4
-    theta = 0.25 * math.pi * (theta + 1.0)
-    w_theta = 0.25 * math.pi * w_theta
-    scale = m * a0
-    k = scale * np.tan(theta)
-    w_k = scale * w_theta / np.cos(theta) ** 2
-    return k, w_k
+def constraint_report(mass: float, lam: float, mode: ConstraintMode | float) -> dict:
+    """Solve 3 H0^2 = rho0 + Lambda; the report holds the H0 and Lambda a run uses.
 
-
-def initial_energy_integral(a0: float, da0: float, m: float, config: WickConfig) -> float:
-    """(m^4/8) int_0^inf a0^2 da0^2 (k^2 + m^2 a0^2)^{-5/2} k^2 dk.
-
-    Matches the closed form m^2 da0^2 / 24.
+    mode is a ConstraintMode, or the initial Hubble rate itself (variant
+    "direct": nothing is solved, and the residual says how far H0 is off
+    the constraint).  Raises ConstraintError when given_H0 has no real root,
+    or when rounding keeps the root from meeting the constraint to
+    RESIDUAL_TOL, which happens only at and near m = 12 pi.
     """
-    if m == 0.0 or da0 == 0.0:
-        return 0.0
-    k, w_k = _tan_grid(a0, m, config.n_k)
-    density = (m**4 / 8.0) * a0**2 * da0**2 * (k**2 + (m * a0) ** 2) ** -2.5
-    return float(np.sum(w_k * k**2 * density))
-
-
-def initial_energy_density(
-    a0: float, da0: float, m: float, config: WickConfig, offset: float = 0.0
-) -> float:
-    """rho(tau0) = (2 pi^2)^{-1} a0^{-4} * radial integral + finite offset.
-
-    The prefactor is the d^3k measure with the conformal weight; the offset
-    covers finite terms left unspecified by the regularization convention
-    plus any classical radiation density.
-    """
-    bare = initial_energy_integral(a0, da0, m, config)
-    return bare / (2.0 * math.pi**2 * a0**4) + offset
-
-
-def solve_constraint(rho0: float, lam: float, mode: ConstraintMode) -> float:
-    """Solve 3 H0^2 = rho0 + Lambda for the variant's unknown."""
-    if mode.variant == "given_H0":
-        disc = (rho0 + lam) / 3.0
-        if disc < 0.0:
-            raise NegativeDiscriminant(f"rho0 + Lambda = {rho0 + lam:.6g} < 0")
-        return mode.sign * math.sqrt(disc)
-    if mode.variant == "solve_for_Lambda":
-        return 3.0 * mode.target_hubble**2 - rho0
-    return 3.0 * mode.target_hubble**2 - lam - rho0
-
-
-def constraint_report(rho0: float, lam: float, mode: ConstraintMode) -> dict:
-    """Run-summary record: inputs, solved value, and the constraint residual."""
-    solved = solve_constraint(rho0, lam, mode)
-    if mode.variant == "given_H0":
-        hubble0, lam_eff, rho_eff = solved, lam, rho0
-    elif mode.variant == "solve_for_Lambda":
-        hubble0, lam_eff, rho_eff = mode.target_hubble, solved, rho0
+    variant = mode.variant if isinstance(mode, ConstraintMode) else "direct"
+    if variant == "direct":
+        hubble0 = mode
+    elif variant == "given_H0":
+        slope = 3.0 - mass**2 / FORTY_EIGHT_PI_SQ
+        square = lam / slope if slope else math.inf
+        if square < 0.0:
+            raise ConstraintError(
+                "constraint has no real H0: Lambda / (3 - m^2/(48 pi^2))"
+                f" = {square:.6g} < 0"
+            )
+        # 3 H0^2 + rho0 = (6 - slope) H0^2 leaves a few ulps of rounding in
+        # the residual; near m = 12 pi the terms outgrow Lambda so far that
+        # no root can meet RESIDUAL_TOL
+        rounding = 4.0 * math.ulp(1.0) * (6.0 - slope) * square
+        if rounding > RESIDUAL_TOL * max(1.0, abs(lam)):
+            raise ConstraintError(
+                f"constraint does not fix H0 at m = {mass:.6g}: 3 - m^2/(48 pi^2)"
+                f" = {slope:.3g} is too close to 0 to resolve H0 (at m = 12 pi"
+                " H0 is undefined for Lambda != 0 and arbitrary for Lambda = 0)"
+            )
+        # abs: a square of -0.0 (from Lambda = -0.0) keeps the sign's branch
+        hubble0 = mode.sign * math.sqrt(abs(square))
     else:
-        hubble0, lam_eff, rho_eff = mode.target_hubble, lam, rho0 + solved
+        hubble0 = mode.target_hubble
+    rho0 = mass**2 * hubble0**2 / FORTY_EIGHT_PI_SQ
+    solved, lam_eff, rho_eff = hubble0, lam, rho0
+    if variant == "solve_for_Lambda":
+        solved = lam_eff = 3.0 * hubble0**2 - rho0
+    elif variant == "classical_radiation_offset":
+        solved = 3.0 * hubble0**2 - lam - rho0
+        rho_eff = rho0 + solved
     residual = 3.0 * hubble0**2 - lam_eff - rho_eff
     return {
-        "variant": mode.variant,
+        "variant": variant,
         "rho0": rho_eff,
         "Lambda": lam_eff,
         "H0": hubble0,

@@ -879,7 +879,12 @@ def load_checkpoint(path):
     raw_reports = []
     bounds = []
     for number, record in enumerate(records, 1):
-        start = record["start"]
+        start = record.get("start") if isinstance(record, dict) else None
+        if type(start) is not int or start < 0:
+            raise ValueError(
+                f"{path}:{number}: a record must be an object with a"
+                f" non-negative integer start, got {record!r:.60}"
+            )
         if start > len(history["taus"]):
             raise ValueError(f"{path}:{number}: record starts past the history")
         for key, values in history.items():

@@ -232,18 +232,16 @@ def _fit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig) -> T
 def radial_integral(
     samples: np.ndarray,
     config: WickConfig,
-    momenta: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
+    momenta: np.ndarray,
+    weights: np.ndarray,
 ) -> RadialResult:
     """(2 pi^2)^{-1} int_0^{k_max} samples(k) k^2 dk with optional tail.
 
-    samples must be given on the configured nodes along its last axis; each
-    row is integrated on its own and the result fields carry the leading
-    shape (plain floats for a single row).  Pass momenta/weights explicitly
-    to reuse a bank's grid, else they are rebuilt from config.
+    samples must be given on the nodes momenta (with quadrature weights
+    weights, a bank's grid) along its last axis; each row is integrated on
+    its own and the result fields carry the leading shape (plain floats for
+    a single row).  config supplies the tail model.
     """
-    if momenta is None or weights is None:
-        momenta, weights = radial_grid(config)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[-1:] != momenta.shape:
         raise ValueError("samples must match the quadrature nodes")

@@ -11,9 +11,10 @@ package, they take node arrays and interpolate linearly with numpy.interp.
 * the perturbative series of the mode recurrence (perturbative_orders,
   perturbative_mode) and its factorial bound (mode_bound), by nested
   cumulative-Simpson quadrature from scipy;
-* the initial energy density from live vacuum and Parker modes
-  (initial_energy_from_modes), against the closed-form route in
-  semiflrw.energy;
+* the initial energy integral m^2 a'(tau0)^2 / 24 by Gauss-Legendre
+  quadrature (initial_energy_integral) and from live vacuum and Parker
+  modes (initial_energy_from_modes), against the closed form that
+  semiflrw.energy uses;
 * verify_retardation, a probe that a right-hand side is retarded;
 * the renormalized Wick square and the Bogoliubov correction one time at a
   time, with a numpy.polyfit tail fit (wick_square_per_node,
@@ -372,6 +373,25 @@ def energy_integrand(state: ModeState, parker, k: float, a_tau: float, m: float)
         chi0, state.chi
     )
 
+
+def initial_energy_integral(
+    a0: float, da0: float, m: float, config: WickConfig
+) -> float:
+    """(m^4/8) int_0^inf a0^2 da0^2 (k^2 + m^2 a0^2)^{-5/2} k^2 dk.
+
+    Gauss-Legendre under k = m a0 tan(theta), which maps [0, inf) to
+    (0, pi/2) where the quadrature converges spectrally; the closed form
+    is m^2 da0^2 / 24.
+    """
+    if m == 0.0 or da0 == 0.0:
+        return 0.0
+    theta, w_theta = np.polynomial.legendre.leggauss(config.n_k)
+    theta = 0.25 * math.pi * (theta + 1.0)
+    w_theta = 0.25 * math.pi * w_theta
+    k = m * a0 * np.tan(theta)
+    w_k = m * a0 * w_theta / np.cos(theta) ** 2
+    density = (m**4 / 8.0) * a0**2 * da0**2 * (k**2 + (m * a0) ** 2) ** -2.5
+    return float(np.sum(w_k * k**2 * density))
 
 
 # Beyond k ~ 300 m a0 the reference-minus-state difference drops below the

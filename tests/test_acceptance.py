@@ -16,7 +16,6 @@ import pytest
 
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
-from semiflrw.energy import initial_energy_integral
 from semiflrw.fixedpoint import picard_solve
 from semiflrw.modes import ModeBank, evolve_bank, resolve_substep
 from semiflrw.solver import (
@@ -32,6 +31,7 @@ from oracles import (
     Potential,
     evolve_mode,
     initial_energy_from_modes,
+    initial_energy_integral,
     initial_mode,
     perturbative_mode,
     perturbative_orders,

@@ -254,7 +254,24 @@ class TestValidation:
         )
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "constraint has no real H0: rho0 + Lambda = -3 < 0" in err
+        assert "constraint has no real H0: Lambda / (3 - m^2/(48 pi^2)) = -1 < 0" in err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'\xff{"mass": 0.0, "horizon": 0.01}')
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: not UTF-8 text" in err
+
+    def test_given_h0_at_twelve_pi_exits_2(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path / "c.json", mass=12.0 * math.pi, Lambda_tilde=1.0,
+            horizon=0.001, constraint={"variant": "given_H0"},
+        )
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: constraint does not fix H0" in err
+        assert "m = 12 pi" in err
 
     def test_unknown_constraint_variant(self, tmp_path):
         path = write_config(
@@ -653,6 +670,44 @@ class TestCheckpointResume:
         )
         assert_checkpoint_holds(old, solution)
 
+    @pytest.mark.parametrize(
+        "damage,error",
+        [
+            ("list_record", ValueError),
+            ("text_start", ValueError),
+            ("negative_start", ValueError),
+            ("history_not_object", TypeError),
+        ],
+    )
+    def test_resume_from_malformed_record_exits_2(
+        self, tmp_path, capsys, damage, error
+    ):
+        cfg = write_config(
+            tmp_path / "c.json", mass=0.0, horizon=0.01,
+            numerical={"dt_target": 1e-3, "max_segments": 2},
+        )
+        ck = tmp_path / "ck.json"
+        cli.main(["run", cfg, "--out", str(tmp_path / "a_out"),
+                  "--checkpoint", str(ck)])
+        lines = ck.read_text().splitlines(keepends=True)
+        if damage == "list_record":
+            lines.append("[1]\n")
+        else:
+            field, value = {
+                "text_start": ("start", "x"),
+                "negative_start": ("start", -1),
+                "history_not_object": ("history", 5),
+            }[damage]
+            lines[0] = json.dumps({**json.loads(lines[0]), field: value}) + "\n"
+        ck.write_text("".join(lines))
+        with pytest.raises(error):
+            load_checkpoint(ck)
+        code = cli.main(["run", cfg, "--out", str(tmp_path / "b_out"),
+                         "--resume", str(ck)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot resume from {ck}" in err
+
     def test_resume_from_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         old = tmp_path / "old.json"
         # the whole-history format of earlier releases, at tau0
@@ -753,6 +808,30 @@ class TestConstraintVariants:
         assert 3.0 * rep["H0"] ** 2 == pytest.approx(
             rep["rho0"] + rep["Lambda"], rel=1e-10
         )
+
+    @pytest.mark.parametrize(
+        "mass,lam,hubble0",
+        [
+            # the fixed-point iteration of earlier releases did not settle here
+            (35.0, 10.0, 4.913551342282575),
+            # above m = 12 pi a negative Lambda has a real root
+            (40.0, -10.0, 5.147717552009609),
+        ],
+    )
+    def test_given_h0_closed_form_runs(self, tmp_path, mass, lam, hubble0):
+        path = write_config(
+            tmp_path / "c.json", mass=mass, Lambda_tilde=lam, horizon=1e-4,
+            constraint={"variant": "given_H0"},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "summary.json").read_text())["constraint"]
+        assert rep["H0"] == pytest.approx(hubble0, rel=1e-14)
+        assert rep["rho0"] == pytest.approx(
+            mass**2 * hubble0**2 / (48.0 * math.pi**2), rel=1e-14
+        )
+        _, cols = read_csv(out / "solution.csv")
+        assert cols["H"][0] == rep["H0"]
 
     def test_solve_for_lambda_replaces_run_value(self, tmp_path):
         path = write_config(
@@ -876,6 +955,15 @@ class TestSweep:
         code = cli.main(["sweep", str(tmp_path / "nope.json")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_non_utf8_list_file_exits_2(self, tmp_path, capsys):
+        listing = tmp_path / "list.json"
+        listing.write_bytes(b'\xff[{"mass": 0.0, "horizon": 0.01}]')
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(listing), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {listing}: not UTF-8 text" in err
+        assert not out.exists()
 
     def test_entries_sharing_a_name_exit_2(self, tmp_path, capsys):
         # both entries would write <out>/x/, the second over the first

@@ -164,7 +164,8 @@ class TestRadialIntegral:
 
     def test_zero_samples_integrate_to_zero(self):
         config = WickConfig(k_max=10.0, n_k=16, panel_points=8)
-        result = radial_integral(np.zeros(16), config)
+        nodes, weights = radial_grid(config)
+        result = radial_integral(np.zeros(16), config, momenta=nodes, weights=weights)
         assert result.value == 0.0
         assert result.tail.coefficient == 0.0
 
