@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from semiflrw import ModeBank, WickConfig, evolve_bank
-from semiflrw.modes import potential
+from semiflrw.modes import potential, wronskian_error
 from semiflrw.wick import radial_grid
 
 
@@ -34,7 +34,8 @@ def main() -> None:
     previous = None
     cap = args.cap
     for _ in range(args.halvings + 1):
-        drift = evolve_bank(bank, v, nodes, substep_cap=cap).wronskian_error_max
+        chi, dchi = evolve_bank(bank, v, nodes, substep_cap=cap)
+        drift = float(np.max(wronskian_error(chi, dchi)))
         ratio = "" if previous is None else f"{previous / drift:8.1f}"
         print(f"{cap:>10.5f} {drift:>13.3e} {ratio:>8}")
         previous = drift

@@ -22,6 +22,7 @@ from .energy import ConstraintMode, constraint_report
 from .solver import (
     RunLog,
     SolverConfig,
+    check_resume,
     continue_maximal,
     load_checkpoint,
     save_checkpoint,
@@ -361,10 +362,13 @@ def solve_and_write(config: dict, built, out_dir: Path, **solve_kwargs):
     return solution, term
 
 
-def _resume_kwargs(path, horizon: float) -> dict:
-    """continue_maximal's resume arguments from the checkpoint at path."""
+def _resume_kwargs(path, horizon: float, built) -> dict:
+    """continue_maximal's resume arguments from the checkpoint at path,
+    which must hold the run that the built config starts."""
+    params, initial, wick_cfg = built[:3]
     try:
         carry, reports, bounds, horizon_ck = load_checkpoint(path)
+        check_resume(carry, initial, params, wick_cfg)
     # TypeError: a record field of the wrong JSON type
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"cannot resume from {path}: {err}") from err
@@ -381,7 +385,9 @@ def cmd_run(args) -> int:
         config = parse_config(args.config)
         built = build_run(config)
         horizon = config["horizon"]
-        solve_kwargs = _resume_kwargs(args.resume, horizon) if args.resume else {}
+        solve_kwargs = {}
+        if args.resume:
+            solve_kwargs = _resume_kwargs(args.resume, horizon, built)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

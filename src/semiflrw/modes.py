@@ -107,20 +107,6 @@ class ModeBank:
                         float(tau), self.a0_anchor, self.mass, self.tau0_anchor)
 
 
-@dataclass(frozen=True, eq=False)
-class BankHistory:
-    """Bank evolution record: chi[t, k] over the requested nodes."""
-
-    taus: np.ndarray
-    chi: np.ndarray
-    dchi: np.ndarray
-    final: ModeBank
-
-    @property
-    def wronskian_error_max(self) -> float:
-        return float(np.max(wronskian_error(self.chi, self.dchi)))
-
-
 def _rk4_maps(k0_sq: np.ndarray, nodes: np.ndarray, v_values: np.ndarray, step: float):
     """Transfer maps (m11, m12, m21, m22), each of shape (intervals, k), of
     the RK4 substeps across each grid interval, V linear inside it.
@@ -188,16 +174,6 @@ def _rk4_sweep(
     return chi_hist, dchi_hist
 
 
-def _free_sweep(k0: np.ndarray, chi, dchi, nodes: np.ndarray):
-    """Analytic propagation for V = 0 (m = 0 short-circuit)."""
-    delta = nodes - nodes[0]
-    cos = np.cos(np.multiply.outer(delta, k0))
-    sin = np.sin(np.multiply.outer(delta, k0))
-    chi_hist = cos * chi + sin * (dchi / k0)
-    dchi_hist = -sin * (k0 * chi) + cos * dchi
-    return chi_hist.astype(np.complex128), dchi_hist.astype(np.complex128)
-
-
 def resolve_substep(
     span: float, omega_max: float, cap: float = SUBSTEP_CAP,
     budget: float = WRONSKIAN_BUDGET,
@@ -218,24 +194,18 @@ def evolve_bank(
     v: np.ndarray,
     nodes: np.ndarray,
     substep_cap: float = SUBSTEP_CAP,
-) -> BankHistory:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)
-    against V sampled at those nodes."""
+    against V sampled at those nodes; return the histories (chi, chi'),
+    each of shape (nodes, k).  ModeBank.moved_to makes a bank of a row."""
     nodes = np.asarray(nodes, dtype=np.float64)
     v_values = np.asarray(v, dtype=np.float64)
     if v_values.shape != nodes.shape:
         raise ValueError("V must hold one value per node")
     if not math.isclose(nodes[0], bank.tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("nodes must start at the bank time")
-    if not np.any(v_values):
-        chi_hist, dchi_hist = _free_sweep(bank.k0, bank.chi, bank.dchi, nodes)
-    else:
-        omega_max = math.sqrt(
-            float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0)
-        )
-        step = resolve_substep(float(nodes[-1] - nodes[0]), omega_max, substep_cap)
-        chi_hist, dchi_hist = _rk4_sweep(
-            bank.k0**2, bank.chi, bank.dchi, nodes, v_values, step
-        )
-    final = bank.moved_to(chi_hist[-1], dchi_hist[-1], float(nodes[-1]))
-    return BankHistory(nodes, chi_hist, dchi_hist, final)
+    omega_max = math.sqrt(
+        float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0)
+    )
+    step = resolve_substep(float(nodes[-1] - nodes[0]), omega_max, substep_cap)
+    return _rk4_sweep(bank.k0**2, bank.chi, bank.dchi, nodes, v_values, step)

@@ -6,8 +6,9 @@ The Hubble rate solves the retarded Volterra equation
     f(H) = a(H) (H^4 - 2 Hc^2 H^2 + 240 pi^2 m^2 W_ren - (15/2) m^4
            + 960 pi^2 Lambda) / (Hc^2 - H^2),
 
-in units 8 pi G = c = hbar = 1, with a(H) = a_carry / (1 - a_carry int H) on
-each segment and W_ren from the tau0-anchored mode bank evolved against a(H).
+in units 8 pi G = c = hbar = 1, with a(H) = a_s / (1 - a_s int H) on each
+segment, a_s the scale factor at its start, and W_ren from the tau0-anchored
+mode bank evolved against a(H).
 Each segment iterates to the fixed point on a trial span, carries the state
 forward, and the outer loop continues until the time horizon or the first
 regularity breach.
@@ -43,7 +44,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -139,8 +140,10 @@ class SolverConfig:
             raise ValueError("max_halvings must be >= 0")
         if not 0.0 < self.wronskian_tolerance < math.inf:
             raise ValueError("wronskian_tolerance must be finite and > 0")
-        if self.nodes_per_segment < 3:
-            raise ValueError("nodes_per_segment must be >= 3")
+        # richardson_error compares the rule on every node with the rule on
+        # every second one, which ends on the last node only for odd counts
+        if self.nodes_per_segment < 3 or self.nodes_per_segment % 2 == 0:
+            raise ValueError("nodes_per_segment must be odd and >= 3")
         if not 0.0 < self.epsilon_critical < 0.1:
             raise ValueError("epsilon_critical must lie in (0, 0.1)")
         if not 0.0 < self.epsilon_scale < 0.1:
@@ -169,7 +172,6 @@ class SegmentState:
     hist_hubble: np.ndarray
     hist_a: np.ndarray
     hist_wick: np.ndarray
-    a_carry: float
     mode_bank_carry: ModeBank | None
     anchor_digest: str | None
     last_report: PicardReport | None = None
@@ -184,13 +186,17 @@ class SegmentState:
         return float(self.hist_hubble[-1])
 
     @property
+    def a_start(self) -> float:
+        return float(self.hist_a[-1])
+
+    @property
     def series(self) -> tuple[np.ndarray, ...]:
         """The histories (tau, H, a, W), in checkpoint order."""
         return self.hist_taus, self.hist_hubble, self.hist_a, self.hist_wick
 
     def scale_denominator(self) -> float:
         """Global 1 - a0 int H = a0 / a, the blow-up margin."""
-        return self.initial.a0 / self.a_carry
+        return self.initial.a0 / self.a_start
 
 
 class RunLog:
@@ -267,6 +273,18 @@ def default_dt_target(hubble: float, a_val: float, mass: float) -> float:
     return 0.1 / max(abs(hubble) * a_val, a_val * mass, 1.0)
 
 
+def initial_bank(
+    initial: InitialData, params: PhysicalParams, wick_cfg: WickConfig
+) -> ModeBank | None:
+    """The tau0-anchored mode bank a run starts from; None for m = 0."""
+    if not params.mass > 0.0:
+        return None
+    momenta, weights = radial_grid(effective_wick_config(wick_cfg, initial, params))
+    return ModeBank.at_initial(
+        momenta, weights, a0=initial.a0, mass=params.mass, tau0=initial.tau0
+    )
+
+
 def initial_segment_state(
     initial: InitialData,
     params: PhysicalParams,
@@ -274,27 +292,42 @@ def initial_segment_state(
     profile: BogoliubovProfile | None = None,
 ) -> SegmentState:
     initial.validate_against(params)
-    if params.mass > 0.0:
-        momenta, weights = radial_grid(effective_wick_config(wick_cfg, initial, params))
-        bank = ModeBank.at_initial(
-            momenta, weights, a0=initial.a0, mass=params.mass, tau0=initial.tau0
-        )
-        digest = bank.anchor_digest()
-        w0 = _wick_square(initial.a0, bank, bank.chi, params, wick_cfg, profile)
-    else:
-        bank = None
-        digest = None
-        w0 = 0.0
+    bank = initial_bank(initial, params, wick_cfg)
+    w0 = 0.0 if bank is None else _wick_square(
+        initial.a0, bank, bank.chi, params, wick_cfg, profile
+    )
     return SegmentState(
         initial=initial,
         hist_taus=np.array([initial.tau0]),
         hist_hubble=np.array([initial.hubble0]),
         hist_a=np.array([initial.a0]),
         hist_wick=np.array([w0]),
-        a_carry=initial.a0,
         mode_bank_carry=bank,
-        anchor_digest=digest,
+        anchor_digest=None if bank is None else bank.anchor_digest(),
     )
+
+
+def check_resume(
+    carry: SegmentState,
+    initial: InitialData,
+    params: PhysicalParams,
+    wick_cfg: WickConfig,
+) -> None:
+    """Raise ValueError unless carry continues the run these inputs start:
+    the same initial data and the same tau0-anchored mode bank (none for
+    m = 0).  Lambda, Hc and the length scale are not carried."""
+    bank, carried = initial_bank(initial, params, wick_cfg), carry.mode_bank_carry
+    if carry.initial != initial:
+        what = f"initial data {carry.initial} differ from the config's {initial}"
+    elif carry.anchor_digest != (None if bank is None else bank.anchor_digest()):
+        what = (
+            f"mode bank (mass {0.0 if carried is None else carried.mass!r})"
+            f" differs from the config's (mass {params.mass!r}): the mass or"
+            " the momentum grid changed"
+        )
+    else:
+        return
+    raise ValueError(f"the checkpoint's {what}")
 
 
 def _profile_config(wick_cfg: WickConfig) -> WickConfig:
@@ -339,7 +372,7 @@ def _rhs_detail(
     profile: BogoliubovProfile | None = None,
 ):
     """f(H) at the segment nodes and the byproducts (f, W, a, the bank's
-    history)."""
+    (chi, chi') history)."""
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
     critical = params.hubble_critical
@@ -352,12 +385,12 @@ def _rhs_detail(
             j,
             float(nodes[j]),
         )
-    a_vals = scale_factor_from_hubble(h, nodes, carry.a_carry)
+    a_vals = scale_factor_from_hubble(h, nodes, carry.a_start)
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
         history = evolve_bank(carry.mode_bank_carry, v, nodes)
         w_vals = _wick_square(
-            a_vals, carry.mode_bank_carry, history.chi, params, wick_cfg, profile
+            a_vals, carry.mode_bank_carry, history[0], params, wick_cfg, profile
         )
     else:
         w_vals = np.zeros(nodes.size)
@@ -526,14 +559,14 @@ def solve_segment(
     remaining = tau_horizon - carry.tau_start
     if remaining <= 0.0:
         raise ValueError("carry is already at or past the horizon")
-    h_start = carry.hubble_start
+    h_start, a_start = carry.hubble_start, carry.a_start
     critical = params.hubble_critical
     step = carry.next_step or choose_step(
-        h_start, carry.a_carry, float(carry.hist_wick[-1]), abs(h_start), params
+        h_start, a_start, float(carry.hist_wick[-1]), abs(h_start), params
     )
     dt_cap = solver_cfg.dt_target
     if dt_cap is None:
-        dt_cap = default_dt_target(h_start, carry.a_carry, params.mass)
+        dt_cap = default_dt_target(h_start, a_start, params.mass)
     # on a tie the first limit is named; a NaN step stays first and fails below
     dt, limit = min(
         (step, (dt_cap, "dt_target"), (remaining, "remaining")),
@@ -586,7 +619,7 @@ def solve_segment(
     )
     last = int(np.argmax(breach)) + 1 if np.any(breach) else nodes.size - 1
     if history is not None:
-        bank = bank.moved_to(history.chi[last], history.dchi[last], nodes[last])
+        bank = bank.moved_to(history[0][last], history[1][last], nodes[last])
     previous = (
         float(nodes[-1] - nodes[0]), ratio, errors[-1] / target, report.halvings > 0
     )
@@ -596,7 +629,6 @@ def solve_segment(
         hist_hubble=h_vals[: last + 1],
         hist_a=a_vals[: last + 1],
         hist_wick=w_vals[: last + 1],
-        a_carry=float(a_vals[last]),
         mode_bank_carry=bank,
         anchor_digest=carry.anchor_digest,
         last_report=report,
@@ -637,7 +669,9 @@ def continue_maximal(
 ) -> tuple[MaximalSolution, TerminationReport]:
     """Extend the solution segment by segment to the horizon or first breach.
 
-    All failure modes are reported through TerminationReport, never raised.
+    All failure modes are reported through TerminationReport, never raised;
+    a resume_from that check_resume rejects raises ValueError before any
+    segment.
     segment_callback(log), when given, runs after every completed segment
     with the run's RunLog; it must not mutate the log.
     """
@@ -647,6 +681,8 @@ def continue_maximal(
     wick_cfg = effective_wick_config(wick_cfg, initial, params)
     if resume_from is None:
         resume_from = initial_segment_state(initial, params, wick_cfg, profile)
+    else:
+        check_resume(resume_from, initial, params, wick_cfg)
     log = RunLog(resume_from, prior_reports, prior_bounds)
     wall = (1.0 - solver_cfg.epsilon_critical) * params.hubble_critical
     diagnostics_extra = {}
@@ -768,7 +804,7 @@ def solution_diagnostics(
     }
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(
@@ -776,20 +812,23 @@ def save_checkpoint(
 ) -> int:
     """Write a run's log to a checkpoint file; return the chunks it holds.
 
-    The file is JSON lines.  The first line holds the header (version,
-    horizon, initial data, anchor digest) and the state so far, the mode
-    bank's fixed momenta and weights included; each later line is a record
-    of what is new since the line before: the history from node index
-    ``start`` on, the new Picard reports and segment bounds, the carried a,
-    the span proposed for the next segment and the bank's modes.
-    ``written`` is what the previous call for this file returned.  None
-    starts the file: the whole state is written to a temporary file that
-    then replaces ``path``.  Otherwise one record is appended, so a write
-    costs O(segment), not O(history); the
-    log must be the one last written, grown since.  Each line is one
+    The file is JSON lines.  The first line starts with the header, which
+    holds what tau0 fixes: version, horizon, initial data, anchor digest
+    and, for a massive run, the mode bank's mass, momenta and weights.  That
+    line and every later one hold a record of what moved since the line
+    before: the history from node index ``start`` on, the new Picard
+    reports and segment bounds, the span proposed for the next segment and
+    the bank's modes at the last node.  ``written`` is what the previous
+    call for this file returned.  None starts the file: the header and the
+    whole state are written to a temporary file that then replaces
+    ``path``.  Otherwise one record is appended, or nothing when the log
+    has not grown, so a write costs O(segment), not O(history); the log
+    must be the one last written, grown since.  Each line is one
     ``json.dumps`` call, which takes the C encoder (``json.dump`` takes the
     pure-Python one); floats survive the round trip exactly (repr-based).
     """
+    if written == len(log.chunks):
+        return written
     first = written is None
     new = log.chunks[0 if first else written:]
     # an appended record holds one report and one bound per new chunk
@@ -805,34 +844,25 @@ def save_checkpoint(
         },
         "reports": [r.as_dict() for r in log.reports[n_reports:]],
         "segment_bounds": log.bounds[n_bounds:],
-        "a_carry": carry.a_carry,
         "next_step": carry.next_step,
-        "bank": None,
-    }
-    if bank is not None:
-        # momenta and weights are fixed at tau0: the first line holds them
-        fixed = ("momenta", "weights") if first else ()
-        record["bank"] = {
-            **{name: getattr(bank, name).tolist() for name in fixed},
+        "bank": None if bank is None else {
             "chi_re": bank.chi.real.tolist(),
             "chi_im": bank.chi.imag.tolist(),
             "dchi_re": bank.dchi.real.tolist(),
             "dchi_im": bank.dchi.imag.tolist(),
-            "tau": bank.tau,
-            "a0_anchor": bank.a0_anchor,
-            "mass": bank.mass,
-            "tau0_anchor": bank.tau0_anchor,
-        }
+        },
+    }
     if first:
         header = {
             "version": CHECKPOINT_VERSION,
             "tau_horizon": tau_horizon,
-            "initial": {
-                "tau0": carry.initial.tau0,
-                "a0": carry.initial.a0,
-                "hubble0": carry.initial.hubble0,
-            },
+            "initial": asdict(carry.initial),
             "anchor_digest": carry.anchor_digest,
+            "bank_anchor": None if bank is None else {
+                "mass": bank.mass,
+                "momenta": bank.momenta.tolist(),
+                "weights": bank.weights.tolist(),
+            },
         }
         tmp = f"{path}.tmp"
         with open(tmp, "w") as handle:
@@ -847,11 +877,11 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
-    The records are applied in order; the bank's momenta and weights come
-    from the first line (older files repeat them on every line, and the
-    last record's copy wins).  A last line that lacks its newline and does
-    not parse is a torn append and is ignored, so the record before it is
-    the checkpoint.
+    The records are applied in order.  The mode bank is rebuilt at tau0
+    from the header and moved to the last record's modes; its anchor digest
+    must be the header's.  A last line that lacks its newline and does not
+    parse is a torn append and is ignored, so the record before it is the
+    checkpoint.
     """
     with open(path) as handle:
         lines = handle.readlines()
@@ -892,51 +922,39 @@ def load_checkpoint(path):
             values.extend(record["history"][key])
         raw_reports.extend(record["reports"])
         bounds.extend(record["segment_bounds"])
-    initial = InitialData(
-        tau0=header["initial"]["tau0"],
-        a0=header["initial"]["a0"],
-        hubble0=header["initial"]["hubble0"],
-    )
-    raw_bank = records[-1]["bank"]
-    if raw_bank is None:
-        bank = None
-    else:
-        raw_bank = {**records[0]["bank"], **raw_bank}
-        bank = ModeBank(
-            momenta=np.array(raw_bank["momenta"]),
-            weights=np.array(raw_bank["weights"]),
-            k0=np.sqrt(
-                np.array(raw_bank["momenta"]) ** 2
-                + (raw_bank["a0_anchor"] * raw_bank["mass"]) ** 2
-            ),
-            chi=np.array(raw_bank["chi_re"]) + 1j * np.array(raw_bank["chi_im"]),
-            dchi=np.array(raw_bank["dchi_re"]) + 1j * np.array(raw_bank["dchi_im"]),
-            tau=raw_bank["tau"],
-            a0_anchor=raw_bank["a0_anchor"],
-            mass=raw_bank["mass"],
-            tau0_anchor=raw_bank["tau0_anchor"],
+    initial = InitialData(**header["initial"])
+    anchor, modes = header["bank_anchor"], records[-1]["bank"]
+    bank = None
+    if anchor is not None:
+        bank = ModeBank.at_initial(
+            anchor["momenta"], anchor["weights"], a0=initial.a0,
+            mass=anchor["mass"], tau0=initial.tau0,
+        ).moved_to(
+            np.array(modes["chi_re"]) + 1j * np.array(modes["chi_im"]),
+            np.array(modes["dchi_re"]) + 1j * np.array(modes["dchi_im"]),
+            history["taus"][-1],
+        )
+    if (None if bank is None else bank.anchor_digest()) != header["anchor_digest"]:
+        raise ValueError(
+            f"{path}: the mode bank rebuilt from the header does not match"
+            " its anchor digest"
         )
     reports = tuple(
         PicardReport(
-            iterates=r["iterates"],
-            residuals=tuple(r["residuals"]),
-            converged=r["converged"],
-            tol=r["tol"],
-            equation_residual=r["equation_residual"],
-            halvings=r.get("halvings", 0),
+            r["iterates"], tuple(r["residuals"]), r["converged"], r["tol"],
+            r["equation_residual"], r["halvings"],
         )
         for r in raw_reports
     )
     # the last report and the proposed span go with the carry, as in the run
     # that wrote the file: the next segment's seed and span read them
-    next_step = records[-1].get("next_step")
+    next_step = records[-1]["next_step"]
     carry = SegmentState(
         initial=initial,
         hist_taus=np.array(history["taus"]),
         hist_hubble=np.array(history["hubble"]),
         hist_a=np.array(history["a"]),
         hist_wick=np.array(history["wick"]),
-        a_carry=records[-1]["a_carry"],
         mode_bank_carry=bank,
         anchor_digest=header["anchor_digest"],
         last_report=reports[-1] if reports else None,

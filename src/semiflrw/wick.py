@@ -133,7 +133,10 @@ def radial_grid(config: WickConfig) -> tuple[np.ndarray, np.ndarray]:
     points = config.panel_points
     n_panels = config.n_k // points
     knee = min(config.k_knee, config.k_max)
-    if knee <= 0.0 or knee >= config.k_max or n_panels < 2:
+    # a knee within rounding of k_max (10 a0 m for m just below k_max / 10 a0)
+    # would squeeze the log panels below one ulp and repeat nodes
+    at_top = math.isclose(knee, config.k_max, rel_tol=1e-9)
+    if knee <= 0.0 or at_top or n_panels < 2:
         edges = np.linspace(0.0, config.k_max, n_panels + 1)
     else:
         n_lin = max(1, n_panels // 2)
@@ -306,10 +309,11 @@ def wick_square_renormalized(
     zero for m = 0.
 
     a holds the scale factor at those times (any shape S) and chi the
-    bank's modes there, shape S + (n_k,), e.g. BankHistory.chi for a
-    segment or bank.chi alone for one time; bank supplies the quadrature
-    grid and the tau0 anchor.  The result has shape S, a plain float for a
-    single time.  detail=True also returns the RadialResult.
+    bank's modes there, shape S + (n_k,), e.g. the chi history that
+    evolve_bank returns for a segment or bank.chi alone for one time; bank
+    supplies the quadrature grid and the tau0 anchor.  The result has shape
+    S, a plain float for a single time.  detail=True also returns the
+    RadialResult.
     """
     if params.mass == 0.0:
         value = _plain(np.zeros(np.shape(a)))

@@ -6,8 +6,9 @@ Potential, V sampled at grid nodes plus the constant a0^2 m^2; like the
 package, they take node arrays and interpolate linearly with numpy.interp.
 
 * single-mode RK4 evolution, one stage sequence per substep (evolve_mode,
-  its stepper _rk4_steps and its state types), checked against the
-  transfer-map sweep of the bank in semiflrw.modes;
+  its stepper _rk4_steps, the analytic V = 0 propagation _free_sweep and
+  its state types), checked against the transfer-map sweep of the bank in
+  semiflrw.modes;
 * the perturbative series of the mode recurrence (perturbative_orders,
   perturbative_mode) and its factorial bound (mode_bound), by nested
   cumulative-Simpson quadrature from scipy;
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from semiflrw.core import PhysicalParams, cumulative_trapezoid
-from semiflrw.modes import DegenerateMode, _free_sweep, potential, wronskian_error
+from semiflrw.modes import DegenerateMode, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
     TWO_PI_SQ,
@@ -199,6 +200,16 @@ def _rk4_steps(
         chi_hist[j + 1] = chi
         dchi_hist[j + 1] = dchi
     return chi_hist, dchi_hist
+
+
+def _free_sweep(k0, chi, dchi, nodes: np.ndarray):
+    """Analytic propagation for V = 0."""
+    delta = nodes - nodes[0]
+    cos = np.cos(np.multiply.outer(delta, k0))
+    sin = np.sin(np.multiply.outer(delta, k0))
+    chi_hist = cos * chi + sin * (dchi / k0)
+    dchi_hist = -sin * (k0 * chi) + cos * dchi
+    return chi_hist.astype(np.complex128), dchi_hist.astype(np.complex128)
 
 
 def evolve_mode(

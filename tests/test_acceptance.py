@@ -17,7 +17,7 @@ import pytest
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
 from semiflrw.fixedpoint import picard_solve
-from semiflrw.modes import ModeBank, evolve_bank, resolve_substep
+from semiflrw.modes import ModeBank, evolve_bank, resolve_substep, wronskian_error
 from semiflrw.solver import (
     SolverConfig,
     _rhs_detail,
@@ -70,8 +70,10 @@ def test_criterion_01_wronskian_conservation(sine_background, k_nodes_64):
     started = time.perf_counter()
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
     v = pot.V
-    err_base = evolve_bank(bank, v, grid, substep_cap=0.02).wronskian_error_max
-    err_half = evolve_bank(bank, v, grid, substep_cap=0.01).wronskian_error_max
+    err_base, err_half = (
+        np.max(wronskian_error(*evolve_bank(bank, v, grid, substep_cap=cap)))
+        for cap in (0.02, 0.01)
+    )
     elapsed = time.perf_counter() - started
     ratio = err_base / err_half
     ok = err_base < 1e-8 and ratio >= 8.0 and elapsed < 10.0
@@ -150,10 +152,9 @@ def test_criterion_04_tail_decay(sine_background):
         cfg = WickConfig(k_max=k_max, n_k=n_k, panel_points=8)
         momenta, weights = radial_grid(cfg)
         bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
-        hist = evolve_bank(bank, np.interp(sub, grid, pot.V), sub)
+        chi, _ = evolve_bank(bank, np.interp(sub, grid, pot.V), sub)
         return wick_square_renormalized(
-            float(np.interp(sub[-1], grid, a)), hist.final, hist.final.chi, params, cfg,
-            detail=True,
+            float(np.interp(sub[-1], grid, a)), bank, chi[-1], params, cfg, detail=True
         )
 
     w_base, detail_base = renormalized(40.0, 192)

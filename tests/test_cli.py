@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL
@@ -70,7 +72,6 @@ def assert_checkpoint_holds(path, solution):
     state = solution.final_state
     for attr in ("hist_taus", "hist_hubble", "hist_a", "hist_wick"):
         assert getattr(carry, attr).tobytes() == getattr(state, attr).tobytes()
-    assert carry.a_carry.hex() == state.a_carry.hex()
     assert carry.next_step == state.next_step
     assert carry.anchor_digest == state.anchor_digest
     assert reports == solution.reports
@@ -300,6 +301,7 @@ class TestValidation:
             {"tol": math.nan},
             {"dt_target": math.nan},
             {"epsilon_critical": math.nan},
+            {"nodes_per_segment": 48},
         ],
     )
     def test_bad_solver_knob_exits_2(self, tmp_path, capsys, numerical):
@@ -530,8 +532,9 @@ class TestCheckpointResume:
         segments = len(solution.reports)
         # at every = 3 the final write then appends segments of its own
         assert segments > 3 and segments % 3 != 0
-        # one line starts the file, each later write appends one
-        assert len(ck.read_text().splitlines()) == segments // every + 1
+        # one line starts the file, each later write appends one; the final
+        # write appends nothing when the last record already holds the end
+        assert len(ck.read_text().splitlines()) == math.ceil(segments / every)
         assert_checkpoint_holds(ck, solution)
 
     def test_torn_last_line_loads_the_previous_record(self, tmp_path):
@@ -625,7 +628,7 @@ class TestCheckpointResume:
         series = json.loads((out / "summary.json").read_text())["series"]
         lines = ck.read_text().splitlines()
         assert series["segments"] > 20
-        assert len(lines) == series["segments"] + 1
+        assert len(lines) == series["segments"]
         # each appended record holds one segment's new nodes, continuing
         # where the line before stopped
         start = len(json.loads(lines[0])["history"]["taus"])
@@ -650,25 +653,19 @@ class TestCheckpointResume:
             ["run", cfg, "--out", str(tmp_path / "out"), "--checkpoint", str(ck)],
         )
         assert code == 0
-        lines = ck.read_text().splitlines()
-        first = json.loads(lines[0])["bank"]
-        appended = [json.loads(line) for line in lines[1:]]
-        assert len(appended) == len(solution.reports) > 1
-        # momenta and weights are fixed at tau0: the first line holds them
-        assert {"momenta", "weights"} <= set(first)
-        for record in appended:
-            assert not {"momenta", "weights"} & set(record["bank"])
+        records = [json.loads(line) for line in ck.read_text().splitlines()]
+        assert len(records) == len(solution.reports) > 1
+        # what tau0 fixes is in the header only; every record holds the
+        # modes and no copy of the anchors, the carried a or the bank time
+        assert set(records[0]["bank_anchor"]) == {"mass", "momenta", "weights"}
+        for record in records:
+            assert set(record["bank"]) == {"chi_re", "chi_im", "dchi_re", "dchi_im"}
+            assert "a_carry" not in record
+        for record in records[1:]:
+            assert set(record) == {
+                "start", "history", "reports", "segment_bounds", "next_step", "bank"
+            }
         assert_checkpoint_holds(ck, solution)
-        # files written before repeat both arrays on every line
-        fixed = {"momenta": first["momenta"], "weights": first["weights"]}
-        old = tmp_path / "old.json"
-        old.write_text(
-            lines[0] + "\n" + "".join(
-                json.dumps({**record, "bank": {**fixed, **record["bank"]}}) + "\n"
-                for record in appended
-            )
-        )
-        assert_checkpoint_holds(old, solution)
 
     @pytest.mark.parametrize(
         "damage,error",
@@ -707,6 +704,92 @@ class TestCheckpointResume:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config error: cannot resume from {ck}" in err
+
+    # a bank of 32 momenta is too coarse for a clean tail fit at some masses
+    @pytest.mark.filterwarnings("ignore::semiflrw.wick.TailFitFailed")
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mass=st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=2.0)),
+        h0=st.floats(min_value=-5.0, max_value=5.0),
+        every=st.integers(min_value=1, max_value=3),
+        cut=st.integers(min_value=1, max_value=4),
+    )
+    # the step controller sets the span, so the proposal the checkpoint
+    # carries matters; dt_target does wherever |H0| is small
+    @example(mass=1.0, h0=5.0, every=2, cut=3)
+    def test_resume_is_bit_exact(self, tmp_path_factory, mass, h0, every, cut):
+        tmp = tmp_path_factory.mktemp("resume")
+        numerical = {"dt_target": 2e-3, "k_max": 20.0, "n_k": 32}
+        config = {"mass": mass, "H0": h0, "horizon": 0.01}
+        full = write_config(tmp / "full.json", **config, numerical=numerical)
+        part = write_config(
+            tmp / "part.json", **config,
+            numerical={**numerical, "max_segments": cut},
+        )
+        ck = tmp / "ck.json"
+        # at least five segments: every cut leaves some to resume
+        assert cli.main(
+            ["run", part, "--out", str(tmp / "part"), "--checkpoint", str(ck),
+             "--checkpoint-every", str(every)]
+        ) == 20
+        assert cli.main(["run", full, "--out", str(tmp / "full")]) == 0
+        assert cli.main(
+            ["run", full, "--out", str(tmp / "res"), "--resume", str(ck)]
+        ) == 0
+        for name in ("solution.csv", "summary.json"):
+            assert (tmp / "res" / name).read_bytes() == (
+                (tmp / "full" / name).read_bytes()
+            )
+
+    @pytest.mark.parametrize(
+        "written,resumed,differs",
+        [
+            # a massless checkpoint has no mode bank for a massive run
+            ({"mass": 0.0, "H0": 0.0}, {"mass": 1.0, "H0": 0.0}, "mass 0.0"),
+            ({"mass": 1.0, "H0": 5.0}, {"mass": 2.0, "H0": 5.0}, "mass 1.0"),
+            (
+                {"mass": 1.0, "H0": 5.0},
+                {"mass": 1.0, "a0": 2.0, "H0": 7.0},
+                "initial data",
+            ),
+        ],
+    )
+    def test_resume_under_another_run_exits_2(
+        self, tmp_path, capsys, written, resumed, differs
+    ):
+        cut = write_config(
+            tmp_path / "cut.json", horizon=0.3, numerical={"max_segments": 1},
+            **written,
+        )
+        ck = tmp_path / "ck.json"
+        assert cli.main(["run", cut, "--out", str(tmp_path / "cut_out"),
+                         "--checkpoint", str(ck)]) == 20
+        cfg = write_config(tmp_path / "c.json", horizon=0.3, **resumed)
+        out = tmp_path / "out"
+        code = cli.main(["run", cfg, "--out", str(out), "--resume", str(ck)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot resume from {ck}: the checkpoint's" in err
+        assert differs in err
+        assert not out.exists()
+
+    def test_resume_from_version_2_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", mass=0.0, horizon=0.01,
+            numerical={"dt_target": 1e-3, "max_segments": 2},
+        )
+        ck = tmp_path / "ck.json"
+        cli.main(["run", cfg, "--out", str(tmp_path / "a_out"),
+                  "--checkpoint", str(ck)])
+        lines = ck.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "version": 2}) + "\n"
+        ck.write_text("".join(lines))
+        code = cli.main(["run", cfg, "--out", str(tmp_path / "b_out"),
+                         "--resume", str(ck)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot resume from {ck}" in err
+        assert "version 2" in err and "rerun" in err
 
     def test_resume_from_version_1_checkpoint_exits_2(self, tmp_path, capsys):
         old = tmp_path / "old.json"

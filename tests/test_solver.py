@@ -24,6 +24,7 @@ from semiflrw.solver import (
     initial_segment_state,
     load_checkpoint,
     picard_seed,
+    richardson_error,
     save_checkpoint,
     solution_diagnostics,
     solve_segment,
@@ -99,6 +100,9 @@ class TestConfig:
             {"dt_target": -1.0},
             {"tol": 0.0},
             {"nodes_per_segment": 2},
+            # an even count leaves the last interval out of richardson_error
+            {"nodes_per_segment": 4},
+            {"nodes_per_segment": 48},
             {"epsilon_critical": 0.0},
             {"epsilon_critical": 0.5},
             {"epsilon_scale": -1e-3},
@@ -161,7 +165,7 @@ class TestInitialState:
         assert state.anchor_digest is None
         assert state.hist_wick[0] == 0.0
         assert state.tau_start == 0.0
-        assert state.a_carry == 1.0
+        assert state.a_start == 1.0
 
     def test_massive_state_wick_square_at_start(self):
         state = initial_segment_state(
@@ -282,6 +286,14 @@ class TestRejectedTrial:
         )
         assert sol.reports[0].halvings == 7
 
+    def test_richardson_error_reaches_the_last_interval(self):
+        # f is nonzero on the last node only: the rules on every node and on
+        # every second node differ by 1/8 there.  SolverConfig allows only
+        # odd node counts, whose every second node ends on the last one.
+        f = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        estimate = richardson_error(f, np.linspace(0.0, 1.0, 5))
+        assert estimate == pytest.approx(1.0 / 24.0)
+
 
 class TestInSegmentBreach:
     """A run that crosses the wall guard inside a segment, massive and fast."""
@@ -301,12 +313,12 @@ class TestInSegmentBreach:
         bank = state.mode_bank_carry
         # a, the mode bank and tau all sit at tau_stop
         assert state.tau_start == rep.tau_stop == sol.taus[-1]
-        assert state.a_carry == sol.scale_factor[-1]
+        assert state.a_start == sol.scale_factor[-1]
         assert bank.tau == rep.tau_stop
         assert bank.anchor_digest() == state.anchor_digest
         # the bank's modes are those that gave the last W of the series
         w_bank = wick_square_renormalized(
-            state.a_carry, bank, bank.chi, params,
+            state.a_start, bank, bank.chi, params,
             effective_wick_config(self.WICK, state.initial, params),
         )
         assert w_bank == pytest.approx(sol.wick_square[-1], rel=1e-12, abs=0.0)
@@ -342,7 +354,7 @@ class TestContinuationContract:
         state = sol.final_state
         assert np.all(np.diff(sol.taus) > 0.0)
         assert rep.tau_stop == sol.taus[-1] == state.tau_start
-        assert state.a_carry == sol.scale_factor[-1]
+        assert state.a_start == sol.scale_factor[-1]
         assert sol.segment_bounds[-1] == rep.tau_stop
         assert len(sol.segment_bounds) == len(sol.reports) + 1
         if mass > 0.0:
@@ -715,6 +727,42 @@ class TestCheckpoint:
         assert np.array_equal(carry.hist_hubble, sol.final_state.hist_hubble)
         assert len(reports) == len(sol.reports)
         assert reports[0].halvings == sol.reports[0].halvings
+
+    def test_resume_of_another_run_raises(self, mass_run):
+        sol, _, params, wcfg = mass_run
+        carry = sol.final_state
+        for initial, run_params in (
+            (InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=2.0)),
+            (InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=0.0)),
+            (InitialData(0.0, 2.0, 0.0), params),
+        ):
+            with pytest.raises(ValueError, match="the checkpoint's"):
+                continue_maximal(
+                    initial, 0.008, run_params, wcfg, resume_from=carry,
+                    prior_reports=sol.reports, prior_bounds=sol.segment_bounds,
+                )
+
+    def test_load_rejects_a_bank_off_its_digest(self, tmp_path, mass_run):
+        import json
+
+        sol = mass_run[0]
+        path = tmp_path / "ckpt.json"
+        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        save_checkpoint(path, log, 0.004)
+        header = json.loads(path.read_text())
+        header["bank_anchor"]["mass"] = 2.0
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match="anchor digest"):
+            load_checkpoint(path)
+
+    def test_unchanged_log_appends_nothing(self, tmp_path, ds_run):
+        sol = ds_run[0]
+        path = tmp_path / "ckpt.json"
+        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        written = save_checkpoint(path, log, 0.005)
+        content = path.read_bytes()
+        assert save_checkpoint(path, log, 0.005, written) == written
+        assert path.read_bytes() == content
 
     def test_version_guard(self, tmp_path, ds_run):
         import json

@@ -51,8 +51,8 @@ def evolved_bank(config):
     bg, pot = sine_background()
     momenta, weights = radial_grid(config)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-    history = evolve_bank(bank, pot.V, pot.taus)
-    return bg, history.final
+    chi, dchi = evolve_bank(bank, pot.V, pot.taus)
+    return bg, bank.moved_to(chi[-1], dchi[-1], pot.taus[-1])
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,15 @@ class TestRadialGrid:
         nodes, _ = radial_grid(config)
         # half the panels cover [0, knee]
         assert int(np.count_nonzero(nodes <= 2.0)) == 32
+
+    def test_knee_rounded_below_k_max_is_uniform_panels(self):
+        # 10 a0 m for m = 2 - 1 ulp lands one ulp under k_max = 20
+        knee = 10.0 * 1.9999999999999998
+        assert knee < 20.0
+        nodes, weights = radial_grid(WickConfig(k_max=20.0, n_k=32, k_knee=knee))
+        uniform, _ = radial_grid(WickConfig(k_max=20.0, n_k=32))
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, uniform)
 
     def test_no_knee_is_uniform_panels(self):
         config = WickConfig(k_max=16.0, n_k=32, k_knee=0.0, panel_points=8)
@@ -321,9 +330,9 @@ class TestWickSquare:
             a = 1.0 + 0.1 * np.sin(taus) + delta * np.sin(3.0 * taus)
             pot = Potential.from_scale_factor(taus, a, MASS)
             bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-            history = evolve_bank(bank, pot.V, taus)
+            chi, _ = evolve_bank(bank, pot.V, taus)
             return wick_square_renormalized(
-                a_at((taus, a), 2.0), history.final, history.final.chi, params, config
+                a_at((taus, a), 2.0), bank, chi[-1], params, config
             )
 
         base = wick_at_end(0.0)
@@ -465,10 +474,10 @@ class TestRowsMatchPerNodeOracle:
         taus = np.linspace(0.0, 0.05, 9)
         a = a0 * (1.0 + growth * taus / 0.05)
         pot = Potential.from_scale_factor(taus, a, mass, a0=a0)
-        history = evolve_bank(bank, pot.V, taus)
+        chi, _ = evolve_bank(bank, pot.V, taus)
         a_spiked, chi_spiked = spiked_rows(bank, a0, n_spikes)
         a_rows = np.concatenate([a, a_spiked])
-        chi_rows = np.concatenate([history.chi, chi_spiked])
+        chi_rows = np.concatenate([chi, chi_spiked])
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
