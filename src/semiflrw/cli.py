@@ -78,6 +78,10 @@ _REMOVED_NUMERICAL = {
     "safety": "the step controller has no safety factor",
     "substep_cap": "the RK4 substep cap is the constant modes.SUBSTEP_CAP",
     "wronskian_budget": "the drift budget is the constant modes.WRONSKIAN_BUDGET",
+    "max_iter": "the Picard iterate cap is the constant solver.MAX_ITER",
+    "epsilon_scale": "the scale-factor margin is the constant solver.EPSILON_SCALE",
+    "panel_points": "the radial panel size is the constant wick.PANEL_POINTS",
+    "wronskian_tolerance": "the run's drift limit is modes.WRONSKIAN_TOLERANCE",
 }
 _STATE_KEYS = {"type", "amplitude", "k_scale"}
 
@@ -545,10 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint every K segments (default 1)",
     )
     run_p.add_argument("--resume", default=None, help="resume from checkpoint file")
-    run_p.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for symmetry; single runs are sequential",
-    )
     run_p.set_defaults(func=cmd_run)
     sweep_p = sub.add_parser("sweep", help="run many configurations")
     sweep_p.add_argument(

@@ -5,17 +5,15 @@ until the discrete uniform norm of the update falls below tol.  That update
 norm is exactly the equation residual ||X_n - F0 - int f(X_n)|| of the
 iterate it was computed from, so the iterator returns X_n, with the
 evaluation made at X_n: convergence is confirmed a posteriori, without an
-evaluation of its own.  The retry driver runs the iterator on a trial span
-and retries on a span half as long (up to max_halvings times; by default
-the span's front half) when the trial is rejected: the iteration does not
-converge, the caller's right-hand side raises one of the caller's retry
-errors, or the caller's check of the converged trial raises Rejected.  How
-long the trial span is, is the caller's choice; only a converged, accepted
-trial is returned.
+evaluation of its own.  The trial driver owns the local existence step:
+it solves on a trial span, accepts the converged trial by a Richardson
+estimate of its trapezoid error, or else retries on the front half of the
+span.  How long the first span is, is the caller's choice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -34,7 +32,11 @@ class NaNDetected(RuntimeError):
 
 
 class Rejected(RuntimeError):
-    """A converged trial failed the caller's acceptance check."""
+    """A converged trial's Richardson estimate exceeded its bound."""
+
+
+class ZeroStep(RuntimeError):
+    """The step underflowed to zero or below the float spacing of the nodes."""
 
 
 class NoConvergence(RuntimeError):
@@ -142,59 +144,80 @@ def picard_solve(
     raise NoConvergence(f"no convergence after {max_iter} iterations", report)
 
 
-def _front_half(nodes: np.ndarray) -> np.ndarray | None:
-    """The leading half of the nodes, None when it would keep fewer than 3."""
-    return nodes[: (nodes.size + 1) // 2] if nodes.size >= 5 else None
+def segment_nodes(start: float, span: float, count: int) -> np.ndarray:
+    """count nodes on [start, start + span]; the nodes are checked here
+    only, and everything downstream takes them as given."""
+    nodes = np.linspace(start, start + span, count)
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ZeroStep(
+            f"step {span:.3g} at tau={float(start)!r} is below the float"
+            " spacing of the segment nodes"
+        )
+    return nodes
+
+
+def richardson_error(f: np.ndarray, nodes: np.ndarray) -> float:
+    """Trapezoid error of int f over the nodes, estimated from the rule on
+    every second node: the coarse rule's error is 4 times the fine one's."""
+    fine = cumulative_trapezoid(f, nodes)[::2]
+    coarse = cumulative_trapezoid(f[::2], nodes[::2])
+    return float(np.max(np.abs(fine - coarse))) / 3.0
 
 
 def picard_solve_with_halving(
-    build: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
+    rhs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, object]],
+    start: float,
     nodes: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 60,
     max_halvings: int = 6,
     x0: np.ndarray | None = None,
+    max_error: float = math.inf,
     retry_on: tuple[type[Exception], ...] = (),
-    check: Callable[[np.ndarray, np.ndarray, object], None] | None = None,
-    halve: Callable[[np.ndarray], np.ndarray | None] = _front_half,
-) -> tuple[np.ndarray, PicardReport, np.ndarray, object]:
-    """Run picard_solve on a trial span, retrying on a span half as long
-    when the trial is rejected.
+) -> tuple[np.ndarray, PicardReport, np.ndarray, float, object]:
+    """Solve X = start + int f(X) on a trial span, retrying on the front half
+    of the span when the trial is rejected.
 
-    A trial is rejected when it does not converge, when building it or
-    evaluating its rhs raises one of retry_on, and when check(solution,
-    nodes, byproduct), run on the converged trial, raises Rejected.
-    halve(nodes) gives the nodes of the retry, None when there are too few
-    to halve; by default the leading half of the nodes.  build(nodes) must
-    produce the (F0, rhs) pair for any nodes halve can give.  The returned
-    nodes are the span that was accepted, and the byproduct is
-    picard_solve's, from the solution on that span.  After max_halvings
-    retries, or when halve gives None, the last rejection is raised
-    (NoConvergence with the report of the last trial).  The seed x0, when
-    given, starts the first attempt only, on the full nodes; after a retry
-    the iteration starts from F0.
+    rhs(x, nodes) returns (f(x) at the nodes, byproduct), as picard_solve's
+    rhs does on those nodes.  A trial is rejected when it does not converge,
+    when rhs raises one of retry_on, and when the Richardson estimate of its
+    trapezoid error, from f at the returned iterate, exceeds max_error.  A
+    retry keeps the node count, an odd one of at least 3, so that every
+    second node ends on the last.  Returns (x, report, nodes, estimate,
+    byproduct) of the accepted trial.  After max_halvings retries the last
+    rejection is raised (NoConvergence with the report of the last trial),
+    and a half span below the float spacing of its nodes raises ZeroStep.
+    The seed x0, when given, starts the first attempt only; after a retry
+    the iteration starts from the constant start.
     """
+    if nodes.size < 3 or nodes.size % 2 == 0:
+        raise ValueError("the trial span needs an odd count of at least 3 nodes")
     halvings = 0
     while True:
+
+        def evaluate(x):
+            values, byproduct = rhs(x, nodes)
+            return values, (values, byproduct)
+
         try:
-            f0, rhs = build(nodes)
-            solution, report, byproduct = picard_solve(
-                f0, rhs, nodes, tol, max_iter, x0
+            x, report, (f, byproduct) = picard_solve(
+                np.full(nodes.size, start), evaluate, nodes, tol, max_iter, x0
             )
-            if check is not None:
-                check(solution, nodes, byproduct)
+            estimate = richardson_error(f, nodes)
+            if estimate > max_error:
+                raise Rejected(
+                    f"Richardson estimate {estimate:.3g} on a span of"
+                    f" {nodes[-1] - nodes[0]:.3g} exceeds {max_error:.3g}"
+                )
         except (NoConvergence, Rejected, *retry_on) as err:
-            shorter = halve(nodes) if halvings < max_halvings else None
-            if shorter is not None:
-                halvings += 1
-                nodes = shorter
-                x0 = None
-                continue
-            if isinstance(err, NoConvergence):
-                raise NoConvergence(
-                    f"no convergence after {halvings} halvings", err.report
-                ) from err
-            raise
-        if halvings:
-            report = replace(report, halvings=halvings)
-        return solution, report, nodes, byproduct
+            if halvings >= max_halvings:
+                if isinstance(err, NoConvergence):
+                    raise NoConvergence(
+                        f"no convergence after {halvings} halvings", err.report
+                    ) from err
+                raise
+            halvings += 1
+            nodes = segment_nodes(nodes[0], 0.5 * (nodes[-1] - nodes[0]), nodes.size)
+            x0 = None
+            continue
+        return x, replace(report, halvings=halvings), nodes, estimate, byproduct

@@ -28,6 +28,10 @@ import numpy as np
 SUBSTEP_CAP = 0.02
 # Accumulated Wronskian drift allowed over one evolve_bank span.
 WRONSKIAN_BUDGET = 1e-8
+# Drift the carried bank may accumulate over a whole run before the solver
+# stops it.  A run makes hundreds of sweeps, each within WRONSKIAN_BUDGET,
+# so the run's allowance is the larger one.
+WRONSKIAN_TOLERANCE = 1e-5
 
 
 class DegenerateMode(ValueError):

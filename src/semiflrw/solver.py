@@ -55,7 +55,6 @@ from .core import (
     PhysicalParams,
     check_integers,
     cosmological_time,
-    cumulative_trapezoid,
     ricci_scalar,
     scale_factor_from_hubble,
 )
@@ -64,9 +63,11 @@ from .fixedpoint import (
     NoConvergence,
     PicardReport,
     Rejected,
+    ZeroStep,
     picard_solve_with_halving,
+    segment_nodes,
 )
-from .modes import ModeBank, evolve_bank, potential
+from .modes import WRONSKIAN_TOLERANCE, ModeBank, evolve_bank, potential
 from .wick import (
     BogoliubovProfile,
     WickConfig,
@@ -95,10 +96,6 @@ class BankCheckFailed(RuntimeError):
     Wronskian tolerance."""
 
 
-class ZeroStep(RuntimeError):
-    """The step underflowed to zero or below the float spacing of the nodes."""
-
-
 class CriticalHubble(RuntimeError):
     """|H| reached the critical rate where the equation degenerates."""
 
@@ -106,6 +103,13 @@ class CriticalHubble(RuntimeError):
         super().__init__(message)
         self.node_index = node_index
         self.tau = tau
+
+
+# Picard iterates per trial span before it is rejected.
+MAX_ITER = 40
+# A run stops at the first node whose scale-factor denominator a0 / a falls
+# to this margin.
+EPSILON_SCALE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,43 +122,33 @@ class SolverConfig:
 
     dt_target: float | None = None
     tol: float = 1e-10
-    max_iter: int = 40
     max_halvings: int = 6
     nodes_per_segment: int = 49
     epsilon_critical: float = 1e-6
-    epsilon_scale: float = 1e-6
-    wronskian_tolerance: float = 1e-5
     max_segments: int = 10000
 
     def __post_init__(self):
-        check_integers(
-            self, ("max_iter", "max_halvings", "nodes_per_segment", "max_segments")
-        )
+        check_integers(self, ("max_halvings", "nodes_per_segment", "max_segments"))
         if self.dt_target is not None and not self.dt_target > 0.0:
             raise ValueError("dt_target must be > 0 when given")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         if self.max_halvings < 0:
             raise ValueError("max_halvings must be >= 0")
-        if not 0.0 < self.wronskian_tolerance < math.inf:
-            raise ValueError("wronskian_tolerance must be finite and > 0")
         # richardson_error compares the rule on every node with the rule on
         # every second one, which ends on the last node only for odd counts
         if self.nodes_per_segment < 3 or self.nodes_per_segment % 2 == 0:
             raise ValueError("nodes_per_segment must be odd and >= 3")
         if not 0.0 < self.epsilon_critical < 0.1:
             raise ValueError("epsilon_critical must lie in (0, 0.1)")
-        if not 0.0 < self.epsilon_scale < 0.1:
-            raise ValueError("epsilon_scale must lie in (0, 0.1)")
         if self.max_segments < 1:
             raise ValueError("max_segments must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentState:
-    """Carried solution state at the current segment boundary tau_start.
+    """Carried solution state at the current segment boundary tau_start,
+    with the initial data and physical parameters of its run.
 
     The histories end at tau_start.  They cover the whole run [tau0,
     tau_start] in the initial state, a loaded checkpoint and a solution's
@@ -168,6 +162,7 @@ class SegmentState:
     """
 
     initial: InitialData
+    params: PhysicalParams
     hist_taus: np.ndarray
     hist_hubble: np.ndarray
     hist_a: np.ndarray
@@ -298,6 +293,7 @@ def initial_segment_state(
     )
     return SegmentState(
         initial=initial,
+        params=params,
         hist_taus=np.array([initial.tau0]),
         hist_hubble=np.array([initial.hubble0]),
         hist_a=np.array([initial.a0]),
@@ -314,25 +310,21 @@ def check_resume(
     wick_cfg: WickConfig,
 ) -> None:
     """Raise ValueError unless carry continues the run these inputs start:
-    the same initial data and the same tau0-anchored mode bank (none for
-    m = 0).  Lambda, Hc and the length scale are not carried."""
-    bank, carried = initial_bank(initial, params, wick_cfg), carry.mode_bank_carry
+    the same initial data, the same physical parameters and the same
+    tau0-anchored mode bank (none for m = 0)."""
+    bank = initial_bank(initial, params, wick_cfg)
+    held, given = asdict(carry.params), asdict(params)
+    changed = [name for name in given if held[name] != given[name]]
     if carry.initial != initial:
         what = f"initial data {carry.initial} differ from the config's {initial}"
+    elif changed:
+        name = changed[0]
+        what = f"{name} {held[name]!r} differs from the config's {given[name]!r}"
     elif carry.anchor_digest != (None if bank is None else bank.anchor_digest()):
-        what = (
-            f"mode bank (mass {0.0 if carried is None else carried.mass!r})"
-            f" differs from the config's (mass {params.mass!r}): the mass or"
-            " the momentum grid changed"
-        )
+        what = "mode bank differs from the config's: the momentum grid changed"
     else:
         return
     raise ValueError(f"the checkpoint's {what}")
-
-
-def _profile_config(wick_cfg: WickConfig) -> WickConfig:
-    # profile corrections decay faster than any power; fitting one misfires
-    return replace(wick_cfg, tail_model="none")
 
 
 def _wick_square(
@@ -346,9 +338,7 @@ def _wick_square(
     """W_ren plus the profile's state correction, per row of bank modes."""
     value = wick_square_renormalized(a, bank, chi, params, wick_cfg)
     if profile is not None:
-        value = value + wick_square_bogoliubov_delta(
-            a, bank, chi, profile, _profile_config(wick_cfg)
-        )
+        value = value + wick_square_bogoliubov_delta(a, bank, chi, profile)
     return value
 
 
@@ -371,7 +361,7 @@ def _rhs_detail(
     wick_cfg: WickConfig,
     profile: BogoliubovProfile | None = None,
 ):
-    """f(H) at the segment nodes and the byproducts (f, W, a, the bank's
+    """f(H) at the segment nodes and the byproducts (W, a, the bank's
     (chi, chi') history)."""
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
@@ -397,7 +387,7 @@ def _rhs_detail(
         history = None
     source = friedmann_source(h, w_vals, params)
     f_vals = a_vals * source / (critical**2 - h**2)
-    return f_vals, (f_vals, w_vals, a_vals, history)
+    return f_vals, (w_vals, a_vals, history)
 
 
 # Step control.  The Picard iteration should contract by about this much
@@ -464,14 +454,6 @@ def choose_step(
     return limits[name], name
 
 
-def richardson_error(f: np.ndarray, nodes: np.ndarray) -> float:
-    """Trapezoid error of int f over the nodes, estimated from the rule on
-    every second node: the coarse rule's error is 4 times the fine one's."""
-    fine = cumulative_trapezoid(f, nodes)[::2]
-    coarse = cumulative_trapezoid(f[::2], nodes[::2])
-    return float(np.max(np.abs(fine - coarse))) / 3.0
-
-
 # the seed's polynomial runs through every second one of this many last nodes
 SEED_NODES = 9
 
@@ -512,18 +494,6 @@ def picard_seed(
     return seed
 
 
-def _segment_nodes(tau_start: float, dt: float, count: int) -> np.ndarray:
-    """count nodes on [tau_start, tau_start + dt]; the nodes are checked
-    here only, and everything downstream takes them as given."""
-    nodes = np.linspace(tau_start, tau_start + dt, count)
-    if not np.all(np.diff(nodes) > 0.0):
-        raise ZeroStep(
-            f"step {dt:.3g} at tau={tau_start!r} is below the float"
-            " spacing of the segment nodes"
-        )
-    return nodes
-
-
 def solve_segment(
     carry: SegmentState,
     tau_horizon: float,
@@ -551,10 +521,10 @@ def solve_segment(
     if bank is not None:
         if bank.anchor_digest() != carry.anchor_digest:
             raise BankCheckFailed("mode bank identity changed since tau0")
-        if bank.wronskian_error_max > solver_cfg.wronskian_tolerance:
+        if bank.wronskian_error_max > WRONSKIAN_TOLERANCE:
             raise BankCheckFailed(
                 f"carried Wronskian drift {bank.wronskian_error_max:.3g} exceeds "
-                f"tolerance {solver_cfg.wronskian_tolerance:g}"
+                f"tolerance {WRONSKIAN_TOLERANCE:g}"
             )
     remaining = tau_horizon - carry.tau_start
     if remaining <= 0.0:
@@ -574,57 +544,38 @@ def solve_segment(
     )
     if not 0.0 < dt < math.inf:
         raise ZeroStep(f"step underflow: {limit} limit {dt!r}")
-    nodes = _segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
-
-    def build(sub: np.ndarray):
-        def rhs(x):
-            return _rhs_detail(x, sub, carry, params, wick_cfg, profile)
-
-        return np.full(sub.size, h_start), rhs
-
-    target = ACCURACY_PER_TOL * solver_cfg.tol
-    errors = []
-
-    def check(h, sub, byproduct):
-        errors.append(richardson_error(byproduct[0], sub))
-        if errors[-1] > REJECT_ACCURACY * target:
-            raise Rejected(
-                f"Richardson estimate {errors[-1]:.3g} on a span of"
-                f" {sub[-1] - sub[0]:.3g} exceeds {REJECT_ACCURACY:g} x"
-                f" {target:.3g}"
-            )
-
-    def halve(sub):
-        return _segment_nodes(sub[0], 0.5 * (sub[-1] - sub[0]), sub.size)
-
+    nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
     seed = picard_seed(
         carry, nodes, 0.5 * (critical - abs(h_start)), solver_cfg.nodes_per_segment
     )
+    target = ACCURACY_PER_TOL * solver_cfg.tol
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    h_vals, report, nodes, (_, w_vals, a_vals, history) = picard_solve_with_halving(
-        build, nodes, solver_cfg.tol, solver_cfg.max_iter, solver_cfg.max_halvings,
-        seed, retry_on=(CriticalHubble, BlowUp), check=check, halve=halve,
+    h_vals, report, nodes, error, (w_vals, a_vals, history) = picard_solve_with_halving(
+        lambda h, sub: _rhs_detail(h, sub, carry, params, wick_cfg, profile),
+        h_start, nodes, solver_cfg.tol, MAX_ITER, solver_cfg.max_halvings, seed,
+        max_error=REJECT_ACCURACY * target, retry_on=(CriticalHubble, BlowUp),
     )
     ratio = max(report.contraction_ratios, default=0.0)
     log.debug(
         "segment tau=%r dt=%.6g limit=%s iterates=%d ratio=%.3g"
         " richardson=%.3g retries=%d",
         carry.tau_start, nodes[-1] - nodes[0], limit, report.iterates, ratio,
-        errors[-1], report.halvings,
+        error, report.halvings,
     )
     # the run ends at a breach node, so the segment and its bank end there
     wall = (1.0 - solver_cfg.epsilon_critical) * critical
     breach = (np.abs(h_vals[1:]) >= wall) | (
-        carry.initial.a0 / a_vals[1:] <= solver_cfg.epsilon_scale
+        carry.initial.a0 / a_vals[1:] <= EPSILON_SCALE
     )
     last = int(np.argmax(breach)) + 1 if np.any(breach) else nodes.size - 1
     if history is not None:
         bank = bank.moved_to(history[0][last], history[1][last], nodes[last])
     previous = (
-        float(nodes[-1] - nodes[0]), ratio, errors[-1] / target, report.halvings > 0
+        float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0
     )
     return SegmentState(
         initial=carry.initial,
+        params=carry.params,
         hist_taus=nodes[: last + 1],
         hist_hubble=h_vals[: last + 1],
         hist_a=a_vals[: last + 1],
@@ -693,7 +644,7 @@ def continue_maximal(
         if abs(carry.hubble_start) >= wall:
             reason = REASON_CRITICAL_HUBBLE
             break
-        if carry.scale_denominator() <= solver_cfg.epsilon_scale:
+        if carry.scale_denominator() <= EPSILON_SCALE:
             reason = REASON_SCALE_BLOWUP
             break
         if tau_horizon - carry.tau_start <= horizon_slack:
@@ -804,7 +755,7 @@ def solution_diagnostics(
     }
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(
@@ -813,8 +764,8 @@ def save_checkpoint(
     """Write a run's log to a checkpoint file; return the chunks it holds.
 
     The file is JSON lines.  The first line starts with the header, which
-    holds what tau0 fixes: version, horizon, initial data, anchor digest
-    and, for a massive run, the mode bank's mass, momenta and weights.  That
+    holds what tau0 fixes: version, horizon, initial data, physical
+    parameters, anchor digest and, for a massive run, the mode bank's mass, momenta and weights.  That
     line and every later one hold a record of what moved since the line
     before: the history from node index ``start`` on, the new Picard
     reports and segment bounds, the span proposed for the next segment and
@@ -857,6 +808,7 @@ def save_checkpoint(
             "version": CHECKPOINT_VERSION,
             "tau_horizon": tau_horizon,
             "initial": asdict(carry.initial),
+            "params": asdict(carry.params),
             "anchor_digest": carry.anchor_digest,
             "bank_anchor": None if bank is None else {
                 "mass": bank.mass,
@@ -951,6 +903,7 @@ def load_checkpoint(path):
     next_step = records[-1]["next_step"]
     carry = SegmentState(
         initial=initial,
+        params=PhysicalParams(**header["params"]),
         hist_taus=np.array(history["taus"]),
         hist_hubble=np.array(history["hubble"]),
         hist_a=np.array(history["a"]),

@@ -31,6 +31,9 @@ from .modes import ModeBank, potential
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
+# Gauss-Legendre nodes per radial panel.
+PANEL_POINTS = 8
+
 # Tail exponents outside this band make the analytic tail integral
 # meaningless (p -> 3 diverges); the raw fitted exponent is still reported.
 _P_CLIP = (3.05, 4.0)
@@ -51,7 +54,7 @@ class WickConfig:
 
     k_knee is the grading knee (linear panels below, log-graded above);
     zero means a single linearly spaced panel region.  n_k must be a
-    multiple of panel_points so the panel count is unambiguous.
+    multiple of PANEL_POINTS so the panel count is unambiguous.
     """
 
     k_max: float
@@ -59,10 +62,9 @@ class WickConfig:
     tail_model: str = "power-fit"
     tail_fit_window: float = 0.25
     k_knee: float = 0.0
-    panel_points: int = 8
 
     def __post_init__(self):
-        check_integers(self, ("n_k", "panel_points"))
+        check_integers(self, ("n_k",))
         if not (np.isfinite(self.k_max) and self.k_max > 0.0):
             raise ValueError("k_max must be finite and > 0")
         if self.n_k < 16:
@@ -71,10 +73,8 @@ class WickConfig:
             raise ValueError(f"unknown tail_model {self.tail_model!r}")
         if not 0.0 < self.tail_fit_window <= 0.5:
             raise ValueError("tail_fit_window must lie in (0, 0.5]")
-        if self.panel_points < 2:
-            raise ValueError("panel_points must be >= 2")
-        if self.n_k % self.panel_points != 0:
-            raise ValueError("n_k must be a multiple of panel_points")
+        if self.n_k % PANEL_POINTS != 0:
+            raise ValueError(f"n_k must be a multiple of {PANEL_POINTS}")
         if not self.k_knee >= 0.0:
             raise ValueError("k_knee must be >= 0")
 
@@ -130,8 +130,7 @@ class RadialResult:
 
 def radial_grid(config: WickConfig) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre panel nodes and weights on [0, k_max]."""
-    points = config.panel_points
-    n_panels = config.n_k // points
+    n_panels = config.n_k // PANEL_POINTS
     knee = min(config.k_knee, config.k_max)
     # a knee within rounding of k_max (10 a0 m for m just below k_max / 10 a0)
     # would squeeze the log panels below one ulp and repeat nodes
@@ -144,7 +143,7 @@ def radial_grid(config: WickConfig) -> tuple[np.ndarray, np.ndarray]:
         lin_edges = np.linspace(0.0, knee, n_lin + 1)
         log_edges = np.geomspace(knee, config.k_max, n_log + 1)
         edges = np.concatenate([lin_edges, log_edges[1:]])
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(points)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(PANEL_POINTS)
     nodes = []
     weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -334,12 +333,12 @@ def wick_square_bogoliubov_delta(
     bank: ModeBank,
     chi,
     profile: BogoliubovProfile,
-    config: WickConfig,
     tol: float = 1e-8,
 ):
     """State-change correction (2/a^2)(2 pi^2)^{-1} int (|B|^2 |chi|^2
     + Re(A B chi^2)) k^2 dk for a Bogoliubov profile, per row of chi
-    (a and chi shaped as for wick_square_renormalized)."""
+    (a and chi shaped as for wick_square_renormalized).  The profile
+    decays faster than any power, so the bank's quadrature takes no tail."""
     a_vals = np.asarray(profile.A(bank.momenta), dtype=np.complex128)
     b_vals = np.asarray(profile.B(bank.momenta), dtype=np.complex128)
     finite = np.isfinite(a_vals) & np.isfinite(b_vals)
@@ -356,5 +355,5 @@ def wick_square_bogoliubov_delta(
         )
     a, chi = _rows(a, bank, chi)
     g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
-    result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
-    return _plain(2.0 / a**2 * result.value)
+    integral = np.sum(bank.weights * bank.momenta**2 * g, axis=-1) / TWO_PI_SQ
+    return _plain(2.0 / a**2 * integral)

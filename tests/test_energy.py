@@ -19,7 +19,7 @@ from oracles import (
     parker_mode,
 )
 
-CONFIG = WickConfig(k_max=20.0, n_k=64, panel_points=8)
+CONFIG = WickConfig(k_max=20.0, n_k=64)
 
 
 def quadratic_background(a0=1.0, da0=0.7, curvature=0.2, tau0=0.0):

@@ -11,8 +11,11 @@ from semiflrw.fixedpoint import (
     NaNDetected,
     NoConvergence,
     PicardReport,
+    Rejected,
+    ZeroStep,
     picard_solve,
     picard_solve_with_halving,
+    segment_nodes,
 )
 
 from oracles import verify_retardation
@@ -184,92 +187,121 @@ class TestRetardation:
         assert not verify_retardation(end_anchored, np.cos(grid))
 
 
+def linear(lam):
+    """rhs(x, nodes) of x' = lam x."""
+    return lambda x, nodes: (lam * x, None)
+
+
 class TestHalvingDriver:
     def test_shrinks_until_contraction(self):
         # residual floor ~ (lam * span)^n / n! passes tol only on a short span
         lam = 8.0
         grid = np.linspace(0.0, 1.0, 401)
-        calls = []
+        spans = []
 
-        def build(nodes):
-            calls.append(nodes[-1])
-            return np.ones(nodes.size), identity_functional(lam)
+        def rhs(x, nodes):
+            spans.append(nodes[-1])
+            return lam * x, None
 
-        solution, report, final_nodes, _ = picard_solve_with_halving(
-            build, grid, tol=1e-10, max_iter=12
+        solution, report, final_nodes, _, _ = picard_solve_with_halving(
+            rhs, 1.0, grid, tol=1e-10, max_iter=12
         )
         assert report.converged
-        assert report.halvings == len(calls) - 1
+        assert report.halvings == len(set(spans)) - 1
         assert 1 <= report.halvings <= 6
-        assert final_nodes[-1] < 1.0
+        # a retry keeps the node count on the front half of the span
+        assert np.array_equal(
+            final_nodes, np.linspace(0.0, 0.5**report.halvings, grid.size)
+        )
         # converged span solves x' = lam x from x(0) = 1 up to trapezoid error
         expected = np.exp(lam * final_nodes)
         assert np.max(np.abs(solution - expected)) < 1e-4
 
     def test_no_halving_when_first_try_converges(self):
         grid = np.linspace(0.0, 0.3, 151)
-        solution, report, final_nodes, _ = picard_solve_with_halving(
-            lambda nodes: (np.ones(nodes.size), identity_functional()), grid,
-            tol=1e-12,
+        solution, report, final_nodes, estimate, _ = picard_solve_with_halving(
+            linear(1.0), 1.0, grid, tol=1e-12
         )
         assert report.halvings == 0
         assert np.array_equal(final_nodes, grid)
+        # the Richardson estimate is of the trapezoid error of int f
+        assert 0.0 < estimate < 1e-6
+        assert np.max(np.abs(solution - np.exp(grid))) < 10.0 * estimate
 
     def test_gives_up_after_max_halvings(self):
         grid = np.linspace(0.0, 1.0, 513)
-
-        def build(nodes):
-            return np.ones(nodes.size), identity_functional(1e6)
-
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match="after 4 halvings"):
             picard_solve_with_halving(
-                build, grid, tol=1e-12, max_iter=10, max_halvings=4
+                linear(1e6), 1.0, grid, tol=1e-12, max_iter=10, max_halvings=4
             )
 
-    def test_gives_up_when_the_span_is_too_short_to_halve(self):
-        # 5 nodes halve to 3, which halve no further: the rejection is
-        # raised, not an error about the grid
-        grid = np.linspace(0.0, 1.0, 5)
+    def test_rejects_on_the_richardson_estimate_alone(self):
+        # the trial converges on the full span; only its estimate, which falls
+        # 8-fold per halving (h^2 times the span), is too large
+        grid = np.linspace(0.0, 1.0, 9)
+        _, report, _, estimate, _ = picard_solve_with_halving(
+            linear(1.0), 1.0, grid, tol=1e-12
+        )
+        assert report.halvings == 0
+        bound = 0.5 * estimate
+        _, report, final_nodes, accepted, _ = picard_solve_with_halving(
+            linear(1.0), 1.0, grid, tol=1e-12, max_error=bound
+        )
+        assert report.converged and report.halvings == 1
+        assert np.array_equal(final_nodes, np.linspace(0.0, 0.5, 9))
+        assert accepted < bound
+        with pytest.raises(Rejected, match="Richardson estimate .* exceeds"):
+            picard_solve_with_halving(
+                linear(1.0), 1.0, grid, tol=1e-12, max_halvings=0, max_error=bound
+            )
 
-        def build(nodes):
-            return np.ones(nodes.size), identity_functional(1e6)
+    def test_halving_below_the_float_spacing_raises_zero_step(self):
+        class Refused(RuntimeError):
+            pass
 
-        with pytest.raises(NoConvergence) as excinfo:
-            picard_solve_with_halving(build, grid, tol=1e-12, max_iter=10)
-        assert "after 1 halvings" in str(excinfo.value)
+        def refuse(x, nodes):
+            raise Refused
+
+        # 5 nodes 4 ulp apart at 1e8: the third halving would repeat a node
+        ulp = np.spacing(1e8)
+        grid = segment_nodes(1e8, 16.0 * ulp, 5)
+        with pytest.raises(ZeroStep, match="below the float spacing"):
+            picard_solve_with_halving(
+                refuse, 0.0, grid, max_halvings=10, retry_on=(Refused,)
+            )
+
+    def test_even_node_count_is_rejected(self):
+        # every second node of an even count misses the last one
+        with pytest.raises(ValueError, match="odd"):
+            picard_solve_with_halving(linear(1.0), 1.0, np.linspace(0.0, 1.0, 4))
 
     def test_seed_starts_the_first_attempt_only(self):
         lam = 8.0
         grid = np.linspace(0.0, 1.0, 401)
+        first = {}  # the first iterate of each trial, by its span's end
 
-        def build(nodes):
-            return np.ones(nodes.size), identity_functional(lam)
+        def rhs(x, nodes):
+            first.setdefault(nodes[-1], x.copy())
+            return lam * x, None
 
-        # a full-length seed would not fit the halved nodes
-        _, report, final_nodes, _ = picard_solve_with_halving(
-            build, grid, tol=1e-10, max_iter=12, x0=np.exp(lam * grid)
+        seed = np.exp(lam * grid)
+        _, report, _, _, _ = picard_solve_with_halving(
+            rhs, 1.0, grid, tol=1e-10, max_iter=12, x0=seed
         )
         assert report.converged and report.halvings >= 1
-        assert final_nodes.size < grid.size
+        trials = list(first.values())
+        assert len(trials) == report.halvings + 1
+        assert np.array_equal(trials[0], seed)
+        # a retry has as many nodes, but the seed belongs to the first span
+        assert all(np.array_equal(x, np.ones(grid.size)) for x in trials[1:])
 
         short = np.linspace(0.0, 0.3, 151)
-        unseeded, plain, _, _ = picard_solve_with_halving(
-            build, short, tol=1e-12, max_iter=40
+        unseeded, plain, _, _, _ = picard_solve_with_halving(
+            linear(lam), 1.0, short, tol=1e-12, max_iter=40
         )
-        seeded, warm, _, _ = picard_solve_with_halving(
-            build, short, tol=1e-12, max_iter=40, x0=unseeded
+        seeded, warm, _, _, _ = picard_solve_with_halving(
+            linear(lam), 1.0, short, tol=1e-12, max_iter=40, x0=unseeded
         )
         assert warm.halvings == 0
         assert warm.iterates < plain.iterates
         assert np.max(np.abs(seeded - unseeded)) < 1e-11
-
-    def test_front_half_preserves_node_alignment(self):
-        grid = np.linspace(0.0, 1.0, 401)
-
-        def build(nodes):
-            return np.ones(nodes.size), identity_functional(3.0)
-
-        _, _, final_nodes, _ = picard_solve_with_halving(
-            build, grid, tol=1e-12, max_iter=25
-        )
-        assert np.all(np.isin(final_nodes, grid))

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
-from semiflrw.fixedpoint import PicardReport, picard_solve
+from semiflrw.fixedpoint import PicardReport, picard_solve, richardson_error
 from semiflrw.solver import (
+    EPSILON_SCALE,
     EXIT_CODES,
+    MAX_ITER,
     CriticalHubble,
     RunLog,
     SolverConfig,
@@ -24,7 +26,6 @@ from semiflrw.solver import (
     initial_segment_state,
     load_checkpoint,
     picard_seed,
-    richardson_error,
     save_checkpoint,
     solution_diagnostics,
     solve_segment,
@@ -91,42 +92,44 @@ class TestConfig:
         assert cfg.tol == 1e-10
         assert cfg.nodes_per_segment == 49
         assert cfg.epsilon_critical == 1e-6
-        assert cfg.epsilon_scale == 1e-6
+        assert EPSILON_SCALE == 1e-6
+        assert MAX_ITER == 40
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"dt_target": 0.0},
             {"dt_target": -1.0},
+            {"dt_target": -math.inf},
             {"tol": 0.0},
+            {"tol": -1e-10},
+            {"tol": -math.inf},
+            {"nodes_per_segment": 1},
             {"nodes_per_segment": 2},
             # an even count leaves the last interval out of richardson_error
             {"nodes_per_segment": 4},
             {"nodes_per_segment": 48},
+            # the wall guard lies in the open interval (0, 0.1)
             {"epsilon_critical": 0.0},
+            {"epsilon_critical": -1e-3},
+            {"epsilon_critical": 0.1},
             {"epsilon_critical": 0.5},
-            {"epsilon_scale": -1e-3},
             {"max_segments": 0},
-            {"max_iter": 0},
+            {"max_segments": -1},
             {"max_halvings": -1},
-            {"wronskian_tolerance": 0.0},
-            {"wronskian_tolerance": math.inf},
             # NaN fails every comparison: each check must be written to fail
             {"dt_target": math.nan},
             {"tol": math.nan},
             {"epsilon_critical": math.nan},
-            {"epsilon_scale": math.nan},
-            {"wronskian_tolerance": math.nan},
             # the integer fields take integers only: NaN passes `< 1` and
             # never exhausts a segment budget, and 5.5 is no count
-            {"max_iter": math.nan},
-            {"max_iter": 5.5},
             {"max_halvings": math.nan},
             {"max_halvings": 5.5},
             {"nodes_per_segment": math.nan},
             {"nodes_per_segment": 5.5},
             {"max_segments": math.nan},
             {"max_segments": 5.5},
+            {"max_segments": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -367,7 +370,7 @@ class TestContinuationContract:
             assert abs(sol.hubble[-1]) >= wall or "raised_at_tau" in diagnostics
         elif rep.reason == "ScaleFactorBlowUp":
             margin = 1.0 / sol.scale_factor[-1]
-            assert margin <= cfg.epsilon_scale or "raised_at_tau" in diagnostics
+            assert margin <= EPSILON_SCALE or "raised_at_tau" in diagnostics
         else:
             assert rep.reason == "ConvergenceFailure"
             assert {"error", "picard_residuals", "note"} & set(diagnostics)
@@ -473,11 +476,13 @@ class TestSegmenting:
         assert rep.reason == "TimeHorizon"
         assert rep.tau_stop == 3e-4
 
-    def test_carried_bank_check_is_reported_not_raised(self):
+    def test_carried_bank_check_is_reported_not_raised(self, monkeypatch):
+        import semiflrw.solver as solver
+
         # the fresh bank's Wronskian error, a few ulp, already exceeds 1e-18
+        monkeypatch.setattr(solver, "WRONSKIAN_TOLERANCE", 1e-18)
         sol, rep = continue_maximal(
-            InitialData(0.0, 1.0, 5.0), 0.02, PhysicalParams(mass=1.0), W0,
-            SolverConfig(wronskian_tolerance=1e-18),
+            InitialData(0.0, 1.0, 5.0), 0.02, PhysicalParams(mass=1.0), W0
         )
         assert rep.reason == "ConvergenceFailure"
         assert rep.exit_code == 20
@@ -772,10 +777,12 @@ class TestCheckpoint:
         log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
         save_checkpoint(path, log, 0.005)
         payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        # format 3 had no physical parameters in its header
+        for version in (3, 99):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"version {version}.*rerun"):
+                load_checkpoint(path)
 
 
 class TestDiagnostics:
