@@ -2,7 +2,8 @@
 
 Exit codes: 0 TimeHorizon, 10 HitCriticalHubble, 11 ScaleFactorBlowUp,
 20 ConvergenceFailure (or any domain error mid-run), 2 config error.
-The only environment variable read is SEMIFLRW_LOG (log level name).
+The only environment variable read is SEMIFLRW_LOG, a log level name of
+LOG_LEVELS (unset or empty: WARNING); any other value is a config error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .solver import (
     SolverConfig,
     check_resume,
     continue_maximal,
+    initial_segment_state,
     load_checkpoint,
     save_checkpoint,
     solution_diagnostics,
@@ -258,8 +260,8 @@ def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def write_solution_csv(path, solution, params, config: dict) -> None:
-    diag = solution_diagnostics(solution, params)
+def write_solution_csv(path, solution, config: dict) -> None:
+    diag = solution_diagnostics(solution)
     lines = [
         "# semiflrw solution time series",
         "# units: 8*pi*G = c = hbar = 1; tau conformal time, t cosmological"
@@ -277,62 +279,48 @@ def write_solution_csv(path, solution, params, config: dict) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _tail_summary(solution, params, wick_cfg) -> dict | None:
-    bank = solution.final_state.mode_bank_carry
-    if bank is None or params.mass == 0.0:
+def _tail_summary(solution) -> dict | None:
+    final = solution.final_state
+    bank = final.mode_bank_carry
+    if bank is None:
         return None
     _, detail = wick_square_renormalized(
-        float(solution.scale_factor[-1]), bank, bank.chi, params, wick_cfg,
-        detail=True,
+        float(solution.scale_factor[-1]), bank, bank.chi, final.params,
+        final.wick_cfg, detail=True,
     )
     fit = detail.tail
     out = {"error_estimate": detail.error_estimate}
     if fit is not None:
         out.update(
-            {
-                "C": fit.coefficient,
-                "p_raw": fit.p_raw,
-                "p_used": fit.p_used,
-                "coherent": fit.coherent,
-                "ok": fit.ok,
-            }
+            C=fit.coefficient, p_raw=fit.p_raw, p_used=fit.p_used,
+            coherent=fit.coherent, ok=fit.ok,
         )
     return out
 
 
 def write_summary(
-    path, config, constraint_rep, solution, term_report, params, wick_cfg,
-    error: str | None = None,
+    path, config, constraint_rep, solution, term_report, error: str | None = None
 ) -> None:
-    payload = {
-        "config": config,
-        "constraint": constraint_rep,
-        "termination": None
-        if term_report is None
-        else {
+    payload = dict.fromkeys(("termination", "picard", "tail_fit", "series"))
+    payload.update(config=config, constraint=constraint_rep, error=error)
+    if term_report is not None:
+        payload["termination"] = {
             "reason": term_report.reason,
             "exit_code": term_report.exit_code,
             "tau_stop": term_report.tau_stop,
             "diagnostics": term_report.diagnostics,
-        },
-        "picard": None
-        if solution is None
-        else [r.as_dict() for r in solution.reports],
-        "tail_fit": None
-        if solution is None
-        else _tail_summary(solution, params, wick_cfg),
-        "series": None
-        if solution is None
-        else {
+        }
+    if solution is not None:
+        payload["picard"] = [r.as_dict() for r in solution.reports]
+        payload["tail_fit"] = _tail_summary(solution)
+        payload["series"] = {
             "n_nodes": int(solution.taus.size),
             "tau_final": float(solution.taus[-1]),
             "hubble_final": float(solution.hubble[-1]),
             "scale_factor_final": float(solution.scale_factor[-1]),
             "wick_square_final": float(solution.wick_square[-1]),
             "segments": len(solution.reports),
-        },
-        "error": error,
-    }
+        }
     with open(path, "w", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -355,24 +343,21 @@ def solve_and_write(config: dict, built, out_dir: Path, **solve_kwargs):
         )
     except (RuntimeError, ValueError, ArithmeticError) as err:
         write_summary(
-            summary_path, config, constraint_rep, None, None, params, wick_cfg,
-            error=str(err),
+            summary_path, config, constraint_rep, None, None, error=str(err)
         )
         raise
-    write_solution_csv(out_dir / "solution.csv", solution, params, config)
-    write_summary(
-        summary_path, config, constraint_rep, solution, term, params, wick_cfg
-    )
+    write_solution_csv(out_dir / "solution.csv", solution, config)
+    write_summary(summary_path, config, constraint_rep, solution, term)
     return solution, term
 
 
 def _resume_kwargs(path, horizon: float, built) -> dict:
     """continue_maximal's resume arguments from the checkpoint at path,
     which must hold the run that the built config starts."""
-    params, initial, wick_cfg = built[:3]
+    params, initial, wick_cfg, _, profile = built[:5]
     try:
         carry, reports, bounds, horizon_ck = load_checkpoint(path)
-        check_resume(carry, initial, params, wick_cfg)
+        check_resume(carry, initial_segment_state(initial, params, wick_cfg, profile))
     # TypeError: a record field of the wrong JSON type
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"cannot resume from {path}: {err}") from err
@@ -400,12 +385,10 @@ def cmd_run(args) -> int:
     written = None  # what the checkpoint file holds, as save_checkpoint says
     run_log = None
     if args.checkpoint:
-        every = max(1, args.checkpoint_every)
-
         def callback(log):
             nonlocal written, run_log
             run_log = log
-            if log.segments % every == 0:
+            if log.segments % args.checkpoint_every == 0:
                 written = save_checkpoint(args.checkpoint, log, horizon, written)
 
         solve_kwargs["segment_callback"] = callback
@@ -514,9 +497,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict | None] = [None] * len(entries)
-    workers = max(1, args.threads)
     # index-ordered aggregation keeps the report independent of scheduling
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         futures = {
             pool.submit(_sweep_one, name, cfg, out_dir): i
             for i, (name, cfg) in enumerate(entries)
@@ -533,6 +515,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiflrw",
@@ -545,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     run_p.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="K",
+        "--checkpoint-every", type=_count, default=1, metavar="K",
         help="checkpoint every K segments (default 1)",
     )
     run_p.add_argument("--resume", default=None, help="resume from checkpoint file")
@@ -555,14 +545,23 @@ def build_parser() -> argparse.ArgumentParser:
         "target", help="directory of *.json configs, or a JSON list file"
     )
     sweep_p.add_argument("--out", default=None, help="output directory")
-    sweep_p.add_argument("--threads", type=int, default=1)
+    sweep_p.add_argument("--threads", type=_count, default=1)
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("SEMIFLRW_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    name = os.environ.get("SEMIFLRW_LOG") or "WARNING"
+    if name.upper() not in LOG_LEVELS:
+        print(
+            f"config error: SEMIFLRW_LOG={name!r} is not a level name;"
+            f" use one of {', '.join(LOG_LEVELS)}", file=sys.stderr,
+        )
+        return 2
+    logging.basicConfig(level=name.upper())
     args = build_parser().parse_args(argv)
     return args.func(args)
 

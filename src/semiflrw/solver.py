@@ -148,7 +148,9 @@ class SolverConfig:
 @dataclass(frozen=True, eq=False)
 class SegmentState:
     """Carried solution state at the current segment boundary tau_start,
-    with the initial data and physical parameters of its run.
+    with what its run fixes at tau0: initial data, physical parameters,
+    effective Wick settings and the state's Bogoliubov coefficients (A, B)
+    on the bank's momenta (None for the vacuum and for m = 0).
 
     The histories end at tau_start.  They cover the whole run [tau0,
     tau_start] in the initial state, a loaded checkpoint and a solution's
@@ -163,6 +165,8 @@ class SegmentState:
 
     initial: InitialData
     params: PhysicalParams
+    wick_cfg: WickConfig
+    bogoliubov: tuple[np.ndarray, np.ndarray] | None
     hist_taus: np.ndarray
     hist_hubble: np.ndarray
     hist_a: np.ndarray
@@ -271,10 +275,11 @@ def default_dt_target(hubble: float, a_val: float, mass: float) -> float:
 def initial_bank(
     initial: InitialData, params: PhysicalParams, wick_cfg: WickConfig
 ) -> ModeBank | None:
-    """The tau0-anchored mode bank a run starts from; None for m = 0."""
+    """The tau0-anchored mode bank a run starts from, on the grid of the
+    effective wick_cfg; None for m = 0."""
     if not params.mass > 0.0:
         return None
-    momenta, weights = radial_grid(effective_wick_config(wick_cfg, initial, params))
+    momenta, weights = radial_grid(wick_cfg)
     return ModeBank.at_initial(
         momenta, weights, a0=initial.a0, mass=params.mass, tau0=initial.tau0
     )
@@ -286,59 +291,61 @@ def initial_segment_state(
     wick_cfg: WickConfig,
     profile: BogoliubovProfile | None = None,
 ) -> SegmentState:
+    """The state a run starts from at tau0; profile None is the vacuum."""
     initial.validate_against(params)
+    wick_cfg = effective_wick_config(wick_cfg, initial, params)
     bank = initial_bank(initial, params, wick_cfg)
-    w0 = 0.0 if bank is None else _wick_square(
-        initial.a0, bank, bank.chi, params, wick_cfg, profile
-    )
-    return SegmentState(
+    coefficients = None if bank is None or profile is None else profile.on(bank.momenta)
+    start = SegmentState(
         initial=initial,
         params=params,
+        wick_cfg=wick_cfg,
+        bogoliubov=coefficients,
         hist_taus=np.array([initial.tau0]),
         hist_hubble=np.array([initial.hubble0]),
         hist_a=np.array([initial.a0]),
-        hist_wick=np.array([w0]),
+        hist_wick=np.array([0.0]),
         mode_bank_carry=bank,
         anchor_digest=None if bank is None else bank.anchor_digest(),
     )
+    if bank is None:
+        return start
+    w0 = _wick_square(initial.a0, bank.chi, start)
+    return replace(start, hist_wick=np.array([w0]))
 
 
-def check_resume(
-    carry: SegmentState,
-    initial: InitialData,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-) -> None:
-    """Raise ValueError unless carry continues the run these inputs start:
-    the same initial data, the same physical parameters and the same
+def check_resume(carry: SegmentState, start: SegmentState) -> None:
+    """Raise ValueError unless carry continues the run that start begins:
+    the same initial data, physical parameters, Wick settings, state and
     tau0-anchored mode bank (none for m = 0)."""
-    bank = initial_bank(initial, params, wick_cfg)
-    held, given = asdict(carry.params), asdict(params)
+    held = {**asdict(carry.params), **asdict(carry.wick_cfg)}
+    given = {**asdict(start.params), **asdict(start.wick_cfg)}
     changed = [name for name in given if held[name] != given[name]]
-    if carry.initial != initial:
-        what = f"initial data {carry.initial} differ from the config's {initial}"
+    states = [
+        None if state.bogoliubov is None else np.concatenate(state.bogoliubov).tobytes()
+        for state in (carry, start)
+    ]
+    if carry.initial != start.initial:
+        what = f"initial data {carry.initial} differ from the config's {start.initial}"
     elif changed:
         name = changed[0]
         what = f"{name} {held[name]!r} differs from the config's {given[name]!r}"
-    elif carry.anchor_digest != (None if bank is None else bank.anchor_digest()):
+    elif states[0] != states[1]:
+        ours, theirs = ("vacuum" if s is None else "Bogoliubov" for s in states)
+        what = f"{ours} state differs from the config's {theirs} state"
+    elif carry.anchor_digest != start.anchor_digest:
         what = "mode bank differs from the config's: the momentum grid changed"
     else:
         return
     raise ValueError(f"the checkpoint's {what}")
 
 
-def _wick_square(
-    a,
-    bank: ModeBank,
-    chi,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-    profile: BogoliubovProfile | None = None,
-):
-    """W_ren plus the profile's state correction, per row of bank modes."""
-    value = wick_square_renormalized(a, bank, chi, params, wick_cfg)
-    if profile is not None:
-        value = value + wick_square_bogoliubov_delta(a, bank, chi, profile)
+def _wick_square(a, chi, carry: SegmentState):
+    """W_ren plus the state correction, per row of the carried bank's modes."""
+    bank = carry.mode_bank_carry
+    value = wick_square_renormalized(a, bank, chi, carry.params, carry.wick_cfg)
+    if carry.bogoliubov is not None:
+        value = value + wick_square_bogoliubov_delta(a, bank, chi, carry.bogoliubov)
     return value
 
 
@@ -353,16 +360,10 @@ def friedmann_source(h, w, params: PhysicalParams):
     )
 
 
-def _rhs_detail(
-    h: np.ndarray,
-    nodes: np.ndarray,
-    carry: SegmentState,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-    profile: BogoliubovProfile | None = None,
-):
+def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
     """f(H) at the segment nodes and the byproducts (W, a, the bank's
     (chi, chi') history)."""
+    params = carry.params
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
     critical = params.hubble_critical
@@ -379,9 +380,7 @@ def _rhs_detail(
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
         history = evolve_bank(carry.mode_bank_carry, v, nodes)
-        w_vals = _wick_square(
-            a_vals, carry.mode_bank_carry, history[0], params, wick_cfg, profile
-        )
+        w_vals = _wick_square(a_vals, history[0], carry)
     else:
         w_vals = np.zeros(nodes.size)
         history = None
@@ -495,14 +494,9 @@ def picard_seed(
 
 
 def solve_segment(
-    carry: SegmentState,
-    tau_horizon: float,
-    params: PhysicalParams,
-    wick_cfg: WickConfig,
-    solver_cfg: SolverConfig = SolverConfig(),
-    profile: BogoliubovProfile | None = None,
+    carry: SegmentState, tau_horizon: float, solver_cfg: SolverConfig = SolverConfig()
 ) -> SegmentState:
-    """Advance the carried state by one converged segment.
+    """Advance the carried state by one converged segment of its run.
 
     The trial span is the carry's next_step (choose_step at the carried node
     for the initial state), capped by dt_target and the remaining span.
@@ -530,6 +524,7 @@ def solve_segment(
     if remaining <= 0.0:
         raise ValueError("carry is already at or past the horizon")
     h_start, a_start = carry.hubble_start, carry.a_start
+    params = carry.params
     critical = params.hubble_critical
     step = carry.next_step or choose_step(
         h_start, a_start, float(carry.hist_wick[-1]), abs(h_start), params
@@ -551,7 +546,7 @@ def solve_segment(
     target = ACCURACY_PER_TOL * solver_cfg.tol
     # the byproducts come from Picard's last RHS evaluation, at the solution
     h_vals, report, nodes, error, (w_vals, a_vals, history) = picard_solve_with_halving(
-        lambda h, sub: _rhs_detail(h, sub, carry, params, wick_cfg, profile),
+        lambda h, sub: _rhs_detail(h, sub, carry),
         h_start, nodes, solver_cfg.tol, MAX_ITER, solver_cfg.max_halvings, seed,
         max_error=REJECT_ACCURACY * target, retry_on=(CriticalHubble, BlowUp),
     )
@@ -573,15 +568,13 @@ def solve_segment(
     previous = (
         float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0
     )
-    return SegmentState(
-        initial=carry.initial,
-        params=carry.params,
+    return replace(
+        carry,
         hist_taus=nodes[: last + 1],
         hist_hubble=h_vals[: last + 1],
         hist_a=a_vals[: last + 1],
         hist_wick=w_vals[: last + 1],
         mode_bank_carry=bank,
-        anchor_digest=carry.anchor_digest,
         last_report=report,
         next_step=choose_step(
             float(h_vals[last]), float(a_vals[last]), float(w_vals[last]),
@@ -590,10 +583,8 @@ def solve_segment(
     )
 
 
-def _report_diagnostics(
-    carry: SegmentState, params: PhysicalParams, n_segments: int, **extra
-) -> dict:
-    critical = params.hubble_critical
+def _report_diagnostics(carry: SegmentState, n_segments: int, **extra) -> dict:
+    critical = carry.params.hubble_critical
     out = {
         "hubble_final": float(carry.hist_hubble[-1]),
         "scale_factor_final": float(carry.hist_a[-1]),
@@ -620,20 +611,21 @@ def continue_maximal(
 ) -> tuple[MaximalSolution, TerminationReport]:
     """Extend the solution segment by segment to the horizon or first breach.
 
-    All failure modes are reported through TerminationReport, never raised;
-    a resume_from that check_resume rejects raises ValueError before any
-    segment.
+    The inputs build the initial state, whose carry every segment reads
+    (profile None is the vacuum).  All failure modes are reported through
+    TerminationReport, never raised; a resume_from that check_resume
+    rejects against the initial state raises ValueError before any segment.
     segment_callback(log), when given, runs after every completed segment
     with the run's RunLog; it must not mutate the log.
     """
     # written so that a NaN horizon fails too
     if not tau_horizon > initial.tau0:
         raise ValueError("tau_horizon must exceed tau0")
-    wick_cfg = effective_wick_config(wick_cfg, initial, params)
+    start = initial_segment_state(initial, params, wick_cfg, profile)
     if resume_from is None:
-        resume_from = initial_segment_state(initial, params, wick_cfg, profile)
+        resume_from = start
     else:
-        check_resume(resume_from, initial, params, wick_cfg)
+        check_resume(resume_from, start)
     log = RunLog(resume_from, prior_reports, prior_bounds)
     wall = (1.0 - solver_cfg.epsilon_critical) * params.hubble_critical
     diagnostics_extra = {}
@@ -655,9 +647,7 @@ def continue_maximal(
             diagnostics_extra = {"note": "segment budget exhausted before the horizon"}
             break
         try:
-            segment = solve_segment(
-                carry, tau_horizon, params, wick_cfg, solver_cfg, profile
-            )
+            segment = solve_segment(carry, tau_horizon, solver_cfg)
         except NoConvergence as err:
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"picard_residuals": list(err.report.residuals)}
@@ -683,9 +673,7 @@ def continue_maximal(
             segment_callback(log)
 
     final = log.join()
-    diagnostics = _report_diagnostics(
-        final, params, len(log.reports), **diagnostics_extra
-    )
+    diagnostics = _report_diagnostics(final, len(log.reports), **diagnostics_extra)
     if reason == REASON_SCALE_BLOWUP:
         diagnostics["extrapolated_breach_tau"] = _extrapolate_blowup(final)
     if reason == REASON_CRITICAL_HUBBLE:
@@ -729,9 +717,7 @@ def _extrapolate_wall(carry: SegmentState, wall: float) -> float:
     return float(taus[j] + frac * (taus[j + 1] - taus[j]))
 
 
-def solution_diagnostics(
-    solution: MaximalSolution, params: PhysicalParams
-) -> dict[str, np.ndarray]:
+def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     """Time series for reporting: tau, t, a, H, H', R, W_ren, source, margins."""
     taus, hubble, a = solution.taus, solution.hubble, solution.scale_factor
     # H' is second order with one-sided ends; two nodes give their slope
@@ -739,8 +725,7 @@ def solution_diagnostics(
         dh = np.gradient(hubble, taus, edge_order=2 if taus.size > 2 else 1)
     else:
         dh = np.zeros(1)
-    critical = params.hubble_critical
-    a0 = solution.final_state.initial.a0
+    params, a0 = solution.final_state.params, solution.final_state.initial.a0
     return {
         "tau": taus,
         "t": cosmological_time(taus, a),
@@ -750,12 +735,24 @@ def solution_diagnostics(
         "R": ricci_scalar(hubble, dh, a),
         "W_ren": solution.wick_square,
         "source": friedmann_source(hubble, solution.wick_square, params),
-        "margin_hubble": critical - np.abs(hubble),
+        "margin_hubble": params.hubble_critical - np.abs(hubble),
         "margin_scale": a0 / a,
     }
 
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+
+
+def _split(values: np.ndarray, name: str) -> dict:
+    """A complex array as the JSON lists of its real and imaginary parts."""
+    return {f"{name}_re": values.real.tolist(), f"{name}_im": values.imag.tolist()}
+
+
+def _join(fields: dict, name: str) -> np.ndarray:
+    """The complex array that _split wrote under name, bit for bit."""
+    out = np.array(fields[f"{name}_re"], dtype=np.complex128)
+    out.imag = fields[f"{name}_im"]
+    return out
 
 
 def save_checkpoint(
@@ -765,7 +762,8 @@ def save_checkpoint(
 
     The file is JSON lines.  The first line starts with the header, which
     holds what tau0 fixes: version, horizon, initial data, physical
-    parameters, anchor digest and, for a massive run, the mode bank's mass, momenta and weights.  That
+    parameters, effective Wick settings, Bogoliubov coefficients and
+    anchor digest.  The mode bank's grid follows from these.  That
     line and every later one hold a record of what moved since the line
     before: the history from node index ``start`` on, the new Picard
     reports and segment bounds, the span proposed for the next segment and
@@ -797,10 +795,7 @@ def save_checkpoint(
         "segment_bounds": log.bounds[n_bounds:],
         "next_step": carry.next_step,
         "bank": None if bank is None else {
-            "chi_re": bank.chi.real.tolist(),
-            "chi_im": bank.chi.imag.tolist(),
-            "dchi_re": bank.dchi.real.tolist(),
-            "dchi_im": bank.dchi.imag.tolist(),
+            **_split(bank.chi, "chi"), **_split(bank.dchi, "dchi")
         },
     }
     if first:
@@ -809,12 +804,11 @@ def save_checkpoint(
             "tau_horizon": tau_horizon,
             "initial": asdict(carry.initial),
             "params": asdict(carry.params),
-            "anchor_digest": carry.anchor_digest,
-            "bank_anchor": None if bank is None else {
-                "mass": bank.mass,
-                "momenta": bank.momenta.tolist(),
-                "weights": bank.weights.tolist(),
+            "wick": asdict(carry.wick_cfg),
+            "bogoliubov": None if carry.bogoliubov is None else {
+                **_split(carry.bogoliubov[0], "A"), **_split(carry.bogoliubov[1], "B")
             },
+            "anchor_digest": carry.anchor_digest,
         }
         tmp = f"{path}.tmp"
         with open(tmp, "w") as handle:
@@ -830,10 +824,10 @@ def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
     The records are applied in order.  The mode bank is rebuilt at tau0
-    from the header and moved to the last record's modes; its anchor digest
-    must be the header's.  A last line that lacks its newline and does not
-    parse is a torn append and is ignored, so the record before it is the
-    checkpoint.
+    from the header's settings (initial_bank) and moved to the last
+    record's modes; its anchor digest must be the header's.  A last line
+    that lacks its newline and does not parse is a torn append and is
+    ignored, so the record before it is the checkpoint.
     """
     with open(path) as handle:
         lines = handle.readlines()
@@ -875,22 +869,19 @@ def load_checkpoint(path):
         raw_reports.extend(record["reports"])
         bounds.extend(record["segment_bounds"])
     initial = InitialData(**header["initial"])
-    anchor, modes = header["bank_anchor"], records[-1]["bank"]
-    bank = None
-    if anchor is not None:
-        bank = ModeBank.at_initial(
-            anchor["momenta"], anchor["weights"], a0=initial.a0,
-            mass=anchor["mass"], tau0=initial.tau0,
-        ).moved_to(
-            np.array(modes["chi_re"]) + 1j * np.array(modes["chi_im"]),
-            np.array(modes["dchi_re"]) + 1j * np.array(modes["dchi_im"]),
-            history["taus"][-1],
+    params = PhysicalParams(**header["params"])
+    wick_cfg = WickConfig(**header["wick"])
+    bank, modes = initial_bank(initial, params, wick_cfg), records[-1]["bank"]
+    if bank is not None:
+        bank = bank.moved_to(
+            _join(modes, "chi"), _join(modes, "dchi"), history["taus"][-1]
         )
     if (None if bank is None else bank.anchor_digest()) != header["anchor_digest"]:
         raise ValueError(
             f"{path}: the mode bank rebuilt from the header does not match"
             " its anchor digest"
         )
+    coefficients = header["bogoliubov"]
     reports = tuple(
         PicardReport(
             r["iterates"], tuple(r["residuals"]), r["converged"], r["tol"],
@@ -903,7 +894,11 @@ def load_checkpoint(path):
     next_step = records[-1]["next_step"]
     carry = SegmentState(
         initial=initial,
-        params=PhysicalParams(**header["params"]),
+        params=params,
+        wick_cfg=wick_cfg,
+        bogoliubov=None if coefficients is None else (
+            _join(coefficients, "A"), _join(coefficients, "B")
+        ),
         hist_taus=np.array(history["taus"]),
         hist_hubble=np.array(history["hubble"]),
         hist_a=np.array(history["a"]),

@@ -102,6 +102,27 @@ class BogoliubovProfile:
 
         return cls(a_func, b_func)
 
+    def on(self, momenta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) on the momenta as complex arrays, checked finite and
+        normalized: |A|^2 - |B|^2 = 1 within 1e-8 plus the rounding of the
+        squares, 4 eps (|A|^2 + |B|^2)."""
+        a_vals = np.asarray(self.A(momenta), dtype=np.complex128)
+        b_vals = np.asarray(self.B(momenta), dtype=np.complex128)
+        finite = np.isfinite(a_vals) & np.isfinite(b_vals)
+        if not np.all(finite):
+            j = int(np.argmin(finite))
+            raise InvalidProfile(
+                f"A = {a_vals[j]}, B = {b_vals[j]} is not finite at k={momenta[j]:.6g}"
+            )
+        a_sq, b_sq = np.abs(a_vals) ** 2, np.abs(b_vals) ** 2
+        excess = np.abs(a_sq - b_sq - 1.0) - 4.0 * np.finfo(float).eps * (a_sq + b_sq)
+        if np.any(excess > 1e-8):
+            j = int(np.argmax(excess))
+            raise InvalidProfile(
+                f"|A|^2-|B|^2 = {a_sq[j] - b_sq[j]:.12g} at k={momenta[j]:.6g}"
+            )
+        return a_vals, b_vals
+
 
 @dataclass(frozen=True)
 class TailFit:
@@ -328,31 +349,13 @@ def wick_square_renormalized(
     return (value, result) if detail else value
 
 
-def wick_square_bogoliubov_delta(
-    a,
-    bank: ModeBank,
-    chi,
-    profile: BogoliubovProfile,
-    tol: float = 1e-8,
-):
+def wick_square_bogoliubov_delta(a, bank: ModeBank, chi, coefficients):
     """State-change correction (2/a^2)(2 pi^2)^{-1} int (|B|^2 |chi|^2
-    + Re(A B chi^2)) k^2 dk for a Bogoliubov profile, per row of chi
-    (a and chi shaped as for wick_square_renormalized).  The profile
+    + Re(A B chi^2)) k^2 dk for a Bogoliubov state, per row of chi (a and
+    chi shaped as for wick_square_renormalized).  coefficients is the (A, B)
+    pair that BogoliubovProfile.on gives on the bank's momenta.  The profile
     decays faster than any power, so the bank's quadrature takes no tail."""
-    a_vals = np.asarray(profile.A(bank.momenta), dtype=np.complex128)
-    b_vals = np.asarray(profile.B(bank.momenta), dtype=np.complex128)
-    finite = np.isfinite(a_vals) & np.isfinite(b_vals)
-    if not np.all(finite):
-        j = int(np.argmin(finite))
-        raise InvalidProfile(
-            f"A = {a_vals[j]}, B = {b_vals[j]} is not finite at k={bank.momenta[j]:.6g}"
-        )
-    constraint = np.abs(a_vals) ** 2 - np.abs(b_vals) ** 2 - 1.0
-    if np.any(np.abs(constraint) > tol):
-        j = int(np.argmax(np.abs(constraint)))
-        raise InvalidProfile(
-            f"|A|^2-|B|^2 = {1.0 + constraint[j]:.12g} at k={bank.momenta[j]:.6g}"
-        )
+    a_vals, b_vals = coefficients
     a, chi = _rows(a, bank, chi)
     g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
     integral = np.sum(bank.weights * bank.momenta**2 * g, axis=-1) / TWO_PI_SQ

@@ -203,7 +203,7 @@ def test_criterion_06_massless_conformal_vacuum():
     carry = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
     grid = np.linspace(0.0, 1e-3, 25)
     h_vals = 20.0 + 500.0 * grid
-    rhs = _rhs_detail(h_vals, grid, carry, params, W0)[0]
+    rhs = _rhs_detail(h_vals, grid, carry)[0]
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * np.diff(grid) * (h_vals[:-1] + h_vals[1:])))
     )
@@ -247,7 +247,7 @@ def test_criterion_07_de_sitter_fixed_point(de_sitter_setup):
     params, initial, h0 = de_sitter_setup
     started = time.perf_counter()
     carry = initial_segment_state(initial, params, W0)
-    one = solve_segment(carry, 1.0, params, W0, SolverConfig())
+    one = solve_segment(carry, 1.0, SolverConfig())
     err_one = float(np.max(np.abs(one.hist_hubble - h0)))
     span = float(one.hist_taus[-1] - one.hist_taus[0])
     solution, report = continue_maximal(
@@ -308,14 +308,14 @@ def test_criterion_08_singularity_detection():
 def test_criterion_09_picard_contraction(de_sitter_setup):
     params, initial, h0 = de_sitter_setup
     carry = initial_segment_state(initial, params, W0)
-    one = solve_segment(carry, 1.0, params, W0, SolverConfig())
+    one = solve_segment(carry, 1.0, SolverConfig())
     nodes = one.hist_taus
     span = float(nodes[-1] - nodes[0])
     delta = 0.1 * h0 * np.cos(2.0 * math.pi * (nodes - nodes[0]) / span)
     tol = 1e-10
     _, report, _ = picard_solve(
         np.full(nodes.size, h0),
-        lambda x: (_rhs_detail(x, nodes, carry, params, W0)[0], None),
+        lambda x: (_rhs_detail(x, nodes, carry)[0], None),
         nodes, tol=tol, max_iter=40, x0=h0 + delta,
     )
     residuals = np.asarray(report.residuals)

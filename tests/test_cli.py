@@ -432,6 +432,34 @@ class TestRunCommand:
             (third / "solution.csv").read_bytes()
         )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["run", "c.json", "--checkpoint", "ck.json", "--checkpoint-every", "-3"],
+            ["run", "c.json", "--checkpoint", "ck.json", "--checkpoint-every", "0"],
+            ["sweep", "c.json", "--threads", "0"],
+            ["sweep", "c.json", "--threads", "-1"],
+        ],
+    )
+    def test_count_below_one_exits_2(self, tmp_path, capsys, flags):
+        write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        argv = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert f"must be >= 1, got {flags[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "ck.json").exists()
+
+    def test_large_gaussian_amplitude_runs_to_the_wall(self, tmp_path):
+        # |A|^2 - |B|^2 misses 1 by the rounding of A = sqrt(1 + B^2),
+        # 1.5e-8 here, which the normalization check allows for
+        path = write_config(
+            tmp_path / "c.json", mass=1.0, H0=0.0, horizon=1.0,
+            state={"type": "bogoliubov-gaussian", "amplitude": 1e4, "k_scale": 2.0},
+            numerical={"k_max": 20.0, "n_k": 32, "epsilon_critical": 0.09},
+        )
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 10
+
     def test_run_takes_no_threads_flag(self, tmp_path, capsys):
         # a single run is sequential; only sweep runs entries in threads
         path = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
@@ -447,6 +475,9 @@ class TestRunCommand:
         )
         assert cli.main(["run", path]) == 0
         assert (out / "solution.csv").exists()
+
+
+GAUSSIAN = {"type": "bogoliubov-gaussian", "amplitude": 0.5, "k_scale": 3.0}
 
 
 class TestCheckpointResume:
@@ -668,7 +699,10 @@ class TestCheckpointResume:
         assert len(records) == len(solution.reports) > 1
         # what tau0 fixes is in the header only; every record holds the
         # modes and no copy of the anchors, the carried a or the bank time
-        assert set(records[0]["bank_anchor"]) == {"mass", "momenta", "weights"}
+        assert "bank_anchor" not in records[0]
+        assert set(records[0]["wick"]) == {
+            "k_max", "n_k", "tail_model", "tail_fit_window", "k_knee"
+        }
         for record in records:
             assert set(record["bank"]) == {"chi_re", "chi_im", "dchi_re", "dchi_im"}
             assert "a_carry" not in record
@@ -724,14 +758,22 @@ class TestCheckpointResume:
         h0=st.floats(min_value=-5.0, max_value=5.0),
         every=st.integers(min_value=1, max_value=3),
         cut=st.integers(min_value=1, max_value=4),
+        amplitude=st.one_of(st.none(), st.floats(min_value=-2.0, max_value=2.0)),
     )
     # the step controller sets the span, so the proposal the checkpoint
     # carries matters; dt_target does wherever |H0| is small
-    @example(mass=1.0, h0=5.0, every=2, cut=3)
-    def test_resume_is_bit_exact(self, tmp_path_factory, mass, h0, every, cut):
+    @example(mass=1.0, h0=5.0, every=2, cut=3, amplitude=None)
+    @example(mass=1.0, h0=5.0, every=1, cut=2, amplitude=0.5)
+    def test_resume_is_bit_exact(
+        self, tmp_path_factory, mass, h0, every, cut, amplitude
+    ):
         tmp = tmp_path_factory.mktemp("resume")
         numerical = {"dt_target": 2e-3, "k_max": 20.0, "n_k": 32}
         config = {"mass": mass, "H0": h0, "horizon": 0.01}
+        if amplitude is not None:
+            config["state"] = {
+                "type": "bogoliubov-gaussian", "amplitude": amplitude, "k_scale": 3.0
+            }
         full = write_config(tmp / "full.json", **config, numerical=numerical)
         part = write_config(
             tmp / "part.json", **config,
@@ -778,6 +820,27 @@ class TestCheckpointResume:
                 {"mass": 1.0, "H0": 5.0},
                 {"mass": 1.0, "H0": 5.0, "lambda_len": 2.0},
                 "length_scale",
+            ),
+            # the state and the Wick settings
+            (
+                {"mass": 1.0, "H0": 5.0},
+                {"mass": 1.0, "H0": 5.0, "state": GAUSSIAN},
+                "vacuum state differs from the config's Bogoliubov state",
+            ),
+            (
+                {"mass": 1.0, "H0": 5.0, "state": GAUSSIAN},
+                {"mass": 1.0, "H0": 5.0, "state": {**GAUSSIAN, "amplitude": 0.6}},
+                "Bogoliubov state differs from the config's Bogoliubov state",
+            ),
+            (
+                {"mass": 1.0, "H0": 5.0},
+                {"mass": 1.0, "H0": 5.0, "numerical": {"tail_model": "none"}},
+                "tail_model 'power-fit' differs from the config's 'none'",
+            ),
+            (
+                {"mass": 1.0, "H0": 5.0},
+                {"mass": 1.0, "H0": 5.0, "numerical": {"tail_fit_window": 0.5}},
+                "tail_fit_window 0.25 differs from the config's 0.5",
             ),
         ],
     )
@@ -1104,6 +1167,29 @@ class TestSweep:
         assert summary["error"] == "solver exploded"
         assert summary["termination"] is None
         assert not (out / "run_000" / "solution.csv").exists()
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["basic_format", "verbose"])
+    def test_unknown_level_name_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        # basic_format names a format string of the logging module, not a level
+        monkeypatch.setenv("SEMIFLRW_LOG", value)
+        cfg = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: SEMIFLRW_LOG={value!r} is not a level name" in err
+        assert "DEBUG, INFO, WARNING, ERROR, CRITICAL" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_debug_logs_segment_lines(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", mass=0.0, H0=5.0, horizon=0.01)
+        proc = subprocess.run(
+            [sys.executable, "-m", "semiflrw.cli", "run", cfg, "--out",
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env={**src_env(), "SEMIFLRW_LOG": "debug"},
+        )
+        assert proc.returncode == 0
+        assert re.search(r"DEBUG:semiflrw\.solver:segment tau=", proc.stderr)
 
 
 class TestEntryPoint:

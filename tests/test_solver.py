@@ -31,7 +31,7 @@ from semiflrw.solver import (
     solve_segment,
     wick_square_renormalized,
 )
-from semiflrw.wick import WickConfig
+from semiflrw.wick import BogoliubovProfile, WickConfig
 
 from oracles import verify_retardation
 
@@ -436,7 +436,7 @@ class TestSegmenting:
             nodes = np.linspace(0.0, 0.004, 2 * n - 1)
             hubble, report, _ = picard_solve(
                 np.zeros(nodes.size),
-                lambda x: (_rhs_detail(x, nodes, state0, params, W0)[0], None),
+                lambda x: (_rhs_detail(x, nodes, state0)[0], None),
                 nodes,
             )
             assert report.converged
@@ -639,7 +639,7 @@ class TestRhs:
         nodes = np.linspace(0.0, 0.001, 25)
 
         def rhs(x):
-            return _rhs_detail(x, nodes, state0, params, wcfg)[0], None
+            return _rhs_detail(x, nodes, state0)[0], None
 
         probe = 1e-4 * np.cos(np.linspace(0.0, 3.0, 25))
         assert verify_retardation(rhs, probe)
@@ -649,7 +649,7 @@ class TestRhs:
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
         nodes = np.linspace(0.0, 0.001, 9)
-        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0, params, W0)[0]
+        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0)[0]
         h = 20.0
         expected = (
             h**4 - 2.0 * HC**2 * h**2 + 960.0 * math.pi**2 * lam
@@ -661,7 +661,7 @@ class TestRhs:
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         nodes = np.linspace(0.0, 0.001, 9)
         with pytest.raises(CriticalHubble) as err:
-            _rhs_detail(np.full(9, HC), nodes, state0, params, W0)
+            _rhs_detail(np.full(9, HC), nodes, state0)
         assert err.value.node_index == 0
 
     def test_rejects_shifted_grid(self):
@@ -669,13 +669,13 @@ class TestRhs:
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         nodes = np.linspace(0.5, 0.501, 9)
         with pytest.raises(ValueError):
-            _rhs_detail(np.zeros(9), nodes, state0, params, W0)
+            _rhs_detail(np.zeros(9), nodes, state0)
 
     def test_solve_segment_rejects_exhausted_horizon(self):
         params = PhysicalParams(mass=0.0)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         with pytest.raises(ValueError):
-            solve_segment(state0, 0.0, params, W0)
+            solve_segment(state0, 0.0)
 
 
 class TestCheckpoint:
@@ -736,16 +736,78 @@ class TestCheckpoint:
     def test_resume_of_another_run_raises(self, mass_run):
         sol, _, params, wcfg = mass_run
         carry = sol.final_state
-        for initial, run_params in (
-            (InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=2.0)),
-            (InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=0.0)),
-            (InitialData(0.0, 2.0, 0.0), params),
+        start = InitialData(0.0, 1.0, 0.0)
+        gaussian = BogoliubovProfile.gaussian(0.5, 3.0)
+        for initial, run_params, run_wick, profile, differs in (
+            (start, PhysicalParams(mass=2.0), wcfg, None, "mass"),
+            (start, PhysicalParams(mass=0.0), wcfg, None, "mass"),
+            (InitialData(0.0, 2.0, 0.0), params, wcfg, None, "initial data"),
+            (start, params, wcfg, gaussian, "vacuum state"),
+            (
+                start, params, replace(wcfg, tail_model="none"), None,
+                "tail_model 'power-fit' differs from the config's 'none'",
+            ),
+            (start, params, replace(wcfg, tail_fit_window=0.5), None, "tail_fit_window"),
         ):
-            with pytest.raises(ValueError, match="the checkpoint's"):
+            with pytest.raises(ValueError, match=f"the checkpoint's {differs}"):
                 continue_maximal(
-                    initial, 0.008, run_params, wcfg, resume_from=carry,
+                    initial, 0.008, run_params, run_wick, resume_from=carry,
                     prior_reports=sol.reports, prior_bounds=sol.segment_bounds,
+                    profile=profile,
                 )
+
+    def test_resume_under_another_state_raises(self):
+        params, wcfg = PhysicalParams(mass=1.0), WickConfig(k_max=20.0, n_k=32)
+        initial = InitialData(0.0, 1.0, 0.0)
+        carry = initial_segment_state(
+            initial, params, wcfg, BogoliubovProfile.gaussian(0.5, 3.0)
+        )
+        for profile, differs in (
+            (None, "Bogoliubov state differs from the config's vacuum state"),
+            (BogoliubovProfile.gaussian(0.6, 3.0), "Bogoliubov state differs"),
+        ):
+            with pytest.raises(ValueError, match=f"the checkpoint's {differs}"):
+                continue_maximal(
+                    initial, 0.008, params, wcfg, resume_from=carry, profile=profile
+                )
+        # the same state continues
+        _, report = continue_maximal(
+            initial, 0.001, params, wcfg, resume_from=carry,
+            profile=BogoliubovProfile.gaussian(0.5, 3.0),
+        )
+        assert report.reason == "TimeHorizon"
+
+    def test_header_holds_the_settings_not_the_grid(self, tmp_path):
+        import json
+
+        params, wcfg = PhysicalParams(mass=1.0), WickConfig(k_max=20.0, n_k=32)
+        initial = InitialData(0.0, 1.0, 0.0)
+        profile = BogoliubovProfile.gaussian(0.5, 3.0)
+        carry = initial_segment_state(initial, params, wcfg, profile)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, RunLog(carry), 0.01)
+        header = json.loads(path.read_text())
+        assert header["version"] == 5
+        assert {
+            "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
+            "anchor_digest",
+        } <= set(header)
+        # the grid follows from the settings: no momenta, weights or mass
+        assert "bank_anchor" not in header
+        assert not {"momenta", "weights"} & set(header["wick"])
+        # the effective settings: the knee is filled at 10 a0 m
+        assert header["wick"] == {
+            "k_max": 20.0, "n_k": 32, "tail_model": "power-fit",
+            "tail_fit_window": 0.25, "k_knee": 10.0,
+        }
+        assert set(header["bogoliubov"]) == {"A_re", "A_im", "B_re", "B_im"}
+        loaded = load_checkpoint(path)[0]
+        assert loaded.wick_cfg == carry.wick_cfg
+        for held, given in zip(loaded.bogoliubov, carry.bogoliubov):
+            assert held.tobytes() == given.tobytes()
+        assert loaded.mode_bank_carry.momenta.tobytes() == (
+            carry.mode_bank_carry.momenta.tobytes()
+        )
 
     def test_load_rejects_a_bank_off_its_digest(self, tmp_path, mass_run):
         import json
@@ -755,7 +817,7 @@ class TestCheckpoint:
         log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
         save_checkpoint(path, log, 0.004)
         header = json.loads(path.read_text())
-        header["bank_anchor"]["mass"] = 2.0
+        header["params"]["mass"] = 2.0
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(ValueError, match="anchor digest"):
             load_checkpoint(path)
@@ -777,8 +839,9 @@ class TestCheckpoint:
         log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
         save_checkpoint(path, log, 0.005)
         payload = json.loads(path.read_text())
-        # format 3 had no physical parameters in its header
-        for version in (3, 99):
+        # format 3 had no physical parameters in its header, format 4 no
+        # Wick settings or state
+        for version in (3, 4, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
@@ -788,7 +851,7 @@ class TestCheckpoint:
 class TestDiagnostics:
     def test_de_sitter_curvature(self, ds_run):
         sol, rep, h0, params = ds_run
-        diag = solution_diagnostics(sol, params)
+        diag = solution_diagnostics(sol)
         assert np.max(np.abs(diag["R"] / (12.0 * h0**2) - 1.0)) < 1e-9
         assert np.max(np.abs(diag["dH"])) < 1e-6
         # terms in the source are O(Hc^4), zero only up to their ulp scale
@@ -803,7 +866,7 @@ class TestDiagnostics:
         sol, rep = continue_maximal(
             InitialData(0.0, 1.0, 0.0), 0.2, PhysicalParams(mass=0.0), W0
         )
-        diag = solution_diagnostics(sol, PhysicalParams(mass=0.0))
+        diag = solution_diagnostics(sol)
         assert np.max(np.abs(diag["R"])) == 0.0
         assert np.max(np.abs(diag["dH"])) == 0.0
         assert np.max(np.abs(diag["t"] + diag["tau"])) < 1e-12

@@ -358,7 +358,9 @@ class TestBogoliubov:
     def test_vacuum_profile_gives_zero(self, bank20):
         config, bg, bank = bank20
         profile = BogoliubovProfile(A=lambda k: np.ones_like(k), B=lambda k: np.zeros_like(k))
-        value = wick_square_bogoliubov_delta(a_at(bg, 2.0), bank, bank.chi, profile)
+        value = wick_square_bogoliubov_delta(
+            a_at(bg, 2.0), bank, bank.chi, profile.on(bank.momenta)
+        )
         assert value == 0.0
 
     def test_single_node_matches_hand_sum(self, bank20):
@@ -375,7 +377,9 @@ class TestBogoliubov:
 
         a_tau = a_at(bg, 2.0)
         profile = BogoliubovProfile(A=a_func, B=b_func)
-        value = wick_square_bogoliubov_delta(a_tau, bank, bank.chi, profile)
+        value = wick_square_bogoliubov_delta(
+            a_tau, bank, bank.chi, profile.on(bank.momenta)
+        )
         chi_j = bank.chi[j]
         hand = (
             2.0
@@ -395,15 +399,23 @@ class TestBogoliubov:
             A=lambda k: np.ones_like(k), B=lambda k: np.where(k > 5.0, bad, 0.0)
         )
         with pytest.raises(InvalidProfile, match="not finite"):
-            wick_square_bogoliubov_delta(1.0, bank, bank.chi, profile)
+            profile.on(bank.momenta)
 
     def test_invalid_profile_raises(self, bank20):
         config, _, bank = bank20
         profile = BogoliubovProfile(
             A=lambda k: np.ones_like(k), B=lambda k: 0.5 * np.ones_like(k)
         )
-        with pytest.raises(InvalidProfile):
-            wick_square_bogoliubov_delta(1.0, bank, bank.chi, profile)
+        with pytest.raises(InvalidProfile, match=r"\|A\|\^2-\|B\|\^2 = 0.75 "):
+            profile.on(bank.momenta)
+
+    @pytest.mark.parametrize("amplitude", [1e4, 3e4, 1e5, 1e6])
+    def test_large_amplitudes_pass_within_rounding(self, amplitude, bank20):
+        # A = sqrt(1 + B^2) rounds, so |A|^2 - |B|^2 misses 1 by about
+        # eps |B|^2: 1.5e-8 at amplitude 1e4, above the plain tol 1e-8
+        _, _, bank = bank20
+        a_vals, b_vals = BogoliubovProfile.gaussian(amplitude, 2.0).on(bank.momenta)
+        assert np.all(np.isfinite(a_vals)) and np.any(np.abs(b_vals) > 1e3)
 
     @pytest.mark.parametrize("amplitude,k_scale", [(0.5, 2.0), (2.0, 0.7), (0.0, 1.0)])
     def test_gaussian_profile_constraint(self, amplitude, k_scale, bank20):
@@ -415,7 +427,9 @@ class TestBogoliubov:
         with warnings.catch_warnings():
             # a gaussian B decays faster than any power law: no tail is fitted
             warnings.simplefilter("error", TailFitFailed)
-            value = wick_square_bogoliubov_delta(a_at(bg, 2.0), bank, bank.chi, profile)
+            value = wick_square_bogoliubov_delta(
+            a_at(bg, 2.0), bank, bank.chi, profile.on(bank.momenta)
+        )
         assert math.isfinite(value)
 
 
@@ -510,7 +524,9 @@ class TestRowsMatchPerNodeOracle:
         # the solver's state correction skips the tail fit
         profile = BogoliubovProfile.gaussian(amplitude, k_scale)
         delta_cfg = replace(config, tail_model="none")
-        delta = wick_square_bogoliubov_delta(a_rows, bank, chi_rows, profile)
+        delta = wick_square_bogoliubov_delta(
+            a_rows, bank, chi_rows, profile.on(bank.momenta)
+        )
         delta_ref = np.array([
             bogoliubov_delta_per_node(a, bank, chi, profile, delta_cfg)
             for a, chi in zip(a_rows, chi_rows)
