@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from semiflrw import ModeBank, WickConfig, evolve_bank
+from semiflrw import ModeBank, evolve_bank
 from semiflrw.modes import potential, wronskian_error
 from semiflrw.wick import radial_grid
 
@@ -27,7 +27,7 @@ def main() -> None:
 
     nodes = np.linspace(0.0, 2.0, 2001)
     v = potential(1.0 + args.amplitude * np.sin(nodes), 1.0, args.mass)
-    momenta, weights = radial_grid(WickConfig(k_max=50.0, n_k=64))
+    momenta, weights = radial_grid(50.0, 64)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=args.mass, tau0=0.0)
 
     print(f"{'cap':>10} {'max |W - i|':>13} {'ratio':>8}")

@@ -84,6 +84,8 @@ _REMOVED_NUMERICAL = {
     "epsilon_scale": "the scale-factor margin is the constant solver.EPSILON_SCALE",
     "panel_points": "the radial panel size is the constant wick.PANEL_POINTS",
     "wronskian_tolerance": "the run's drift limit is modes.WRONSKIAN_TOLERANCE",
+    "k_knee": "the radial grid's knee is 10 a0 m, from the run's a0 and mass",
+    "tail_fit_window": "the tail-fit window is the constant wick.TAIL_FIT_WINDOW",
 }
 _STATE_KEYS = {"type", "amplitude", "k_scale"}
 
@@ -225,6 +227,8 @@ def build_run(config: dict):
         solver_cfg = _from_table(SolverConfig, config["numerical"])
         profile = None
         if state["type"] == "bogoliubov-gaussian":
+            if config["mass"] == 0.0:
+                raise ValueError("bogoliubov-gaussian needs mass > 0: W enters as m^2W")
             profile = BogoliubovProfile.gaussian(
                 amplitude=state["amplitude"], k_scale=state["k_scale"]
             )

@@ -49,12 +49,24 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class PicardReport:
-    iterates: int
+    """A Picard solve's update norms, tolerance and trial retries; the rest
+    follows: the last norm is the returned iterate's equation residual."""
+
     residuals: tuple[float, ...]
-    converged: bool
     tol: float
-    equation_residual: float | None = None
     halvings: int = 0
+
+    @property
+    def iterates(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.residuals) and self.residuals[-1] < self.tol
+
+    @property
+    def equation_residual(self) -> float | None:
+        return self.residuals[-1] if self.converged else None
 
     @property
     def contraction_ratios(self) -> tuple[float, ...]:
@@ -105,7 +117,7 @@ def picard_solve(
         raise ValueError("tol must be > 0")
     current = f0 if x0 is None else x0
     residuals: list[float] = []
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         values, byproduct = rhs(current)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != nodes.shape:
@@ -129,19 +141,12 @@ def picard_solve(
         residual = float(np.max(np.abs(new_values - current)))
         residuals.append(residual)
         if residual < tol:
-            report = PicardReport(
-                iterates=iteration,
-                residuals=tuple(residuals),
-                converged=True,
-                tol=tol,
-                equation_residual=residual,
-            )
-            return current, report, byproduct
+            return current, PicardReport(tuple(residuals), tol), byproduct
         current = new_values
-    report = PicardReport(
-        iterates=max_iter, residuals=tuple(residuals), converged=False, tol=tol
+    raise NoConvergence(
+        f"no convergence after {max_iter} iterations",
+        PicardReport(tuple(residuals), tol),
     )
-    raise NoConvergence(f"no convergence after {max_iter} iterations", report)
 
 
 def segment_nodes(start: float, span: float, count: int) -> np.ndarray:

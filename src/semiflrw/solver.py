@@ -149,8 +149,8 @@ class SolverConfig:
 class SegmentState:
     """Carried solution state at the current segment boundary tau_start,
     with what its run fixes at tau0: initial data, physical parameters,
-    effective Wick settings and the state's Bogoliubov coefficients (A, B)
-    on the bank's momenta (None for the vacuum and for m = 0).
+    Wick settings and the state's Bogoliubov coefficients (A, B) on the
+    bank's momenta (None for the vacuum).
 
     The histories end at tau_start.  They cover the whole run [tau0,
     tau_start] in the initial state, a loaded checkpoint and a solution's
@@ -259,15 +259,6 @@ class MaximalSolution:
     final_state: SegmentState
 
 
-def effective_wick_config(
-    config: WickConfig, initial: InitialData, params: PhysicalParams
-) -> WickConfig:
-    """Fill the grading knee at 10 a0 m when the config leaves it unset."""
-    if config.k_knee == 0.0 and params.mass > 0.0:
-        return replace(config, k_knee=10.0 * initial.a0 * params.mass)
-    return config
-
-
 def default_dt_target(hubble: float, a_val: float, mass: float) -> float:
     return 0.1 / max(abs(hubble) * a_val, a_val * mass, 1.0)
 
@@ -275,11 +266,13 @@ def default_dt_target(hubble: float, a_val: float, mass: float) -> float:
 def initial_bank(
     initial: InitialData, params: PhysicalParams, wick_cfg: WickConfig
 ) -> ModeBank | None:
-    """The tau0-anchored mode bank a run starts from, on the grid of the
-    effective wick_cfg; None for m = 0."""
+    """The tau0-anchored mode bank a run starts from, on wick_cfg's grid
+    graded above the knee 10 a0 m; None for m = 0."""
     if not params.mass > 0.0:
         return None
-    momenta, weights = radial_grid(wick_cfg)
+    momenta, weights = radial_grid(
+        wick_cfg.k_max, wick_cfg.n_k, 10.0 * initial.a0 * params.mass
+    )
     return ModeBank.at_initial(
         momenta, weights, a0=initial.a0, mass=params.mass, tau0=initial.tau0
     )
@@ -291,11 +284,13 @@ def initial_segment_state(
     wick_cfg: WickConfig,
     profile: BogoliubovProfile | None = None,
 ) -> SegmentState:
-    """The state a run starts from at tau0; profile None is the vacuum."""
+    """The state a run starts from at tau0; profile None is the vacuum.
+    A Bogoliubov state needs m > 0: W enters the equation only as m^2 W."""
     initial.validate_against(params)
-    wick_cfg = effective_wick_config(wick_cfg, initial, params)
     bank = initial_bank(initial, params, wick_cfg)
-    coefficients = None if bank is None or profile is None else profile.on(bank.momenta)
+    if bank is None and profile is not None:
+        raise ValueError("a Bogoliubov state needs mass > 0: W enters as m^2 W")
+    coefficients = None if profile is None else profile.on(bank.momenta)
     start = SegmentState(
         initial=initial,
         params=params,
@@ -458,7 +453,7 @@ SEED_NODES = 9
 
 
 def picard_seed(
-    carry: SegmentState, nodes: np.ndarray, delta: float, nodes_per_segment: int
+    carry: SegmentState, nodes: np.ndarray, delta: float
 ) -> np.ndarray | None:
     """First Picard iterate on the segment's nodes, or None for the constant
     start H_start.
@@ -468,12 +463,12 @@ def picard_seed(
     history nodes, evaluated on the new nodes, with seed[0] = H_start.  It
     reads only those nodes and the carry's last report, so a resumed run
     seeds as the uninterrupted one does.  None on the first segment, after
-    a halving, when segments hold fewer than 9 nodes, on a constant history,
+    a halving, when the nodes number fewer than 9, on a constant history,
     and when the seed strays more than delta from H_start: an
     extrapolation near the wall may cross the critical rate.
     """
     report = carry.last_report
-    if report is None or report.halvings or nodes_per_segment < SEED_NODES:
+    if report is None or report.halvings or nodes.size < SEED_NODES:
         return None
     h_start = carry.hubble_start
     rise = carry.hist_hubble[-SEED_NODES::2] - h_start
@@ -540,9 +535,7 @@ def solve_segment(
     if not 0.0 < dt < math.inf:
         raise ZeroStep(f"step underflow: {limit} limit {dt!r}")
     nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
-    seed = picard_seed(
-        carry, nodes, 0.5 * (critical - abs(h_start)), solver_cfg.nodes_per_segment
-    )
+    seed = picard_seed(carry, nodes, 0.5 * (critical - abs(h_start)))
     target = ACCURACY_PER_TOL * solver_cfg.tol
     # the byproducts come from Picard's last RHS evaluation, at the solution
     h_vals, report, nodes, error, (w_vals, a_vals, history) = picard_solve_with_halving(
@@ -740,7 +733,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -762,12 +755,12 @@ def save_checkpoint(
 
     The file is JSON lines.  The first line starts with the header, which
     holds what tau0 fixes: version, horizon, initial data, physical
-    parameters, effective Wick settings, Bogoliubov coefficients and
-    anchor digest.  The mode bank's grid follows from these.  That
-    line and every later one hold a record of what moved since the line
-    before: the history from node index ``start`` on, the new Picard
-    reports and segment bounds, the span proposed for the next segment and
-    the bank's modes at the last node.  ``written`` is what the previous
+    parameters, Wick settings, Bogoliubov coefficients and anchor digest.
+    The mode bank's grid follows from these.  That line and every later
+    one hold a record of what moved since the line before: the history
+    from node index ``start`` on, the new Picard reports (their fields) and
+    segment bounds, the span proposed for the next segment and the bank's
+    modes at the last node.  ``written`` is what the previous
     call for this file returned.  None starts the file: the header and the
     whole state are written to a temporary file that then replaces
     ``path``.  Otherwise one record is appended, or nothing when the log
@@ -791,7 +784,8 @@ def save_checkpoint(
             key: [value for chunk in new for value in chunk[i].tolist()]
             for i, key in enumerate(("taus", "hubble", "a", "wick"))
         },
-        "reports": [r.as_dict() for r in log.reports[n_reports:]],
+        # a report's fields, as asdict gives them but without its deep copy
+        "reports": [vars(r) for r in log.reports[n_reports:]],
         "segment_bounds": log.bounds[n_bounds:],
         "next_step": carry.next_step,
         "bank": None if bank is None else {
@@ -823,9 +817,10 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
-    The records are applied in order.  The mode bank is rebuilt at tau0
-    from the header's settings (initial_bank) and moved to the last
-    record's modes; its anchor digest must be the header's.  A last line
+    The records are applied in order, each starting at the end of the
+    history read so far.  The mode bank is rebuilt at tau0 from the
+    header's settings (initial_bank) and moved to the last record's modes;
+    its anchor digest must be the header's.  A last line
     that lacks its newline and does not parse is a torn append and is
     ignored, so the record before it is the checkpoint.
     """
@@ -861,10 +856,12 @@ def load_checkpoint(path):
                 f"{path}:{number}: a record must be an object with a"
                 f" non-negative integer start, got {record!r:.60}"
             )
-        if start > len(history["taus"]):
-            raise ValueError(f"{path}:{number}: record starts past the history")
+        if start != len(history["taus"]):
+            raise ValueError(
+                f"{path}:{number}: record starts at node {start}, not at the"
+                f" end of the history read so far, node {len(history['taus'])}"
+            )
         for key, values in history.items():
-            del values[start:]
             values.extend(record["history"][key])
         raw_reports.extend(record["reports"])
         bounds.extend(record["segment_bounds"])
@@ -883,11 +880,7 @@ def load_checkpoint(path):
         )
     coefficients = header["bogoliubov"]
     reports = tuple(
-        PicardReport(
-            r["iterates"], tuple(r["residuals"]), r["converged"], r["tol"],
-            r["equation_residual"], r["halvings"],
-        )
-        for r in raw_reports
+        PicardReport(**{**r, "residuals": tuple(r["residuals"])}) for r in raw_reports
     )
     # the last report and the proposed span go with the carry, as in the run
     # that wrote the file: the next segment's seed and span read them

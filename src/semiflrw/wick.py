@@ -10,11 +10,12 @@ and the finite correction terms
     (m^2 / (16 pi^2)) * (1/2 - (a0/a)^2 + 2 log(a0/a) + 2 log(e^gamma m lam / sqrt(2)))
 
 are added.  The quadrature uses Gauss-Legendre panels, logarithmically graded
-above a configurable knee (the integrand has O(1) structure near k ~ a*m and
-power-law decay beyond).  The subtracted integrand oscillates in k at fixed
-tau, so the tail fit works on the magnitude envelope: the signed analytic
-tail is only added when the fit window has a uniform sign, otherwise the
-envelope integral is reported as uncertainty instead.
+above a knee (the integrand has O(1) structure near k ~ a*m and power-law
+decay beyond; a run puts the knee at 10 a0 m).  The subtracted integrand
+oscillates in k at fixed tau, so the tail fit works on the magnitude
+envelope: the signed analytic tail is only added when the fit window has a
+uniform sign, otherwise the envelope integral is reported as uncertainty
+instead.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ TWO_PI_SQ = 2.0 * math.pi**2
 # Gauss-Legendre nodes per radial panel.
 PANEL_POINTS = 8
 
+# The tail fit runs over this top fraction of the radial nodes.
+TAIL_FIT_WINDOW = 0.25
+
 # Tail exponents outside this band make the analytic tail integral
 # meaningless (p -> 3 diverges); the raw fitted exponent is still reported.
 _P_CLIP = (3.05, 4.0)
@@ -50,18 +54,12 @@ class InvalidProfile(ValueError):
 
 @dataclass(frozen=True)
 class WickConfig:
-    """Radial-quadrature and tail-handling knobs.
-
-    k_knee is the grading knee (linear panels below, log-graded above);
-    zero means a single linearly spaced panel region.  n_k must be a
-    multiple of PANEL_POINTS so the panel count is unambiguous.
-    """
+    """Radial-quadrature and tail-handling knobs.  n_k must be a multiple
+    of PANEL_POINTS so the panel count is unambiguous."""
 
     k_max: float
     n_k: int = 64
     tail_model: str = "power-fit"
-    tail_fit_window: float = 0.25
-    k_knee: float = 0.0
 
     def __post_init__(self):
         check_integers(self, ("n_k",))
@@ -71,12 +69,8 @@ class WickConfig:
             raise ValueError("n_k must be >= 16")
         if self.tail_model not in ("none", "power-fit"):
             raise ValueError(f"unknown tail_model {self.tail_model!r}")
-        if not 0.0 < self.tail_fit_window <= 0.5:
-            raise ValueError("tail_fit_window must lie in (0, 0.5]")
         if self.n_k % PANEL_POINTS != 0:
             raise ValueError(f"n_k must be a multiple of {PANEL_POINTS}")
-        if not self.k_knee >= 0.0:
-            raise ValueError("k_knee must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -128,8 +122,8 @@ class BogoliubovProfile:
 class TailFit:
     """Power-law fit C k^{-p} of the integrand magnitude over the top window.
 
-    Fitted to a block of rows, every field but window_size is an array with
-    one entry per row; fitted to one row, they are plain values.
+    Fitted to a block of rows, every field is an array with one entry per
+    row; fitted to one row, they are plain values.
     """
 
     coefficient: float
@@ -139,7 +133,6 @@ class TailFit:
     correction: float
     envelope: float
     ok: bool
-    window_size: int
 
 
 @dataclass(frozen=True)
@@ -149,20 +142,22 @@ class RadialResult:
     tail: TailFit | None
 
 
-def radial_grid(config: WickConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre panel nodes and weights on [0, k_max]."""
-    n_panels = config.n_k // PANEL_POINTS
-    knee = min(config.k_knee, config.k_max)
+def radial_grid(k_max: float, n_k: int, k_knee: float = 0.0):
+    """Gauss-Legendre panel nodes and weights on [0, k_max]: n_k // 8 panels,
+    linear below the knee and log-graded above it; linear throughout for a
+    zero knee."""
+    n_panels = n_k // PANEL_POINTS
+    knee = min(k_knee, k_max)
     # a knee within rounding of k_max (10 a0 m for m just below k_max / 10 a0)
     # would squeeze the log panels below one ulp and repeat nodes
-    at_top = math.isclose(knee, config.k_max, rel_tol=1e-9)
+    at_top = math.isclose(knee, k_max, rel_tol=1e-9)
     if knee <= 0.0 or at_top or n_panels < 2:
-        edges = np.linspace(0.0, config.k_max, n_panels + 1)
+        edges = np.linspace(0.0, k_max, n_panels + 1)
     else:
         n_lin = max(1, n_panels // 2)
         n_log = n_panels - n_lin
         lin_edges = np.linspace(0.0, knee, n_lin + 1)
-        log_edges = np.geomspace(knee, config.k_max, n_log + 1)
+        log_edges = np.geomspace(knee, k_max, n_log + 1)
         edges = np.concatenate([lin_edges, log_edges[1:]])
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(PANEL_POINTS)
     nodes = []
@@ -190,13 +185,14 @@ def _plain(x):
 
 
 def _fit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig) -> TailFit:
-    """Fit C k^{-p} to |samples| over the top window, one fit per row.
+    """Fit C k^{-p} to |samples| over the top TAIL_FIT_WINDOW of the nodes,
+    one fit per row.
 
-    samples has shape (..., n_k); every field but window_size has the
-    leading shape.  The fit is the closed-form least-squares line of
-    log|g| on log k through the window nodes above 1e-3 of the row's peak.
+    samples has shape (..., n_k); every field has the leading shape.  The
+    fit is the closed-form least-squares line of log|g| on log k through
+    the window nodes above 1e-3 of the row's peak.
     """
-    n_win = max(3, int(math.ceil(config.tail_fit_window * momenta.size)))
+    n_win = max(3, int(math.ceil(TAIL_FIT_WINDOW * momenta.size)))
     k_win = momenta[-n_win:]
     log_k = np.log(k_win)
     g_win = samples[..., -n_win:]
@@ -248,7 +244,6 @@ def _fit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig) -> T
         _plain(correction),
         _plain(np.select(cases, [0.0, peak * k_win[-1] ** 3 / (p_fb - 3.0)], envelope)),
         _plain(~failed),
-        n_win,
     )
 
 

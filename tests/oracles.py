@@ -35,6 +35,7 @@ from semiflrw.core import PhysicalParams, cumulative_trapezoid
 from semiflrw.modes import DegenerateMode, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
+    TAIL_FIT_WINDOW,
     TWO_PI_SQ,
     BogoliubovProfile,
     InvalidProfile,
@@ -472,7 +473,7 @@ class PerNodeRadial:
 def _polyfit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig):
     """(correction, envelope, coherent, ok) of the power-law fit over the
     top window, by numpy.polyfit."""
-    n_win = max(3, int(math.ceil(config.tail_fit_window * momenta.size)))
+    n_win = max(3, int(math.ceil(TAIL_FIT_WINDOW * momenta.size)))
     k_win = momenta[-n_win:]
     g_win = samples[-n_win:]
     mag = np.abs(g_win)

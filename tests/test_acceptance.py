@@ -59,9 +59,7 @@ def sine_background():
 
 @pytest.fixture(scope="module")
 def k_nodes_64():
-    cfg = WickConfig(k_max=50.0, n_k=64)
-    momenta, weights = radial_grid(cfg)
-    return momenta, weights
+    return radial_grid(50.0, 64)
 
 
 def test_criterion_01_wronskian_conservation(sine_background, k_nodes_64):
@@ -150,7 +148,7 @@ def test_criterion_04_tail_decay(sine_background):
 
     def renormalized(k_max, n_k):
         cfg = WickConfig(k_max=k_max, n_k=n_k)
-        momenta, weights = radial_grid(cfg)
+        momenta, weights = radial_grid(k_max, n_k)
         bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
         chi, _ = evolve_bank(bank, np.interp(sub, grid, pot.V), sub)
         return wick_square_renormalized(

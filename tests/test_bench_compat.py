@@ -1,0 +1,66 @@
+"""The names and calls the benchmark in bench/ relies on.
+
+bench/ is read, never imported as a package: its modules are compiled from
+source here, so no bytecode is written next to them.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+from semiflrw import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str) -> types.ModuleType:
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return bench_module("workloads")
+
+
+def test_every_patch_site_resolves():
+    spans = bench_module("spans")
+    for module_name, names in spans.PATCH_SITES:
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name)), f"{module_name}.{name}"
+
+
+@pytest.mark.parametrize("workload", ["massive_vacuum", "massless_wall"])
+def test_library_calls_build(workloads, workload):
+    call = workloads.library_call(workload, 0)
+    assert call["solver_cfg"].tol > 0.0
+    assert call["wick_cfg"].k_max == 40.0
+
+
+def test_checkpoint_config_builds(workloads):
+    config = cli.parse_config_mapping(workloads.checkpoint_config(0), "bench")
+    cli.build_run(config)
+
+
+def test_cli_outputs_pass_the_workload_check(workloads, tmp_path):
+    # the CLI workload on a short horizon: summary, CSV and checkpoint as
+    # check_cli reads them
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**workloads.checkpoint_config(0), "horizon": 0.003}))
+    out, ck = tmp_path / "out", tmp_path / "ck.json"
+    code = cli.main(["run", str(path), "--out", str(out), "--checkpoint", str(ck)])
+    problems, summary = workloads.check_cli(code, out, ck)
+    assert problems == []
+    assert all(
+        isinstance(r["iterates"], int) and isinstance(r["halvings"], int)
+        for r in summary["picard"]
+    )

@@ -138,12 +138,14 @@ class TestParsing:
     def test_removed_safety_key_is_rejected(self, tmp_path, capsys):
         # schema break: the tube step's safety factor went with the tube, and
         # the RK4 substep cap, the drift budget and tolerance, the Picard
-        # iterate cap, the scale-factor margin and the panel size became
-        # constants; older configs and summary.json echoes carry them
+        # iterate cap, the scale-factor margin, the panel size and the
+        # tail-fit window became constants, and the grid's knee is 10 a0 m;
+        # older configs and summary.json echoes carry them
         for key, value in (("safety", 0.5), ("substep_cap", 0.02),
                            ("wronskian_budget", 1e-8), ("max_iter", 40),
                            ("epsilon_scale", 1e-6), ("panel_points", 8),
-                           ("wronskian_tolerance", 1e-5)):
+                           ("wronskian_tolerance", 1e-5), ("k_knee", 0.0),
+                           ("tail_fit_window", 0.25)):
             path = write_config(
                 tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: value}
             )
@@ -299,8 +301,8 @@ class TestValidation:
             {"max_halvings": -1},
             {"tol": 0.0},
             # NaN fails every comparison, so only a test that asks for
-            # k_knee >= 0 rejects it; likewise for the solver's float knobs
-            {"k_knee": math.nan},
+            # k_max > 0 rejects it; likewise for the solver's float knobs
+            {"k_max": math.nan},
             {"tol": math.nan},
             {"dt_target": math.nan},
             {"epsilon_critical": math.nan},
@@ -616,8 +618,38 @@ class TestCheckpointResume:
             load_checkpoint(ck)
         # nor is a file that lost a record readable
         ck.write_text(lines[0] + lines[2])
-        with pytest.raises(ValueError, match="starts past the history"):
+        with pytest.raises(
+            ValueError, match="starts at node 97, not at the end of the history"
+            " read so far, node 49",
+        ):
             load_checkpoint(ck)
+
+    def test_duplicated_record_is_refused(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.01,
+            numerical={"dt_target": 1e-3, "k_max": 20.0, "n_k": 32},
+        )
+        ck = tmp_path / "ck.json"
+        assert cli.main(
+            ["run", cfg, "--out", str(tmp_path / "a_out"), "--checkpoint", str(ck)]
+        ) == 0
+        lines = ck.read_text().splitlines(keepends=True)
+        last = json.loads(lines[-1])
+        end = last["start"] + len(last["history"]["taus"])
+        # the copy restarts inside the history; its reports and bounds
+        # would be counted twice
+        ck.write_text("".join(lines + lines[-1:]))
+        with pytest.raises(
+            ValueError,
+            match=f":{len(lines) + 1}: record starts at node {last['start']}, not at"
+            f" the end of the history read so far, node {end}",
+        ):
+            load_checkpoint(ck)
+        out = tmp_path / "b_out"
+        code = cli.main(["run", cfg, "--out", str(out), "--resume", str(ck)])
+        assert code == 2
+        assert f"config error: cannot resume from {ck}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("target", ["same", "new"])
     def test_resume_checkpoints_stay_loadable(self, tmp_path, monkeypatch, target):
@@ -700,9 +732,12 @@ class TestCheckpointResume:
         # what tau0 fixes is in the header only; every record holds the
         # modes and no copy of the anchors, the carried a or the bank time
         assert "bank_anchor" not in records[0]
-        assert set(records[0]["wick"]) == {
-            "k_max", "n_k", "tail_model", "tail_fit_window", "k_knee"
-        }
+        assert set(records[0]["wick"]) == {"k_max", "n_k", "tail_model"}
+        # a report is stored as its fields; the rest follows from them
+        assert all(
+            set(report) == {"residuals", "tol", "halvings"}
+            for record in records for report in record["reports"]
+        )
         for record in records:
             assert set(record["bank"]) == {"chi_re", "chi_im", "dchi_re", "dchi_im"}
             assert "a_carry" not in record
@@ -770,7 +805,8 @@ class TestCheckpointResume:
         tmp = tmp_path_factory.mktemp("resume")
         numerical = {"dt_target": 2e-3, "k_max": 20.0, "n_k": 32}
         config = {"mass": mass, "H0": h0, "horizon": 0.01}
-        if amplitude is not None:
+        # a massless run has no modes to put in a Bogoliubov state
+        if amplitude is not None and mass > 0.0:
             config["state"] = {
                 "type": "bogoliubov-gaussian", "amplitude": amplitude, "k_scale": 3.0
             }
@@ -839,8 +875,8 @@ class TestCheckpointResume:
             ),
             (
                 {"mass": 1.0, "H0": 5.0},
-                {"mass": 1.0, "H0": 5.0, "numerical": {"tail_fit_window": 0.5}},
-                "tail_fit_window 0.25 differs from the config's 0.5",
+                {"mass": 1.0, "H0": 5.0, "numerical": {"n_k": 96}},
+                "n_k 192 differs from the config's 96",
             ),
         ],
     )
@@ -1055,6 +1091,19 @@ class TestBogoliubovState:
         _, cols_v = read_csv(out_v / "solution.csv")
         _, cols_b = read_csv(out_b / "solution.csv")
         assert cols_b["W_ren"][0] > cols_v["W_ren"][0]
+
+    def test_massless_gaussian_state_exits_2(self, tmp_path, capsys):
+        # at m = 0 W enters the trace equation only as m^2 W = 0, so the run
+        # would be the vacuum's
+        path = write_config(
+            tmp_path / "c.json", mass=0.0, H0=5.0, horizon=0.01,
+            state={"type": "bogoliubov-gaussian", "amplitude": 3.0, "k_scale": 2.0},
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: bogoliubov-gaussian needs mass > 0" in err
+        assert not out.exists()
 
 
 class TestSweep:

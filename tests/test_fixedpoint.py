@@ -1,5 +1,6 @@
 """Tests for the retarded Volterra fixed-point engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,36 @@ def identity_functional(scale=1.0):
 
 def ones(grid):
     return np.ones(grid.size)
+
+
+class TestPicardReport:
+    def test_stores_only_residuals_tol_and_halvings(self):
+        assert [f.name for f in dataclasses.fields(PicardReport)] == [
+            "residuals", "tol", "halvings"
+        ]
+
+    def test_derived_values_follow_from_the_residuals(self):
+        report = PicardReport((1e-3, 2e-6, 0.0, 5e-11), 1e-10, halvings=2)
+        assert report.iterates == 4
+        assert report.converged is True
+        assert report.equation_residual == 5e-11
+        assert report.contraction_ratios == (2e-6 / 1e-3, 0.0, 0.0)
+        assert report.as_dict() == {
+            "iterates": 4,
+            "residuals": [1e-3, 2e-6, 0.0, 5e-11],
+            "contraction_ratios": [2e-6 / 1e-3, 0.0, 0.0],
+            "converged": True,
+            "tol": 1e-10,
+            "equation_residual": 5e-11,
+            "halvings": 2,
+        }
+
+    def test_a_last_residual_at_tol_is_not_converged(self):
+        report = PicardReport((1e-3, 1e-10), 1e-10)
+        assert report.iterates == 2
+        assert report.converged is False
+        assert report.equation_residual is None
+        assert report.halvings == 0
 
 
 class TestPicardSolve:
@@ -103,6 +134,18 @@ class TestPicardSolve:
         assert not report.converged
         assert report.iterates == 15
         assert len(report.residuals) == 15
+
+    def test_no_convergence_report_has_no_equation_residual(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        with pytest.raises(NoConvergence) as excinfo:
+            picard_solve(
+                ones(grid), identity_functional(3.0), grid, tol=1e-12, max_iter=4
+            )
+        report = excinfo.value.report
+        assert report.residuals[-1] >= report.tol == 1e-12
+        assert report.converged is False
+        assert report.equation_residual is None
+        assert report.as_dict()["equation_residual"] is None
 
     def test_nan_detected_with_node(self):
         grid = np.linspace(0.0, 1.0, 11)

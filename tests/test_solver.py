@@ -22,7 +22,6 @@ from semiflrw.solver import (
     _rhs_detail,
     continue_maximal,
     default_dt_target,
-    effective_wick_config,
     initial_segment_state,
     load_checkpoint,
     picard_seed,
@@ -31,7 +30,7 @@ from semiflrw.solver import (
     solve_segment,
     wick_square_renormalized,
 )
-from semiflrw.wick import BogoliubovProfile, WickConfig
+from semiflrw.wick import BogoliubovProfile, WickConfig, radial_grid
 
 from oracles import verify_retardation
 
@@ -142,21 +141,25 @@ class TestConfig:
         assert default_dt_target(0.0, 2.0, 3.0) == 0.1 / 6.0
 
     def test_effective_wick_config_fills_knee(self):
+        # the knee follows from the run: 10 a0 m = 60 for a0 = 3, m = 2
         params = PhysicalParams(mass=2.0)
         initial = InitialData(0.0, 3.0, 0.0)
-        cfg = effective_wick_config(WickConfig(k_max=40.0), initial, params)
-        assert cfg.k_knee == 60.0
-
-    def test_effective_wick_config_keeps_explicit_knee(self):
-        params = PhysicalParams(mass=2.0)
-        initial = InitialData(0.0, 3.0, 0.0)
-        base = WickConfig(k_max=40.0, k_knee=5.0)
-        assert effective_wick_config(base, initial, params) is base
+        wcfg = WickConfig(k_max=80.0, n_k=64)
+        momenta, weights = radial_grid(80.0, 64, 60.0)
+        sol, _ = continue_maximal(initial, 1e-4, params, wcfg, SolverConfig())
+        for state in (initial_segment_state(initial, params, wcfg), sol.final_state):
+            bank = state.mode_bank_carry
+            assert bank.momenta.tobytes() == momenta.tobytes()
+            assert bank.weights.tobytes() == weights.tobytes()
+        # graded: half of the 8 panels lie below the knee (linear ones: 6)
+        assert np.count_nonzero(momenta <= 60.0) == 32
 
     def test_effective_wick_config_massless(self):
-        params = PhysicalParams(mass=0.0)
-        base = WickConfig(k_max=40.0)
-        assert effective_wick_config(base, InitialData(0.0, 1.0, 0.0), params) is base
+        # a massless run has no bank, so no knee and no grid
+        initial = InitialData(0.0, 3.0, 0.0)
+        wcfg = WickConfig(k_max=80.0, n_k=64)
+        massless = initial_segment_state(initial, PhysicalParams(mass=0.0), wcfg)
+        assert massless.mode_bank_carry is None
 
 
 class TestInitialState:
@@ -321,8 +324,7 @@ class TestInSegmentBreach:
         assert bank.anchor_digest() == state.anchor_digest
         # the bank's modes are those that gave the last W of the series
         w_bank = wick_square_renormalized(
-            state.a_start, bank, bank.chi, params,
-            effective_wick_config(self.WICK, state.initial, params),
+            state.a_start, bank, bank.chi, params, self.WICK
         )
         assert w_bank == pytest.approx(sol.wick_square[-1], rel=1e-12, abs=0.0)
 
@@ -747,7 +749,7 @@ class TestCheckpoint:
                 start, params, replace(wcfg, tail_model="none"), None,
                 "tail_model 'power-fit' differs from the config's 'none'",
             ),
-            (start, params, replace(wcfg, tail_fit_window=0.5), None, "tail_fit_window"),
+            (start, params, replace(wcfg, n_k=96), None, "n_k 192 differs"),
         ):
             with pytest.raises(ValueError, match=f"the checkpoint's {differs}"):
                 continue_maximal(
@@ -787,7 +789,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == 5
+        assert header["version"] == 6
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -795,11 +797,8 @@ class TestCheckpoint:
         # the grid follows from the settings: no momenta, weights or mass
         assert "bank_anchor" not in header
         assert not {"momenta", "weights"} & set(header["wick"])
-        # the effective settings: the knee is filled at 10 a0 m
-        assert header["wick"] == {
-            "k_max": 20.0, "n_k": 32, "tail_model": "power-fit",
-            "tail_fit_window": 0.25, "k_knee": 10.0,
-        }
+        # the settings as given: the knee follows from a0 and the mass
+        assert header["wick"] == {"k_max": 20.0, "n_k": 32, "tail_model": "power-fit"}
         assert set(header["bogoliubov"]) == {"A_re", "A_im", "B_re", "B_im"}
         loaded = load_checkpoint(path)[0]
         assert loaded.wick_cfg == carry.wick_cfg
@@ -840,8 +839,9 @@ class TestCheckpoint:
         save_checkpoint(path, log, 0.005)
         payload = json.loads(path.read_text())
         # format 3 had no physical parameters in its header, format 4 no
-        # Wick settings or state
-        for version in (3, 4, 99):
+        # Wick settings or state, format 5 stored the knee, the fit window
+        # and each report's derived values
+        for version in (3, 4, 5, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
@@ -892,6 +892,14 @@ class TestBogoliubovState:
         state_b = initial_segment_state(init, params, wcfg, profile)
         assert state_b.hist_wick[0] > state_v.hist_wick[0]
 
+    def test_massless_state_is_rejected(self):
+        profile = BogoliubovProfile.gaussian(3.0, 2.0)
+        initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=0.0)
+        with pytest.raises(ValueError, match="Bogoliubov state needs mass > 0"):
+            initial_segment_state(initial, params, W0, profile)
+        with pytest.raises(ValueError, match="Bogoliubov state needs mass > 0"):
+            continue_maximal(initial, 0.01, params, W0, profile=profile)
+
     def test_non_finite_profile_is_rejected_up_front(self):
         from semiflrw.wick import BogoliubovProfile, InvalidProfile
 
@@ -921,7 +929,7 @@ class TestBogoliubovState:
         assert sol_b.hubble[-1] > sol_v.hubble[-1]
 
 
-def carry_with_history(hubble_of, report=PicardReport(3, (1e-11,), True, 1e-10)):
+def carry_with_history(hubble_of, report=PicardReport((1e-11,), 1e-10)):
     """A massless carry whose 49-node history on [0, 1e-3] is hubble_of(tau)."""
     taus = np.linspace(0.0, 1e-3, 49)
     state0 = initial_segment_state(
@@ -941,7 +949,7 @@ class TestPicardSeed:
             return 10.0 + 3e3 * tau - 4e6 * tau**2 + 2e9 * tau**3 - 7e11 * tau**4
 
         carry = carry_with_history(quartic)
-        seed = picard_seed(carry, self.nodes, 10.0, 49)
+        seed = picard_seed(carry, self.nodes, 10.0)
         assert seed[0] == carry.hubble_start
         # extrapolating one segment ahead amplifies the history's rounding
         # by the Lebesgue constant, about 1e3 for these five nodes
@@ -951,28 +959,28 @@ class TestPicardSeed:
         state0 = initial_segment_state(
             InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=0.0), W0
         )
-        assert picard_seed(state0, self.nodes - 1e-3, 10.0, 49) is None
+        assert picard_seed(state0, self.nodes - 1e-3, 10.0) is None
 
     def test_no_seed_after_a_halving(self):
-        halved = PicardReport(3, (1e-11,), True, 1e-10, halvings=1)
+        halved = PicardReport((1e-11,), 1e-10, halvings=1)
         carry = carry_with_history(lambda tau: 10.0 + 1e3 * tau, halved)
-        assert picard_seed(carry, self.nodes, 10.0, 49) is None
+        assert picard_seed(carry, self.nodes, 10.0) is None
 
     def test_no_seed_with_fewer_than_nine_nodes_per_segment(self):
         carry = carry_with_history(lambda tau: 10.0 + 1e3 * tau)
-        assert picard_seed(carry, self.nodes, 10.0, 49) is not None
-        assert picard_seed(carry, self.nodes, 10.0, 8) is None
+        assert picard_seed(carry, self.nodes, 10.0) is not None
+        assert picard_seed(carry, np.linspace(1e-3, 2e-3, 7), 10.0) is None
 
     def test_no_seed_on_a_constant_history(self):
         carry = carry_with_history(lambda tau: np.full(tau.size, 10.0))
-        assert picard_seed(carry, self.nodes, 10.0, 49) is None
+        assert picard_seed(carry, self.nodes, 10.0) is None
 
     def test_no_seed_out_of_the_tube_just_below_the_wall(self):
         # H climbs steeply to 1e-3 below Hc; the tube radius is half the gap
         carry = carry_with_history(lambda tau: HC - 1e-3 - 1e2 * (1e-3 - tau))
         delta = 0.5 * (HC - abs(carry.hubble_start))
-        assert picard_seed(carry, self.nodes, 1e3, 49) is not None
-        assert picard_seed(carry, self.nodes, delta, 49) is None
+        assert picard_seed(carry, self.nodes, 1e3) is not None
+        assert picard_seed(carry, self.nodes, delta) is None
 
     def test_seeded_segments_take_at_most_two_iterates(self):
         # unseeded, every segment of this run takes 5 or 6 iterates

@@ -47,9 +47,9 @@ def a_at(bg, tau):
     return float(np.interp(tau, *bg))
 
 
-def evolved_bank(config):
+def evolved_bank(config, knee):
     bg, pot = sine_background()
-    momenta, weights = radial_grid(config)
+    momenta, weights = radial_grid(config.k_max, config.n_k, knee)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
     chi, dchi = evolve_bank(bank, pot.V, pot.taus)
     return bg, bank.moved_to(chi[-1], dchi[-1], pot.taus[-1])
@@ -57,22 +57,22 @@ def evolved_bank(config):
 
 @pytest.fixture(scope="module")
 def bank20():
-    config = WickConfig(k_max=20.0, n_k=96, k_knee=10.0)
-    bg, bank = evolved_bank(config)
+    config = WickConfig(k_max=20.0, n_k=96)
+    bg, bank = evolved_bank(config, knee=10.0)
     return config, bg, bank
 
 
 @pytest.fixture(scope="module")
 def bank40():
-    config = WickConfig(k_max=40.0, n_k=192, k_knee=10.0)
-    bg, bank = evolved_bank(config)
+    config = WickConfig(k_max=40.0, n_k=192)
+    bg, bank = evolved_bank(config, knee=10.0)
     return config, bg, bank
 
 
 @pytest.fixture(scope="module")
 def bank80():
-    config = WickConfig(k_max=80.0, n_k=384, k_knee=10.0)
-    bg, bank = evolved_bank(config)
+    config = WickConfig(k_max=80.0, n_k=384)
+    bg, bank = evolved_bank(config, knee=10.0)
     return config, bg, bank
 
 
@@ -89,17 +89,17 @@ class TestConfig:
             {"k_max": math.inf},
             {"k_max": 10.0, "n_k": 8},
             {"k_max": 10.0, "tail_model": "spline"},
-            {"k_max": 10.0, "tail_fit_window": 0.0},
-            {"k_max": 10.0, "tail_fit_window": 0.6},
+            {"k_max": -1.0},
+            {"k_max": -math.inf},
             # n_k must be a multiple of the panel size, 8
             {"k_max": 10.0, "n_k": 20},
-            {"k_max": 10.0, "k_knee": -1.0},
+            {"k_max": 10.0, "n_k": -64},
             {"k_max": math.nan},
-            {"k_max": 10.0, "k_knee": math.nan},
+            {"k_max": 10.0, "tail_model": "None"},
             # integer fields take integers only, not a float that divides
             {"k_max": 10.0, "n_k": math.nan},
             {"k_max": 10.0, "n_k": 64.0},
-            {"k_max": 10.0, "tail_fit_window": math.nan},
+            {"k_max": -0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -109,8 +109,7 @@ class TestConfig:
 
 class TestRadialGrid:
     def test_nodes_inside_interval(self):
-        config = WickConfig(k_max=30.0, n_k=64, k_knee=2.0)
-        nodes, weights = radial_grid(config)
+        nodes, weights = radial_grid(30.0, 64, 2.0)
         assert nodes.size == 64
         assert np.all(np.diff(nodes) > 0.0)
         assert nodes[0] > 0.0 and nodes[-1] < 30.0
@@ -118,8 +117,7 @@ class TestRadialGrid:
         assert math.isclose(float(np.sum(weights)), 30.0, rel_tol=1e-12)
 
     def test_grading_concentrates_below_knee(self):
-        config = WickConfig(k_max=30.0, n_k=64, k_knee=2.0)
-        nodes, _ = radial_grid(config)
+        nodes, _ = radial_grid(30.0, 64, 2.0)
         # half the panels cover [0, knee]
         assert int(np.count_nonzero(nodes <= 2.0)) == 32
 
@@ -127,17 +125,19 @@ class TestRadialGrid:
         # 10 a0 m for m = 2 - 1 ulp lands one ulp under k_max = 20
         knee = 10.0 * 1.9999999999999998
         assert knee < 20.0
-        nodes, weights = radial_grid(WickConfig(k_max=20.0, n_k=32, k_knee=knee))
-        uniform, _ = radial_grid(WickConfig(k_max=20.0, n_k=32))
+        nodes, weights = radial_grid(20.0, 32, knee)
+        uniform, _ = radial_grid(20.0, 32)
         assert np.all(np.diff(nodes) > 0.0)
         assert np.array_equal(nodes, uniform)
 
     def test_no_knee_is_uniform_panels(self):
-        config = WickConfig(k_max=16.0, n_k=32, k_knee=0.0)
-        nodes, weights = radial_grid(config)
+        nodes, weights = radial_grid(16.0, 32, 0.0)
         assert nodes.size == 32
-        # panel widths all equal without grading
-        assert math.isclose(float(np.sum(weights[:8])), 4.0, rel_tol=1e-12)
+        # a zero knee is the default and means linear panels: widths all equal
+        assert np.array_equal(nodes, radial_grid(16.0, 32)[0])
+        np.testing.assert_allclose(
+            np.sum(weights.reshape(4, 8), axis=1), 4.0, rtol=1e-12, atol=0.0
+        )
 
 
 class TestRadialIntegral:
@@ -145,8 +145,8 @@ class TestRadialIntegral:
     exact = math.pi / 4.0 / TWO_PI_SQ
 
     def quartic_result(self, k_max, n_k, tail_model):
-        config = WickConfig(k_max=k_max, n_k=n_k, tail_model=tail_model, k_knee=2.0)
-        nodes, weights = radial_grid(config)
+        config = WickConfig(k_max=k_max, n_k=n_k, tail_model=tail_model)
+        nodes, weights = radial_grid(k_max, n_k, 2.0)
         samples = 1.0 / (nodes**2 + 1.0) ** 2
         return radial_integral(samples, config, momenta=nodes, weights=weights)
 
@@ -174,7 +174,7 @@ class TestRadialIntegral:
 
     def test_zero_samples_integrate_to_zero(self):
         config = WickConfig(k_max=10.0, n_k=16)
-        nodes, weights = radial_grid(config)
+        nodes, weights = radial_grid(10.0, 16)
         result = radial_integral(np.zeros(16), config, momenta=nodes, weights=weights)
         assert result.value == 0.0
         assert result.tail.coefficient == 0.0
@@ -186,7 +186,7 @@ class TestRadialIntegral:
     @settings(max_examples=30, deadline=None)
     def test_linearity_without_tail(self, alpha, beta):
         config = WickConfig(k_max=10.0, n_k=32, tail_model="none")
-        nodes, weights = radial_grid(config)
+        nodes, weights = radial_grid(10.0, 32)
         g = np.exp(-nodes)
         h = 1.0 / (1.0 + nodes**2)
         combined = radial_integral(alpha * g + beta * h, config, momenta=nodes, weights=weights)
@@ -197,8 +197,8 @@ class TestRadialIntegral:
     def test_rows_match_single_rows(self):
         # an all-zero window, an ill-conditioned one and a fitted one in
         # one block each get their own case
-        config = WickConfig(k_max=60.0, n_k=96, k_knee=2.0)
-        nodes, weights = radial_grid(config)
+        config = WickConfig(k_max=60.0, n_k=96)
+        nodes, weights = radial_grid(60.0, 96, 2.0)
         spike = np.zeros(96)
         spike[-1] = 1.0
         block = np.array([np.zeros(96), spike, 1.0 / (nodes**2 + 1.0) ** 2])
@@ -216,7 +216,7 @@ class TestRadialIntegral:
 
     def test_ill_conditioned_tail_warns(self):
         config = WickConfig(k_max=10.0, n_k=16)
-        nodes, weights = radial_grid(config)
+        nodes, weights = radial_grid(10.0, 16)
         samples = np.zeros(16)
         samples[-1] = 1.0
         with pytest.warns(TailFitFailed):
@@ -264,17 +264,19 @@ class TestIntegrand:
 
 class TestWickSquare:
     def test_initial_time_closed_form_default_scale(self, bank20):
-        config, bg, _ = bank20
-        momenta, weights = radial_grid(config)
-        fresh = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
+        config, bg, bank = bank20
+        fresh = ModeBank.at_initial(
+            bank.momenta, bank.weights, a0=1.0, mass=MASS, tau0=0.0
+        )
         params = PhysicalParams(mass=MASS)
         value = wick_square_renormalized(a_at(bg, 0.0), fresh, fresh.chi, params, config)
         assert math.isclose(value, -1.0 / (32.0 * math.pi**2), rel_tol=1e-12)
 
     def test_initial_time_closed_form_custom_scale(self, bank20):
-        config, bg, _ = bank20
-        momenta, weights = radial_grid(config)
-        fresh = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
+        config, bg, bank = bank20
+        fresh = ModeBank.at_initial(
+            bank.momenta, bank.weights, a0=1.0, mass=MASS, tau0=0.0
+        )
         params = PhysicalParams(mass=MASS, length_scale=2.0)
         value = wick_square_renormalized(a_at(bg, 0.0), fresh, fresh.chi, params, config)
         expected = (
@@ -323,8 +325,8 @@ class TestWickSquare:
 
     def test_bounded_response_to_background_perturbation(self):
         taus = np.linspace(0.0, 2.0, 401)
-        config = WickConfig(k_max=20.0, n_k=96, k_knee=10.0)
-        momenta, weights = radial_grid(config)
+        config = WickConfig(k_max=20.0, n_k=96)
+        momenta, weights = radial_grid(20.0, 96, 10.0)
         params = PhysicalParams(mass=MASS)
 
         def wick_at_end(delta):
@@ -459,7 +461,6 @@ class TestRowsMatchPerNodeOracle:
         growth=st.floats(-0.3, 0.6),
         k_max=st.floats(8.0, 40.0),
         n_panels=st.integers(3, 16),
-        window=st.floats(0.02, 0.5),
         knee=st.sampled_from([0.0, 0.1, 0.3, 0.7]),
         n_spikes=st.integers(1, 3),
         amplitude=st.floats(0.05, 1.0),
@@ -469,25 +470,21 @@ class TestRowsMatchPerNodeOracle:
     # vanish, or the vacuum row at tau0 fits rounding noise
     @example(
         mass=0.2, a0=0.9529018931275899, growth=0.0, k_max=40.0, n_panels=7,
-        window=0.125, knee=0.3, n_spikes=1, amplitude=1.0, k_scale=1.0,
+        knee=0.3, n_spikes=1, amplitude=1.0, k_scale=1.0,
     )
     # row 1's integrand is rounding noise: its two error estimates differ by
     # 8e-5 relative, 1.2e-16 absolute
     @example(
-        mass=1.0, a0=1.5, growth=1e-14, k_max=8.0, n_panels=3, window=0.5,
+        mass=1.0, a0=1.5, growth=1e-14, k_max=8.0, n_panels=3,
         knee=0.0, n_spikes=1, amplitude=1.0, k_scale=1.0,
     )
     @settings(max_examples=25, deadline=None)
     def test_rows_match_per_node_oracle(
-        self, mass, a0, growth, k_max, n_panels, window, knee, n_spikes,
-        amplitude, k_scale,
+        self, mass, a0, growth, k_max, n_panels, knee, n_spikes, amplitude, k_scale,
     ):
-        config = WickConfig(
-            k_max=k_max, n_k=8 * n_panels, tail_fit_window=window,
-            k_knee=knee * k_max,
-        )
+        config = WickConfig(k_max=k_max, n_k=8 * n_panels)
         params = PhysicalParams(mass=mass)
-        momenta, weights = radial_grid(config)
+        momenta, weights = radial_grid(k_max, 8 * n_panels, knee * k_max)
         bank = ModeBank.at_initial(momenta, weights, a0=a0, mass=mass, tau0=0.0)
         taus = np.linspace(0.0, 0.05, 9)
         a = a0 * (1.0 + growth * taus / 0.05)
