@@ -5,10 +5,13 @@ orientation is fixed by the closed-form scale-factor map
 
     a(tau) = a0 / (1 - a0 * int_{tau0}^{tau} H(eta) deta),
 
-which makes a' = +a^2 H along regular solutions.  All cumulative integrals
-use the composite trapezoid rule on the grid and all interpolation is
-piecewise linear; both choices are part of the numerical contract (the
-fixed-point machinery downstream is norm-based, not order-based).
+which makes a' = +a^2 H along regular solutions.  The cumulative integrals
+of a segment solve, int f and int H, use one retarded rule
+(cumulative_integral): trapezoid on the first interval, Adams-Moulton 3 on
+the second and Adams-Moulton 4 on every later one, so the integral at a
+node reads the integrand at that node and before it only, as the
+retarded equation does.  Cosmological time, a diagnostic over a whole
+run's history, keeps the composite trapezoid rule.
 """
 
 from __future__ import annotations
@@ -33,6 +36,35 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     scipy.integrate.cumulative_trapezoid(values, nodes, initial=0.0).
     """
     increments = np.diff(nodes) * (values[1:] + values[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(increments)))
+
+
+# The error of cumulative_integral over a span scales as the width of its
+# intervals cubed, at fixed node count as the span cubed: the trapezoid step
+# on the first interval dominates the fourth-order steps after it.
+RULE_ORDER = 3
+
+
+def cumulative_integral(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Running integral of values over nodes, starting at 0, retarded: the
+    integral at node j reads values at nodes <= j only.
+
+    The first interval takes the trapezoid rule, the second Adams-Moulton 3,
+    weights (-1, 8, 5)/12 on the values at its nodes and the one before, and
+    every later interval Adams-Moulton 4, weights (1, -5, 19, 9)/24 on the
+    values at its nodes and the two before.  Each interval is scaled by its
+    own width.  On equal widths an interval's increment is exact for linear
+    values on the first interval, quadratics on the second and cubics after.
+    """
+    widths = np.diff(nodes)
+    increments = np.empty(widths.size)
+    increments[:1] = widths[:1] * (values[:1] + values[1:2]) / 2.0
+    increments[1:2] = (
+        widths[1:2] * (-values[:1] + 8.0 * values[1:2] + 5.0 * values[2:3]) / 12.0
+    )
+    increments[2:] = widths[2:] * (
+        values[:-3] - 5.0 * values[1:-2] + 19.0 * values[2:-1] + 9.0 * values[3:]
+    ) / 24.0
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
@@ -119,7 +151,7 @@ def scale_factor_from_hubble(h: np.ndarray, nodes: np.ndarray, a0: float) -> np.
     """
     if not (np.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and > 0, got {a0}")
-    denominator = 1.0 - a0 * cumulative_trapezoid(h, nodes)
+    denominator = 1.0 - a0 * cumulative_integral(h, nodes)
     bad = np.flatnonzero(denominator <= 0.0)
     if bad.size:
         j = int(bad[0])
@@ -131,8 +163,11 @@ def cosmological_time(taus: np.ndarray, a: np.ndarray, t0: float = 0.0) -> np.nd
     """Cosmological time t(tau) = t0 - int_{tau0}^{tau} a at the nodes,
     strictly decreasing.
 
-    The minus sign is the conformal-time orientation convention of this
-    package; see the module docstring.
+    A diagnostic: the composite trapezoid rule over the run's joined
+    history, whose spacing changes from segment to segment, where the
+    segment rule's equal-width weights do not apply.  The minus sign is the
+    conformal-time orientation convention of this package; see the module
+    docstring.
     """
     if np.any(a <= 0.0):
         raise ValueError("scale factor must be positive on the grid")

@@ -1,14 +1,15 @@
 """Picard iteration for retarded Volterra equations X = F0 + int f(X).
 
-The iterator runs X_{n+1} = F0 + int_a^t f(X_n) with trapezoid quadrature
-until the discrete uniform norm of the update falls below tol.  That update
-norm is exactly the equation residual ||X_n - F0 - int f(X_n)|| of the
-iterate it was computed from, so the iterator returns X_n, with the
-evaluation made at X_n: convergence is confirmed a posteriori, without an
-evaluation of its own.  The trial driver owns the local existence step:
-it solves on a trial span, accepts the converged trial by a Richardson
-estimate of its trapezoid error, or else retries on the front half of the
-span.  How long the first span is, is the caller's choice.
+The iterator runs X_{n+1} = F0 + int_a^t f(X_n), with the retarded rule
+core.cumulative_integral, until the discrete uniform norm of the update
+falls below tol.  That update norm is exactly the equation residual
+||X_n - F0 - int f(X_n)|| of the iterate it was computed from, so the
+iterator returns X_n, with the evaluation made at X_n: convergence is
+confirmed a posteriori, without an evaluation of its own.
+picard_solve_with_halving owns the local existence step: it solves on a
+trial span, accepts the converged trial by a Richardson estimate of the
+rule's error, or else retries on the front half of the span.  How long the
+first span is, is the caller's choice.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import cumulative_trapezoid
+from .core import RULE_ORDER, cumulative_integral
 
 
 class NaNDetected(RuntimeError):
@@ -130,7 +131,7 @@ def picard_solve(
                 j,
                 float(nodes[j]),
             )
-        new_values = f0 + cumulative_trapezoid(values, nodes)
+        new_values = f0 + cumulative_integral(values, nodes)
         bad = ~np.isfinite(new_values)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -162,11 +163,12 @@ def segment_nodes(start: float, span: float, count: int) -> np.ndarray:
 
 
 def richardson_error(f: np.ndarray, nodes: np.ndarray) -> float:
-    """Trapezoid error of int f over the nodes, estimated from the rule on
-    every second node: the coarse rule's error is 4 times the fine one's."""
-    fine = cumulative_trapezoid(f, nodes)[::2]
-    coarse = cumulative_trapezoid(f[::2], nodes[::2])
-    return float(np.max(np.abs(fine - coarse))) / 3.0
+    """Error of the rule's int f over the nodes, estimated from the rule on
+    every second node: the coarse rule's error is 2^RULE_ORDER = 8 times
+    the fine one's."""
+    fine = cumulative_integral(f, nodes)[::2]
+    coarse = cumulative_integral(f[::2], nodes[::2])
+    return float(np.max(np.abs(fine - coarse))) / (2**RULE_ORDER - 1)
 
 
 def picard_solve_with_halving(
@@ -186,7 +188,7 @@ def picard_solve_with_halving(
     rhs(x, nodes) returns (f(x) at the nodes, byproduct), as picard_solve's
     rhs does on those nodes.  A trial is rejected when it does not converge,
     when rhs raises one of retry_on, and when the Richardson estimate of its
-    trapezoid error, from f at the returned iterate, exceeds max_error.  A
+    quadrature error, from f at the returned iterate, exceeds max_error.  A
     retry keeps the node count, an odd one of at least 3, so that every
     second node ends on the last.  Returns (x, report, nodes, estimate,
     byproduct) of the accepted trial.  After max_halvings retries the last

@@ -19,8 +19,10 @@ rate rather than bounding f over a tube.  It is the least of: a contraction
 limit, aiming at TARGET_CONTRACTION per iterate from the larger of the last
 segment's largest observed ratio and |df/dH| dt at the carried node; an
 accuracy limit, scaling dt by (target / err)^(1/3) with err the Richardson
-estimate of the trapezoid error (all nodes against every second node, on f
-at the returned iterate, so no extra evaluation); a growth limit, a
+estimate of the error of the segment rule, core.cumulative_integral (all
+nodes against every second node, on f at the returned iterate, so no extra
+evaluation); the rule's first interval is a trapezoid step, so that error
+scales as dt^3 (core.RULE_ORDER) at a fixed node count; a growth limit, a
 fraction of gap / |f| at the carried node, gap = Hc - |H|; a denominator
 limit 1 / (2 a max|H|) over the converged nodes; dt_target; and the
 remaining span.  A trial that does not converge, whose iterate crosses the
@@ -50,6 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    RULE_ORDER,
     BlowUp,
     InitialData,
     PhysicalParams,
@@ -135,8 +138,9 @@ class SolverConfig:
             raise ValueError("tol must be > 0")
         if self.max_halvings < 0:
             raise ValueError("max_halvings must be >= 0")
-        # richardson_error compares the rule on every node with the rule on
-        # every second one, which ends on the last node only for odd counts
+        # richardson_error compares the segment rule on every node with the
+        # rule on every second one, which ends on the last node only for odd
+        # counts
         if self.nodes_per_segment < 3 or self.nodes_per_segment % 2 == 0:
             raise ValueError("nodes_per_segment must be odd and >= 3")
         if not 0.0 < self.epsilon_critical < 0.1:
@@ -355,6 +359,11 @@ def friedmann_source(h, w, params: PhysicalParams):
     )
 
 
+def friedmann_rhs(h, a, w, params: PhysicalParams):
+    """The right-hand side f = a source / (Hc^2 - H^2) of H' = f, per node."""
+    return a * friedmann_source(h, w, params) / (params.hubble_critical**2 - h**2)
+
+
 def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
     """f(H) at the segment nodes and the byproducts (W, a, the bank's
     (chi, chi') history)."""
@@ -379,15 +388,13 @@ def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
     else:
         w_vals = np.zeros(nodes.size)
         history = None
-    source = friedmann_source(h, w_vals, params)
-    f_vals = a_vals * source / (critical**2 - h**2)
-    return f_vals, (w_vals, a_vals, history)
+    return friedmann_rhs(h, a_vals, w_vals, params), (w_vals, a_vals, history)
 
 
 # Step control.  The Picard iteration should contract by about this much
 # per iterate.
 TARGET_CONTRACTION = 0.05
-# The Richardson estimate of a segment's trapezoid error has a target of
+# The Richardson estimate of a segment's quadrature error has a target of
 # this many Picard tolerances.  The controller aims at ACCURACY_AIM times
 # the target, and a trial above REJECT_ACCURACY times it is rejected.
 ACCURACY_PER_TOL = 30.0
@@ -424,7 +431,7 @@ def choose_step(
     out of the float range raises OverflowError.
     """
     gap2 = params.hubble_critical**2 - h**2
-    f = a * friedmann_source(h, w, params) / gap2
+    f = friedmann_rhs(h, a, w, params)
     # |df/dH| at fixed a and W, from the source formula
     stiffness = abs(2.0 * h * (f / gap2 - 2.0 * a))
     limits = {}
@@ -436,7 +443,7 @@ def choose_step(
         rho = max(ratio, stiffness * dt)
         factors = {
             "contraction": _quotient(TARGET_CONTRACTION, rho),
-            "accuracy": _quotient(ACCURACY_AIM, error) ** (1.0 / 3.0),
+            "accuracy": _quotient(ACCURACY_AIM, error) ** (1.0 / RULE_ORDER),
         }
         for name, factor in factors.items():
             limits[name] = dt * min(max(factor, low), high)
@@ -711,14 +718,14 @@ def _extrapolate_wall(carry: SegmentState, wall: float) -> float:
 
 
 def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
-    """Time series for reporting: tau, t, a, H, H', R, W_ren, source, margins."""
+    """Time series for reporting: tau, t, a, H, H', R, W_ren, source, margins.
+
+    H' is the equation's own right-hand side f at each node, the values the
+    solve integrated, so R follows without differencing.
+    """
     taus, hubble, a = solution.taus, solution.hubble, solution.scale_factor
-    # H' is second order with one-sided ends; two nodes give their slope
-    if taus.size > 1:
-        dh = np.gradient(hubble, taus, edge_order=2 if taus.size > 2 else 1)
-    else:
-        dh = np.zeros(1)
     params, a0 = solution.final_state.params, solution.final_state.initial.a0
+    dh = friedmann_rhs(hubble, a, solution.wick_square, params)
     return {
         "tau": taus,
         "t": cosmological_time(taus, a),
@@ -733,7 +740,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def _split(values: np.ndarray, name: str) -> dict:

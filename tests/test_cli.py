@@ -321,8 +321,10 @@ class TestValidation:
 
 class TestRunCommand:
     def test_two_node_run_reports_its_slope(self, tmp_path):
-        # the first segment ends at the wall after one step: H' is the slope
-        # of the two nodes and t is minus the trapezoid integral of a
+        # the first segment ends at the wall after one step: H' at each node
+        # is the equation's f = a source / (Hc^2 - H^2), bit for bit, the
+        # slope of the two nodes lies between them, and t is minus the
+        # trapezoid integral of a
         path = write_config(
             tmp_path / "c.json", mass=0.0, H0=0.94999 * HC, horizon=1.0,
             Lambda_tilde=1.1 * HC**4 / (960.0 * math.pi**2),
@@ -331,17 +333,18 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert cli.main(["run", path, "--out", str(out)]) == 10
         _, cols = read_csv(out / "solution.csv")
-        tau, a, h = cols["tau"], cols["a"], cols["H"]
+        tau, a, h, dh = cols["tau"], cols["a"], cols["H"], cols["dH"]
         assert tau.size == 2
+        np.testing.assert_array_equal(dh, a * cols["source"] / (HC**2 - h**2))
         slope = (h[1] - h[0]) / (tau[1] - tau[0])
-        np.testing.assert_array_equal(cols["dH"], [slope, slope])
-        assert slope == pytest.approx(15962.0, rel=1e-4)
+        assert dh[0] < slope < dh[1]
+        assert slope == pytest.approx(15968.5, rel=1e-4)
         assert cols["t"][0] == 0.0
         assert cols["t"][1] == -(tau[1] - tau[0]) * (a[0] + a[1]) / 2.0
         np.testing.assert_allclose(
-            cols["R"], 6.0 * (2.0 * h**2 - slope / a), rtol=1e-15
+            cols["R"], 6.0 * (2.0 * h**2 - dh / a), rtol=1e-15
         )
-        assert cols["R"][1] == pytest.approx(58150.0, rel=1e-4)
+        assert cols["R"][1] == pytest.approx(58077.6, rel=1e-4)
 
     def test_de_sitter_run(self, tmp_path, capsys):
         h0 = math.sqrt(HC**2 - math.sqrt(HC**4 - 0.5 * HC**4))

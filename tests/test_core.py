@@ -13,6 +13,7 @@ from semiflrw.core import (
     InitialData,
     PhysicalParams,
     cosmological_time,
+    cumulative_integral,
     cumulative_trapezoid,
     ricci_scalar,
     scale_factor_from_hubble,
@@ -57,7 +58,7 @@ def test_scale_factor_constant_hubble_closed_form():
     taus = np.linspace(0.0, 2.0, 2001)
     a = scale_factor_from_hubble(np.full(taus.size, c), taus, a0=1.0)
     expected = 1.0 / (1.0 - c * taus)
-    # trapezoid integral of a constant is exact, so this is tight
+    # the rule integrates a constant exactly, so this is tight
     np.testing.assert_allclose(a, expected, rtol=1e-13)
 
 
@@ -193,6 +194,43 @@ def test_cumulative_trapezoid_matches_scipy_bitwise(start, samples):
     reference = integrate.cumulative_trapezoid(values, nodes, initial=0.0)
     assert ours.dtype == reference.dtype
     assert ours.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("degree, exact_from", [(1, 0), (2, 1), (3, 2)])
+def test_cumulative_integral_is_exact_per_interval(degree, exact_from):
+    # the trapezoid first interval is exact for lines, the Adams-Moulton 3
+    # second for quadratics, the Adams-Moulton 4 ones after for cubics; the
+    # nodes are exact in binary, so every width is the same
+    coefficients = (0.7, -1.3, 2.1, -0.9)[: degree + 1]
+    nodes = 0.5 + 0.125 * np.arange(12.0)
+    values = sum(c * nodes**i for i, c in enumerate(coefficients))
+    primitive = sum(c * nodes ** (i + 1) / (i + 1) for i, c in enumerate(coefficients))
+    increments = np.diff(cumulative_integral(values, nodes))
+    exact = np.diff(primitive)
+    np.testing.assert_allclose(increments[exact_from:], exact[exact_from:], rtol=1e-13)
+    if exact_from:
+        assert abs(increments[exact_from - 1] / exact[exact_from - 1] - 1.0) > 1e-6
+
+
+def test_cumulative_integral_is_retarded():
+    # changing the integrand at node j + 1 leaves the integral at nodes <= j
+    # bit for bit as it was
+    nodes = np.linspace(0.3, 1.1, 13)
+    values = np.cos(3.0 * nodes)
+    base = cumulative_integral(values, nodes)
+    assert base[0] == 0.0
+    for j in range(nodes.size - 1):
+        changed = values.copy()
+        changed[j + 1] += 1.0
+        out = cumulative_integral(changed, nodes)
+        assert out[: j + 1].tobytes() == base[: j + 1].tobytes()
+        assert out[j + 1] != base[j + 1]
+
+
+def test_cumulative_integral_on_two_nodes_is_one_trapezoid_step():
+    # the every-second-node rule of a three-node segment has two nodes
+    out = cumulative_integral(np.array([1.0, 3.0]), np.array([0.0, 2.0]))
+    np.testing.assert_array_equal(out, [0.0, 4.0])
 
 
 def test_default_hubble_critical_value():

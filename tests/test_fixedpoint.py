@@ -256,7 +256,7 @@ class TestHalvingDriver:
         assert np.array_equal(
             final_nodes, np.linspace(0.0, 0.5**report.halvings, grid.size)
         )
-        # converged span solves x' = lam x from x(0) = 1 up to trapezoid error
+        # converged span solves x' = lam x from x(0) = 1 up to the rule's error
         expected = np.exp(lam * final_nodes)
         assert np.max(np.abs(solution - expected)) < 1e-4
 
@@ -267,7 +267,7 @@ class TestHalvingDriver:
         )
         assert report.halvings == 0
         assert np.array_equal(final_nodes, grid)
-        # the Richardson estimate is of the trapezoid error of int f
+        # the Richardson estimate is of the rule's error of int f
         assert 0.0 < estimate < 1e-6
         assert np.max(np.abs(solution - np.exp(grid))) < 10.0 * estimate
 
@@ -280,7 +280,8 @@ class TestHalvingDriver:
 
     def test_rejects_on_the_richardson_estimate_alone(self):
         # the trial converges on the full span; only its estimate, which falls
-        # 8-fold per halving (h^2 times the span), is too large
+        # 8-fold per halving (h^3 on the trapezoid first interval), is too
+        # large
         grid = np.linspace(0.0, 1.0, 9)
         _, report, _, estimate, _ = picard_solve_with_halving(
             linear(1.0), 1.0, grid, tol=1e-12

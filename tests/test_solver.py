@@ -268,8 +268,11 @@ class TestRejectedTrial:
 
     def test_over_long_first_trial_ends_at_a_converged_wall_node(self):
         # the massless_wall benchmark inputs: H reaches the guard at tau
-        # 0.0077851; on a first trial of 0.01 the second iterate crosses Hc,
-        # and the trapezoid error allows a span 80 times shorter: 7 retries
+        # 0.0077851; on a first trial of 0.01 the second iterate crosses Hc.
+        # The trial of 0.005 converges with a Richardson estimate of 1.8e-5,
+        # 1500 times the bound REJECT_ACCURACY * ACCURACY_PER_TOL * tol =
+        # 1.2e-8, and the estimate falls 2^3 = 8-fold per halving (the rule's
+        # trapezoid first interval): 8^3 < 1500 < 8^4, so 1 + 4 = 5 retries
         lam = 1.1 * HC**4 / (960.0 * math.pi**2)
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         initial = InitialData(0.0, 1.0, 0.0)
@@ -290,15 +293,18 @@ class TestRejectedTrial:
         assert rep.diagnostics["extrapolated_breach_tau"] == pytest.approx(
             0.007785071643136283, rel=1e-6
         )
-        assert sol.reports[0].halvings == 7
+        assert sol.reports[0].halvings == 5
 
     def test_richardson_error_reaches_the_last_interval(self):
-        # f is nonzero on the last node only: the rules on every node and on
-        # every second node differ by 1/8 there.  SolverConfig allows only
-        # odd node counts, whose every second node ends on the last one.
+        # f is nonzero on the last node only.  On every node (width 1/4) only
+        # the last interval's Adams-Moulton 4 weight 9/24 reaches it: 3/32.
+        # On every second node (width 1/2) the last interval is the second,
+        # Adams-Moulton 3 with weight 5/12: 5/24.  They differ by 11/96,
+        # which the estimate divides by 2^3 - 1 = 7.  SolverConfig allows
+        # only odd node counts, whose every second node ends on the last one.
         f = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         estimate = richardson_error(f, np.linspace(0.0, 1.0, 5))
-        assert estimate == pytest.approx(1.0 / 24.0)
+        assert estimate == pytest.approx(11.0 / 672.0)
 
 
 class TestInSegmentBreach:
@@ -386,6 +392,67 @@ class TestContinuationContract:
             )
 
 
+class TestRunProperties:
+    """Properties of whole runs that hold for every input: the horizon does
+    not steer the segments before the last, and the equation's a0-scaling
+    symmetry survives the discretization."""
+
+    WICK = WickConfig(k_max=20.0, n_k=32)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        h0=st.floats(min_value=-8.0, max_value=8.0),
+        fraction=st.floats(min_value=0.1, max_value=0.9),
+    )
+    def test_a_shorter_run_is_a_prefix_of_the_longer_one(self, h0, fraction):
+        # a run to T1 < T2 is the run to T2, bit for bit, up to the start of
+        # its last segment, the one the remaining span cuts short
+        short, long = (
+            continue_maximal(
+                InitialData(0.0, 1.0, h0), horizon, PhysicalParams(mass=1.0),
+                self.WICK, SolverConfig(),
+            )[0]
+            for horizon in (fraction * 0.02, 0.02)
+        )
+        cut = int(np.flatnonzero(short.taus == short.segment_bounds[-2])[0]) + 1
+        for name in ("taus", "hubble", "scale_factor", "wick_square"):
+            ours, theirs = getattr(short, name), getattr(long, name)
+            assert ours[:cut].tobytes() == theirs[:cut].tobytes()
+        kept = len(short.reports) - 1
+        assert short.reports[:kept] == long.reports[:kept]
+        assert short.segment_bounds[: kept + 1] == long.segment_bounds[: kept + 1]
+
+    # tail_model "none": the power-law fit gates on its own conditioning, so
+    # rounding alone can flip it; with it W moves by up to 5e-11 under this
+    # map, and by 1e-11 when a0 and k_max change by a factor 1 + 2^-40
+    @settings(max_examples=10, deadline=None)
+    @given(
+        scale=st.floats(min_value=0.5, max_value=3.0),
+        h0=st.floats(min_value=-8.0, max_value=8.0),
+        tau0=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @example(scale=2.0, h0=5.0, tau0=0.0)
+    def test_a0_scaling_maps_a_run_onto_a_run(self, scale, h0, tau0):
+        # a0 -> s a0, tau -> tau / s and k -> s k leave H and W unchanged and
+        # take a to s a: the mode equation, the knee 10 a0 m, dt_target and
+        # the step controller all scale alike
+        def run(s):
+            return continue_maximal(
+                InitialData(tau0 / s, s, h0), (tau0 + 0.02) / s,
+                PhysicalParams(mass=1.0),
+                WickConfig(k_max=20.0 * s, n_k=32, tail_model="none"),
+                SolverConfig(),
+            )[0]
+
+        base, scaled = run(1.0), run(scale)
+        assert len(scaled.reports) == len(base.reports)
+        assert_close = np.testing.assert_allclose
+        assert_close(scale * scaled.taus, base.taus, rtol=1e-11, atol=1e-14)
+        assert_close(scaled.scale_factor / scale, base.scale_factor, rtol=1e-11)
+        assert_close(scaled.hubble, base.hubble, rtol=1e-11, atol=1e-11)
+        assert_close(scaled.wick_square, base.wick_square, rtol=0.0, atol=1e-11)
+
+
 class TestBlowUp:
     def test_terminates_at_scale_blowup(self, blowup_run):
         sol, rep, h0 = blowup_run
@@ -426,27 +493,51 @@ class TestSegmenting:
         assert np.max(np.abs(sol_p.hubble - sol_q.hubble)) < 5e-10
         assert np.max(np.abs(sol_p.scale_factor - sol_q.scale_factor)) < 5e-10
 
-    def test_grid_convergence_is_second_order(self):
+    @staticmethod
+    def lattice_solve(nodes, state0):
+        """(H, f at H) on a fixed lattice from the state0 carry."""
+
+        def rhs(x):
+            f = _rhs_detail(x, nodes, state0)[0]
+            return f, f
+
+        start = np.full(nodes.size, state0.hubble_start)
+        hubble, report, f = picard_solve(start, rhs, nodes)
+        assert report.converged
+        return hubble, f
+
+    def test_grid_convergence_is_third_order(self):
         # the step controller picks its own spans, so the lattice is fixed
         # here: two segments' worth of n nodes each on [0, 0.004], 2n - 1
-        # nodes in all, solved in one Picard iteration
+        # nodes in all, solved in one Picard iteration.  The trapezoid step
+        # on the first interval sets the order: the error falls 2^3-fold
+        # per halving of the width (ratios 8.1 and 9.0 against n = 97).
         lam = lam_for_root(5.0)
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         values = []
         for n in (13, 25, 49, 97):
             nodes = np.linspace(0.0, 0.004, 2 * n - 1)
-            hubble, report, _ = picard_solve(
-                np.zeros(nodes.size),
-                lambda x: (_rhs_detail(x, nodes, state0)[0], None),
-                nodes,
-            )
-            assert report.converged
-            values.append(float(hubble[-1]))
+            values.append(float(self.lattice_solve(nodes, state0)[0][-1]))
         diffs = [abs(v - values[-1]) for v in values[:-1]]
         assert diffs[0] > diffs[1] > diffs[2] > 0.0
-        assert diffs[0] / diffs[1] > 2.5
-        assert diffs[1] / diffs[2] > 2.5
+        assert diffs[0] / diffs[1] > 6.0
+        assert diffs[1] / diffs[2] > 6.0
+
+    @pytest.mark.parametrize("h0, span", [(0.0, 0.004), (30.0, 0.001)])
+    def test_richardson_estimate_is_the_error_of_the_solve(self, h0, span):
+        # on the lattice above, the estimate from f at the solution reads
+        # the error against a solve on 8 times as many intervals (1.00 of
+        # it; the 2^4 - 1 of a fourth-order rule would read 0.47)
+        lam = lam_for_root(5.0)
+        params = PhysicalParams(mass=0.0, cosmological_constant=lam)
+        state0 = initial_segment_state(InitialData(0.0, 1.0, h0), params, W0)
+        for n in (13, 25, 49, 97):
+            nodes = np.linspace(0.0, span, 2 * n - 1)
+            hubble, f = self.lattice_solve(nodes, state0)
+            fine = np.linspace(0.0, span, 8 * (nodes.size - 1) + 1)
+            error = np.max(np.abs(hubble - self.lattice_solve(fine, state0)[0][::8]))
+            assert 0.5 * error <= richardson_error(f, nodes) <= 2.0 * error
 
     def test_determinism(self, mass_run):
         sol, rep, params, wcfg = mass_run
@@ -789,7 +880,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == 6
+        assert header["version"] == 7
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -840,8 +931,9 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         # format 3 had no physical parameters in its header, format 4 no
         # Wick settings or state, format 5 stored the knee, the fit window
-        # and each report's derived values
-        for version in (3, 4, 5, 99):
+        # and each report's derived values, and format 6 was written by the
+        # trapezoid rule, so no run of this one continues it bit for bit
+        for version in (3, 4, 5, 6, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
