@@ -12,6 +12,7 @@ import argparse
 import difflib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -284,22 +285,24 @@ def write_solution_csv(path, solution, config: dict) -> None:
 
 
 def _tail_summary(solution) -> dict | None:
+    """The power-law tail fit at the final node; None without one (m = 0 or
+    tail model "none").  A row with no fit has NaN fields, written as null
+    so the file stays strict JSON."""
     final = solution.final_state
     bank = final.mode_bank_carry
     if bank is None:
         return None
-    _, detail = wick_square_renormalized(
+    _, fit = wick_square_renormalized(
         float(solution.scale_factor[-1]), bank, bank.chi, final.params,
         final.wick_cfg, detail=True,
     )
-    fit = detail.tail
-    out = {"error_estimate": detail.error_estimate}
-    if fit is not None:
-        out.update(
-            C=fit.coefficient, p_raw=fit.p_raw, p_used=fit.p_used,
-            coherent=fit.coherent, ok=fit.ok,
-        )
-    return out
+    if fit is None:
+        return None
+    out = dict(
+        C=fit.coefficient, p_raw=fit.p_raw, p_used=fit.p_used,
+        coherent=fit.coherent, ok=fit.ok,
+    )
+    return {key: None if math.isnan(value) else value for key, value in out.items()}
 
 
 def write_summary(

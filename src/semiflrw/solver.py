@@ -825,9 +825,10 @@ def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
     The records are applied in order, each starting at the end of the
-    history read so far.  The mode bank is rebuilt at tau0 from the
-    header's settings (initial_bank) and moved to the last record's modes;
-    its anchor digest must be the header's.  A last line
+    history read so far; together they must hold at least one node, with a
+    value in each of the four series.  The mode bank is rebuilt at tau0
+    from the header's settings (initial_bank) and moved to the last
+    record's modes; its anchor digest must be the header's.  A last line
     that lacks its newline and does not parse is a torn append and is
     ignored, so the record before it is the checkpoint.
     """
@@ -872,6 +873,12 @@ def load_checkpoint(path):
             values.extend(record["history"][key])
         raw_reports.extend(record["reports"])
         bounds.extend(record["segment_bounds"])
+    lengths = {key: len(values) for key, values in history.items()}
+    if not lengths["taus"] or len(set(lengths.values())) > 1:
+        raise ValueError(
+            f"{path}: the history must hold at least one node and one value"
+            f" per node in each series, got lengths {lengths}"
+        )
     initial = InitialData(**header["initial"])
     params = PhysicalParams(**header["params"])
     wick_cfg = WickConfig(**header["wick"])

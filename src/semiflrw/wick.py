@@ -14,8 +14,7 @@ above a knee (the integrand has O(1) structure near k ~ a*m and power-law
 decay beyond; a run puts the knee at 10 a0 m).  The subtracted integrand
 oscillates in k at fixed tau, so the tail fit works on the magnitude
 envelope: the signed analytic tail is only added when the fit window has a
-uniform sign, otherwise the envelope integral is reported as uncertainty
-instead.
+uniform sign, otherwise no tail is added.  No error estimate is made.
 """
 
 from __future__ import annotations
@@ -120,10 +119,14 @@ class BogoliubovProfile:
 
 @dataclass(frozen=True)
 class TailFit:
-    """Power-law fit C k^{-p} of the integrand magnitude over the top window.
+    """Power-law fit C k^{-p} of the integrand magnitude over the top window,
+    and the tail integral it adds (correction, non-zero only where the
+    window has one sign).
 
     Fitted to a block of rows, every field is an array with one entry per
-    row; fitted to one row, they are plain values.
+    row; fitted to one row, they are plain values.  A row with no fit (an
+    all-zero window or an ill-conditioned one) has ok and coherent False, a
+    correction of 0 and NaN coefficient and exponents.
     """
 
     coefficient: float
@@ -131,15 +134,7 @@ class TailFit:
     p_used: float
     coherent: bool
     correction: float
-    envelope: float
     ok: bool
-
-
-@dataclass(frozen=True)
-class RadialResult:
-    value: float
-    error_estimate: float
-    tail: TailFit | None
 
 
 def radial_grid(k_max: float, n_k: int, k_knee: float = 0.0):
@@ -224,26 +219,19 @@ def _fit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig) -> T
     dy = np.where(use, log_g - y_mean[..., None], 0.0)
     slope = np.sum(dx * dy, axis=-1) / np.where(fitted, np.sum(dx * dx, axis=-1), 1.0)
     intercept = y_mean - slope * x_mean
-    p_raw = -slope
+    p_raw = np.where(fitted, -slope, np.nan)
     p_used = np.clip(p_raw, *_P_CLIP)
     coefficient = np.exp(intercept + (p_used - p_raw) * x_mean)
-    envelope = coefficient * config.k_max ** (3.0 - p_used) / (p_used - 3.0)
-    coherent = np.all(g_win >= 0.0, axis=-1) | np.all(g_win <= 0.0, axis=-1)
+    coherent = fitted & (np.all(g_win >= 0.0, axis=-1) | np.all(g_win <= 0.0, axis=-1))
     sign = np.where(np.sum(g_win, axis=-1) >= 0.0, 1.0, -1.0)
-    correction = np.where(coherent & fitted, sign * envelope, 0.0)
-
-    # an all-zero window has no tail; an ill-conditioned one falls back to
-    # p = 3.5 and reports its envelope as uncertainty only
-    p_fb = 3.5
-    cases = [zero, failed]
+    tail = coefficient * config.k_max ** (3.0 - p_used) / (p_used - 3.0)
     return TailFit(
-        _plain(np.select(cases, [0.0, peak], coefficient)),
-        _plain(np.select(cases, [4.0, p_fb], p_raw)),
-        _plain(np.select(cases, [4.0, p_fb], p_used)),
-        _plain(coherent & ~failed),
-        _plain(correction),
-        _plain(np.select(cases, [0.0, peak * k_win[-1] ** 3 / (p_fb - 3.0)], envelope)),
-        _plain(~failed),
+        _plain(coefficient),
+        _plain(p_raw),
+        _plain(p_used),
+        _plain(coherent),
+        _plain(np.where(coherent, sign * tail, 0.0)),
+        _plain(fitted),
     )
 
 
@@ -252,35 +240,24 @@ def radial_integral(
     config: WickConfig,
     momenta: np.ndarray,
     weights: np.ndarray,
-) -> RadialResult:
+) -> tuple[float, TailFit | None]:
     """(2 pi^2)^{-1} int_0^{k_max} samples(k) k^2 dk with optional tail.
 
     samples must be given on the nodes momenta (with quadrature weights
     weights, a bank's grid) along its last axis; each row is integrated on
-    its own and the result fields carry the leading shape (plain floats for
-    a single row).  config supplies the tail model.
+    its own.  Returns (value, tail): value has the leading shape (a plain
+    float for a single row) and tail is the TailFit, None when config's
+    tail model is "none".
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[-1:] != momenta.shape:
         raise ValueError("samples must match the quadrature nodes")
-    contributions = weights * momenta**2 * samples
-    finite_part = np.sum(contributions, axis=-1)
+    total = np.sum(weights * momenta**2 * samples, axis=-1)
     tail = None
-    tail_correction = 0.0
-    tail_uncertainty = 0.0
     if config.tail_model == "power-fit":
         tail = _fit_tail(momenta, samples, config)
-        tail_correction = tail.correction
-        # applied corrections are trusted to half their size; suppressed
-        # (oscillatory or ill-conditioned) tails are uncertain up to the
-        # full envelope
-        tail_uncertainty = np.where(
-            tail.coherent, 0.5 * np.abs(tail.correction), tail.envelope
-        )
-    quad_floor = 1e-14 * np.sum(np.abs(contributions), axis=-1)
-    value = (finite_part + tail_correction) / TWO_PI_SQ
-    error = (tail_uncertainty + quad_floor) / TWO_PI_SQ
-    return RadialResult(_plain(value), _plain(error), tail)
+        total = total + tail.correction
+    return _plain(total / TWO_PI_SQ), tail
 
 
 def finite_terms(a_tau, a0: float, mass: float, length_scale: float):
@@ -327,8 +304,9 @@ def wick_square_renormalized(
     bank's modes there, shape S + (n_k,), e.g. the chi history that
     evolve_bank returns for a segment or bank.chi alone for one time; bank
     supplies the quadrature grid and the tau0 anchor.  The result has shape
-    S, a plain float for a single time.  detail=True also returns the
-    RadialResult.
+    S, a plain float for a single time.  detail=True returns (value, tail)
+    with the radial integral's TailFit (None for m = 0 or tail model
+    "none").
     """
     if params.mass == 0.0:
         value = _plain(np.zeros(np.shape(a)))
@@ -337,11 +315,11 @@ def wick_square_renormalized(
     a0 = bank.a0_anchor
     v_tau = potential(a, a0, params.mass)
     g = wick_integrand(chi, bank.k0, v_tau[..., None])
-    result = radial_integral(g, config, momenta=bank.momenta, weights=bank.weights)
+    radial, tail = radial_integral(g, config, bank.momenta, bank.weights)
     value = _plain(
-        result.value / a**2 + finite_terms(a, a0, params.mass, params.length_scale)
+        radial / a**2 + finite_terms(a, a0, params.mass, params.length_scale)
     )
-    return (value, result) if detail else value
+    return (value, tail) if detail else value
 
 
 def wick_square_bogoliubov_delta(a, bank: ModeBank, chi, coefficients):

@@ -26,6 +26,7 @@ package, they take node arrays and interpolate linearly with numpy.interp.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from semiflrw.wick import (
     TWO_PI_SQ,
     BogoliubovProfile,
     InvalidProfile,
+    TailFitFailed,
     WickConfig,
     finite_terms,
     wick_integrand,
@@ -462,50 +464,47 @@ def verify_retardation(rhs, probe: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class PerNodeRadial:
-    """One time's radial integral, its error estimate and whether its tail
-    fit was usable."""
+    """One time's radial integral and its tail: the correction added, the
+    fitted exponent (NaN without a fit) and whether a fit was made."""
 
     value: float
-    error_estimate: float
+    correction: float
+    p_raw: float
     ok: bool
 
 
 def _polyfit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig):
-    """(correction, envelope, coherent, ok) of the power-law fit over the
-    top window, by numpy.polyfit."""
+    """(correction, p_raw, ok) of the power-law fit over the top window, by
+    numpy.polyfit.  An all-zero window has no fit; an ill-conditioned one
+    has none either and warns TailFitFailed."""
     n_win = max(3, int(math.ceil(TAIL_FIT_WINDOW * momenta.size)))
     k_win = momenta[-n_win:]
     g_win = samples[-n_win:]
     mag = np.abs(g_win)
     peak = float(np.max(mag))
     if peak == 0.0:
-        return 0.0, 0.0, True, True
+        return 0.0, math.nan, False
     keep = mag > 1e-3 * peak
     if int(np.count_nonzero(keep)) < 4 or np.ptp(np.log(k_win[keep])) < 1e-6:
-        return 0.0, peak * k_win[-1] ** 3 / (3.5 - 3.0), False, False
+        warnings.warn("tail fit ill-conditioned", TailFitFailed, stacklevel=2)
+        return 0.0, math.nan, False
     log_k = np.log(k_win[keep])
     slope, intercept = np.polyfit(log_k, np.log(mag[keep]), 1)
     p_raw = float(-slope)
     p_used = float(np.clip(p_raw, *_P_CLIP))
     coefficient = float(np.exp(intercept + (p_used - p_raw) * np.mean(log_k)))
-    envelope = coefficient * config.k_max ** (3.0 - p_used) / (p_used - 3.0)
+    tail = coefficient * config.k_max ** (3.0 - p_used) / (p_used - 3.0)
     coherent = bool(np.all(g_win >= 0.0) or np.all(g_win <= 0.0))
     sign = 1.0 if float(np.sum(g_win)) >= 0.0 else -1.0
-    return (sign * envelope if coherent else 0.0), envelope, coherent, True
+    return (sign * tail if coherent else 0.0), p_raw, True
 
 
 def _radial_per_node(samples, config: WickConfig, momenta, weights) -> PerNodeRadial:
-    contributions = weights * momenta**2 * samples
-    correction, uncertainty, ok = 0.0, 0.0, True
+    correction, p_raw, ok = 0.0, math.nan, False
     if config.tail_model == "power-fit":
-        correction, envelope, coherent, ok = _polyfit_tail(momenta, samples, config)
-        uncertainty = 0.5 * abs(correction) if coherent and ok else envelope
-    quad_floor = 1e-14 * float(np.sum(np.abs(contributions)))
-    return PerNodeRadial(
-        (float(np.sum(contributions)) + correction) / TWO_PI_SQ,
-        (uncertainty + quad_floor) / TWO_PI_SQ,
-        ok,
-    )
+        correction, p_raw, ok = _polyfit_tail(momenta, samples, config)
+    total = float(np.sum(weights * momenta**2 * samples)) + correction
+    return PerNodeRadial(total / TWO_PI_SQ, correction, p_raw, ok)
 
 
 def wick_square_per_node(

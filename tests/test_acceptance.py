@@ -155,11 +155,11 @@ def test_criterion_04_tail_decay(sine_background):
             float(np.interp(sub[-1], grid, a)), bank, chi[-1], params, cfg, detail=True
         )
 
-    w_base, detail_base = renormalized(40.0, 192)
-    w_doubled, detail_doubled = renormalized(80.0, 384)
+    w_base, tail_base = renormalized(40.0, 192)
+    w_doubled, tail_doubled = renormalized(80.0, 384)
     rel_change = abs(w_doubled - w_base) / abs(w_base)
-    p_base = detail_base.tail.p_raw
-    p_doubled = detail_doubled.tail.p_raw
+    p_base = tail_base.p_raw
+    p_doubled = tail_doubled.p_raw
     ok = p_base >= 3.0 and p_doubled >= 3.0 and rel_change < 1e-4
     _verdict(
         4,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from semiflrw import cli
+from semiflrw import cli, solver, wick
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,6 +37,15 @@ def test_every_patch_site_resolves():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name)), f"{module_name}.{name}"
+
+
+def test_worker_imports_resolve():
+    # bench/worker.py counts TailFitFailed warnings and drives these calls
+    assert issubclass(wick.TailFitFailed, Warning)
+    for module, name in (
+        (solver, "continue_maximal"), (cli, "build_run"), (cli, "main")
+    ):
+        assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
 @pytest.mark.parametrize("workload", ["massive_vacuum", "massless_wall"])

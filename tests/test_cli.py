@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL
 from semiflrw.solver import load_checkpoint
+from semiflrw.wick import TailFit
 
 HC = DEFAULT_HUBBLE_CRITICAL
 
@@ -372,11 +373,30 @@ class TestRunCommand:
         assert cli.main(["run", path, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         fit = summary["tail_fit"]
+        assert set(fit) == {"C", "p_raw", "p_used", "coherent", "ok"}
         assert fit["ok"] is True
         assert fit["p_used"] >= 3.0
-        assert fit["error_estimate"] < 1e-6
         header, cols = read_csv(out / "solution.csv")
         assert cols["W_ren"][-1] == pytest.approx(-1.0 / (32 * math.pi**2), rel=1e-4)
+
+    def test_final_row_without_a_fit_writes_null(self, tmp_path, monkeypatch):
+        # a row with no fit has NaN coefficient and exponents, which strict
+        # JSON cannot hold
+        def no_fit(*args, detail):
+            return 0.0, TailFit(math.nan, math.nan, math.nan, False, 0.0, False)
+
+        monkeypatch.setattr(cli, "wick_square_renormalized", no_fit)
+        path = write_config(tmp_path / "c.json", mass=1.0, horizon=0.002)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+
+        def refuse(name):
+            raise ValueError(f"{name} in summary.json")
+
+        assert json.loads(text, parse_constant=refuse)["tail_fit"] == {
+            "C": None, "p_raw": None, "p_used": None, "coherent": False, "ok": False,
+        }
 
     def test_wall_hit_exits_10(self, tmp_path):
         path = write_config(
@@ -787,6 +807,37 @@ class TestCheckpointResume:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config error: cannot resume from {ck}" in err
+
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    @pytest.mark.parametrize("damage", ["empty_history", "ragged_history"])
+    def test_resume_from_malformed_history_exits_2(
+        self, tmp_path, capsys, mass, damage
+    ):
+        cfg = write_config(
+            tmp_path / "c.json", mass=mass, horizon=0.01,
+            numerical={"dt_target": 1e-3, "max_segments": 2, "k_max": 20.0, "n_k": 32},
+        )
+        ck = tmp_path / "ck.json"
+        cli.main(["run", cfg, "--out", str(tmp_path / "a_out"),
+                  "--checkpoint", str(ck)])
+        lines = ck.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        if damage == "empty_history":
+            # the header alone, with no nodes
+            first["history"] = {key: [] for key in first["history"]}
+            lines = [json.dumps(first) + "\n"]
+        else:
+            # one node short of W: the records still chain on tau
+            first["history"]["wick"].pop()
+            lines[0] = json.dumps(first) + "\n"
+        ck.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{ck}: the history must hold"):
+            load_checkpoint(ck)
+        out = tmp_path / "b_out"
+        code = cli.main(["run", cfg, "--out", str(out), "--resume", str(ck)])
+        assert code == 2
+        assert f"config error: cannot resume from {ck}" in capsys.readouterr().err
+        assert not out.exists()
 
     # a bank of 32 momenta is too coarse for a clean tail fit at some masses
     @pytest.mark.filterwarnings("ignore::semiflrw.wick.TailFitFailed")

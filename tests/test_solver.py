@@ -723,6 +723,19 @@ class TestMassiveRun:
         w_start = -1.0 / (32.0 * math.pi**2)
         assert np.max(np.abs(sol.wick_square - w_start)) < 1e-5
 
+    def test_final_hubble_converges_in_k_max(self):
+        # the massive_vacuum benchmark inputs: doubling k_max and n_k moves
+        # the final H by 3.6e-6 relative (1.2e-7 without the tail fit)
+        finals = []
+        for k_max, n_k in ((40.0, 192), (80.0, 384)):
+            sol, rep = continue_maximal(
+                InitialData(0.0, 1.0, 5.0), 0.05, PhysicalParams(mass=1.0),
+                WickConfig(k_max=k_max, n_k=n_k), SolverConfig(),
+            )
+            assert rep.reason == "TimeHorizon"
+            finals.append(sol.hubble[-1])
+        assert abs(finals[1] - finals[0]) <= 1e-5 * abs(finals[1])
+
 
 class TestRhs:
     def test_retarded_in_the_hubble_argument(self):
