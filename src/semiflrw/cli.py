@@ -254,9 +254,10 @@ def build_run(config: dict):
     except ValueError as err:
         raise ValidationError(str(err)) from err
     # written so that a NaN horizon fails too
-    if not config["horizon"] > config["tau0"]:
+    if not config["tau0"] < config["horizon"] < math.inf:
         raise ValidationError(
             f"horizon {config['horizon']} must exceed tau0 {config['tau0']}"
+            " and be finite"
         )
     return params, initial, wick_cfg, solver_cfg, profile, report
 

@@ -1,15 +1,20 @@
 """Picard iteration for retarded Volterra equations X = F0 + int f(X).
 
-The iterator runs X_{n+1} = F0 + int_a^t f(X_n), with the retarded rule
-core.cumulative_integral, until the discrete uniform norm of the update
-falls below tol.  That update norm is exactly the equation residual
-||X_n - F0 - int f(X_n)|| of the iterate it was computed from, so the
+The iterator evaluates f at X_n and forms the update F0 + int_a^t f(X_n),
+with the retarded rule core.cumulative_integral, until the discrete
+uniform norm of X_n minus that update falls below tol.  That norm is
+exactly the equation residual ||X_n - F0 - int f(X_n)|| of X_n, so the
 iterator returns X_n, with the evaluation made at X_n: convergence is
-confirmed a posteriori, without an evaluation of its own.
+confirmed a posteriori, without an evaluation of its own.  The next
+iterate is the update itself (plain Picard) or whatever the caller's step
+makes of it: a caller with a cheap approximate map can solve that map to
+its fixed point between two costly evaluations, and the acceptance test
+stays the full map's residual.
 picard_solve_with_halving owns the local existence step: it solves on a
 trial span, accepts the converged trial by a Richardson estimate of the
 rule's error, or else retries on the front half of the span.  How long the
-first span is, is the caller's choice.
+first span is, and where each trial's iteration starts, is the caller's
+choice.
 """
 
 from __future__ import annotations
@@ -95,20 +100,23 @@ def picard_solve(
     tol: float = 1e-10,
     max_iter: int = 60,
     x0: np.ndarray | None = None,
+    step: Callable[[np.ndarray, object], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, PicardReport, object]:
-    """Iterate X_{n+1} = F0 + int_a^t f(X_n) until the update norm is < tol.
+    """Iterate on X = F0 + int_a^t f(X) until the update norm is < tol.
 
     f0, x0 and the iterates are float arrays over the nodes.  rhs(X)
     returns (f(X) at the nodes, byproduct), where f(X) at a node may depend
     only on X up to that node and the byproduct is anything the evaluation
     computed that the caller wants back at the fixed point.  The first
-    iterate is F0 unless a seed x0 is supplied; the equation solved is the
-    same either way.  Raises NaNDetected on the first non-finite node and
-    NoConvergence (with the report attached) when max_iter is exhausted.
-    On success the returned X is the last iterate the RHS was evaluated at:
-    its equation residual ||X - F0 - int f(X)|| is the last update norm,
-    recorded and < tol, and the byproduct of that evaluation comes with it;
-    earlier byproducts are dropped as they come.
+    iterate is F0 unless a seed x0 is supplied, and the next one is the
+    update F0 + int f(X_n), or step(update, byproduct) when a step is
+    given; the equation solved is the same either way.  Raises NaNDetected
+    on the first non-finite node and NoConvergence (with the report
+    attached) when max_iter is exhausted.  On success the returned X is the
+    last iterate the RHS was evaluated at: its equation residual
+    ||X - F0 - int f(X)|| is the last update norm, recorded and < tol, and
+    the byproduct of that evaluation comes with it; earlier byproducts are
+    dropped as they come.
     """
     if np.shape(f0) != nodes.shape:
         raise ValueError("f0 must hold one value per node")
@@ -143,7 +151,7 @@ def picard_solve(
         residuals.append(residual)
         if residual < tol:
             return current, PicardReport(tuple(residuals), tol), byproduct
-        current = new_values
+        current = new_values if step is None else step(new_values, byproduct)
     raise NoConvergence(
         f"no convergence after {max_iter} iterations",
         PicardReport(tuple(residuals), tol),
@@ -178,9 +186,10 @@ def picard_solve_with_halving(
     tol: float = 1e-10,
     max_iter: int = 60,
     max_halvings: int = 6,
-    x0: np.ndarray | None = None,
+    seed: Callable[[np.ndarray, int], np.ndarray | None] | None = None,
     max_error: float = math.inf,
     retry_on: tuple[type[Exception], ...] = (),
+    step: Callable[[np.ndarray, np.ndarray, object], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, PicardReport, np.ndarray, float, object]:
     """Solve X = start + int f(X) on a trial span, retrying on the front half
     of the span when the trial is rejected.
@@ -194,8 +203,10 @@ def picard_solve_with_halving(
     byproduct) of the accepted trial.  After max_halvings retries the last
     rejection is raised (NoConvergence with the report of the last trial),
     and a half span below the float spacing of its nodes raises ZeroStep.
-    The seed x0, when given, starts the first attempt only; after a retry
-    the iteration starts from the constant start.
+    seed(nodes, halvings), when given, is a trial's first iterate, or None
+    for the constant start; it runs inside the trial, so what retry_on
+    names rejects the trial there too.  step(update, nodes, byproduct) is
+    picard_solve's step on the trial's nodes.
     """
     if nodes.size < 3 or nodes.size % 2 == 0:
         raise ValueError("the trial span needs an odd count of at least 3 nodes")
@@ -206,9 +217,14 @@ def picard_solve_with_halving(
             values, byproduct = rhs(x, nodes)
             return values, (values, byproduct)
 
+        def advance(update, evaluated):
+            return step(update, nodes, evaluated[1])
+
         try:
+            x0 = None if seed is None else seed(nodes, halvings)
             x, report, (f, byproduct) = picard_solve(
-                np.full(nodes.size, start), evaluate, nodes, tol, max_iter, x0
+                np.full(nodes.size, start), evaluate, nodes, tol, max_iter, x0,
+                None if step is None else advance,
             )
             estimate = richardson_error(f, nodes)
             if estimate > max_error:
@@ -225,6 +241,5 @@ def picard_solve_with_halving(
                 raise
             halvings += 1
             nodes = segment_nodes(nodes[0], 0.5 * (nodes[-1] - nodes[0]), nodes.size)
-            x0 = None
             continue
         return x, replace(report, halvings=halvings), nodes, estimate, byproduct

@@ -36,8 +36,17 @@ The iteration starts from a seed extrapolated from the segment before
 increments H - H_start at every second one of the last 9 history nodes.  It
 starts from the constant instead on the first segment, after a halving,
 with fewer than 9 nodes per segment, on a constant history, and when the
-seed strays more than half the gap from the start value.  The seed changes
-the iterates, not the fixed point.
+seed strays more than half the gap from the start value.
+
+A massive run pays for each iterate with a bank sweep and a Wick
+quadrature, while W depends on H only weakly, through a(H).  Between two
+sweeps it solves the equation at a frozen W, with no sweep
+(hubble_at_fixed_wick): the seed is that solve's fixed point at the W
+history extrapolated as H is (at the carried W on the first segment and
+after a retry), and each later iterate its fixed point at the W of the
+sweep before.  An iterate is accepted only on the full-map residual of the
+sweep at it, whose W, a and bank history the segment keeps.  Seed and
+split change the iterates, not the fixed point.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from .core import (
     PhysicalParams,
     check_integers,
     cosmological_time,
+    cumulative_integral,
     ricci_scalar,
     scale_factor_from_hubble,
 )
@@ -134,8 +144,8 @@ class SolverConfig:
         check_integers(self, ("max_halvings", "nodes_per_segment", "max_segments"))
         if self.dt_target is not None and not self.dt_target > 0.0:
             raise ValueError("dt_target must be > 0 when given")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.max_halvings < 0:
             raise ValueError("max_halvings must be >= 0")
         # richardson_error compares the segment rule on every node with the
@@ -459,28 +469,24 @@ def choose_step(
 SEED_NODES = 9
 
 
-def picard_seed(
-    carry: SegmentState, nodes: np.ndarray, delta: float
+def extrapolate(
+    carry: SegmentState, series: np.ndarray, nodes: np.ndarray
 ) -> np.ndarray | None:
-    """First Picard iterate on the segment's nodes, or None for the constant
-    start H_start.
+    """A history series of the carry (H or W) extrapolated onto the
+    segment's nodes, or None where the carry has no history to extrapolate.
 
-    The seed is H_start plus the degree-4 Lagrange polynomial through the
-    increments H - H_start at every second one of the carry's last 9
-    history nodes, evaluated on the new nodes, with seed[0] = H_start.  It
-    reads only those nodes and the carry's last report, so a resumed run
-    seeds as the uninterrupted one does.  None on the first segment, after
-    a halving, when the nodes number fewer than 9, on a constant history,
-    and when the seed strays more than delta from H_start: an
-    extrapolation near the wall may cross the critical rate.
+    The value at the carried node plus the degree-4 Lagrange polynomial
+    through the increments over it at every second one of the carry's last
+    9 history nodes, with the value at the carried node itself on nodes[0].
+    It reads only those nodes and the carry's last report, so a resumed run
+    extrapolates as the uninterrupted one does.  None on the first segment,
+    after a halving and when the nodes number fewer than 9.
     """
     report = carry.last_report
     if report is None or report.halvings or nodes.size < SEED_NODES:
         return None
-    h_start = carry.hubble_start
-    rise = carry.hist_hubble[-SEED_NODES::2] - h_start
-    if not np.any(rise):
-        return None
+    start = float(series[-1])
+    rise = series[-SEED_NODES::2] - start
     t = carry.hist_taus[-SEED_NODES::2] - carry.tau_start
     x = nodes - carry.tau_start
     # basis[i, j] = prod over m != j of (x_i - t_m) / (t_j - t_m)
@@ -488,11 +494,56 @@ def picard_seed(
     factors = np.where(off, x[:, None, None] - t, 1.0) / np.where(
         off, t[:, None] - t, 1.0
     )
-    seed = h_start + np.sum(np.prod(factors, axis=2) * rise, axis=1)
-    seed[0] = h_start
-    if np.max(np.abs(seed - h_start)) > delta:
+    out = start + np.sum(np.prod(factors, axis=2) * rise, axis=1)
+    out[0] = start
+    return out
+
+
+def picard_seed(
+    carry: SegmentState, nodes: np.ndarray, delta: float
+) -> np.ndarray | None:
+    """First Picard iterate on the segment's nodes, or None for the constant
+    start H_start.
+
+    The seed is the H history extrapolated onto the nodes (extrapolate).
+    None where that gives none, on a constant history, and when the seed
+    strays more than delta from H_start: an extrapolation near the wall may
+    cross the critical rate.
+    """
+    h_start = carry.hubble_start
+    if not np.any(carry.hist_hubble[-SEED_NODES::2] - h_start):
+        return None
+    seed = extrapolate(carry, carry.hist_hubble, nodes)
+    if seed is None or np.max(np.abs(seed - h_start)) > delta:
         return None
     return seed
+
+
+def hubble_at_fixed_wick(
+    carry: SegmentState, nodes: np.ndarray, w, x: np.ndarray
+) -> np.ndarray:
+    """The fixed point of X = H_start + int f(X, a(X), W) on the segment's
+    nodes at a fixed W series w: the equation with the mode bank frozen.
+
+    Plain iteration from x, which needs no bank sweep, until the update
+    vanishes or stops shrinking (rounding, or a span too stiff to contract),
+    or after MAX_ITER evaluations; returns the iterate with the smallest
+    update, so x itself when the first update is not finite.  BlowUp
+    propagates.
+    """
+    best, smallest = x, math.inf
+    for _ in range(MAX_ITER):
+        a_vals = scale_factor_from_hubble(x, nodes, carry.a_start)
+        update = carry.hubble_start + cumulative_integral(
+            friedmann_rhs(x, a_vals, w, carry.params), nodes
+        )
+        norm = float(np.max(np.abs(update - x)))
+        if not norm < smallest:
+            break
+        best, smallest, x = x, norm, update
+        if norm == 0.0:
+            break
+    return best
 
 
 def solve_segment(
@@ -542,13 +593,30 @@ def solve_segment(
     if not 0.0 < dt < math.inf:
         raise ZeroStep(f"step underflow: {limit} limit {dt!r}")
     nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
-    seed = picard_seed(carry, nodes, 0.5 * (critical - abs(h_start)))
+    delta = 0.5 * (critical - abs(h_start))
+
+    def seed(sub, halvings):
+        h = None if halvings else picard_seed(carry, sub, delta)
+        if bank is None:
+            return h
+        # the fixed point at the extrapolated W, or at the carried one
+        w = None if halvings else extrapolate(carry, carry.hist_wick, sub)
+        return hubble_at_fixed_wick(
+            carry, sub, float(carry.hist_wick[-1]) if w is None else w,
+            np.full(sub.size, h_start) if h is None else h,
+        )
+
+    def step(update, sub, byproduct):
+        # the fixed point at the W of the bank swept at the last iterate
+        return hubble_at_fixed_wick(carry, sub, byproduct[0], update)
+
     target = ACCURACY_PER_TOL * solver_cfg.tol
     # the byproducts come from Picard's last RHS evaluation, at the solution
     h_vals, report, nodes, error, (w_vals, a_vals, history) = picard_solve_with_halving(
         lambda h, sub: _rhs_detail(h, sub, carry),
         h_start, nodes, solver_cfg.tol, MAX_ITER, solver_cfg.max_halvings, seed,
         max_error=REJECT_ACCURACY * target, retry_on=(CriticalHubble, BlowUp),
+        step=None if bank is None else step,
     )
     ratio = max(report.contraction_ratios, default=0.0)
     log.debug(
@@ -619,8 +687,8 @@ def continue_maximal(
     with the run's RunLog; it must not mutate the log.
     """
     # written so that a NaN horizon fails too
-    if not tau_horizon > initial.tau0:
-        raise ValueError("tau_horizon must exceed tau0")
+    if not initial.tau0 < tau_horizon < math.inf:
+        raise ValueError("tau_horizon must exceed tau0 and be finite")
     start = initial_segment_state(initial, params, wick_cfg, profile)
     if resume_from is None:
         resume_from = start

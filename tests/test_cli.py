@@ -236,6 +236,15 @@ class TestValidation:
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error: horizon nan must exceed tau0" in capsys.readouterr().err
 
+    def test_infinite_horizon_exits_2(self, tmp_path, capsys):
+        # json reads the token Infinity; such a run used to end at once as
+        # TimeHorizon and echo Infinity into summary.json
+        path = write_config(tmp_path / "c.json", mass=0, H0=0, horizon=math.inf)
+        assert "Infinity" in open(path).read()
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "must exceed tau0 0.0 and be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "state,message",
         [
@@ -308,6 +317,7 @@ class TestValidation:
             {"dt_target": math.nan},
             {"epsilon_critical": math.nan},
             {"nodes_per_segment": 48},
+            {"tol": math.inf},
         ],
     )
     def test_bad_solver_knob_exits_2(self, tmp_path, capsys, numerical):

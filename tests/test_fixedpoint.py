@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiflrw.core import cumulative_integral
 from semiflrw.fixedpoint import (
     NaNDetected,
     NoConvergence,
@@ -92,6 +93,42 @@ class TestPicardSolve:
         assert report.converged
         assert np.max(np.abs(seeded - plain)) < 1e-11
         assert report.equation_residual < 2e-12
+
+    def test_step_makes_the_next_iterate(self):
+        # x' = 4 x: a step that runs the map itself ten times between two
+        # evaluations needs fewer evaluations for the same fixed point
+        grid = np.linspace(0.0, 0.5, 201)
+        f0 = ones(grid)
+
+        def rhs(x):
+            return 4.0 * x, x.copy()  # byproduct: the iterate evaluated
+
+        seen = []
+
+        def step(update, byproduct):
+            seen.append((update.copy(), byproduct))
+            x = update
+            for _ in range(10):
+                x = f0 + cumulative_integral(4.0 * x, grid)
+            return x
+
+        plain, plain_report, _ = picard_solve(f0, rhs, grid, tol=1e-12)
+        stepped, report, last = picard_solve(f0, rhs, grid, tol=1e-12, step=step)
+        assert report.converged
+        assert report.iterates < plain_report.iterates
+        assert np.max(np.abs(stepped - plain)) < 1e-11
+        # the step takes the update and byproduct of the evaluation at the
+        # iterate it replaces, and the returned iterate is the last evaluated
+        assert len(seen) == report.iterates - 1
+        update, evaluated = seen[0]
+        assert np.array_equal(evaluated, f0)
+        assert np.array_equal(update, f0 + cumulative_integral(4.0 * f0, grid))
+        assert np.array_equal(last, stepped)
+        # a step that returns the update is plain Picard, bit for bit
+        same, same_report, _ = picard_solve(
+            f0, rhs, grid, tol=1e-12, step=lambda update, _: update
+        )
+        assert np.array_equal(same, plain) and same_report == plain_report
 
     def test_seed_grid_mismatch(self):
         grid = np.linspace(0.0, 0.5, 21)
@@ -323,20 +360,26 @@ class TestHalvingDriver:
         lam = 8.0
         grid = np.linspace(0.0, 1.0, 401)
         first = {}  # the first iterate of each trial, by its span's end
+        asked = []  # (span end, halvings) of each seed call
 
         def rhs(x, nodes):
             first.setdefault(nodes[-1], x.copy())
             return lam * x, None
 
-        seed = np.exp(lam * grid)
+        def seed(nodes, halvings):
+            asked.append((nodes[-1], halvings))
+            return None if halvings else np.exp(lam * grid)
+
         _, report, _, _, _ = picard_solve_with_halving(
-            rhs, 1.0, grid, tol=1e-10, max_iter=12, x0=seed
+            rhs, 1.0, grid, tol=1e-10, max_iter=12, seed=seed
         )
         assert report.converged and report.halvings >= 1
         trials = list(first.values())
         assert len(trials) == report.halvings + 1
-        assert np.array_equal(trials[0], seed)
-        # a retry has as many nodes, but the seed belongs to the first span
+        # the seed is asked once per trial, with the trial's nodes
+        assert asked == [(end, n) for n, end in enumerate(first)]
+        assert np.array_equal(trials[0], np.exp(lam * grid))
+        # a retry has as many nodes; None starts it from the constant
         assert all(np.array_equal(x, np.ones(grid.size)) for x in trials[1:])
 
         short = np.linspace(0.0, 0.3, 151)
@@ -344,7 +387,8 @@ class TestHalvingDriver:
             linear(lam), 1.0, short, tol=1e-12, max_iter=40
         )
         seeded, warm, _, _, _ = picard_solve_with_halving(
-            linear(lam), 1.0, short, tol=1e-12, max_iter=40, x0=unseeded
+            linear(lam), 1.0, short, tol=1e-12, max_iter=40,
+            seed=lambda nodes, halvings: unseeded,
         )
         assert warm.halvings == 0
         assert warm.iterates < plain.iterates

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
+from semiflrw import solver
+from semiflrw.core import (
+    DEFAULT_HUBBLE_CRITICAL,
+    InitialData,
+    PhysicalParams,
+    cumulative_integral,
+    scale_factor_from_hubble,
+)
 from semiflrw.fixedpoint import PicardReport, picard_solve, richardson_error
 from semiflrw.solver import (
     EPSILON_SCALE,
@@ -20,8 +27,11 @@ from semiflrw.solver import (
     RunLog,
     SolverConfig,
     _rhs_detail,
+    choose_step,
     continue_maximal,
     default_dt_target,
+    friedmann_rhs,
+    hubble_at_fixed_wick,
     initial_segment_state,
     load_checkpoint,
     picard_seed,
@@ -129,6 +139,8 @@ class TestConfig:
             {"max_segments": math.nan},
             {"max_segments": 5.5},
             {"max_segments": math.inf},
+            # an infinite tol accepts every first iterate
+            {"tol": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -389,6 +401,13 @@ class TestContinuationContract:
         with pytest.raises(ValueError, match="tau_horizon must exceed tau0"):
             continue_maximal(
                 InitialData(0.0, 1.0, 0.0), horizon, PhysicalParams(mass=0.0), W0
+            )
+
+    def test_infinite_horizon_is_rejected(self):
+        # its slack 1e-12 |horizon| would end the run at once as TimeHorizon
+        with pytest.raises(ValueError, match="tau_horizon must .* be finite"):
+            continue_maximal(
+                InitialData(0.0, 1.0, 0.0), math.inf, PhysicalParams(mass=0.0), W0
             )
 
 
@@ -1105,6 +1124,115 @@ class TestPicardSeed:
         save_checkpoint(path, log, 0.004)
         carry, reports, _, _ = load_checkpoint(path)
         assert carry.last_report == reports[-1] == sol.final_state.last_report
+
+
+def massive_segments(initial, params, wick_cfg, count):
+    """The first count segments of a run, each with the carry it started
+    from, as solve_segment returns them."""
+    carry = initial_segment_state(initial, params, wick_cfg)
+    out = []
+    for _ in range(count):
+        segment = solve_segment(carry, 1.0)
+        out.append((carry, segment))
+        carry = segment
+    return out
+
+
+class TestFixedWickSplit:
+    """A massive segment's iterates solve the equation at a frozen W
+    between two bank sweeps; the sweep at an iterate still decides."""
+
+    initial = InitialData(0.0, 1.0, 5.0)
+    params = PhysicalParams(mass=1.0)
+    wick_cfg = WickConfig(k_max=20.0, n_k=32)
+
+    def test_a_segment_accepted_on_its_seed(self):
+        segments = massive_segments(self.initial, self.params, self.wick_cfg, 8)
+        seeded = [(c, s) for c, s in segments if s.last_report.iterates == 1]
+        assert seeded
+        for carry, segment in seeded:
+            report = segment.last_report
+            assert report.residuals[0] < report.tol
+            # W, a and the bank are those of the one sweep, at the stored H
+            f, (w, a, history) = _rhs_detail(
+                segment.hist_hubble, segment.hist_taus, carry
+            )
+            assert np.array_equal(w, segment.hist_wick)
+            assert np.array_equal(a, segment.hist_a)
+            assert np.array_equal(history[0][-1], segment.mode_bank_carry.chi)
+
+    def test_the_split_changes_the_iterates_not_the_fixed_point(self):
+        (_, first), (carry, segment) = massive_segments(
+            self.initial, self.params, self.wick_cfg, 2
+        )
+        assert segment.last_report.halvings == 0
+        nodes = segment.hist_taus
+        tol = SolverConfig().tol
+
+        def plain(tol):
+            return picard_solve(
+                np.full(nodes.size, carry.hubble_start),
+                lambda h: _rhs_detail(h, nodes, carry), nodes, tol, MAX_ITER,
+            )
+
+        # against the fixed point to 1e-3 tol, and against plain Picard at tol
+        for reference, _, _ in (plain(1e-3 * tol), plain(tol)):
+            assert np.max(np.abs(segment.hist_hubble - reference)) < tol
+        # every sweep is one bank evolution: the split needs fewer
+        assert segment.last_report.iterates < plain(tol)[1].iterates
+
+    def test_a_sweep_after_a_fixed_w_solve_leaves_rounding(self):
+        # W moves with H only through a(H), so the fixed point at the swept
+        # W leaves a residual orders of magnitude below the one before,
+        # where a plain Picard step cuts it by about the contraction target
+        segments = massive_segments(self.initial, self.params, self.wick_cfg, 8)
+        swept = [s.last_report for _, s in segments if s.last_report.iterates > 1]
+        assert swept
+        for report in swept:
+            assert max(report.contraction_ratios) < 1e-3
+
+    def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, monkeypatch):
+        # near the wall a span 30 or 1000 times the proposed one is too stiff
+        # for the frozen-W iteration to contract; the trial still ends as a
+        # converged segment or a rejection, which the run reports
+        params = PhysicalParams(
+            mass=1.0, cosmological_constant=1.1 * HC**4 / (960.0 * math.pi**2)
+        )
+        initial = InitialData(0.0, 1.0, 0.99 * HC)
+        start = initial_segment_state(initial, params, self.wick_cfg)
+        span, _ = choose_step(
+            start.hubble_start, start.a_start, float(start.hist_wick[-1]),
+            start.hubble_start, params,
+        )
+        unsolved = []  # frozen-W solves that stopped with a large update
+
+        def recorded(carry, nodes, w, x):
+            out = hubble_at_fixed_wick(carry, nodes, w, x)
+            a_vals = scale_factor_from_hubble(out, nodes, carry.a_start)
+            update = carry.hubble_start + cumulative_integral(
+                friedmann_rhs(out, a_vals, w, params), nodes
+            )
+            if np.max(np.abs(update - out)) > 1e-3:
+                unsolved.append(nodes[-1])
+            return out
+
+        monkeypatch.setattr(solver, "hubble_at_fixed_wick", recorded)
+        for factor, outcome in ((30.0, None), (1000.0, CriticalHubble)):
+            unsolved.clear()
+            carry = replace(start, next_step=(factor * span, "contraction"))
+            if outcome is None:
+                segment = solve_segment(carry, 1.0)
+                assert segment.last_report.converged
+                assert segment.last_report.halvings > 0
+            else:
+                with pytest.raises(outcome):
+                    solve_segment(carry, 1.0)
+            assert unsolved
+            sol, rep = continue_maximal(
+                initial, 1.0, params, self.wick_cfg, resume_from=carry
+            )
+            assert rep.reason == "HitCriticalHubble"
+            assert all(r.converged for r in sol.reports)
 
 
 class TestSegmentCallback:
