@@ -16,14 +16,16 @@ regularity breach.
 The span comes from a local step controller (choose_step), after
 Gustafsson and Soderlind, which steers the Picard iteration's convergence
 rate rather than bounding f over a tube.  It is the least of: a contraction
-limit, aiming at TARGET_CONTRACTION per iterate from the larger of the last
-segment's largest observed ratio and |df/dH| dt at the carried node; an
-accuracy limit, scaling dt by (target / err)^(1/3) with err the Richardson
-estimate of the error of the segment rule, core.cumulative_integral (all
-nodes against every second node, on f at the returned iterate, so no extra
-evaluation); the rule's first interval is a trapezoid step, so that error
-scales as dt^3 (core.RULE_ORDER) at a fixed node count; a growth limit, a
-fraction of gap / |f| at the carried node, gap = Hc - |H|; a denominator
+limit, aiming at TARGET_CONTRACTION = 0.1 per iterate from the larger of the
+last segment's largest observed ratio and |df/dH| dt at the carried node; an
+accuracy limit, scaling dt by (target / err)^(1/3) rounded up to a power of
+2^(1/4), with err the Richardson estimate of the error of the segment rule,
+core.cumulative_integral (all nodes against every second node, on f at the
+returned iterate, so no extra evaluation); the rule's first interval is a
+trapezoid step, so that error scales as dt^3 (core.RULE_ORDER) at a fixed
+node count, and the estimate, a difference of two cumulative sums, carries
+their rounding, which the rungs keep out of dt; a growth limit, a fraction
+of gap / |f| at the carried node, gap = Hc - |H|; a denominator
 limit 1 / (2 a max|H|) over the converged nodes; dt_target; and the
 remaining span.  A trial that does not converge, whose iterate crosses the
 critical rate or blows the scale factor up, or whose Richardson estimate is
@@ -46,7 +48,10 @@ history extrapolated as H is (at the carried W on the first segment and
 after a retry), and each later iterate its fixed point at the W of the
 sweep before.  An iterate is accepted only on the full-map residual of the
 sweep at it, whose W, a and bank history the segment keeps.  Seed and
-split change the iterates, not the fixed point.
+split change the iterates, not the fixed point.  The contraction the step
+controller aims at is thus paid in frozen-W evaluations, while the iteration
+between sweeps contracts far below it, so the target is looser than a plain
+Picard iteration would afford.
 """
 
 from __future__ import annotations
@@ -403,7 +408,7 @@ def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
 
 # Step control.  The Picard iteration should contract by about this much
 # per iterate.
-TARGET_CONTRACTION = 0.05
+TARGET_CONTRACTION = 0.1
 # The Richardson estimate of a segment's quadrature error has a target of
 # this many Picard tolerances.  The controller aims at ACCURACY_AIM times
 # the target, and a trial above REJECT_ACCURACY times it is rejected.
@@ -416,10 +421,22 @@ GROWTH_FRACTION = 0.25
 # The span changes by at most this factor from one segment to the next,
 # either way, and does not grow after a segment that needed a retry.
 MAX_FACTOR = 4.0
+# The accuracy factor is rounded up to a power of 2^(1/LADDER_RUNGS).
+LADDER_RUNGS = 4
 
 
 def _quotient(num: float, den: float) -> float:
     return num / den if den else math.inf
+
+
+def _on_ladder(factor: float) -> float:
+    """The least power of 2^(1/LADDER_RUNGS) not below a finite factor > 0,
+    other factors as they are.  The Richardson estimate carries the rounding
+    of a difference of two cumulative sums; on the ladder it moves the span
+    only where the factor lies within that rounding of a rung."""
+    if not 0.0 < factor < math.inf:
+        return factor
+    return 2.0 ** (math.ceil(LADDER_RUNGS * math.log2(factor)) / LADDER_RUNGS)
 
 
 def choose_step(
@@ -453,7 +470,9 @@ def choose_step(
         rho = max(ratio, stiffness * dt)
         factors = {
             "contraction": _quotient(TARGET_CONTRACTION, rho),
-            "accuracy": _quotient(ACCURACY_AIM, error) ** (1.0 / RULE_ORDER),
+            "accuracy": _on_ladder(
+                _quotient(ACCURACY_AIM, error) ** (1.0 / RULE_ORDER)
+            ),
         }
         for name, factor in factors.items():
             limits[name] = dt * min(max(factor, low), high)

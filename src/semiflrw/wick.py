@@ -31,8 +31,20 @@ from .modes import ModeBank, potential
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
-# Gauss-Legendre nodes per radial panel.
-PANEL_POINTS = 8
+# The Gauss-Legendre rule of each radial panel, its nodes and weights on
+# [-1, 1]: the float reprs of numpy's leggauss(8), written out so that a run
+# imports no numpy.polynomial.
+PANEL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362,
+])
+PANEL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706,
+])
+PANEL_POINTS = PANEL_NODES.size
 
 # The tail fit runs over this top fraction of the radial nodes.
 TAIL_FIT_WINDOW = 0.25
@@ -154,13 +166,12 @@ def radial_grid(k_max: float, n_k: int, k_knee: float = 0.0):
         lin_edges = np.linspace(0.0, knee, n_lin + 1)
         log_edges = np.geomspace(knee, k_max, n_log + 1)
         edges = np.concatenate([lin_edges, log_edges[1:]])
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(PANEL_POINTS)
     nodes = []
     weights = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (ref_nodes + 1.0))
-        weights.append(half * ref_weights)
+        nodes.append(lo + half * (PANEL_NODES + 1.0))
+        weights.append(half * PANEL_WEIGHTS)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -55,6 +55,14 @@ def test_library_calls_build(workloads, workload):
     assert call["wick_cfg"].k_max == 40.0
 
 
+@pytest.mark.parametrize("workload", ["massive_vacuum", "massless_wall"])
+def test_library_outputs_pass_the_workload_check(workloads, workload):
+    # the canonical seed-0 outputs the benchmark holds a run to
+    call = workloads.library_call(workload, 0)
+    solution, report = solver.continue_maximal(**call)
+    assert workloads.check_library(workload, 0, call, solution, report) == []
+
+
 def test_checkpoint_config_builds(workloads):
     config = cli.parse_config_mapping(workloads.checkpoint_config(0), "bench")
     cli.build_run(config)

@@ -274,6 +274,23 @@ class TestWallPush:
         wall = (1.0 - 1e-6) * HC
         assert np.all(np.abs(sol.hubble[:-1]) < wall)
 
+    def test_a_massive_approach_from_below_reaches_the_wall(self):
+        # found by a random sweep: at the contraction target 0.05 this run
+        # shrank dt below the float spacing at H = -119.215, a margin of
+        # 1.3e-4 against a guard of 1.2e-4; at 0.1 without the accuracy
+        # ladder the Richardson bound rejected every retry of a trial at
+        # tau 0.081
+        params = PhysicalParams(
+            mass=2.363, cosmological_constant=-0.0012 * HC**4 / (960.0 * math.pi**2)
+        )
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.824, 18.598), 0.8852, params,
+            WickConfig(k_max=20.0, n_k=64), SolverConfig(max_segments=3000),
+        )
+        assert rep.reason == "HitCriticalHubble"
+        assert sol.hubble[-1] <= -(1.0 - 1e-6) * HC
+        assert all(r.converged for r in sol.reports)
+
 
 class TestRejectedTrial:
     """A trial span that no converged segment can take is retried shorter."""
@@ -411,6 +428,43 @@ class TestContinuationContract:
             )
 
 
+class TestChooseStep:
+    """The accuracy limit scales the last span by a power of 2^(1/4), so
+    the rounding of the Richardson estimate does not reach the span."""
+
+    # at H = 0 and Lambda = 0, f vanishes: no growth or denominator limit,
+    # and a ratio of 1e-3 puts the contraction limit at MAX_FACTOR dt
+    params = PhysicalParams(mass=0.0)
+    dt = 1.234e-3
+
+    def step(self, error, retried=False):
+        return choose_step(
+            0.0, 1.0, 0.0, 0.0, self.params, (self.dt, 1e-3, error, retried)
+        )
+
+    def test_an_accuracy_limited_span_is_a_rung_above_the_aim(self):
+        # factors up to the rung 2^(7/4) below MAX_FACTOR
+        for factor in np.geomspace(0.26, 3.3, 23):
+            span, limit = self.step(solver.ACCURACY_AIM / factor**solver.RULE_ORDER)
+            rung = round(4.0 * math.log2(span / self.dt))
+            assert (span, limit) == (self.dt * 2.0 ** (rung / 4.0), "accuracy")
+            assert factor * (1.0 - 1e-12) <= span / self.dt < factor * 2.0**0.25
+
+    def test_a_span_between_rungs_ignores_rounding_of_the_estimate(self):
+        for rung in range(-7, 8):
+            # the factor half a rung below 2^(rung/4)
+            factor = 2.0 ** ((rung - 0.5) / 4.0)
+            error = solver.ACCURACY_AIM / factor**solver.RULE_ORDER
+            span = self.dt * 2.0 ** (rung / 4.0)
+            for moved in (error, error * (1.0 + 1e-9), error * (1.0 - 1e-9)):
+                assert self.step(moved) == (span, "accuracy")
+
+    def test_a_zero_estimate_leaves_the_accuracy_limit_infinite(self):
+        # only the clip to MAX_FACTOR, or to 1 after a retry, bounds it
+        assert self.step(0.0)[0] == solver.MAX_FACTOR * self.dt
+        assert self.step(0.0, retried=True)[0] == self.dt
+
+
 class TestRunProperties:
     """Properties of whole runs that hold for every input: the horizon does
     not steer the segments before the last, and the equation's a0-scaling
@@ -451,25 +505,42 @@ class TestRunProperties:
         tau0=st.floats(min_value=0.0, max_value=0.5),
     )
     @example(scale=2.0, h0=5.0, tau0=0.0)
+    # accuracy sets three spans; at the contraction target 0.1 without the
+    # accuracy ladder tau moved by 5e-10
+    @example(scale=2.754, h0=-7.511, tau0=0.013)
     def test_a0_scaling_maps_a_run_onto_a_run(self, scale, h0, tau0):
+        self.assert_scaling(scale, h0, tau0)
+
+    def test_a0_scaling_holds_where_accuracy_sets_the_span(self):
+        # accuracy sets four of the eight spans of the base run; without the
+        # accuracy ladder of choose_step tau moves by 5e-11 under the map
+        limits = self.assert_scaling(1.185, -7.887, 0.323)
+        assert "accuracy" in limits
+
+    def assert_scaling(self, scale, h0, tau0) -> list[str]:
+        """Check the a0-scaling of one run; return the limits that set the
+        base run's spans."""
         # a0 -> s a0, tau -> tau / s and k -> s k leave H and W unchanged and
         # take a to s a: the mode equation, the knee 10 a0 m, dt_target and
         # the step controller all scale alike
-        def run(s):
+        def run(s, callback=None):
             return continue_maximal(
                 InitialData(tau0 / s, s, h0), (tau0 + 0.02) / s,
                 PhysicalParams(mass=1.0),
                 WickConfig(k_max=20.0 * s, n_k=32, tail_model="none"),
-                SolverConfig(),
+                SolverConfig(), segment_callback=callback,
             )[0]
 
-        base, scaled = run(1.0), run(scale)
+        limits = []
+        base = run(1.0, lambda log: limits.append(log.carry.next_step[1]))
+        scaled = run(scale)
         assert len(scaled.reports) == len(base.reports)
         assert_close = np.testing.assert_allclose
         assert_close(scale * scaled.taus, base.taus, rtol=1e-11, atol=1e-14)
         assert_close(scaled.scale_factor / scale, base.scale_factor, rtol=1e-11)
         assert_close(scaled.hubble, base.hubble, rtol=1e-11, atol=1e-11)
         assert_close(scaled.wick_square, base.wick_square, rtol=0.0, atol=1e-11)
+        return limits
 
 
 class TestBlowUp:

@@ -13,6 +13,9 @@ from scipy.integrate import simpson
 from semiflrw.core import EULER_GAMMA, PhysicalParams
 from semiflrw.modes import ModeBank, evolve_bank
 from semiflrw.wick import (
+    PANEL_NODES,
+    PANEL_POINTS,
+    PANEL_WEIGHTS,
     TWO_PI_SQ,
     BogoliubovProfile,
     InvalidProfile,
@@ -109,6 +112,11 @@ class TestConfig:
 
 
 class TestRadialGrid:
+    def test_panel_rule_is_numpys_gauss_legendre_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(PANEL_POINTS)
+        assert PANEL_NODES.tobytes() == nodes.tobytes()
+        assert PANEL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_nodes_inside_interval(self):
         nodes, weights = radial_grid(30.0, 64, 2.0)
         assert nodes.size == 64
