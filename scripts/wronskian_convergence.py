@@ -26,7 +26,10 @@ def main() -> None:
     args = parser.parse_args()
 
     nodes = np.linspace(0.0, 2.0, 2001)
-    v = potential(1.0 + args.amplitude * np.sin(nodes), 1.0, args.mass)
+    a = 1.0 + args.amplitude * np.sin(nodes)
+    v = potential(a, 1.0, args.mass)
+    # V' = 2 m^2 a a'
+    dv = 2.0 * args.mass**2 * a * args.amplitude * np.cos(nodes)
     momenta, weights = radial_grid(50.0, 64)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=args.mass, tau0=0.0)
 
@@ -34,7 +37,7 @@ def main() -> None:
     previous = None
     cap = args.cap
     for _ in range(args.halvings + 1):
-        chi, dchi = evolve_bank(bank, v, nodes, substep_cap=cap)
+        chi, dchi = evolve_bank(bank, v, dv, nodes, substep_cap=cap)
         drift = float(np.max(wronskian_error(chi, dchi)))
         ratio = "" if previous is None else f"{previous / drift:8.1f}"
         print(f"{cap:>10.5f} {drift:>13.3e} {ratio:>8}")

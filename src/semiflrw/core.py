@@ -7,11 +7,13 @@ orientation is fixed by the closed-form scale-factor map
 
 which makes a' = +a^2 H along regular solutions.  The cumulative integrals
 of a segment solve, int f and int H, use one retarded rule
-(cumulative_integral): trapezoid on the first interval, Adams-Moulton 3 on
-the second and Adams-Moulton 4 on every later one, so the integral at a
-node reads the integrand at that node and before it only, as the
-retarded equation does.  Cosmological time, a diagnostic over a whole
-run's history, keeps the composite trapezoid rule.
+(cumulative_integral): Adams-Moulton 4 on every interval, its first two
+reading the integrand at two back points, the last two history nodes
+before the segment (rule_start), so the integral at a node reads the
+integrand at that node and before it only, as the retarded equation does.
+A run's first segment has no history and starts with a trapezoid and an
+Adams-Moulton 3 step instead (COLD_START).  Cosmological time, a
+diagnostic over a whole run's history, keeps the composite trapezoid rule.
 """
 
 from __future__ import annotations
@@ -39,33 +41,99 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
-# The error of cumulative_integral over a span scales as the width of its
-# intervals cubed, at fixed node count as the span cubed: the trapezoid step
-# on the first interval dominates the fourth-order steps after it.
-RULE_ORDER = 3
+# The rule's weights are numerators over 24, so a constant integrates
+# exactly.  Adams-Moulton 4 weighs an interval's end nodes and the two
+# before it by (1, -5, 19, 9); np.convolve takes them reversed.
+_AM4 = np.array([9.0, 19.0, -5.0, 1.0])
 
 
-def cumulative_integral(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Running integral of values over nodes, starting at 0, retarded: the
-    integral at node j reads values at nodes <= j only.
+@dataclass(frozen=True, eq=False)
+class RuleStart:
+    """The first two intervals of cumulative_integral on one set of nodes.
 
-    The first interval takes the trapezoid rule, the second Adams-Moulton 3,
-    weights (-1, 8, 5)/12 on the values at its nodes and the one before, and
-    every later interval Adams-Moulton 4, weights (1, -5, 19, 9)/24 on the
-    values at its nodes and the two before.  Each interval is scaled by its
-    own width.  On equal widths an interval's increment is exact for linear
-    values on the first interval, quadratics on the second and cubics after.
+    weights holds one row per interval, numerators over 24 on the values at
+    the two back points and nodes 0-2, oldest first.  order is the rule's
+    order: its error falls 2^order-fold when the widths halve.  power is
+    the exponent of the span in that error at a fixed node count.
     """
-    widths = np.diff(nodes)
-    increments = np.empty(widths.size)
-    increments[:1] = widths[:1] * (values[:1] + values[1:2]) / 2.0
-    increments[1:2] = (
-        widths[1:2] * (-values[:1] + 8.0 * values[1:2] + 5.0 * values[2:3]) / 12.0
-    )
-    increments[2:] = widths[2:] * (
-        values[:-3] - 5.0 * values[1:-2] + 19.0 * values[2:-1] + 9.0 * values[3:]
-    ) / 24.0
-    return np.concatenate(([0.0], np.cumsum(increments)))
+
+    weights: np.ndarray
+    order: int
+    power: int
+
+
+# With back points every interval is fourth order, and the rule's error over
+# a span is the sum of their width^5 errors: width^4 span, at a fixed node
+# count span^5.
+RULE_ORDER = 4
+# Without them the trapezoid step on the first interval, third order, sets
+# both exponents.
+COLD_START = RuleStart(
+    np.array([[0.0, 0.0, 12.0, 12.0, 0.0], [0.0, 0.0, -2.0, 16.0, 10.0]]), 3, 3
+)
+
+
+def rule_start(nodes: np.ndarray, spacing: float | None = None) -> RuleStart:
+    """The start of cumulative_integral on nodes whose back points lie
+    2 spacing and spacing before node 0; COLD_START for spacing None.
+
+    The first interval's weights integrate the cubic through the two back
+    points and its nodes, the second's the cubic through the nearer back
+    point and nodes 0-2.  At a ratio r = 1 of spacing to the nodes' width
+    both rows are Adams-Moulton 4's.  Build one per set of nodes: it is the part of
+    the rule that does not depend on the values.
+    """
+    if spacing is None:
+        return COLD_START
+    r = spacing * (nodes.size - 1) / (nodes[-1] - nodes[0])
+    weights = np.array([
+        [
+            1.0 / (r * r),
+            -2.0 * (4.0 * r + 1.0) / (r * r * (r + 1.0)),
+            (12.0 * r * r + 6.0 * r + 1.0) / (r * r),
+            6.0 * (2.0 * r + 1.0) / (r + 1.0),
+            0.0,
+        ],
+        [
+            0.0,
+            6.0 / (r * (r + 1.0) * (r + 2.0)),
+            -(2.0 * r + 3.0) / r,
+            2.0 * (8.0 * r + 11.0) / (r + 1.0),
+            (10.0 * r + 17.0) / (r + 2.0),
+        ],
+    ])
+    return RuleStart(weights, RULE_ORDER, RULE_ORDER + 1)
+
+
+def cumulative_integral(
+    values: np.ndarray,
+    nodes: np.ndarray,
+    start: RuleStart = COLD_START,
+    back=(0.0, 0.0),
+) -> np.ndarray:
+    """Running integral of values over equally spaced nodes, starting at 0,
+    retarded: the integral at node j reads values at nodes <= j only.
+
+    Every interval from the third on takes Adams-Moulton 4, weights
+    (1, -5, 19, 9)/24 on the values at its nodes and the two before.  The
+    first two take start's weights, which also read back, the values at the
+    two back points, oldest first.  COLD_START reads no back points: the
+    trapezoid rule on the first interval and Adams-Moulton 3, weights
+    (-1, 8, 5)/12, on the second.  Each interval's increment is exact for
+    cubics, except on a cold start for the first (lines) and the second
+    (quadratics).  The integer numerators make the rule exact for a
+    constant, and the common width multiplies their running sum once.
+    """
+    width = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    padded = np.concatenate((back, values))
+    steps = np.convolve(padded, _AM4, "valid")
+    steps[:2] = start.weights[: steps.size, : padded.size] @ padded[:5]
+    out = np.empty(values.size)
+    out[0] = 0.0
+    np.cumsum(steps, out=out[1:])
+    out *= width
+    out /= 24.0
+    return out
 
 
 def check_integers(config, names) -> None:
@@ -143,15 +211,22 @@ class InitialData:
             )
 
 
-def scale_factor_from_hubble(h: np.ndarray, nodes: np.ndarray, a0: float) -> np.ndarray:
-    """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on.
+def scale_factor_from_hubble(
+    h: np.ndarray,
+    nodes: np.ndarray,
+    a0: float,
+    start: RuleStart = COLD_START,
+    back=(0.0, 0.0),
+) -> np.ndarray:
+    """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on,
+    int H by cumulative_integral from start, with H at its back points.
 
     Raises BlowUp at the first node where the denominator falls to <= 0
     (regularity condition on the cumulative Hubble integral).
     """
     if not (np.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and > 0, got {a0}")
-    denominator = 1.0 - a0 * cumulative_integral(h, nodes)
+    denominator = 1.0 - a0 * cumulative_integral(h, nodes, start, back)
     bad = np.flatnonzero(denominator <= 0.0)
     if bad.size:
         j = int(bad[0])

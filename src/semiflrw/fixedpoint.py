@@ -1,7 +1,8 @@
 """Picard iteration for retarded Volterra equations X = F0 + int f(X).
 
 The iterator evaluates f at X_n and forms the update F0 + int_a^t f(X_n),
-with the retarded rule core.cumulative_integral, until the discrete
+with the retarded rule core.cumulative_integral, from f at two back points
+before a when the caller has them (history), until the discrete
 uniform norm of X_n minus that update falls below tol.  That norm is
 exactly the equation residual ||X_n - F0 - int f(X_n)|| of X_n, so the
 iterator returns X_n, with the evaluation made at X_n: convergence is
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RULE_ORDER, cumulative_integral
+from .core import cumulative_integral, rule_start
 
 
 class NaNDetected(RuntimeError):
@@ -93,6 +94,11 @@ class PicardReport:
         }
 
 
+# (spacing, f at the two back points 2 spacing and spacing before the first
+# node): what the rule starts from.  Without a spacing it starts cold.
+COLD = (None, (0.0, 0.0))
+
+
 def picard_solve(
     f0: np.ndarray,
     rhs: Callable[[np.ndarray], tuple[np.ndarray, object]],
@@ -101,6 +107,7 @@ def picard_solve(
     max_iter: int = 60,
     x0: np.ndarray | None = None,
     step: Callable[[np.ndarray, object], np.ndarray] | None = None,
+    history=COLD,
 ) -> tuple[np.ndarray, PicardReport, object]:
     """Iterate on X = F0 + int_a^t f(X) until the update norm is < tol.
 
@@ -110,7 +117,10 @@ def picard_solve(
     computed that the caller wants back at the fixed point.  The first
     iterate is F0 unless a seed x0 is supplied, and the next one is the
     update F0 + int f(X_n), or step(update, byproduct) when a step is
-    given; the equation solved is the same either way.  Raises NaNDetected
+    given; the equation solved is the same either way.  history is
+    (spacing, f at the two back points 2 spacing and spacing before
+    nodes[0]), which the rule starts from (core.rule_start); COLD has none.
+    Raises NaNDetected
     on the first non-finite node and NoConvergence (with the report
     attached) when max_iter is exhausted.  On success the returned X is the
     last iterate the RHS was evaluated at: its equation residual
@@ -124,6 +134,7 @@ def picard_solve(
         raise ValueError("x0 must hold one value per node")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
+    start, back = rule_start(nodes, history[0]), history[1]
     current = f0 if x0 is None else x0
     residuals: list[float] = []
     for _ in range(max_iter):
@@ -139,7 +150,7 @@ def picard_solve(
                 j,
                 float(nodes[j]),
             )
-        new_values = f0 + cumulative_integral(values, nodes)
+        new_values = f0 + cumulative_integral(values, nodes, start, back)
         bad = ~np.isfinite(new_values)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -170,13 +181,18 @@ def segment_nodes(start: float, span: float, count: int) -> np.ndarray:
     return nodes
 
 
-def richardson_error(f: np.ndarray, nodes: np.ndarray) -> float:
+def richardson_error(f: np.ndarray, nodes: np.ndarray, history=COLD) -> float:
     """Error of the rule's int f over the nodes, estimated from the rule on
-    every second node: the coarse rule's error is 2^RULE_ORDER = 8 times
-    the fine one's."""
-    fine = cumulative_integral(f, nodes)[::2]
-    coarse = cumulative_integral(f[::2], nodes[::2])
-    return float(np.max(np.abs(fine - coarse))) / (2**RULE_ORDER - 1)
+    every second node, both from the same back points (history, as in
+    picard_solve): the coarse rule's error is 2^order times the fine one's,
+    16 times with back points and 8 times on a cold start."""
+    spacing, back = history
+    start = rule_start(nodes, spacing)
+    fine = cumulative_integral(f, nodes, start, back)[::2]
+    coarse = cumulative_integral(
+        f[::2], nodes[::2], rule_start(nodes[::2], spacing), back
+    )
+    return float(np.max(np.abs(fine - coarse))) / (2**start.order - 1)
 
 
 def picard_solve_with_halving(
@@ -190,6 +206,8 @@ def picard_solve_with_halving(
     max_error: float = math.inf,
     retry_on: tuple[type[Exception], ...] = (),
     step: Callable[[np.ndarray, np.ndarray, object], np.ndarray] | None = None,
+    history=COLD,
+    span: float | None = None,
 ) -> tuple[np.ndarray, PicardReport, np.ndarray, float, object]:
     """Solve X = start + int f(X) on a trial span, retrying on the front half
     of the span when the trial is rejected.
@@ -206,11 +224,18 @@ def picard_solve_with_halving(
     seed(nodes, halvings), when given, is a trial's first iterate, or None
     for the constant start; it runs inside the trial, so what retry_on
     names rejects the trial there too.  step(update, nodes, byproduct) is
-    picard_solve's step on the trial's nodes.
+    picard_solve's step on the trial's nodes.  history is picard_solve's,
+    for every trial: the back points stay where they are as the span halves.
+    span, when given, is a longer span that the trial was cut from, by a
+    horizon: a retry is then the one a trial on that span would have come
+    to, halved as often as it takes to fall below the cut trial and with
+    those halvings counted, so the cut changes no trial after its own.
     """
     if nodes.size < 3 or nodes.size % 2 == 0:
         raise ValueError("the trial span needs an odd count of at least 3 nodes")
     halvings = 0
+    # where the span that the retries halve ends
+    stop = nodes[-1] if span is None else nodes[0] + span
     while True:
 
         def evaluate(x):
@@ -224,22 +249,28 @@ def picard_solve_with_halving(
             x0 = None if seed is None else seed(nodes, halvings)
             x, report, (f, byproduct) = picard_solve(
                 np.full(nodes.size, start), evaluate, nodes, tol, max_iter, x0,
-                None if step is None else advance,
+                None if step is None else advance, history,
             )
-            estimate = richardson_error(f, nodes)
+            estimate = richardson_error(f, nodes, history)
             if estimate > max_error:
                 raise Rejected(
                     f"Richardson estimate {estimate:.3g} on a span of"
                     f" {nodes[-1] - nodes[0]:.3g} exceeds {max_error:.3g}"
                 )
         except (NoConvergence, Rejected, *retry_on) as err:
-            if halvings >= max_halvings:
-                if isinstance(err, NoConvergence):
-                    raise NoConvergence(
-                        f"no convergence after {halvings} halvings", err.report
-                    ) from err
-                raise
-            halvings += 1
-            nodes = segment_nodes(nodes[0], 0.5 * (nodes[-1] - nodes[0]), nodes.size)
+            cut = nodes[-1] - nodes[0]
+            while True:
+                if halvings >= max_halvings:
+                    if isinstance(err, NoConvergence):
+                        raise NoConvergence(
+                            f"no convergence after {halvings} halvings", err.report
+                        ) from err
+                    raise
+                halvings += 1
+                half = 0.5 * (stop - nodes[0])
+                stop = nodes[0] + half
+                if half < cut:
+                    break
+            nodes = segment_nodes(nodes[0], half, nodes.size)
             continue
         return x, replace(report, halvings=halvings), nodes, estimate, byproduct

@@ -7,11 +7,13 @@ The state is defined by solutions of
 
 with positive-frequency initial data at tau0 and the Wronskian normalization
 chi' conj(chi) - chi conj(chi') = i.  Evolution is classical fixed-step RK4,
-with V sampled at the nodes and linear between them, so the result is a
-deterministic function of the sampled scale factor.  Since k0^2 + V is real,
-the RK4 substeps across one grid interval make one real 2x2 transfer map per
-(interval, k); all maps are built in one vectorised pass, and one loop over
-the nodes applies them to the complex modes.
+with V and V' sampled at the nodes and V the cubic Hermite interpolant of
+them in between, so the result is a deterministic function of the sampled
+background.  The equation gives V' = 2 m^2 a a' = 2 m^2 a^3 H at a node
+for free.  Since k0^2 + V is real, the RK4 substeps across one grid
+interval make one real 2x2 transfer map per (interval, k); all maps are
+built in one vectorised pass, and one loop over the nodes applies them to
+the complex modes.
 """
 
 from __future__ import annotations
@@ -111,9 +113,16 @@ class ModeBank:
                         float(tau), self.a0_anchor, self.mass, self.tau0_anchor)
 
 
-def _rk4_maps(k0_sq: np.ndarray, nodes: np.ndarray, v_values: np.ndarray, step: float):
+def _rk4_maps(
+    k0_sq: np.ndarray,
+    nodes: np.ndarray,
+    v_values: np.ndarray,
+    dv_values: np.ndarray,
+    step: float,
+):
     """Transfer maps (m11, m12, m21, m22), each of shape (intervals, k), of
-    the RK4 substeps across each grid interval, V linear inside it.
+    the RK4 substeps across each grid interval, V inside it the cubic
+    v + t (v' + t (c2 + t c3)) that takes the values and slopes at its ends.
 
     One classical RK4 substep of length h on y = (chi, chi') is the real map
     y -> M y built from w = k0^2 + V at the substep's start, middle and end.
@@ -121,17 +130,23 @@ def _rk4_maps(k0_sq: np.ndarray, nodes: np.ndarray, v_values: np.ndarray, step: 
     fewer substeps than the most take the identity for the extra rounds.
     """
     width = np.diff(nodes)[:, None]
-    v_lo = v_values[:-1, None]
-    slope = (v_values[1:, None] - v_lo) / width
+    v_lo, d_lo, d_hi = v_values[:-1, None], dv_values[:-1, None], dv_values[1:, None]
+    secant = (v_values[1:, None] - v_lo) / width
+    c2 = (3.0 * secant - 2.0 * d_lo - d_hi) / width
+    c3 = (d_lo + d_hi - 2.0 * secant) / (width * width)
+
+    def v_at(t):
+        return v_lo + t * (d_lo + t * (c2 + t * c3))
+
     n_sub = np.maximum(1, np.ceil(width / step - 1e-12))
     h = width / n_sub
     q = 0.25 * h * h
     maps = None
     for i in range(int(np.max(n_sub))):
         t_local = i * h
-        w_a = k0_sq + (v_lo + slope * t_local)
-        w_b = k0_sq + (v_lo + slope * (t_local + 0.5 * h))
-        w_c = k0_sq + (v_lo + slope * (t_local + h))
+        w_a = k0_sq + v_at(t_local)
+        w_b = k0_sq + v_at(t_local + 0.5 * h)
+        w_c = k0_sq + v_at(t_local + h)
         sub = (
             1.0 - (h * h / 6.0) * (w_a + 2.0 * w_b - q * w_a * w_b),
             h - (h * h * h / 6.0) * w_b,
@@ -161,12 +176,13 @@ def _rk4_sweep(
     dchi: np.ndarray,
     nodes: np.ndarray,
     v_values: np.ndarray,
+    dv_values: np.ndarray,
     step: float,
 ):
     """March chi'' = -(k0^2 + V) chi through consecutive grid intervals by
-    fixed-step RK4, V linear inside each interval, recording at every node.
-    Returns (chi_hist, dchi_hist) of shape (n_nodes, k)."""
-    m11, m12, m21, m22 = _rk4_maps(k0_sq, nodes, v_values, step)
+    fixed-step RK4, V cubic inside each interval (_rk4_maps), recording at
+    every node.  Returns (chi_hist, dchi_hist) of shape (n_nodes, k)."""
+    m11, m12, m21, m22 = _rk4_maps(k0_sq, nodes, v_values, dv_values, step)
     chi_hist = np.empty((nodes.size, k0_sq.size), dtype=np.complex128)
     dchi_hist = np.empty_like(chi_hist)
     chi_hist[0] = chi
@@ -196,20 +212,25 @@ def resolve_substep(
 def evolve_bank(
     bank: ModeBank,
     v: np.ndarray,
+    dv: np.ndarray,
     nodes: np.ndarray,
     substep_cap: float = SUBSTEP_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)
-    against V sampled at those nodes; return the histories (chi, chi'),
-    each of shape (nodes, k).  ModeBank.moved_to makes a bank of a row."""
+    against V and V' sampled at those nodes; return the histories
+    (chi, chi'), each of shape (nodes, k).  ModeBank.moved_to makes a bank
+    of a row."""
     nodes = np.asarray(nodes, dtype=np.float64)
     v_values = np.asarray(v, dtype=np.float64)
-    if v_values.shape != nodes.shape:
-        raise ValueError("V must hold one value per node")
+    dv_values = np.asarray(dv, dtype=np.float64)
+    if v_values.shape != nodes.shape or dv_values.shape != nodes.shape:
+        raise ValueError("V and V' must hold one value per node")
     if not math.isclose(nodes[0], bank.tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("nodes must start at the bank time")
     omega_max = math.sqrt(
         float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0)
     )
     step = resolve_substep(float(nodes[-1] - nodes[0]), omega_max, substep_cap)
-    return _rk4_sweep(bank.k0**2, bank.chi, bank.dchi, nodes, v_values, step)
+    return _rk4_sweep(
+        bank.k0**2, bank.chi, bank.dchi, nodes, v_values, dv_values, step
+    )

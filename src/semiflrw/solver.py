@@ -11,27 +11,32 @@ segment, a_s the scale factor at its start, and W_ren from the tau0-anchored
 mode bank evolved against a(H).
 Each segment iterates to the fixed point on a trial span, carries the state
 forward, and the outer loop continues until the time horizon or the first
-regularity breach.
+regularity breach.  The segment's integrals, int f and int H, take the rule
+core.cumulative_integral from the last two history nodes before it (its
+back points, SegmentState.back), fourth order; only a run's first segment
+has none and starts cold.
 
 The span comes from a local step controller (choose_step), after
 Gustafsson and Soderlind, which steers the Picard iteration's convergence
 rate rather than bounding f over a tube.  It is the least of: a contraction
-limit, aiming at TARGET_CONTRACTION = 0.1 per iterate from the larger of the
+limit, aiming at TARGET_CONTRACTION = 0.2 per iterate from the larger of the
 last segment's largest observed ratio and |df/dH| dt at the carried node; an
-accuracy limit, scaling dt by (target / err)^(1/3) rounded up to a power of
-2^(1/4), with err the Richardson estimate of the error of the segment rule,
-core.cumulative_integral (all nodes against every second node, on f at the
-returned iterate, so no extra evaluation); the rule's first interval is a
-trapezoid step, so that error scales as dt^3 (core.RULE_ORDER) at a fixed
-node count, and the estimate, a difference of two cumulative sums, carries
-their rounding, which the rungs keep out of dt; a growth limit, a fraction
-of gap / |f| at the carried node, gap = Hc - |H|; a denominator
-limit 1 / (2 a max|H|) over the converged nodes; dt_target; and the
-remaining span.  A trial that does not converge, whose iterate crosses the
-critical rate or blows the scale factor up, or whose Richardson estimate is
-well above target is rejected and retried on its front half, so only a
-converged segment's nodes can end a run.  Each segment is still confirmed
-after the fact by its equation residual.
+accuracy limit, scaling dt by (target / err)^(1/p) rounded up to a power of
+2^(1/4), with err the Richardson estimate of the error of the segment rule
+(all nodes against every second node, on f at the returned iterate, so no
+extra evaluation) and p the power of dt in that error at a fixed node
+count: 5 for the fourth-order rule, 3 on the cold first segment, whose
+trapezoid first interval sets it (core.RuleStart); the estimate, a
+difference of two cumulative sums, carries their rounding, which the rungs
+keep out of dt; a growth limit, a fraction of gap / |f| at the carried node,
+gap = Hc - |H|; a denominator limit 1 / (2 a max|H|) over the converged
+nodes; dt_target; and the remaining span.  A trial that does not converge,
+whose iterate crosses the critical rate or blows the scale factor up, or
+whose Richardson estimate is well above target is rejected and retried on
+its front half, so only a converged segment's nodes can end a run.  A trial
+that the remaining span cut short is retried as the uncut one would have
+been, so the horizon steers no segment but the last.  Each segment is still
+confirmed after the fact by its equation residual.
 
 The iteration starts from a seed extrapolated from the segment before
 (picard_seed): the start value plus the degree-4 polynomial through the
@@ -61,12 +66,12 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
-    RULE_ORDER,
     BlowUp,
     InitialData,
     PhysicalParams,
@@ -74,6 +79,7 @@ from .core import (
     cosmological_time,
     cumulative_integral,
     ricci_scalar,
+    rule_start,
     scale_factor_from_hubble,
 )
 from .fixedpoint import (
@@ -141,7 +147,7 @@ class SolverConfig:
     dt_target: float | None = None
     tol: float = 1e-10
     max_halvings: int = 6
-    nodes_per_segment: int = 49
+    nodes_per_segment: int = 25
     epsilon_critical: float = 1e-6
     max_segments: int = 10000
 
@@ -215,6 +221,19 @@ class SegmentState:
     def scale_denominator(self) -> float:
         """Global 1 - a0 int H = a0 / a, the blow-up margin."""
         return self.initial.a0 / self.a_start
+
+    @cached_property
+    def back(self) -> tuple[float | None, np.ndarray, np.ndarray]:
+        """(spacing, H, f) at the two history nodes before tau_start, the
+        back points the next segment's rule starts from (core.rule_start).
+        f is friedmann_rhs of the stored H, a and W: the f that the segment
+        ending here integrated there.  With fewer than three history nodes,
+        on a run's first segment, the rule starts cold: (None, 0, 0)."""
+        if self.hist_taus.size < 3:
+            return None, (0.0, 0.0), (0.0, 0.0)
+        taus, h, a, w = (values[-3:-1] for values in self.series)
+        spacing = (self.tau_start - taus[0]) / 2.0
+        return spacing, h, friedmann_rhs(h, a, w, self.params)
 
 
 class RunLog:
@@ -381,7 +400,7 @@ def friedmann_rhs(h, a, w, params: PhysicalParams):
 
 def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
     """f(H) at the segment nodes and the byproducts (W, a, the bank's
-    (chi, chi') history)."""
+    (chi, chi') history).  The bank sweeps against V and V' = 2 m^2 a^3 H."""
     params = carry.params
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
@@ -395,10 +414,14 @@ def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
             j,
             float(nodes[j]),
         )
-    a_vals = scale_factor_from_hubble(h, nodes, carry.a_start)
+    spacing, h_back, _ = carry.back
+    a_vals = scale_factor_from_hubble(
+        h, nodes, carry.a_start, rule_start(nodes, spacing), h_back
+    )
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
-        history = evolve_bank(carry.mode_bank_carry, v, nodes)
+        dv = 2.0 * params.mass**2 * a_vals**3 * h
+        history = evolve_bank(carry.mode_bank_carry, v, dv, nodes)
         w_vals = _wick_square(a_vals, history[0], carry)
     else:
         w_vals = np.zeros(nodes.size)
@@ -408,7 +431,7 @@ def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
 
 # Step control.  The Picard iteration should contract by about this much
 # per iterate.
-TARGET_CONTRACTION = 0.1
+TARGET_CONTRACTION = 0.2
 # The Richardson estimate of a segment's quadrature error has a target of
 # this many Picard tolerances.  The controller aims at ACCURACY_AIM times
 # the target, and a trial above REJECT_ACCURACY times it is rejected.
@@ -451,7 +474,9 @@ def choose_step(
 
     h_max is the largest |H| of the converged nodes at hand.  previous is
     (span, largest contraction ratio, Richardson estimate over its target,
-    retried) of the segment that ended here, None at the start of a run.
+    retried, power) of the segment that ended here, None at the start of a
+    run; power is the exponent of the span in the error of the rule that
+    made the estimate (core.RuleStart.power).
     The limit names which of contraction, accuracy, growth and denominator
     gave the span (see the module docstring); dt_target and the remaining
     span are applied by solve_segment.  Python floats throughout: a value
@@ -465,13 +490,13 @@ def choose_step(
     if previous is None:
         limits["contraction"] = _quotient(TARGET_CONTRACTION, stiffness)
     else:
-        dt, ratio, error, retried = previous
+        dt, ratio, error, retried, power = previous
         low, high = 1.0 / MAX_FACTOR, 1.0 if retried else MAX_FACTOR
         rho = max(ratio, stiffness * dt)
         factors = {
             "contraction": _quotient(TARGET_CONTRACTION, rho),
             "accuracy": _on_ladder(
-                _quotient(ACCURACY_AIM, error) ** (1.0 / RULE_ORDER)
+                _quotient(ACCURACY_AIM, error) ** (1.0 / power)
             ),
         }
         for name, factor in factors.items():
@@ -550,11 +575,13 @@ def hubble_at_fixed_wick(
     update, so x itself when the first update is not finite.  BlowUp
     propagates.
     """
+    spacing, h_back, f_back = carry.back
+    start = rule_start(nodes, spacing)
     best, smallest = x, math.inf
     for _ in range(MAX_ITER):
-        a_vals = scale_factor_from_hubble(x, nodes, carry.a_start)
+        a_vals = scale_factor_from_hubble(x, nodes, carry.a_start, start, h_back)
         update = carry.hubble_start + cumulative_integral(
-            friedmann_rhs(x, a_vals, w, carry.params), nodes
+            friedmann_rhs(x, a_vals, w, carry.params), nodes, start, f_back
         )
         norm = float(np.max(np.abs(update - x)))
         if not norm < smallest:
@@ -611,6 +638,8 @@ def solve_segment(
     )
     if not 0.0 < dt < math.inf:
         raise ZeroStep(f"step underflow: {limit} limit {dt!r}")
+    # the span that the remaining span may have cut
+    uncut = min(step[0], dt_cap)
     nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
     delta = 0.5 * (critical - abs(h_start))
 
@@ -636,6 +665,7 @@ def solve_segment(
         h_start, nodes, solver_cfg.tol, MAX_ITER, solver_cfg.max_halvings, seed,
         max_error=REJECT_ACCURACY * target, retry_on=(CriticalHubble, BlowUp),
         step=None if bank is None else step,
+        history=carry.back[::2], span=uncut if dt < uncut < math.inf else None,
     )
     ratio = max(report.contraction_ratios, default=0.0)
     log.debug(
@@ -653,7 +683,8 @@ def solve_segment(
     if history is not None:
         bank = bank.moved_to(history[0][last], history[1][last], nodes[last])
     previous = (
-        float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0
+        float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0,
+        rule_start(nodes, carry.back[0]).power,
     )
     return replace(
         carry,
@@ -827,7 +858,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -862,6 +893,9 @@ def save_checkpoint(
     must be the one last written, grown since.  Each line is one
     ``json.dumps`` call, which takes the C encoder (``json.dump`` takes the
     pure-Python one); floats survive the round trip exactly (repr-based).
+    The next segment's rule reads the last history nodes, so a file written
+    under another rule cannot resume bit for bit: CHECKPOINT_VERSION names
+    the rule too, and format 8 is the first whose rule reads the history.
     """
     if written == len(log.chunks):
         return written

@@ -2,8 +2,9 @@
 
 None of this is on the solver path; each routine is an independent route
 to a quantity the package computes another way.  Their background is a
-Potential, V sampled at grid nodes plus the constant a0^2 m^2; like the
-package, they take node arrays and interpolate linearly with numpy.interp.
+Potential, V and V' sampled at grid nodes plus the constant a0^2 m^2; like
+the package, the RK4 stepper takes V between nodes as the cubic Hermite
+interpolant of V and V'.
 
 * single-mode RK4 evolution, one stage sequence per substep (evolve_mode,
   its stepper _rk4_steps, the analytic V = 0 propagation _free_sweep and
@@ -17,6 +18,8 @@ package, they take node arrays and interpolate linearly with numpy.interp.
   modes (initial_energy_from_modes), against the closed form that
   semiflrw.energy uses;
 * verify_retardation, a probe that a right-hand side is retarded;
+* the exact massless solution tau(H), by quadrature of the separable
+  equation (massless_tau);
 * the renormalized Wick square and the Bogoliubov correction one time at a
   time, with a numpy.polyfit tail fit (wick_square_per_node,
   bogoliubov_delta_per_node), against the row-vectorised quadrature and
@@ -30,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson, quad, simpson
 
 from semiflrw.core import PhysicalParams, cumulative_trapezoid
 from semiflrw.modes import DegenerateMode, potential, wronskian_error
@@ -53,19 +56,26 @@ class StepTooLarge(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2) at the nodes taus.
+    """Frequency perturbation V(tau) = m^2 (a^2 - a0^2) and its derivative
+    dV at the nodes taus.
 
     freq_shift is the constant a0^2 m^2, so the full mode frequency is
-    omega^2(k, tau) = k^2 + freq_shift + V(tau).
+    omega^2(k, tau) = k^2 + freq_shift + V(tau).  dV defaults to the
+    second-order finite difference of V.
     """
 
     taus: np.ndarray
     V: np.ndarray
     freq_shift: float = 0.0
+    dV: np.ndarray | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.freq_shift) and self.freq_shift >= 0.0):
             raise ValueError("freq_shift must be finite and >= 0")
+        if self.dV is None:
+            object.__setattr__(
+                self, "dV", np.gradient(self.V, self.taus, edge_order=2)
+            )
 
     @classmethod
     def from_scale_factor(
@@ -166,13 +176,15 @@ def _rk4_steps(
     dchi: complex,
     nodes: np.ndarray,
     v_values: np.ndarray,
+    dv_values: np.ndarray,
     step: float,
 ):
     """March chi'' = -(k0^2 + V) chi through consecutive grid intervals, V
-    linear inside each interval, one classical RK4 stage sequence per
-    substep (n_sub = ceil(width / step) substeps per interval), recording
-    at every node.  Broadcasts over array k0_sq, chi and dchi.  Returns
-    (chi_hist, dchi_hist) with shape (n_nodes,) + chi.shape."""
+    inside each interval the cubic Hermite interpolant of V and V' at its
+    ends, one classical RK4 stage sequence per substep (n_sub =
+    ceil(width / step) substeps per interval), recording at every node.
+    Broadcasts over array k0_sq, chi and dchi.  Returns (chi_hist,
+    dchi_hist) with shape (n_nodes,) + chi.shape."""
     chi = np.array(chi, dtype=np.complex128)
     dchi = np.array(dchi, dtype=np.complex128)
     chi_hist = np.empty((nodes.size,) + chi.shape, dtype=np.complex128)
@@ -181,15 +193,21 @@ def _rk4_steps(
     dchi_hist[0] = dchi
     for j in range(nodes.size - 1):
         width = nodes[j + 1] - nodes[j]
-        v_lo = v_values[j]
-        slope = (v_values[j + 1] - v_lo) / width
+        v_lo, d_lo, d_hi = v_values[j], dv_values[j], dv_values[j + 1]
+        secant = (v_values[j + 1] - v_lo) / width
+        c2 = (3.0 * secant - 2.0 * d_lo - d_hi) / width
+        c3 = (d_lo + d_hi - 2.0 * secant) / (width * width)
+
+        def v_at(t):
+            return v_lo + t * (d_lo + t * (c2 + t * c3))
+
         n_sub = max(1, int(math.ceil(width / step - 1e-12)))
         h = width / n_sub
         for i in range(n_sub):
             t_local = i * h
-            w_a = k0_sq + (v_lo + slope * t_local)
-            w_b = k0_sq + (v_lo + slope * (t_local + 0.5 * h))
-            w_c = k0_sq + (v_lo + slope * (t_local + h))
+            w_a = k0_sq + v_at(t_local)
+            w_b = k0_sq + v_at(t_local + 0.5 * h)
+            w_c = k0_sq + v_at(t_local + h)
             k1c = dchi
             k1d = -w_a * chi
             k2c = dchi + 0.5 * h * k1d
@@ -252,6 +270,7 @@ def evolve_mode(
         np.complex128(state.dchi),
         nodes,
         v_values,
+        np.interp(nodes, potential.taus, potential.dV),
         step,
     )
     return ModeTrajectory(state.k, state.k0, nodes, chi_hist, dchi_hist)
@@ -540,3 +559,30 @@ def bogoliubov_delta_per_node(
     g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
     radial = _radial_per_node(g, config, bank.momenta, bank.weights)
     return 2.0 / a_tau**2 * radial.value
+
+
+def massless_tau(
+    hubble: float, params: PhysicalParams, tau0: float, a0: float, hubble0: float
+) -> float:
+    """The time at which a massless run from (tau0, a0, hubble0) reaches the
+    Hubble rate hubble, exact to the quadrature's 1e-13.
+
+    For m = 0, W drops out of the equation and it separates.  With
+    S(H) = H^4 - 2 Hc^2 H^2 + 960 pi^2 Lambda, H' = a S / (Hc^2 - H^2) and
+    a' = a^2 H give d ln a / dH = H (Hc^2 - H^2) / S = -(1/4) d ln S / dH,
+    so a(H) = a0 (S(H0) / S(H))^(1/4), and tau(H) is tau0 plus the integral
+    of (Hc^2 - x^2) / (a(x) S(x)) from H0 to H.  S must keep its sign
+    between them: a root of S is a fixed point the run does not pass.
+    """
+    hc2 = params.hubble_critical**2
+    lam = 960.0 * math.pi**2 * params.cosmological_constant
+
+    def source(x):
+        return x**4 - 2.0 * hc2 * x**2 + lam
+
+    def integrand(x):
+        a = a0 * (source(hubble0) / source(x)) ** 0.25
+        return (hc2 - x * x) / (a * source(x))
+
+    value, _ = quad(integrand, hubble0, hubble, epsabs=0.0, epsrel=1e-13, limit=200)
+    return tau0 + value

@@ -69,7 +69,7 @@ def test_criterion_01_wronskian_conservation(sine_background, k_nodes_64):
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
     v = pot.V
     err_base, err_half = (
-        np.max(wronskian_error(*evolve_bank(bank, v, grid, substep_cap=cap)))
+        np.max(wronskian_error(*evolve_bank(bank, v, pot.dV, grid, substep_cap=cap)))
         for cap in (0.02, 0.01)
     )
     elapsed = time.perf_counter() - started
@@ -150,7 +150,9 @@ def test_criterion_04_tail_decay(sine_background):
         cfg = WickConfig(k_max=k_max, n_k=n_k)
         momenta, weights = radial_grid(k_max, n_k)
         bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=1.0, tau0=0.0)
-        chi, _ = evolve_bank(bank, np.interp(sub, grid, pot.V), sub)
+        chi, _ = evolve_bank(
+            bank, np.interp(sub, grid, pot.V), np.interp(sub, grid, pot.dV), sub
+        )
         return wick_square_renormalized(
             float(np.interp(sub[-1], grid, a)), bank, chi[-1], params, cfg, detail=True
         )

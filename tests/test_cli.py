@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL
-from semiflrw.solver import load_checkpoint
+from semiflrw.solver import SolverConfig, load_checkpoint
 from semiflrw.wick import TailFit
 
 HC = DEFAULT_HUBBLE_CRITICAL
@@ -649,11 +649,13 @@ class TestCheckpointResume:
         ck.write_text(torn + "\n")
         with pytest.raises(ValueError, match="corrupt checkpoint line"):
             load_checkpoint(ck)
-        # nor is a file that lost a record readable
+        # nor is a file that lost a record readable: the first line holds
+        # tau0 and the first segment, n nodes, and each later one n - 1
+        n = SolverConfig().nodes_per_segment
         ck.write_text(lines[0] + lines[2])
         with pytest.raises(
-            ValueError, match="starts at node 97, not at the end of the history"
-            " read so far, node 49",
+            ValueError, match=f"starts at node {2 * n - 1}, not at the end of"
+            f" the history read so far, node {n}",
         ):
             load_checkpoint(ck)
 

@@ -16,6 +16,7 @@ from semiflrw.core import (
     cumulative_integral,
     cumulative_trapezoid,
     ricci_scalar,
+    rule_start,
     scale_factor_from_hubble,
 )
 
@@ -223,6 +224,61 @@ def test_cumulative_integral_is_retarded():
         changed = values.copy()
         changed[j + 1] += 1.0
         out = cumulative_integral(changed, nodes)
+        assert out[: j + 1].tobytes() == base[: j + 1].tobytes()
+        assert out[j + 1] != base[j + 1]
+
+
+def cubic_case(ratio):
+    """(values, back, nodes, exact increments) of a cubic on nodes of width
+    1/8, back points ratio widths apart; every width and point is exact in
+    binary."""
+    coefficients = (0.7, -1.3, 2.1, -0.9)
+    nodes = 0.5 + 0.125 * np.arange(12.0)
+
+    def cubic(t):
+        return sum(c * t**i for i, c in enumerate(coefficients))
+
+    primitive = sum(c * nodes ** (i + 1) / (i + 1) for i, c in enumerate(coefficients))
+    back = cubic(0.5 - 0.125 * ratio * np.array([2.0, 1.0]))
+    return cubic(nodes), back, nodes, np.diff(primitive)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_rule_with_back_points_is_exact_for_cubics_on_every_interval(ratio):
+    values, back, nodes, exact = cubic_case(ratio)
+    start = rule_start(nodes, 0.125 * ratio)
+    increments = np.diff(cumulative_integral(values, nodes, start, back))
+    np.testing.assert_allclose(increments, exact, rtol=1e-13)
+    # without its back points the first interval is one trapezoid step
+    cold = np.diff(cumulative_integral(values, nodes))
+    assert abs(cold[0] / exact[0] - 1.0) > 1e-6
+
+
+def test_rule_at_equal_spacing_is_adams_moulton_4():
+    nodes = 0.5 + 0.125 * np.arange(12.0)
+    start = rule_start(nodes, 0.125)
+    am4 = [[1.0, -5.0, 19.0, 9.0, 0.0], [0.0, 1.0, -5.0, 19.0, 9.0]]
+    assert start.weights.tolist() == am4
+    assert (start.order, start.power) == (4, 5)
+    # the first two increments read the back points as the third reads the
+    # nodes before it
+    values = np.cos(3.0 * nodes)
+    out = cumulative_integral(values[2:], nodes[2:], start, values[:2])
+    whole = cumulative_integral(values, nodes)
+    # (to the rounding of the running sums they are differences of)
+    np.testing.assert_allclose(np.diff(out), np.diff(whole)[2:], rtol=0, atol=1e-15)
+
+
+def test_rule_with_back_points_is_retarded():
+    nodes = np.linspace(0.3, 1.1, 13)
+    values, back = np.cos(3.0 * nodes), np.array([0.4, -0.2])
+    start = rule_start(nodes, 0.7 * (nodes[1] - nodes[0]))
+    base = cumulative_integral(values, nodes, start, back)
+    assert base[0] == 0.0
+    for j in range(nodes.size - 1):
+        changed = values.copy()
+        changed[j + 1] += 1.0
+        out = cumulative_integral(changed, nodes, start, back)
         assert out[: j + 1].tobytes() == base[: j + 1].tobytes()
         assert out[j + 1] != base[j + 1]
 

@@ -336,6 +336,32 @@ class TestHalvingDriver:
                 linear(1.0), 1.0, grid, tol=1e-12, max_halvings=0, max_error=bound
             )
 
+    def test_a_cut_trial_retries_as_the_uncut_one(self):
+        # a trial cut to 0.4 of a span that needs four halvings skips the
+        # half span, longer than itself, and goes on as the uncut trial does,
+        # with its halvings counted
+        lam = 8.0
+        spans = []
+
+        def rhs(x, nodes):
+            spans.append(nodes[-1])
+            return lam * x, None
+
+        def trials():
+            return sorted(set(spans), reverse=True)
+
+        x, report, nodes, _, _ = picard_solve_with_halving(
+            rhs, 1.0, np.linspace(0.0, 1.0, 401), tol=1e-10, max_iter=12
+        )
+        assert trials() == [1.0, 0.5, 0.25, 0.125, 0.0625]
+        spans.clear()
+        got = picard_solve_with_halving(
+            rhs, 1.0, np.linspace(0.0, 0.4, 401), tol=1e-10, max_iter=12, span=1.0
+        )
+        assert trials() == [0.4, 0.25, 0.125, 0.0625]
+        assert got[1] == report and report.halvings == 4
+        assert np.array_equal(got[0], x) and np.array_equal(got[2], nodes)
+
     def test_halving_below_the_float_spacing_raises_zero_step(self):
         class Refused(RuntimeError):
             pass

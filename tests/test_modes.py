@@ -280,7 +280,7 @@ def test_bank_anchor_digest_stable_under_evolution():
     momenta = np.linspace(0.2, 10.0, 12)
     bank = ModeBank.at_initial(momenta, np.ones(12), 1.0, 1.0, 0.0)
     digest = bank.anchor_digest()
-    chi, dchi = evolve_bank(bank, pot.V, pot.taus)
+    chi, dchi = evolve_bank(bank, pot.V, pot.dV, pot.taus)
     moved = bank.moved_to(chi[-1], dchi[-1], pot.taus[-1])
     assert moved.anchor_digest() == digest
     assert moved.tau == pytest.approx(2.0)
@@ -291,7 +291,7 @@ def test_bank_evolution_consistent_with_scalar_path():
     pot = sine_background(n_nodes=801)
     momenta = np.array([0.5, 5.0, 20.0])
     bank = ModeBank.at_initial(momenta, np.ones(3), 1.0, 1.0, 0.0)
-    chi, _ = evolve_bank(bank, pot.V, pot.taus)
+    chi, _ = evolve_bank(bank, pot.V, pot.dV, pot.taus)
     omega_max = math.sqrt(float(np.max(bank.k0) ** 2) + max(float(np.max(pot.V)), 0.0))
     step = resolve_substep(2.0, omega_max)
     for j, k in enumerate(momenta):
@@ -304,7 +304,7 @@ def test_bank_rejects_a_potential_off_the_nodes():
     pot = sine_background(n_nodes=101)
     bank = ModeBank.at_initial(np.array([0.5, 5.0]), np.ones(2), 1.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="one value per node"):
-        evolve_bank(bank, pot.V[:-1], pot.taus)
+        evolve_bank(bank, pot.V[:-1], pot.dV[:-1], pot.taus)
 
 
 def _sweep_case(nodes, step):
@@ -312,7 +312,8 @@ def _sweep_case(nodes, step):
     bank = ModeBank.at_initial(np.linspace(0.1, 40.0, 24), np.ones(24), 1.0, 1.0,
                                float(nodes[0]))
     v = 0.5 * np.sin(7.0 * nodes) + 0.3 * nodes
-    args = (bank.k0**2, bank.chi, bank.dchi, nodes, v, step)
+    dv = 3.5 * np.cos(7.0 * nodes) + 0.3
+    args = (bank.k0**2, bank.chi, bank.dchi, nodes, v, dv, step)
     return _rk4_sweep(*args), _rk4_steps(*args)
 
 

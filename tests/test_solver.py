@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from semiflrw import solver
 from semiflrw.core import (
+    COLD_START,
     DEFAULT_HUBBLE_CRITICAL,
+    RULE_ORDER,
     InitialData,
     PhysicalParams,
     cumulative_integral,
@@ -42,7 +44,7 @@ from semiflrw.solver import (
 )
 from semiflrw.wick import BogoliubovProfile, WickConfig, radial_grid
 
-from oracles import verify_retardation
+from oracles import massless_tau, verify_retardation
 
 HC = DEFAULT_HUBBLE_CRITICAL
 W0 = WickConfig(k_max=10.0)
@@ -99,7 +101,7 @@ class TestConfig:
         cfg = SolverConfig()
         assert cfg.dt_target is None
         assert cfg.tol == 1e-10
-        assert cfg.nodes_per_segment == 49
+        assert cfg.nodes_per_segment == 25
         assert cfg.epsilon_critical == 1e-6
         assert EPSILON_SCALE == 1e-6
         assert MAX_ITER == 40
@@ -292,16 +294,37 @@ class TestWallPush:
         assert all(r.converged for r in sol.reports)
 
 
+class TestMasslessOracle:
+    """Massless runs against the exact solution of the separable equation."""
+
+    def test_wall_breach_is_the_exact_one(self):
+        # the massless_wall benchmark inputs: Lambda 1.1 Hc^4 / (960 pi^2),
+        # H0 = 0 and the guard at (1 - 1e-3) Hc.  At tol 1e-10 the run's
+        # breach is 7.5e-10 relative off the exact one
+        params = PhysicalParams(
+            mass=0.0, cosmological_constant=1.1 * HC**4 / (960.0 * math.pi**2)
+        )
+        cfg = SolverConfig(epsilon_critical=1e-3)
+        wall = (1.0 - cfg.epsilon_critical) * HC
+        exact = massless_tau(wall, params, 0.0, 1.0, 0.0)
+        assert exact == pytest.approx(0.0077850715053808675, rel=1e-13, abs=0.0)
+        sol, rep = continue_maximal(InitialData(0.0, 1.0, 0.0), 10.0, params, W0, cfg)
+        assert rep.reason == "HitCriticalHubble"
+        breach = rep.diagnostics["extrapolated_breach_tau"]
+        assert breach == pytest.approx(exact, rel=2e-9, abs=0.0)
+
+
 class TestRejectedTrial:
     """A trial span that no converged segment can take is retried shorter."""
 
     def test_over_long_first_trial_ends_at_a_converged_wall_node(self):
         # the massless_wall benchmark inputs: H reaches the guard at tau
         # 0.0077851; on a first trial of 0.01 the second iterate crosses Hc.
-        # The trial of 0.005 converges with a Richardson estimate of 1.8e-5,
-        # 1500 times the bound REJECT_ACCURACY * ACCURACY_PER_TOL * tol =
-        # 1.2e-8, and the estimate falls 2^3 = 8-fold per halving (the rule's
-        # trapezoid first interval): 8^3 < 1500 < 8^4, so 1 + 4 = 5 retries
+        # The trial of 0.005 converges with a Richardson estimate of 1.5e-4,
+        # 12300 times the bound REJECT_ACCURACY * ACCURACY_PER_TOL * tol =
+        # 1.2e-8, and the estimate falls 2^3 = 8-fold per halving (the cold
+        # rule's trapezoid first interval): 8^4 < 12300 < 8^5, so 1 + 5 = 6
+        # retries
         lam = 1.1 * HC**4 / (960.0 * math.pi**2)
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         initial = InitialData(0.0, 1.0, 0.0)
@@ -322,7 +345,7 @@ class TestRejectedTrial:
         assert rep.diagnostics["extrapolated_breach_tau"] == pytest.approx(
             0.007785071643136283, rel=1e-6
         )
-        assert sol.reports[0].halvings == 5
+        assert sol.reports[0].halvings == 6
 
     def test_richardson_error_reaches_the_last_interval(self):
         # f is nonzero on the last node only.  On every node (width 1/4) only
@@ -436,25 +459,33 @@ class TestChooseStep:
     # and a ratio of 1e-3 puts the contraction limit at MAX_FACTOR dt
     params = PhysicalParams(mass=0.0)
     dt = 1.234e-3
+    # the exponent of the span in the error of the rule with back points,
+    # which made every estimate but a run's first
+    power = RULE_ORDER + 1
 
-    def step(self, error, retried=False):
+    def step(self, error, retried=False, power=power):
         return choose_step(
-            0.0, 1.0, 0.0, 0.0, self.params, (self.dt, 1e-3, error, retried)
+            0.0, 1.0, 0.0, 0.0, self.params, (self.dt, 1e-3, error, retried, power)
         )
 
     def test_an_accuracy_limited_span_is_a_rung_above_the_aim(self):
-        # factors up to the rung 2^(7/4) below MAX_FACTOR
-        for factor in np.geomspace(0.26, 3.3, 23):
-            span, limit = self.step(solver.ACCURACY_AIM / factor**solver.RULE_ORDER)
-            rung = round(4.0 * math.log2(span / self.dt))
-            assert (span, limit) == (self.dt * 2.0 ** (rung / 4.0), "accuracy")
-            assert factor * (1.0 - 1e-12) <= span / self.dt < factor * 2.0**0.25
+        # factors up to the rung 2^(7/4) below MAX_FACTOR, with the exponent
+        # of the rule that made the estimate: 5, or 3 on a cold start
+        assert (self.power, COLD_START.power) == (5, 3)
+        for power in (self.power, COLD_START.power):
+            for factor in np.geomspace(0.26, 3.3, 23):
+                span, limit = self.step(
+                    solver.ACCURACY_AIM / factor**power, power=power
+                )
+                rung = round(4.0 * math.log2(span / self.dt))
+                assert (span, limit) == (self.dt * 2.0 ** (rung / 4.0), "accuracy")
+                assert factor * (1.0 - 1e-12) <= span / self.dt < factor * 2.0**0.25
 
     def test_a_span_between_rungs_ignores_rounding_of_the_estimate(self):
         for rung in range(-7, 8):
             # the factor half a rung below 2^(rung/4)
             factor = 2.0 ** ((rung - 0.5) / 4.0)
-            error = solver.ACCURACY_AIM / factor**solver.RULE_ORDER
+            error = solver.ACCURACY_AIM / factor**self.power
             span = self.dt * 2.0 ** (rung / 4.0)
             for moved in (error, error * (1.0 + 1e-9), error * (1.0 - 1e-9)):
                 assert self.step(moved) == (span, "accuracy")
@@ -505,17 +536,18 @@ class TestRunProperties:
         tau0=st.floats(min_value=0.0, max_value=0.5),
     )
     @example(scale=2.0, h0=5.0, tau0=0.0)
-    # accuracy sets three spans; at the contraction target 0.1 without the
-    # accuracy ladder tau moved by 5e-10
+    # at the contraction target 0.1 and 49 nodes accuracy set three spans of
+    # this run, and without the accuracy ladder tau moved by 5e-10
     @example(scale=2.754, h0=-7.511, tau0=0.013)
     def test_a0_scaling_maps_a_run_onto_a_run(self, scale, h0, tau0):
         self.assert_scaling(scale, h0, tau0)
 
     def test_a0_scaling_holds_where_accuracy_sets_the_span(self):
-        # accuracy sets four of the eight spans of the base run; without the
-        # accuracy ladder of choose_step tau moves by 5e-11 under the map
-        limits = self.assert_scaling(1.185, -7.887, 0.323)
-        assert "accuracy" in limits
+        # accuracy, from the first segment's estimate, sets the second of
+        # the three spans of the base run; without the accuracy ladder of
+        # choose_step tau moves by 6.5e-11 under the map
+        limits = self.assert_scaling(1.649, -3.363, 0.011)
+        assert limits[0] == "accuracy"
 
     def assert_scaling(self, scale, h0, tau0) -> list[str]:
         """Check the a0-scaling of one run; return the limits that set the
@@ -628,6 +660,38 @@ class TestSegmenting:
             fine = np.linspace(0.0, span, 8 * (nodes.size - 1) + 1)
             error = np.max(np.abs(hubble - self.lattice_solve(fine, state0)[0][::8]))
             assert 0.5 * error <= richardson_error(f, nodes) <= 2.0 * error
+
+    @pytest.mark.parametrize("h0, span", [(0.0, 0.004), (30.0, 0.001)])
+    def test_richardson_estimate_with_back_points_is_the_error_of_the_solve(
+        self, h0, span
+    ):
+        # the same on the second segment of a run, whose rule starts from
+        # the first segment's last nodes: fourth order, so the estimate
+        # divides by 2^4 - 1 and the error falls 16-fold per halving
+        lam = lam_for_root(5.0)
+        params = PhysicalParams(mass=0.0, cosmological_constant=lam)
+        state0 = initial_segment_state(InitialData(0.0, 1.0, h0), params, W0)
+        carry = solve_segment(state0, 1.0, SolverConfig(dt_target=span))
+        history = carry.back[::2]
+
+        def solve(nodes):
+            def rhs(x):
+                f = _rhs_detail(x, nodes, carry)[0]
+                return f, f
+
+            start = np.full(nodes.size, carry.hubble_start)
+            hubble, _, f = picard_solve(start, rhs, nodes, 1e-13, history=history)
+            return hubble, f
+
+        errors = []
+        for n in (13, 25, 49):
+            nodes = np.linspace(carry.tau_start, carry.tau_start + span, 2 * n - 1)
+            hubble, f = solve(nodes)
+            fine = np.linspace(nodes[0], nodes[-1], 8 * (nodes.size - 1) + 1)
+            errors.append(np.max(np.abs(hubble - solve(fine)[0][::8])))
+            estimate = richardson_error(f, nodes, history)
+            assert 0.5 * errors[-1] <= estimate <= 2.0 * errors[-1]
+        assert errors[0] / errors[1] > 12.0
 
     def test_determinism(self, mass_run):
         sol, rep, params, wcfg = mass_run
@@ -826,6 +890,22 @@ class TestMassiveRun:
             finals.append(sol.hubble[-1])
         assert abs(finals[1] - finals[0]) <= 1e-5 * abs(finals[1])
 
+    def test_final_wick_square_at_25_nodes_is_that_of_97(self):
+        # the massive_vacuum inputs, spans capped by dt_target and W without
+        # the tail fit: with V between nodes the cubic of V and
+        # V' = 2 m^2 a^3 H at its ends, the final W at 25 nodes per segment
+        # is 8.4e-10 relative off the one at 97 (3.6e-7 with V linear)
+        finals = []
+        for n in (25, 97):
+            sol, rep = continue_maximal(
+                InitialData(0.0, 1.0, 5.0), 0.05, PhysicalParams(mass=1.0),
+                WickConfig(k_max=40.0, n_k=192, tail_model="none"),
+                SolverConfig(dt_target=0.005, nodes_per_segment=n),
+            )
+            assert rep.reason == "TimeHorizon"
+            finals.append(sol.wick_square[-1])
+        assert finals[0] == pytest.approx(finals[1], rel=1e-8, abs=0.0)
+
 
 class TestRhs:
     def test_retarded_in_the_hubble_argument(self):
@@ -983,7 +1063,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == 7
+        assert header["version"] == solver.CHECKPOINT_VERSION == 8
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -1034,9 +1114,10 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         # format 3 had no physical parameters in its header, format 4 no
         # Wick settings or state, format 5 stored the knee, the fit window
-        # and each report's derived values, and format 6 was written by the
-        # trapezoid rule, so no run of this one continues it bit for bit
-        for version in (3, 4, 5, 6, 99):
+        # and each report's derived values, format 6 was written by the
+        # trapezoid rule and format 7 by a rule that read no history, so no
+        # run of this one continues them bit for bit
+        for version in (3, 4, 5, 6, 7, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
@@ -1218,7 +1299,8 @@ class TestFixedWickSplit:
     wick_cfg = WickConfig(k_max=20.0, n_k=32)
 
     def test_a_segment_accepted_on_its_seed(self):
-        segments = massive_segments(self.initial, self.params, self.wick_cfg, 8)
+        # the eleventh segment is the first that its seed solves
+        segments = massive_segments(self.initial, self.params, self.wick_cfg, 12)
         seeded = [(c, s) for c, s in segments if s.last_report.iterates == 1]
         assert seeded
         for carry, segment in seeded:
@@ -1241,9 +1323,11 @@ class TestFixedWickSplit:
         tol = SolverConfig().tol
 
         def plain(tol):
+            # from the back points of the segment's rule
             return picard_solve(
                 np.full(nodes.size, carry.hubble_start),
                 lambda h: _rhs_detail(h, nodes, carry), nodes, tol, MAX_ITER,
+                history=carry.back[::2],
             )
 
         # against the fixed point to 1e-3 tol, and against plain Picard at tol
@@ -1263,9 +1347,11 @@ class TestFixedWickSplit:
             assert max(report.contraction_ratios) < 1e-3
 
     def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, monkeypatch):
-        # near the wall a span 30 or 1000 times the proposed one is too stiff
+        # near the wall a span 15 or 500 times the proposed one is too stiff
         # for the frozen-W iteration to contract; the trial still ends as a
-        # converged segment or a rejection, which the run reports
+        # converged segment or a rejection, which the run reports.  (The
+        # spans are those of 30 and 1000 times the proposal at the
+        # contraction target 0.1.)
         params = PhysicalParams(
             mass=1.0, cosmological_constant=1.1 * HC**4 / (960.0 * math.pi**2)
         )
@@ -1288,7 +1374,7 @@ class TestFixedWickSplit:
             return out
 
         monkeypatch.setattr(solver, "hubble_at_fixed_wick", recorded)
-        for factor, outcome in ((30.0, None), (1000.0, CriticalHubble)):
+        for factor, outcome in ((15.0, None), (500.0, CriticalHubble)):
             unsolved.clear()
             carry = replace(start, next_step=(factor * span, "contraction"))
             if outcome is None:

@@ -55,7 +55,7 @@ def evolved_bank(config, knee):
     bg, pot = sine_background()
     momenta, weights = radial_grid(config.k_max, config.n_k, knee)
     bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-    chi, dchi = evolve_bank(bank, pot.V, pot.taus)
+    chi, dchi = evolve_bank(bank, pot.V, pot.dV, pot.taus)
     return bg, bank.moved_to(chi[-1], dchi[-1], pot.taus[-1])
 
 
@@ -338,7 +338,7 @@ class TestWickSquare:
             a = 1.0 + 0.1 * np.sin(taus) + delta * np.sin(3.0 * taus)
             pot = Potential.from_scale_factor(taus, a, MASS)
             bank = ModeBank.at_initial(momenta, weights, a0=1.0, mass=MASS, tau0=0.0)
-            chi, _ = evolve_bank(bank, pot.V, taus)
+            chi, _ = evolve_bank(bank, pot.V, pot.dV, taus)
             return wick_square_renormalized(
                 a_at((taus, a), 2.0), bank, chi[-1], params, config
             )
@@ -494,7 +494,7 @@ class TestRowsMatchPerNodeOracle:
         taus = np.linspace(0.0, 0.05, 9)
         a = a0 * (1.0 + growth * taus / 0.05)
         pot = Potential.from_scale_factor(taus, a, mass, a0=a0)
-        chi, _ = evolve_bank(bank, pot.V, taus)
+        chi, _ = evolve_bank(bank, pot.V, pot.dV, taus)
         a_spiked, chi_spiked = spiked_rows(bank, a0, n_spikes)
         a_rows = np.concatenate([a, a_spiked])
         chi_rows = np.concatenate([chi, chi_spiked])
