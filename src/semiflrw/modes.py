@@ -126,8 +126,8 @@ def _rk4_maps(
 
     One classical RK4 substep of length h on y = (chi, chi') is the real map
     y -> M y built from w = k0^2 + V at the substep's start, middle and end.
-    An interval of n_sub substeps composes n_sub such maps; intervals with
-    fewer substeps than the most take the identity for the extra rounds.
+    Every interval composes the same count of such maps, the one the widest
+    needs, each of its width / n_sub.
     """
     width = np.diff(nodes)[:, None]
     v_lo, d_lo, d_hi = v_values[:-1, None], dv_values[:-1, None], dv_values[1:, None]
@@ -138,11 +138,11 @@ def _rk4_maps(
     def v_at(t):
         return v_lo + t * (d_lo + t * (c2 + t * c3))
 
-    n_sub = np.maximum(1, np.ceil(width / step - 1e-12))
+    n_sub = max(1, math.ceil(float(np.max(width)) / step - 1e-12))
     h = width / n_sub
     q = 0.25 * h * h
     maps = None
-    for i in range(int(np.max(n_sub))):
+    for i in range(n_sub):
         t_local = i * h
         w_a = k0_sq + v_at(t_local)
         w_b = k0_sq + v_at(t_local + 0.5 * h)
@@ -156,10 +156,7 @@ def _rk4_maps(
         if maps is None:
             maps = sub
             continue
-        active = i < n_sub
-        s11, s12, s21, s22 = (
-            np.where(active, s, eye) for s, eye in zip(sub, (1.0, 0.0, 0.0, 1.0))
-        )
+        s11, s12, s21, s22 = sub
         m11, m12, m21, m22 = maps
         maps = (
             s11 * m11 + s12 * m21,

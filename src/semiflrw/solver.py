@@ -47,16 +47,18 @@ seed strays more than half the gap from the start value.
 
 A massive run pays for each iterate with a bank sweep and a Wick
 quadrature, while W depends on H only weakly, through a(H).  Between two
-sweeps it solves the equation at a frozen W, with no sweep
-(hubble_at_fixed_wick): the seed is that solve's fixed point at the W
-history extrapolated as H is (at the carried W on the first segment and
-after a retry), and each later iterate its fixed point at the W of the
-sweep before.  An iterate is accepted only on the full-map residual of the
-sweep at it, whose W, a and bank history the segment keeps.  Seed and
-split change the iterates, not the fixed point.  The contraction the step
-controller aims at is thus paid in frozen-W evaluations, while the iteration
-between sweeps contracts far below it, so the target is looser than a plain
-Picard iteration would afford.
+sweeps it solves the equation at a frozen W (hubble_at_fixed_wick):
+picard_solve on X -> f(X, a(X), W) to FROZEN_TOL times the tolerance,
+behind the full map's critical-rate guard (_scale_factor); a frozen solve
+that fails rejects its trial as the full map would, before another sweep.
+The seed is that fixed point at the W history extrapolated as H is (at the
+carried W on the first segment and after a retry), and each later iterate
+its fixed point at the W of the sweep before.  An iterate is accepted only
+on the full-map residual of the sweep at it, whose W, a and bank history
+the segment keeps.  Seed and split change the iterates, not the fixed
+point.  The contraction the step controller aims at is thus paid in
+frozen-W evaluations, while the iteration between sweeps contracts far
+below it, so the target is looser than plain Picard would afford.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .core import (
     PhysicalParams,
     check_integers,
     cosmological_time,
-    cumulative_integral,
     ricci_scalar,
     rule_start,
     scale_factor_from_hubble,
@@ -88,6 +89,7 @@ from .fixedpoint import (
     PicardReport,
     Rejected,
     ZeroStep,
+    picard_solve,
     picard_solve_with_halving,
     segment_nodes,
 )
@@ -131,6 +133,8 @@ class CriticalHubble(RuntimeError):
 
 # Picard iterates per trial span before it is rejected.
 MAX_ITER = 40
+# A frozen-W solve between two bank sweeps stops at this fraction of tol.
+FROZEN_TOL = 0.1
 # A run stops at the first node whose scale-factor denominator a0 / a falls
 # to this margin.
 EPSILON_SCALE = 1e-6
@@ -398,26 +402,31 @@ def friedmann_rhs(h, a, w, params: PhysicalParams):
     return a * friedmann_source(h, w, params) / (params.hubble_critical**2 - h**2)
 
 
+def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
+    """a(H) at the segment nodes, from the carried a and the back points of
+    the segment's rule.  Raises CriticalHubble at the first node where |H|
+    reaches the critical rate, where the equation degenerates."""
+    critical = carry.params.hubble_critical
+    over = np.abs(h) >= critical * (1.0 - 1e-12)
+    if np.any(over):
+        j = int(np.argmax(over))
+        raise CriticalHubble(
+            f"|H| = {abs(h[j]):.6g} reached the critical rate {critical:.6g}",
+            j, float(nodes[j]),
+        )
+    spacing, h_back, _ = carry.back
+    return scale_factor_from_hubble(
+        h, nodes, carry.a_start, rule_start(nodes, spacing), h_back
+    )
+
+
 def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
     """f(H) at the segment nodes and the byproducts (W, a, the bank's
     (chi, chi') history).  The bank sweeps against V and V' = 2 m^2 a^3 H."""
     params = carry.params
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
-    critical = params.hubble_critical
-    hard_wall = critical * (1.0 - 1e-12)
-    over = np.abs(h) >= hard_wall
-    if np.any(over):
-        j = int(np.argmax(over))
-        raise CriticalHubble(
-            f"|H| = {abs(h[j]):.6g} reached the critical rate {critical:.6g}",
-            j,
-            float(nodes[j]),
-        )
-    spacing, h_back, _ = carry.back
-    a_vals = scale_factor_from_hubble(
-        h, nodes, carry.a_start, rule_start(nodes, spacing), h_back
-    )
+    a_vals = _scale_factor(h, nodes, carry)
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
         dv = 2.0 * params.mass**2 * a_vals**3 * h
@@ -564,32 +573,23 @@ def picard_seed(
 
 
 def hubble_at_fixed_wick(
-    carry: SegmentState, nodes: np.ndarray, w, x: np.ndarray
+    carry: SegmentState, nodes: np.ndarray, w, x: np.ndarray | None, tol: float
 ) -> np.ndarray:
     """The fixed point of X = H_start + int f(X, a(X), W) on the segment's
     nodes at a fixed W series w: the equation with the mode bank frozen.
 
-    Plain iteration from x, which needs no bank sweep, until the update
-    vanishes or stops shrinking (rounding, or a span too stiff to contract),
-    or after MAX_ITER evaluations; returns the iterate with the smallest
-    update, so x itself when the first update is not finite.  BlowUp
-    propagates.
+    picard_solve from x (None for the constant H_start) to FROZEN_TOL * tol,
+    with no bank sweep; its failures (NoConvergence, NaNDetected) propagate,
+    as do the CriticalHubble and BlowUp of a(X).
     """
-    spacing, h_back, f_back = carry.back
-    start = rule_start(nodes, spacing)
-    best, smallest = x, math.inf
-    for _ in range(MAX_ITER):
-        a_vals = scale_factor_from_hubble(x, nodes, carry.a_start, start, h_back)
-        update = carry.hubble_start + cumulative_integral(
-            friedmann_rhs(x, a_vals, w, carry.params), nodes, start, f_back
-        )
-        norm = float(np.max(np.abs(update - x)))
-        if not norm < smallest:
-            break
-        best, smallest, x = x, norm, update
-        if norm == 0.0:
-            break
-    return best
+    def frozen(h):
+        return friedmann_rhs(h, _scale_factor(h, nodes, carry), w, carry.params), None
+
+    spacing, _, f_back = carry.back
+    return picard_solve(
+        np.full(nodes.size, carry.hubble_start), frozen, nodes, FROZEN_TOL * tol,
+        MAX_ITER, x, history=(spacing, f_back),
+    )[0]
 
 
 def solve_segment(
@@ -605,10 +605,11 @@ def solve_segment(
 
     Raises NoConvergence, CriticalHubble, BlowUp or Rejected (Richardson
     estimate above REJECT_ACCURACY times its target) when the last retry is
-    rejected for that reason, BankCheckFailed when the carried bank is unfit
-    to continue, ZeroStep when the step underflows to zero or below the
-    float spacing of the nodes, OverflowError when the step estimate leaves
-    the float range, and NaNDetected with its location.
+    rejected for that reason (a massive run's NoConvergence may carry the
+    residuals of a frozen-W solve), BankCheckFailed when the carried bank
+    is unfit to continue, ZeroStep when the step underflows to zero or below
+    the float spacing of the nodes, OverflowError when the step estimate
+    leaves the float range, and NaNDetected with its location.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
@@ -650,13 +651,13 @@ def solve_segment(
         # the fixed point at the extrapolated W, or at the carried one
         w = None if halvings else extrapolate(carry, carry.hist_wick, sub)
         return hubble_at_fixed_wick(
-            carry, sub, float(carry.hist_wick[-1]) if w is None else w,
-            np.full(sub.size, h_start) if h is None else h,
+            carry, sub, float(carry.hist_wick[-1]) if w is None else w, h,
+            solver_cfg.tol,
         )
 
     def step(update, sub, byproduct):
         # the fixed point at the W of the bank swept at the last iterate
-        return hubble_at_fixed_wick(carry, sub, byproduct[0], update)
+        return hubble_at_fixed_wick(carry, sub, byproduct[0], update, solver_cfg.tol)
 
     target = ACCURACY_PER_TOL * solver_cfg.tol
     # the byproducts come from Picard's last RHS evaluation, at the solution
@@ -858,7 +859,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -893,9 +894,10 @@ def save_checkpoint(
     must be the one last written, grown since.  Each line is one
     ``json.dumps`` call, which takes the C encoder (``json.dump`` takes the
     pure-Python one); floats survive the round trip exactly (repr-based).
-    The next segment's rule reads the last history nodes, so a file written
-    under another rule cannot resume bit for bit: CHECKPOINT_VERSION names
-    the rule too, and format 8 is the first whose rule reads the history.
+    A file resumes bit for bit only into the code that wrote it, so any
+    change to the spans or iterates a run makes bumps CHECKPOINT_VERSION:
+    format 8 was the first whose rule reads the history, and format 9 the
+    first whose frozen-W solve stops at FROZEN_TOL times the tolerance.
     """
     if written == len(log.chunks):
         return written

@@ -39,6 +39,34 @@ def test_every_patch_site_resolves():
             assert callable(getattr(module, name)), f"{module_name}.{name}"
 
 
+def test_every_patch_site_feeds_a_layer_metric():
+    # a span is named after the module that defines the function, so a
+    # function moved to another module still resolves at its patch site
+    # while the metrics read from its span would silently read 0
+    spans = bench_module("spans")
+    names = [
+        spans.span_name(getattr(importlib.import_module(module_name), name))
+        for module_name, attrs in spans.PATCH_SITES
+        for name in attrs
+    ]
+
+    def metrics(totals):
+        out = spans.layer_metrics(totals, 0, 0, 0, 0)
+        del out["trace.spans"]
+        return out
+
+    one = {"calls": 1, "total_s": 1.0, "self_s": 1.0, "bytes": 1}
+    idle = metrics({})
+    for name in names:
+        assert metrics({name: one}) != idle, name
+    every = metrics({name: one for name in names})
+    for key in (
+        "solver.segments", "solver.rhs_evals", "modes.evolve_calls",
+        "wick.renorm_calls", "solver.checkpoint_writes",
+    ):
+        assert every[key] == 1, key
+
+
 def test_worker_imports_resolve():
     # bench/worker.py counts TailFitFailed warnings and drives these calls
     assert issubclass(wick.TailFitFailed, Warning)

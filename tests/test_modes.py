@@ -307,13 +307,18 @@ def test_bank_rejects_a_potential_off_the_nodes():
         evolve_bank(bank, pot.V[:-1], pot.dV[:-1], pot.taus)
 
 
-def _sweep_case(nodes, step):
-    """The transfer-map sweep and the per-substep stepper on one bank."""
+def _sweep_args(nodes, step):
+    """(k0^2, chi, chi', nodes, V, V', step) of one bank's sweep."""
     bank = ModeBank.at_initial(np.linspace(0.1, 40.0, 24), np.ones(24), 1.0, 1.0,
                                float(nodes[0]))
     v = 0.5 * np.sin(7.0 * nodes) + 0.3 * nodes
     dv = 3.5 * np.cos(7.0 * nodes) + 0.3
-    args = (bank.k0**2, bank.chi, bank.dchi, nodes, v, dv, step)
+    return bank.k0**2, bank.chi, bank.dchi, nodes, v, dv, step
+
+
+def _sweep_case(nodes, step):
+    """The transfer-map sweep and the per-substep stepper on one bank."""
+    args = _sweep_args(nodes, step)
     return _rk4_sweep(*args), _rk4_steps(*args)
 
 
@@ -327,13 +332,22 @@ def test_map_sweep_matches_the_substep_stepper(n_sub):
     np.testing.assert_allclose(dchi, dchi_ref, rtol=1e-13, atol=0)
 
 
-def test_map_sweep_pads_short_intervals_with_the_identity():
-    # widths of 1, 2.5 and 4.2 steps take 1, 3 and 5 substeps
+def test_map_sweep_gives_every_interval_the_substeps_of_the_widest():
+    # widths of 1, 2.5 and 4.2 steps: every interval takes the 5 substeps
+    # of the widest, each a fifth of its own width
     step = 1e-3
     widths = np.tile([1.0, 2.5, 4.2], 30) * step
     nodes = 0.2 + np.concatenate([[0.0], np.cumsum(widths)])
-    n_sub = np.ceil(np.diff(nodes) / step - 1e-12)
-    assert set(n_sub) == {1.0, 3.0, 5.0}
-    (chi, dchi), (chi_ref, dchi_ref) = _sweep_case(nodes, step)
-    np.testing.assert_allclose(chi, chi_ref, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(dchi, dchi_ref, rtol=1e-13, atol=0)
+    assert math.ceil(np.max(np.diff(nodes)) / step - 1e-12) == 5
+    k0_sq, c, d, _, v, dv, _ = args = _sweep_args(nodes, step)
+    chi, dchi = _rk4_sweep(*args)
+    for j in range(nodes.size - 1):
+        # the stepper across one interval, at 5 substeps
+        span = slice(j, j + 2)
+        width = nodes[j + 1] - nodes[j]
+        c, d = (
+            out[-1]
+            for out in _rk4_steps(k0_sq, c, d, nodes[span], v[span], dv[span], width / 5)
+        )
+        np.testing.assert_allclose(chi[j + 1], c, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dchi[j + 1], d, rtol=1e-13, atol=0)

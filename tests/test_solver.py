@@ -17,10 +17,13 @@ from semiflrw.core import (
     RULE_ORDER,
     InitialData,
     PhysicalParams,
-    cumulative_integral,
-    scale_factor_from_hubble,
 )
-from semiflrw.fixedpoint import PicardReport, picard_solve, richardson_error
+from semiflrw.fixedpoint import (
+    NoConvergence,
+    PicardReport,
+    picard_solve,
+    richardson_error,
+)
 from semiflrw.solver import (
     EPSILON_SCALE,
     EXIT_CODES,
@@ -32,8 +35,6 @@ from semiflrw.solver import (
     choose_step,
     continue_maximal,
     default_dt_target,
-    friedmann_rhs,
-    hubble_at_fixed_wick,
     initial_segment_state,
     load_checkpoint,
     picard_seed,
@@ -297,13 +298,21 @@ class TestWallPush:
 class TestMasslessOracle:
     """Massless runs against the exact solution of the separable equation."""
 
+    # Lambda = c Hc^4 / (960 pi^2) makes the source S(H) = H^4 - 2 Hc^2 H^2
+    # + c Hc^4.  The runs keep their nodes' tau within this many tolerances,
+    # relative, of the tau at which the exact solution takes their H.
+    BOUND_PER_TOL = 100.0
+
+    @staticmethod
+    def params(c: float) -> PhysicalParams:
+        lam = c * HC**4 / (960.0 * math.pi**2)
+        return PhysicalParams(mass=0.0, cosmological_constant=lam)
+
     def test_wall_breach_is_the_exact_one(self):
         # the massless_wall benchmark inputs: Lambda 1.1 Hc^4 / (960 pi^2),
         # H0 = 0 and the guard at (1 - 1e-3) Hc.  At tol 1e-10 the run's
         # breach is 7.5e-10 relative off the exact one
-        params = PhysicalParams(
-            mass=0.0, cosmological_constant=1.1 * HC**4 / (960.0 * math.pi**2)
-        )
+        params = self.params(1.1)
         cfg = SolverConfig(epsilon_critical=1e-3)
         wall = (1.0 - cfg.epsilon_critical) * HC
         exact = massless_tau(wall, params, 0.0, 1.0, 0.0)
@@ -312,6 +321,46 @@ class TestMasslessOracle:
         assert rep.reason == "HitCriticalHubble"
         breach = rep.diagnostics["extrapolated_breach_tau"]
         assert breach == pytest.approx(exact, rel=2e-9, abs=0.0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        c=st.floats(min_value=1.1, max_value=3.0),
+        u=st.floats(min_value=-0.5, max_value=0.5),
+        a0=st.floats(min_value=0.5, max_value=1.5),
+    )
+    def test_without_a_root_the_run_breaches_where_the_oracle_does(self, c, u, a0):
+        # for c > 1, S has no real root: H rises from H0 = u Hc to the wall
+        params, cfg, h0 = self.params(c), SolverConfig(epsilon_critical=1e-3), u * HC
+        sol, rep = continue_maximal(InitialData(0.0, a0, h0), 10.0, params, W0, cfg)
+        assert rep.reason == "HitCriticalHubble"
+        bound = self.BOUND_PER_TOL * cfg.tol
+        j = sol.taus.size // 2
+        exact = massless_tau(float(sol.hubble[j]), params, 0.0, a0, h0)
+        assert sol.taus[j] == pytest.approx(exact, rel=bound, abs=0.0)
+        wall = (1.0 - cfg.epsilon_critical) * HC
+        breach = rep.diagnostics["extrapolated_breach_tau"]
+        exact = massless_tau(wall, params, 0.0, a0, h0)
+        assert breach == pytest.approx(exact, rel=bound, abs=0.0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        c=st.floats(min_value=0.2, max_value=0.9),
+        u=st.floats(min_value=-0.5, max_value=0.5),
+        a0=st.floats(min_value=0.5, max_value=1.5),
+    )
+    def test_between_the_roots_the_run_keeps_to_the_oracle(self, c, u, a0):
+        # for c < 1, S has the roots +-r, r^2 = Hc^2 (1 - sqrt(1 - c)), inside
+        # the wall: H0 = u r runs toward r and never reaches the wall.  Kept
+        # half r off the roots and at c >= 0.2: near a root or at small c, H
+        # moves little, and tau(H) is ill-conditioned
+        root = HC * math.sqrt(1.0 - math.sqrt(1.0 - c))
+        params, cfg, h0 = self.params(c), SolverConfig(), u * root
+        sol, rep = continue_maximal(InitialData(0.0, a0, h0), 0.005, params, W0, cfg)
+        assert rep.reason == "TimeHorizon"
+        exact = massless_tau(float(sol.hubble[-1]), params, 0.0, a0, h0)
+        assert sol.taus[-1] == pytest.approx(
+            exact, rel=self.BOUND_PER_TOL * cfg.tol, abs=0.0
+        )
 
 
 class TestRejectedTrial:
@@ -1063,7 +1112,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == solver.CHECKPOINT_VERSION == 8
+        assert header["version"] == solver.CHECKPOINT_VERSION == 9
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -1115,9 +1164,10 @@ class TestCheckpoint:
         # format 3 had no physical parameters in its header, format 4 no
         # Wick settings or state, format 5 stored the knee, the fit window
         # and each report's derived values, format 6 was written by the
-        # trapezoid rule and format 7 by a rule that read no history, so no
-        # run of this one continues them bit for bit
-        for version in (3, 4, 5, 6, 7, 99):
+        # trapezoid rule, format 7 by a rule that read no history and format
+        # 8 by a frozen-W solve that iterated to rounding, so no run of this
+        # one continues them bit for bit
+        for version in (3, 4, 5, 6, 7, 8, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
@@ -1346,12 +1396,44 @@ class TestFixedWickSplit:
         for report in swept:
             assert max(report.contraction_ratios) < 1e-3
 
+    def test_a_frozen_solve_that_stalls_rejects_its_trial(self, monkeypatch):
+        # a frozen-W solve that does not converge rejects its trial before
+        # the bank sweeps there, and the run that no frozen solve converges
+        # on ends with that solve's residuals
+        picard, evolve = solver.picard_solve, solver.evolve_bank
+        stalls, stalled, swept = [1], [], []
+
+        def frozen(f0, rhs, nodes, tol, *args, **kwargs):
+            if stalls[0] > 0:
+                stalls[0] -= 1
+                stalled.append(nodes[-1] - nodes[0])
+                raise NoConvergence("stalled", PicardReport((1.0,), tol))
+            return picard(f0, rhs, nodes, tol, *args, **kwargs)
+
+        def counted(*args, **kwargs):
+            swept.append(args[3][-1] - args[3][0])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "picard_solve", frozen)
+        monkeypatch.setattr(solver, "evolve_bank", counted)
+        start = initial_segment_state(self.initial, self.params, self.wick_cfg)
+        segment = solve_segment(start, 1.0)
+        assert segment.last_report.converged
+        assert segment.last_report.halvings >= 1
+        assert swept and max(swept) < stalled[0]
+        stalls[0], swept[:] = math.inf, []
+        sol, rep = continue_maximal(self.initial, 0.01, self.params, self.wick_cfg)
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.diagnostics["picard_residuals"] == [1.0]
+        assert not swept and sol.taus.tolist() == [0.0]
+
     def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, monkeypatch):
         # near the wall a span 15 or 500 times the proposed one is too stiff
-        # for the frozen-W iteration to contract; the trial still ends as a
-        # converged segment or a rejection, which the run reports.  (The
-        # spans are those of 30 and 1000 times the proposal at the
-        # contraction target 0.1.)
+        # for the frozen-W solve.  At 500 every trial's seed solve meets the
+        # critical rate, so the trials are rejected before the bank sweeps;
+        # at 15 the trial converges after halvings.  From either carry the
+        # run reaches the wall.  (The spans are those of 30 and 1000 times
+        # the proposal at the contraction target 0.1.)
         params = PhysicalParams(
             mass=1.0, cosmological_constant=1.1 * HC**4 / (960.0 * math.pi**2)
         )
@@ -1361,30 +1443,25 @@ class TestFixedWickSplit:
             start.hubble_start, start.a_start, float(start.hist_wick[-1]),
             start.hubble_start, params,
         )
-        unsolved = []  # frozen-W solves that stopped with a large update
+        evolve = solver.evolve_bank
+        sweeps = []
 
-        def recorded(carry, nodes, w, x):
-            out = hubble_at_fixed_wick(carry, nodes, w, x)
-            a_vals = scale_factor_from_hubble(out, nodes, carry.a_start)
-            update = carry.hubble_start + cumulative_integral(
-                friedmann_rhs(out, a_vals, w, params), nodes
-            )
-            if np.max(np.abs(update - out)) > 1e-3:
-                unsolved.append(nodes[-1])
-            return out
+        def counted(*args, **kwargs):
+            sweeps.append(args[3][-1])
+            return evolve(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "hubble_at_fixed_wick", recorded)
-        for factor, outcome in ((15.0, None), (500.0, CriticalHubble)):
-            unsolved.clear()
+        monkeypatch.setattr(solver, "evolve_bank", counted)
+        for factor, most in ((15.0, 8), (500.0, 0)):
+            sweeps.clear()
             carry = replace(start, next_step=(factor * span, "contraction"))
-            if outcome is None:
+            if most:
                 segment = solve_segment(carry, 1.0)
                 assert segment.last_report.converged
                 assert segment.last_report.halvings > 0
             else:
-                with pytest.raises(outcome):
+                with pytest.raises(CriticalHubble):
                     solve_segment(carry, 1.0)
-            assert unsolved
+            assert len(sweeps) <= most
             sol, rep = continue_maximal(
                 initial, 1.0, params, self.wick_cfg, resume_from=carry
             )
