@@ -20,13 +20,14 @@ The span comes from a local step controller (choose_step), after
 Gustafsson and Soderlind, which steers the Picard iteration's convergence
 rate rather than bounding f over a tube.  It is the least of: a contraction
 limit, aiming at TARGET_CONTRACTION = 0.2 per iterate from the larger of the
-last segment's largest observed ratio and |df/dH| dt at the carried node; an
-accuracy limit, scaling dt by (target / err)^(1/p) rounded up to a power of
-2^(1/4), with err the Richardson estimate of the error of the segment rule
-(all nodes against every second node, on f at the returned iterate, so no
-extra evaluation) and p the power of dt in that error at a fixed node
-count: 5 for the fourth-order rule, 3 on the cold first segment, whose
-trapezoid first interval sets it (core.RuleStart); the estimate, a
+last segment's largest observed ratio and |df/dH| dt at the carried node
+(after a massive segment from the ratio its sweeps showed alone; see
+below); an accuracy limit, scaling dt by (target / err)^(1/p) rounded up to
+a power of 2^(1/4), with err the Richardson estimate of the error of the
+segment rule (all nodes against every second node, on f at the returned
+iterate, so no extra evaluation) and p the power of dt in that error at a
+fixed node count: 5 for the fourth-order rule, 3 on the cold first segment,
+whose trapezoid first interval sets it (core.RuleStart); the estimate, a
 difference of two cumulative sums, carries their rounding, which the rungs
 keep out of dt; a growth limit, a fraction of gap / |f| at the carried node,
 gap = Hc - |H|; a denominator limit 1 / (2 a max|H|) over the converged
@@ -56,9 +57,13 @@ carried W on the first segment and after a retry), and each later iterate
 its fixed point at the W of the sweep before.  An iterate is accepted only
 on the full-map residual of the sweep at it, whose W, a and bank history
 the segment keeps.  Seed and split change the iterates, not the fixed
-point.  The contraction the step controller aims at is thus paid in
-frozen-W evaluations, while the iteration between sweeps contracts far
-below it, so the target is looser than plain Picard would afford.
+point.  The stiffness |df/dH| dt is thus paid in frozen-W evaluations, and
+the frozen solve guards against it: it rejects a trial that it cannot solve
+before any sweep.  The sweeps iterate only the weak feedback of H on W, so
+after a massive segment the contraction limit reads only the largest ratio
+they showed; a run's first span keeps the estimate.  The seed's f goes
+through the trial's Richardson check before the first sweep, so a trial too
+long for the rule is rejected unswept.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ from .fixedpoint import (
     ZeroStep,
     picard_solve,
     picard_solve_with_halving,
+    richardson_error,
     segment_nodes,
 )
 from .modes import WRONSKIAN_TOLERANCE, ModeBank, evolve_bank, potential
@@ -478,6 +484,7 @@ def choose_step(
     h_max: float,
     params: PhysicalParams,
     previous: tuple[float, float, float, bool] | None = None,
+    swept: bool = False,
 ) -> tuple[float, str]:
     """The (span, limit) of a segment starting at H = h, a and W = w.
 
@@ -485,7 +492,9 @@ def choose_step(
     (span, largest contraction ratio, Richardson estimate over its target,
     retried, power) of the segment that ended here, None at the start of a
     run; power is the exponent of the span in the error of the rule that
-    made the estimate (core.RuleStart.power).
+    made the estimate (core.RuleStart.power).  swept says that the ratio
+    came from bank sweeps between frozen-W solves, which took the stiffness
+    |df/dH| dt: the contraction limit then reads the ratio alone.
     The limit names which of contraction, accuracy, growth and denominator
     gave the span (see the module docstring); dt_target and the remaining
     span are applied by solve_segment.  Python floats throughout: a value
@@ -501,7 +510,7 @@ def choose_step(
     else:
         dt, ratio, error, retried, power = previous
         low, high = 1.0 / MAX_FACTOR, 1.0 if retried else MAX_FACTOR
-        rho = max(ratio, stiffness * dt)
+        rho = ratio if swept else max(ratio, stiffness * dt)
         factors = {
             "contraction": _quotient(TARGET_CONTRACTION, rho),
             "accuracy": _on_ladder(
@@ -574,22 +583,25 @@ def picard_seed(
 
 def hubble_at_fixed_wick(
     carry: SegmentState, nodes: np.ndarray, w, x: np.ndarray | None, tol: float
-) -> np.ndarray:
-    """The fixed point of X = H_start + int f(X, a(X), W) on the segment's
-    nodes at a fixed W series w: the equation with the mode bank frozen.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed point X of X = H_start + int f(X, a(X), W) on the segment's
+    nodes at a fixed W series w, the equation with the mode bank frozen, and
+    f at X.
 
     picard_solve from x (None for the constant H_start) to FROZEN_TOL * tol,
     with no bank sweep; its failures (NoConvergence, NaNDetected) propagate,
     as do the CriticalHubble and BlowUp of a(X).
     """
     def frozen(h):
-        return friedmann_rhs(h, _scale_factor(h, nodes, carry), w, carry.params), None
+        f = friedmann_rhs(h, _scale_factor(h, nodes, carry), w, carry.params)
+        return f, f
 
     spacing, _, f_back = carry.back
-    return picard_solve(
+    x, _, f = picard_solve(
         np.full(nodes.size, carry.hubble_start), frozen, nodes, FROZEN_TOL * tol,
         MAX_ITER, x, history=(spacing, f_back),
-    )[0]
+    )
+    return x, f
 
 
 def solve_segment(
@@ -604,7 +616,8 @@ def solve_segment(
     the span it proposes for the segment after it.
 
     Raises NoConvergence, CriticalHubble, BlowUp or Rejected (Richardson
-    estimate above REJECT_ACCURACY times its target) when the last retry is
+    estimate of the result, or of a massive trial's seed, above
+    REJECT_ACCURACY times its target) when the last retry is
     rejected for that reason (a massive run's NoConvergence may carry the
     residuals of a frozen-W solve), BankCheckFailed when the carried bank
     is unfit to continue, ZeroStep when the step underflows to zero or below
@@ -643,6 +656,7 @@ def solve_segment(
     uncut = min(step[0], dt_cap)
     nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
     delta = 0.5 * (critical - abs(h_start))
+    target = ACCURACY_PER_TOL * solver_cfg.tol
 
     def seed(sub, halvings):
         h = None if halvings else picard_seed(carry, sub, delta)
@@ -650,16 +664,25 @@ def solve_segment(
             return h
         # the fixed point at the extrapolated W, or at the carried one
         w = None if halvings else extrapolate(carry, carry.hist_wick, sub)
-        return hubble_at_fixed_wick(
+        h, f = hubble_at_fixed_wick(
             carry, sub, float(carry.hist_wick[-1]) if w is None else w, h,
             solver_cfg.tol,
         )
+        # the trial's accuracy check, on the seed before the bank sweeps
+        estimate = richardson_error(f, sub, carry.back[::2])
+        if estimate > REJECT_ACCURACY * target:
+            raise Rejected(
+                f"Richardson estimate {estimate:.3g} of the seed on a span of"
+                f" {sub[-1] - sub[0]:.3g} exceeds {REJECT_ACCURACY * target:.3g}"
+            )
+        return h
 
     def step(update, sub, byproduct):
         # the fixed point at the W of the bank swept at the last iterate
-        return hubble_at_fixed_wick(carry, sub, byproduct[0], update, solver_cfg.tol)
+        return hubble_at_fixed_wick(
+            carry, sub, byproduct[0], update, solver_cfg.tol
+        )[0]
 
-    target = ACCURACY_PER_TOL * solver_cfg.tol
     # the byproducts come from Picard's last RHS evaluation, at the solution
     h_vals, report, nodes, error, (w_vals, a_vals, history) = picard_solve_with_halving(
         lambda h, sub: _rhs_detail(h, sub, carry),
@@ -698,6 +721,7 @@ def solve_segment(
         next_step=choose_step(
             float(h_vals[last]), float(a_vals[last]), float(w_vals[last]),
             float(np.max(np.abs(h_vals[: last + 1]))), params, previous,
+            swept=bank is not None,
         ),
     )
 
@@ -732,7 +756,8 @@ def continue_maximal(
 
     The inputs build the initial state, whose carry every segment reads
     (profile None is the vacuum).  All failure modes are reported through
-    TerminationReport, never raised; a resume_from that check_resume
+    TerminationReport, never raised, and only a converged node ends a run
+    at the wall guard or the scale margin; a resume_from that check_resume
     rejects against the initial state raises ValueError before any segment.
     segment_callback(log), when given, runs after every completed segment
     with the run's RunLog; it must not mutate the log.
@@ -775,17 +800,11 @@ def continue_maximal(
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"error": str(err)}
             break
-        except NaNDetected as err:
+        except (NaNDetected, CriticalHubble, BlowUp) as err:
+            # a CriticalHubble or BlowUp here met an unconverged iterate: no
+            # converged node reached the wall or the scale margin
             reason = REASON_NO_CONVERGENCE
             diagnostics_extra = {"error": str(err), "raised_at_tau": err.tau}
-            break
-        except CriticalHubble as err:
-            reason = REASON_CRITICAL_HUBBLE
-            diagnostics_extra = {"raised_at_tau": err.tau}
-            break
-        except BlowUp as err:
-            reason = REASON_SCALE_BLOWUP
-            diagnostics_extra = {"raised_at_tau": err.tau}
             break
         log.append(segment)
         if segment_callback is not None:
@@ -859,7 +878,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -896,8 +915,9 @@ def save_checkpoint(
     pure-Python one); floats survive the round trip exactly (repr-based).
     A file resumes bit for bit only into the code that wrote it, so any
     change to the spans or iterates a run makes bumps CHECKPOINT_VERSION:
-    format 8 was the first whose rule reads the history, and format 9 the
-    first whose frozen-W solve stops at FROZEN_TOL times the tolerance.
+    format 8 was the first whose rule reads the history, format 9 the first
+    whose frozen-W solve stops at FROZEN_TOL times the tolerance, and
+    format 10 the first whose massive spans read the sweeps' ratio.
     """
     if written == len(log.chunks):
         return written

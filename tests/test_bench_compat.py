@@ -95,6 +95,24 @@ def test_library_outputs_pass_the_workload_check(workloads, workload):
         assert problems == [], f"seed {seed}"
 
 
+def test_massive_vacuum_sweep_count(workloads, monkeypatch):
+    # bank sweeps dominate the workload's run time: a change that brings
+    # sweeps back fails here before the benchmark runs
+    evolve, sweeps = solver.evolve_bank, []
+
+    def counted(*args, **kwargs):
+        sweeps.append(None)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "evolve_bank", counted)
+    solution, report = solver.continue_maximal(
+        **workloads.library_call("massive_vacuum", 0)
+    )
+    assert report.reason == "TimeHorizon"
+    assert len(sweeps) <= 10
+    assert len(solution.reports) <= 5
+
+
 def test_checkpoint_config_builds(workloads):
     config = cli.parse_config_mapping(workloads.checkpoint_config(0), "bench")
     cli.build_run(config)

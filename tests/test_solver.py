@@ -21,6 +21,7 @@ from semiflrw.core import (
 from semiflrw.fixedpoint import (
     NoConvergence,
     PicardReport,
+    Rejected,
     picard_solve,
     richardson_error,
 )
@@ -475,11 +476,10 @@ class TestContinuationContract:
         if rep.reason == "TimeHorizon":
             assert horizon - rep.tau_stop <= 1e-12 * max(1.0, horizon)
         elif rep.reason == "HitCriticalHubble":
-            wall = (1.0 - cfg.epsilon_critical) * HC
-            assert abs(sol.hubble[-1]) >= wall or "raised_at_tau" in diagnostics
+            # only a converged node ends a run at the wall or the margin
+            assert abs(sol.hubble[-1]) >= (1.0 - cfg.epsilon_critical) * HC
         elif rep.reason == "ScaleFactorBlowUp":
-            margin = 1.0 / sol.scale_factor[-1]
-            assert margin <= EPSILON_SCALE or "raised_at_tau" in diagnostics
+            assert 1.0 / sol.scale_factor[-1] <= EPSILON_SCALE
         else:
             assert rep.reason == "ConvergenceFailure"
             assert {"error", "picard_residuals", "note"} & set(diagnostics)
@@ -543,6 +543,19 @@ class TestChooseStep:
         # only the clip to MAX_FACTOR, or to 1 after a retry, bounds it
         assert self.step(0.0)[0] == solver.MAX_FACTOR * self.dt
         assert self.step(0.0, retried=True)[0] == self.dt
+
+    def test_a_swept_segment_reads_only_the_ratio_its_sweeps_showed(self):
+        # at the source root H = 60, f vanishes: |df/dH| = 4 a H = 240, no
+        # growth limit and a denominator limit of 1 / 120, above MAX_FACTOR dt
+        h = 60.0
+        params = PhysicalParams(mass=0.0, cosmological_constant=lam_for_root(h))
+        previous = (self.dt, 1e-3, 0.0, False, self.power)
+        span, limit = choose_step(h, 1.0, 0.0, h, params, previous, swept=True)
+        assert (span, limit) == (solver.MAX_FACTOR * self.dt, "contraction")
+        # without the flag the stiffness estimate 240 dt = 0.30 sets rho
+        span, limit = choose_step(h, 1.0, 0.0, h, params, previous)
+        assert limit == "contraction"
+        assert span == pytest.approx(solver.TARGET_CONTRACTION / 240.0, rel=1e-9)
 
 
 class TestRunProperties:
@@ -644,6 +657,26 @@ class TestBlowUp:
     def test_stop_before_pole(self, blowup_run):
         sol, rep, h0 = blowup_run
         assert rep.tau_stop < 1.0 / h0
+
+    def test_a_trial_that_only_blows_up_is_no_blow_up(self):
+        # a carried span 6000 times the distance 1 / H0 to the pole leaves
+        # it 94 times that after the six halvings, so every retry's a(H)
+        # blows up; no converged node reached the scale margin
+        h0 = 60.0
+        params = PhysicalParams(mass=0.0, cosmological_constant=lam_for_root(h0))
+        initial = InitialData(0.0, 1.0, h0)
+        carry = replace(
+            initial_segment_state(initial, params, W0),
+            next_step=(100.0, "contraction"),
+        )
+        sol, rep = continue_maximal(
+            initial, 1000.0, params, W0, SolverConfig(dt_target=1e6),
+            resume_from=carry,
+        )
+        assert rep.reason == "ConvergenceFailure"
+        assert rep.diagnostics["segments"] == 0
+        assert rep.diagnostics["margin_scale"] == 1.0
+        assert rep.diagnostics["raised_at_tau"] > 0.0
 
 
 class TestSegmenting:
@@ -1112,7 +1145,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == solver.CHECKPOINT_VERSION == 9
+        assert header["version"] == solver.CHECKPOINT_VERSION == 10
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -1164,10 +1197,11 @@ class TestCheckpoint:
         # format 3 had no physical parameters in its header, format 4 no
         # Wick settings or state, format 5 stored the knee, the fit window
         # and each report's derived values, format 6 was written by the
-        # trapezoid rule, format 7 by a rule that read no history and format
-        # 8 by a frozen-W solve that iterated to rounding, so no run of this
-        # one continues them bit for bit
-        for version in (3, 4, 5, 6, 7, 8, 99):
+        # trapezoid rule, format 7 by a rule that read no history, format 8
+        # by a frozen-W solve that iterated to rounding and format 9 by a
+        # step controller that capped massive spans at the stiffness
+        # estimate, so no run of this one continues them bit for bit
+        for version in (3, 4, 5, 6, 7, 8, 9, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
@@ -1349,8 +1383,10 @@ class TestFixedWickSplit:
     wick_cfg = WickConfig(k_max=20.0, n_k=32)
 
     def test_a_segment_accepted_on_its_seed(self):
-        # the eleventh segment is the first that its seed solves
-        segments = massive_segments(self.initial, self.params, self.wick_cfg, 12)
+        # the twentieth segment is the first that its seed solves: the first
+        # sweeps of the nineteen before it leave full-map residuals of 4e-8
+        # to 1.6e-3, above tol 1e-10, and the twentieth's leaves 5.7e-11
+        segments = massive_segments(self.initial, self.params, self.wick_cfg, 20)
         seeded = [(c, s) for c, s in segments if s.last_report.iterates == 1]
         assert seeded
         for carry, segment in seeded:
@@ -1427,13 +1463,47 @@ class TestFixedWickSplit:
         assert rep.diagnostics["picard_residuals"] == [1.0]
         assert not swept and sol.taus.tolist() == [0.0]
 
+    def test_the_seed_screen_removes_only_sweeps(self, monkeypatch):
+        # the massive_vacuum benchmark inputs: the cold first trial's seed
+        # has a Richardson estimate of 9.0e-8 against the bound 1.2e-8, so
+        # the screen rejects it before any sweep.  Without the screen (the
+        # check after the sweep lives in fixedpoint) it sweeps twice before
+        # the same rejection, and the run is otherwise the same
+        initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=1.0)
+        wick_cfg = WickConfig(k_max=40.0, n_k=192)
+        evolve, sweeps = solver.evolve_bank, []
+
+        def counted(*args, **kwargs):
+            sweeps.append(None)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "evolve_bank", counted)
+        start = initial_segment_state(initial, params, wick_cfg)
+        runs = []
+        for screened, first, total in ((True, 0, 10), (False, 2, 12)):
+            if not screened:
+                monkeypatch.setattr(solver, "richardson_error", lambda *a: 0.0)
+            sweeps.clear()
+            with pytest.raises(Rejected):
+                solve_segment(start, 0.05, SolverConfig(max_halvings=0))
+            assert len(sweeps) == first
+            sweeps.clear()
+            sol, rep = continue_maximal(initial, 0.05, params, wick_cfg)
+            assert rep.reason == "TimeHorizon"
+            assert len(sweeps) == total
+            runs.append((sol.taus, sol.hubble, sol.scale_factor, sol.wick_square))
+        assert all(map(np.array_equal, *runs))
+
     def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, monkeypatch):
         # near the wall a span 15 or 500 times the proposed one is too stiff
         # for the frozen-W solve.  At 500 every trial's seed solve meets the
-        # critical rate, so the trials are rejected before the bank sweeps;
-        # at 15 the trial converges after halvings.  From either carry the
-        # run reaches the wall.  (The spans are those of 30 and 1000 times
-        # the proposal at the contraction target 0.1.)
+        # critical rate, so the trials are rejected before the bank sweeps
+        # and the run ends ConvergenceFailure where it started: no converged
+        # node reached the wall.  At 15 the trial converges after halvings,
+        # and the trials before the accepted one are rejected unswept, so
+        # only that one sweeps, twice; that run reaches the wall.  (The
+        # spans are those of 30 and 1000 times the proposal at the
+        # contraction target 0.1.)
         params = PhysicalParams(
             mass=1.0, cosmological_constant=1.1 * HC**4 / (960.0 * math.pi**2)
         )
@@ -1451,7 +1521,7 @@ class TestFixedWickSplit:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(solver, "evolve_bank", counted)
-        for factor, most in ((15.0, 8), (500.0, 0)):
+        for factor, most in ((15.0, 2), (500.0, 0)):
             sweeps.clear()
             carry = replace(start, next_step=(factor * span, "contraction"))
             if most:
@@ -1465,8 +1535,14 @@ class TestFixedWickSplit:
             sol, rep = continue_maximal(
                 initial, 1.0, params, self.wick_cfg, resume_from=carry
             )
-            assert rep.reason == "HitCriticalHubble"
             assert all(r.converged for r in sol.reports)
+            if most:
+                assert rep.reason == "HitCriticalHubble"
+            else:
+                assert rep.reason == "ConvergenceFailure"
+                assert rep.diagnostics["segments"] == 0
+                assert rep.diagnostics["margin_hubble"] > 0.0
+                assert "raised_at_tau" in rep.diagnostics
 
 
 class TestSegmentCallback:
