@@ -195,6 +195,20 @@ def richardson_error(f: np.ndarray, nodes: np.ndarray, history=COLD) -> float:
     return float(np.max(np.abs(fine - coarse))) / (2**start.order - 1)
 
 
+def check_accuracy(
+    f: np.ndarray, nodes: np.ndarray, history, max_error: float
+) -> float:
+    """The Richardson estimate of int f over the nodes (richardson_error);
+    raises Rejected when it exceeds max_error."""
+    estimate = richardson_error(f, nodes, history)
+    if estimate > max_error:
+        raise Rejected(
+            f"Richardson estimate {estimate:.3g} on a span of"
+            f" {nodes[-1] - nodes[0]:.3g} exceeds {max_error:.3g}"
+        )
+    return estimate
+
+
 def picard_solve_with_halving(
     rhs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, object]],
     start: float,
@@ -251,12 +265,7 @@ def picard_solve_with_halving(
                 np.full(nodes.size, start), evaluate, nodes, tol, max_iter, x0,
                 None if step is None else advance, history,
             )
-            estimate = richardson_error(f, nodes, history)
-            if estimate > max_error:
-                raise Rejected(
-                    f"Richardson estimate {estimate:.3g} on a span of"
-                    f" {nodes[-1] - nodes[0]:.3g} exceeds {max_error:.3g}"
-                )
+            estimate = check_accuracy(f, nodes, history, max_error)
         except (NoConvergence, Rejected, *retry_on) as err:
             cut = nodes[-1] - nodes[0]
             while True:

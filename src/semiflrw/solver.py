@@ -94,9 +94,9 @@ from .fixedpoint import (
     PicardReport,
     Rejected,
     ZeroStep,
+    check_accuracy,
     picard_solve,
     picard_solve_with_halving,
-    richardson_error,
     segment_nodes,
 )
 from .modes import WRONSKIAN_TOLERANCE, ModeBank, evolve_bank, potential
@@ -144,6 +144,15 @@ FROZEN_TOL = 0.1
 # A run stops at the first node whose scale-factor denominator a0 / a falls
 # to this margin.
 EPSILON_SCALE = 1e-6
+# Any iterate at |H| >= (1 - CRITICAL_GUARD) Hc raises CriticalHubble, where
+# the equation degenerates; only a converged node past the wall guard
+# (1 - epsilon_critical) Hc ends a run there.
+CRITICAL_GUARD = 1e-12
+# The least epsilon_critical, five decades above CRITICAL_GUARD so that
+# converged nodes land between the wall guard and it.  Nearer the critical
+# rate the span falls below the float spacing of tau: Lambda = 2 Hc^4 /
+# (960 pi^2), m = 0, from H0 = 0 stops on a ZeroStep at a margin of 4.8e-8 Hc.
+EPSILON_CRITICAL_MIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,10 @@ class SolverConfig:
         # counts
         if self.nodes_per_segment < 3 or self.nodes_per_segment % 2 == 0:
             raise ValueError("nodes_per_segment must be odd and >= 3")
-        if not 0.0 < self.epsilon_critical < 0.1:
-            raise ValueError("epsilon_critical must lie in (0, 0.1)")
+        if not EPSILON_CRITICAL_MIN <= self.epsilon_critical < 0.1:
+            raise ValueError(
+                f"epsilon_critical must lie in [{EPSILON_CRITICAL_MIN:g}, 0.1)"
+            )
         if self.max_segments < 1:
             raise ValueError("max_segments must be >= 1")
 
@@ -413,7 +424,7 @@ def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
     the segment's rule.  Raises CriticalHubble at the first node where |H|
     reaches the critical rate, where the equation degenerates."""
     critical = carry.params.hubble_critical
-    over = np.abs(h) >= critical * (1.0 - 1e-12)
+    over = np.abs(h) >= critical * (1.0 - CRITICAL_GUARD)
     if np.any(over):
         j = int(np.argmax(over))
         raise CriticalHubble(
@@ -484,7 +495,6 @@ def choose_step(
     h_max: float,
     params: PhysicalParams,
     previous: tuple[float, float, float, bool] | None = None,
-    swept: bool = False,
 ) -> tuple[float, str]:
     """The (span, limit) of a segment starting at H = h, a and W = w.
 
@@ -492,9 +502,9 @@ def choose_step(
     (span, largest contraction ratio, Richardson estimate over its target,
     retried, power) of the segment that ended here, None at the start of a
     run; power is the exponent of the span in the error of the rule that
-    made the estimate (core.RuleStart.power).  swept says that the ratio
-    came from bank sweeps between frozen-W solves, which took the stiffness
-    |df/dH| dt: the contraction limit then reads the ratio alone.
+    made the estimate (core.RuleStart.power).  In a massive run the ratio
+    comes from bank sweeps between frozen-W solves, which took the stiffness
+    |df/dH| dt, so the contraction limit then reads the ratio alone.
     The limit names which of contraction, accuracy, growth and denominator
     gave the span (see the module docstring); dt_target and the remaining
     span are applied by solve_segment.  Python floats throughout: a value
@@ -510,7 +520,7 @@ def choose_step(
     else:
         dt, ratio, error, retried, power = previous
         low, high = 1.0 / MAX_FACTOR, 1.0 if retried else MAX_FACTOR
-        rho = ratio if swept else max(ratio, stiffness * dt)
+        rho = ratio if params.mass > 0.0 else max(ratio, stiffness * dt)
         factors = {
             "contraction": _quotient(TARGET_CONTRACTION, rho),
             "accuracy": _on_ladder(
@@ -669,12 +679,7 @@ def solve_segment(
             solver_cfg.tol,
         )
         # the trial's accuracy check, on the seed before the bank sweeps
-        estimate = richardson_error(f, sub, carry.back[::2])
-        if estimate > REJECT_ACCURACY * target:
-            raise Rejected(
-                f"Richardson estimate {estimate:.3g} of the seed on a span of"
-                f" {sub[-1] - sub[0]:.3g} exceeds {REJECT_ACCURACY * target:.3g}"
-            )
+        check_accuracy(f, sub, carry.back[::2], REJECT_ACCURACY * target)
         return h
 
     def step(update, sub, byproduct):
@@ -721,7 +726,6 @@ def solve_segment(
         next_step=choose_step(
             float(h_vals[last]), float(a_vals[last]), float(w_vals[last]),
             float(np.max(np.abs(h_vals[: last + 1]))), params, previous,
-            swept=bank is not None,
         ),
     )
 

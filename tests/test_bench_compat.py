@@ -95,16 +95,9 @@ def test_library_outputs_pass_the_workload_check(workloads, workload):
         assert problems == [], f"seed {seed}"
 
 
-def test_massive_vacuum_sweep_count(workloads, monkeypatch):
+def test_massive_vacuum_sweep_count(workloads, sweeps):
     # bank sweeps dominate the workload's run time: a change that brings
     # sweeps back fails here before the benchmark runs
-    evolve, sweeps = solver.evolve_bank, []
-
-    def counted(*args, **kwargs):
-        sweeps.append(None)
-        return evolve(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "evolve_bank", counted)
     solution, report = solver.continue_maximal(
         **workloads.library_call("massive_vacuum", 0)
     )

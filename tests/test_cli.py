@@ -316,6 +316,8 @@ class TestValidation:
             {"tol": math.nan},
             {"dt_target": math.nan},
             {"epsilon_critical": math.nan},
+            # below solver.EPSILON_CRITICAL_MIN
+            {"epsilon_critical": 1e-9},
             {"nodes_per_segment": 48},
             {"tol": math.inf},
         ],

@@ -122,9 +122,13 @@ class TestConfig:
             # an even count leaves the last interval out of richardson_error
             {"nodes_per_segment": 4},
             {"nodes_per_segment": 48},
-            # the wall guard lies in the open interval (0, 0.1)
+            # the wall guard lies in [EPSILON_CRITICAL_MIN, 0.1): nearer the
+            # critical rate no converged node lands between the wall guard
+            # and CRITICAL_GUARD
             {"epsilon_critical": 0.0},
             {"epsilon_critical": -1e-3},
+            {"epsilon_critical": 1e-12},
+            {"epsilon_critical": 0.99 * solver.EPSILON_CRITICAL_MIN},
             {"epsilon_critical": 0.1},
             {"epsilon_critical": 0.5},
             {"max_segments": 0},
@@ -294,6 +298,26 @@ class TestWallPush:
         assert rep.reason == "HitCriticalHubble"
         assert sol.hubble[-1] <= -(1.0 - 1e-6) * HC
         assert all(r.converged for r in sol.reports)
+
+    @pytest.mark.parametrize(
+        "mass, c, h0, wick_cfg",
+        [(0.0, 2.0, 0.0, W0), (1.0, 1.1, 0.9 * HC, WickConfig(k_max=20.0, n_k=32))],
+    )
+    def test_the_least_wall_guard_ends_at_a_converged_node(self, mass, c, h0, wick_cfg):
+        # at the least epsilon_critical a converged node still lands between
+        # the wall guard and CRITICAL_GUARD, where iterates raise
+        params = PhysicalParams(
+            mass=mass, cosmological_constant=c * HC**4 / (960.0 * math.pi**2)
+        )
+        cfg = SolverConfig(epsilon_critical=solver.EPSILON_CRITICAL_MIN)
+        sol, rep = continue_maximal(
+            InitialData(0.0, 1.0, h0), 10.0, params, wick_cfg, cfg
+        )
+        assert rep.reason == "HitCriticalHubble"
+        assert "raised_at_tau" not in rep.diagnostics
+        wall = (1.0 - cfg.epsilon_critical) * HC
+        assert wall <= abs(sol.hubble[-1]) < (1.0 - solver.CRITICAL_GUARD) * HC
+        assert np.all(np.abs(sol.hubble[:-1]) < wall)
 
 
 class TestMasslessOracle:
@@ -544,16 +568,21 @@ class TestChooseStep:
         assert self.step(0.0)[0] == solver.MAX_FACTOR * self.dt
         assert self.step(0.0, retried=True)[0] == self.dt
 
-    def test_a_swept_segment_reads_only_the_ratio_its_sweeps_showed(self):
-        # at the source root H = 60, f vanishes: |df/dH| = 4 a H = 240, no
-        # growth limit and a denominator limit of 1 / 120, above MAX_FACTOR dt
+    def test_a_massive_segment_reads_only_the_ratio_its_sweeps_showed(self):
+        # at the source root H = 60 at W = 0, f vanishes: |df/dH| = 4 a H =
+        # 240, no growth limit and a denominator limit of 1 / 120, above
+        # MAX_FACTOR dt.  Lambda takes up the mass term -7.5 m^4 of m = 1
         h = 60.0
-        params = PhysicalParams(mass=0.0, cosmological_constant=lam_for_root(h))
         previous = (self.dt, 1e-3, 0.0, False, self.power)
-        span, limit = choose_step(h, 1.0, 0.0, h, params, previous, swept=True)
+        massive = PhysicalParams(
+            mass=1.0,
+            cosmological_constant=lam_for_root(h) + 7.5 / (960.0 * math.pi**2),
+        )
+        span, limit = choose_step(h, 1.0, 0.0, h, massive, previous)
         assert (span, limit) == (solver.MAX_FACTOR * self.dt, "contraction")
-        # without the flag the stiffness estimate 240 dt = 0.30 sets rho
-        span, limit = choose_step(h, 1.0, 0.0, h, params, previous)
+        # a massless run has no sweeps: the estimate 240 dt = 0.30 sets rho
+        massless = PhysicalParams(mass=0.0, cosmological_constant=lam_for_root(h))
+        span, limit = choose_step(h, 1.0, 0.0, h, massless, previous)
         assert limit == "contraction"
         assert span == pytest.approx(solver.TARGET_CONTRACTION / 240.0, rel=1e-9)
 
@@ -1432,12 +1461,12 @@ class TestFixedWickSplit:
         for report in swept:
             assert max(report.contraction_ratios) < 1e-3
 
-    def test_a_frozen_solve_that_stalls_rejects_its_trial(self, monkeypatch):
+    def test_a_frozen_solve_that_stalls_rejects_its_trial(self, monkeypatch, sweeps):
         # a frozen-W solve that does not converge rejects its trial before
         # the bank sweeps there, and the run that no frozen solve converges
         # on ends with that solve's residuals
-        picard, evolve = solver.picard_solve, solver.evolve_bank
-        stalls, stalled, swept = [1], [], []
+        picard = solver.picard_solve
+        stalls, stalled = [1], []
 
         def frozen(f0, rhs, nodes, tol, *args, **kwargs):
             if stalls[0] > 0:
@@ -1446,43 +1475,32 @@ class TestFixedWickSplit:
                 raise NoConvergence("stalled", PicardReport((1.0,), tol))
             return picard(f0, rhs, nodes, tol, *args, **kwargs)
 
-        def counted(*args, **kwargs):
-            swept.append(args[3][-1] - args[3][0])
-            return evolve(*args, **kwargs)
-
         monkeypatch.setattr(solver, "picard_solve", frozen)
-        monkeypatch.setattr(solver, "evolve_bank", counted)
         start = initial_segment_state(self.initial, self.params, self.wick_cfg)
         segment = solve_segment(start, 1.0)
         assert segment.last_report.converged
         assert segment.last_report.halvings >= 1
-        assert swept and max(swept) < stalled[0]
-        stalls[0], swept[:] = math.inf, []
+        assert sweeps and max(t[-1] - t[0] for t in sweeps) < stalled[0]
+        stalls[0], sweeps[:] = math.inf, []
         sol, rep = continue_maximal(self.initial, 0.01, self.params, self.wick_cfg)
         assert rep.reason == "ConvergenceFailure"
         assert rep.diagnostics["picard_residuals"] == [1.0]
-        assert not swept and sol.taus.tolist() == [0.0]
+        assert not sweeps and sol.taus.tolist() == [0.0]
 
-    def test_the_seed_screen_removes_only_sweeps(self, monkeypatch):
+    def test_the_seed_screen_removes_only_sweeps(self, monkeypatch, sweeps):
         # the massive_vacuum benchmark inputs: the cold first trial's seed
         # has a Richardson estimate of 9.0e-8 against the bound 1.2e-8, so
-        # the screen rejects it before any sweep.  Without the screen (the
-        # check after the sweep lives in fixedpoint) it sweeps twice before
-        # the same rejection, and the run is otherwise the same
+        # the screen rejects it before any sweep.  Without the screen
+        # (solver's check_accuracy stubbed; picard_solve_with_halving calls
+        # fixedpoint's own after the sweep) it sweeps twice before the same
+        # rejection, and the run is otherwise the same
         initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=1.0)
         wick_cfg = WickConfig(k_max=40.0, n_k=192)
-        evolve, sweeps = solver.evolve_bank, []
-
-        def counted(*args, **kwargs):
-            sweeps.append(None)
-            return evolve(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "evolve_bank", counted)
         start = initial_segment_state(initial, params, wick_cfg)
         runs = []
         for screened, first, total in ((True, 0, 10), (False, 2, 12)):
             if not screened:
-                monkeypatch.setattr(solver, "richardson_error", lambda *a: 0.0)
+                monkeypatch.setattr(solver, "check_accuracy", lambda *a: 0.0)
             sweeps.clear()
             with pytest.raises(Rejected):
                 solve_segment(start, 0.05, SolverConfig(max_halvings=0))
@@ -1494,7 +1512,7 @@ class TestFixedWickSplit:
             runs.append((sol.taus, sol.hubble, sol.scale_factor, sol.wick_square))
         assert all(map(np.array_equal, *runs))
 
-    def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, monkeypatch):
+    def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, sweeps):
         # near the wall a span 15 or 500 times the proposed one is too stiff
         # for the frozen-W solve.  At 500 every trial's seed solve meets the
         # critical rate, so the trials are rejected before the bank sweeps
@@ -1513,14 +1531,6 @@ class TestFixedWickSplit:
             start.hubble_start, start.a_start, float(start.hist_wick[-1]),
             start.hubble_start, params,
         )
-        evolve = solver.evolve_bank
-        sweeps = []
-
-        def counted(*args, **kwargs):
-            sweeps.append(args[3][-1])
-            return evolve(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "evolve_bank", counted)
         for factor, most in ((15.0, 2), (500.0, 0)):
             sweeps.clear()
             carry = replace(start, next_step=(factor * span, "contraction"))
