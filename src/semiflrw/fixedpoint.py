@@ -11,17 +11,16 @@ iterate is the update itself (plain Picard) or whatever the caller's step
 makes of it: a caller with a cheap approximate map can solve that map to
 its fixed point between two costly evaluations, and the acceptance test
 stays the full map's residual.
-picard_solve_with_halving owns the local existence step: it solves on a
-trial span, accepts the converged trial by a Richardson estimate of the
-rule's error, or else retries on the front half of the span.  How long the
-first span is, and where each trial's iteration starts, is the caller's
-choice.
+picard_solve_with_halving is the halving schedule of the local existence
+step: it runs the caller's trial on a span and retries it on the front half
+of the span when the trial is rejected.  What a trial solves, where its
+iteration starts and how it is judged (check_accuracy bounds the Richardson
+estimate of the rule's error) is the caller's, as is the first span.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -210,40 +209,26 @@ def check_accuracy(
 
 
 def picard_solve_with_halving(
-    rhs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, object]],
-    start: float,
+    trial: Callable[[np.ndarray, int], object],
     nodes: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 60,
     max_halvings: int = 6,
-    seed: Callable[[np.ndarray, int], np.ndarray | None] | None = None,
-    max_error: float = math.inf,
     retry_on: tuple[type[Exception], ...] = (),
-    step: Callable[[np.ndarray, np.ndarray, object], np.ndarray] | None = None,
-    history=COLD,
     span: float | None = None,
-) -> tuple[np.ndarray, PicardReport, np.ndarray, float, object]:
-    """Solve X = start + int f(X) on a trial span, retrying on the front half
+) -> tuple[object, np.ndarray, int]:
+    """Run trial(nodes, halvings) on a trial span, retrying on the front half
     of the span when the trial is rejected.
 
-    rhs(x, nodes) returns (f(x) at the nodes, byproduct), as picard_solve's
-    rhs does on those nodes.  A trial is rejected when it does not converge,
-    when rhs raises one of retry_on, and when the Richardson estimate of its
-    quadrature error, from f at the returned iterate, exceeds max_error.  A
-    retry keeps the node count, an odd one of at least 3, so that every
-    second node ends on the last.  Returns (x, report, nodes, estimate,
-    byproduct) of the accepted trial.  After max_halvings retries the last
-    rejection is raised (NoConvergence with the report of the last trial),
-    and a half span below the float spacing of its nodes raises ZeroStep.
-    seed(nodes, halvings), when given, is a trial's first iterate, or None
-    for the constant start; it runs inside the trial, so what retry_on
-    names rejects the trial there too.  step(update, nodes, byproduct) is
-    picard_solve's step on the trial's nodes.  history is picard_solve's,
-    for every trial: the back points stay where they are as the span halves.
-    span, when given, is a longer span that the trial was cut from, by a
-    horizon: a retry is then the one a trial on that span would have come
-    to, halved as often as it takes to fall below the cut trial and with
-    those halvings counted, so the cut changes no trial after its own.
+    A trial is rejected when it raises NoConvergence, Rejected or one of
+    retry_on.  A retry keeps the node count, an odd one of at least 3, so
+    that every second node ends on the last.  Returns (result, nodes,
+    halvings) of the accepted trial.  After max_halvings retries the last
+    rejection is raised (NoConvergence "after N halvings", with the report
+    of the last trial), and a half span below the float spacing of its
+    nodes raises ZeroStep.  span, when given, is a longer span that the
+    trial was cut from, by a horizon: a retry is then the one a trial on
+    that span would have come to, halved as often as it takes to fall below
+    the cut trial and with those halvings counted, so the cut changes no
+    trial after its own.
     """
     if nodes.size < 3 or nodes.size % 2 == 0:
         raise ValueError("the trial span needs an odd count of at least 3 nodes")
@@ -251,21 +236,8 @@ def picard_solve_with_halving(
     # where the span that the retries halve ends
     stop = nodes[-1] if span is None else nodes[0] + span
     while True:
-
-        def evaluate(x):
-            values, byproduct = rhs(x, nodes)
-            return values, (values, byproduct)
-
-        def advance(update, evaluated):
-            return step(update, nodes, evaluated[1])
-
         try:
-            x0 = None if seed is None else seed(nodes, halvings)
-            x, report, (f, byproduct) = picard_solve(
-                np.full(nodes.size, start), evaluate, nodes, tol, max_iter, x0,
-                None if step is None else advance, history,
-            )
-            estimate = check_accuracy(f, nodes, history, max_error)
+            return trial(nodes, halvings), nodes, halvings
         except (NoConvergence, Rejected, *retry_on) as err:
             cut = nodes[-1] - nodes[0]
             while True:
@@ -281,5 +253,3 @@ def picard_solve_with_halving(
                 if half < cut:
                     break
             nodes = segment_nodes(nodes[0], half, nodes.size)
-            continue
-        return x, replace(report, halvings=halvings), nodes, estimate, byproduct

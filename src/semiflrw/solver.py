@@ -494,7 +494,7 @@ def choose_step(
     w: float,
     h_max: float,
     params: PhysicalParams,
-    previous: tuple[float, float, float, bool] | None = None,
+    previous: tuple[float, float, float, bool, int] | None = None,
 ) -> tuple[float, str]:
     """The (span, limit) of a segment starting at H = h, a and W = w.
 
@@ -625,14 +625,17 @@ def solve_segment(
     cut at the first new node past the wall guard or the scale margin, and
     the span it proposes for the segment after it.
 
-    Raises NoConvergence, CriticalHubble, BlowUp or Rejected (Richardson
+    A trial, defined here, is the seed, the frozen-W solve and seed screen
+    of a massive run, picard_solve and the accuracy check of the result;
+    picard_solve_with_halving retries it on the front half of its span.
+    When the last retry is rejected, its rejection is raised: NoConvergence
+    "after N halvings" (a massive run's may carry the residuals of a
+    frozen-W solve), CriticalHubble, BlowUp, or Rejected (the Richardson
     estimate of the result, or of a massive trial's seed, above
-    REJECT_ACCURACY times its target) when the last retry is
-    rejected for that reason (a massive run's NoConvergence may carry the
-    residuals of a frozen-W solve), BankCheckFailed when the carried bank
-    is unfit to continue, ZeroStep when the step underflows to zero or below
-    the float spacing of the nodes, OverflowError when the step estimate
-    leaves the float range, and NaNDetected with its location.
+    REJECT_ACCURACY times its target).  Raises BankCheckFailed when the
+    carried bank is unfit to continue, ZeroStep when the step underflows to
+    zero or below the float spacing of the nodes, OverflowError when the
+    step estimate leaves the float range, and NaNDetected with its location.
     """
     bank = carry.mode_bank_carry
     if bank is not None:
@@ -667,35 +670,46 @@ def solve_segment(
     nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
     delta = 0.5 * (critical - abs(h_start))
     target = ACCURACY_PER_TOL * solver_cfg.tol
+    # every trial's accuracy checks: one bound, from the rule's back points
+    history, max_error = carry.back[::2], REJECT_ACCURACY * target
 
-    def seed(sub, halvings):
-        h = None if halvings else picard_seed(carry, sub, delta)
-        if bank is None:
-            return h
-        # the fixed point at the extrapolated W, or at the carried one
-        w = None if halvings else extrapolate(carry, carry.hist_wick, sub)
-        h, f = hubble_at_fixed_wick(
-            carry, sub, float(carry.hist_wick[-1]) if w is None else w, h,
-            solver_cfg.tol,
+    def trial(sub, halvings):
+        # a retry starts from the constant H_start and the carried W
+        x = None if halvings else picard_seed(carry, sub, delta)
+
+        def rhs(h):
+            f, detail = _rhs_detail(h, sub, carry)
+            return f, (f, detail)
+
+        def split(update, evaluated):
+            # the fixed point at the W of the bank swept at the last iterate
+            return hubble_at_fixed_wick(
+                carry, sub, evaluated[1][0], update, solver_cfg.tol
+            )[0]
+
+        if bank is not None:
+            # the fixed point at the extrapolated W, or at the carried one
+            w = None if halvings else extrapolate(carry, carry.hist_wick, sub)
+            x, f = hubble_at_fixed_wick(
+                carry, sub, float(carry.hist_wick[-1]) if w is None else w, x,
+                solver_cfg.tol,
+            )
+            # the seed's accuracy check, before the bank sweeps
+            check_accuracy(f, sub, history, max_error)
+        x, report, (f, detail) = picard_solve(
+            np.full(sub.size, h_start), rhs, sub, solver_cfg.tol, MAX_ITER, x,
+            None if bank is None else split, history,
         )
-        # the trial's accuracy check, on the seed before the bank sweeps
-        check_accuracy(f, sub, carry.back[::2], REJECT_ACCURACY * target)
-        return h
-
-    def step(update, sub, byproduct):
-        # the fixed point at the W of the bank swept at the last iterate
-        return hubble_at_fixed_wick(
-            carry, sub, byproduct[0], update, solver_cfg.tol
-        )[0]
+        return x, report, check_accuracy(f, sub, history, max_error), detail
 
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    h_vals, report, nodes, error, (w_vals, a_vals, history) = picard_solve_with_halving(
-        lambda h, sub: _rhs_detail(h, sub, carry),
-        h_start, nodes, solver_cfg.tol, MAX_ITER, solver_cfg.max_halvings, seed,
-        max_error=REJECT_ACCURACY * target, retry_on=(CriticalHubble, BlowUp),
-        step=None if bank is None else step,
-        history=carry.back[::2], span=uncut if dt < uncut < math.inf else None,
+    (h_vals, report, error, (w_vals, a_vals, swept)), nodes, halvings = (
+        picard_solve_with_halving(
+            trial, nodes, solver_cfg.max_halvings, (CriticalHubble, BlowUp),
+            uncut if dt < uncut < math.inf else None,
+        )
     )
+    report = replace(report, halvings=halvings)
     ratio = max(report.contraction_ratios, default=0.0)
     log.debug(
         "segment tau=%r dt=%.6g limit=%s iterates=%d ratio=%.3g"
@@ -709,8 +723,8 @@ def solve_segment(
         carry.initial.a0 / a_vals[1:] <= EPSILON_SCALE
     )
     last = int(np.argmax(breach)) + 1 if np.any(breach) else nodes.size - 1
-    if history is not None:
-        bank = bank.moved_to(history[0][last], history[1][last], nodes[last])
+    if swept is not None:
+        bank = bank.moved_to(swept[0][last], swept[1][last], nodes[last])
     previous = (
         float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0,
         rule_start(nodes, carry.back[0]).power,

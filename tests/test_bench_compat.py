@@ -106,6 +106,39 @@ def test_massive_vacuum_sweep_count(workloads, sweeps):
     assert len(solution.reports) <= 5
 
 
+def test_the_trial_spans_hold_every_sweep_and_evaluation(workloads):
+    # fixedpoint.picard_s is the halving driver's span: it measures the
+    # whole segment trial only while every bank sweep and every a(H)
+    # evaluation runs below it, and its calls count one per segment
+    spans = bench_module("spans")
+    recorder = spans.SpanRecorder("nesting")
+    recorder.install()
+    try:
+        solution, report = solver.continue_maximal(
+            **workloads.library_call("massive_vacuum", 0)
+        )
+    finally:
+        recorder.uninstall()
+    assert report.reason == "TimeHorizon"
+    records = recorder.spans
+    driver = "fixedpoint.picard_solve_with_halving"
+
+    def under_driver(index):
+        parent = records[index][3]
+        while parent is not None:
+            if records[parent][0] == driver:
+                return True
+            parent = records[parent][3]
+        return False
+
+    for name in ("modes.evolve_bank", "core.scale_factor_from_hubble"):
+        inner = [i for i, record in enumerate(records) if record[0] == name]
+        assert inner, name
+        assert all(map(under_driver, inner)), name
+    calls = sum(record[0] == driver for record in records)
+    assert calls == len(solution.reports)
+
+
 def test_checkpoint_config_builds(workloads):
     config = cli.parse_config_mapping(workloads.checkpoint_config(0), "bench")
     cli.build_run(config)

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from semiflrw.core import cumulative_integral
 from semiflrw.fixedpoint import (
+    COLD,
     NaNDetected,
     NoConvergence,
     PicardReport,
     Rejected,
     ZeroStep,
+    check_accuracy,
     picard_solve,
     picard_solve_with_halving,
     segment_nodes,
@@ -86,13 +88,18 @@ class TestPicardSolve:
         grid = np.linspace(0.0, 0.5, 201)
         f0 = ones(grid)
         seed = 1.0 + 0.3 * np.cos(4.0 * grid)
-        plain, _, _ = picard_solve(f0, identity_functional(), grid, tol=1e-12)
+        plain, cold, _ = picard_solve(f0, identity_functional(), grid, tol=1e-12)
         seeded, report, _ = picard_solve(
             f0, identity_functional(), grid, tol=1e-12, x0=seed
         )
         assert report.converged
         assert np.max(np.abs(seeded - plain)) < 1e-11
         assert report.equation_residual < 2e-12
+        # a seed at the fixed point needs fewer iterates than F0
+        _, warm, _ = picard_solve(
+            f0, identity_functional(), grid, tol=1e-12, x0=plain
+        )
+        assert warm.iterates < cold.iterates
 
     def test_step_makes_the_next_iterate(self):
         # x' = 4 x: a step that runs the map itself ten times between two
@@ -267,9 +274,21 @@ class TestRetardation:
         assert not verify_retardation(end_anchored, np.cos(grid))
 
 
-def linear(lam):
-    """rhs(x, nodes) of x' = lam x."""
-    return lambda x, nodes: (lam * x, None)
+def linear(lam, tol=1e-10, max_iter=60, max_error=math.inf, spans=None):
+    """A trial solving x' = lam x from x(0) = 1 on its nodes and holding it
+    to max_error; it returns (x, report, Richardson estimate) and appends
+    the end of each span it is run on to spans."""
+
+    def trial(nodes, halvings):
+        if spans is not None:
+            spans.append(nodes[-1])
+        x, report, f = picard_solve(
+            np.ones(nodes.size), lambda x: (lam * x, lam * x), nodes, tol,
+            max_iter,
+        )
+        return x, report, check_accuracy(f, nodes, COLD, max_error)
+
+    return trial
 
 
 class TestHalvingDriver:
@@ -278,20 +297,15 @@ class TestHalvingDriver:
         lam = 8.0
         grid = np.linspace(0.0, 1.0, 401)
         spans = []
-
-        def rhs(x, nodes):
-            spans.append(nodes[-1])
-            return lam * x, None
-
-        solution, report, final_nodes, _, _ = picard_solve_with_halving(
-            rhs, 1.0, grid, tol=1e-10, max_iter=12
+        (solution, report, _), final_nodes, halvings = picard_solve_with_halving(
+            linear(lam, max_iter=12, spans=spans), grid
         )
         assert report.converged
-        assert report.halvings == len(set(spans)) - 1
-        assert 1 <= report.halvings <= 6
+        assert halvings == len(set(spans)) - 1
+        assert 1 <= halvings <= 6
         # a retry keeps the node count on the front half of the span
         assert np.array_equal(
-            final_nodes, np.linspace(0.0, 0.5**report.halvings, grid.size)
+            final_nodes, np.linspace(0.0, 0.5**halvings, grid.size)
         )
         # converged span solves x' = lam x from x(0) = 1 up to the rule's error
         expected = np.exp(lam * final_nodes)
@@ -299,10 +313,10 @@ class TestHalvingDriver:
 
     def test_no_halving_when_first_try_converges(self):
         grid = np.linspace(0.0, 0.3, 151)
-        solution, report, final_nodes, estimate, _ = picard_solve_with_halving(
-            linear(1.0), 1.0, grid, tol=1e-12
+        (solution, _, estimate), final_nodes, halvings = picard_solve_with_halving(
+            linear(1.0, tol=1e-12), grid
         )
-        assert report.halvings == 0
+        assert halvings == 0
         assert np.array_equal(final_nodes, grid)
         # the Richardson estimate is of the rule's error of int f
         assert 0.0 < estimate < 1e-6
@@ -310,63 +324,70 @@ class TestHalvingDriver:
 
     def test_gives_up_after_max_halvings(self):
         grid = np.linspace(0.0, 1.0, 513)
-        with pytest.raises(NoConvergence, match="after 4 halvings"):
-            picard_solve_with_halving(
-                linear(1e6), 1.0, grid, tol=1e-12, max_iter=10, max_halvings=4
-            )
+        solve, raised = linear(1e6, tol=1e-12, max_iter=10), []
+
+        def trial(nodes, halvings):
+            try:
+                return solve(nodes, halvings)
+            except NoConvergence as err:
+                raised.append(err)
+                raise
+
+        with pytest.raises(NoConvergence, match="after 4 halvings") as info:
+            picard_solve_with_halving(trial, grid, max_halvings=4)
+        # the last trial's report comes with it
+        assert len(raised) == 5
+        assert info.value.report is raised[-1].report
+        assert info.value.__cause__ is raised[-1]
 
     def test_rejects_on_the_richardson_estimate_alone(self):
         # the trial converges on the full span; only its estimate, which falls
         # 8-fold per halving (h^3 on the trapezoid first interval), is too
         # large
         grid = np.linspace(0.0, 1.0, 9)
-        _, report, _, estimate, _ = picard_solve_with_halving(
-            linear(1.0), 1.0, grid, tol=1e-12
+        (_, _, estimate), _, halvings = picard_solve_with_halving(
+            linear(1.0, tol=1e-12), grid
         )
-        assert report.halvings == 0
+        assert halvings == 0
         bound = 0.5 * estimate
-        _, report, final_nodes, accepted, _ = picard_solve_with_halving(
-            linear(1.0), 1.0, grid, tol=1e-12, max_error=bound
+        (_, report, accepted), final_nodes, halvings = picard_solve_with_halving(
+            linear(1.0, tol=1e-12, max_error=bound), grid
         )
-        assert report.converged and report.halvings == 1
+        assert report.converged and halvings == 1
         assert np.array_equal(final_nodes, np.linspace(0.0, 0.5, 9))
         assert accepted < bound
         with pytest.raises(Rejected, match="Richardson estimate .* exceeds"):
             picard_solve_with_halving(
-                linear(1.0), 1.0, grid, tol=1e-12, max_halvings=0, max_error=bound
+                linear(1.0, tol=1e-12, max_error=bound), grid, max_halvings=0
             )
 
     def test_a_cut_trial_retries_as_the_uncut_one(self):
         # a trial cut to 0.4 of a span that needs four halvings skips the
         # half span, longer than itself, and goes on as the uncut trial does,
         # with its halvings counted
-        lam = 8.0
         spans = []
-
-        def rhs(x, nodes):
-            spans.append(nodes[-1])
-            return lam * x, None
+        trial = linear(8.0, max_iter=12, spans=spans)
 
         def trials():
             return sorted(set(spans), reverse=True)
 
-        x, report, nodes, _, _ = picard_solve_with_halving(
-            rhs, 1.0, np.linspace(0.0, 1.0, 401), tol=1e-10, max_iter=12
+        (x, report, _), nodes, halvings = picard_solve_with_halving(
+            trial, np.linspace(0.0, 1.0, 401)
         )
         assert trials() == [1.0, 0.5, 0.25, 0.125, 0.0625]
         spans.clear()
-        got = picard_solve_with_halving(
-            rhs, 1.0, np.linspace(0.0, 0.4, 401), tol=1e-10, max_iter=12, span=1.0
+        got, got_nodes, got_halvings = picard_solve_with_halving(
+            trial, np.linspace(0.0, 0.4, 401), span=1.0
         )
         assert trials() == [0.4, 0.25, 0.125, 0.0625]
-        assert got[1] == report and report.halvings == 4
-        assert np.array_equal(got[0], x) and np.array_equal(got[2], nodes)
+        assert got[1] == report and got_halvings == halvings == 4
+        assert np.array_equal(got[0], x) and np.array_equal(got_nodes, nodes)
 
     def test_halving_below_the_float_spacing_raises_zero_step(self):
         class Refused(RuntimeError):
             pass
 
-        def refuse(x, nodes):
+        def refuse(nodes, halvings):
             raise Refused
 
         # 5 nodes 4 ulp apart at 1e8: the third halving would repeat a node
@@ -374,48 +395,26 @@ class TestHalvingDriver:
         grid = segment_nodes(1e8, 16.0 * ulp, 5)
         with pytest.raises(ZeroStep, match="below the float spacing"):
             picard_solve_with_halving(
-                refuse, 0.0, grid, max_halvings=10, retry_on=(Refused,)
+                refuse, grid, max_halvings=10, retry_on=(Refused,)
             )
 
     def test_even_node_count_is_rejected(self):
         # every second node of an even count misses the last one
         with pytest.raises(ValueError, match="odd"):
-            picard_solve_with_halving(linear(1.0), 1.0, np.linspace(0.0, 1.0, 4))
+            picard_solve_with_halving(linear(1.0), np.linspace(0.0, 1.0, 4))
 
-    def test_seed_starts_the_first_attempt_only(self):
-        lam = 8.0
-        grid = np.linspace(0.0, 1.0, 401)
-        first = {}  # the first iterate of each trial, by its span's end
-        asked = []  # (span end, halvings) of each seed call
+    def test_each_trial_is_told_its_halvings(self):
+        asked = []  # (span end, halvings) of each trial
 
-        def rhs(x, nodes):
-            first.setdefault(nodes[-1], x.copy())
-            return lam * x, None
-
-        def seed(nodes, halvings):
+        def trial(nodes, halvings):
             asked.append((nodes[-1], halvings))
-            return None if halvings else np.exp(lam * grid)
+            if halvings < 3:
+                raise Rejected("too long")
+            return nodes.size
 
-        _, report, _, _, _ = picard_solve_with_halving(
-            rhs, 1.0, grid, tol=1e-10, max_iter=12, seed=seed
+        result, nodes, halvings = picard_solve_with_halving(
+            trial, np.linspace(0.0, 1.0, 5)
         )
-        assert report.converged and report.halvings >= 1
-        trials = list(first.values())
-        assert len(trials) == report.halvings + 1
-        # the seed is asked once per trial, with the trial's nodes
-        assert asked == [(end, n) for n, end in enumerate(first)]
-        assert np.array_equal(trials[0], np.exp(lam * grid))
-        # a retry has as many nodes; None starts it from the constant
-        assert all(np.array_equal(x, np.ones(grid.size)) for x in trials[1:])
-
-        short = np.linspace(0.0, 0.3, 151)
-        unseeded, plain, _, _, _ = picard_solve_with_halving(
-            linear(lam), 1.0, short, tol=1e-12, max_iter=40
-        )
-        seeded, warm, _, _, _ = picard_solve_with_halving(
-            linear(lam), 1.0, short, tol=1e-12, max_iter=40,
-            seed=lambda nodes, halvings: unseeded,
-        )
-        assert warm.halvings == 0
-        assert warm.iterates < plain.iterates
-        assert np.max(np.abs(seeded - unseeded)) < 1e-11
+        assert asked == [(1.0, 0), (0.5, 1), (0.25, 2), (0.125, 3)]
+        assert (result, halvings) == (5, 3)
+        assert np.array_equal(nodes, np.linspace(0.0, 0.125, 5))

@@ -1490,17 +1490,32 @@ class TestFixedWickSplit:
     def test_the_seed_screen_removes_only_sweeps(self, monkeypatch, sweeps):
         # the massive_vacuum benchmark inputs: the cold first trial's seed
         # has a Richardson estimate of 9.0e-8 against the bound 1.2e-8, so
-        # the screen rejects it before any sweep.  Without the screen
-        # (solver's check_accuracy stubbed; picard_solve_with_halving calls
-        # fixedpoint's own after the sweep) it sweeps twice before the same
-        # rejection, and the run is otherwise the same
+        # the screen rejects it before any sweep.  Without the screen (the
+        # first check_accuracy of each trial skipped; the check after the
+        # sweeps still runs) it sweeps twice before the same rejection, and
+        # the run is otherwise the same
         initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=1.0)
         wick_cfg = WickConfig(k_max=40.0, n_k=192)
         start = initial_segment_state(initial, params, wick_cfg)
+        driver, check = solver.picard_solve_with_halving, solver.check_accuracy
+        checks = []  # per trial, the accuracy checks it has made
+
+        def counted(trial, *args, **kwargs):
+            def each(*trial_args):
+                checks.append(0)
+                return trial(*trial_args)
+
+            return driver(each, *args, **kwargs)
+
+        def unscreened(*args):
+            checks[-1] += 1
+            return check(*args) if checks[-1] > 1 else 0.0
+
         runs = []
         for screened, first, total in ((True, 0, 10), (False, 2, 12)):
             if not screened:
-                monkeypatch.setattr(solver, "check_accuracy", lambda *a: 0.0)
+                monkeypatch.setattr(solver, "picard_solve_with_halving", counted)
+                monkeypatch.setattr(solver, "check_accuracy", unscreened)
             sweeps.clear()
             with pytest.raises(Rejected):
                 solve_segment(start, 0.05, SolverConfig(max_halvings=0))
@@ -1511,6 +1526,52 @@ class TestFixedWickSplit:
             assert len(sweeps) == total
             runs.append((sol.taus, sol.hubble, sol.scale_factor, sol.wick_square))
         assert all(map(np.array_equal, *runs))
+
+    def test_a_retry_starts_from_the_constant_and_the_carried_w(self, monkeypatch):
+        # only a segment's first trial reads the history: a retry solves the
+        # frozen-W equation at the carried W from the constant H_start
+        carry = massive_segments(self.initial, self.params, self.wick_cfg, 3)[-1][1]
+        assert carry.last_report.halvings == 0
+        # 8 times the proposed span, which the default dt_target would cap
+        carry = replace(carry, next_step=(8.0 * carry.next_step[0], "contraction"))
+        driver, trials, calls = solver.picard_solve_with_halving, [], []
+
+        def counted(trial, *args, **kwargs):
+            def each(nodes, halvings):
+                trials.append(halvings)
+                return trial(nodes, halvings)
+
+            return driver(each, *args, **kwargs)
+
+        def spy(name):
+            real = getattr(solver, name)
+
+            def spied(*args):
+                calls.append((name, trials[-1], args))
+                return real(*args)
+
+            monkeypatch.setattr(solver, name, spied)
+
+        monkeypatch.setattr(solver, "picard_solve_with_halving", counted)
+        for name in ("picard_seed", "extrapolate", "hubble_at_fixed_wick"):
+            spy(name)
+        segment = solve_segment(carry, 1.0, SolverConfig(dt_target=1.0))
+        halvings = segment.last_report.halvings
+        assert halvings >= 1
+        assert trials == list(range(halvings + 1))
+        extrapolated = [(n, t) for n, t, _ in calls if n != "hubble_at_fixed_wick"]
+        # the seed extrapolates H, and the first trial W
+        assert extrapolated == [
+            ("picard_seed", 0), ("extrapolate", 0), ("extrapolate", 0)
+        ]
+        # each trial's first frozen-W solve, at (w, x)
+        first = {}
+        for name, t, args in calls:
+            if name == "hubble_at_fixed_wick":
+                first.setdefault(t, args[2:4])
+        assert isinstance(first[0][0], np.ndarray)
+        for t in range(1, halvings + 1):
+            assert first[t] == (float(carry.hist_wick[-1]), None)
 
     def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, sweeps):
         # near the wall a span 15 or 500 times the proposed one is too stiff
