@@ -1,7 +1,7 @@
 """Batch front-end: JSON run configs in, CSV series and JSON summaries out.
 
 Exit codes: 0 TimeHorizon, 10 HitCriticalHubble, 11 ScaleFactorBlowUp,
-20 ConvergenceFailure (or any domain error mid-run), 2 config error.
+20 ConvergenceFailure (or any domain or file-writing error mid-run), 2 config error.
 The only environment variable read is SEMIFLRW_LOG, a log level name of
 LOG_LEVELS (unset or empty: WARNING); any other value is a config error.
 """
@@ -37,6 +37,8 @@ from .wick import BogoliubovProfile, WickConfig
 log = logging.getLogger("semiflrw")
 
 CSV_COLUMNS = ("tau", "t", "a", "H", "dH", "R", "W_ren", "source")
+# a built run's domain errors and the files it cannot write: exit 20
+RUN_ERRORS = (OSError, RuntimeError, ValueError, ArithmeticError)
 
 
 class ConfigError(Exception):
@@ -109,7 +111,10 @@ def _as_float(mapping: dict, key: str, context: str, default=_REQUIRED):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{context}.{key} is too large for a float") from None
 
 
 def _as_int(mapping: dict, key: str, context: str) -> int:
@@ -334,11 +339,12 @@ def write_summary(
         handle.write("\n")
 
 
-def solve_and_write(config: dict, built, out_dir: Path, **solve_kwargs):
+def solve_and_write(config: dict, built, out_dir: Path, finish=None, **solve_kwargs):
     """Solve a built config; write out_dir/solution.csv and summary.json.
 
-    A solve that raises leaves summary.json with the error and no
-    termination, and the error propagates.  solve_kwargs go to
+    finish(solution), when given, runs before the files are written.  A
+    RUN_ERRORS error of the solve, finish or CSV leaves summary.json with the
+    error and no termination, and propagates.  solve_kwargs go to
     continue_maximal (resume and segment callback).
     """
     params, initial, wick_cfg, solver_cfg, profile, constraint_rep = built
@@ -349,12 +355,14 @@ def solve_and_write(config: dict, built, out_dir: Path, **solve_kwargs):
             initial, config["horizon"], params, wick_cfg, solver_cfg,
             profile=profile, **solve_kwargs,
         )
-    except (RuntimeError, ValueError, ArithmeticError) as err:
+        if finish is not None:
+            finish(solution)
+        write_solution_csv(out_dir / "solution.csv", solution, config)
+    except RUN_ERRORS as err:
         write_summary(
             summary_path, config, constraint_rep, None, None, error=str(err)
         )
         raise
-    write_solution_csv(out_dir / "solution.csv", solution, config)
     write_summary(summary_path, config, constraint_rep, solution, term)
     return solution, term
 
@@ -391,7 +399,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out or config.get("out_dir") or ".")
 
     written = None  # what the checkpoint file holds, as save_checkpoint says
-    run_log = None
+    run_log = finish = None
     if args.checkpoint:
         def callback(log):
             nonlocal written, run_log
@@ -399,21 +407,21 @@ def cmd_run(args) -> int:
             if log.segments % args.checkpoint_every == 0:
                 written = save_checkpoint(args.checkpoint, log, horizon, written)
 
+        def finish(solution):
+            # run_log is None when no segment was solved
+            final_log = run_log or RunLog(
+                solution.final_state, solution.reports, solution.segment_bounds
+            )
+            save_checkpoint(args.checkpoint, final_log, horizon, written)
+
         solve_kwargs["segment_callback"] = callback
 
     try:
-        solution, term = solve_and_write(config, built, out_dir, **solve_kwargs)
-    except (RuntimeError, ValueError, ArithmeticError) as err:
+        solution, term = solve_and_write(config, built, out_dir, finish, **solve_kwargs)
+    except RUN_ERRORS as err:
         log.error("run failed: %s", err)
         print(f"run failed: {err}", file=sys.stderr)
         return 20
-
-    if args.checkpoint:
-        # run_log is None when no segment was solved
-        final_log = run_log or RunLog(
-            solution.final_state, solution.reports, solution.segment_bounds
-        )
-        save_checkpoint(args.checkpoint, final_log, horizon, written)
     print(
         f"{term.reason} tau_stop={term.tau_stop!r} nodes={solution.taus.size}"
         f" -> {out_dir / 'solution.csv'}"
@@ -458,7 +466,7 @@ def _sweep_one(name: str, config: dict, out_dir: Path) -> dict:
             wick_square_final=repr(float(solution.wick_square[-1])),
             segments=str(len(solution.reports)),
         )
-    except (ConfigError, RuntimeError, ValueError, ArithmeticError) as err:
+    except (ConfigError, *RUN_ERRORS) as err:
         row["status"] = "failed"
         row["error"] = str(err).replace("\n", " ").replace(",", ";")
     return row

@@ -13,9 +13,9 @@ its fixed point between two costly evaluations, and the acceptance test
 stays the full map's residual.
 picard_solve_with_halving is the halving schedule of the local existence
 step: it runs the caller's trial on a span and retries it on the front half
-of the span when the trial is rejected.  What a trial solves, where its
-iteration starts and how it is judged (check_accuracy bounds the Richardson
-estimate of the rule's error) is the caller's, as is the first span.
+of the span when the trial is rejected; a trial is a function of its nodes.
+What it solves, where its iteration starts and how it is judged (the bound
+of check_accuracy on the rule's error) is the caller's, as is the first span.
 """
 
 from __future__ import annotations
@@ -209,13 +209,13 @@ def check_accuracy(
 
 
 def picard_solve_with_halving(
-    trial: Callable[[np.ndarray, int], object],
+    trial: Callable[[np.ndarray], object],
     nodes: np.ndarray,
     max_halvings: int = 6,
     retry_on: tuple[type[Exception], ...] = (),
     span: float | None = None,
 ) -> tuple[object, np.ndarray, int]:
-    """Run trial(nodes, halvings) on a trial span, retrying on the front half
+    """Run trial(nodes) on a trial span, retrying on the front half
     of the span when the trial is rejected.
 
     A trial is rejected when it raises NoConvergence, Rejected or one of
@@ -237,7 +237,7 @@ def picard_solve_with_halving(
     stop = nodes[-1] if span is None else nodes[0] + span
     while True:
         try:
-            return trial(nodes, halvings), nodes, halvings
+            return trial(nodes), nodes, halvings
         except (NoConvergence, Rejected, *retry_on) as err:
             cut = nodes[-1] - nodes[0]
             while True:

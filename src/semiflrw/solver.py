@@ -41,10 +41,11 @@ confirmed after the fact by its equation residual.
 
 The iteration starts from a seed extrapolated from the segment before
 (picard_seed): the start value plus the degree-4 polynomial through the
-increments H - H_start at every second one of the last 9 history nodes.  It
-starts from the constant instead on the first segment, after a halving,
-with fewer than 9 nodes per segment, on a constant history, and when the
-seed strays more than half the gap from the start value.
+increments H - H_start at every second one of the last 9 history nodes.
+Every trial starts there, a retry too: a trial is a function of its nodes.
+It starts from the constant instead with fewer than 9 nodes per segment, on
+a constant history and when the seed strays more than half the gap from the
+start value.
 
 A massive run pays for each iterate with a bank sweep and a Wick
 quadrature, while W depends on H only weakly, through a(H).  Between two
@@ -52,18 +53,17 @@ sweeps it solves the equation at a frozen W (hubble_at_fixed_wick):
 picard_solve on X -> f(X, a(X), W) to FROZEN_TOL times the tolerance,
 behind the full map's critical-rate guard (_scale_factor); a frozen solve
 that fails rejects its trial as the full map would, before another sweep.
-The seed is that fixed point at the W history extrapolated as H is (at the
-carried W on the first segment and after a retry), and each later iterate
-its fixed point at the W of the sweep before.  An iterate is accepted only
-on the full-map residual of the sweep at it, whose W, a and bank history
-the segment keeps.  Seed and split change the iterates, not the fixed
-point.  The stiffness |df/dH| dt is thus paid in frozen-W evaluations, and
-the frozen solve guards against it: it rejects a trial that it cannot solve
-before any sweep.  The sweeps iterate only the weak feedback of H on W, so
-after a massive segment the contraction limit reads only the largest ratio
-they showed; a run's first span keeps the estimate.  The seed's f goes
-through the trial's Richardson check before the first sweep, so a trial too
-long for the rule is rejected unswept.
+The seed is that fixed point at the W history extrapolated as H is, and
+each later iterate its fixed point at the W of the sweep before.  An
+iterate is accepted only on the full-map residual of the sweep at it, whose
+W, a and bank history the segment keeps.  Seed and split change the
+iterates, not the fixed point.  The stiffness |df/dH| dt is thus paid in
+frozen-W evaluations, and the frozen solve guards against it: it rejects a
+trial that it cannot solve before any sweep.  The sweeps iterate only the
+weak feedback of H on W, so after a massive segment the contraction limit
+reads only the largest ratio they showed; a run's first span keeps the
+estimate.  The seed's f goes through the trial's Richardson check before
+the first sweep, so a trial too long for the rule is rejected unswept.
 """
 
 from __future__ import annotations
@@ -550,12 +550,11 @@ def extrapolate(
     The value at the carried node plus the degree-4 Lagrange polynomial
     through the increments over it at every second one of the carry's last
     9 history nodes, with the value at the carried node itself on nodes[0].
-    It reads only those nodes and the carry's last report, so a resumed run
-    extrapolates as the uninterrupted one does.  None on the first segment,
-    after a halving and when the nodes number fewer than 9.
+    It reads those nodes alone, so a retry and a resumed run extrapolate as
+    a first trial of the uninterrupted run does; a run's one start node
+    gives the constant, bit for bit.  None when the nodes number fewer than 9.
     """
-    report = carry.last_report
-    if report is None or report.halvings or nodes.size < SEED_NODES:
+    if nodes.size < SEED_NODES:
         return None
     start = float(series[-1])
     rise = series[-SEED_NODES::2] - start
@@ -578,9 +577,9 @@ def picard_seed(
     start H_start.
 
     The seed is the H history extrapolated onto the nodes (extrapolate).
-    None where that gives none, on a constant history, and when the seed
-    strays more than delta from H_start: an extrapolation near the wall may
-    cross the critical rate.
+    None where that gives none, on a constant history (a first segment, an
+    exact root), and when it strays more than delta from H_start: an
+    extrapolation near the wall may cross the critical rate.
     """
     h_start = carry.hubble_start
     if not np.any(carry.hist_hubble[-SEED_NODES::2] - h_start):
@@ -673,9 +672,8 @@ def solve_segment(
     # every trial's accuracy checks: one bound, from the rule's back points
     history, max_error = carry.back[::2], REJECT_ACCURACY * target
 
-    def trial(sub, halvings):
-        # a retry starts from the constant H_start and the carried W
-        x = None if halvings else picard_seed(carry, sub, delta)
+    def trial(sub):
+        x = picard_seed(carry, sub, delta)
 
         def rhs(h):
             f, detail = _rhs_detail(h, sub, carry)
@@ -689,7 +687,7 @@ def solve_segment(
 
         if bank is not None:
             # the fixed point at the extrapolated W, or at the carried one
-            w = None if halvings else extrapolate(carry, carry.hist_wick, sub)
+            w = extrapolate(carry, carry.hist_wick, sub)
             x, f = hubble_at_fixed_wick(
                 carry, sub, float(carry.hist_wick[-1]) if w is None else w, x,
                 solver_cfg.tol,
@@ -896,7 +894,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -933,9 +931,10 @@ def save_checkpoint(
     pure-Python one); floats survive the round trip exactly (repr-based).
     A file resumes bit for bit only into the code that wrote it, so any
     change to the spans or iterates a run makes bumps CHECKPOINT_VERSION:
-    format 8 was the first whose rule reads the history, format 9 the first
-    whose frozen-W solve stops at FROZEN_TOL times the tolerance, and
-    format 10 the first whose massive spans read the sweeps' ratio.
+    format 8 was the first whose rule reads the history, 9 whose frozen-W
+    solve stops at FROZEN_TOL times the tolerance, 10 whose massive spans
+    read the sweeps' ratio, and format 11 the first whose trials seed from
+    the history alone.
     """
     if written == len(log.chunks):
         return written
@@ -1058,7 +1057,7 @@ def load_checkpoint(path):
         PicardReport(**{**r, "residuals": tuple(r["residuals"])}) for r in raw_reports
     )
     # the last report and the proposed span go with the carry, as in the run
-    # that wrote the file: the next segment's seed and span read them
+    # that wrote the file: the next segment starts from the proposed span
     next_step = records[-1]["next_step"]
     carry = SegmentState(
         initial=initial,

@@ -106,6 +106,18 @@ def test_massive_vacuum_sweep_count(workloads, sweeps):
     assert len(solution.reports) <= 5
 
 
+def test_massless_wall_picard_iterates(workloads):
+    # every trial, a retry included, seeds from the history: the seed-0 run
+    # makes 209 Picard iterates, where seeds switched off after a halving
+    # and on every retry made 244 over the same segments and halvings
+    solution, report = solver.continue_maximal(
+        **workloads.library_call("massless_wall", 0)
+    )
+    assert report.reason == "HitCriticalHubble"
+    assert sum(r.halvings for r in solution.reports) == 11
+    assert sum(r.iterates for r in solution.reports) <= 215
+
+
 def test_the_trial_spans_hold_every_sweep_and_evaluation(workloads):
     # fixedpoint.picard_s is the halving driver's span: it measures the
     # whole segment trial only while every bank sweep and every a(H)

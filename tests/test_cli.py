@@ -245,6 +245,13 @@ class TestValidation:
         assert "must exceed tau0 0.0 and be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # json reads any integer exactly; float() of one this large overflows
+        path = write_config(tmp_path / "c.json", mass=0, H0=0, horizon=10**400)
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "c.json.horizon is too large for a float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "state,message",
         [
@@ -450,6 +457,31 @@ class TestRunCommand:
         assert summary["error"] == "solver exploded"
         assert summary["termination"] is None
         assert "run failed: solver exploded" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_20(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert cli.main(["run", path, "--out", str(out)]) == 20
+        assert "run failed: " in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("every", ["1", "1000"])
+    def test_unwritable_checkpoint_exits_20_with_the_error_in_the_summary(
+        self, tmp_path, capsys, every
+    ):
+        # the first write fails: a mid-run one every segment, or the run's
+        # last when no segment count reaches the interval
+        path = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
+        out, ck = tmp_path / "out", tmp_path / "missing" / "ck.json"
+        argv = ["run", path, "--out", str(out), "--checkpoint", str(ck)]
+        assert cli.main([*argv, "--checkpoint-every", every]) == 20
+        assert "run failed: " in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert str(ck) in summary["error"]
+        assert summary["termination"] is None
+        assert not (out / "solution.csv").exists()
+        assert not ck.parent.exists()
 
     def test_summary_config_reproduces_run(self, tmp_path):
         path = write_config(tmp_path / "c.json", mass=1.0, horizon=0.002)
@@ -1284,6 +1316,32 @@ class TestSweep:
         assert summary["error"] == "solver exploded"
         assert summary["termination"] is None
         assert not (out / "run_000" / "solution.csv").exists()
+
+
+    def test_entry_whose_out_is_a_file_fails_alone(self, tmp_path):
+        listing = tmp_path / "list.json"
+        listing.write_text(json.dumps([{"mass": 0.0, "horizon": 0.01}] * 2))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_000").write_text("kept")
+        assert cli.main(["sweep", str(listing), "--out", str(out)]) == 0
+        rows = [
+            line.split(",")
+            for line in (out / "sweep.csv").read_text().splitlines()[2:]
+        ]
+        assert [r[5] for r in rows] == ["failed", "ok"]
+        assert "run_000" in rows[0][-1]
+        assert (out / "run_000").read_text() == "kept"
+        assert (out / "run_001" / "solution.csv").exists()
+
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        listing = tmp_path / "list.json"
+        listing.write_text(json.dumps([{"mass": 0.0, "horizon": 10**400}]))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(listing), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err and "horizon is too large for a float" in err
+        assert not out.exists()
 
 
 class TestLogLevel:

@@ -279,7 +279,7 @@ def linear(lam, tol=1e-10, max_iter=60, max_error=math.inf, spans=None):
     to max_error; it returns (x, report, Richardson estimate) and appends
     the end of each span it is run on to spans."""
 
-    def trial(nodes, halvings):
+    def trial(nodes):
         if spans is not None:
             spans.append(nodes[-1])
         x, report, f = picard_solve(
@@ -326,9 +326,9 @@ class TestHalvingDriver:
         grid = np.linspace(0.0, 1.0, 513)
         solve, raised = linear(1e6, tol=1e-12, max_iter=10), []
 
-        def trial(nodes, halvings):
+        def trial(nodes):
             try:
-                return solve(nodes, halvings)
+                return solve(nodes)
             except NoConvergence as err:
                 raised.append(err)
                 raise
@@ -387,7 +387,7 @@ class TestHalvingDriver:
         class Refused(RuntimeError):
             pass
 
-        def refuse(nodes, halvings):
+        def refuse(nodes):
             raise Refused
 
         # 5 nodes 4 ulp apart at 1e8: the third halving would repeat a node
@@ -403,18 +403,24 @@ class TestHalvingDriver:
         with pytest.raises(ValueError, match="odd"):
             picard_solve_with_halving(linear(1.0), np.linspace(0.0, 1.0, 4))
 
-    def test_each_trial_is_told_its_halvings(self):
-        asked = []  # (span end, halvings) of each trial
+    def test_each_retry_runs_on_the_front_half(self):
+        # a trial is told its nodes only: each retry's are the front half of
+        # the span before, with the node count kept, and the driver counts
+        # the halvings
+        asked = []  # the nodes of each trial
 
-        def trial(nodes, halvings):
-            asked.append((nodes[-1], halvings))
-            if halvings < 3:
+        def trial(nodes):
+            asked.append(nodes)
+            if nodes[-1] - nodes[0] > 0.125:
                 raise Rejected("too long")
             return nodes.size
 
         result, nodes, halvings = picard_solve_with_halving(
-            trial, np.linspace(0.0, 1.0, 5)
+            trial, np.linspace(0.25, 1.25, 5)
         )
-        assert asked == [(1.0, 0), (0.5, 1), (0.25, 2), (0.125, 3)]
+        ends = [0.25 + 0.5**k for k in range(4)]
+        assert len(asked) == len(ends)
+        for got, end in zip(asked, ends):
+            assert np.array_equal(got, np.linspace(0.25, end, 5))
         assert (result, halvings) == (5, 3)
-        assert np.array_equal(nodes, np.linspace(0.0, 0.125, 5))
+        assert nodes is asked[-1]

@@ -36,6 +36,7 @@ from semiflrw.solver import (
     choose_step,
     continue_maximal,
     default_dt_target,
+    extrapolate,
     initial_segment_state,
     load_checkpoint,
     picard_seed,
@@ -1174,7 +1175,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == solver.CHECKPOINT_VERSION == 10
+        assert header["version"] == solver.CHECKPOINT_VERSION == 11
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -1350,10 +1351,17 @@ class TestPicardSeed:
         )
         assert picard_seed(state0, self.nodes - 1e-3, 10.0) is None
 
-    def test_no_seed_after_a_halving(self):
+    def test_a_carry_whose_last_segment_halved_is_seeded(self):
+        # the seed reads the history alone, not the halvings that made it
+        def line(tau):
+            return 10.0 + 1e3 * tau
+
         halved = PicardReport((1e-11,), 1e-10, halvings=1)
-        carry = carry_with_history(lambda tau: 10.0 + 1e3 * tau, halved)
-        assert picard_seed(carry, self.nodes, 10.0) is None
+        seed = picard_seed(carry_with_history(line, halved), self.nodes, 10.0)
+        assert seed is not None
+        assert np.array_equal(
+            seed, picard_seed(carry_with_history(line), self.nodes, 10.0)
+        )
 
     def test_no_seed_with_fewer_than_nine_nodes_per_segment(self):
         carry = carry_with_history(lambda tau: 10.0 + 1e3 * tau)
@@ -1527,51 +1535,38 @@ class TestFixedWickSplit:
             runs.append((sol.taus, sol.hubble, sol.scale_factor, sol.wick_square))
         assert all(map(np.array_equal, *runs))
 
-    def test_a_retry_starts_from_the_constant_and_the_carried_w(self, monkeypatch):
-        # only a segment's first trial reads the history: a retry solves the
-        # frozen-W equation at the carried W from the constant H_start
+    def test_a_retry_seeds_from_the_history_on_its_own_nodes(self, monkeypatch):
+        # a trial reads its nodes alone: every trial's first frozen-W solve,
+        # a retry's as the first one's, is at the W history extrapolated onto
+        # its nodes, from the H history extrapolated onto them
         carry = massive_segments(self.initial, self.params, self.wick_cfg, 3)[-1][1]
-        assert carry.last_report.halvings == 0
         # 8 times the proposed span, which the default dt_target would cap
         carry = replace(carry, next_step=(8.0 * carry.next_step[0], "contraction"))
-        driver, trials, calls = solver.picard_solve_with_halving, [], []
+        driver, frozen = solver.picard_solve_with_halving, solver.hubble_at_fixed_wick
+        trials, first = [], []  # each trial's nodes, and its first frozen solve
 
         def counted(trial, *args, **kwargs):
-            def each(nodes, halvings):
-                trials.append(halvings)
-                return trial(nodes, halvings)
+            def each(nodes):
+                trials.append(nodes)
+                return trial(nodes)
 
             return driver(each, *args, **kwargs)
 
-        def spy(name):
-            real = getattr(solver, name)
-
-            def spied(*args):
-                calls.append((name, trials[-1], args))
-                return real(*args)
-
-            monkeypatch.setattr(solver, name, spied)
+        def spied(carry, nodes, w, x, tol):
+            if len(first) < len(trials):
+                first.append((nodes, w, x))
+            return frozen(carry, nodes, w, x, tol)
 
         monkeypatch.setattr(solver, "picard_solve_with_halving", counted)
-        for name in ("picard_seed", "extrapolate", "hubble_at_fixed_wick"):
-            spy(name)
+        monkeypatch.setattr(solver, "hubble_at_fixed_wick", spied)
         segment = solve_segment(carry, 1.0, SolverConfig(dt_target=1.0))
         halvings = segment.last_report.halvings
         assert halvings >= 1
-        assert trials == list(range(halvings + 1))
-        extrapolated = [(n, t) for n, t, _ in calls if n != "hubble_at_fixed_wick"]
-        # the seed extrapolates H, and the first trial W
-        assert extrapolated == [
-            ("picard_seed", 0), ("extrapolate", 0), ("extrapolate", 0)
-        ]
-        # each trial's first frozen-W solve, at (w, x)
-        first = {}
-        for name, t, args in calls:
-            if name == "hubble_at_fixed_wick":
-                first.setdefault(t, args[2:4])
-        assert isinstance(first[0][0], np.ndarray)
-        for t in range(1, halvings + 1):
-            assert first[t] == (float(carry.hist_wick[-1]), None)
+        assert len(first) == len(trials) == halvings + 1
+        for nodes, (at, w, x) in zip(trials, first):
+            assert at is nodes
+            assert np.array_equal(w, extrapolate(carry, carry.hist_wick, nodes))
+            assert np.array_equal(x, extrapolate(carry, carry.hist_hubble, nodes))
 
     def test_a_stiff_span_at_the_wall_converges_or_is_rejected(self, sweeps):
         # near the wall a span 15 or 500 times the proposed one is too stiff
