@@ -81,8 +81,8 @@ _CONSTRAINT_KEYS = {"variant", "sign", "target_hubble"}
 _REMOVED_NUMERICAL = {
     "tol_rel": "nothing replaces it",
     "safety": "the step controller has no safety factor",
-    "substep_cap": "the RK4 substep cap is the constant modes.SUBSTEP_CAP",
-    "wronskian_budget": "the drift budget is the constant modes.WRONSKIAN_BUDGET",
+    "substep_cap": "the bank takes one Magnus step per interval",
+    "wronskian_budget": "the bank takes one Magnus step per interval",
     "max_iter": "the Picard iterate cap is the constant solver.MAX_ITER",
     "epsilon_scale": "the scale-factor margin is the constant solver.EPSILON_SCALE",
     "panel_points": "the radial panel size is the constant wick.PANEL_POINTS",
@@ -385,6 +385,13 @@ def _resume_kwargs(path, horizon: float, built) -> dict:
     return {"resume_from": carry, "prior_reports": reports, "prior_bounds": bounds}
 
 
+def _run_failed(err: Exception) -> int:
+    """Report a run's domain or file-writing error; its exit code, 20."""
+    log.error("run failed: %s", err)
+    print(f"run failed: {err}", file=sys.stderr)
+    return 20
+
+
 def cmd_run(args) -> int:
     try:
         config = parse_config(args.config)
@@ -419,9 +426,7 @@ def cmd_run(args) -> int:
     try:
         solution, term = solve_and_write(config, built, out_dir, finish, **solve_kwargs)
     except RUN_ERRORS as err:
-        log.error("run failed: %s", err)
-        print(f"run failed: {err}", file=sys.stderr)
-        return 20
+        return _run_failed(err)
     print(
         f"{term.reason} tau_stop={term.tau_stop!r} nodes={solution.taus.size}"
         f" -> {out_dir / 'solution.csv'}"
@@ -511,7 +516,10 @@ def cmd_sweep(args) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _run_failed(err)
     rows: list[dict | None] = [None] * len(entries)
     # index-ordered aggregation keeps the report independent of scheduling
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -525,8 +533,11 @@ def cmd_sweep(args) -> int:
     for row in rows:
         lines.append(",".join(row[c] for c in SWEEP_COLUMNS))
     aggregate = out_dir / "sweep.csv"
-    with open(aggregate, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(aggregate, "w", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as err:
+        return _run_failed(err)
     print(f"{len(entries)} runs -> {aggregate}")
     return 0
 

@@ -136,6 +136,13 @@ def cumulative_integral(
     return out
 
 
+# The most nodes a radial grid (n_k) or a segment (nodes_per_segment) may
+# have.  A bank sweep holds arrays of nodes_per_segment x n_k numbers, over
+# a gigabyte at this count and the other's default; a larger count is a
+# config no run allocates, and at 10**20 one that numpy cannot address.
+MAX_GRID_NODES = 2**20
+
+
 def check_integers(config, names) -> None:
     """ValueError unless each named field is an integer; NaN and 5.5 are not."""
     for name in names:

@@ -6,14 +6,14 @@ The state is defined by solutions of
     k0^2 = k^2 + a0^2 m^2,   V(tau) = m^2 (a(tau)^2 - a0^2),
 
 with positive-frequency initial data at tau0 and the Wronskian normalization
-chi' conj(chi) - chi conj(chi') = i.  Evolution is classical fixed-step RK4,
-with V and V' sampled at the nodes and V the cubic Hermite interpolant of
-them in between, so the result is a deterministic function of the sampled
-background.  The equation gives V' = 2 m^2 a a' = 2 m^2 a^3 H at a node
-for free.  Since k0^2 + V is real, the RK4 substeps across one grid
-interval make one real 2x2 transfer map per (interval, k); all maps are
-built in one vectorised pass, and one loop over the nodes applies them to
-the complex modes.
+chi' conj(chi) - chi conj(chi') = i.  Evolution takes one fourth-order
+Magnus step per grid interval, with V and V' sampled at the nodes and V the
+cubic Hermite interpolant of them in between, so the result is a
+deterministic function of the sampled background.  The equation gives
+V' = 2 m^2 a a' = 2 m^2 a^3 H at a node for free.  Since k0^2 + V is real,
+each step is one real 2x2 transfer map of determinant 1 per (interval, k);
+all maps are built in one vectorised pass, and one loop over the nodes
+applies them to the complex modes.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Oscillation-resolution cap for substeps: step * max(omega) <= cap.  A cap
-# of 0.2 resolves the phase but leaves ~1e-4 Wronskian drift at omega ~ 50
-# over unit time spans; 0.02 keeps the drift inside WRONSKIAN_BUDGET.
-SUBSTEP_CAP = 0.02
-# Accumulated Wronskian drift allowed over one evolve_bank span.
-WRONSKIAN_BUDGET = 1e-8
 # Drift the carried bank may accumulate over a whole run before the solver
-# stops it.  A run makes hundreds of sweeps, each within WRONSKIAN_BUDGET,
-# so the run's allowance is the larger one.
+# stops it.  Each sweep keeps the Wronskian to rounding, so a larger drift
+# means the carry is corrupt.
 WRONSKIAN_TOLERANCE = 1e-5
 
 
@@ -113,21 +107,25 @@ class ModeBank:
                         float(tau), self.a0_anchor, self.mass, self.tau0_anchor)
 
 
-def _rk4_maps(
+def _magnus_maps(
     k0_sq: np.ndarray,
     nodes: np.ndarray,
     v_values: np.ndarray,
     dv_values: np.ndarray,
-    step: float,
 ):
     """Transfer maps (m11, m12, m21, m22), each of shape (intervals, k), of
-    the RK4 substeps across each grid interval, V inside it the cubic
-    v + t (v' + t (c2 + t c3)) that takes the values and slopes at its ends.
+    one fourth-order Magnus step across each grid interval, V inside it the
+    cubic v + t (v' + t (c2 + t c3)) that takes the values and slopes at its
+    ends.
 
-    One classical RK4 substep of length h on y = (chi, chi') is the real map
-    y -> M y built from w = k0^2 + V at the substep's start, middle and end.
-    Every interval composes the same count of such maps, the one the widest
-    needs, each of its width / n_sub.
+    On y = (chi, chi') the step samples w = k0^2 + V at the Gauss points
+    h (1/2 -+ sqrt(3)/6) and exponentiates
+    Omega = [[c, h], [-h wbar, -c]], wbar = (w- + w+)/2,
+    c = (sqrt(3)/12) h^2 (w+ - w-).  Omega^2 = -theta^2 I with
+    theta^2 = h^2 wbar - c^2, so exp(Omega) = cos(theta) I + s Omega,
+    s = sin(theta)/theta (cosh and sinh where theta^2 < 0, s = 1 at
+    theta = 0).  The map is real with determinant 1, so the Wronskian
+    holds to rounding, and it is exact for V = 0.
     """
     width = np.diff(nodes)[:, None]
     v_lo, d_lo, d_hi = v_values[:-1, None], dv_values[:-1, None], dv_values[1:, None]
@@ -138,48 +136,35 @@ def _rk4_maps(
     def v_at(t):
         return v_lo + t * (d_lo + t * (c2 + t * c3))
 
-    n_sub = max(1, math.ceil(float(np.max(width)) / step - 1e-12))
-    h = width / n_sub
-    q = 0.25 * h * h
-    maps = None
-    for i in range(n_sub):
-        t_local = i * h
-        w_a = k0_sq + v_at(t_local)
-        w_b = k0_sq + v_at(t_local + 0.5 * h)
-        w_c = k0_sq + v_at(t_local + h)
-        sub = (
-            1.0 - (h * h / 6.0) * (w_a + 2.0 * w_b - q * w_a * w_b),
-            h - (h * h * h / 6.0) * w_b,
-            -(h / 6.0) * (w_a + 4.0 * w_b + w_c - 2.0 * q * w_b * (w_a + w_c)),
-            1.0 - (h * h / 6.0) * (2.0 * w_b + w_c - q * w_b * w_c),
-        )
-        if maps is None:
-            maps = sub
-            continue
-        s11, s12, s21, s22 = sub
-        m11, m12, m21, m22 = maps
-        maps = (
-            s11 * m11 + s12 * m21,
-            s11 * m12 + s12 * m22,
-            s21 * m11 + s22 * m21,
-            s21 * m12 + s22 * m22,
-        )
-    return maps
+    offset = math.sqrt(3.0) / 6.0
+    v_minus = v_at((0.5 - offset) * width)
+    v_plus = v_at((0.5 + offset) * width)
+    w_bar = k0_sq + 0.5 * (v_minus + v_plus)
+    c = (math.sqrt(3.0) / 12.0) * width * width * (v_plus - v_minus)
+    theta_sq = width * width * w_bar - c * c
+    theta = np.sqrt(np.abs(theta_sq))
+    cos, sin = np.cos(theta), np.sin(theta)
+    hyperbolic = theta_sq < 0.0
+    if np.any(hyperbolic):
+        cos[hyperbolic] = np.cosh(theta[hyperbolic])
+        sin[hyperbolic] = np.sinh(theta[hyperbolic])
+    s = np.divide(sin, theta, out=np.ones_like(theta), where=theta > 0.0)
+    s_c, s_h = s * c, s * width
+    return cos + s_c, s_h, -s_h * w_bar, cos - s_c
 
 
-def _rk4_sweep(
+def _magnus_sweep(
     k0_sq: np.ndarray,
     chi: np.ndarray,
     dchi: np.ndarray,
     nodes: np.ndarray,
     v_values: np.ndarray,
     dv_values: np.ndarray,
-    step: float,
 ):
-    """March chi'' = -(k0^2 + V) chi through consecutive grid intervals by
-    fixed-step RK4, V cubic inside each interval (_rk4_maps), recording at
-    every node.  Returns (chi_hist, dchi_hist) of shape (n_nodes, k)."""
-    m11, m12, m21, m22 = _rk4_maps(k0_sq, nodes, v_values, dv_values, step)
+    """March chi'' = -(k0^2 + V) chi through consecutive grid intervals, one
+    Magnus step each, V cubic inside each interval (_magnus_maps), recording
+    at every node.  Returns (chi_hist, dchi_hist) of shape (n_nodes, k)."""
+    m11, m12, m21, m22 = _magnus_maps(k0_sq, nodes, v_values, dv_values)
     chi_hist = np.empty((nodes.size, k0_sq.size), dtype=np.complex128)
     dchi_hist = np.empty_like(chi_hist)
     chi_hist[0] = chi
@@ -191,27 +176,11 @@ def _rk4_sweep(
     return chi_hist, dchi_hist
 
 
-def resolve_substep(
-    span: float, omega_max: float, cap: float = SUBSTEP_CAP,
-    budget: float = WRONSKIAN_BUDGET,
-) -> float:
-    """Largest substep satisfying both the oscillation cap and the
-    accumulated Wronskian-drift budget over the span."""
-    if omega_max <= 0.0:
-        return span
-    step = cap / omega_max
-    if span > 0.0:
-        budget_step = (72.0 * budget / (span * omega_max**6)) ** 0.2
-        step = min(step, budget_step)
-    return step
-
-
 def evolve_bank(
     bank: ModeBank,
     v: np.ndarray,
     dv: np.ndarray,
     nodes: np.ndarray,
-    substep_cap: float = SUBSTEP_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)
     against V and V' sampled at those nodes; return the histories
@@ -224,10 +193,4 @@ def evolve_bank(
         raise ValueError("V and V' must hold one value per node")
     if not math.isclose(nodes[0], bank.tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("nodes must start at the bank time")
-    omega_max = math.sqrt(
-        float(np.max(bank.k0) ** 2) + max(float(np.max(v_values)), 0.0)
-    )
-    step = resolve_substep(float(nodes[-1] - nodes[0]), omega_max, substep_cap)
-    return _rk4_sweep(
-        bank.k0**2, bank.chi, bank.dchi, nodes, v_values, dv_values, step
-    )
+    return _magnus_sweep(bank.k0**2, bank.chi, bank.dchi, nodes, v_values, dv_values)

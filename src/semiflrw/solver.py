@@ -79,6 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    MAX_GRID_NODES,
     BlowUp,
     InitialData,
     PhysicalParams,
@@ -181,8 +182,11 @@ class SolverConfig:
         # richardson_error compares the segment rule on every node with the
         # rule on every second one, which ends on the last node only for odd
         # counts
-        if self.nodes_per_segment < 3 or self.nodes_per_segment % 2 == 0:
-            raise ValueError("nodes_per_segment must be odd and >= 3")
+        if (not 3 <= self.nodes_per_segment <= MAX_GRID_NODES
+                or self.nodes_per_segment % 2 == 0):
+            raise ValueError(
+                f"nodes_per_segment must be odd and lie in [3, {MAX_GRID_NODES}]"
+            )
         if not EPSILON_CRITICAL_MIN <= self.epsilon_critical < 0.1:
             raise ValueError(
                 f"epsilon_critical must lie in [{EPSILON_CRITICAL_MIN:g}, 0.1)"
@@ -894,7 +898,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -930,11 +934,12 @@ def save_checkpoint(
     ``json.dumps`` call, which takes the C encoder (``json.dump`` takes the
     pure-Python one); floats survive the round trip exactly (repr-based).
     A file resumes bit for bit only into the code that wrote it, so any
-    change to the spans or iterates a run makes bumps CHECKPOINT_VERSION:
-    format 8 was the first whose rule reads the history, 9 whose frozen-W
+    change to the spans, iterates or modes a run makes bumps
+    CHECKPOINT_VERSION: format 8 was the first whose rule reads the history, 9 whose frozen-W
     solve stops at FROZEN_TOL times the tolerance, 10 whose massive spans
-    read the sweeps' ratio, and format 11 the first whose trials seed from
-    the history alone.
+    read the sweeps' ratio, 11 the first whose trials seed from the history
+    alone, and format 12 the first whose bank takes one Magnus step per
+    interval.
     """
     if written == len(log.chunks):
         return written

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EULER_GAMMA, PhysicalParams, check_integers
+from .core import EULER_GAMMA, MAX_GRID_NODES, PhysicalParams, check_integers
 from .modes import ModeBank, potential
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -76,8 +76,8 @@ class WickConfig:
         check_integers(self, ("n_k",))
         if not (np.isfinite(self.k_max) and self.k_max > 0.0):
             raise ValueError("k_max must be finite and > 0")
-        if self.n_k < 16:
-            raise ValueError("n_k must be >= 16")
+        if not 16 <= self.n_k <= MAX_GRID_NODES:
+            raise ValueError(f"n_k must lie in [16, {MAX_GRID_NODES}]")
         if self.tail_model not in ("none", "power-fit"):
             raise ValueError(f"unknown tail_model {self.tail_model!r}")
         if self.n_k % PANEL_POINTS != 0:

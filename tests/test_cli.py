@@ -137,11 +137,12 @@ class TestParsing:
         assert "'tol'" not in str(err.value)
 
     def test_removed_safety_key_is_rejected(self, tmp_path, capsys):
-        # schema break: the tube step's safety factor went with the tube, and
-        # the RK4 substep cap, the drift budget and tolerance, the Picard
-        # iterate cap, the scale-factor margin, the panel size and the
-        # tail-fit window became constants, and the grid's knee is 10 a0 m;
-        # older configs and summary.json echoes carry them
+        # schema break: the tube step's safety factor went with the tube,
+        # the substep cap and drift budget with the RK4 bank; the drift
+        # tolerance, the Picard iterate cap, the scale-factor margin, the
+        # panel size and the tail-fit window became constants, and the
+        # grid's knee is 10 a0 m; older configs and summary.json echoes
+        # carry them
         for key, value in (("safety", 0.5), ("substep_cap", 0.02),
                            ("wronskian_budget", 1e-8), ("max_iter", 40),
                            ("epsilon_scale", 1e-6), ("panel_points", 8),
@@ -222,6 +223,21 @@ class TestValidation:
         cfg = cli.parse_config(path)
         with pytest.raises(cli.ValidationError, match=r"\|H0\| < H_c"):
             cli.build_run(cfg)
+
+    @pytest.mark.parametrize(
+        "key,value", [("n_k", 10**20), ("n_k", 2**21), ("nodes_per_segment", 10**20 + 1)]
+    )
+    def test_grid_no_run_can_allocate_exits_2(self, tmp_path, capsys, key, value):
+        # such counts once passed parsing and failed mid-run, numpy's
+        # "array is too big" at 10**20
+        path = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: value}
+        )
+        with pytest.raises(cli.ValidationError, match=f"{key} must .*lie in"):
+            cli.build_run(cli.parse_config(path))
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_horizon_before_start(self, tmp_path):
         path = write_config(tmp_path / "c.json", mass=1.0, tau0=1.0, horizon=0.5)
@@ -1342,6 +1358,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "config error: " in err and "horizon is too large for a float" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["out", "out/sweep.csv"])
+    def test_out_that_cannot_be_written_exits_20(self, tmp_path, capsys, blocked):
+        # a file where the output directory goes, or a directory where the
+        # aggregate goes
+        listing = tmp_path / "list.json"
+        listing.write_text("[]")
+        (tmp_path / blocked).parent.mkdir(exist_ok=True)
+        if blocked == "out":
+            (tmp_path / blocked).write_text("kept")
+        else:
+            (tmp_path / blocked).mkdir()
+        argv = ["sweep", str(listing), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 20
+        assert "run failed: " in capsys.readouterr().err
+        if blocked == "out":
+            assert (tmp_path / "out").read_text() == "kept"
 
 
 class TestLogLevel:

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from semiflrw.modes import (
     DegenerateMode,
     ModeBank,
-    _rk4_sweep,
+    _magnus_maps,
     evolve_bank,
-    resolve_substep,
     wronskian_error,
 )
 
@@ -18,7 +17,6 @@ from oracles import (
     ModeState,
     Potential,
     StepTooLarge,
-    _rk4_steps,
     evolve_mode,
     initial_mode,
     mode_bound,
@@ -288,16 +286,17 @@ def test_bank_anchor_digest_stable_under_evolution():
 
 
 def test_bank_evolution_consistent_with_scalar_path():
+    # one Magnus step per interval against the RK4 oracle at 20 substeps per
+    # interval, on the same cubic V: 1.3e-11 apart, most of it the oracle
     pot = sine_background(n_nodes=801)
     momenta = np.array([0.5, 5.0, 20.0])
     bank = ModeBank.at_initial(momenta, np.ones(3), 1.0, 1.0, 0.0)
-    chi, _ = evolve_bank(bank, pot.V, pot.dV, pot.taus)
-    omega_max = math.sqrt(float(np.max(bank.k0) ** 2) + max(float(np.max(pot.V)), 0.0))
-    step = resolve_substep(2.0, omega_max)
+    chi, dchi = evolve_bank(bank, pot.V, pot.dV, pot.taus)
     for j, k in enumerate(momenta):
         state = initial_mode(float(k), 1.0, 1.0, 0.0)
-        traj = evolve_mode(state, pot, 2.0, step=step)
-        np.testing.assert_allclose(chi[:, j], traj.chi, rtol=1e-13, atol=0)
+        traj = evolve_mode(state, pot, 2.0, step=1.25e-4)
+        np.testing.assert_allclose(chi[:, j], traj.chi, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(dchi[:, j], traj.dchi, rtol=1e-10, atol=0)
 
 
 def test_bank_rejects_a_potential_off_the_nodes():
@@ -307,47 +306,56 @@ def test_bank_rejects_a_potential_off_the_nodes():
         evolve_bank(bank, pot.V[:-1], pot.dV[:-1], pot.taus)
 
 
-def _sweep_args(nodes, step):
-    """(k0^2, chi, chi', nodes, V, V', step) of one bank's sweep."""
-    bank = ModeBank.at_initial(np.linspace(0.1, 40.0, 24), np.ones(24), 1.0, 1.0,
-                               float(nodes[0]))
-    v = 0.5 * np.sin(7.0 * nodes) + 0.3 * nodes
-    dv = 3.5 * np.cos(7.0 * nodes) + 0.3
-    return bank.k0**2, bank.chi, bank.dchi, nodes, v, dv, step
+def _one_interval(width, dv, k0_sq):
+    """_magnus_maps on the single interval [0.3, 0.3 + width] with V = 0 at
+    both ends and slope dv at both, for each k0^2; each map entry has shape
+    (k,)."""
+    nodes = np.array([0.3, 0.3 + width])
+    return [m[0] for m in _magnus_maps(
+        np.asarray(k0_sq, dtype=np.float64), nodes, np.zeros(2), np.full(2, dv)
+    )]
 
 
-def _sweep_case(nodes, step):
-    """The transfer-map sweep and the per-substep stepper on one bank."""
-    args = _sweep_args(nodes, step)
-    return _rk4_sweep(*args), _rk4_steps(*args)
+@pytest.mark.parametrize("width,dv", [(0.05, 0.0), (0.05, 40.0), (1.0, 40.0), (2.0, -3.0)])
+def test_magnus_map_has_determinant_one(width, dv):
+    k0_sq = np.array([0.0, 0.3, 1.0, 25.0, 2500.0, 1e5])
+    m11, m12, m21, m22 = _one_interval(width, dv, k0_sq)
+    det = m11 * m22 - m12 * m21
+    scale = np.abs(m11 * m22) + np.abs(m12 * m21)
+    np.testing.assert_array_less(np.abs(det - 1.0), 1e-14 * scale)
 
 
-@pytest.mark.parametrize("n_sub", [1, 2, 5])
-def test_map_sweep_matches_the_substep_stepper(n_sub):
-    nodes = np.linspace(0.2, 0.6, 81)
-    width = nodes[1] - nodes[0]
-    assert int(math.ceil(width / (width / n_sub) - 1e-12)) == n_sub
-    (chi, dchi), (chi_ref, dchi_ref) = _sweep_case(nodes, width / n_sub)
-    np.testing.assert_allclose(chi, chi_ref, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(dchi, dchi_ref, rtol=1e-13, atol=0)
+def test_magnus_map_is_exact_for_a_constant_frequency():
+    # k0 = 0 is theta = 0, the free particle's map [[1, width], [0, 1]]
+    width, k0 = 0.07, np.array([0.0, 0.5, 3.0, 50.0])
+    m11, m12, m21, m22 = _one_interval(width, 0.0, k0**2)
+    np.testing.assert_allclose(m11, np.cos(k0 * width), rtol=1e-15, atol=1e-16)
+    np.testing.assert_allclose(m22, np.cos(k0 * width), rtol=1e-15, atol=1e-16)
+    np.testing.assert_allclose(m12, width * np.sinc(k0 * width / np.pi), rtol=1e-15)
+    np.testing.assert_allclose(m21, -k0 * np.sin(k0 * width), rtol=1e-15)
 
 
-def test_map_sweep_gives_every_interval_the_substeps_of_the_widest():
-    # widths of 1, 2.5 and 4.2 steps: every interval takes the 5 substeps
-    # of the widest, each a fifth of its own width
-    step = 1e-3
-    widths = np.tile([1.0, 2.5, 4.2], 30) * step
-    nodes = 0.2 + np.concatenate([[0.0], np.cumsum(widths)])
-    assert math.ceil(np.max(np.diff(nodes)) / step - 1e-12) == 5
-    k0_sq, c, d, _, v, dv, _ = args = _sweep_args(nodes, step)
-    chi, dchi = _rk4_sweep(*args)
-    for j in range(nodes.size - 1):
-        # the stepper across one interval, at 5 substeps
-        span = slice(j, j + 2)
-        width = nodes[j + 1] - nodes[j]
-        c, d = (
-            out[-1]
-            for out in _rk4_steps(k0_sq, c, d, nodes[span], v[span], dv[span], width / 5)
+def test_magnus_map_is_the_exponential_of_its_generator():
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.linalg import expm
+
+    # V = 40 t (1 - t)(1 - 2 t) on [0, 1]: odd about the midpoint, so the
+    # Gauss points see -+3.85 and theta^2 = k0^2 - 1.23; k0^2 below that
+    # takes the cosh branch
+    width, dv = 1.0, 40.0
+    v = CubicHermiteSpline([0.0, width], [0.0, 0.0], [dv, dv])
+    gauss = width * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0)
+    k0_sq = np.array([0.0, 0.5, 1.0, 1.2, 1.5, 4.0, 30.0])
+    maps = _one_interval(width, dv, k0_sq)
+    for j, w0 in enumerate(k0_sq):
+        lo, hi = (np.array([[0.0, 1.0], [-(w0 + v(t)), 0.0]]) for t in gauss)
+        omega = 0.5 * width * (lo + hi) + (math.sqrt(3.0) / 12.0) * width**2 * (
+            hi @ lo - lo @ hi
         )
-        np.testing.assert_allclose(chi[j + 1], c, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(dchi[j + 1], d, rtol=1e-13, atol=0)
+        expected = expm(omega)
+        got = np.array([[maps[0][j], maps[1][j]], [maps[2][j], maps[3][j]]])
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
+    theta_sq = width**2 * (k0_sq + 0.5 * v(gauss).sum()) - (
+        math.sqrt(3.0) / 12.0 * width**2 * (v(gauss[1]) - v(gauss[0]))
+    ) ** 2
+    assert np.any(theta_sq < 0.0) and np.any(theta_sq > 0.0)

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script,args,header",
     [
-        ("wronskian_convergence.py", ["--halvings", "0"], "max |W - i|"),
         ("run_de_sitter.py", ["--segments", "2"], "sup|H - H0|"),
         (
             "mass_sweep.py",

@@ -45,6 +45,7 @@ from semiflrw.solver import (
     solve_segment,
     wick_square_renormalized,
 )
+from semiflrw.modes import evolve_bank, potential
 from semiflrw.wick import BogoliubovProfile, WickConfig, radial_grid
 
 from oracles import massless_tau, verify_retardation
@@ -1006,7 +1007,7 @@ class TestMassiveRun:
         # the massive_vacuum inputs, spans capped by dt_target and W without
         # the tail fit: with V between nodes the cubic of V and
         # V' = 2 m^2 a^3 H at its ends, the final W at 25 nodes per segment
-        # is 8.4e-10 relative off the one at 97 (3.6e-7 with V linear)
+        # is 4.3e-10 relative off the one at 97 (3.6e-7 with V linear)
         finals = []
         for n in (25, 97):
             sol, rep = continue_maximal(
@@ -1017,6 +1018,30 @@ class TestMassiveRun:
             assert rep.reason == "TimeHorizon"
             finals.append(sol.wick_square[-1])
         assert finals[0] == pytest.approx(finals[1], rel=1e-8, abs=0.0)
+
+    def test_final_wick_square_at_k_max_320_holds_on_nodes_refined_four_times(self):
+        # the massive_vacuum inputs at k_max 320, where one Magnus step per
+        # interval reaches omega h ~ 0.27: the bank swept again over the
+        # run's history on nodes refined 4x, V and V' there from the same
+        # cubic, gives the same final W (to 1.7e-8 relative)
+        from scipy.interpolate import CubicHermiteSpline
+
+        initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=1.0)
+        wcfg = WickConfig(k_max=320.0, n_k=768)
+        sol, rep = continue_maximal(initial, 0.05, params, wcfg, SolverConfig())
+        assert rep.reason == "TimeHorizon"
+        taus, a = sol.taus, sol.scale_factor
+        cubic = CubicHermiteSpline(
+            taus, potential(a, 1.0, 1.0), 2.0 * a**3 * sol.hubble
+        )
+        fine = np.concatenate(
+            [np.linspace(lo, hi, 5)[:-1] for lo, hi in zip(taus[:-1], taus[1:])]
+            + [taus[-1:]]
+        )
+        bank = solver.initial_bank(initial, params, wcfg)
+        chi, _ = evolve_bank(bank, cubic(fine), cubic(fine, 1), fine)
+        reference = wick_square_renormalized(float(a[-1]), bank, chi[-1], params, wcfg)
+        assert sol.wick_square[-1] == pytest.approx(reference, rel=1e-6, abs=0.0)
 
 
 class TestRhs:
@@ -1175,7 +1200,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == solver.CHECKPOINT_VERSION == 11
+        assert header["version"] == solver.CHECKPOINT_VERSION == 12
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
