@@ -12,8 +12,9 @@ reading the integrand at two back points, the last two history nodes
 before the segment (rule_start), so the integral at a node reads the
 integrand at that node and before it only, as the retarded equation does.
 A run's first segment has no history and starts with a trapezoid and an
-Adams-Moulton 3 step instead (COLD_START).  Cosmological time, a
-diagnostic over a whole run's history, keeps the composite trapezoid rule.
+Adams-Moulton 3 step instead (COLD_START).  A segment trial builds it
+once, as matrices (segment_rule): every integral is one product.  The
+diagnostic cosmological time keeps the composite trapezoid rule.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 # The rule's weights are numerators over 24, so a constant integrates
 # exactly.  Adams-Moulton 4 weighs an interval's end nodes and the two
-# before it by (1, -5, 19, 9); np.convolve takes them reversed.
-_AM4 = np.array([9.0, 19.0, -5.0, 1.0])
+# before it by (1, -5, 19, 9), oldest first.
+_AM4 = (1.0, -5.0, 19.0, 9.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +81,7 @@ def rule_start(nodes: np.ndarray, spacing: float | None = None) -> RuleStart:
     The first interval's weights integrate the cubic through the two back
     points and its nodes, the second's the cubic through the nearer back
     point and nodes 0-2.  At a ratio r = 1 of spacing to the nodes' width
-    both rows are Adams-Moulton 4's.  Build one per set of nodes: it is the part of
-    the rule that does not depend on the values.
+    both rows are Adams-Moulton 4's.
     """
     if spacing is None:
         return COLD_START
@@ -105,6 +105,38 @@ def rule_start(nodes: np.ndarray, spacing: float | None = None) -> RuleStart:
     return RuleStart(weights, RULE_ORDER, RULE_ORDER + 1)
 
 
+class Rule:
+    """cumulative_integral on nodes from start as two matrices, the width
+    folded in: on_values (lower triangular) on the values, on_back on the
+    two back points.  Row j sums the weights of the intervals before node
+    j, interval i weighing the back points and nodes at positions i to
+    i + 3.  order and power are start's; coarse, where built, is the rule
+    on every second node from the same back points."""
+
+    def __init__(self, nodes: np.ndarray, start: RuleStart = COLD_START, coarse=None):
+        n = nodes.size
+        steps = np.zeros((n - 1, n + 2))
+        for offset, weight in enumerate(_AM4):
+            steps.reshape(-1)[offset :: n + 3] = weight
+        steps[:2, :5] = start.weights[: n - 1, : n + 2]
+        sums = np.zeros((n, n + 2))
+        np.cumsum(steps, axis=0, out=sums[1:])
+        sums *= (nodes[-1] - nodes[0]) / (n - 1)
+        sums /= 24.0
+        self.on_values, self.on_back = sums[:, 2:], sums[:, :2]
+        self.order, self.power, self.coarse = start.order, start.power, coarse
+
+    def __call__(self, values, back) -> np.ndarray:
+        return self.on_values @ values + self.on_back @ back
+
+
+def segment_rule(nodes: np.ndarray, spacing: float | None = None) -> Rule:
+    """A segment trial's Rule, from back points spacing apart (cold for
+    None), with its twin on every second node: one per trial."""
+    coarse = Rule(nodes[::2], rule_start(nodes[::2], spacing))
+    return Rule(nodes, rule_start(nodes, spacing), coarse)
+
+
 def cumulative_integral(
     values: np.ndarray,
     nodes: np.ndarray,
@@ -115,25 +147,14 @@ def cumulative_integral(
     retarded: the integral at node j reads values at nodes <= j only.
 
     Every interval from the third on takes Adams-Moulton 4, weights
-    (1, -5, 19, 9)/24 on the values at its nodes and the two before.  The
+    (1, -5, 19, 9)/24 on the values at its nodes and the two before; the
     first two take start's weights, which also read back, the values at the
-    two back points, oldest first.  COLD_START reads no back points: the
-    trapezoid rule on the first interval and Adams-Moulton 3, weights
-    (-1, 8, 5)/12, on the second.  Each interval's increment is exact for
-    cubics, except on a cold start for the first (lines) and the second
-    (quadratics).  The integer numerators make the rule exact for a
-    constant, and the common width multiplies their running sum once.
+    two back points, oldest first.  COLD_START reads none: the trapezoid
+    rule, then Adams-Moulton 3, weights (-1, 8, 5)/12.  Each increment is
+    exact for cubics, on a cold start for lines, then quadratics.  The
+    integer numerators make the rule exact for a constant.
     """
-    width = (nodes[-1] - nodes[0]) / (nodes.size - 1)
-    padded = np.concatenate((back, values))
-    steps = np.convolve(padded, _AM4, "valid")
-    steps[:2] = start.weights[: steps.size, : padded.size] @ padded[:5]
-    out = np.empty(values.size)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    out *= width
-    out /= 24.0
-    return out
+    return Rule(nodes, start)(values, back)
 
 
 # The most nodes a radial grid (n_k) or a segment (nodes_per_segment) may
@@ -222,34 +243,37 @@ def scale_factor_from_hubble(
     h: np.ndarray,
     nodes: np.ndarray,
     a0: float,
-    start: RuleStart = COLD_START,
+    rule: Rule | None = None,
     back=(0.0, 0.0),
 ) -> np.ndarray:
     """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on,
-    int H by cumulative_integral from start, with H at its back points.
+    int H by the rule (a cold one for None) with H at its back points.
 
-    Raises BlowUp at the first node where the denominator falls to <= 0
-    (regularity condition on the cumulative Hubble integral).
+    Raises ValueError at the first node where H is not finite, and BlowUp
+    at the first where the denominator falls to <= 0 (regularity condition
+    on the cumulative Hubble integral).
     """
     if not (np.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and > 0, got {a0}")
-    denominator = 1.0 - a0 * cumulative_integral(h, nodes, start, back)
-    bad = np.flatnonzero(denominator <= 0.0)
-    if bad.size:
-        j = int(bad[0])
+    denominator = 1.0 - a0 * (rule or Rule(nodes))(h, back)
+    # a non-finite H reaches every node through the rule's zero weights
+    if not (denominator > 0.0).all():
+        finite = np.isfinite(h)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ValueError(f"H is {h[j]} at node {j} (tau={nodes[j]:.12g})")
+        j = int(np.argmin(denominator > 0.0))
         raise BlowUp(j, nodes[j], float(denominator[j]))
     return a0 / denominator
 
 
 def cosmological_time(taus: np.ndarray, a: np.ndarray, t0: float = 0.0) -> np.ndarray:
     """Cosmological time t(tau) = t0 - int_{tau0}^{tau} a at the nodes,
-    strictly decreasing.
+    strictly decreasing (the orientation of the module docstring).
 
     A diagnostic: the composite trapezoid rule over the run's joined
     history, whose spacing changes from segment to segment, where the
-    segment rule's equal-width weights do not apply.  The minus sign is the
-    conformal-time orientation convention of this package; see the module
-    docstring.
+    segment rule's equal-width weights do not apply.
     """
     if np.any(a <= 0.0):
         raise ValueError("scale factor must be positive on the grid")

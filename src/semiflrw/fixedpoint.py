@@ -1,21 +1,16 @@
 """Picard iteration for retarded Volterra equations X = F0 + int f(X).
 
-The iterator evaluates f at X_n and forms the update F0 + int_a^t f(X_n),
-with the retarded rule core.cumulative_integral, from f at two back points
-before a when the caller has them (history), until the discrete
-uniform norm of X_n minus that update falls below tol.  That norm is
-exactly the equation residual ||X_n - F0 - int f(X_n)|| of X_n, so the
-iterator returns X_n, with the evaluation made at X_n: convergence is
-confirmed a posteriori, without an evaluation of its own.  The next
-iterate is the update itself (plain Picard) or whatever the caller's step
-makes of it: a caller with a cheap approximate map can solve that map to
-its fixed point between two costly evaluations, and the acceptance test
-stays the full map's residual.
+picard_solve iterates on the update F0 + int_a^t f(X_n), each integral
+one product with the matrices of a core.Rule built once on the nodes,
+until the update norm, the equation residual of X_n, falls below tol, and
+returns X_n: convergence is confirmed a posteriori.  The caller's step may
+replace the update, say by the fixed point of a cheap approximate map
+between two costly evaluations; the test stays the full map's residual.
 picard_solve_with_halving is the halving schedule of the local existence
-step: it runs the caller's trial on a span and retries it on the front half
-of the span when the trial is rejected; a trial is a function of its nodes.
-What it solves, where its iteration starts and how it is judged (the bound
-of check_accuracy on the rule's error) is the caller's, as is the first span.
+step: it retries the caller's trial, a function of its nodes, on the front
+half of the span when the trial is rejected.  What it solves, its seed,
+its bound on the rule's error (check_accuracy) and the first span are the
+caller's.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import cumulative_integral, rule_start
+from .core import Rule, segment_rule
 
 
 class NaNDetected(RuntimeError):
@@ -76,10 +71,8 @@ class PicardReport:
 
     @property
     def contraction_ratios(self) -> tuple[float, ...]:
-        out = []
-        for prev, cur in zip(self.residuals[:-1], self.residuals[1:]):
-            out.append(cur / prev if prev > 0.0 else 0.0)
-        return tuple(out)
+        pairs = zip(self.residuals[:-1], self.residuals[1:])
+        return tuple(cur / prev if prev > 0.0 else 0.0 for prev, cur in pairs)
 
     def as_dict(self) -> dict:
         return {
@@ -93,8 +86,7 @@ class PicardReport:
         }
 
 
-# (spacing, f at the two back points 2 spacing and spacing before the first
-# node): what the rule starts from.  Without a spacing it starts cold.
+# (core.segment_rule on the nodes, f at its back points); None builds cold
 COLD = (None, (0.0, 0.0))
 
 
@@ -117,15 +109,12 @@ def picard_solve(
     iterate is F0 unless a seed x0 is supplied, and the next one is the
     update F0 + int f(X_n), or step(update, byproduct) when a step is
     given; the equation solved is the same either way.  history is
-    (spacing, f at the two back points 2 spacing and spacing before
-    nodes[0]), which the rule starts from (core.rule_start); COLD has none.
-    Raises NaNDetected
-    on the first non-finite node and NoConvergence (with the report
-    attached) when max_iter is exhausted.  On success the returned X is the
-    last iterate the RHS was evaluated at: its equation residual
-    ||X - F0 - int f(X)|| is the last update norm, recorded and < tol, and
-    the byproduct of that evaluation comes with it; earlier byproducts are
-    dropped as they come.
+    (rule, f at the rule's two back points), COLD a cold start.  Raises
+    NaNDetected on the first non-finite node and NoConvergence (with the
+    report) when max_iter is exhausted.  On success the returned X is the
+    last iterate the RHS was evaluated at, whose equation residual
+    ||X - F0 - int f(X)|| is the last update norm, < tol, with the
+    byproduct of that evaluation; earlier byproducts are dropped.
     """
     if np.shape(f0) != nodes.shape:
         raise ValueError("f0 must hold one value per node")
@@ -133,7 +122,10 @@ def picard_solve(
         raise ValueError("x0 must hold one value per node")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    start, back = rule_start(nodes, history[0]), history[1]
+    rule, back = history
+    rule = rule or Rule(nodes)
+    # the back points' share of every update
+    offset = f0 + rule.on_back @ back
     current = f0 if x0 is None else x0
     residuals: list[float] = []
     for _ in range(max_iter):
@@ -141,23 +133,11 @@ def picard_solve(
         values = np.asarray(values, dtype=np.float64)
         if values.shape != nodes.shape:
             raise ValueError("rhs must return one value per node")
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise NaNDetected(
-                f"functional produced non-finite value at node {j}",
-                j,
-                float(nodes[j]),
-            )
-        new_values = f0 + cumulative_integral(values, nodes, start, back)
-        bad = ~np.isfinite(new_values)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise NaNDetected(
-                f"iterate became non-finite at node {j}", j, float(nodes[j])
-            )
+        _check_finite(values, nodes, "functional produced non-finite value")
+        new_values = offset + rule.on_values @ values
+        _check_finite(new_values, nodes, "iterate became non-finite")
         # ||X_{n+1} - X_n|| is the equation residual of X_n
-        residual = float(np.max(np.abs(new_values - current)))
+        residual = float(np.abs(new_values - current).max())
         residuals.append(residual)
         if residual < tol:
             return current, PicardReport(tuple(residuals), tol), byproduct
@@ -180,18 +160,23 @@ def segment_nodes(start: float, span: float, count: int) -> np.ndarray:
     return nodes
 
 
+def _check_finite(values: np.ndarray, nodes: np.ndarray, what: str) -> None:
+    """NaNDetected at the first non-finite value, located only on a failure."""
+    if not np.isfinite(values).all():
+        j = int(np.argmin(np.isfinite(values)))
+        raise NaNDetected(f"{what} at node {j}", j, float(nodes[j]))
+
+
 def richardson_error(f: np.ndarray, nodes: np.ndarray, history=COLD) -> float:
-    """Error of the rule's int f over the nodes, estimated from the rule on
+    """Error of the rule's int f over the nodes, estimated from its twin on
     every second node, both from the same back points (history, as in
     picard_solve): the coarse rule's error is 2^order times the fine one's,
     16 times with back points and 8 times on a cold start."""
-    spacing, back = history
-    start = rule_start(nodes, spacing)
-    fine = cumulative_integral(f, nodes, start, back)[::2]
-    coarse = cumulative_integral(
-        f[::2], nodes[::2], rule_start(nodes[::2], spacing), back
-    )
-    return float(np.max(np.abs(fine - coarse))) / (2**start.order - 1)
+    rule, back = history
+    rule = rule or segment_rule(nodes)
+    fine = rule(f, back)[::2]
+    coarse = rule.coarse(f[::2], back)
+    return float(np.abs(fine - coarse).max()) / (2**rule.order - 1)
 
 
 def check_accuracy(

@@ -14,24 +14,15 @@ forward, and the outer loop continues until the time horizon or the first
 regularity breach.  The segment's integrals, int f and int H, take the rule
 core.cumulative_integral from the last two history nodes before it (its
 back points, SegmentState.back), fourth order; only a run's first segment
-has none and starts cold.
+has none and starts cold.  A trial builds the rule once, as matrices
+(core.segment_rule), and every integral it takes is one product.
 
 The span comes from a local step controller (choose_step), after
 Gustafsson and Soderlind, which steers the Picard iteration's convergence
-rate rather than bounding f over a tube.  It is the least of: a contraction
-limit, aiming at TARGET_CONTRACTION = 0.2 per iterate from the larger of the
-last segment's largest observed ratio and |df/dH| dt at the carried node
-(after a massive segment from the ratio its sweeps showed alone; see
-below); an accuracy limit, scaling dt by (target / err)^(1/p) rounded up to
-a power of 2^(1/4), with err the Richardson estimate of the error of the
-segment rule (all nodes against every second node, on f at the returned
-iterate, so no extra evaluation) and p the power of dt in that error at a
-fixed node count: 5 for the fourth-order rule, 3 on the cold first segment,
-whose trapezoid first interval sets it (core.RuleStart); the estimate, a
-difference of two cumulative sums, carries their rounding, which the rungs
-keep out of dt; a growth limit, a fraction of gap / |f| at the carried node,
-gap = Hc - |H|; a denominator limit 1 / (2 a max|H|) over the converged
-nodes; dt_target; and the remaining span.  A trial that does not converge,
+rate rather than bounding f over a tube: the least of a contraction, an
+accuracy (the Richardson estimate of the segment rule's error, from f at
+the returned iterate, so no extra evaluation), a growth and a denominator
+limit, dt_target and the remaining span.  A trial that does not converge,
 whose iterate crosses the critical rate or blows the scale factor up, or
 whose Richardson estimate is well above target is rejected and retried on
 its front half, so only a converged segment's nodes can end a run.  A trial
@@ -39,31 +30,23 @@ that the remaining span cut short is retried as the uncut one would have
 been, so the horizon steers no segment but the last.  Each segment is still
 confirmed after the fact by its equation residual.
 
-The iteration starts from a seed extrapolated from the segment before
-(picard_seed): the start value plus the degree-4 polynomial through the
-increments H - H_start at every second one of the last 9 history nodes.
-Every trial starts there, a retry too: a trial is a function of its nodes.
-It starts from the constant instead with fewer than 9 nodes per segment, on
-a constant history and when the seed strays more than half the gap from the
-start value.
+Every trial, a retry too, starts from the H history extrapolated onto its
+nodes (picard_seed), so a trial is a function of its nodes; from the
+constant where that strays more than half the gap to the critical rate.
 
 A massive run pays for each iterate with a bank sweep and a Wick
 quadrature, while W depends on H only weakly, through a(H).  Between two
-sweeps it solves the equation at a frozen W (hubble_at_fixed_wick):
-picard_solve on X -> f(X, a(X), W) to FROZEN_TOL times the tolerance,
-behind the full map's critical-rate guard (_scale_factor); a frozen solve
-that fails rejects its trial as the full map would, before another sweep.
-The seed is that fixed point at the W history extrapolated as H is, and
-each later iterate its fixed point at the W of the sweep before.  An
-iterate is accepted only on the full-map residual of the sweep at it, whose
-W, a and bank history the segment keeps.  Seed and split change the
-iterates, not the fixed point.  The stiffness |df/dH| dt is thus paid in
-frozen-W evaluations, and the frozen solve guards against it: it rejects a
-trial that it cannot solve before any sweep.  The sweeps iterate only the
-weak feedback of H on W, so after a massive segment the contraction limit
-reads only the largest ratio they showed; a run's first span keeps the
-estimate.  The seed's f goes through the trial's Richardson check before
-the first sweep, so a trial too long for the rule is rejected unswept.
+sweeps it solves the equation at a frozen W (hubble_at_fixed_wick), behind
+the full map's critical-rate guard (_scale_factor); a frozen solve that
+fails rejects its trial before another sweep.  The seed is that fixed point
+at the W history extrapolated as H is, each later iterate its fixed point
+at the W of the sweep before, and an iterate is accepted only on the
+full-map residual of the sweep at it, whose W, a and bank history the
+segment keeps: seed and split change the iterates, not the fixed point.
+The stiffness |df/dH| dt is thus paid in frozen-W evaluations, so after a
+massive segment the contraction limit reads only the largest ratio the
+sweeps showed.  The seed's f passes the trial's Richardson check before the
+first sweep, so a trial too long for the rule is rejected unswept.
 """
 
 from __future__ import annotations
@@ -86,8 +69,8 @@ from .core import (
     check_integers,
     cosmological_time,
     ricci_scalar,
-    rule_start,
     scale_factor_from_hubble,
+    segment_rule,
 )
 from .fixedpoint import (
     NaNDetected,
@@ -250,7 +233,7 @@ class SegmentState:
     @cached_property
     def back(self) -> tuple[float | None, np.ndarray, np.ndarray]:
         """(spacing, H, f) at the two history nodes before tau_start, the
-        back points the next segment's rule starts from (core.rule_start).
+        back points the next segment's rule starts from (core.segment_rule).
         f is friedmann_rhs of the stored H, a and W: the f that the segment
         ending here integrated there.  With fewer than three history nodes,
         on a run's first segment, the rule starts cold: (None, 0, 0)."""
@@ -423,31 +406,30 @@ def friedmann_rhs(h, a, w, params: PhysicalParams):
     return a * friedmann_source(h, w, params) / (params.hubble_critical**2 - h**2)
 
 
-def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
+def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule):
     """a(H) at the segment nodes, from the carried a and the back points of
     the segment's rule.  Raises CriticalHubble at the first node where |H|
     reaches the critical rate, where the equation degenerates."""
     critical = carry.params.hubble_critical
-    over = np.abs(h) >= critical * (1.0 - CRITICAL_GUARD)
-    if np.any(over):
-        j = int(np.argmax(over))
+    magnitude = np.abs(h)
+    if magnitude.max() >= critical * (1.0 - CRITICAL_GUARD):
+        j = int(np.argmax(magnitude >= critical * (1.0 - CRITICAL_GUARD)))
         raise CriticalHubble(
-            f"|H| = {abs(h[j]):.6g} reached the critical rate {critical:.6g}",
+            f"|H| = {magnitude[j]:.6g} reached the critical rate {critical:.6g}",
             j, float(nodes[j]),
         )
-    spacing, h_back, _ = carry.back
-    return scale_factor_from_hubble(
-        h, nodes, carry.a_start, rule_start(nodes, spacing), h_back
-    )
+    return scale_factor_from_hubble(h, nodes, carry.a_start, rule, carry.back[1])
 
 
-def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState):
-    """f(H) at the segment nodes and the byproducts (W, a, the bank's
-    (chi, chi') history).  The bank sweeps against V and V' = 2 m^2 a^3 H."""
+def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule=None):
+    """f(H) at the segment nodes with the trial's rule (built for None), and
+    the byproducts (W, a, the bank's (chi, chi') history, swept against V
+    and V' = 2 m^2 a^3 H)."""
     params = carry.params
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
-    a_vals = _scale_factor(h, nodes, carry)
+    rule = rule or segment_rule(nodes, carry.back[0])
+    a_vals = _scale_factor(h, nodes, carry, rule)
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
         dv = 2.0 * params.mass**2 * a_vals**3 * h
@@ -505,14 +487,16 @@ def choose_step(
     h_max is the largest |H| of the converged nodes at hand.  previous is
     (span, largest contraction ratio, Richardson estimate over its target,
     retried, power) of the segment that ended here, None at the start of a
-    run; power is the exponent of the span in the error of the rule that
-    made the estimate (core.RuleStart.power).  In a massive run the ratio
-    comes from bank sweeps between frozen-W solves, which took the stiffness
-    |df/dH| dt, so the contraction limit then reads the ratio alone.
-    The limit names which of contraction, accuracy, growth and denominator
-    gave the span (see the module docstring); dt_target and the remaining
-    span are applied by solve_segment.  Python floats throughout: a value
-    out of the float range raises OverflowError.
+    run.  The limit names which gave the span, the least of: contraction,
+    TARGET_CONTRACTION per iterate from the larger of the ratio and
+    |df/dH| dt at h (the ratio alone in a massive run, whose sweeps come
+    between frozen-W solves that took the stiffness); accuracy, dt
+    (ACCURACY_AIM / estimate)^(1/power) on the ladder (_on_ladder), power
+    the exponent of the span in the rule's error (core.RuleStart.power);
+    growth, GROWTH_FRACTION gap / |f| at h, gap = Hc - |h|; denominator,
+    1 / (2 a h_max).  dt_target and the remaining span are applied by
+    solve_segment.  Python floats throughout: a value out of the float
+    range raises OverflowError.
     """
     gap2 = params.hubble_critical**2 - h**2
     f = friedmann_rhs(h, a, w, params)
@@ -545,74 +529,76 @@ def choose_step(
 SEED_NODES = 9
 
 
-def extrapolate(
-    carry: SegmentState, series: np.ndarray, nodes: np.ndarray
-) -> np.ndarray | None:
-    """A history series of the carry (H or W) extrapolated onto the
-    segment's nodes, or None where the carry has no history to extrapolate.
-
-    The value at the carried node plus the degree-4 Lagrange polynomial
-    through the increments over it at every second one of the carry's last
-    9 history nodes, with the value at the carried node itself on nodes[0].
-    It reads those nodes alone, so a retry and a resumed run extrapolate as
-    a first trial of the uninterrupted run does; a run's one start node
-    gives the constant, bit for bit.  None when the nodes number fewer than 9.
-    """
+def seed_basis(carry: SegmentState, nodes: np.ndarray) -> np.ndarray | None:
+    """extrapolate's Lagrange basis on the nodes, None for fewer than 9: a
+    trial builds it once for its H and W seeds.  basis[i, j] = prod over
+    m != j of (x_i - t_m) / (t_j - t_m), t the history nodes it reads."""
     if nodes.size < SEED_NODES:
         return None
-    start = float(series[-1])
-    rise = series[-SEED_NODES::2] - start
     t = carry.hist_taus[-SEED_NODES::2] - carry.tau_start
     x = nodes - carry.tau_start
-    # basis[i, j] = prod over m != j of (x_i - t_m) / (t_j - t_m)
     off = ~np.eye(t.size, dtype=bool)
-    factors = np.where(off, x[:, None, None] - t, 1.0) / np.where(
-        off, t[:, None] - t, 1.0
-    )
-    out = start + np.sum(np.prod(factors, axis=2) * rise, axis=1)
+    factors = np.where(off, x[:, None, None] - t, 1.0)
+    return np.prod(factors / np.where(off, t[:, None] - t, 1.0), axis=2)
+
+
+def extrapolate(
+    carry: SegmentState, series: np.ndarray, nodes: np.ndarray, basis=None
+) -> np.ndarray | None:
+    """A history series of the carry (H or W) extrapolated onto the
+    segment's nodes: the value at the carried node plus the degree-4
+    Lagrange polynomial through the increments over it at every second one
+    of the carry's last 9 history nodes (basis, seed_basis when None), with
+    the value itself on nodes[0].  It reads those nodes alone, so a retry
+    and a resumed run extrapolate as a first trial of the uninterrupted run
+    does; a run's one start node gives the constant, bit for bit.  None
+    when the nodes number fewer than 9.
+    """
+    basis = seed_basis(carry, nodes) if basis is None else basis
+    if basis is None:
+        return None
+    start = float(series[-1])
+    out = start + np.sum(basis * (series[-SEED_NODES::2] - start), axis=1)
     out[0] = start
     return out
 
 
 def picard_seed(
-    carry: SegmentState, nodes: np.ndarray, delta: float
+    carry: SegmentState, nodes: np.ndarray, delta: float, basis=None
 ) -> np.ndarray | None:
-    """First Picard iterate on the segment's nodes, or None for the constant
-    start H_start.
-
-    The seed is the H history extrapolated onto the nodes (extrapolate).
-    None where that gives none, on a constant history (a first segment, an
-    exact root), and when it strays more than delta from H_start: an
-    extrapolation near the wall may cross the critical rate.
-    """
+    """First Picard iterate on the segment's nodes: the H history
+    extrapolated onto them (extrapolate, with basis), or None for the
+    constant start H_start where that gives none, on a constant history (a
+    first segment, an exact root), and when it strays more than delta from
+    H_start: an extrapolation near the wall may cross the critical rate."""
     h_start = carry.hubble_start
-    if not np.any(carry.hist_hubble[-SEED_NODES::2] - h_start):
+    if not (carry.hist_hubble[-SEED_NODES::2] - h_start).any():
         return None
-    seed = extrapolate(carry, carry.hist_hubble, nodes)
-    if seed is None or np.max(np.abs(seed - h_start)) > delta:
+    seed = extrapolate(carry, carry.hist_hubble, nodes, basis)
+    if seed is None or np.abs(seed - h_start).max() > delta:
         return None
     return seed
 
 
 def hubble_at_fixed_wick(
-    carry: SegmentState, nodes: np.ndarray, w, x: np.ndarray | None, tol: float
+    carry: SegmentState, nodes: np.ndarray, rule, w, x, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fixed point X of X = H_start + int f(X, a(X), W) on the segment's
     nodes at a fixed W series w, the equation with the mode bank frozen, and
     f at X.
 
-    picard_solve from x (None for the constant H_start) to FROZEN_TOL * tol,
-    with no bank sweep; its failures (NoConvergence, NaNDetected) propagate,
-    as do the CriticalHubble and BlowUp of a(X).
+    picard_solve with the trial's rule from x (None for the constant
+    H_start) to FROZEN_TOL * tol, with no bank sweep; its failures
+    (NoConvergence, NaNDetected) propagate, as do the CriticalHubble and
+    BlowUp of a(X).
     """
     def frozen(h):
-        f = friedmann_rhs(h, _scale_factor(h, nodes, carry), w, carry.params)
+        f = friedmann_rhs(h, _scale_factor(h, nodes, carry, rule), w, carry.params)
         return f, f
 
-    spacing, _, f_back = carry.back
     x, _, f = picard_solve(
         np.full(nodes.size, carry.hubble_start), frozen, nodes, FROZEN_TOL * tol,
-        MAX_ITER, x, history=(spacing, f_back),
+        MAX_ITER, x, history=(rule, carry.back[2]),
     )
     return x, f
 
@@ -673,28 +659,30 @@ def solve_segment(
     nodes = segment_nodes(carry.tau_start, dt, solver_cfg.nodes_per_segment)
     delta = 0.5 * (critical - abs(h_start))
     target = ACCURACY_PER_TOL * solver_cfg.tol
-    # every trial's accuracy checks: one bound, from the rule's back points
-    history, max_error = carry.back[::2], REJECT_ACCURACY * target
+    max_error = REJECT_ACCURACY * target
 
     def trial(sub):
-        x = picard_seed(carry, sub, delta)
+        # what the nodes fix, built once: every integral's rule, the seeds' basis
+        rule, basis = segment_rule(sub, carry.back[0]), seed_basis(carry, sub)
+        history = (rule, carry.back[2])
+        x = picard_seed(carry, sub, delta, basis)
 
         def rhs(h):
-            f, detail = _rhs_detail(h, sub, carry)
+            f, detail = _rhs_detail(h, sub, carry, rule)
             return f, (f, detail)
 
         def split(update, evaluated):
             # the fixed point at the W of the bank swept at the last iterate
             return hubble_at_fixed_wick(
-                carry, sub, evaluated[1][0], update, solver_cfg.tol
+                carry, sub, rule, evaluated[1][0], update, solver_cfg.tol
             )[0]
 
         if bank is not None:
             # the fixed point at the extrapolated W, or at the carried one
-            w = extrapolate(carry, carry.hist_wick, sub)
+            w = extrapolate(carry, carry.hist_wick, sub, basis)
             x, f = hubble_at_fixed_wick(
-                carry, sub, float(carry.hist_wick[-1]) if w is None else w, x,
-                solver_cfg.tol,
+                carry, sub, rule, float(carry.hist_wick[-1]) if w is None else w,
+                x, solver_cfg.tol,
             )
             # the seed's accuracy check, before the bank sweeps
             check_accuracy(f, sub, history, max_error)
@@ -702,10 +690,11 @@ def solve_segment(
             np.full(sub.size, h_start), rhs, sub, solver_cfg.tol, MAX_ITER, x,
             None if bank is None else split, history,
         )
-        return x, report, check_accuracy(f, sub, history, max_error), detail
+        error = check_accuracy(f, sub, history, max_error)
+        return x, report, error, detail, rule.power
 
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    (h_vals, report, error, (w_vals, a_vals, swept)), nodes, halvings = (
+    (h_vals, report, error, (w_vals, a_vals, swept), power), nodes, halvings = (
         picard_solve_with_halving(
             trial, nodes, solver_cfg.max_halvings, (CriticalHubble, BlowUp),
             uncut if dt < uncut < math.inf else None,
@@ -729,7 +718,7 @@ def solve_segment(
         bank = bank.moved_to(swept[0][last], swept[1][last], nodes[last])
     previous = (
         float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0,
-        rule_start(nodes, carry.back[0]).power,
+        power,
     )
     return replace(
         carry,
@@ -898,7 +887,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 12
+CHECKPOINT_VERSION = 13
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -935,11 +924,7 @@ def save_checkpoint(
     pure-Python one); floats survive the round trip exactly (repr-based).
     A file resumes bit for bit only into the code that wrote it, so any
     change to the spans, iterates or modes a run makes bumps
-    CHECKPOINT_VERSION: format 8 was the first whose rule reads the history, 9 whose frozen-W
-    solve stops at FROZEN_TOL times the tolerance, 10 whose massive spans
-    read the sweeps' ratio, 11 the first whose trials seed from the history
-    alone, and format 12 the first whose bank takes one Magnus step per
-    interval.
+    CHECKPOINT_VERSION.
     """
     if written == len(log.chunks):
         return written

@@ -18,6 +18,11 @@ interpolant of V and V'.
   modes (initial_energy_from_modes), against the closed form that
   semiflrw.energy uses;
 * verify_retardation, a probe that a right-hand side is retarded;
+* the segment rule as one convolution and one running sum
+  (cumulative_integral), against the matrices of semiflrw.core.Rule;
+* the radial quadrature on a grid given by its nodes and weights
+  (radial_integral), for semiflrw.wick.radial_integral, which takes the
+  k-grid constants a mode bank holds;
 * the exact massless solution tau(H), by quadrature of the separable
   equation (massless_tau);
 * the renormalized Wick square and the Bogoliubov correction one time at a
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad, simpson
 
-from semiflrw.core import PhysicalParams, cumulative_trapezoid
+from semiflrw.core import COLD_START, PhysicalParams, RuleStart, cumulative_trapezoid
 from semiflrw.modes import DegenerateMode, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
@@ -48,6 +53,7 @@ from semiflrw.wick import (
     finite_terms,
     wick_integrand,
 )
+from semiflrw.wick import radial_integral as _radial_integral
 
 
 class StepTooLarge(RuntimeError):
@@ -469,6 +475,33 @@ def initial_energy_from_modes(
     return total + _density_tail(a0, da0, m, _MODE_ROUTE_CUT * m * a0)
 
 
+# Adams-Moulton 4's numerators over 24 on f_{j-2..j+1}, reversed for
+# np.convolve
+_AM4_REVERSED = np.array([9.0, 19.0, -5.0, 1.0])
+
+
+def cumulative_integral(
+    values: np.ndarray,
+    nodes: np.ndarray,
+    start: RuleStart = COLD_START,
+    back=(0.0, 0.0),
+) -> np.ndarray:
+    """semiflrw.core.cumulative_integral by its per-interval increments:
+    Adams-Moulton 4 on every interval by one np.convolve over the back
+    points and the values, start's rows on the first two, then one running
+    sum times the width over 24."""
+    width = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    padded = np.concatenate((back, values))
+    steps = np.convolve(padded, _AM4_REVERSED, "valid")
+    steps[:2] = start.weights[: steps.size, : padded.size] @ padded[:5]
+    out = np.empty(values.size)
+    out[0] = 0.0
+    np.cumsum(steps, out=out[1:])
+    out *= width
+    out /= 24.0
+    return out
+
+
 def verify_retardation(rhs, probe: np.ndarray) -> bool:
     """Perturb the probe on a trailing subinterval; rhs(probe)[0] must be
     unchanged (bit-identical) on the leading part."""
@@ -479,6 +512,12 @@ def verify_retardation(rhs, probe: np.ndarray) -> bool:
     perturbed[split + 1 :] += 0.37 * scale
     shifted = np.asarray(rhs(perturbed)[0], dtype=np.float64)
     return bool(np.array_equal(base[: split + 1], shifted[: split + 1]))
+
+
+def radial_integral(samples, config: WickConfig, momenta, weights):
+    """semiflrw.wick.radial_integral on the nodes momenta with quadrature
+    weights weights, from the k-grid constants a bank would hold."""
+    return _radial_integral(samples, config, weights * momenta**2, np.log(momenta))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import semiflrw
 from semiflrw import cli, solver, wick
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -104,6 +105,44 @@ def test_massive_vacuum_sweep_count(workloads, sweeps):
     assert report.reason == "TimeHorizon"
     assert len(sweeps) <= 10
     assert len(solution.reports) <= 5
+
+
+def test_a_trial_builds_its_rule_and_seed_basis_once(workloads, monkeypatch):
+    # every integral of a trial is a product with the rule built for its
+    # nodes: on massive_vacuum seed 0 (6 trials, 69 a(H) evaluations) at
+    # most the rule and its every-second-node twin per trial, one
+    # extrapolation basis per trial, and no integral that builds a rule of
+    # its own (core.cumulative_integral)
+    counts = {"Rule": 0, "seed_basis": 0, "cumulative_integral": 0}
+    trials = []
+
+    def counted(fn, name):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in counts:
+        for module in (semiflrw.core, semiflrw.fixedpoint, solver, wick):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    driver = solver.picard_solve_with_halving
+
+    def each_trial(trial, *args, **kwargs):
+        def run(nodes):
+            trials.append(nodes.size)
+            return trial(nodes)
+
+        return driver(run, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "picard_solve_with_halving", each_trial)
+    _, report = solver.continue_maximal(**workloads.library_call("massive_vacuum", 0))
+    assert report.reason == "TimeHorizon"
+    assert len(trials) == 6
+    assert counts["Rule"] <= 2 * len(trials)
+    assert counts["seed_basis"] == len(trials)
+    assert counts["cumulative_integral"] == 0
 
 
 def test_massless_wall_picard_iterates(workloads):

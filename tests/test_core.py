@@ -18,7 +18,10 @@ from semiflrw.core import (
     ricci_scalar,
     rule_start,
     scale_factor_from_hubble,
+    segment_rule,
 )
+
+import oracles
 
 
 def test_default_constants():
@@ -287,6 +290,60 @@ def test_cumulative_integral_on_two_nodes_is_one_trapezoid_step():
     # the every-second-node rule of a three-node segment has two nodes
     out = cumulative_integral(np.array([1.0, 3.0]), np.array([0.0, 2.0]))
     np.testing.assert_array_equal(out, [0.0, 4.0])
+
+
+@given(
+    st.integers(min_value=2, max_value=49).flatmap(
+        lambda count: st.lists(
+            st.floats(min_value=-1e3, max_value=1e3), min_size=count + 2,
+            max_size=count + 2,
+        )
+    ),
+    st.one_of(st.none(), st.floats(min_value=0.25, max_value=4.0)),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=1e-6, max_value=10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_rule_matrices_match_the_convolution_oracle(samples, ratio, first, span):
+    # the operator against the rule by increments and one running sum, on
+    # 2 to 49 nodes, cold (ratio None) and from back points ratio widths
+    # apart, to the rounding of either
+    back, values = np.array(samples[:2]), np.array(samples[2:])
+    nodes = np.linspace(first, first + span, values.size)
+    width = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    spacing = None if ratio is None else ratio * width
+    if spacing is None:
+        back = np.zeros(2)
+    start = rule_start(nodes, spacing)
+    reference = oracles.cumulative_integral(values, nodes, start, back)
+    out = cumulative_integral(values, nodes, start, back)
+    scale = span * np.max(np.abs(samples))
+    assert np.max(np.abs(out - reference)) <= 1e-14 * scale
+
+
+def test_segment_rule_holds_its_every_second_node_twin():
+    nodes = np.linspace(0.3, 1.1, 13)
+    values, back = np.cos(3.0 * nodes), np.array([0.4, -0.2])
+    rule = segment_rule(nodes, 0.7 * (nodes[1] - nodes[0]))
+    twin = cumulative_integral(
+        values[::2], nodes[::2], rule_start(nodes[::2], 0.7 * (nodes[1] - nodes[0])),
+        back,
+    )
+    assert rule.coarse(values[::2], back).tobytes() == twin.tobytes()
+    assert (rule.order, rule.power, rule.coarse.coarse) == (4, 5, None)
+    # lower triangular: the integral at a node reads the values up to it
+    assert not np.triu(rule.on_values, 1).any()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scale_factor_rejects_a_non_finite_hubble_rate(bad):
+    # a non-finite H at node 5 of 11 would reach every node through the
+    # rule's zero weights, and a NaN denominator is not <= 0, so no BlowUp
+    taus = np.linspace(0.0, 1.0, 11)
+    h = np.full(taus.size, 0.2)
+    h[5] = bad
+    with pytest.raises(ValueError, match="at node 5 "):
+        scale_factor_from_hubble(h, taus, a0=1.0)
 
 
 def test_default_hubble_critical_value():

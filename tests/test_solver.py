@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from semiflrw.core import (
     RULE_ORDER,
     InitialData,
     PhysicalParams,
+    segment_rule,
 )
 from semiflrw.fixedpoint import (
     NoConvergence,
@@ -785,7 +788,9 @@ class TestSegmenting:
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         state0 = initial_segment_state(InitialData(0.0, 1.0, h0), params, W0)
         carry = solve_segment(state0, 1.0, SolverConfig(dt_target=span))
-        history = carry.back[::2]
+
+        def history(nodes):
+            return segment_rule(nodes, carry.back[0]), carry.back[2]
 
         def solve(nodes):
             def rhs(x):
@@ -793,7 +798,9 @@ class TestSegmenting:
                 return f, f
 
             start = np.full(nodes.size, carry.hubble_start)
-            hubble, _, f = picard_solve(start, rhs, nodes, 1e-13, history=history)
+            hubble, _, f = picard_solve(
+                start, rhs, nodes, 1e-13, history=history(nodes)
+            )
             return hubble, f
 
         errors = []
@@ -802,7 +809,7 @@ class TestSegmenting:
             hubble, f = solve(nodes)
             fine = np.linspace(nodes[0], nodes[-1], 8 * (nodes.size - 1) + 1)
             errors.append(np.max(np.abs(hubble - solve(fine)[0][::8])))
-            estimate = richardson_error(f, nodes, history)
+            estimate = richardson_error(f, nodes, history(nodes))
             assert 0.5 * errors[-1] <= estimate <= 2.0 * errors[-1]
         assert errors[0] / errors[1] > 12.0
 
@@ -1043,6 +1050,34 @@ class TestMassiveRun:
         reference = wick_square_renormalized(float(a[-1]), bank, chi[-1], params, wcfg)
         assert sol.wick_square[-1] == pytest.approx(reference, rel=1e-6, abs=0.0)
 
+    def test_concurrent_runs_match_their_sequential_runs_bit_for_bit(self):
+        # a sweep solves its entries in threads: two different massive runs
+        # at once must each give the series of their run alone, so no state
+        # that one run computes may leak into the other's arithmetic
+        wick_cfg = WickConfig(k_max=20.0, n_k=32)
+        runs = [
+            (InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=1.0)),
+            (InitialData(0.0, 0.5, -3.0), PhysicalParams(mass=2.0)),
+        ]
+        barrier = threading.Barrier(len(runs))
+
+        def series(initial, params, wait=False):
+            if wait:
+                barrier.wait(timeout=60.0)
+            sol, rep = continue_maximal(initial, 0.02, params, wick_cfg)
+            assert rep.reason == "TimeHorizon"
+            return [
+                values.tobytes()
+                for values in (sol.taus, sol.hubble, sol.scale_factor, sol.wick_square)
+            ]
+
+        alone = [series(*run) for run in runs]
+        with ThreadPoolExecutor(len(runs)) as pool:
+            together = list(
+                pool.map(lambda run: series(*run, wait=True), runs, timeout=120.0)
+            )
+        assert together == alone
+
 
 class TestRhs:
     def test_retarded_in_the_hubble_argument(self):
@@ -1200,7 +1235,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == solver.CHECKPOINT_VERSION == 12
+        assert header["version"] == solver.CHECKPOINT_VERSION == 13
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -1475,7 +1510,7 @@ class TestFixedWickSplit:
             return picard_solve(
                 np.full(nodes.size, carry.hubble_start),
                 lambda h: _rhs_detail(h, nodes, carry), nodes, tol, MAX_ITER,
-                history=carry.back[::2],
+                history=(segment_rule(nodes, carry.back[0]), carry.back[2]),
             )
 
         # against the fixed point to 1e-3 tol, and against plain Picard at tol
@@ -1577,10 +1612,10 @@ class TestFixedWickSplit:
 
             return driver(each, *args, **kwargs)
 
-        def spied(carry, nodes, w, x, tol):
+        def spied(carry, nodes, rule, w, x, tol):
             if len(first) < len(trials):
                 first.append((nodes, w, x))
-            return frozen(carry, nodes, w, x, tol)
+            return frozen(carry, nodes, rule, w, x, tol)
 
         monkeypatch.setattr(solver, "picard_solve_with_halving", counted)
         monkeypatch.setattr(solver, "hubble_at_fixed_wick", spied)
