@@ -12,9 +12,9 @@ reading the integrand at two back points, the last two history nodes
 before the segment (rule_start), so the integral at a node reads the
 integrand at that node and before it only, as the retarded equation does.
 A run's first segment has no history and starts with a trapezoid and an
-Adams-Moulton 3 step instead (COLD_START).  A segment trial builds it
-once, as matrices (segment_rule): every integral is one product.  The
-diagnostic cosmological time keeps the composite trapezoid rule.
+Adams-Moulton 3 step instead (COLD_START).  A trial builds it once, as
+matrices (segment_rule).  Cosmological time, a diagnostic over a whole
+run's history, keeps the composite trapezoid rule.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
-# The rule's weights are numerators over 24, so a constant integrates
-# exactly.  Adams-Moulton 4 weighs an interval's end nodes and the two
-# before it by (1, -5, 19, 9), oldest first.
+# The rule's weights are numerators over 24.  Adams-Moulton 4 weighs an
+# interval's end nodes and the two before it by (1, -5, 19, 9), oldest
+# first; summed over the intervals before node j, the values at nodes j,
+# j - 1 and j - 2 weigh 9, 28 and 23, every earlier one all 24.
 _AM4 = (1.0, -5.0, 19.0, 9.0)
 
 
@@ -107,20 +108,24 @@ def rule_start(nodes: np.ndarray, spacing: float | None = None) -> RuleStart:
 
 class Rule:
     """cumulative_integral on nodes from start as two matrices, the width
-    folded in: on_values (lower triangular) on the values, on_back on the
-    two back points.  Row j sums the weights of the intervals before node
-    j, interval i weighing the back points and nodes at positions i to
-    i + 3.  order and power are start's; coarse, where built, is the rule
-    on every second node from the same back points."""
+    folded in: on_values (lower triangular, n x n) on the values, on_back on
+    the two back points.  order and power are start's; coarse, where built,
+    is the rule on every second node from the same back points."""
 
     def __init__(self, nodes: np.ndarray, start: RuleStart = COLD_START, coarse=None):
         n = nodes.size
-        steps = np.zeros((n - 1, n + 2))
-        for offset, weight in enumerate(_AM4):
-            steps.reshape(-1)[offset :: n + 3] = weight
-        steps[:2, :5] = start.weights[: n - 1, : n + 2]
-        sums = np.zeros((n, n + 2))
-        np.cumsum(steps, axis=0, out=sums[1:])
+        # row j: the weights of the intervals before node j, summed
+        sums = 24.0 * np.tri(n, n + 2, -1)
+        for offset, weight in enumerate((23.0, 28.0, 9.0)):
+            sums.reshape(-1)[offset :: n + 3] = weight
+        # the back points and nodes 0-2 by running sums: start's two
+        # intervals, then the first three of Adams-Moulton 4
+        steps = np.zeros((n - 1, 5))
+        steps[:2] = start.weights[: n - 1]
+        for i in range(2, min(5, n - 1)):
+            steps[i, i:] = _AM4[: 5 - i]
+        sums[0, :5] = 0.0
+        np.cumsum(steps[:, : n + 2], axis=0, out=sums[1:, :5])
         sums *= (nodes[-1] - nodes[0]) / (n - 1)
         sums /= 24.0
         self.on_values, self.on_back = sums[:, 2:], sums[:, :2]
@@ -147,21 +152,27 @@ def cumulative_integral(
     retarded: the integral at node j reads values at nodes <= j only.
 
     Every interval from the third on takes Adams-Moulton 4, weights
-    (1, -5, 19, 9)/24 on the values at its nodes and the two before; the
+    (1, -5, 19, 9)/24 on the values at its nodes and the two before.  The
     first two take start's weights, which also read back, the values at the
-    two back points, oldest first.  COLD_START reads none: the trapezoid
-    rule, then Adams-Moulton 3, weights (-1, 8, 5)/12.  Each increment is
-    exact for cubics, on a cold start for lines, then quadratics.  The
-    integer numerators make the rule exact for a constant.
+    two back points, oldest first.  COLD_START reads no back points: the
+    trapezoid rule on the first interval and Adams-Moulton 3, weights
+    (-1, 8, 5)/12, on the second.  Each interval's increment is exact for
+    cubics, except on a cold start for the first (lines) and the second
+    (quadratics).  Rule applies it as matrices with the width over 24
+    folded into every weight, so a constant integrates to rounding.
     """
     return Rule(nodes, start)(values, back)
 
 
-# The most nodes a radial grid (n_k) or a segment (nodes_per_segment) may
-# have.  A bank sweep holds arrays of nodes_per_segment x n_k numbers, over
-# a gigabyte at this count and the other's default; a larger count is a
-# config no run allocates, and at 10**20 one that numpy cannot address.
+# The most nodes a radial grid (n_k) may have.  A bank sweep holds arrays
+# of nodes_per_segment x n_k numbers, over a gigabyte at this count and the
+# default segment; a larger count is a config no run allocates, and at
+# 10**20 one that numpy cannot address.
 MAX_GRID_NODES = 2**20
+# The most nodes a segment (nodes_per_segment) may have.  A trial's Rule
+# holds n x (n + 2) numbers, 8 MiB at this count, and builds them in a few
+# milliseconds; its product costs n^2, the convolution it replaced n.
+MAX_SEGMENT_NODES = 1025
 
 
 def check_integers(config, names) -> None:
@@ -269,11 +280,13 @@ def scale_factor_from_hubble(
 
 def cosmological_time(taus: np.ndarray, a: np.ndarray, t0: float = 0.0) -> np.ndarray:
     """Cosmological time t(tau) = t0 - int_{tau0}^{tau} a at the nodes,
-    strictly decreasing (the orientation of the module docstring).
+    strictly decreasing.
 
     A diagnostic: the composite trapezoid rule over the run's joined
     history, whose spacing changes from segment to segment, where the
-    segment rule's equal-width weights do not apply.
+    segment rule's equal-width weights do not apply.  The minus sign is the
+    conformal-time orientation convention of this package; see the module
+    docstring.
     """
     if np.any(a <= 0.0):
         raise ValueError("scale factor must be positive on the grid")

@@ -1,16 +1,21 @@
 """Picard iteration for retarded Volterra equations X = F0 + int f(X).
 
-picard_solve iterates on the update F0 + int_a^t f(X_n), each integral
-one product with the matrices of a core.Rule built once on the nodes,
-until the update norm, the equation residual of X_n, falls below tol, and
-returns X_n: convergence is confirmed a posteriori.  The caller's step may
-replace the update, say by the fixed point of a cheap approximate map
-between two costly evaluations; the test stays the full map's residual.
+The iterator evaluates f at X_n and forms the update F0 + int_a^t f(X_n),
+with the retarded rule of core.Rule, from f at two back points before a
+when the caller has them (history: the rule and f there), until the discrete
+uniform norm of X_n minus that update falls below tol.  That norm is
+exactly the equation residual ||X_n - F0 - int f(X_n)|| of X_n, so the
+iterator returns X_n, with the evaluation made at X_n: convergence is
+confirmed a posteriori, without an evaluation of its own.  The next
+iterate is the update itself (plain Picard) or whatever the caller's step
+makes of it: a caller with a cheap approximate map can solve that map to
+its fixed point between two costly evaluations, and the acceptance test
+stays the full map's residual.
 picard_solve_with_halving is the halving schedule of the local existence
-step: it retries the caller's trial, a function of its nodes, on the front
-half of the span when the trial is rejected.  What it solves, its seed,
-its bound on the rule's error (check_accuracy) and the first span are the
-caller's.
+step: it runs the caller's trial on a span and retries it on the front half
+of the span when the trial is rejected; a trial is a function of its nodes.
+What it solves, where its iteration starts and how it is judged (the bound
+of check_accuracy on the rule's error) is the caller's, as is the first span.
 """
 
 from __future__ import annotations
@@ -71,8 +76,10 @@ class PicardReport:
 
     @property
     def contraction_ratios(self) -> tuple[float, ...]:
-        pairs = zip(self.residuals[:-1], self.residuals[1:])
-        return tuple(cur / prev if prev > 0.0 else 0.0 for prev, cur in pairs)
+        out = []
+        for prev, cur in zip(self.residuals[:-1], self.residuals[1:]):
+            out.append(cur / prev if prev > 0.0 else 0.0)
+        return tuple(out)
 
     def as_dict(self) -> dict:
         return {
@@ -86,7 +93,9 @@ class PicardReport:
         }
 
 
-# (core.segment_rule on the nodes, f at its back points); None builds cold
+# (core.segment_rule on the nodes, f at the two back points 2 spacing and
+# spacing before the first node): what the rule starts from.  Without a rule
+# it starts cold.
 COLD = (None, (0.0, 0.0))
 
 
@@ -109,12 +118,15 @@ def picard_solve(
     iterate is F0 unless a seed x0 is supplied, and the next one is the
     update F0 + int f(X_n), or step(update, byproduct) when a step is
     given; the equation solved is the same either way.  history is
-    (rule, f at the rule's two back points), COLD a cold start.  Raises
-    NaNDetected on the first non-finite node and NoConvergence (with the
-    report) when max_iter is exhausted.  On success the returned X is the
-    last iterate the RHS was evaluated at, whose equation residual
-    ||X - F0 - int f(X)|| is the last update norm, < tol, with the
-    byproduct of that evaluation; earlier byproducts are dropped.
+    (rule, f at the two back points of the rule's start), the rule built on
+    the nodes by core.segment_rule; COLD has none and starts cold.  Raises
+    NaNDetected
+    on the first non-finite node and NoConvergence (with the report
+    attached) when max_iter is exhausted.  On success the returned X is the
+    last iterate the RHS was evaluated at: its equation residual
+    ||X - F0 - int f(X)|| is the last update norm, recorded and < tol, and
+    the byproduct of that evaluation comes with it; earlier byproducts are
+    dropped as they come.
     """
     if np.shape(f0) != nodes.shape:
         raise ValueError("f0 must hold one value per node")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def potential(a, a0: float, mass: float):
 
 @dataclass(frozen=True, eq=False)
 class ModeBank:
-    """All quadrature modes at a common time, as arrays over k-nodes, with
-    the Wick quadrature's k-grid constants, built once at tau0."""
+    """All quadrature modes at a common time, as arrays over k-nodes."""
 
     momenta: np.ndarray
     weights: np.ndarray
@@ -63,10 +62,6 @@ class ModeBank:
     a0_anchor: float
     mass: float
     tau0_anchor: float
-    k2_weights: np.ndarray
-    half_inv_k0: np.ndarray
-    four_k0_cubed: np.ndarray
-    log_k: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.diff(self.momenta) > 0.0):
@@ -92,8 +87,7 @@ class ModeBank:
         chi = phase / np.sqrt(2.0 * k0)
         dchi = 1j * k0 * chi
         return cls(momenta, weights, k0, chi, dchi, float(tau0), float(a0),
-                   float(mass), float(tau0), weights * momenta**2, 1.0 / (2.0 * k0),
-                   4.0 * k0**3, np.log(momenta))
+                   float(mass), float(tau0))
 
     @property
     def wronskian_error_max(self) -> float:
@@ -109,7 +103,8 @@ class ModeBank:
         return h.hexdigest()
 
     def moved_to(self, chi: np.ndarray, dchi: np.ndarray, tau: float) -> ModeBank:
-        return replace(self, chi=chi, dchi=dchi, tau=float(tau))
+        return ModeBank(self.momenta, self.weights, self.k0, chi, dchi,
+                        float(tau), self.a0_anchor, self.mass, self.tau0_anchor)
 
 
 def _magnus_maps(

@@ -19,10 +19,20 @@ has none and starts cold.  A trial builds the rule once, as matrices
 
 The span comes from a local step controller (choose_step), after
 Gustafsson and Soderlind, which steers the Picard iteration's convergence
-rate rather than bounding f over a tube: the least of a contraction, an
-accuracy (the Richardson estimate of the segment rule's error, from f at
-the returned iterate, so no extra evaluation), a growth and a denominator
-limit, dt_target and the remaining span.  A trial that does not converge,
+rate rather than bounding f over a tube.  It is the least of: a contraction
+limit, aiming at TARGET_CONTRACTION = 0.2 per iterate from the larger of the
+last segment's largest observed ratio and |df/dH| dt at the carried node
+(after a massive segment from the ratio its sweeps showed alone; see
+below); an accuracy limit, scaling dt by (target / err)^(1/p) rounded up to
+a power of 2^(1/4), with err the Richardson estimate of the error of the
+segment rule (all nodes against every second node, on f at the returned
+iterate, so no extra evaluation) and p the power of dt in that error at a
+fixed node count: 5 for the fourth-order rule, 3 on the cold first segment,
+whose trapezoid first interval sets it (core.RuleStart); the estimate, a
+difference of two cumulative sums, carries their rounding, which the rungs
+keep out of dt; a growth limit, a fraction of gap / |f| at the carried node,
+gap = Hc - |H|; a denominator limit 1 / (2 a max|H|) over the converged
+nodes; dt_target; and the remaining span.  A trial that does not converge,
 whose iterate crosses the critical rate or blows the scale factor up, or
 whose Richardson estimate is well above target is rejected and retried on
 its front half, so only a converged segment's nodes can end a run.  A trial
@@ -30,23 +40,31 @@ that the remaining span cut short is retried as the uncut one would have
 been, so the horizon steers no segment but the last.  Each segment is still
 confirmed after the fact by its equation residual.
 
-Every trial, a retry too, starts from the H history extrapolated onto its
-nodes (picard_seed), so a trial is a function of its nodes; from the
-constant where that strays more than half the gap to the critical rate.
+The iteration starts from a seed extrapolated from the segment before
+(picard_seed): the start value plus the degree-4 polynomial through the
+increments H - H_start at every second one of the last 9 history nodes.
+Every trial starts there, a retry too: a trial is a function of its nodes.
+It starts from the constant instead with fewer than 9 nodes per segment, on
+a constant history and when the seed strays more than half the gap from the
+start value.
 
 A massive run pays for each iterate with a bank sweep and a Wick
 quadrature, while W depends on H only weakly, through a(H).  Between two
-sweeps it solves the equation at a frozen W (hubble_at_fixed_wick), behind
-the full map's critical-rate guard (_scale_factor); a frozen solve that
-fails rejects its trial before another sweep.  The seed is that fixed point
-at the W history extrapolated as H is, each later iterate its fixed point
-at the W of the sweep before, and an iterate is accepted only on the
-full-map residual of the sweep at it, whose W, a and bank history the
-segment keeps: seed and split change the iterates, not the fixed point.
-The stiffness |df/dH| dt is thus paid in frozen-W evaluations, so after a
-massive segment the contraction limit reads only the largest ratio the
-sweeps showed.  The seed's f passes the trial's Richardson check before the
-first sweep, so a trial too long for the rule is rejected unswept.
+sweeps it solves the equation at a frozen W (hubble_at_fixed_wick):
+picard_solve on X -> f(X, a(X), W) to FROZEN_TOL times the tolerance,
+behind the full map's critical-rate guard (_scale_factor); a frozen solve
+that fails rejects its trial as the full map would, before another sweep.
+The seed is that fixed point at the W history extrapolated as H is, and
+each later iterate its fixed point at the W of the sweep before.  An
+iterate is accepted only on the full-map residual of the sweep at it, whose
+W, a and bank history the segment keeps.  Seed and split change the
+iterates, not the fixed point.  The stiffness |df/dH| dt is thus paid in
+frozen-W evaluations, and the frozen solve guards against it: it rejects a
+trial that it cannot solve before any sweep.  The sweeps iterate only the
+weak feedback of H on W, so after a massive segment the contraction limit
+reads only the largest ratio they showed; a run's first span keeps the
+estimate.  The seed's f goes through the trial's Richardson check before
+the first sweep, so a trial too long for the rule is rejected unswept.
 """
 
 from __future__ import annotations
@@ -62,13 +80,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    MAX_GRID_NODES,
+    MAX_SEGMENT_NODES,
     BlowUp,
     InitialData,
     PhysicalParams,
     check_integers,
     cosmological_time,
     ricci_scalar,
+    rule_start,
     scale_factor_from_hubble,
     segment_rule,
 )
@@ -165,10 +184,10 @@ class SolverConfig:
         # richardson_error compares the segment rule on every node with the
         # rule on every second one, which ends on the last node only for odd
         # counts
-        if (not 3 <= self.nodes_per_segment <= MAX_GRID_NODES
+        if (not 3 <= self.nodes_per_segment <= MAX_SEGMENT_NODES
                 or self.nodes_per_segment % 2 == 0):
             raise ValueError(
-                f"nodes_per_segment must be odd and lie in [3, {MAX_GRID_NODES}]"
+                f"nodes_per_segment must be odd and lie in [3, {MAX_SEGMENT_NODES}]"
             )
         if not EPSILON_CRITICAL_MIN <= self.epsilon_critical < 0.1:
             raise ValueError(
@@ -421,14 +440,13 @@ def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule):
     return scale_factor_from_hubble(h, nodes, carry.a_start, rule, carry.back[1])
 
 
-def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule=None):
-    """f(H) at the segment nodes with the trial's rule (built for None), and
-    the byproducts (W, a, the bank's (chi, chi') history, swept against V
-    and V' = 2 m^2 a^3 H)."""
+def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule):
+    """f(H) at the segment nodes, a(H) by the trial's rule (core.segment_rule
+    on the nodes from carry.back), and the byproducts (W, a, the bank's
+    (chi, chi') history).  The bank sweeps against V and V' = 2 m^2 a^3 H."""
     params = carry.params
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
-    rule = rule or segment_rule(nodes, carry.back[0])
     a_vals = _scale_factor(h, nodes, carry, rule)
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
@@ -487,16 +505,14 @@ def choose_step(
     h_max is the largest |H| of the converged nodes at hand.  previous is
     (span, largest contraction ratio, Richardson estimate over its target,
     retried, power) of the segment that ended here, None at the start of a
-    run.  The limit names which gave the span, the least of: contraction,
-    TARGET_CONTRACTION per iterate from the larger of the ratio and
-    |df/dH| dt at h (the ratio alone in a massive run, whose sweeps come
-    between frozen-W solves that took the stiffness); accuracy, dt
-    (ACCURACY_AIM / estimate)^(1/power) on the ladder (_on_ladder), power
-    the exponent of the span in the rule's error (core.RuleStart.power);
-    growth, GROWTH_FRACTION gap / |f| at h, gap = Hc - |h|; denominator,
-    1 / (2 a h_max).  dt_target and the remaining span are applied by
-    solve_segment.  Python floats throughout: a value out of the float
-    range raises OverflowError.
+    run; power is the exponent of the span in the error of the rule that
+    made the estimate (core.RuleStart.power).  In a massive run the ratio
+    comes from bank sweeps between frozen-W solves, which took the stiffness
+    |df/dH| dt, so the contraction limit then reads the ratio alone.
+    The limit names which of contraction, accuracy, growth and denominator
+    gave the span (see the module docstring); dt_target and the remaining
+    span are applied by solve_segment.  Python floats throughout: a value
+    out of the float range raises OverflowError.
     """
     gap2 = params.hubble_critical**2 - h**2
     f = friedmann_rhs(h, a, w, params)
@@ -529,59 +545,57 @@ def choose_step(
 SEED_NODES = 9
 
 
-def seed_basis(carry: SegmentState, nodes: np.ndarray) -> np.ndarray | None:
-    """extrapolate's Lagrange basis on the nodes, None for fewer than 9: a
-    trial builds it once for its H and W seeds.  basis[i, j] = prod over
-    m != j of (x_i - t_m) / (t_j - t_m), t the history nodes it reads."""
-    if nodes.size < SEED_NODES:
-        return None
-    t = carry.hist_taus[-SEED_NODES::2] - carry.tau_start
-    x = nodes - carry.tau_start
-    off = ~np.eye(t.size, dtype=bool)
-    factors = np.where(off, x[:, None, None] - t, 1.0)
-    return np.prod(factors / np.where(off, t[:, None] - t, 1.0), axis=2)
-
-
 def extrapolate(
-    carry: SegmentState, series: np.ndarray, nodes: np.ndarray, basis=None
+    carry: SegmentState, series: np.ndarray, nodes: np.ndarray
 ) -> np.ndarray | None:
     """A history series of the carry (H or W) extrapolated onto the
-    segment's nodes: the value at the carried node plus the degree-4
-    Lagrange polynomial through the increments over it at every second one
-    of the carry's last 9 history nodes (basis, seed_basis when None), with
-    the value itself on nodes[0].  It reads those nodes alone, so a retry
-    and a resumed run extrapolate as a first trial of the uninterrupted run
-    does; a run's one start node gives the constant, bit for bit.  None
-    when the nodes number fewer than 9.
+    segment's nodes, or None where the carry has no history to extrapolate.
+
+    The value at the carried node plus the degree-4 Lagrange polynomial
+    through the increments over it at every second one of the carry's last
+    9 history nodes, with the value at the carried node itself on nodes[0].
+    It reads those nodes alone, so a retry and a resumed run extrapolate as
+    a first trial of the uninterrupted run does; a run's one start node
+    gives the constant, bit for bit.  None when the nodes number fewer than 9.
     """
-    basis = seed_basis(carry, nodes) if basis is None else basis
-    if basis is None:
+    if nodes.size < SEED_NODES:
         return None
     start = float(series[-1])
-    out = start + np.sum(basis * (series[-SEED_NODES::2] - start), axis=1)
+    rise = series[-SEED_NODES::2] - start
+    t = carry.hist_taus[-SEED_NODES::2] - carry.tau_start
+    x = nodes - carry.tau_start
+    # basis[i, j] = prod over m != j of (x_i - t_m) / (t_j - t_m)
+    off = ~np.eye(t.size, dtype=bool)
+    factors = np.where(off, x[:, None, None] - t, 1.0) / np.where(
+        off, t[:, None] - t, 1.0
+    )
+    out = start + np.sum(np.prod(factors, axis=2) * rise, axis=1)
     out[0] = start
     return out
 
 
 def picard_seed(
-    carry: SegmentState, nodes: np.ndarray, delta: float, basis=None
+    carry: SegmentState, nodes: np.ndarray, delta: float
 ) -> np.ndarray | None:
-    """First Picard iterate on the segment's nodes: the H history
-    extrapolated onto them (extrapolate, with basis), or None for the
-    constant start H_start where that gives none, on a constant history (a
-    first segment, an exact root), and when it strays more than delta from
-    H_start: an extrapolation near the wall may cross the critical rate."""
+    """First Picard iterate on the segment's nodes, or None for the constant
+    start H_start.
+
+    The seed is the H history extrapolated onto the nodes (extrapolate).
+    None where that gives none, on a constant history (a first segment, an
+    exact root), and when it strays more than delta from H_start: an
+    extrapolation near the wall may cross the critical rate.
+    """
     h_start = carry.hubble_start
-    if not (carry.hist_hubble[-SEED_NODES::2] - h_start).any():
+    if not np.any(carry.hist_hubble[-SEED_NODES::2] - h_start):
         return None
-    seed = extrapolate(carry, carry.hist_hubble, nodes, basis)
-    if seed is None or np.abs(seed - h_start).max() > delta:
+    seed = extrapolate(carry, carry.hist_hubble, nodes)
+    if seed is None or np.max(np.abs(seed - h_start)) > delta:
         return None
     return seed
 
 
 def hubble_at_fixed_wick(
-    carry: SegmentState, nodes: np.ndarray, rule, w, x, tol: float
+    carry: SegmentState, nodes: np.ndarray, rule, w, x: np.ndarray | None, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fixed point X of X = H_start + int f(X, a(X), W) on the segment's
     nodes at a fixed W series w, the equation with the mode bank frozen, and
@@ -662,10 +676,10 @@ def solve_segment(
     max_error = REJECT_ACCURACY * target
 
     def trial(sub):
-        # what the nodes fix, built once: every integral's rule, the seeds' basis
-        rule, basis = segment_rule(sub, carry.back[0]), seed_basis(carry, sub)
+        # every integral of the trial is a product with the rule of its nodes
+        rule = segment_rule(sub, carry.back[0])
         history = (rule, carry.back[2])
-        x = picard_seed(carry, sub, delta, basis)
+        x = picard_seed(carry, sub, delta)
 
         def rhs(h):
             f, detail = _rhs_detail(h, sub, carry, rule)
@@ -679,7 +693,7 @@ def solve_segment(
 
         if bank is not None:
             # the fixed point at the extrapolated W, or at the carried one
-            w = extrapolate(carry, carry.hist_wick, sub, basis)
+            w = extrapolate(carry, carry.hist_wick, sub)
             x, f = hubble_at_fixed_wick(
                 carry, sub, rule, float(carry.hist_wick[-1]) if w is None else w,
                 x, solver_cfg.tol,
@@ -690,11 +704,10 @@ def solve_segment(
             np.full(sub.size, h_start), rhs, sub, solver_cfg.tol, MAX_ITER, x,
             None if bank is None else split, history,
         )
-        error = check_accuracy(f, sub, history, max_error)
-        return x, report, error, detail, rule.power
+        return x, report, check_accuracy(f, sub, history, max_error), detail
 
     # the byproducts come from Picard's last RHS evaluation, at the solution
-    (h_vals, report, error, (w_vals, a_vals, swept), power), nodes, halvings = (
+    (h_vals, report, error, (w_vals, a_vals, swept)), nodes, halvings = (
         picard_solve_with_halving(
             trial, nodes, solver_cfg.max_halvings, (CriticalHubble, BlowUp),
             uncut if dt < uncut < math.inf else None,
@@ -718,7 +731,7 @@ def solve_segment(
         bank = bank.moved_to(swept[0][last], swept[1][last], nodes[last])
     previous = (
         float(nodes[-1] - nodes[0]), ratio, error / target, report.halvings > 0,
-        power,
+        rule_start(nodes, carry.back[0]).power,
     )
     return replace(
         carry,
@@ -924,7 +937,12 @@ def save_checkpoint(
     pure-Python one); floats survive the round trip exactly (repr-based).
     A file resumes bit for bit only into the code that wrote it, so any
     change to the spans, iterates or modes a run makes bumps
-    CHECKPOINT_VERSION.
+    CHECKPOINT_VERSION: format 8 was the first whose rule reads the history, 9 whose frozen-W
+    solve stops at FROZEN_TOL times the tolerance, 10 whose massive spans
+    read the sweeps' ratio, 11 the first whose trials seed from the history
+    alone, 12 the first whose bank takes one Magnus step per interval, and
+    format 13 the first whose integrals are products with the trial's
+    matrices (core.Rule).
     """
     if written == len(log.chunks):
         return written

@@ -181,12 +181,8 @@ def wick_integrand(chi, k0, v_tau):
     k0 = np.asarray(k0, dtype=np.float64)
     if np.any(k0 <= 0.0):
         raise ValueError("k0 must be > 0")
-    return _subtracted(chi, 1.0 / (2.0 * k0), 4.0 * k0**3, v_tau)
-
-
-def _subtracted(chi, half_inv_k0, four_k0_cubed, v_tau):
-    """wick_integrand from its k-grid constants (ModeBank holds them)."""
-    return np.abs(np.asarray(chi)) ** 2 - half_inv_k0 + v_tau / four_k0_cubed
+    mod_sq = np.abs(np.asarray(chi)) ** 2
+    return mod_sq - 1.0 / (2.0 * k0) + v_tau / (4.0 * k0**3)
 
 
 def _plain(x):
@@ -194,16 +190,17 @@ def _plain(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
-def _fit_tail(log_k: np.ndarray, samples: np.ndarray, config: WickConfig) -> TailFit:
-    """Fit C k^{-p} to |samples| over the top TAIL_FIT_WINDOW of the nodes
-    (log_k the log of every node), one fit per row.
+def _fit_tail(momenta: np.ndarray, samples: np.ndarray, config: WickConfig) -> TailFit:
+    """Fit C k^{-p} to |samples| over the top TAIL_FIT_WINDOW of the nodes,
+    one fit per row.
 
     samples has shape (..., n_k); every field has the leading shape.  The
     fit is the closed-form least-squares line of log|g| on log k through
     the window nodes above 1e-3 of the row's peak.
     """
-    n_win = max(3, int(math.ceil(TAIL_FIT_WINDOW * log_k.size)))
-    log_k = log_k[-n_win:]
+    n_win = max(3, int(math.ceil(TAIL_FIT_WINDOW * momenta.size)))
+    k_win = momenta[-n_win:]
+    log_k = np.log(k_win)
     g_win = samples[..., -n_win:]
     mag = np.abs(g_win)
     peak = np.max(mag, axis=-1)
@@ -250,24 +247,26 @@ def _fit_tail(log_k: np.ndarray, samples: np.ndarray, config: WickConfig) -> Tai
 
 
 def radial_integral(
-    samples: np.ndarray, config: WickConfig, k2_weights: np.ndarray, log_k: np.ndarray
+    samples: np.ndarray,
+    config: WickConfig,
+    momenta: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[float, TailFit | None]:
     """(2 pi^2)^{-1} int_0^{k_max} samples(k) k^2 dk with optional tail.
 
-    samples must be given on a radial grid along its last axis, whose
-    quadrature weights times k^2 and log k are k2_weights and log_k (a
-    bank's k2_weights and log_k); each row is integrated on its own.
-    Returns (value, tail): value has the leading shape (a plain float for a
-    single row) and tail is the TailFit, None when config's tail model is
-    "none".
+    samples must be given on the nodes momenta (with quadrature weights
+    weights, a bank's grid) along its last axis; each row is integrated on
+    its own.  Returns (value, tail): value has the leading shape (a plain
+    float for a single row) and tail is the TailFit, None when config's
+    tail model is "none".
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1:] != log_k.shape:
+    if samples.shape[-1:] != momenta.shape:
         raise ValueError("samples must match the quadrature nodes")
-    total = np.sum(k2_weights * samples, axis=-1)
+    total = np.sum(weights * momenta**2 * samples, axis=-1)
     tail = None
     if config.tail_model == "power-fit":
-        tail = _fit_tail(log_k, samples, config)
+        tail = _fit_tail(momenta, samples, config)
         total = total + tail.correction
     return _plain(total / TWO_PI_SQ), tail
 
@@ -326,8 +325,8 @@ def wick_square_renormalized(
     a, chi = _rows(a, bank, chi)
     a0 = bank.a0_anchor
     v_tau = potential(a, a0, params.mass)
-    g = _subtracted(chi, bank.half_inv_k0, bank.four_k0_cubed, v_tau[..., None])
-    radial, tail = radial_integral(g, config, bank.k2_weights, bank.log_k)
+    g = wick_integrand(chi, bank.k0, v_tau[..., None])
+    radial, tail = radial_integral(g, config, bank.momenta, bank.weights)
     value = _plain(
         radial / a**2 + finite_terms(a, a0, params.mass, params.length_scale)
     )
@@ -343,5 +342,5 @@ def wick_square_bogoliubov_delta(a, bank: ModeBank, chi, coefficients):
     a_vals, b_vals = coefficients
     a, chi = _rows(a, bank, chi)
     g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
-    integral = np.sum(bank.k2_weights * g, axis=-1) / TWO_PI_SQ
+    integral = np.sum(bank.weights * bank.momenta**2 * g, axis=-1) / TWO_PI_SQ
     return _plain(2.0 / a**2 * integral)

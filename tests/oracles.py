@@ -20,9 +20,6 @@ interpolant of V and V'.
 * verify_retardation, a probe that a right-hand side is retarded;
 * the segment rule as one convolution and one running sum
   (cumulative_integral), against the matrices of semiflrw.core.Rule;
-* the radial quadrature on a grid given by its nodes and weights
-  (radial_integral), for semiflrw.wick.radial_integral, which takes the
-  k-grid constants a mode bank holds;
 * the exact massless solution tau(H), by quadrature of the separable
   equation (massless_tau);
 * the renormalized Wick square and the Bogoliubov correction one time at a
@@ -53,7 +50,6 @@ from semiflrw.wick import (
     finite_terms,
     wick_integrand,
 )
-from semiflrw.wick import radial_integral as _radial_integral
 
 
 class StepTooLarge(RuntimeError):
@@ -512,12 +508,6 @@ def verify_retardation(rhs, probe: np.ndarray) -> bool:
     perturbed[split + 1 :] += 0.37 * scale
     shifted = np.asarray(rhs(perturbed)[0], dtype=np.float64)
     return bool(np.array_equal(base[: split + 1], shifted[: split + 1]))
-
-
-def radial_integral(samples, config: WickConfig, momenta, weights):
-    """semiflrw.wick.radial_integral on the nodes momenta with quadrature
-    weights weights, from the k-grid constants a bank would hold."""
-    return _radial_integral(samples, config, weights * momenta**2, np.log(momenta))
 
 
 @dataclass(frozen=True)

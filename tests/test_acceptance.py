@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from semiflrw import cli
-from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, InitialData, PhysicalParams
+from semiflrw.core import (
+    DEFAULT_HUBBLE_CRITICAL,
+    InitialData,
+    PhysicalParams,
+    segment_rule,
+)
 from semiflrw.fixedpoint import picard_solve
 from semiflrw.modes import ModeBank, evolve_bank, wronskian_error
 from semiflrw.solver import (
@@ -213,7 +218,7 @@ def test_criterion_06_massless_conformal_vacuum():
     carry = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
     grid = np.linspace(0.0, 1e-3, 25)
     h_vals = 20.0 + 500.0 * grid
-    rhs = _rhs_detail(h_vals, grid, carry)[0]
+    rhs = _rhs_detail(h_vals, grid, carry, segment_rule(grid))[0]
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * np.diff(grid) * (h_vals[:-1] + h_vals[1:])))
     )
@@ -323,9 +328,10 @@ def test_criterion_09_picard_contraction(de_sitter_setup):
     span = float(nodes[-1] - nodes[0])
     delta = 0.1 * h0 * np.cos(2.0 * math.pi * (nodes - nodes[0]) / span)
     tol = 1e-10
+    rule = segment_rule(nodes)
     _, report, _ = picard_solve(
         np.full(nodes.size, h0),
-        lambda x: (_rhs_detail(x, nodes, carry)[0], None),
+        lambda x: (_rhs_detail(x, nodes, carry, rule)[0], None),
         nodes, tol=tol, max_iter=40, x0=h0 + delta,
     )
     residuals = np.asarray(report.residuals)

@@ -107,13 +107,12 @@ def test_massive_vacuum_sweep_count(workloads, sweeps):
     assert len(solution.reports) <= 5
 
 
-def test_a_trial_builds_its_rule_and_seed_basis_once(workloads, monkeypatch):
+def test_a_trial_builds_its_rule_once(workloads, monkeypatch):
     # every integral of a trial is a product with the rule built for its
     # nodes: on massive_vacuum seed 0 (6 trials, 69 a(H) evaluations) at
-    # most the rule and its every-second-node twin per trial, one
-    # extrapolation basis per trial, and no integral that builds a rule of
-    # its own (core.cumulative_integral)
-    counts = {"Rule": 0, "seed_basis": 0, "cumulative_integral": 0}
+    # most the rule and its every-second-node twin per trial, and no
+    # integral that builds a rule of its own (core.cumulative_integral)
+    counts = {"Rule": 0, "cumulative_integral": 0}
     trials = []
 
     def counted(fn, name):
@@ -141,7 +140,6 @@ def test_a_trial_builds_its_rule_and_seed_basis_once(workloads, monkeypatch):
     assert report.reason == "TimeHorizon"
     assert len(trials) == 6
     assert counts["Rule"] <= 2 * len(trials)
-    assert counts["seed_basis"] == len(trials)
     assert counts["cumulative_integral"] == 0
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflrw import cli
-from semiflrw.core import DEFAULT_HUBBLE_CRITICAL
+from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, MAX_SEGMENT_NODES
 from semiflrw.solver import SolverConfig, load_checkpoint
 from semiflrw.wick import TailFit
 
@@ -225,11 +225,18 @@ class TestValidation:
             cli.build_run(cfg)
 
     @pytest.mark.parametrize(
-        "key,value", [("n_k", 10**20), ("n_k", 2**21), ("nodes_per_segment", 10**20 + 1)]
+        "key,value",
+        [
+            ("n_k", 10**20),
+            ("n_k", 2**21),
+            ("nodes_per_segment", 10**20 + 1),
+            ("nodes_per_segment", MAX_SEGMENT_NODES + 2),
+        ],
     )
     def test_grid_no_run_can_allocate_exits_2(self, tmp_path, capsys, key, value):
         # such counts once passed parsing and failed mid-run, numpy's
-        # "array is too big" at 10**20
+        # "array is too big" at 10**20; a segment's rule is a matrix of
+        # nodes_per_segment^2 numbers, so its count has a bound of its own
         path = write_config(
             tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: value}
         )

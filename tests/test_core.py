@@ -62,7 +62,7 @@ def test_scale_factor_constant_hubble_closed_form():
     taus = np.linspace(0.0, 2.0, 2001)
     a = scale_factor_from_hubble(np.full(taus.size, c), taus, a0=1.0)
     expected = 1.0 / (1.0 - c * taus)
-    # the rule integrates a constant exactly, so this is tight
+    # the rule integrates a constant to rounding, so this is tight
     np.testing.assert_allclose(a, expected, rtol=1e-13)
 
 

@@ -16,6 +16,7 @@ from semiflrw import solver
 from semiflrw.core import (
     COLD_START,
     DEFAULT_HUBBLE_CRITICAL,
+    MAX_SEGMENT_NODES,
     RULE_ORDER,
     InitialData,
     PhysicalParams,
@@ -112,6 +113,12 @@ class TestConfig:
         assert cfg.epsilon_critical == 1e-6
         assert EPSILON_SCALE == 1e-6
         assert MAX_ITER == 40
+
+    def test_a_segment_holds_at_most_max_segment_nodes(self):
+        # a trial's rule is a matrix of nodes_per_segment^2 numbers
+        assert SolverConfig(nodes_per_segment=MAX_SEGMENT_NODES).nodes_per_segment == 1025
+        with pytest.raises(ValueError, match="1025"):
+            SolverConfig(nodes_per_segment=MAX_SEGMENT_NODES + 2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -735,8 +742,10 @@ class TestSegmenting:
     def lattice_solve(nodes, state0):
         """(H, f at H) on a fixed lattice from the state0 carry."""
 
+        rule = segment_rule(nodes, state0.back[0])
+
         def rhs(x):
-            f = _rhs_detail(x, nodes, state0)[0]
+            f = _rhs_detail(x, nodes, state0, rule)[0]
             return f, f
 
         start = np.full(nodes.size, state0.hubble_start)
@@ -793,13 +802,15 @@ class TestSegmenting:
             return segment_rule(nodes, carry.back[0]), carry.back[2]
 
         def solve(nodes):
+            rule, f_back = history(nodes)
+
             def rhs(x):
-                f = _rhs_detail(x, nodes, carry)[0]
+                f = _rhs_detail(x, nodes, carry, rule)[0]
                 return f, f
 
             start = np.full(nodes.size, carry.hubble_start)
             hubble, _, f = picard_solve(
-                start, rhs, nodes, 1e-13, history=history(nodes)
+                start, rhs, nodes, 1e-13, history=(rule, f_back)
             )
             return hubble, f
 
@@ -1086,8 +1097,10 @@ class TestRhs:
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, wcfg)
         nodes = np.linspace(0.0, 0.001, 25)
 
+        rule = segment_rule(nodes, state0.back[0])
+
         def rhs(x):
-            return _rhs_detail(x, nodes, state0)[0], None
+            return _rhs_detail(x, nodes, state0, rule)[0], None
 
         probe = 1e-4 * np.cos(np.linspace(0.0, 3.0, 25))
         assert verify_retardation(rhs, probe)
@@ -1097,7 +1110,7 @@ class TestRhs:
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
         nodes = np.linspace(0.0, 0.001, 9)
-        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0)[0]
+        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0, segment_rule(nodes))[0]
         h = 20.0
         expected = (
             h**4 - 2.0 * HC**2 * h**2 + 960.0 * math.pi**2 * lam
@@ -1109,7 +1122,7 @@ class TestRhs:
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         nodes = np.linspace(0.0, 0.001, 9)
         with pytest.raises(CriticalHubble) as err:
-            _rhs_detail(np.full(9, HC), nodes, state0)
+            _rhs_detail(np.full(9, HC), nodes, state0, segment_rule(nodes))
         assert err.value.node_index == 0
 
     def test_rejects_shifted_grid(self):
@@ -1117,7 +1130,7 @@ class TestRhs:
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         nodes = np.linspace(0.5, 0.501, 9)
         with pytest.raises(ValueError):
-            _rhs_detail(np.zeros(9), nodes, state0)
+            _rhs_detail(np.zeros(9), nodes, state0, segment_rule(nodes))
 
     def test_solve_segment_rejects_exhausted_horizon(self):
         params = PhysicalParams(mass=0.0)
@@ -1491,7 +1504,8 @@ class TestFixedWickSplit:
             assert report.residuals[0] < report.tol
             # W, a and the bank are those of the one sweep, at the stored H
             f, (w, a, history) = _rhs_detail(
-                segment.hist_hubble, segment.hist_taus, carry
+                segment.hist_hubble, segment.hist_taus, carry,
+                segment_rule(segment.hist_taus, carry.back[0]),
             )
             assert np.array_equal(w, segment.hist_wick)
             assert np.array_equal(a, segment.hist_a)
@@ -1505,12 +1519,14 @@ class TestFixedWickSplit:
         nodes = segment.hist_taus
         tol = SolverConfig().tol
 
+        rule = segment_rule(nodes, carry.back[0])
+
         def plain(tol):
             # from the back points of the segment's rule
             return picard_solve(
                 np.full(nodes.size, carry.hubble_start),
-                lambda h: _rhs_detail(h, nodes, carry), nodes, tol, MAX_ITER,
-                history=(segment_rule(nodes, carry.back[0]), carry.back[2]),
+                lambda h: _rhs_detail(h, nodes, carry, rule), nodes, tol, MAX_ITER,
+                history=(rule, carry.back[2]),
             )
 
         # against the fixed point to 1e-3 tol, and against plain Picard at tol

@@ -24,6 +24,7 @@ from semiflrw.wick import (
     WickConfig,
     finite_terms,
     radial_grid,
+    radial_integral,
     wick_integrand,
     wick_square_bogoliubov_delta,
     wick_square_renormalized,
@@ -33,7 +34,6 @@ from oracles import (
     Potential,
     bogoliubov_delta_per_node,
     perturbative_orders,
-    radial_integral,
     wick_square_per_node,
 )
 
