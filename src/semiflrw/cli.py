@@ -9,13 +9,11 @@ LOG_LEVELS (unset or empty: WARNING); any other value is a config error.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -96,6 +94,7 @@ _STATE_KEYS = {"type", "amplitude", "k_scale"}
 def _check_keys(mapping: dict, allowed: set, context: str) -> None:
     for key in mapping:
         if key not in allowed:
+            import difflib
             close = difflib.get_close_matches(key, sorted(allowed), n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ParseError(f"unknown key {key!r} in {context}{hint}")
@@ -510,6 +509,8 @@ def _collect_sweep_configs(target: str) -> list[tuple[str, dict]]:
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     try:
         entries = _collect_sweep_configs(args.target)
     except ConfigError as err:

@@ -255,10 +255,10 @@ def scale_factor_from_hubble(
     nodes: np.ndarray,
     a0: float,
     rule: Rule | None = None,
-    back=(0.0, 0.0),
+    share=0.0,
 ) -> np.ndarray:
     """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on,
-    int H by the rule (a cold one for None) with H at its back points.
+    int H by the rule (a cold one for None), share its back points' part.
 
     Raises ValueError at the first node where H is not finite, and BlowUp
     at the first where the denominator falls to <= 0 (regularity condition
@@ -266,7 +266,7 @@ def scale_factor_from_hubble(
     """
     if not (np.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and > 0, got {a0}")
-    denominator = 1.0 - a0 * (rule or Rule(nodes))(h, back)
+    denominator = 1.0 - a0 * ((rule or Rule(nodes)).on_values @ h + share)
     # a non-finite H reaches every node through the rule's zero weights
     if not (denominator > 0.0).all():
         finite = np.isfinite(h)

@@ -18,7 +18,6 @@ applies them to the complex modes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -78,9 +77,12 @@ class ModeBank:
         mass: float,
         tau0: float,
     ) -> ModeBank:
-        momenta = np.asarray(momenta, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
+        # read-only copies, which moved_to shares: no anchor changes in place
+        momenta = np.array(momenta, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
         k0 = np.sqrt(momenta**2 + (a0 * mass) ** 2)
+        for array in (momenta, weights, k0):
+            array.flags.writeable = False
         if np.any(k0 == 0.0):
             raise DegenerateMode("k0 = 0 on a quadrature node")
         phase = np.exp(1j * k0 * tau0)
@@ -94,8 +96,10 @@ class ModeBank:
         return float(np.max(wronskian_error(self.chi, self.dchi)))
 
     def anchor_digest(self) -> str:
-        """Digest of the tau0-anchored identity of this bank (momenta,
-        weights, anchor constants); evolution must never change it."""
+        """SHA-256 of the bank's tau0 anchor (momenta, weights, constants);
+        only a checkpoint or a resume needs it, so only they load OpenSSL."""
+        import hashlib
+
         h = hashlib.sha256()
         h.update(self.momenta.tobytes())
         h.update(self.weights.tobytes())

@@ -127,8 +127,7 @@ EXIT_CODES = {
 
 
 class BankCheckFailed(RuntimeError):
-    """The carried mode bank lost its tau0 anchor or drifted past the
-    Wronskian tolerance."""
+    """The carried mode bank drifted past the Wronskian tolerance."""
 
 
 class CriticalHubble(RuntimeError):
@@ -208,8 +207,8 @@ class SegmentState:
     tau_start] in the initial state, a loaded checkpoint and a solution's
     final_state, and only the segment just solved (its start node
     included) in what solve_segment returns.  The mode bank (massive case
-    only) sits at tau_start and is anchored at tau0 for its whole life,
-    witnessed by anchor_digest.  last_report is the Picard report of the
+    only) sits at tau_start; its tau0 anchor is read-only, and anchor_digest
+    is derived from it.  last_report is the Picard report of the
     segment that ended at tau_start and next_step the (span, limit) that
     segment proposed for the next one (see choose_step); both are None in
     the initial state.
@@ -224,9 +223,14 @@ class SegmentState:
     hist_a: np.ndarray
     hist_wick: np.ndarray
     mode_bank_carry: ModeBank | None
-    anchor_digest: str | None
     last_report: PicardReport | None = None
     next_step: tuple[float, str] | None = None
+
+    @property
+    def anchor_digest(self) -> str | None:
+        """The carried bank's ModeBank.anchor_digest; None for m = 0."""
+        bank = self.mode_bank_carry
+        return None if bank is None else bank.anchor_digest()
 
     @property
     def tau_start(self) -> float:
@@ -366,7 +370,6 @@ def initial_segment_state(
         hist_a=np.array([initial.a0]),
         hist_wick=np.array([0.0]),
         mode_bank_carry=bank,
-        anchor_digest=None if bank is None else bank.anchor_digest(),
     )
     if bank is None:
         return start
@@ -425,10 +428,10 @@ def friedmann_rhs(h, a, w, params: PhysicalParams):
     return a * friedmann_source(h, w, params) / (params.hubble_critical**2 - h**2)
 
 
-def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule):
-    """a(H) at the segment nodes, from the carried a and the back points of
-    the segment's rule.  Raises CriticalHubble at the first node where |H|
-    reaches the critical rate, where the equation degenerates."""
+def _scale_factor(h, nodes, carry: SegmentState, rule, share=None):
+    """a(H) at the segment nodes, from the carried a and the back points'
+    share of int H by the segment's rule (computed here for None).  Raises
+    CriticalHubble at the first node where |H| reaches the critical rate."""
     critical = carry.params.hubble_critical
     magnitude = np.abs(h)
     if magnitude.max() >= critical * (1.0 - CRITICAL_GUARD):
@@ -437,17 +440,18 @@ def _scale_factor(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule):
             f"|H| = {magnitude[j]:.6g} reached the critical rate {critical:.6g}",
             j, float(nodes[j]),
         )
-    return scale_factor_from_hubble(h, nodes, carry.a_start, rule, carry.back[1])
+    share = rule.on_back @ carry.back[1] if share is None else share
+    return scale_factor_from_hubble(h, nodes, carry.a_start, rule, share)
 
 
-def _rhs_detail(h: np.ndarray, nodes: np.ndarray, carry: SegmentState, rule):
+def _rhs_detail(h, nodes, carry: SegmentState, rule, share=None):
     """f(H) at the segment nodes, a(H) by the trial's rule (core.segment_rule
     on the nodes from carry.back), and the byproducts (W, a, the bank's
     (chi, chi') history).  The bank sweeps against V and V' = 2 m^2 a^3 H."""
     params = carry.params
     if not math.isclose(nodes[0], carry.tau_start, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("segment nodes must start at the carried boundary")
-    a_vals = _scale_factor(h, nodes, carry, rule)
+    a_vals = _scale_factor(h, nodes, carry, rule, share)
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
         dv = 2.0 * params.mass**2 * a_vals**3 * h
@@ -595,19 +599,21 @@ def picard_seed(
 
 
 def hubble_at_fixed_wick(
-    carry: SegmentState, nodes: np.ndarray, rule, w, x: np.ndarray | None, tol: float
+    carry: SegmentState, nodes: np.ndarray, rule, w, x: np.ndarray | None,
+    tol: float, share,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fixed point X of X = H_start + int f(X, a(X), W) on the segment's
     nodes at a fixed W series w, the equation with the mode bank frozen, and
     f at X.
 
-    picard_solve with the trial's rule from x (None for the constant
-    H_start) to FROZEN_TOL * tol, with no bank sweep; its failures
-    (NoConvergence, NaNDetected) propagate, as do the CriticalHubble and
-    BlowUp of a(X).
+    picard_solve with the trial's rule and share (_scale_factor) from x
+    (None for the constant H_start) to FROZEN_TOL * tol, with no bank
+    sweep; its failures (NoConvergence, NaNDetected) propagate, as do the
+    CriticalHubble and BlowUp of a(X).
     """
     def frozen(h):
-        f = friedmann_rhs(h, _scale_factor(h, nodes, carry, rule), w, carry.params)
+        a = _scale_factor(h, nodes, carry, rule, share)
+        f = friedmann_rhs(h, a, w, carry.params)
         return f, f
 
     x, _, f = picard_solve(
@@ -636,19 +642,17 @@ def solve_segment(
     frozen-W solve), CriticalHubble, BlowUp, or Rejected (the Richardson
     estimate of the result, or of a massive trial's seed, above
     REJECT_ACCURACY times its target).  Raises BankCheckFailed when the
-    carried bank is unfit to continue, ZeroStep when the step underflows to
-    zero or below the float spacing of the nodes, OverflowError when the
-    step estimate leaves the float range, and NaNDetected with its location.
+    carried bank's Wronskian drift exceeds WRONSKIAN_TOLERANCE, ZeroStep
+    when the step underflows to zero or below the float spacing of the
+    nodes, OverflowError when the step estimate leaves the float range, and
+    NaNDetected with its location.
     """
     bank = carry.mode_bank_carry
-    if bank is not None:
-        if bank.anchor_digest() != carry.anchor_digest:
-            raise BankCheckFailed("mode bank identity changed since tau0")
-        if bank.wronskian_error_max > WRONSKIAN_TOLERANCE:
-            raise BankCheckFailed(
-                f"carried Wronskian drift {bank.wronskian_error_max:.3g} exceeds "
-                f"tolerance {WRONSKIAN_TOLERANCE:g}"
-            )
+    if bank is not None and bank.wronskian_error_max > WRONSKIAN_TOLERANCE:
+        raise BankCheckFailed(
+            f"carried Wronskian drift {bank.wronskian_error_max:.3g} exceeds "
+            f"tolerance {WRONSKIAN_TOLERANCE:g}"
+        )
     remaining = tau_horizon - carry.tau_start
     if remaining <= 0.0:
         raise ValueError("carry is already at or past the horizon")
@@ -679,16 +683,18 @@ def solve_segment(
         # every integral of the trial is a product with the rule of its nodes
         rule = segment_rule(sub, carry.back[0])
         history = (rule, carry.back[2])
+        # the back points' share of every a(H) of the trial
+        share = rule.on_back @ carry.back[1]
         x = picard_seed(carry, sub, delta)
 
         def rhs(h):
-            f, detail = _rhs_detail(h, sub, carry, rule)
+            f, detail = _rhs_detail(h, sub, carry, rule, share)
             return f, (f, detail)
 
         def split(update, evaluated):
             # the fixed point at the W of the bank swept at the last iterate
             return hubble_at_fixed_wick(
-                carry, sub, rule, evaluated[1][0], update, solver_cfg.tol
+                carry, sub, rule, evaluated[1][0], update, solver_cfg.tol, share
             )[0]
 
         if bank is not None:
@@ -696,7 +702,7 @@ def solve_segment(
             w = extrapolate(carry, carry.hist_wick, sub)
             x, f = hubble_at_fixed_wick(
                 carry, sub, rule, float(carry.hist_wick[-1]) if w is None else w,
-                x, solver_cfg.tol,
+                x, solver_cfg.tol, share,
             )
             # the seed's accuracy check, before the bank sweeps
             check_accuracy(f, sub, history, max_error)
@@ -1055,11 +1061,6 @@ def load_checkpoint(path):
         bank = bank.moved_to(
             _join(modes, "chi"), _join(modes, "dchi"), history["taus"][-1]
         )
-    if (None if bank is None else bank.anchor_digest()) != header["anchor_digest"]:
-        raise ValueError(
-            f"{path}: the mode bank rebuilt from the header does not match"
-            " its anchor digest"
-        )
     coefficients = header["bogoliubov"]
     reports = tuple(
         PicardReport(**{**r, "residuals": tuple(r["residuals"])}) for r in raw_reports
@@ -1079,8 +1080,12 @@ def load_checkpoint(path):
         hist_a=np.array(history["a"]),
         hist_wick=np.array(history["wick"]),
         mode_bank_carry=bank,
-        anchor_digest=header["anchor_digest"],
         last_report=reports[-1] if reports else None,
         next_step=None if next_step is None else tuple(next_step),
     )
+    if carry.anchor_digest != header["anchor_digest"]:
+        raise ValueError(
+            f"{path}: the mode bank rebuilt from the header does not match"
+            " its anchor digest"
+        )
     return carry, reports, tuple(bounds), header["tau_horizon"]

@@ -44,6 +44,47 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# A massive library run and a massless checkpointed CLI run, then the names
+# of GUARDED they loaded; then a massive checkpoint write, and whether that
+# loaded _hashlib.
+GUARDED = ("_hashlib", "difflib", "concurrent.futures")
+GUARD_SCRIPT = """
+import json, sys
+from semiflrw import InitialData, PhysicalParams, RunLog, WickConfig
+from semiflrw import continue_maximal, save_checkpoint
+from semiflrw.cli import main
+
+out, config, guarded = sys.argv[1], sys.argv[2], sys.argv[3:]
+massive, _ = continue_maximal(
+    InitialData(0.0, 1.0, 0.0), 0.002, PhysicalParams(mass=1.0),
+    WickConfig(k_max=10.0),
+)
+main(["run", config, "--out", out + "/run", "--checkpoint", out + "/run.ckpt"])
+print(json.dumps([name for name in guarded if name in sys.modules]))
+state = massive.final_state
+save_checkpoint(
+    out + "/massive.ckpt", RunLog(state, massive.reports, massive.segment_bounds),
+    0.002,
+)
+print(json.dumps("_hashlib" in sys.modules))
+"""
+
+
+def test_only_a_massive_checkpoint_loads_openssl(tmp_path):
+    # the solve path hashes nothing: OpenSSL (_hashlib) loads for the
+    # digest a massive checkpoint writes, and the CLI's rare imports load
+    # only in their callers
+    config = write_config(tmp_path / "c.json", mass=0.0, H0=0.0, horizon=0.01)
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT, str(tmp_path), config, *GUARDED],
+        capture_output=True, text=True, env=src_env(), check=True,
+    )
+    loaded, hashed = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert loaded == []
+    assert hashed is True
+    assert (tmp_path / "run.ckpt").is_file()
+
+
 def lam_for_root(h_root: float) -> float:
     return (2.0 * HC**2 * h_root**2 - h_root**4) / (960.0 * math.pi**2)
 

@@ -278,6 +278,9 @@ def test_bank_anchor_digest_stable_under_evolution():
     momenta = np.linspace(0.2, 10.0, 12)
     bank = ModeBank.at_initial(momenta, np.ones(12), 1.0, 1.0, 0.0)
     digest = bank.anchor_digest()
+    # at_initial copies the momenta: a write to the caller's array later
+    # leaves the anchor alone
+    momenta[0] = 0.1
     chi, dchi = evolve_bank(bank, pot.V, pot.dV, pot.taus)
     moved = bank.moved_to(chi[-1], dchi[-1], pot.taus[-1])
     assert moved.anchor_digest() == digest

@@ -216,6 +216,20 @@ class TestInitialState:
         assert state.mode_bank_carry is not None
         assert state.anchor_digest == state.mode_bank_carry.anchor_digest()
 
+    def test_carried_bank_anchor_takes_no_in_place_write(self):
+        # the anchor the digest is derived from cannot change under a run:
+        # neither the initial bank's nor the bank a segment carries on
+        state = initial_segment_state(
+            InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=1.0), W0
+        )
+        segment = solve_segment(state, 0.004)
+        for carried in (state, segment):
+            bank = carried.mode_bank_carry
+            for name in ("momenta", "weights", "k0"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(bank, name)[-1] = 0.0
+        assert segment.anchor_digest == state.anchor_digest
+
     def test_rejects_supercritical_start(self):
         with pytest.raises(ValueError):
             initial_segment_state(
@@ -1280,6 +1294,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="anchor digest"):
             load_checkpoint(path)
 
+    def test_header_digest_is_sha256_of_the_anchor(self, tmp_path):
+        # the header digest is SHA-256 over the anchor's bytes, as format 13
+        # has always written it, pinned for this config's radial grid
+        import json
+
+        state = initial_segment_state(
+            InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=1.0),
+            WickConfig(k_max=40.0, n_k=192),
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, RunLog(state), 0.004)
+        header = json.loads(path.read_text())
+        assert header["anchor_digest"] == (
+            "98137a1fa34fd4da13c150bf524141afe2b9bf6f62220413d61b1fe795f4a54d"
+        )
+
     def test_unchanged_log_appends_nothing(self, tmp_path, ds_run):
         sol = ds_run[0]
         path = tmp_path / "ckpt.json"
@@ -1628,10 +1658,10 @@ class TestFixedWickSplit:
 
             return driver(each, *args, **kwargs)
 
-        def spied(carry, nodes, rule, w, x, tol):
+        def spied(carry, nodes, rule, w, x, *rest):
             if len(first) < len(trials):
                 first.append((nodes, w, x))
-            return frozen(carry, nodes, rule, w, x, tol)
+            return frozen(carry, nodes, rule, w, x, *rest)
 
         monkeypatch.setattr(solver, "picard_solve_with_halving", counted)
         monkeypatch.setattr(solver, "hubble_at_fixed_wick", spied)
