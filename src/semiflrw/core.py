@@ -255,10 +255,10 @@ def scale_factor_from_hubble(
     nodes: np.ndarray,
     a0: float,
     rule: Rule | None = None,
-    share=0.0,
+    *, share: float = 0.0,
 ) -> np.ndarray:
     """Scale factor a = a0 / (1 - a0 * int H) at the nodes H is sampled on,
-    int H by the rule (a cold one for None), share its back points' part.
+    int H by the rule (a cold one for None) plus share, rule.on_back @ H_back.
 
     Raises ValueError at the first node where H is not finite, and BlowUp
     at the first where the denominator falls to <= 0 (regularity condition

@@ -428,9 +428,9 @@ def friedmann_rhs(h, a, w, params: PhysicalParams):
     return a * friedmann_source(h, w, params) / (params.hubble_critical**2 - h**2)
 
 
-def _scale_factor(h, nodes, carry: SegmentState, rule, share=None):
-    """a(H) at the segment nodes, from the carried a and the back points'
-    share of int H by the segment's rule (computed here for None).  Raises
+def _scale_factor(h, nodes, carry: SegmentState, rule, share):
+    """a(H) at the segment nodes, from the carried a and share, the back
+    points' part of int H by the rule (rule.on_back @ carry.back[1]).  Raises
     CriticalHubble at the first node where |H| reaches the critical rate."""
     critical = carry.params.hubble_critical
     magnitude = np.abs(h)
@@ -440,11 +440,10 @@ def _scale_factor(h, nodes, carry: SegmentState, rule, share=None):
             f"|H| = {magnitude[j]:.6g} reached the critical rate {critical:.6g}",
             j, float(nodes[j]),
         )
-    share = rule.on_back @ carry.back[1] if share is None else share
-    return scale_factor_from_hubble(h, nodes, carry.a_start, rule, share)
+    return scale_factor_from_hubble(h, nodes, carry.a_start, rule, share=share)
 
 
-def _rhs_detail(h, nodes, carry: SegmentState, rule, share=None):
+def _rhs_detail(h, nodes, carry: SegmentState, rule, share):
     """f(H) at the segment nodes, a(H) by the trial's rule (core.segment_rule
     on the nodes from carry.back), and the byproducts (W, a, the bank's
     (chi, chi') history).  The bank sweeps against V and V' = 2 m^2 a^3 H."""

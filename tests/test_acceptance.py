@@ -218,7 +218,8 @@ def test_criterion_06_massless_conformal_vacuum():
     carry = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
     grid = np.linspace(0.0, 1e-3, 25)
     h_vals = 20.0 + 500.0 * grid
-    rhs = _rhs_detail(h_vals, grid, carry, segment_rule(grid))[0]
+    rule = segment_rule(grid)
+    rhs = _rhs_detail(h_vals, grid, carry, rule, rule.on_back @ carry.back[1])[0]
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * np.diff(grid) * (h_vals[:-1] + h_vals[1:])))
     )
@@ -329,9 +330,10 @@ def test_criterion_09_picard_contraction(de_sitter_setup):
     delta = 0.1 * h0 * np.cos(2.0 * math.pi * (nodes - nodes[0]) / span)
     tol = 1e-10
     rule = segment_rule(nodes)
+    share = rule.on_back @ carry.back[1]
     _, report, _ = picard_solve(
         np.full(nodes.size, h0),
-        lambda x: (_rhs_detail(x, nodes, carry, rule)[0], None),
+        lambda x: (_rhs_detail(x, nodes, carry, rule, share)[0], None),
         nodes, tol=tol, max_iter=40, x0=h0 + delta,
     )
     residuals = np.asarray(report.residuals)

@@ -757,9 +757,10 @@ class TestSegmenting:
         """(H, f at H) on a fixed lattice from the state0 carry."""
 
         rule = segment_rule(nodes, state0.back[0])
+        share = rule.on_back @ state0.back[1]
 
         def rhs(x):
-            f = _rhs_detail(x, nodes, state0, rule)[0]
+            f = _rhs_detail(x, nodes, state0, rule, share)[0]
             return f, f
 
         start = np.full(nodes.size, state0.hubble_start)
@@ -817,9 +818,10 @@ class TestSegmenting:
 
         def solve(nodes):
             rule, f_back = history(nodes)
+            share = rule.on_back @ carry.back[1]
 
             def rhs(x):
-                f = _rhs_detail(x, nodes, carry, rule)[0]
+                f = _rhs_detail(x, nodes, carry, rule, share)[0]
                 return f, f
 
             start = np.full(nodes.size, carry.hubble_start)
@@ -1112,9 +1114,10 @@ class TestRhs:
         nodes = np.linspace(0.0, 0.001, 25)
 
         rule = segment_rule(nodes, state0.back[0])
+        share = rule.on_back @ state0.back[1]
 
         def rhs(x):
-            return _rhs_detail(x, nodes, state0, rule)[0], None
+            return _rhs_detail(x, nodes, state0, rule, share)[0], None
 
         probe = 1e-4 * np.cos(np.linspace(0.0, 3.0, 25))
         assert verify_retardation(rhs, probe)
@@ -1124,7 +1127,9 @@ class TestRhs:
         params = PhysicalParams(mass=0.0, cosmological_constant=lam)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 20.0), params, W0)
         nodes = np.linspace(0.0, 0.001, 9)
-        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0, segment_rule(nodes))[0]
+        rule = segment_rule(nodes)
+        share = rule.on_back @ state0.back[1]
+        rhs = _rhs_detail(np.full(9, 20.0), nodes, state0, rule, share)[0]
         h = 20.0
         expected = (
             h**4 - 2.0 * HC**2 * h**2 + 960.0 * math.pi**2 * lam
@@ -1135,16 +1140,20 @@ class TestRhs:
         params = PhysicalParams(mass=0.0)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         nodes = np.linspace(0.0, 0.001, 9)
+        rule = segment_rule(nodes)
+        share = rule.on_back @ state0.back[1]
         with pytest.raises(CriticalHubble) as err:
-            _rhs_detail(np.full(9, HC), nodes, state0, segment_rule(nodes))
+            _rhs_detail(np.full(9, HC), nodes, state0, rule, share)
         assert err.value.node_index == 0
 
     def test_rejects_shifted_grid(self):
         params = PhysicalParams(mass=0.0)
         state0 = initial_segment_state(InitialData(0.0, 1.0, 0.0), params, W0)
         nodes = np.linspace(0.5, 0.501, 9)
+        rule = segment_rule(nodes)
+        share = rule.on_back @ state0.back[1]
         with pytest.raises(ValueError):
-            _rhs_detail(np.zeros(9), nodes, state0, segment_rule(nodes))
+            _rhs_detail(np.zeros(9), nodes, state0, rule, share)
 
     def test_solve_segment_rejects_exhausted_horizon(self):
         params = PhysicalParams(mass=0.0)
@@ -1533,9 +1542,10 @@ class TestFixedWickSplit:
             report = segment.last_report
             assert report.residuals[0] < report.tol
             # W, a and the bank are those of the one sweep, at the stored H
+            rule = segment_rule(segment.hist_taus, carry.back[0])
             f, (w, a, history) = _rhs_detail(
-                segment.hist_hubble, segment.hist_taus, carry,
-                segment_rule(segment.hist_taus, carry.back[0]),
+                segment.hist_hubble, segment.hist_taus, carry, rule,
+                rule.on_back @ carry.back[1],
             )
             assert np.array_equal(w, segment.hist_wick)
             assert np.array_equal(a, segment.hist_a)
@@ -1550,12 +1560,14 @@ class TestFixedWickSplit:
         tol = SolverConfig().tol
 
         rule = segment_rule(nodes, carry.back[0])
+        share = rule.on_back @ carry.back[1]
 
         def plain(tol):
             # from the back points of the segment's rule
             return picard_solve(
                 np.full(nodes.size, carry.hubble_start),
-                lambda h: _rhs_detail(h, nodes, carry, rule), nodes, tol, MAX_ITER,
+                lambda h: _rhs_detail(h, nodes, carry, rule, share), nodes, tol,
+                MAX_ITER,
                 history=(rule, carry.back[2]),
             )
 
