@@ -43,7 +43,6 @@ from .wick import (
     BogoliubovProfile,
     TailFit,
     WickConfig,
-    wick_square_bogoliubov_delta,
     wick_square_renormalized,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "scale_factor_from_hubble",
     "solution_diagnostics",
     "solve_segment",
-    "wick_square_bogoliubov_delta",
     "wick_square_renormalized",
     "__version__",
 ]

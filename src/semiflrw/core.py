@@ -266,13 +266,14 @@ def scale_factor_from_hubble(
     """
     if not (np.isfinite(a0) and a0 > 0.0):
         raise ValueError(f"a0 must be finite and > 0, got {a0}")
+    # checked before the product, where an infinite H meets the rule's zero
+    # weights and would reach every node as NaN
+    finite = np.isfinite(h)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"H is {h[j]} at node {j} (tau={nodes[j]:.12g})")
     denominator = 1.0 - a0 * ((rule or Rule(nodes)).on_values @ h + share)
-    # a non-finite H reaches every node through the rule's zero weights
     if not (denominator > 0.0).all():
-        finite = np.isfinite(h)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise ValueError(f"H is {h[j]} at node {j} (tau={nodes[j]:.12g})")
         j = int(np.argmin(denominator > 0.0))
         raise BlowUp(j, nodes[j], float(denominator[j]))
     return a0 / denominator

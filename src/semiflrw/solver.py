@@ -8,7 +8,7 @@ The Hubble rate solves the retarded Volterra equation
 
 in units 8 pi G = c = hbar = 1, with a(H) = a_s / (1 - a_s int H) on each
 segment, a_s the scale factor at its start, and W_ren from the tau0-anchored
-mode bank evolved against a(H).
+mode bank, which holds the run's state, evolved against a(H).
 Each segment iterates to the fixed point on a trial span, carries the state
 forward, and the outer loop continues until the time horizon or the first
 regularity breach.  The segment's integrals, int f and int H, take the rule
@@ -103,13 +103,7 @@ from .fixedpoint import (
     segment_nodes,
 )
 from .modes import WRONSKIAN_TOLERANCE, ModeBank, evolve_bank, potential
-from .wick import (
-    BogoliubovProfile,
-    WickConfig,
-    radial_grid,
-    wick_square_bogoliubov_delta,
-    wick_square_renormalized,
-)
+from .wick import BogoliubovProfile, WickConfig, radial_grid, wick_square_renormalized
 
 log = logging.getLogger(__name__)
 
@@ -207,11 +201,13 @@ class SegmentState:
     tau_start] in the initial state, a loaded checkpoint and a solution's
     final_state, and only the segment just solved (its start node
     included) in what solve_segment returns.  The mode bank (massive case
-    only) sits at tau_start; its tau0 anchor is read-only, and anchor_digest
-    is derived from it.  last_report is the Picard report of the
-    segment that ended at tau_start and next_step the (span, limit) that
-    segment proposed for the next one (see choose_step); both are None in
-    the initial state.
+    only) sits at tau_start and holds the state's modes: it started from
+    A chi + conj(B chi) of the vacuum's tau0 modes, so bogoliubov is only
+    the state's identity, for check_resume and the checkpoint header.  Its
+    tau0 anchor is read-only, and anchor_digest is derived from it.
+    last_report is the Picard report of the segment that ended at tau_start
+    and next_step the (span, limit) that segment proposed for the next one
+    (see choose_step); both are None in the initial state.
     """
 
     initial: InitialData
@@ -231,6 +227,17 @@ class SegmentState:
         """The carried bank's ModeBank.anchor_digest; None for m = 0."""
         bank = self.mode_bank_carry
         return None if bank is None else bank.anchor_digest()
+
+    @cached_property
+    def wronskian_tolerance(self) -> float:
+        """The carried bank's drift limit: WRONSKIAN_TOLERANCE plus, for a
+        Bogoliubov state, the rounding of its folded tau0 modes, whose
+        chi' cancels as A - conj(B): 4 eps max(|A|^2 + |B|^2), what
+        BogoliubovProfile.on admits."""
+        if self.bogoliubov is None:
+            return WRONSKIAN_TOLERANCE
+        size = sum(np.abs(values) ** 2 for values in self.bogoliubov)
+        return WRONSKIAN_TOLERANCE + 4.0 * np.finfo(float).eps * float(size.max())
 
     @property
     def tau_start(self) -> float:
@@ -359,8 +366,18 @@ def initial_segment_state(
     bank = initial_bank(initial, params, wick_cfg)
     if bank is None and profile is not None:
         raise ValueError("a Bogoliubov state needs mass > 0: W enters as m^2 W")
-    coefficients = None if profile is None else profile.on(bank.momenta)
-    start = SegmentState(
+    coefficients = None
+    if profile is not None:
+        # the state's tau0 modes xi = A chi + conj(B chi), and xi' likewise
+        coefficients = a_vals, b_vals = profile.on(bank.momenta)
+        bank = bank.moved_to(
+            *(a_vals * row + np.conj(b_vals * row) for row in (bank.chi, bank.dchi)),
+            bank.tau,
+        )
+    w0 = 0.0 if bank is None else wick_square_renormalized(
+        initial.a0, bank, bank.chi, params, wick_cfg
+    )
+    return SegmentState(
         initial=initial,
         params=params,
         wick_cfg=wick_cfg,
@@ -368,13 +385,9 @@ def initial_segment_state(
         hist_taus=np.array([initial.tau0]),
         hist_hubble=np.array([initial.hubble0]),
         hist_a=np.array([initial.a0]),
-        hist_wick=np.array([0.0]),
+        hist_wick=np.array([w0]),
         mode_bank_carry=bank,
     )
-    if bank is None:
-        return start
-    w0 = _wick_square(initial.a0, bank.chi, start)
-    return replace(start, hist_wick=np.array([w0]))
 
 
 def check_resume(carry: SegmentState, start: SegmentState) -> None:
@@ -401,15 +414,6 @@ def check_resume(carry: SegmentState, start: SegmentState) -> None:
     else:
         return
     raise ValueError(f"the checkpoint's {what}")
-
-
-def _wick_square(a, chi, carry: SegmentState):
-    """W_ren plus the state correction, per row of the carried bank's modes."""
-    bank = carry.mode_bank_carry
-    value = wick_square_renormalized(a, bank, chi, carry.params, carry.wick_cfg)
-    if carry.bogoliubov is not None:
-        value = value + wick_square_bogoliubov_delta(a, bank, chi, carry.bogoliubov)
-    return value
 
 
 def friedmann_source(h, w, params: PhysicalParams):
@@ -454,8 +458,11 @@ def _rhs_detail(h, nodes, carry: SegmentState, rule, share):
     if params.mass > 0.0:
         v = potential(a_vals, carry.initial.a0, params.mass)
         dv = 2.0 * params.mass**2 * a_vals**3 * h
-        history = evolve_bank(carry.mode_bank_carry, v, dv, nodes)
-        w_vals = _wick_square(a_vals, history[0], carry)
+        bank = carry.mode_bank_carry
+        history = evolve_bank(bank, v, dv, nodes)
+        w_vals = wick_square_renormalized(
+            a_vals, bank, history[0], params, carry.wick_cfg
+        )
     else:
         w_vals = np.zeros(nodes.size)
         history = None
@@ -641,16 +648,16 @@ def solve_segment(
     frozen-W solve), CriticalHubble, BlowUp, or Rejected (the Richardson
     estimate of the result, or of a massive trial's seed, above
     REJECT_ACCURACY times its target).  Raises BankCheckFailed when the
-    carried bank's Wronskian drift exceeds WRONSKIAN_TOLERANCE, ZeroStep
+    carried bank's Wronskian drift exceeds carry.wronskian_tolerance, ZeroStep
     when the step underflows to zero or below the float spacing of the
     nodes, OverflowError when the step estimate leaves the float range, and
     NaNDetected with its location.
     """
     bank = carry.mode_bank_carry
-    if bank is not None and bank.wronskian_error_max > WRONSKIAN_TOLERANCE:
+    if bank is not None and bank.wronskian_error_max > carry.wronskian_tolerance:
         raise BankCheckFailed(
             f"carried Wronskian drift {bank.wronskian_error_max:.3g} exceeds "
-            f"tolerance {WRONSKIAN_TOLERANCE:g}"
+            f"tolerance {carry.wronskian_tolerance:g}"
         )
     remaining = tau_horizon - carry.tau_start
     if remaining <= 0.0:
@@ -905,7 +912,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     }
 
 
-CHECKPOINT_VERSION = 13
+CHECKPOINT_VERSION = 14
 
 
 def _split(values: np.ndarray, name: str) -> dict:
@@ -945,9 +952,10 @@ def save_checkpoint(
     CHECKPOINT_VERSION: format 8 was the first whose rule reads the history, 9 whose frozen-W
     solve stops at FROZEN_TOL times the tolerance, 10 whose massive spans
     read the sweeps' ratio, 11 the first whose trials seed from the history
-    alone, 12 the first whose bank takes one Magnus step per interval, and
-    format 13 the first whose integrals are products with the trial's
-    matrices (core.Rule).
+    alone, 12 the first whose bank takes one Magnus step per interval, 13
+    the first whose integrals are products with the trial's matrices
+    (core.Rule), and format 14 the first whose bank holds the state's modes
+    (a Bogoliubov run's records of 13 hold the vacuum's).
     """
     if written == len(log.chunks):
         return written

@@ -15,6 +15,10 @@ decay beyond; a run puts the knee at 10 a0 m).  The subtracted integrand
 oscillates in k at fixed tau, so the tail fit works on the magnitude
 envelope: the signed analytic tail is only added when the fit window has a
 uniform sign, otherwise no tail is added.  No error estimate is made.
+
+The state lives in the bank's modes: a Bogoliubov state's bank starts from
+A chi + conj(B chi) of the vacuum's tau0 modes (solver.initial_segment_state),
+so W_ren of any state is the one quadrature of its own modes.
 """
 
 from __future__ import annotations
@@ -285,20 +289,6 @@ def finite_terms(a_tau, a0: float, mass: float, length_scale: float):
     )
 
 
-def _rows(a, bank: ModeBank, chi) -> tuple[np.ndarray, np.ndarray]:
-    """Check that chi holds one row of bank modes per entry of a."""
-    a = np.asarray(a, dtype=np.float64)
-    chi = np.asarray(chi)
-    if chi.shape != a.shape + bank.momenta.shape:
-        raise ValueError(
-            f"chi has shape {chi.shape}, expected {a.shape + bank.momenta.shape}:"
-            " one row of bank modes per scale-factor value"
-        )
-    if np.any(a <= 0.0):
-        raise ValueError("a(tau) must be > 0")
-    return a, chi
-
-
 def wick_square_renormalized(
     a,
     bank: ModeBank,
@@ -322,7 +312,15 @@ def wick_square_renormalized(
     if params.mass == 0.0:
         value = _plain(np.zeros(np.shape(a)))
         return (value, None) if detail else value
-    a, chi = _rows(a, bank, chi)
+    a = np.asarray(a, dtype=np.float64)
+    chi = np.asarray(chi)
+    if chi.shape != a.shape + bank.momenta.shape:
+        raise ValueError(
+            f"chi has shape {chi.shape}, expected {a.shape + bank.momenta.shape}:"
+            " one row of bank modes per scale-factor value"
+        )
+    if np.any(a <= 0.0):
+        raise ValueError("a(tau) must be > 0")
     a0 = bank.a0_anchor
     v_tau = potential(a, a0, params.mass)
     g = wick_integrand(chi, bank.k0, v_tau[..., None])
@@ -331,16 +329,3 @@ def wick_square_renormalized(
         radial / a**2 + finite_terms(a, a0, params.mass, params.length_scale)
     )
     return (value, tail) if detail else value
-
-
-def wick_square_bogoliubov_delta(a, bank: ModeBank, chi, coefficients):
-    """State-change correction (2/a^2)(2 pi^2)^{-1} int (|B|^2 |chi|^2
-    + Re(A B chi^2)) k^2 dk for a Bogoliubov state, per row of chi (a and
-    chi shaped as for wick_square_renormalized).  coefficients is the (A, B)
-    pair that BogoliubovProfile.on gives on the bank's momenta.  The profile
-    decays faster than any power, so the bank's quadrature takes no tail."""
-    a_vals, b_vals = coefficients
-    a, chi = _rows(a, bank, chi)
-    g = np.abs(b_vals) ** 2 * np.abs(chi) ** 2 + (a_vals * b_vals * chi**2).real
-    integral = np.sum(bank.weights * bank.momenta**2 * g, axis=-1) / TWO_PI_SQ
-    return _plain(2.0 / a**2 * integral)

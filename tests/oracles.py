@@ -22,10 +22,11 @@ interpolant of V and V'.
   (cumulative_integral), against the matrices of semiflrw.core.Rule;
 * the exact massless solution tau(H), by quadrature of the separable
   equation (massless_tau);
-* the renormalized Wick square and the Bogoliubov correction one time at a
-  time, with a numpy.polyfit tail fit (wick_square_per_node,
-  bogoliubov_delta_per_node), against the row-vectorised quadrature and
-  closed-form fit in semiflrw.wick.
+* the renormalized Wick square one time at a time, with a numpy.polyfit
+  tail fit (wick_square_per_node), against the row-vectorised quadrature
+  and closed-form fit in semiflrw.wick, and a Bogoliubov state's
+  correction to it from the vacuum's modes (bogoliubov_delta_per_node),
+  against W of the state's folded modes less W of the vacuum's.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from semiflrw.solver import (
     EPSILON_SCALE,
     EXIT_CODES,
     MAX_ITER,
+    BankCheckFailed,
     CriticalHubble,
     RunLog,
     SolverConfig,
@@ -50,9 +51,9 @@ from semiflrw.solver import (
     wick_square_renormalized,
 )
 from semiflrw.modes import evolve_bank, potential
-from semiflrw.wick import BogoliubovProfile, WickConfig, radial_grid
+from semiflrw.wick import TWO_PI_SQ, BogoliubovProfile, WickConfig, radial_grid
 
-from oracles import massless_tau, verify_retardation
+from oracles import bogoliubov_delta_per_node, massless_tau, verify_retardation
 
 HC = DEFAULT_HUBBLE_CRITICAL
 W0 = WickConfig(k_max=10.0)
@@ -1271,7 +1272,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, RunLog(carry), 0.01)
         header = json.loads(path.read_text())
-        assert header["version"] == solver.CHECKPOINT_VERSION == 13
+        assert header["version"] == solver.CHECKPOINT_VERSION == 14
         assert {
             "version", "tau_horizon", "initial", "params", "wick", "bogoliubov",
             "anchor_digest",
@@ -1342,8 +1343,10 @@ class TestCheckpoint:
         # trapezoid rule, format 7 by a rule that read no history, format 8
         # by a frozen-W solve that iterated to rounding and format 9 by a
         # step controller that capped massive spans at the stiffness
-        # estimate, so no run of this one continues them bit for bit
-        for version in (3, 4, 5, 6, 7, 8, 9, 99):
+        # estimate, so no run of this one continues them bit for bit; a
+        # Bogoliubov run's format-13 records hold the vacuum's modes, which
+        # this one would carry as the state's
+        for version in (3, 4, 5, 6, 7, 8, 9, 13, 99):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"version {version}.*rerun"):
@@ -1413,6 +1416,67 @@ class TestBogoliubovState:
                 InitialData(0.0, 1.0, 5.0), 0.02, PhysicalParams(mass=1.0),
                 WickConfig(k_max=40.0, n_k=192), SolverConfig(), profile=profile,
             )
+
+    @given(amplitude=st.floats(-2.0, 2.0), k_scale=st.floats(0.5, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_folded_bank_carries_the_state(self, amplitude, k_scale):
+        initial, params = InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=1.0)
+        wcfg = WickConfig(k_max=20.0, n_k=32, tail_model="none")
+        profile = BogoliubovProfile.gaussian(amplitude, k_scale)
+        vacuum = initial_segment_state(initial, params, wcfg).mode_bank_carry
+        state = initial_segment_state(initial, params, wcfg, profile)
+        # the fold keeps the Wronskian, (|A|^2 - |B|^2) i, to its rounding
+        a_sq, b_sq = (np.abs(values) ** 2 for values in state.bogoliubov)
+        bank, eps = state.mode_bank_carry, np.finfo(float).eps
+        wronskian = bank.dchi * np.conj(bank.chi) - bank.chi * np.conj(bank.dchi)
+        assert np.all(np.abs(wronskian - (a_sq - b_sq) * 1j) <= 4.0 * eps * (a_sq + b_sq))
+        # the vacuum's modes swept against the state's first segment
+        segment = solve_segment(state, 0.01)
+        h, a = segment.hist_hubble, segment.hist_a
+        chi, _ = evolve_bank(
+            vacuum, potential(a, 1.0, 1.0), 2.0 * a**3 * h, segment.hist_taus
+        )
+        # W of the state's modes less W of the vacuum's is the state's
+        # correction, at tau0 and after the segment, to the rounding of the
+        # two quadratures
+        for w, a_tau, xi, chi_vac in (
+            (state.hist_wick[0], 1.0, bank.chi, vacuum.chi),
+            (segment.hist_wick[-1], a[-1], segment.mode_bank_carry.chi, chi[-1]),
+        ):
+            shift = w - wick_square_renormalized(a_tau, vacuum, chi_vac, params, wcfg)
+            oracle = bogoliubov_delta_per_node(a_tau, vacuum, chi_vac, profile, wcfg)
+            size = np.sum(
+                vacuum.weights * vacuum.momenta**2 * (np.abs(xi) ** 2 + np.abs(chi_vac) ** 2)
+            ) / TWO_PI_SQ / a_tau**2
+            assert abs(shift - oracle) <= 16.0 * eps * size
+
+    @pytest.mark.parametrize("amplitude", [2.0, 1e6])
+    def test_perturbed_folded_bank_fails_the_drift_check(self, amplitude):
+        # at amplitude 1e6 the drift check allows the fold's rounding,
+        # 4 eps max(|A|^2 + |B|^2) = 1.8e-3 over WRONSKIAN_TOLERANCE; a
+        # corrupt carry still exceeds it, the carry itself does not.  The
+        # modes are real at tau0 = 0, so the corruption is imaginary: a
+        # real one would keep the Wronskian
+        carry = initial_segment_state(
+            InitialData(0.0, 1.0, 0.0), PhysicalParams(mass=1.0),
+            WickConfig(k_max=40.0, n_k=192), BogoliubovProfile.gaussian(amplitude, 2.0),
+        )
+        bank = carry.mode_bank_carry
+        corrupt = bank.moved_to(bank.chi, bank.dchi + 1e-3j, bank.tau)
+        with pytest.raises(BankCheckFailed, match="carried Wronskian drift"):
+            solve_segment(replace(carry, mode_bank_carry=corrupt), 0.01)
+        assert solve_segment(carry, 0.01).tau_start > 0.0
+
+    def test_strongly_squeezed_state_reaches_the_critical_rate(self):
+        # the folded tau0 modes drift by 2.7e-4 here, eps (|A|^2 + |B|^2) in
+        # size: held to the plain WRONSKIAN_TOLERANCE, the run would end a
+        # ConvergenceFailure
+        _, report = continue_maximal(
+            InitialData(0.0, 1.0, 0.0), 0.01, PhysicalParams(mass=1.0),
+            WickConfig(k_max=40.0, n_k=192), SolverConfig(),
+            profile=BogoliubovProfile.gaussian(1e6, 2.0),
+        )
+        assert report.reason == "HitCriticalHubble"
 
     def test_profile_changes_dynamics(self):
         from semiflrw.wick import BogoliubovProfile

@@ -26,7 +26,6 @@ from semiflrw.wick import (
     radial_grid,
     radial_integral,
     wick_integrand,
-    wick_square_bogoliubov_delta,
     wick_square_renormalized,
 )
 
@@ -361,14 +360,27 @@ class TestFiniteTerms:
         assert math.isclose(high - low, 2.0 / (16.0 * math.pi**2), rel_tol=1e-12)
 
 
+def state_shift(a, bank, chi, coefficients, config):
+    """W on the state's modes A chi + conj(B chi), as the solver folds the
+    bank's tau0 modes, less W on the vacuum modes chi, per row, with no
+    tail: the state's part of W."""
+    a_vals, b_vals = coefficients
+    params, none = PhysicalParams(mass=bank.mass), replace(config, tail_model="none")
+    folded = a_vals * chi + np.conj(b_vals * chi)
+    return wick_square_renormalized(
+        a, bank, folded, params, none
+    ) - wick_square_renormalized(a, bank, chi, params, none)
+
+
 class TestBogoliubov:
     def test_vacuum_profile_gives_zero(self, bank20):
         config, bg, bank = bank20
         profile = BogoliubovProfile(A=lambda k: np.ones_like(k), B=lambda k: np.zeros_like(k))
-        value = wick_square_bogoliubov_delta(
-            a_at(bg, 2.0), bank, bank.chi, profile.on(bank.momenta)
-        )
-        assert value == 0.0
+        a_tau = a_at(bg, 2.0)
+        shift = state_shift(a_tau, bank, bank.chi, profile.on(bank.momenta), config)
+        none = replace(config, tail_model="none")
+        assert shift == 0.0
+        assert bogoliubov_delta_per_node(a_tau, bank, bank.chi, profile, none) == 0.0
 
     def test_single_node_matches_hand_sum(self, bank20):
         config, bg, bank = bank20
@@ -384,9 +396,7 @@ class TestBogoliubov:
 
         a_tau = a_at(bg, 2.0)
         profile = BogoliubovProfile(A=a_func, B=b_func)
-        value = wick_square_bogoliubov_delta(
-            a_tau, bank, bank.chi, profile.on(bank.momenta)
-        )
+        shift = state_shift(a_tau, bank, bank.chi, profile.on(bank.momenta), config)
         chi_j = bank.chi[j]
         hand = (
             2.0
@@ -396,7 +406,11 @@ class TestBogoliubov:
             * k_j**2
             * (b0**2 * abs(chi_j) ** 2 + (math.sqrt(1.0 + b0**2) * b0 * chi_j**2).real)
         )
-        assert math.isclose(value, hand, rel_tol=1e-12)
+        oracle = bogoliubov_delta_per_node(
+            a_tau, bank, bank.chi, profile, replace(config, tail_model="none")
+        )
+        assert math.isclose(oracle, hand, rel_tol=1e-12)
+        assert math.isclose(shift, oracle, rel_tol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_profile_raises(self, bad, bank20):
@@ -431,13 +445,12 @@ class TestBogoliubov:
         a_vals = profile.A(bank.momenta)
         b_vals = profile.B(bank.momenta)
         assert np.max(np.abs(np.abs(a_vals) ** 2 - np.abs(b_vals) ** 2 - 1.0)) < 1e-12
-        with warnings.catch_warnings():
-            # a gaussian B decays faster than any power law: no tail is fitted
-            warnings.simplefilter("error", TailFitFailed)
-            value = wick_square_bogoliubov_delta(
-            a_at(bg, 2.0), bank, bank.chi, profile.on(bank.momenta)
+        a_tau = a_at(bg, 2.0)
+        shift = state_shift(a_tau, bank, bank.chi, profile.on(bank.momenta), config)
+        oracle = bogoliubov_delta_per_node(
+            a_tau, bank, bank.chi, profile, replace(config, tail_model="none")
         )
-        assert math.isfinite(value)
+        assert math.isclose(shift, oracle, rel_tol=1e-12)
 
 
 def spiked_rows(bank, a0, n_spikes):
@@ -533,14 +546,13 @@ class TestRowsMatchPerNodeOracle:
         held = ~np.isnan(p_ref) & (np.abs(a_rows**2 - a0 * a0) > 1e-12 * a0 * a0)
         np.testing.assert_allclose(tail.p_raw[held], p_ref[held], rtol=1e-8, atol=0.0)
 
-        # the solver's state correction skips the tail fit
+        # the state's part of W, from its folded modes, against the per-node
+        # correction to the vacuum's
         profile = BogoliubovProfile.gaussian(amplitude, k_scale)
-        delta_cfg = replace(config, tail_model="none")
-        delta = wick_square_bogoliubov_delta(
-            a_rows, bank, chi_rows, profile.on(bank.momenta)
-        )
+        delta = state_shift(a_rows, bank, chi_rows, profile.on(bank.momenta), config)
+        none = replace(config, tail_model="none")
         delta_ref = np.array([
-            bogoliubov_delta_per_node(a, bank, chi, profile, delta_cfg)
+            bogoliubov_delta_per_node(a, bank, chi, profile, none)
             for a, chi in zip(a_rows, chi_rows)
         ])
         # the correction oscillates in sign, so it is held relative to the
