@@ -116,13 +116,6 @@ def _as_float(mapping: dict, key: str, context: str, default=_REQUIRED):
         raise ParseError(f"{context}.{key} is too large for a float") from None
 
 
-def _as_int(mapping: dict, key: str, context: str) -> int:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{context}.{key} must be an integer, got {value!r}")
-    return value
-
-
 def parse_config_mapping(raw: dict, origin: str) -> dict:
     """Validate a decoded JSON object into the resolved run config.
 
@@ -191,7 +184,9 @@ def parse_config_mapping(raw: dict, origin: str) -> dict:
         if isinstance(default, str):
             numerical[key] = value
         elif isinstance(default, int):
-            numerical[key] = _as_int(numerical_raw, key, context)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(f"{context}.{key} must be an integer, got {value!r}")
+            numerical[key] = value
         else:
             numerical[key] = _as_float(numerical_raw, key, context)
 
@@ -266,10 +261,6 @@ def build_run(config: dict):
     return params, initial, wick_cfg, solver_cfg, profile, report
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def write_solution_csv(path, solution, config: dict) -> None:
     diag = solution_diagnostics(solution)
     lines = [
@@ -284,7 +275,7 @@ def write_solution_csv(path, solution, config: dict) -> None:
     ]
     columns = [diag[c] for c in CSV_COLUMNS]
     for j in range(solution.taus.size):
-        lines.append(_format_row(col[j] for col in columns))
+        lines.append(",".join(repr(float(col[j])) for col in columns))
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -509,6 +500,7 @@ def _collect_sweep_configs(target: str) -> list[tuple[str, dict]]:
 
 
 def cmd_sweep(args) -> int:
+    import csv
     from concurrent.futures import ThreadPoolExecutor
 
     try:
@@ -530,13 +522,14 @@ def cmd_sweep(args) -> int:
         }
         for future in futures:
             rows[futures[future]] = future.result()
-    lines = ["# semiflrw sweep aggregate", ",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(row[c] for c in SWEEP_COLUMNS))
     aggregate = out_dir / "sweep.csv"
     try:
-        with open(aggregate, "w", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with open(aggregate, "w", newline="") as handle:
+            handle.write("# semiflrw sweep aggregate\n")
+            # quoted where a field holds a comma, as a config's name may
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(SWEEP_COLUMNS)
+            writer.writerows([row[c] for c in SWEEP_COLUMNS] for row in rows)
     except OSError as err:
         return _run_failed(err)
     print(f"{len(entries)} runs -> {aggregate}")

@@ -14,7 +14,7 @@ integrand at that node and before it only, as the retarded equation does.
 A run's first segment has no history and starts with a trapezoid and an
 Adams-Moulton 3 step instead (COLD_START).  A trial builds it once, as
 matrices (segment_rule).  Cosmological time, a diagnostic over a whole
-run's history, keeps the composite trapezoid rule.
+run's history, takes the same rule segment by segment.
 """
 
 from __future__ import annotations
@@ -30,16 +30,6 @@ EULER_GAMMA = 0.57721566490153286061
 
 # Default critical Hubble rate: H_c^2 = 1440 * pi^2 in reduced units.
 DEFAULT_HUBBLE_CRITICAL = math.sqrt(1440.0) * math.pi
-
-
-def cumulative_trapezoid(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of values over nodes, starting at 0.
-
-    Same floating-point operations, in the same order, as
-    scipy.integrate.cumulative_trapezoid(values, nodes, initial=0.0).
-    """
-    increments = np.diff(nodes) * (values[1:] + values[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(increments)))
 
 
 # The rule's weights are numerators over 24.  Adams-Moulton 4 weighs an
@@ -73,6 +63,12 @@ RULE_ORDER = 4
 COLD_START = RuleStart(
     np.array([[0.0, 0.0, 12.0, 12.0, 0.0], [0.0, 0.0, -2.0, 16.0, 10.0]]), 3, 3
 )
+
+
+def back_spacing(taus: np.ndarray, j: int) -> float | None:
+    """The spacing (taus[j] - taus[j - 2]) / 2 of the back points of a
+    segment starting at history node j; None, a cold start, for j < 2."""
+    return None if j < 2 else (taus[j] - taus[j - 2]) / 2.0
 
 
 def rule_start(nodes: np.ndarray, spacing: float | None = None) -> RuleStart:
@@ -279,19 +275,33 @@ def scale_factor_from_hubble(
     return a0 / denominator
 
 
-def cosmological_time(taus: np.ndarray, a: np.ndarray, t0: float = 0.0) -> np.ndarray:
+def cosmological_time(
+    taus: np.ndarray, a: np.ndarray, bounds, t0: float = 0.0
+) -> np.ndarray:
     """Cosmological time t(tau) = t0 - int_{tau0}^{tau} a at the nodes,
-    strictly decreasing.
-
-    A diagnostic: the composite trapezoid rule over the run's joined
-    history, whose spacing changes from segment to segment, where the
-    segment rule's equal-width weights do not apply.  The minus sign is the
-    conformal-time orientation convention of this package; see the module
-    docstring.
+    strictly decreasing: a diagnostic, cumulative_integral segment by
+    segment from the back points the solve read, so t takes the rule of
+    int H.  bounds, the segments' ends, are history nodes from taus[0] to
+    taus[-1].  The minus sign is the conformal-time orientation convention
+    of this package; see the module docstring.
     """
     if np.any(a <= 0.0):
         raise ValueError("scale factor must be positive on the grid")
-    return t0 - cumulative_trapezoid(a, taus)
+    ends = np.searchsorted(taus, bounds)
+    if not (len(ends) and ends[0] == 0 and ends[-1] == taus.size - 1
+            and (np.diff(ends) > 0).all() and (taus[ends] == bounds).all()):
+        raise ValueError(
+            "segment bounds must be history nodes from taus[0] to taus[-1]"
+        )
+    integral = np.zeros(taus.size)
+    for i, j in zip(ends[:-1], ends[1:] + 1):
+        spacing = back_spacing(taus, i)
+        back = (0.0, 0.0) if spacing is None else a[i - 2 : i]
+        start = rule_start(taus[i:j], spacing)
+        integral[i:j] = integral[i] + cumulative_integral(
+            a[i:j], taus[i:j], start, back
+        )
+    return t0 - integral
 
 
 def ricci_scalar(

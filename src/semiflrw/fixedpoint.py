@@ -76,10 +76,8 @@ class PicardReport:
 
     @property
     def contraction_ratios(self) -> tuple[float, ...]:
-        out = []
-        for prev, cur in zip(self.residuals[:-1], self.residuals[1:]):
-            out.append(cur / prev if prev > 0.0 else 0.0)
-        return tuple(out)
+        pairs = zip(self.residuals[:-1], self.residuals[1:])
+        return tuple(cur / prev if prev > 0.0 else 0.0 for prev, cur in pairs)
 
     def as_dict(self) -> dict:
         return {

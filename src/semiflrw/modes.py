@@ -157,29 +157,6 @@ def _magnus_maps(
     return cos + s_c, s_h, -s_h * w_bar, cos - s_c
 
 
-def _magnus_sweep(
-    k0_sq: np.ndarray,
-    chi: np.ndarray,
-    dchi: np.ndarray,
-    nodes: np.ndarray,
-    v_values: np.ndarray,
-    dv_values: np.ndarray,
-):
-    """March chi'' = -(k0^2 + V) chi through consecutive grid intervals, one
-    Magnus step each, V cubic inside each interval (_magnus_maps), recording
-    at every node.  Returns (chi_hist, dchi_hist) of shape (n_nodes, k)."""
-    m11, m12, m21, m22 = _magnus_maps(k0_sq, nodes, v_values, dv_values)
-    chi_hist = np.empty((nodes.size, k0_sq.size), dtype=np.complex128)
-    dchi_hist = np.empty_like(chi_hist)
-    chi_hist[0] = chi
-    dchi_hist[0] = dchi
-    for j in range(nodes.size - 1):
-        c, d = chi_hist[j], dchi_hist[j]
-        np.add(m11[j] * c, m12[j] * d, out=chi_hist[j + 1])
-        np.add(m21[j] * c, m22[j] * d, out=dchi_hist[j + 1])
-    return chi_hist, dchi_hist
-
-
 def evolve_bank(
     bank: ModeBank,
     v: np.ndarray,
@@ -187,9 +164,9 @@ def evolve_bank(
     nodes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every bank mode across the given nodes (nodes[0] = bank.tau)
-    against V and V' sampled at those nodes; return the histories
-    (chi, chi'), each of shape (nodes, k).  ModeBank.moved_to makes a bank
-    of a row."""
+    against V and V' sampled at those nodes, one Magnus step per interval
+    (_magnus_maps); return the histories (chi, chi'), each of shape
+    (nodes, k).  ModeBank.moved_to makes a bank of a row."""
     nodes = np.asarray(nodes, dtype=np.float64)
     v_values = np.asarray(v, dtype=np.float64)
     dv_values = np.asarray(dv, dtype=np.float64)
@@ -197,4 +174,13 @@ def evolve_bank(
         raise ValueError("V and V' must hold one value per node")
     if not math.isclose(nodes[0], bank.tau, rel_tol=0.0, abs_tol=1e-10):
         raise ValueError("nodes must start at the bank time")
-    return _magnus_sweep(bank.k0**2, bank.chi, bank.dchi, nodes, v_values, dv_values)
+    m11, m12, m21, m22 = _magnus_maps(bank.k0**2, nodes, v_values, dv_values)
+    chi_hist = np.empty((nodes.size, bank.k0.size), dtype=np.complex128)
+    dchi_hist = np.empty_like(chi_hist)
+    chi_hist[0] = bank.chi
+    dchi_hist[0] = bank.dchi
+    for j in range(nodes.size - 1):
+        c, d = chi_hist[j], dchi_hist[j]
+        np.add(m11[j] * c, m12[j] * d, out=chi_hist[j + 1])
+        np.add(m21[j] * c, m22[j] * d, out=dchi_hist[j + 1])
+    return chi_hist, dchi_hist

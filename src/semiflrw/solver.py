@@ -73,6 +73,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -84,6 +85,7 @@ from .core import (
     BlowUp,
     InitialData,
     PhysicalParams,
+    back_spacing,
     check_integers,
     cosmological_time,
     ricci_scalar,
@@ -267,10 +269,10 @@ class SegmentState:
         f is friedmann_rhs of the stored H, a and W: the f that the segment
         ending here integrated there.  With fewer than three history nodes,
         on a run's first segment, the rule starts cold: (None, 0, 0)."""
-        if self.hist_taus.size < 3:
+        spacing = back_spacing(self.hist_taus, self.hist_taus.size - 1)
+        if spacing is None:
             return None, (0.0, 0.0), (0.0, 0.0)
-        taus, h, a, w = (values[-3:-1] for values in self.series)
-        spacing = (self.tau_start - taus[0]) / 2.0
+        h, a, w = (values[-3:-1] for values in self.series[1:])
         return spacing, h, friedmann_rhs(h, a, w, self.params)
 
 
@@ -762,16 +764,15 @@ def solve_segment(
 
 def _report_diagnostics(carry: SegmentState, n_segments: int, **extra) -> dict:
     critical = carry.params.hubble_critical
-    out = {
+    return {
         "hubble_final": float(carry.hist_hubble[-1]),
         "scale_factor_final": float(carry.hist_a[-1]),
         "wick_square_final": float(carry.hist_wick[-1]),
         "margin_hubble": float(critical - abs(carry.hist_hubble[-1])),
         "margin_scale": float(carry.scale_denominator()),
         "segments": n_segments,
+        **extra,
     }
-    out.update(extra)
-    return out
 
 
 def continue_maximal(
@@ -900,7 +901,7 @@ def solution_diagnostics(solution: MaximalSolution) -> dict[str, np.ndarray]:
     dh = friedmann_rhs(hubble, a, solution.wick_square, params)
     return {
         "tau": taus,
-        "t": cosmological_time(taus, a),
+        "t": cosmological_time(taus, a, solution.segment_bounds),
         "a": a,
         "H": hubble,
         "dH": dh,
@@ -1002,6 +1003,15 @@ def save_checkpoint(
     return len(log.chunks)
 
 
+def _numbers(values, where: str):
+    """values, a checkpoint's JSON list, unless one is no finite number (a
+    bool, a string or null is none): then a ValueError naming where."""
+    for value in values:
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where} holds {value!r:.40}, not a finite number")
+    return values
+
+
 def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
@@ -1051,9 +1061,9 @@ def load_checkpoint(path):
                 f" end of the history read so far, node {len(history['taus'])}"
             )
         for key, values in history.items():
-            values.extend(record["history"][key])
+            values.extend(_numbers(record["history"][key], f"{path}:{number}: {key}"))
         raw_reports.extend(record["reports"])
-        bounds.extend(record["segment_bounds"])
+        bounds.extend(_numbers(record["segment_bounds"], f"{path}:{number}: bounds"))
     lengths = {key: len(values) for key, values in history.items()}
     if not lengths["taus"] or len(set(lengths.values())) > 1:
         raise ValueError(
@@ -1064,7 +1074,10 @@ def load_checkpoint(path):
     params = PhysicalParams(**header["params"])
     wick_cfg = WickConfig(**header["wick"])
     bank, modes = initial_bank(initial, params, wick_cfg), records[-1]["bank"]
+    last = f"{path}:{len(records)}:"
     if bank is not None:
+        for name in ("chi_re", "chi_im", "dchi_re", "dchi_im"):
+            _numbers(modes[name], f"{last} bank {name}")
         bank = bank.moved_to(
             _join(modes, "chi"), _join(modes, "dchi"), history["taus"][-1]
         )
@@ -1075,6 +1088,7 @@ def load_checkpoint(path):
     # the last report and the proposed span go with the carry, as in the run
     # that wrote the file: the next segment starts from the proposed span
     next_step = records[-1]["next_step"]
+    _numbers(next_step[:1] if next_step else (), f"{last} next_step")
     carry = SegmentState(
         initial=initial,
         params=params,

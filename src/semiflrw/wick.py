@@ -170,13 +170,9 @@ def radial_grid(k_max: float, n_k: int, k_knee: float = 0.0):
         lin_edges = np.linspace(0.0, knee, n_lin + 1)
         log_edges = np.geomspace(knee, k_max, n_log + 1)
         edges = np.concatenate([lin_edges, log_edges[1:]])
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(lo + half * (PANEL_NODES + 1.0))
-        weights.append(half * PANEL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (PANEL_NODES + 1.0)
+    return nodes.ravel(), (half * PANEL_WEIGHTS).ravel()
 
 
 def wick_integrand(chi, k0, v_tau):

@@ -36,9 +36,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad, simpson
 
-from semiflrw.core import COLD_START, PhysicalParams, RuleStart, cumulative_trapezoid
+from semiflrw.core import COLD_START, PhysicalParams, RuleStart
 from semiflrw.modes import DegenerateMode, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
@@ -371,7 +371,7 @@ def parker_mode(k: float, taus: np.ndarray, a: np.ndarray, tau: float, m: float)
     omega_vals = np.sqrt(k**2 + m**2 * a**2)
     if not np.all(omega_vals > 0.0):
         raise DegenerateMode("k^2 + m^2 a^2 must stay positive")
-    phase = cumulative_trapezoid(omega_vals, taus)
+    phase = cumulative_trapezoid(omega_vals, taus, initial=0.0)
     a_prime = np.gradient(a, taus, edge_order=2)
     omega = float(np.interp(tau, taus, omega_vals))
     a_tau = float(np.interp(tau, taus, a))

@@ -11,7 +11,9 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 import semiflrw
 from semiflrw import cli, solver, wick
@@ -153,6 +155,24 @@ def test_massless_wall_picard_iterates(workloads):
     assert report.reason == "HitCriticalHubble"
     assert sum(r.halvings for r in solution.reports) == 11
     assert sum(r.iterates for r in solution.reports) <= 215
+
+
+def test_massless_wall_time_takes_the_segment_rule(workloads):
+    # t is a's integral by the fourth-order segment rule: within 1e-9 of
+    # the run's elapsed t from a composite Simpson on each segment's nodes
+    # (measured 2.2e-10), where the trapezoid over the joined history was
+    # 2.2e-6 off
+    solution, _ = solver.continue_maximal(**workloads.library_call("massless_wall", 0))
+    taus, a = solution.taus, solution.scale_factor
+    reference = np.zeros(taus.size)
+    ends = np.searchsorted(taus, solution.segment_bounds)
+    for i, j in zip(ends[:-1], ends[1:] + 1):
+        reference[i:j] = reference[i] + integrate.cumulative_simpson(
+            a[i:j], x=taus[i:j], initial=0.0
+        )
+    t = solver.solution_diagnostics(solution)["t"]
+    assert len(solution.reports) == 41
+    assert np.max(np.abs(t + reference)) <= 1e-9 * reference[-1]
 
 
 def test_the_trial_spans_hold_every_sweep_and_evaluation(workloads):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflrw import cli
-from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, MAX_SEGMENT_NODES
+from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, MAX_SEGMENT_NODES, cumulative_integral
 from semiflrw.solver import SolverConfig, load_checkpoint
 from semiflrw.wick import TailFit
 
@@ -417,7 +418,7 @@ class TestRunCommand:
         # the first segment ends at the wall after one step: H' at each node
         # is the equation's f = a source / (Hc^2 - H^2), bit for bit, the
         # slope of the two nodes lies between them, and t is minus the
-        # trapezoid integral of a
+        # segment rule's cold first row, a trapezoid step, on a
         path = write_config(
             tmp_path / "c.json", mass=0.0, H0=0.94999 * HC, horizon=1.0,
             Lambda_tilde=1.1 * HC**4 / (960.0 * math.pi**2),
@@ -433,7 +434,10 @@ class TestRunCommand:
         assert dh[0] < slope < dh[1]
         assert slope == pytest.approx(15968.5, rel=1e-4)
         assert cols["t"][0] == 0.0
-        assert cols["t"][1] == -(tau[1] - tau[0]) * (a[0] + a[1]) / 2.0
+        assert cols["t"][1] == -cumulative_integral(a, tau)[1]
+        assert cols["t"][1] == pytest.approx(
+            -(tau[1] - tau[0]) * (a[0] + a[1]) / 2.0, rel=1e-15
+        )
         np.testing.assert_allclose(
             cols["R"], 6.0 * (2.0 * h**2 - dh / a), rtol=1e-15
         )
@@ -927,6 +931,53 @@ class TestCheckpointResume:
         err = capsys.readouterr().err
         assert f"config error: cannot resume from {ck}" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("taus", "0.005"),
+            ("hubble", None),
+            ("a", True),
+            ("wick", 10**400),
+            ("segment_bounds", "0.0"),
+            ("next_step", None),
+            ("chi_re", "1.0"),
+            ("dchi_im", None),
+        ],
+        ids=["taus-str", "hubble-null", "a-bool", "wick-huge", "bounds-str",
+             "next_step-null", "chi_re-str", "dchi_im-null"],
+    )
+    def test_resume_from_a_value_that_is_not_a_number_exits_2(
+        self, tmp_path, capsys, field, value
+    ):
+        # a numeric string, null, a bool or an integer past the float range
+        # in the last record is named with its line, not carried into the
+        # solve
+        cfg = write_config(
+            tmp_path / "c.json", mass=1.0, horizon=0.01,
+            numerical={"dt_target": 1e-3, "max_segments": 2, "k_max": 20.0, "n_k": 32},
+        )
+        ck = tmp_path / "ck.json"
+        cli.main(["run", cfg, "--out", str(tmp_path / "a_out"),
+                  "--checkpoint", str(ck)])
+        lines = ck.read_text().splitlines(keepends=True)
+        record = json.loads(lines[-1])
+        if field in record["history"]:
+            record["history"][field][-1] = value
+        elif field in record["bank"]:
+            record["bank"][field][0] = value
+        else:
+            record[field][0] = value
+        lines[-1] = json.dumps(record) + "\n"
+        ck.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{ck}:{len(lines)}: .*not a finite number"):
+            load_checkpoint(ck)
+        out = tmp_path / "b_out"
+        code = cli.main(["run", cfg, "--out", str(out), "--resume", str(ck)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot resume from {ck}: {ck}:{len(lines)}: " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     @pytest.mark.parametrize("damage", ["empty_history", "ragged_history"])
     def test_resume_from_malformed_history_exits_2(
@@ -1294,6 +1345,24 @@ class TestSweep:
         assert all(r[5] == "ok" and r[7] == "0" for r in rows)
         assert (out / "m1" / "solution.csv").exists()
         assert (out / "m1" / "summary.json").exists()
+
+    def test_name_with_a_comma_keeps_its_row_to_the_header(self, tmp_path):
+        # a field that holds a comma is quoted, so every row has as many
+        # fields as the header; other names keep their bytes
+        sweep_dir = tmp_path / "configs"
+        sweep_dir.mkdir()
+        for name in ("a,b", "c"):
+            write_config(sweep_dir / f"{name}.json", mass=0.0, horizon=0.01)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(sweep_dir), "--out", str(out)]) == 0
+        text = (out / "sweep.csv").read_text()
+        rows = list(csv.reader(text.splitlines()[1:]))
+        assert rows[0] == list(cli.SWEEP_COLUMNS)
+        assert [len(row) for row in rows[1:]] == [len(cli.SWEEP_COLUMNS)] * 2
+        assert [row[0] for row in rows[1:]] == ["a,b", "c"]
+        assert text.splitlines()[2].startswith('"a,b",0.0,')
+        assert text.splitlines()[3].startswith("c,0.0,")
+        assert (out / "a,b" / "solution.csv").exists()
 
     def test_invalid_entry_fails_alone(self, tmp_path):
         listing = tmp_path / "list.json"
