@@ -1017,9 +1017,13 @@ def load_checkpoint(path):
 
     The records are applied in order, each starting at the end of the
     history read so far; together they must hold at least one node, with a
-    value in each of the four series.  The mode bank is rebuilt at tau0
-    from the header's settings (initial_bank) and moved to the last
-    record's modes; its anchor digest must be the header's.  A last line
+    value in each of the four series, and segment bounds that are strictly
+    increasing history nodes from the first to the last.  The last record's
+    next_step is null or a [span, limit] pair: a finite span > 0 and a
+    string.  A bound or a next_step that breaks this raises a ValueError
+    naming its line.  The mode bank is rebuilt at tau0 from the header's
+    settings (initial_bank) and moved to the last record's modes; its
+    anchor digest must be the header's.  A last line
     that lacks its newline and does not parse is a torn append and is
     ignored, so the record before it is the checkpoint.
     """
@@ -1047,7 +1051,7 @@ def load_checkpoint(path):
         )
     history = {"taus": [], "hubble": [], "a": [], "wick": []}
     raw_reports = []
-    bounds = []
+    bounds = []  # (line number, bound)
     for number, record in enumerate(records, 1):
         start = record.get("start") if isinstance(record, dict) else None
         if type(start) is not int or start < 0:
@@ -1063,18 +1067,36 @@ def load_checkpoint(path):
         for key, values in history.items():
             values.extend(_numbers(record["history"][key], f"{path}:{number}: {key}"))
         raw_reports.extend(record["reports"])
-        bounds.extend(_numbers(record["segment_bounds"], f"{path}:{number}: bounds"))
+        bounds.extend(
+            (number, bound)
+            for bound in _numbers(record["segment_bounds"], f"{path}:{number}: bounds")
+        )
     lengths = {key: len(values) for key, values in history.items()}
     if not lengths["taus"] or len(set(lengths.values())) > 1:
         raise ValueError(
             f"{path}: the history must hold at least one node and one value"
             f" per node in each series, got lengths {lengths}"
         )
+    # each bound is a history node after the one before it, the first at
+    # node 0 and the last at the last node, as cosmological_time needs them
+    nodes = {tau: index for index, tau in enumerate(history["taus"])}
+    end = -1  # the node of the bound before
+    for number, bound in bounds:
+        node = nodes.get(bound, -1)
+        if node <= end or (end < 0 and node != 0):
+            want = f"a history node after node {end}" if end >= 0 else "history node 0"
+            raise ValueError(f"{path}:{number}: segment bound {bound!r} is not {want}")
+        end = node
+    last = f"{path}:{len(records)}:"
+    if end != lengths["taus"] - 1:
+        raise ValueError(
+            f"{last} the segment bounds end at node {end}, not at the last"
+            f" history node {lengths['taus'] - 1}"
+        )
     initial = InitialData(**header["initial"])
     params = PhysicalParams(**header["params"])
     wick_cfg = WickConfig(**header["wick"])
     bank, modes = initial_bank(initial, params, wick_cfg), records[-1]["bank"]
-    last = f"{path}:{len(records)}:"
     if bank is not None:
         for name in ("chi_re", "chi_im", "dchi_re", "dchi_im"):
             _numbers(modes[name], f"{last} bank {name}")
@@ -1088,7 +1110,15 @@ def load_checkpoint(path):
     # the last report and the proposed span go with the carry, as in the run
     # that wrote the file: the next segment starts from the proposed span
     next_step = records[-1]["next_step"]
-    _numbers(next_step[:1] if next_step else (), f"{last} next_step")
+    if next_step is not None and not (
+        type(next_step) is list and len(next_step) == 2
+        and _numbers(next_step[:1], f"{last} next_step")[0] > 0.0
+        and type(next_step[1]) is str
+    ):
+        raise ValueError(
+            f"{last} next_step must be null or a [span, limit] pair, a span"
+            f" > 0 and a string, got {next_step!r:.60}"
+        )
     carry = SegmentState(
         initial=initial,
         params=params,
@@ -1109,4 +1139,4 @@ def load_checkpoint(path):
             f"{path}: the mode bank rebuilt from the header does not match"
             " its anchor digest"
         )
-    return carry, reports, tuple(bounds), header["tau_horizon"]
+    return carry, reports, tuple(bound for _, bound in bounds), header["tau_horizon"]

@@ -403,21 +403,26 @@ def test_criterion_11_determinism(tmp_path):
         (sweep_dir / f"m{i}.json").write_text(
             json.dumps({"mass": m, "H0": 0.0, "horizon": 0.001})
         )
+    # each sweep entry must write a solo run's bytes, and sweep.csv repeat
     sw_a, sw_b = tmp_path / "sw_a", tmp_path / "sw_b"
-    cli.main(["sweep", str(sweep_dir), "--out", str(sw_a), "--threads", "1"])
-    cli.main(["sweep", str(sweep_dir), "--out", str(sw_b), "--threads", "3"])
+    cli.main(["sweep", str(sweep_dir), "--out", str(sw_a)])
+    cli.main(["sweep", str(sweep_dir), "--out", str(sw_b)])
     sweep_identical = (sw_a / "sweep.csv").read_bytes() == (
         (sw_b / "sweep.csv").read_bytes()
-    ) and all(
-        (sw_a / name / "solution.csv").read_bytes()
-        == (sw_b / name / "solution.csv").read_bytes()
-        for name in ("m0", "m1")
     )
+    for name in ("m0", "m1"):
+        solo = tmp_path / f"solo_{name}"
+        cli.main(["run", str(sweep_dir / f"{name}.json"), "--out", str(solo)])
+        sweep_identical &= all(
+            (sw_a / name / file).read_bytes() == (solo / file).read_bytes()
+            for file in ("solution.csv", "summary.json")
+        )
     ok = code_a == 0 and code_b == 0 and run_identical and sweep_identical
     _verdict(
         11,
         "bitwise determinism",
         ok,
-        f"run CSV+summary identical across thread counts {run_identical},"
-        f" sweep outputs identical {sweep_identical}",
+        f"run CSV+summary identical across runs {run_identical}, sweep"
+        f" entries identical to solo runs and sweep.csv across sweeps"
+        f" {sweep_identical}",
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import logging
@@ -93,6 +94,30 @@ def test_only_a_massive_checkpoint_loads_openssl(tmp_path):
     )
     assert hashed is True
     assert (tmp_path / "run.ckpt").is_file()
+
+
+def test_readme_cli_section_names_exactly_the_parser_options():
+    # README's CLI code block and the paragraph after it name every option
+    # of run and sweep, and each example line only its own command's, so a
+    # removed flag cannot linger in the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block, paragraph = re.match(r"\s*```sh\n(.*?)```\n\n(.*?)\n\n", section, re.S).groups()
+    commands = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+        for name, sub in commands.items()
+    }
+    assert set(options) == {"run", "sweep"}
+    for line in block.splitlines():
+        assert set(re.findall(r"--[\w-]+", line)) <= options[line.split()[1]], line
+    assert set(re.findall(r"--[\w-]+", block + paragraph)) == (
+        options["run"] | options["sweep"]
+    )
 
 
 def lam_for_root(h_root: float) -> float:
@@ -583,8 +608,6 @@ class TestRunCommand:
         [
             ["run", "c.json", "--checkpoint", "ck.json", "--checkpoint-every", "-3"],
             ["run", "c.json", "--checkpoint", "ck.json", "--checkpoint-every", "0"],
-            ["sweep", "c.json", "--threads", "0"],
-            ["sweep", "c.json", "--threads", "-1"],
         ],
     )
     def test_count_below_one_exits_2(self, tmp_path, capsys, flags):
@@ -607,12 +630,14 @@ class TestRunCommand:
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 10
 
     def test_run_takes_no_threads_flag(self, tmp_path, capsys):
-        # a single run is sequential; only sweep runs entries in threads
+        # a run and a sweep are sequential: neither takes a thread count
         path = write_config(tmp_path / "c.json", mass=0.0, horizon=0.01)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", path, "--threads", "2"])
-        assert exit_info.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        for command in ("run", "sweep"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([command, path, "--threads", "2", "--out", str(tmp_path)])
+            assert exit_info.value.code == 2
+            assert "--threads" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     def test_out_dir_from_config(self, tmp_path, monkeypatch):
         out = tmp_path / "from_config"
@@ -1009,6 +1034,72 @@ class TestCheckpointResume:
         assert f"config error: cannot resume from {ck}" in capsys.readouterr().err
         assert not out.exists()
 
+    def _cut_checkpoint(self, tmp_path):
+        """The config path, checkpoint path and records of a two-segment
+        checkpoint, one line per segment."""
+        cfg = write_config(
+            tmp_path / "c.json", mass=0.0, H0=5.0, horizon=0.01,
+            numerical={"dt_target": 1e-3, "max_segments": 2},
+        )
+        ck = tmp_path / "ck.json"
+        cli.main(["run", cfg, "--out", str(tmp_path / "a_out"),
+                  "--checkpoint", str(ck)])
+        return cfg, ck, [json.loads(line) for line in ck.read_text().splitlines()]
+
+    def _assert_refused(self, tmp_path, capsys, cfg, ck, records, line, match):
+        ck.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(ValueError, match=f"{ck}:{line}: {match}"):
+            load_checkpoint(ck)
+        out = tmp_path / "b_out"
+        code = cli.main(["run", cfg, "--out", str(out), "--resume", str(ck)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot resume from {ck}: {ck}:{line}: " in err
+        # refused before any segment: the solve never made the directory
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage", ["last_moved", "first_moved", "last_dropped", "repeated"]
+    )
+    def test_resume_from_bounds_off_the_history_exits_2(
+        self, tmp_path, capsys, damage
+    ):
+        # bounds must be history nodes from the first to the last, strictly
+        # increasing; cosmological_time would refuse them only after the solve
+        cfg, ck, records = self._cut_checkpoint(tmp_path)
+        assert len(records) == 2
+        first, last = records[0]["segment_bounds"], records[-1]["segment_bounds"]
+        line, match = 2, "segment bound"
+        if damage == "last_moved":
+            last[-1] += 1e-9
+        elif damage == "first_moved":
+            first[0] = records[0]["history"]["taus"][1]
+            line = 1
+        elif damage == "last_dropped":
+            last.pop()
+            match = "the segment bounds end at node"
+        else:
+            last.append(last[-1])
+        self._assert_refused(tmp_path, capsys, cfg, ck, records, line, match)
+
+    @pytest.mark.parametrize(
+        "next_step",
+        [[0.0104], [0.0, "dt_target"], [-1e-3, "dt_target"], [1e-3, 5], 1e-3],
+        ids=["no-limit", "zero-span", "negative-span", "limit-not-str", "bare-span"],
+    )
+    def test_resume_from_a_malformed_next_step_exits_2(
+        self, tmp_path, capsys, next_step
+    ):
+        # only null or a [span, limit] pair with a span > 0 resumes: a short
+        # pair failed to unpack, and a span <= 0 ended the run in the solve
+        cfg, ck, records = self._cut_checkpoint(tmp_path)
+        assert isinstance(records[-1]["next_step"], list)
+        records[-1]["next_step"] = next_step
+        self._assert_refused(
+            tmp_path, capsys, cfg, ck, records, len(records),
+            r"next_step must be null or a \[span, limit\] pair",
+        )
+
     # a bank of 32 momenta is too coarse for a clean tail fit at some masses
     @pytest.mark.filterwarnings("ignore::semiflrw.wick.TailFitFailed")
     @settings(max_examples=20, deadline=None)
@@ -1398,22 +1489,20 @@ class TestSweep:
         assert rows[0].startswith("one,")
 
     def test_thread_count_does_not_change_output(self, tmp_path):
+        # each entry writes the bytes of a solo run, and sweep.csv repeats
         sweep_dir = tmp_path / "configs"
         sweep_dir.mkdir()
         for i, m in enumerate([0.5, 1.0, 2.0]):
             write_config(sweep_dir / f"m{i}.json", mass=m, horizon=0.001)
-        out1, out3 = tmp_path / "t1", tmp_path / "t3"
-        assert cli.main(
-            ["sweep", str(sweep_dir), "--out", str(out1), "--threads", "1"]
-        ) == 0
-        assert cli.main(
-            ["sweep", str(sweep_dir), "--out", str(out3), "--threads", "3"]
-        ) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out3 / "sweep.csv").read_bytes()
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["sweep", str(sweep_dir), "--out", str(out_a)]) == 0
+        assert cli.main(["sweep", str(sweep_dir), "--out", str(out_b)]) == 0
+        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
         for name in ("m0", "m1", "m2"):
-            assert (out1 / name / "solution.csv").read_bytes() == (
-                (out3 / name / "solution.csv").read_bytes()
-            )
+            solo = tmp_path / f"solo_{name}"
+            cli.main(["run", str(sweep_dir / f"{name}.json"), "--out", str(solo)])
+            for file in ("solution.csv", "summary.json"):
+                assert (out_a / name / file).read_bytes() == (solo / file).read_bytes()
 
     def test_missing_target_exits_2(self, tmp_path, capsys):
         code = cli.main(["sweep", str(tmp_path / "nope.json")])

@@ -1079,8 +1079,8 @@ class TestMassiveRun:
         assert sol.wick_square[-1] == pytest.approx(reference, rel=1e-6, abs=0.0)
 
     def test_concurrent_runs_match_their_sequential_runs_bit_for_bit(self):
-        # a sweep solves its entries in threads: two different massive runs
-        # at once must each give the series of their run alone, so no state
+        # a library caller may solve runs in threads: two different massive
+        # runs at once must each give the series of their run alone, so no state
         # that one run computes may leak into the other's arithmetic
         wick_cfg = WickConfig(k_max=20.0, n_k=32)
         runs = [
