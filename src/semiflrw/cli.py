@@ -73,40 +73,27 @@ _TOP_NUMBERS = {
 }
 _TOP_KEYS = {*_TOP_NUMBERS, "H0", "constraint", "state", "numerical", "out_dir"}
 _CONSTRAINT_KEYS = {"variant", "sign", "target_hubble"}
-# Keys of "numerical" that were removed, with what became of them.  They
-# are answered as removed, not as misspelt: a similar name would steer an
-# old config towards a different setting (tol is no successor of tol_rel).
-_REMOVED_NUMERICAL = {
-    "tol_rel": "nothing replaces it",
-    "safety": "the step controller has no safety factor",
-    "substep_cap": "the bank takes one Magnus step per interval",
-    "wronskian_budget": "the bank takes one Magnus step per interval",
-    "max_iter": "the Picard iterate cap is the constant solver.MAX_ITER",
-    "epsilon_scale": "the scale-factor margin is the constant solver.EPSILON_SCALE",
-    "panel_points": "the radial panel size is the constant wick.PANEL_POINTS",
-    "wronskian_tolerance": "the run's drift limit is modes.WRONSKIAN_TOLERANCE",
-    "k_knee": "the radial grid's knee is 10 a0 m, from the run's a0 and mass",
-    "tail_fit_window": "the tail-fit window is the constant wick.TAIL_FIT_WINDOW",
-}
 _STATE_KEYS = {"type", "amplitude", "k_scale"}
 
 
-def _check_keys(mapping: dict, allowed: set, context: str) -> None:
+def _check_keys(mapping: dict, allowed, context: str) -> None:
     for key in mapping:
         if key not in allowed:
-            import difflib
-            close = difflib.get_close_matches(key, sorted(allowed), n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ParseError(f"unknown key {key!r} in {context}{hint}")
+            raise ParseError(
+                f"unknown key {key!r} in {context}, which accepts only:"
+                f" {', '.join(sorted(allowed))}"
+            )
 
 
 def _as_float(mapping: dict, key: str, context: str, default=_REQUIRED):
+    """mapping[key] as a float; default when the key is absent, and null
+    (None) only where the default is None."""
     if key not in mapping:
         if default is _REQUIRED:
             raise ParseError(f"missing required key {key!r} in {context}")
         return default
     value = mapping[key]
-    if value is None and key in ("lambda_len", "dt_target", "hubble_critical"):
+    if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{context}.{key} must be a number, got {value!r}")
@@ -170,14 +157,8 @@ def parse_config_mapping(raw: dict, origin: str) -> dict:
     numerical_raw = raw.get("numerical", {})
     if not isinstance(numerical_raw, dict):
         raise ParseError(f"{origin}: numerical must be an object")
-    for key in numerical_raw:
-        if key in _REMOVED_NUMERICAL:
-            raise ParseError(
-                f"key {key!r} in {origin}.numerical was removed and"
-                f" {_REMOVED_NUMERICAL[key]}; delete it"
-            )
     context = f"{origin}.numerical"
-    _check_keys(numerical_raw, set(_NUMERICAL_DEFAULTS), context)
+    _check_keys(numerical_raw, _NUMERICAL_DEFAULTS, context)
     numerical = config["numerical"] = dict(_NUMERICAL_DEFAULTS)
     for key, value in numerical_raw.items():
         default = _NUMERICAL_DEFAULTS[key]
@@ -188,7 +169,7 @@ def parse_config_mapping(raw: dict, origin: str) -> dict:
                 raise ParseError(f"{context}.{key} must be an integer, got {value!r}")
             numerical[key] = value
         else:
-            numerical[key] = _as_float(numerical_raw, key, context)
+            numerical[key] = _as_float(numerical_raw, key, context, default)
 
     out_dir = raw.get("out_dir")
     if out_dir is not None:

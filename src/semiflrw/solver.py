@@ -921,10 +921,11 @@ def _split(values: np.ndarray, name: str) -> dict:
     return {f"{name}_re": values.real.tolist(), f"{name}_im": values.imag.tolist()}
 
 
-def _join(fields: dict, name: str) -> np.ndarray:
-    """The complex array that _split wrote under name, bit for bit."""
-    out = np.array(fields[f"{name}_re"], dtype=np.complex128)
-    out.imag = fields[f"{name}_im"]
+def _join(fields: dict, name: str, where: str) -> np.ndarray:
+    """The complex array that _split wrote under name, bit for bit; a part
+    that is no list of finite numbers raises a ValueError naming where."""
+    out = np.array(_numbers(fields[f"{name}_re"], f"{where} {name}_re"), np.complex128)
+    out.imag = _numbers(fields[f"{name}_im"], f"{where} {name}_im")
     return out
 
 
@@ -950,13 +951,7 @@ def save_checkpoint(
     pure-Python one); floats survive the round trip exactly (repr-based).
     A file resumes bit for bit only into the code that wrote it, so any
     change to the spans, iterates or modes a run makes bumps
-    CHECKPOINT_VERSION: format 8 was the first whose rule reads the history, 9 whose frozen-W
-    solve stops at FROZEN_TOL times the tolerance, 10 whose massive spans
-    read the sweeps' ratio, 11 the first whose trials seed from the history
-    alone, 12 the first whose bank takes one Magnus step per interval, 13
-    the first whose integrals are products with the trial's matrices
-    (core.Rule), and format 14 the first whose bank holds the state's modes
-    (a Bogoliubov run's records of 13 hold the vacuum's).
+    CHECKPOINT_VERSION, and so does any change to what a line holds.
     """
     if written == len(log.chunks):
         return written
@@ -1012,18 +1007,35 @@ def _numbers(values, where: str):
     return values
 
 
+def _report(fields, where: str) -> PicardReport:
+    """A record's Picard report: a list of finite residuals, a finite tol
+    > 0 and an integer halvings >= 0, or a ValueError naming where."""
+    if not (
+        type(fields) is dict and fields.keys() == {"residuals", "tol", "halvings"}
+        and type(fields["residuals"]) is list
+        and _numbers([fields["tol"], *fields["residuals"]], f"{where} report")[0] > 0
+        and type(fields["halvings"]) is int and fields["halvings"] >= 0
+    ):
+        raise ValueError(
+            f"{where} a Picard report is a list of residuals, a tol > 0 and"
+            f" an integer halvings >= 0, got {fields!r:.60}"
+        )
+    return PicardReport(tuple(fields["residuals"]), fields["tol"], fields["halvings"])
+
+
 def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
     The records are applied in order, each starting at the end of the
     history read so far; together they must hold at least one node, with a
-    value in each of the four series, and segment bounds that are strictly
-    increasing history nodes from the first to the last.  The last record's
-    next_step is null or a [span, limit] pair: a finite span > 0 and a
-    string.  A bound or a next_step that breaks this raises a ValueError
-    naming its line.  The mode bank is rebuilt at tau0 from the header's
-    settings (initial_bank) and moved to the last record's modes; its
-    anchor digest must be the header's.  A last line
+    value in each of the four series, segment bounds that are strictly
+    increasing history nodes from the first to the last, and one Picard
+    report (as _report reads it) per segment between them.  The last
+    record's next_step is null or a [span, limit] pair: a finite span > 0
+    and a string.  A value, bound, report or next_step that breaks this
+    raises a ValueError naming its line.  The mode bank is rebuilt at tau0
+    from the header's settings (initial_bank) and moved to the last
+    record's modes; its anchor digest must be the header's.  A last line
     that lacks its newline and does not parse is a torn append and is
     ignored, so the record before it is the checkpoint.
     """
@@ -1050,7 +1062,7 @@ def load_checkpoint(path):
             " new checkpoint"
         )
     history = {"taus": [], "hubble": [], "a": [], "wick": []}
-    raw_reports = []
+    reports = []
     bounds = []  # (line number, bound)
     for number, record in enumerate(records, 1):
         start = record.get("start") if isinstance(record, dict) else None
@@ -1066,7 +1078,7 @@ def load_checkpoint(path):
             )
         for key, values in history.items():
             values.extend(_numbers(record["history"][key], f"{path}:{number}: {key}"))
-        raw_reports.extend(record["reports"])
+        reports.extend(_report(r, f"{path}:{number}:") for r in record["reports"])
         bounds.extend(
             (number, bound)
             for bound in _numbers(record["segment_bounds"], f"{path}:{number}: bounds")
@@ -1093,20 +1105,21 @@ def load_checkpoint(path):
             f"{last} the segment bounds end at node {end}, not at the last"
             f" history node {lengths['taus'] - 1}"
         )
+    if len(reports) != len(bounds) - 1:
+        raise ValueError(
+            f"{last} {len(bounds) - 1} segments need as many Picard reports,"
+            f" not {len(reports)}"
+        )
     initial = InitialData(**header["initial"])
     params = PhysicalParams(**header["params"])
     wick_cfg = WickConfig(**header["wick"])
     bank, modes = initial_bank(initial, params, wick_cfg), records[-1]["bank"]
     if bank is not None:
-        for name in ("chi_re", "chi_im", "dchi_re", "dchi_im"):
-            _numbers(modes[name], f"{last} bank {name}")
         bank = bank.moved_to(
-            _join(modes, "chi"), _join(modes, "dchi"), history["taus"][-1]
+            _join(modes, "chi", f"{last} bank"), _join(modes, "dchi", f"{last} bank"),
+            history["taus"][-1],
         )
-    coefficients = header["bogoliubov"]
-    reports = tuple(
-        PicardReport(**{**r, "residuals": tuple(r["residuals"])}) for r in raw_reports
-    )
+    coefficients, where = header["bogoliubov"], f"{path}:1: bogoliubov"
     # the last report and the proposed span go with the carry, as in the run
     # that wrote the file: the next segment starts from the proposed span
     next_step = records[-1]["next_step"]
@@ -1124,7 +1137,7 @@ def load_checkpoint(path):
         params=params,
         wick_cfg=wick_cfg,
         bogoliubov=None if coefficients is None else (
-            _join(coefficients, "A"), _join(coefficients, "B")
+            _join(coefficients, "A", where), _join(coefficients, "B", where)
         ),
         hist_taus=np.array(history["taus"]),
         hist_hubble=np.array(history["hubble"]),
@@ -1139,4 +1152,4 @@ def load_checkpoint(path):
             f"{path}: the mode bank rebuilt from the header does not match"
             " its anchor digest"
         )
-    return carry, reports, tuple(bound for _, bound in bounds), header["tau_horizon"]
+    return carry, tuple(reports), tuple(b for _, b in bounds), header["tau_horizon"]

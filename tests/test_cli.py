@@ -11,6 +11,7 @@ import re
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from semiflrw import cli
 from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, MAX_SEGMENT_NODES, cumulative_integral
 from semiflrw.solver import SolverConfig, load_checkpoint
-from semiflrw.wick import TailFit
+from semiflrw.wick import TailFit, WickConfig
 
 HC = DEFAULT_HUBBLE_CRITICAL
 
@@ -51,7 +52,7 @@ def test_cli_import_loads_no_scipy():
 # write, and whether that loaded _hashlib.  hashlib is not the only way in:
 # numpy.random and secrets (through hmac) load _hashlib too, so a solve path
 # that draws from numpy.random trips the guard with no digest computed.
-GUARDED = ("_hashlib", "difflib", "concurrent.futures")
+GUARDED = ("_hashlib", "concurrent.futures")
 HASHLIB_IMPORTERS = ("hashlib", "hmac", "secrets", "numpy.random")
 GUARD_SCRIPT = """
 import json, sys
@@ -120,6 +121,15 @@ def test_readme_cli_section_names_exactly_the_parser_options():
     )
 
 
+def test_readme_config_section_names_exactly_the_numerical_keys():
+    # README's numerical bullet names every key the block accepts and
+    # nothing else, so a deleted knob cannot linger in the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n### Config schema\n", 1)[1]
+    bullet = re.search(r"\n\* `numerical` accepts [^(]*\(([^)]*)\)", section).group(1)
+    assert set(re.findall(r"`(\w+)`", bullet)) == set(cli._NUMERICAL_DEFAULTS)
+
+
 def lam_for_root(h_root: float) -> float:
     return (2.0 * HC**2 * h_root**2 - h_root**4) / (960.0 * math.pi**2)
 
@@ -176,6 +186,27 @@ def read_csv(path):
     return header, {name: data[:, j] for j, name in enumerate(header)}
 
 
+TOP_KEYS = {
+    "mass", "horizon", "Lambda_tilde", "lambda_len", "hubble_critical", "tau0",
+    "a0", "H0", "constraint", "state", "numerical", "out_dir",
+}
+NUMERICAL_KEYS = {f.name for f in fields(SolverConfig) + fields(WickConfig)}
+# numerical keys of earlier releases, which nothing reads any more
+REMOVED_NUMERICAL = (
+    "tol_rel", "safety", "substep_cap", "wronskian_budget", "max_iter",
+    "epsilon_scale", "panel_points", "wronskian_tolerance", "k_knee",
+    "tail_fit_window",
+)
+
+
+def listed_keys(message, key, context):
+    """The keys an unknown-key message for key in context says its block
+    accepts."""
+    head = f"unknown key {key!r} in {context}, which accepts only: "
+    assert message.startswith(head), message
+    return set(message.removeprefix(head).split(", "))
+
+
 class TestParsing:
     def test_minimal_config_defaults(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path / "c.json", mass=1.0, horizon=0.5))
@@ -190,47 +221,108 @@ class TestParsing:
         assert "constraint" not in cfg
 
     def test_unknown_key_suggests_fix(self, tmp_path):
+        # the fix is in the list of the keys the block accepts, not a guess
         path = write_config(tmp_path / "c.json", masss=1.0, horizon=0.5)
-        with pytest.raises(cli.ParseError, match="masss.*did you mean 'mass'"):
+        with pytest.raises(cli.ParseError) as err:
             cli.parse_config(path)
+        assert listed_keys(str(err.value), "masss", path) == TOP_KEYS
+        assert "did you mean" not in str(err.value)
 
     def test_unknown_numerical_key(self, tmp_path):
         path = write_config(
             tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={"kmax": 30.0}
         )
-        with pytest.raises(cli.ParseError, match="kmax.*did you mean 'k_max'"):
+        with pytest.raises(cli.ParseError) as err:
             cli.parse_config(path)
+        assert listed_keys(str(err.value), "kmax", f"{path}.numerical") == (
+            NUMERICAL_KEYS
+        )
 
     def test_removed_tol_rel_key_is_rejected(self, tmp_path):
-        # schema break: older configs and summary.json echoes carried it
-        path = write_config(
-            tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={"tol_rel": 1e-4}
-        )
-        with pytest.raises(cli.ParseError, match="'tol_rel'.*removed.*delete it") as err:
-            cli.parse_config(path)
-        # tol is the Picard tolerance, not a successor of tol_rel
-        assert "did you mean" not in str(err.value)
-        assert "'tol'" not in str(err.value)
+        # a removed key gets a typo's answer, word for word: it steers
+        # towards no setting (tol is the Picard tolerance, no successor of
+        # tol_rel, and is listed only as one of the keys numerical accepts)
+        messages = []
+        for key in ("tol_rel", "kmax"):
+            path = write_config(
+                tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: 1e-4}
+            )
+            with pytest.raises(cli.ParseError) as err:
+                cli.parse_config(path)
+            messages.append(str(err.value).replace(repr(key), "KEY"))
+        assert messages[0] == messages[1]
 
     def test_removed_safety_key_is_rejected(self, tmp_path, capsys):
-        # schema break: the tube step's safety factor went with the tube,
-        # the substep cap and drift budget with the RK4 bank; the drift
-        # tolerance, the Picard iterate cap, the scale-factor margin, the
-        # panel size and the tail-fit window became constants, and the
-        # grid's knee is 10 a0 m; older configs and summary.json echoes
-        # carry them
-        for key, value in (("safety", 0.5), ("substep_cap", 0.02),
-                           ("wronskian_budget", 1e-8), ("max_iter", 40),
-                           ("epsilon_scale", 1e-6), ("panel_points", 8),
-                           ("wronskian_tolerance", 1e-5), ("k_knee", 0.0),
-                           ("tail_fit_window", 0.25)):
+        # the tube step's safety factor went with the tube; like every
+        # unknown key it is a config error (exit 2) in any block
+        for block in ("numerical", "constraint", "state"):
             path = write_config(
-                tmp_path / "c.json", mass=1.0, horizon=0.5, numerical={key: value}
+                tmp_path / "c.json", mass=1.0, horizon=0.5, **{block: {"safety": 0.5}}
             )
-            with pytest.raises(cli.ParseError, match=f"'{key}'.*removed.*delete it"):
-                cli.parse_config(path)
             assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
-            assert f"'{key}'" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"config error: unknown key 'safety' in {path}.{block}," in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [*(("numerical", key) for key in REMOVED_NUMERICAL),
+         (None, "masss"), ("numerical", "kmax"),
+         ("constraint", "varaint"), ("state", "amplitud")],
+    )
+    def test_unknown_key_exits_2_listing_the_keys_its_block_accepts(
+        self, tmp_path, capsys, block, key
+    ):
+        # a removed key and a typo get the same complete answer
+        entries = {key: 1.0} if block is None else {block: {key: 1.0}}
+        path = write_config(tmp_path / "c.json", mass=1.0, horizon=0.5, **entries)
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        context = path if block is None else f"{path}.{block}"
+        assert listed_keys(err.removeprefix("config error: "), key, context) == {
+            None: TOP_KEYS,
+            "numerical": NUMERICAL_KEYS,
+            "constraint": {"variant", "sign", "target_hubble"},
+            "state": {"type", "amplitude", "k_scale"},
+        }[block]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [(None, "lambda_len"), (None, "hubble_critical"), ("numerical", "dt_target")],
+    )
+    def test_null_parses_where_the_default_is_unset(self, tmp_path, block, key):
+        entries = {key: None} if block is None else {block: {key: None}}
+        path = write_config(tmp_path / "c.json", mass=1.0, horizon=0.5, **entries)
+        default = write_config(tmp_path / "d.json", mass=1.0, horizon=0.5)
+        assert cli.parse_config(path) == cli.parse_config(default)
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [*((None, key) for key in ("mass", "horizon", "Lambda_tilde", "tau0", "a0")),
+         (None, "H0"),
+         ("constraint", "sign"), ("constraint", "target_hubble"),
+         ("state", "amplitude"), ("state", "k_scale"),
+         *(("numerical", key) for key in sorted(NUMERICAL_KEYS)
+           if key not in ("dt_target", "tail_model"))],
+    )
+    def test_null_is_a_config_error_for_any_other_number(
+        self, tmp_path, capsys, block, key
+    ):
+        raw = {"mass": 1.0, "horizon": 0.5}
+        if block == "constraint":
+            raw["constraint"] = {"variant": "given_H0"}
+        elif block == "state":
+            raw["state"] = {**GAUSSIAN}
+        if block is None:
+            raw[key] = None
+        else:
+            raw.setdefault(block, {})[key] = None
+        path = write_config(tmp_path / "c.json", **raw)
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f".{key} must be a" in err and "got None" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_mass(self, tmp_path):
         path = write_config(tmp_path / "c.json", horizon=0.5)
@@ -408,7 +500,9 @@ class TestValidation:
         path = write_config(tmp_path / "c.json", masss=1.0, horizon=0.5)
         code = cli.main(["run", path, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "did you mean 'mass'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: unknown key 'masss' in {path}," in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "numerical",
@@ -1034,12 +1128,14 @@ class TestCheckpointResume:
         assert f"config error: cannot resume from {ck}" in capsys.readouterr().err
         assert not out.exists()
 
-    def _cut_checkpoint(self, tmp_path):
+    def _cut_checkpoint(self, tmp_path, **entries):
         """The config path, checkpoint path and records of a two-segment
-        checkpoint, one line per segment."""
+        checkpoint, one line per segment; entries amend the massless config."""
         cfg = write_config(
-            tmp_path / "c.json", mass=0.0, H0=5.0, horizon=0.01,
-            numerical={"dt_target": 1e-3, "max_segments": 2},
+            tmp_path / "c.json", **{
+                "mass": 0.0, "H0": 5.0, "horizon": 0.01,
+                "numerical": {"dt_target": 1e-3, "max_segments": 2}, **entries,
+            },
         )
         ck = tmp_path / "ck.json"
         cli.main(["run", cfg, "--out", str(tmp_path / "a_out"),
@@ -1098,6 +1194,51 @@ class TestCheckpointResume:
         self._assert_refused(
             tmp_path, capsys, cfg, ck, records, len(records),
             r"next_step must be null or a \[span, limit\] pair",
+        )
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("residuals", ["x"], "report holds 'x', not a finite number"),
+            ("residuals", [math.nan], "report holds nan, not a finite number"),
+            ("residuals", 1e-12, "a Picard report is"),
+            ("tol", "y", "report holds 'y', not a finite number"),
+            ("tol", 0.0, "a Picard report is"),
+            ("halvings", 1.5, "a Picard report is"),
+            ("halvings", True, "a Picard report is"),
+            ("halvings", -1, "a Picard report is"),
+            ("iterates", 3, "a Picard report is"),
+            ("reports", [], "2 segments need as many Picard reports, not 1"),
+        ],
+        ids=["residual-str", "residual-nan", "residuals-bare", "tol-str", "tol-zero",
+             "halvings-float", "halvings-bool", "halvings-negative", "extra-field",
+             "no-report"],
+    )
+    def test_resume_from_a_malformed_picard_report_exits_2(
+        self, tmp_path, capsys, field, value, match
+    ):
+        # such reports resumed: a string crashed after the solve (exit 1, no
+        # summary.json), NaN reached summary.json, and a missing report
+        # miscounted the segments
+        cfg, ck, records = self._cut_checkpoint(tmp_path)
+        if field == "reports":
+            records[-1]["reports"] = value
+        else:
+            records[-1]["reports"][0][field] = value
+        self._assert_refused(tmp_path, capsys, cfg, ck, records, len(records), match)
+
+    def test_resume_from_a_malformed_bogoliubov_list_exits_2(self, tmp_path, capsys):
+        # a bool in the header's coefficients loaded as 1.0, and the resume
+        # then blamed the config for another Bogoliubov state
+        cfg, ck, records = self._cut_checkpoint(
+            tmp_path, mass=1.0, state=GAUSSIAN,
+            numerical={"dt_target": 1e-3, "max_segments": 2, "k_max": 20.0,
+                       "n_k": 32, "tail_model": "none"},
+        )
+        records[0]["bogoliubov"]["A_re"][0] = True
+        self._assert_refused(
+            tmp_path, capsys, cfg, ck, records, 1,
+            "bogoliubov A_re holds True, not a finite number",
         )
 
     # a bank of 32 momenta is too coarse for a clean tail fit at some masses
