@@ -338,11 +338,12 @@ def solve_and_write(config: dict, built, out_dir: Path, finish=None, **solve_kwa
 
 
 def _resume_kwargs(path, horizon: float, built) -> dict:
-    """continue_maximal's resume arguments from the checkpoint at path,
-    which must hold the run that the built config starts."""
+    """continue_maximal's resume argument: the carry of the checkpoint at
+    path, with its reports and bounds, which must continue the run that the
+    built config starts."""
     params, initial, wick_cfg, _, profile = built[:5]
     try:
-        carry, reports, bounds, horizon_ck = load_checkpoint(path)
+        carry, _, _, horizon_ck = load_checkpoint(path)
         check_resume(carry, initial_segment_state(initial, params, wick_cfg, profile))
     # TypeError: a record field of the wrong JSON type
     except (OSError, ValueError, KeyError, TypeError) as err:
@@ -352,7 +353,7 @@ def _resume_kwargs(path, horizon: float, built) -> dict:
             f"checkpoint horizon {horizon_ck!r} differs from"
             f" config horizon {horizon!r}"
         )
-    return {"resume_from": carry, "prior_reports": reports, "prior_bounds": bounds}
+    return {"resume_from": carry}
 
 
 def _run_failed(err: Exception) -> int:
@@ -386,9 +387,7 @@ def cmd_run(args) -> int:
 
         def finish(solution):
             # run_log is None when no segment was solved
-            final_log = run_log or RunLog(
-                solution.final_state, solution.reports, solution.segment_bounds
-            )
+            final_log = run_log or RunLog(solution.final_state)
             save_checkpoint(args.checkpoint, final_log, horizon, written)
 
         solve_kwargs["segment_callback"] = callback

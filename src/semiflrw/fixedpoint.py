@@ -80,13 +80,11 @@ class PicardReport:
         return tuple(cur / prev if prev > 0.0 else 0.0 for prev, cur in pairs)
 
     def as_dict(self) -> dict:
+        """The fields summary.json writes; the other properties follow."""
         return {
             "iterates": self.iterates,
             "residuals": list(self.residuals),
-            "contraction_ratios": list(self.contraction_ratios),
-            "converged": self.converged,
             "tol": self.tol,
-            "equation_residual": self.equation_residual,
             "halvings": self.halvings,
         }
 

@@ -74,9 +74,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -202,14 +201,17 @@ class SegmentState:
     The histories end at tau_start.  They cover the whole run [tau0,
     tau_start] in the initial state, a loaded checkpoint and a solution's
     final_state, and only the segment just solved (its start node
-    included) in what solve_segment returns.  The mode bank (massive case
-    only) sits at tau_start and holds the state's modes: it started from
-    A chi + conj(B chi) of the vacuum's tau0 modes, so bogoliubov is only
-    the state's identity, for check_resume and the checkpoint header.  Its
-    tau0 anchor is read-only, and anchor_digest is derived from it.
-    last_report is the Picard report of the segment that ended at tau_start
-    and next_step the (span, limit) that segment proposed for the next one
-    (see choose_step); both are None in the initial state.
+    included) in what solve_segment returns.  reports, a Picard report per
+    segment, and bounds, the segment bounds from the histories' first node
+    to tau_start, cover the same span: none and (tau0,) in the initial
+    state, one report and the segment's two bounds from solve_segment.
+    The mode bank (massive case only) sits at tau_start and holds the
+    state's modes: it started from A chi + conj(B chi) of the vacuum's tau0
+    modes, so bogoliubov is only the state's identity, for check_resume and
+    the checkpoint header.  Its tau0 anchor is read-only, and anchor_digest
+    is derived from it.
+    next_step is the (span, limit) that the segment ending at tau_start
+    proposed for the next one (see choose_step), None in the initial state.
     """
 
     initial: InitialData
@@ -221,7 +223,8 @@ class SegmentState:
     hist_a: np.ndarray
     hist_wick: np.ndarray
     mode_bank_carry: ModeBank | None
-    last_report: PicardReport | None = None
+    reports: tuple[PicardReport, ...]
+    bounds: tuple[float, ...]
     next_step: tuple[float, str] | None = None
 
     @property
@@ -279,24 +282,26 @@ class SegmentState:
 class RunLog:
     """A run's history as one log: a chunk of nodes per segment, joined once.
 
-    The first chunk is the history of the state the run starts from, which
-    comes with the reports and bounds before it.  Each append adds a solved
-    segment's new nodes (tau, H, a, W), its Picard report and its end
-    bound, and makes the segment the carry; ``segments`` counts the
-    appends.  Nothing that grows with the run is copied before join().
+    The log starts from a whole-run state (the initial state, a loaded
+    checkpoint or a final_state): its history is the first chunk, and its
+    reports and bounds start the log's.  Each append adds what solve_segment
+    returned past its start node: new nodes (tau, H, a, W), its Picard
+    report and its end bound; the segment becomes the carry.  ``segments``
+    counts the appends.  Nothing that grows with the run is copied before
+    join().
     """
 
-    def __init__(self, start: SegmentState, reports=(), bounds=()):
+    def __init__(self, start: SegmentState):
         self.chunks = [start.series]
-        self.reports = list(reports)
-        self.bounds = list(bounds) if bounds else [start.tau_start]
+        self.reports = list(start.reports)
+        self.bounds = list(start.bounds)
         self.nodes = start.hist_taus.size
         self.carry = start
 
     def append(self, segment: SegmentState) -> None:
         self.chunks.append(tuple(values[1:] for values in segment.series))
-        self.reports.append(segment.last_report)
-        self.bounds.append(segment.tau_start)
+        self.reports.extend(segment.reports)
+        self.bounds.extend(segment.bounds[1:])
         self.nodes += segment.hist_taus.size - 1
         self.carry = segment
 
@@ -305,10 +310,12 @@ class RunLog:
         return len(self.chunks) - 1
 
     def join(self) -> SegmentState:
-        """The carry with the whole history: the run's one concatenation."""
+        """The carry with the whole run: the one concatenation of its history,
+        with its reports and bounds."""
         taus, hubble, a, wick = (np.concatenate(parts) for parts in zip(*self.chunks))
         return replace(
-            self.carry, hist_taus=taus, hist_hubble=hubble, hist_a=a, hist_wick=wick
+            self.carry, hist_taus=taus, hist_hubble=hubble, hist_a=a, hist_wick=wick,
+            reports=tuple(self.reports), bounds=tuple(self.bounds),
         )
 
 
@@ -326,7 +333,8 @@ class TerminationReport:
 @dataclass(frozen=True, eq=False)
 class MaximalSolution:
     """Concatenated solution on [tau0, tau_stop] plus per-segment records;
-    the four series are final_state's histories, not copies."""
+    the four series, the reports and the segment bounds are final_state's,
+    not copies."""
 
     taus: np.ndarray
     hubble: np.ndarray
@@ -389,6 +397,8 @@ def initial_segment_state(
         hist_a=np.array([initial.a0]),
         hist_wick=np.array([w0]),
         mode_bank_carry=bank,
+        reports=(),
+        bounds=(initial.tau0,),
     )
 
 
@@ -754,7 +764,8 @@ def solve_segment(
         hist_a=a_vals[: last + 1],
         hist_wick=w_vals[: last + 1],
         mode_bank_carry=bank,
-        last_report=report,
+        reports=(report,),
+        bounds=(carry.tau_start, float(nodes[last])),
         next_step=choose_step(
             float(h_vals[last]), float(a_vals[last]), float(w_vals[last]),
             float(np.max(np.abs(h_vals[: last + 1]))), params, previous,
@@ -762,7 +773,7 @@ def solve_segment(
     )
 
 
-def _report_diagnostics(carry: SegmentState, n_segments: int, **extra) -> dict:
+def _report_diagnostics(carry: SegmentState, **extra) -> dict:
     critical = carry.params.hubble_critical
     return {
         "hubble_final": float(carry.hist_hubble[-1]),
@@ -770,7 +781,7 @@ def _report_diagnostics(carry: SegmentState, n_segments: int, **extra) -> dict:
         "wick_square_final": float(carry.hist_wick[-1]),
         "margin_hubble": float(critical - abs(carry.hist_hubble[-1])),
         "margin_scale": float(carry.scale_denominator()),
-        "segments": n_segments,
+        "segments": len(carry.reports),
         **extra,
     }
 
@@ -782,18 +793,18 @@ def continue_maximal(
     wick_cfg: WickConfig,
     solver_cfg: SolverConfig = SolverConfig(),
     resume_from: SegmentState | None = None,
-    prior_reports: Sequence[PicardReport] = (),
-    prior_bounds: Sequence[float] = (),
     profile: BogoliubovProfile | None = None,
     segment_callback=None,
 ) -> tuple[MaximalSolution, TerminationReport]:
     """Extend the solution segment by segment to the horizon or first breach.
 
     The inputs build the initial state, whose carry every segment reads
-    (profile None is the vacuum).  All failure modes are reported through
-    TerminationReport, never raised, and only a converged node ends a run
-    at the wall guard or the scale margin; a resume_from that check_resume
-    rejects against the initial state raises ValueError before any segment.
+    (profile None is the vacuum).  A resume_from state, a whole-run state
+    as RunLog starts from, continues its run, reports and bounds included.
+    All failure modes are reported through TerminationReport, never raised,
+    and only a converged node ends a run at the wall guard or the scale
+    margin; a resume_from that check_resume rejects against the initial
+    state raises ValueError before any segment.
     segment_callback(log), when given, runs after every completed segment
     with the run's RunLog; it must not mutate the log.
     """
@@ -805,7 +816,7 @@ def continue_maximal(
         resume_from = start
     else:
         check_resume(resume_from, start)
-    log = RunLog(resume_from, prior_reports, prior_bounds)
+    log = RunLog(resume_from)
     wall = (1.0 - solver_cfg.epsilon_critical) * params.hubble_critical
     diagnostics_extra = {}
     horizon_slack = 1e-12 * max(1.0, abs(tau_horizon))
@@ -846,7 +857,7 @@ def continue_maximal(
             segment_callback(log)
 
     final = log.join()
-    diagnostics = _report_diagnostics(final, len(log.reports), **diagnostics_extra)
+    diagnostics = _report_diagnostics(final, **diagnostics_extra)
     if reason == REASON_SCALE_BLOWUP:
         diagnostics["extrapolated_breach_tau"] = _extrapolate_blowup(final)
     if reason == REASON_CRITICAL_HUBBLE:
@@ -859,8 +870,8 @@ def continue_maximal(
         hubble=final.hist_hubble,
         scale_factor=final.hist_a,
         wick_square=final.hist_wick,
-        reports=tuple(log.reports),
-        segment_bounds=tuple(log.bounds),
+        reports=final.reports,
+        segment_bounds=final.bounds,
         final_state=final,
     )
     return solution, report
@@ -1023,6 +1034,30 @@ def _report(fields, where: str) -> PicardReport:
     return PicardReport(tuple(fields["residuals"]), fields["tol"], fields["halvings"])
 
 
+def _settings(cls, values, where: str):
+    """cls from a header object that holds exactly its fields: finite
+    numbers, but an integer n_k and a string tail_model; else a ValueError
+    naming where."""
+    names = [field.name for field in fields(cls)]
+    if type(values) is not dict or values.keys() != set(names):
+        raise ValueError(
+            f"{where} must be an object with the fields {', '.join(names)},"
+            f" got {values!r:.60}"
+        )
+    for name, value in values.items():
+        kind = {"n_k": int, "tail_model": str}.get(name)
+        if kind is None:
+            _numbers([value], f"{where}.{name}")
+        elif type(value) is not kind:
+            raise ValueError(
+                f"{where}.{name} must be {kind.__name__}, got {value!r:.40}"
+            )
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
 def load_checkpoint(path):
     """Rebuild (carry, reports, segment_bounds, tau_horizon) from a file.
 
@@ -1032,10 +1067,13 @@ def load_checkpoint(path):
     increasing history nodes from the first to the last, and one Picard
     report (as _report reads it) per segment between them.  The last
     record's next_step is null or a [span, limit] pair: a finite span > 0
-    and a string.  A value, bound, report or next_step that breaks this
-    raises a ValueError naming its line.  The mode bank is rebuilt at tau0
-    from the header's settings (initial_bank) and moved to the last
-    record's modes; its anchor digest must be the header's.  A last line
+    and a string.  The header's horizon is a finite number, and its
+    initial, params and wick objects hold exactly their settings' fields
+    (_settings).  A value, bound, report, setting or next_step that breaks
+    this raises a ValueError naming its line.  The mode bank is rebuilt at
+    tau0 from the header's settings (initial_bank) and moved to the last
+    record's modes; its anchor digest must be the header's.  The carry
+    holds the reports and bounds, which are returned too.  A last line
     that lacks its newline and does not parse is a torn append and is
     ignored, so the record before it is the checkpoint.
     """
@@ -1110,9 +1148,13 @@ def load_checkpoint(path):
             f"{last} {len(bounds) - 1} segments need as many Picard reports,"
             f" not {len(reports)}"
         )
-    initial = InitialData(**header["initial"])
-    params = PhysicalParams(**header["params"])
-    wick_cfg = WickConfig(**header["wick"])
+    _numbers([header.get("tau_horizon")], f"{path}:1: tau_horizon")
+    initial, params, wick_cfg = (
+        _settings(cls, header.get(key), f"{path}:1: {key}")
+        for cls, key in (
+            (InitialData, "initial"), (PhysicalParams, "params"), (WickConfig, "wick")
+        )
+    )
     bank, modes = initial_bank(initial, params, wick_cfg), records[-1]["bank"]
     if bank is not None:
         bank = bank.moved_to(
@@ -1120,8 +1162,8 @@ def load_checkpoint(path):
             history["taus"][-1],
         )
     coefficients, where = header["bogoliubov"], f"{path}:1: bogoliubov"
-    # the last report and the proposed span go with the carry, as in the run
-    # that wrote the file: the next segment starts from the proposed span
+    # the proposed span goes with the carry, as in the run that wrote the
+    # file: the next segment starts from it
     next_step = records[-1]["next_step"]
     if next_step is not None and not (
         type(next_step) is list and len(next_step) == 2
@@ -1144,7 +1186,8 @@ def load_checkpoint(path):
         hist_a=np.array(history["a"]),
         hist_wick=np.array(history["wick"]),
         mode_bank_carry=bank,
-        last_report=reports[-1] if reports else None,
+        reports=tuple(reports),
+        bounds=tuple(b for _, b in bounds),
         next_step=None if next_step is None else tuple(next_step),
     )
     if carry.anchor_digest != header["anchor_digest"]:
@@ -1152,4 +1195,4 @@ def load_checkpoint(path):
             f"{path}: the mode bank rebuilt from the header does not match"
             " its anchor digest"
         )
-    return carry, tuple(reports), tuple(b for _, b in bounds), header["tau_horizon"]
+    return carry, carry.reports, carry.bounds, header["tau_horizon"]

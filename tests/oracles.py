@@ -21,7 +21,8 @@ interpolant of V and V'.
 * the segment rule as one convolution and one running sum
   (cumulative_integral), against the matrices of semiflrw.core.Rule;
 * the exact massless solution tau(H), by quadrature of the separable
-  equation (massless_tau);
+  equation (massless_tau), and the cosmological constant that makes a
+  rate a root of the massless source (lam_for_root);
 * the renormalized Wick square one time at a time, with a numpy.polyfit
   tail fit (wick_square_per_node), against the row-vectorised quadrature
   and closed-form fit in semiflrw.wick, and a Bogoliubov state's
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, quad, simpson
 
-from semiflrw.core import COLD_START, PhysicalParams, RuleStart
+from semiflrw.core import COLD_START, DEFAULT_HUBBLE_CRITICAL, PhysicalParams, RuleStart
 from semiflrw.modes import DegenerateMode, potential, wronskian_error
 from semiflrw.wick import (
     _P_CLIP,
@@ -616,3 +617,9 @@ def massless_tau(
 
     value, _ = quad(integrand, hubble0, hubble, epsabs=0.0, epsrel=1e-13, limit=200)
     return tau0 + value
+
+
+def lam_for_root(h_root: float) -> float:
+    """Cosmological constant making h_root a zero of the massless source."""
+    hc = DEFAULT_HUBBLE_CRITICAL
+    return (2.0 * hc**2 * h_root**2 - h_root**4) / (960.0 * math.pi**2)

@@ -38,6 +38,7 @@ from oracles import (
     initial_energy_from_modes,
     initial_energy_integral,
     initial_mode,
+    lam_for_root,
     perturbative_mode,
     perturbative_orders,
 )
@@ -49,10 +50,6 @@ W0 = WickConfig(k_max=40.0, n_k=192)
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {label}: {detail}")
     assert ok, f"criterion {num} ({label}): {detail}"
-
-
-def lam_for_root(h_root: float) -> float:
-    return (2.0 * HC**2 * h_root**2 - h_root**4) / (960.0 * math.pi**2)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,8 @@ from semiflrw.core import DEFAULT_HUBBLE_CRITICAL, MAX_SEGMENT_NODES, cumulative
 from semiflrw.solver import SolverConfig, load_checkpoint
 from semiflrw.wick import TailFit, WickConfig
 
+from oracles import lam_for_root
+
 HC = DEFAULT_HUBBLE_CRITICAL
 
 
@@ -67,11 +69,7 @@ massive, _ = continue_maximal(
 )
 main(["run", config, "--out", out + "/run", "--checkpoint", out + "/run.ckpt"])
 print(json.dumps([name for name in names if name in sys.modules]))
-state = massive.final_state
-save_checkpoint(
-    out + "/massive.ckpt", RunLog(state, massive.reports, massive.segment_bounds),
-    0.002,
-)
+save_checkpoint(out + "/massive.ckpt", RunLog(massive.final_state), 0.002)
 print(json.dumps("_hashlib" in sys.modules))
 """
 
@@ -128,10 +126,6 @@ def test_readme_config_section_names_exactly_the_numerical_keys():
     section = readme.read_text().split("\n### Config schema\n", 1)[1]
     bullet = re.search(r"\n\* `numerical` accepts [^(]*\(([^)]*)\)", section).group(1)
     assert set(re.findall(r"`(\w+)`", bullet)) == set(cli._NUMERICAL_DEFAULTS)
-
-
-def lam_for_root(h_root: float) -> float:
-    return (2.0 * HC**2 * h_root**2 - h_root**4) / (960.0 * math.pi**2)
 
 
 def write_config(path, **entries):
@@ -579,7 +573,7 @@ class TestRunCommand:
         assert summary["termination"]["reason"] == "TimeHorizon"
         assert summary["termination"]["exit_code"] == 0
         assert summary["series"]["tau_final"] == 0.005
-        assert all(rep["converged"] for rep in summary["picard"])
+        assert all(rep["residuals"][-1] < rep["tol"] for rep in summary["picard"])
         assert summary["tail_fit"] is None
 
     def test_massive_run_reports_tail_fit(self, tmp_path):
@@ -1226,6 +1220,44 @@ class TestCheckpointResume:
         else:
             records[-1]["reports"][0][field] = value
         self._assert_refused(tmp_path, capsys, cfg, ck, records, len(records), match)
+
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("initial.a0", True, "initial.a0 holds True, not a finite number"),
+            ("initial.tau0", False, "initial.tau0 holds False, not a finite number"),
+            ("params.mass", False, "params.mass holds False, not a finite number"),
+            ("initial.a0", "1.0", "initial.a0 holds '1.0', not a finite number"),
+            ("params.mass", "0", "params.mass holds '0', not a finite number"),
+            ("wick.k_max", "40", "wick.k_max holds '40', not a finite number"),
+            ("params.hubble_critical", None, "params.hubble_critical holds None"),
+            ("wick.n_k", 192.0, "wick.n_k must be int, got 192.0"),
+            ("wick.n_k", True, "wick.n_k must be int, got True"),
+            ("wick.tail_model", 5, "wick.tail_model must be str, got 5"),
+            ("params.mass", -1.0, "params: mass must be finite and >= 0"),
+            ("initial.spin", 0.0, "initial must be an object with the fields"),
+            ("initial.hubble0", ..., "initial must be an object with the fields"),
+            ("wick", [], "wick must be an object with the fields"),
+            ("params", None, "params must be an object with the fields"),
+            ("tau_horizon", True, "tau_horizon holds True, not a finite number"),
+            ("tau_horizon", "0.01", "tau_horizon holds '0.01', not a finite number"),
+        ],
+    )
+    def test_resume_from_malformed_header_settings_exits_2(
+        self, tmp_path, capsys, key, value, match
+    ):
+        # a bool setting loaded as a number and resumed (exit 0); a string,
+        # an extra or missing field, or a block that is no object failed
+        # with numpy's or the constructor's message, naming no line
+        cfg, ck, records = self._cut_checkpoint(tmp_path)
+        block, _, name = key.partition(".")
+        if not name:
+            records[0][block] = value
+        elif value is ...:
+            del records[0][block][name]
+        else:
+            records[0][block][name] = value
+        self._assert_refused(tmp_path, capsys, cfg, ck, records, 1, match)
 
     def test_resume_from_a_malformed_bogoliubov_list_exits_2(self, tmp_path, capsys):
         # a bool in the header's coefficients loaded as 1.0, and the resume

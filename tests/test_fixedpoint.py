@@ -48,10 +48,7 @@ class TestPicardReport:
         assert report.as_dict() == {
             "iterates": 4,
             "residuals": [1e-3, 2e-6, 0.0, 5e-11],
-            "contraction_ratios": [2e-6 / 1e-3, 0.0, 0.0],
-            "converged": True,
             "tol": 1e-10,
-            "equation_residual": 5e-11,
             "halvings": 2,
         }
 
@@ -189,7 +186,6 @@ class TestPicardSolve:
         assert report.residuals[-1] >= report.tol == 1e-12
         assert report.converged is False
         assert report.equation_residual is None
-        assert report.as_dict()["equation_residual"] is None
 
     def test_nan_detected_with_node(self):
         grid = np.linspace(0.0, 1.0, 11)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import semiflrw
@@ -37,3 +38,18 @@ def test_every_public_name_is_exported_or_read_by_the_package():
             ):
                 unread.append(f"{path.stem}.{definition.name}")
     assert unread == []
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # README's library example runs as written: a run to 1e-3, then the
+    # same run continued to 2e-3 from its final state alone
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    block = re.search(r"\n## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    first, longer = namespace["solution"], namespace["longer"]
+    assert capsys.readouterr().out.splitlines() == [
+        "TimeHorizon 0.0", f"TimeHorizon {len(longer.reports)} 0.0"
+    ]
+    assert longer.segment_bounds[: len(first.segment_bounds)] == first.segment_bounds
+    assert len(longer.reports) == len(longer.segment_bounds) - 1 > len(first.reports)

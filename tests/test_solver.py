@@ -53,15 +53,12 @@ from semiflrw.solver import (
 from semiflrw.modes import evolve_bank, potential
 from semiflrw.wick import TWO_PI_SQ, BogoliubovProfile, WickConfig, radial_grid
 
-from oracles import bogoliubov_delta_per_node, massless_tau, verify_retardation
+from oracles import (
+    bogoliubov_delta_per_node, lam_for_root, massless_tau, verify_retardation,
+)
 
 HC = DEFAULT_HUBBLE_CRITICAL
 W0 = WickConfig(k_max=10.0)
-
-
-def lam_for_root(h_root: float) -> float:
-    """Cosmological constant making h_root a zero of the massless source."""
-    return (2.0 * HC**2 * h_root**2 - h_root**4) / (960.0 * math.pi**2)
 
 
 @pytest.fixture(scope="module")
@@ -1177,12 +1174,8 @@ class TestCheckpoint:
         )
         assert rep_cut.reason == "ConvergenceFailure"
         path = tmp_path / "ckpt.json"
-        save_checkpoint(
-            path,
-            RunLog(sol_cut.final_state, sol_cut.reports, sol_cut.segment_bounds),
-            0.004,
-        )
-        carry, reports, bounds, horizon = load_checkpoint(path)
+        save_checkpoint(path, RunLog(sol_cut.final_state), 0.004)
+        carry, _, _, horizon = load_checkpoint(path)
         assert horizon == 0.004
         assert carry.anchor_digest == sol_cut.final_state.anchor_digest
         assert np.array_equal(carry.hist_taus, sol_cut.final_state.hist_taus)
@@ -1193,8 +1186,7 @@ class TestCheckpoint:
             carry.mode_bank_carry.k0, sol_cut.final_state.mode_bank_carry.k0
         )
         sol_res, rep_res = continue_maximal(
-            InitialData(0.0, 1.0, 0.0), horizon, params, wcfg, cfg,
-            resume_from=carry, prior_reports=reports, prior_bounds=bounds,
+            InitialData(0.0, 1.0, 0.0), horizon, params, wcfg, cfg, resume_from=carry
         )
         assert rep_res.reason == rep_ref.reason
         assert np.array_equal(sol_res.taus, sol_ref.taus)
@@ -1209,7 +1201,7 @@ class TestCheckpoint:
     def test_massless_checkpoint_roundtrip(self, tmp_path, ds_run):
         sol, rep, h0, params = ds_run
         path = tmp_path / "ckpt0.json"
-        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        log = RunLog(sol.final_state)
         save_checkpoint(path, log, 0.005)
         carry, reports, bounds, horizon = load_checkpoint(path)
         assert carry.mode_bank_carry is None
@@ -1237,7 +1229,6 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=f"the checkpoint's {differs}"):
                 continue_maximal(
                     initial, 0.008, run_params, run_wick, resume_from=carry,
-                    prior_reports=sol.reports, prior_bounds=sol.segment_bounds,
                     profile=profile,
                 )
 
@@ -1296,7 +1287,7 @@ class TestCheckpoint:
 
         sol = mass_run[0]
         path = tmp_path / "ckpt.json"
-        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        log = RunLog(sol.final_state)
         save_checkpoint(path, log, 0.004)
         header = json.loads(path.read_text())
         header["params"]["mass"] = 2.0
@@ -1323,7 +1314,7 @@ class TestCheckpoint:
     def test_unchanged_log_appends_nothing(self, tmp_path, ds_run):
         sol = ds_run[0]
         path = tmp_path / "ckpt.json"
-        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        log = RunLog(sol.final_state)
         written = save_checkpoint(path, log, 0.005)
         content = path.read_bytes()
         assert save_checkpoint(path, log, 0.005, written) == written
@@ -1334,7 +1325,7 @@ class TestCheckpoint:
 
         sol, rep, h0, params = ds_run
         path = tmp_path / "ckpt1.json"
-        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        log = RunLog(sol.final_state)
         save_checkpoint(path, log, 0.005)
         payload = json.loads(path.read_text())
         # format 3 had no physical parameters in its header, format 4 no
@@ -1506,6 +1497,62 @@ class TestBogoliubovState:
         assert sol_b.hubble[-1] > sol_v.hubble[-1]
 
 
+class TestResumeFromTheState:
+    """A state carries its run's Picard reports and segment bounds, so a
+    resume is one value: resume_from."""
+
+    @pytest.mark.parametrize("mass, horizon", [(1.0, 0.03), (0.0, 0.02)])
+    def test_a_resume_after_any_segment_is_the_uninterrupted_run(self, mass, horizon):
+        initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=mass)
+        wick_cfg = WickConfig(k_max=20.0, n_k=32)
+        joined = []
+        whole, report = continue_maximal(
+            initial, horizon, params, wick_cfg,
+            segment_callback=lambda log: joined.append(log.join()),
+        )
+        assert report.reason == "TimeHorizon"
+        assert len(joined) == len(whole.reports) >= 4
+        # a trial is retried, so the halvings are compared too
+        assert any(r.halvings for r in whole.reports)
+        expected = solution_diagnostics(whole)
+        for carry in joined[:-1]:
+            sol, rep = continue_maximal(
+                initial, horizon, params, wick_cfg, resume_from=carry
+            )
+            assert rep == report
+            assert rep.diagnostics["segments"] == len(whole.reports)
+            for ours, theirs in zip(
+                (sol.taus, sol.hubble, sol.scale_factor, sol.wick_square),
+                (whole.taus, whole.hubble, whole.scale_factor, whole.wick_square),
+            ):
+                assert np.array_equal(ours, theirs)
+            assert sol.segment_bounds == whole.segment_bounds
+            assert [(r.residuals, r.halvings) for r in sol.reports] == [
+                (r.residuals, r.halvings) for r in whole.reports
+            ]
+            got = solution_diagnostics(sol)
+            assert got.keys() == expected.keys()
+            assert all(np.array_equal(got[k], expected[k]) for k in expected)
+
+    def test_a_longer_run_from_a_final_state_keeps_its_segments(self):
+        # resumed from a final_state alone, a run once lost the reports and
+        # bounds before it: its bounds started at the resume and its
+        # diagnostics counted 4 segments of 8
+        initial, params = InitialData(0.0, 1.0, 5.0), PhysicalParams(mass=0.0)
+        wick_cfg = WickConfig(k_max=40.0, n_k=64)
+        first, _ = continue_maximal(initial, 0.02, params, wick_cfg)
+        assert (len(first.reports), first.taus.size) == (4, 97)
+        sol, rep = continue_maximal(
+            initial, 0.05, params, wick_cfg, resume_from=first.final_state
+        )
+        assert rep.reason == "TimeHorizon"
+        assert sol.segment_bounds[:5] == first.segment_bounds
+        assert sol.segment_bounds[0] == 0.0 and sol.segment_bounds[-1] == 0.05
+        assert sol.reports[:4] == first.reports
+        assert rep.diagnostics["segments"] == len(sol.reports) == 8
+        assert solution_diagnostics(sol)["t"].size == sol.taus.size
+
+
 def carry_with_history(hubble_of, report=PicardReport((1e-11,), 1e-10)):
     """A massless carry whose 49-node history on [0, 1e-3] is hubble_of(tau)."""
     taus = np.linspace(0.0, 1e-3, 49)
@@ -1514,7 +1561,7 @@ def carry_with_history(hubble_of, report=PicardReport((1e-11,), 1e-10)):
     )
     return replace(
         state0, hist_taus=taus, hist_hubble=hubble_of(taus), hist_a=np.ones(49),
-        hist_wick=np.zeros(49), last_report=report,
+        hist_wick=np.zeros(49), reports=(report,), bounds=(0.0, 1e-3),
     )
 
 
@@ -1577,13 +1624,14 @@ class TestPicardSeed:
         assert all(r.halvings == 0 for r in sol.reports)
         assert max(r.iterates for r in sol.reports[1:]) <= 2
 
-    def test_loaded_carry_holds_the_last_report(self, tmp_path, mass_run):
+    def test_loaded_carry_holds_the_reports_and_bounds(self, tmp_path, mass_run):
         sol = mass_run[0]
         path = tmp_path / "ckpt.json"
-        log = RunLog(sol.final_state, sol.reports, sol.segment_bounds)
+        log = RunLog(sol.final_state)
         save_checkpoint(path, log, 0.004)
-        carry, reports, _, _ = load_checkpoint(path)
-        assert carry.last_report == reports[-1] == sol.final_state.last_report
+        carry, reports, bounds, _ = load_checkpoint(path)
+        assert carry.reports == reports == sol.final_state.reports == sol.reports
+        assert carry.bounds == bounds == sol.final_state.bounds == sol.segment_bounds
 
 
 def massive_segments(initial, params, wick_cfg, count):
@@ -1611,10 +1659,10 @@ class TestFixedWickSplit:
         # sweeps of the nineteen before it leave full-map residuals of 4e-8
         # to 1.6e-3, above tol 1e-10, and the twentieth's leaves 5.7e-11
         segments = massive_segments(self.initial, self.params, self.wick_cfg, 20)
-        seeded = [(c, s) for c, s in segments if s.last_report.iterates == 1]
+        seeded = [(c, s) for c, s in segments if s.reports[0].iterates == 1]
         assert seeded
         for carry, segment in seeded:
-            report = segment.last_report
+            report = segment.reports[0]
             assert report.residuals[0] < report.tol
             # W, a and the bank are those of the one sweep, at the stored H
             rule = segment_rule(segment.hist_taus, carry.back[0])
@@ -1630,7 +1678,7 @@ class TestFixedWickSplit:
         (_, first), (carry, segment) = massive_segments(
             self.initial, self.params, self.wick_cfg, 2
         )
-        assert segment.last_report.halvings == 0
+        assert segment.reports[0].halvings == 0
         nodes = segment.hist_taus
         tol = SolverConfig().tol
 
@@ -1650,14 +1698,14 @@ class TestFixedWickSplit:
         for reference, _, _ in (plain(1e-3 * tol), plain(tol)):
             assert np.max(np.abs(segment.hist_hubble - reference)) < tol
         # every sweep is one bank evolution: the split needs fewer
-        assert segment.last_report.iterates < plain(tol)[1].iterates
+        assert segment.reports[0].iterates < plain(tol)[1].iterates
 
     def test_a_sweep_after_a_fixed_w_solve_leaves_rounding(self):
         # W moves with H only through a(H), so the fixed point at the swept
         # W leaves a residual orders of magnitude below the one before,
         # where a plain Picard step cuts it by about the contraction target
         segments = massive_segments(self.initial, self.params, self.wick_cfg, 8)
-        swept = [s.last_report for _, s in segments if s.last_report.iterates > 1]
+        swept = [s.reports[0] for _, s in segments if s.reports[0].iterates > 1]
         assert swept
         for report in swept:
             assert max(report.contraction_ratios) < 1e-3
@@ -1679,8 +1727,8 @@ class TestFixedWickSplit:
         monkeypatch.setattr(solver, "picard_solve", frozen)
         start = initial_segment_state(self.initial, self.params, self.wick_cfg)
         segment = solve_segment(start, 1.0)
-        assert segment.last_report.converged
-        assert segment.last_report.halvings >= 1
+        assert segment.reports[0].converged
+        assert segment.reports[0].halvings >= 1
         assert sweeps and max(t[-1] - t[0] for t in sweeps) < stalled[0]
         stalls[0], sweeps[:] = math.inf, []
         sol, rep = continue_maximal(self.initial, 0.01, self.params, self.wick_cfg)
@@ -1753,7 +1801,7 @@ class TestFixedWickSplit:
         monkeypatch.setattr(solver, "picard_solve_with_halving", counted)
         monkeypatch.setattr(solver, "hubble_at_fixed_wick", spied)
         segment = solve_segment(carry, 1.0, SolverConfig(dt_target=1.0))
-        halvings = segment.last_report.halvings
+        halvings = segment.reports[0].halvings
         assert halvings >= 1
         assert len(first) == len(trials) == halvings + 1
         for nodes, (at, w, x) in zip(trials, first):
@@ -1785,8 +1833,8 @@ class TestFixedWickSplit:
             carry = replace(start, next_step=(factor * span, "contraction"))
             if most:
                 segment = solve_segment(carry, 1.0)
-                assert segment.last_report.converged
-                assert segment.last_report.halvings > 0
+                assert segment.reports[0].converged
+                assert segment.reports[0].halvings > 0
             else:
                 with pytest.raises(CriticalHubble):
                     solve_segment(carry, 1.0)
